@@ -43,11 +43,13 @@ from .hermitian import (
 from .process import (
     EPSILON,
     Alphabet,
+    LinearForm,
     Process,
     TruncatedHankel,
     Word,
     build_hankel,
     check_process_axioms,
+    distinguishing_word,
     format_word,
     numerical_rank,
     parse_word,

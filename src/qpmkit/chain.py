@@ -39,12 +39,14 @@ from .models import (
 )
 from .process import (
     Alphabet,
+    LinearForm,
     Process,
     Word,
     as_word,
     build_hankel,
     check_process_axioms,
     select_row_basis,
+    word_states,
     words_up_to,
 )
 
@@ -296,7 +298,18 @@ def chain_eval(chain: QuantumChain, word) -> float:
 
 
 def chain_process(chain: QuantumChain) -> Process:
-    return Process(chain.alphabet, lambda w: chain_eval(chain, w), dimension=chain.subspace.dim)
+    return Process(
+        chain.alphabet,
+        lambda w: chain_eval(chain, w),
+        dimension=chain.subspace.dim,
+        lowering=lambda: _linear_form(chain, chain.initial_coords),
+    )
+
+
+def _linear_form(chain: QuantumChain, initial_coords: np.ndarray) -> LinearForm:
+    """Coordinates of the initial density, the letter coordinate matrices, the basis traces."""
+    matrices = np.stack([chain.letter_ops[a].matrix for a in chain.alphabet])
+    return LinearForm(initial_coords, matrices, chain.subspace.traces)
 
 
 # --------------------------------------------------------------------------
@@ -358,14 +371,16 @@ def validate_chain(
     else:
         window = DEFAULTS.qpm_horizon if horizon is None else horizon
         report.horizon = window
-        for word in words_up_to(chain.alphabet, window):
-            value = chain_eval(chain, word)
-            if value < -eval_tol or value > 1.0 + eval_tol:
-                report.add(
-                    "word-probability",
-                    f"tr over word {''.join(word) or 'empty'} is {value!r}, outside [0, 1]",
-                    ("words", word),
-                )
+        values = word_states(_linear_form(chain, coords), max(window, 0)) @ sub.traces
+        words = words_up_to(chain.alphabet, window)
+        outside = (values < -eval_tol) | (values > 1.0 + eval_tol)
+        for i in np.flatnonzero(outside[: len(words)]):
+            word = words[i]
+            report.add(
+                "word-probability",
+                f"tr over word {''.join(word) or 'empty'} is {float(values[i])!r}, outside [0, 1]",
+                ("words", word),
+            )
         report.note(f"word probabilities checked exhaustively up to length {window}")
     return report
 
@@ -590,9 +605,10 @@ def finitary_to_qpm(
     The subspace is spanned by diagonal units, one per selected basis row;
     letter operators carry the shift coefficients fitted by least squares
     over all suffix columns up to ``horizon`` (default: the declared
-    dimension).  Residuals above ``residual_tol`` mean the basis cannot
-    reproduce the shifted rows and raise
-    :class:`BasisInsufficiencyError`.
+    dimension).  The shifted rows p(v a w) are (F_v M_a)·Bᵀ, the basis
+    words' prefix states times the letter matrix times the suffix states.
+    Residuals above ``residual_tol`` mean the basis cannot reproduce the
+    shifted rows and raise :class:`BasisInsufficiencyError`.
     """
     window = param.dimension if horizon is None else horizon
     if len(param.alphabet) ** max(window, 1) > 500_000:
@@ -609,32 +625,34 @@ def finitary_to_qpm(
     hankel = build_hankel(process, window, window)
     basis_words = select_row_basis(hankel, eps)
     d = len(basis_words)
-    weights = np.array([process(v) for v in basis_words])
-    columns = hankel.col_words
-    design = np.empty((len(columns), d))
-    for j, v in enumerate(basis_words):
-        design[:, j] = [process(v + w) / weights[j] for w in columns]
+    if d == 0:
+        raise ValidationError("process has numerical rank 0; nothing to represent")
+    basis_rows = [hankel.row_words.index(v) for v in basis_words]
+    weights = hankel.matrix[basis_rows, 0]
+    # column j of the design holds the normalised Hankel row of basis word j
+    design = hankel.matrix[basis_rows].T / weights
+    form = process.linear
+    basis_states = word_states(form, window)[basis_rows]
+    suffixes = word_states(form, window, suffix=True)
 
-    def fit(target: np.ndarray, what: str) -> np.ndarray:
-        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
-        residual = float(np.linalg.norm(design @ solution - target))
-        if residual > residual_tol:
-            raise BasisInsufficiencyError(
-                f"row basis cannot reproduce {what} (residual {residual:.3e})"
-            )
+    def fit(targets: np.ndarray, what) -> np.ndarray:
+        solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+        residuals = np.linalg.norm(design @ solution - targets, axis=0)
+        for i, residual in enumerate(residuals):
+            if residual > residual_tol:
+                raise BasisInsufficiencyError(
+                    f"row basis cannot reproduce {what(i)} (residual {residual:.3e})"
+                )
         return solution
 
-    sub = OperatorSubspace.diagonal(d) if d else None
-    if sub is None:
-        raise ValidationError("process has numerical rank 0; nothing to represent")
+    sub = OperatorSubspace.diagonal(d)
     ops: dict[str, SuperOperator] = {}
-    for a in param.alphabet:
-        coeff = np.empty((d, d))
-        for i, v in enumerate(basis_words):
-            target = np.array([process(v + (a,) + w) / weights[i] for w in columns])
-            coeff[i] = fit(target, f"the {a!r}-shift of basis row {i}")
-        ops[a] = SuperOperator(sub, coeff)
-    root = fit(np.array([process(w) for w in columns]), "the process itself")
+    for a, matrix in zip(param.alphabet, form.matrices):
+        # the a-shifted rows p(v a w) / p(v), one target column per basis word v
+        targets = (basis_states @ matrix @ suffixes.T).T / weights
+        coeff = fit(targets, lambda i: f"the {a!r}-shift of basis row {i}")
+        ops[a] = SuperOperator(sub, coeff.T)
+    root = fit(hankel.matrix[0][:, None], lambda i: "the process itself")[:, 0]
     initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
     return QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
 

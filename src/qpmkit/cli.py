@@ -4,7 +4,7 @@ Every invocation prints one machine-readable JSON run report with stable
 field names (``command``, ``inputs``, ``results``, ``tolerances``,
 ``findings``, ``wall_time_s``), except ``simulate`` without ``--out``,
 which prints the sampled words one per line.  Exit codes: 0 success,
-1 validation failure, 2 numeric failure, 64 usage error.
+1 validation failure, 2 numeric or any other runtime failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -162,6 +162,9 @@ def run_command(argv, stdout=None) -> int:
         report["findings"] = _error_findings(exc)
         code = 1
     except _NUMERIC_ERRORS as exc:
+        report["findings"] = [f"{type(exc).__name__}: {exc}"]
+        code = 2
+    except Exception as exc:  # e.g. LinAlgError or MemoryError from numpy: still one report
         report["findings"] = [f"{type(exc).__name__}: {exc}"]
         code = 2
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
@@ -327,9 +330,13 @@ def _cmd_equiv(argv, config, inputs):
     inputs.update({"model_a": args.model_a, "model_b": args.model_b, "tol": tol})
     proc_a = _to_process(load_model(args.model_a, config), config)
     proc_b = _to_process(load_model(args.model_b, config), config)
-    equivalent = process_mod.processes_equivalent(proc_a, proc_b, tol=tol)
-    horizon = int(proc_a.dimension) + int(proc_b.dimension)
-    return 0, {"equivalent": bool(equivalent), "horizon": horizon}, [], None
+    witness = process_mod.distinguishing_word(proc_a, proc_b, tol)
+    results = {
+        "equivalent": witness is None,
+        "horizon": int(proc_a.dimension) + int(proc_b.dimension),
+        "witness": None if witness is None else process_mod.format_word(witness),
+    }
+    return 0, results, [], None
 
 
 def _cmd_convert(argv, config, inputs):

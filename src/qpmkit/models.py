@@ -21,7 +21,7 @@ from .errors import (
 )
 from .errors import ValidationReport
 from .hermitian import is_unitary
-from .process import Alphabet, Process, Word, as_word
+from .process import Alphabet, LinearForm, Process, Word, as_word
 
 __all__ = [
     "HmmParam",
@@ -133,7 +133,19 @@ def hmm_eval(hmm: HmmParam, word) -> float:
 
 
 def hmm_process(hmm: HmmParam) -> Process:
-    return Process(hmm.alphabet, lambda w: hmm_eval(hmm, w), dimension=hmm.n_states)
+    # the linear form adds a last transition step, so it equals hmm_eval
+    # when the transition rows sum to one (what validate_hmm checks)
+    return Process(
+        hmm.alphabet,
+        lambda w: hmm_eval(hmm, w),
+        dimension=hmm.n_states,
+        lowering=lambda: LinearForm(hmm.initial, _emission_split(hmm), np.ones(hmm.n_states)),
+    )
+
+
+def _emission_split(hmm: HmmParam) -> np.ndarray:
+    """Letter matrices diag(emission[:, a]) @ transition, stacked in alphabet order."""
+    return hmm.emission.T[:, :, None] * hmm.transition[None, :, :]
 
 
 @dataclass(frozen=True)
@@ -233,10 +245,7 @@ class FinitaryParam:
 def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryParam:
     """Split the transition matrix by emitted symbol; end vector all ones."""
     validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
-    matrices = {
-        a: hmm.emission[:, hmm.alphabet.index(a)][:, None] * hmm.transition
-        for a in hmm.alphabet
-    }
+    matrices = dict(zip(hmm.alphabet, _emission_split(hmm)))
     ones = np.ones(hmm.n_states)
     return FinitaryParam(hmm.alphabet, matrices, hmm.initial.copy(), ones, standard_form=True)
 
@@ -250,7 +259,16 @@ def finitary_eval(param: FinitaryParam, word) -> float:
 
 
 def finitary_process(param: FinitaryParam) -> Process:
-    return Process(param.alphabet, lambda w: finitary_eval(param, w), dimension=param.dimension)
+    return Process(
+        param.alphabet,
+        lambda w: finitary_eval(param, w),
+        dimension=param.dimension,
+        lowering=lambda: LinearForm(
+            param.initial,
+            np.stack([param.letter_matrices[a] for a in param.alphabet]),
+            param.end,
+        ),
+    )
 
 
 def is_standard_form(param: FinitaryParam, tol: float = DEFAULTS.eval_tol) -> bool:
@@ -434,7 +452,25 @@ def qrw_eval(qrw: QrwParam, word) -> float:
 
 
 def qrw_process(qrw: QrwParam) -> Process:
-    return Process(qrw.nodes, lambda w: qrw_eval(qrw, w), dimension=qrw.dim**2)
+    return Process(
+        qrw.nodes, lambda w: qrw_eval(qrw, w), dimension=qrw.dim**2, lowering=lambda: _qrw_form(qrw)
+    )
+
+
+def _qrw_form(qrw: QrwParam) -> LinearForm:
+    """Kraus superoperators K_a ⊗ conj(K_a), K_a = P_a U, on row-major vec(rho).
+
+    vec(K rho K*) = (K ⊗ conj(K)) vec(rho), transposed here because
+    states are row vectors; the end vector vec(I) takes the trace.
+    """
+    k = qrw.dim
+    superops = []
+    for node in qrw.nodes:
+        kraus = np.zeros((k, k), dtype=complex)
+        kraus[qrw.block(node)] = qrw.unitary[qrw.block(node)]
+        superops.append(np.kron(kraus, kraus.conj()).T)
+    density = np.outer(qrw.wave, qrw.wave.conj())
+    return LinearForm(density.reshape(-1), np.stack(superops), np.eye(k).reshape(-1))
 
 
 # --------------------------------------------------------------------------

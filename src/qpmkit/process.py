@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import deque
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,12 +35,14 @@ __all__ = [
     "words_up_to",
     "format_word",
     "parse_word",
+    "LinearForm",
     "Process",
     "check_process_axioms",
     "TruncatedHankel",
     "build_hankel",
     "numerical_rank",
     "select_row_basis",
+    "distinguishing_word",
     "processes_equivalent",
 ]
 
@@ -127,16 +131,79 @@ def as_word(word, alphabet: Alphabet | None = None) -> Word:
     return parts
 
 
+class LinearForm(NamedTuple):
+    """A process as p(w) = Re(initial · M_w1 ··· M_wn · end).
+
+    ``matrices`` stacks one square matrix per letter in alphabet order.
+    Entries may be complex (quantum walks act on vectorised densities);
+    word probabilities are the real part of the product.
+    """
+
+    initial: np.ndarray
+    matrices: np.ndarray
+    end: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.initial.shape[0])
+
+
 @dataclass(frozen=True)
 class Process:
-    """A word-probability function with an optional declared finitary dimension."""
+    """A word-probability function with an optional declared finitary dimension.
+
+    ``lowering``, when given, returns the process's :class:`LinearForm`;
+    it runs on first access of :attr:`linear`, so evaluating single words
+    through ``fn`` never pays for it.  A process built from a bare
+    callable has no linear form, and the sweeps below fall back to one
+    call of ``fn`` per word.
+    """
 
     alphabet: Alphabet
     fn: Callable[[Word], float]
     dimension: int | None = None
+    lowering: Callable[[], LinearForm] | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, word) -> float:
         return float(self.fn(as_word(word, self.alphabet)))
+
+    @cached_property
+    def linear(self) -> LinearForm | None:
+        return None if self.lowering is None else self.lowering()
+
+
+def word_states(form: LinearForm, length: int, suffix: bool = False) -> np.ndarray:
+    """Prefix states initial·M_v, or suffix states M_w·end, for all words up to ``length``.
+
+    Rows follow :func:`words_up_to` order.  The states are built layer by
+    layer over the word trie with one batched matmul per layer (all
+    letters at once), so no word is evaluated on its own.
+    """
+    mats = form.matrices.transpose(0, 2, 1) if suffix else form.matrices
+    layer = (form.end if suffix else form.initial)[None, :]
+    layers = [layer]
+    for _ in range(length):
+        grown = layer @ mats  # [a, i] is the state of word i extended by letter a
+        # prefixes append a letter (word-major order), suffixes prepend one (letter-major)
+        layer = (grown if suffix else grown.transpose(1, 0, 2)).reshape(-1, form.dim)
+        layers.append(layer)
+    return np.concatenate(layers)
+
+
+def word_table(process: Process, row_length: int, col_length: int) -> np.ndarray:
+    """The matrix [p(vw)] over prefixes v and suffixes w up to the given lengths.
+
+    With a linear form this is the product of the prefix and suffix state
+    tables; a callable-only process is evaluated once per entry.
+    """
+    form = process.linear
+    if form is None:
+        rows = words_up_to(process.alphabet, row_length)
+        cols = words_up_to(process.alphabet, col_length)
+        return np.array([[process(v + w) for w in cols] for v in rows])
+    prefixes = word_states(form, row_length)
+    suffixes = word_states(form, col_length, suffix=True)
+    return np.real(prefixes @ suffixes.T)
 
 
 def check_process_axioms(
@@ -148,20 +215,31 @@ def check_process_axioms(
     hold on every word of length at most ``horizon``.
     """
     problems: list[str] = []
-    root = process(EPSILON)
+    values = word_table(process, max(horizon, 0), 0)[:, 0]
+    root = float(values[0])
     if abs(root - 1.0) > tol:
         problems.append(f"p(empty word) is {root!r}, expected 1")
-    for word in words_up_to(process.alphabet, horizon):
-        value = process(word)
-        if value < -tol:
-            problems.append(f"p({format_word(word) or 'empty'}) is negative: {value!r}")
-        if len(word) < horizon:
-            extended = sum(process(word + (a,)) for a in process.alphabet)
-            if abs(extended - value) > tol:
-                problems.append(
-                    f"one-symbol extensions of {format_word(word) or 'empty'} "
-                    f"sum to {extended!r}, expected {value!r}"
-                )
+    if horizon < 0:
+        return problems
+    # in words_up_to order the one-letter extensions of word i sit at k*i + 1 + a
+    children = values[1:].reshape(-1, len(process.alphabet))
+    extended = np.zeros(children.shape[0])
+    for column in children.T:  # left to right, as a running sum would add them
+        extended = extended + column
+    negative = values < -tol
+    inconsistent = np.zeros(values.shape[0], dtype=bool)
+    inconsistent[: extended.shape[0]] = np.abs(extended - values[: extended.shape[0]]) > tol
+    words = words_up_to(process.alphabet, horizon)
+    for i in np.flatnonzero(negative | inconsistent):
+        name = format_word(words[i]) or "empty"
+        value = float(values[i])
+        if negative[i]:
+            problems.append(f"p({name}) is negative: {value!r}")
+        if inconsistent[i]:
+            problems.append(
+                f"one-symbol extensions of {name} sum to {float(extended[i])!r}, "
+                f"expected {value!r}"
+            )
     return problems
 
 
@@ -195,16 +273,20 @@ class TruncatedHankel:
 
 
 def build_hankel(process: Process, row_length: int, col_length: int) -> TruncatedHankel:
-    """Evaluate the process on every prefix/suffix pair up to the given lengths."""
+    """The Hankel block [p(vw)] over prefixes and suffixes up to the given lengths.
+
+    For a process with a linear form the block is F·Bᵀ, the prefix states
+    times the suffix states (the factorisation used in spectral learning
+    of weighted automata), so its cost is linear in the number of
+    entries.  A callable-only process is evaluated once per entry.
+    """
     if row_length < 0 or col_length < 0:
         raise ValidationError("Hankel truncation lengths must be >= 0")
     rows = tuple(words_up_to(process.alphabet, row_length))
     cols = tuple(words_up_to(process.alphabet, col_length))
-    matrix = np.empty((len(rows), len(cols)))
-    for i, v in enumerate(rows):
-        for j, w in enumerate(cols):
-            matrix[i, j] = process(v + w)
-    return TruncatedHankel(process.alphabet, rows, cols, matrix)
+    return TruncatedHankel(
+        process.alphabet, rows, cols, word_table(process, row_length, col_length)
+    )
 
 
 def numerical_rank(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) -> int:
@@ -255,6 +337,68 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
     )
 
 
+def distinguishing_word(
+    first: Process, second: Process, tol: float = DEFAULTS.equiv_tol
+) -> Word | None:
+    """The first word found on which the processes differ by more than ``tol``, or None.
+
+    With linear forms on both sides this is a breadth-first search over
+    the direct-sum automaton (Tzeng 1992).  Every visited word is
+    compared, and a word's forward state joins the basis only when it is
+    independent of the basis so far (relative residual above
+    ``rank_eps``); the basis has at most d1 + d2 vectors, so the search
+    costs O((d1 + d2)^3 |A|).  Once no new independent state appears,
+    every word's state is a combination of visited ones and the
+    processes agree everywhere.  Words are visited shortest first, and
+    in exact arithmetic the returned word has minimal length.
+
+    When either process is only a callable, every word up to the sum of
+    the declared dimensions is compared instead, which needs both
+    ``dimension`` fields.
+    """
+    if first.alphabet.symbols != second.alphabet.symbols:
+        raise DimensionMismatchError("processes must share an alphabet")
+    one, two = first.linear, second.linear
+    if one is None or two is None:
+        if first.dimension is None or second.dimension is None:
+            raise ValidationError("both processes need a known finitary dimension")
+        horizon = int(first.dimension) + int(second.dimension)
+        gaps = np.abs(word_table(first, horizon, 0) - word_table(second, horizon, 0))[:, 0]
+        over = np.flatnonzero(gaps > tol)
+        return words_up_to(first.alphabet, horizon)[over[0]] if over.size else None
+
+    d = one.dim
+    dtype = np.result_type(one.matrices, two.matrices, one.initial, two.initial)
+    mats = np.zeros((len(first.alphabet), d + two.dim, d + two.dim), dtype=dtype)
+    mats[:, :d, :d] = one.matrices
+    mats[:, d:, d:] = two.matrices
+    probe = np.concatenate([one.end, -two.end])
+    basis = np.empty((0, d + two.dim), dtype=dtype)  # orthonormal rows
+    queue: deque = deque()
+
+    def visit(word: Word, state: np.ndarray) -> bool:
+        nonlocal basis
+        if abs(np.real(state @ probe)) > tol:
+            return True
+        residual = state
+        for _ in range(2):  # two Gram-Schmidt passes for stability
+            residual = residual - (basis.conj() @ residual) @ basis
+        norm = float(np.linalg.norm(residual))
+        if norm > DEFAULTS.rank_eps * float(np.linalg.norm(state)):
+            basis = np.vstack([basis, residual / norm])
+            queue.append((word, state))
+        return False
+
+    if visit(EPSILON, np.concatenate([one.initial, two.initial]).astype(dtype)):
+        return EPSILON
+    while queue:
+        word, state = queue.popleft()
+        for symbol, grown in zip(first.alphabet, state @ mats):
+            if visit(word + (symbol,), grown):
+                return word + (symbol,)
+    return None
+
+
 def processes_equivalent(
     first: Process,
     second: Process,
@@ -262,15 +406,14 @@ def processes_equivalent(
     dim_second: int | None = None,
     tol: float = DEFAULTS.equiv_tol,
 ) -> bool:
-    """Compare two finitary processes on every word up to the sum of their dimensions."""
-    if first.alphabet.symbols != second.alphabet.symbols:
-        raise DimensionMismatchError("processes must share an alphabet")
-    d_first = dim_first if dim_first is not None else first.dimension
-    d_second = dim_second if dim_second is not None else second.dimension
-    if d_first is None or d_second is None:
-        raise ValidationError("both processes need a known finitary dimension")
-    horizon = int(d_first) + int(d_second)
-    for word in words_up_to(first.alphabet, horizon):
-        if abs(first(word) - second(word)) > tol:
-            return False
-    return True
+    """True when no word distinguishes the processes; see :func:`distinguishing_word`.
+
+    ``dim_first`` / ``dim_second`` override the declared dimensions; they
+    matter only for callable-only processes, whose comparison runs over
+    every word up to the sum of the dimensions.
+    """
+    if dim_first is not None:
+        first = replace(first, dimension=dim_first)
+    if dim_second is not None:
+        second = replace(second, dimension=dim_second)
+    return distinguishing_word(first, second, tol) is None

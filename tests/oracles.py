@@ -94,3 +94,16 @@ def prefix_average_letter(chain, symbol: str, horizon: int) -> float:
         coords = coords @ total
         acc += float(coords @ letter @ traces)
     return acc / horizon
+
+
+def equivalent_by_enumeration(first, second, horizon: int, tol: float = 1e-9) -> bool:
+    """Compare two processes word by word on every word up to ``horizon``.
+
+    With ``horizon`` the sum of the two finitary dimensions, agreement on
+    these words implies agreement everywhere.
+    """
+    for length in range(horizon + 1):
+        for word in itertools.product(first.alphabet.symbols, repeat=length):
+            if abs(first(word) - second(word)) > tol:
+                return False
+    return True

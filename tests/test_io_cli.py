@@ -1,9 +1,12 @@
 import io
 import json
+import time
 
+import numpy as np
 import pytest
 
 import qpmkit as qk
+from qpmkit import cli
 from qpmkit.cli import run_command
 from qpmkit.errors import SchemaError
 from qpmkit.io import (
@@ -299,6 +302,38 @@ class TestCliCommands:
         code, report = _run_json(["equiv", str(FIXTURES / "hmm2.json"), str(converted)])
         assert code == 0
         assert report["results"]["equivalent"] is True
+        assert report["results"]["witness"] is None
+
+    def test_equiv_reports_a_witness(self):
+        hmm2, hmm3 = FIXTURES / "hmm2.json", FIXTURES / "hmm3_rank3.json"
+        code, report = _run_json(["equiv", str(hmm2), str(hmm3)])
+        assert code == 0
+        results = report["results"]
+        assert results["equivalent"] is False
+        assert results["horizon"] == 5
+        first, second = load_model(hmm2), load_model(hmm3)
+        word = qk.parse_word(results["witness"], first.alphabet)
+        gap = qk.hmm_eval(first, word) - qk.hmm_eval(second, word)
+        assert abs(gap) > 1e-9
+
+    def test_equiv_of_a_walk_with_itself_is_fast(self):
+        # declared dimensions 16 + 16: comparing every word up to length 32 is out of reach
+        path = str(FIXTURES / "qrw_hadamard.json")
+        started = time.perf_counter()
+        code, report = _run_json(["equiv", path, path])
+        assert time.perf_counter() - started < 5.0
+        assert code == 0
+        assert report["results"]["equivalent"] is True
+        assert report["results"]["horizon"] == 32
+
+    def test_unexpected_errors_exit_two_with_a_finding(self, monkeypatch):
+        def broken(argv, config, inputs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(cli._HANDLERS, "eval", broken)
+        code, report = _run_json(["eval", str(FIXTURES / "hmm2.json"), "--word", "a"])
+        assert code == 2
+        assert report["findings"] == ["LinAlgError: Singular matrix"]
 
     def test_convert_to_qpm_and_eval(self, tmp_path):
         converted = tmp_path / "hmm2_qpm.json"

@@ -205,6 +205,8 @@ class TestEquivalence:
         nodim = qk.Process(AB, lambda w: 0.5 ** len(w))
         with pytest.raises(ValidationError):
             qk.processes_equivalent(nodim, nodim)
+        with pytest.raises(ValidationError):
+            qk.distinguishing_word(nodim, nodim)
 
     def test_explicit_dimensions_override(self):
         nodim = qk.Process(AB, lambda w: 0.5 ** len(w))
