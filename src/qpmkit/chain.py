@@ -177,10 +177,12 @@ class OperatorSubspace:
         return coords
 
     def reconstruct(self, coords) -> np.ndarray:
+        """The matrix with the given coordinates; a stack of coordinate rows gives a stack."""
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dim,):
+        if coords.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(f"expected {self.dim} coordinates, got {coords.shape}")
-        return np.tensordot(coords, self._stack, axes=1)
+        flat = np.dot(coords.reshape(-1, self.dim), self._stack.reshape(self.dim, -1))
+        return flat.reshape(coords.shape[:-1] + self._stack.shape[1:])
 
     def norm(self, coords) -> float:
         """Hermitian-space norm of the element with the given coordinates."""

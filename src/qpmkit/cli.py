@@ -535,9 +535,17 @@ def _cmd_hidden_path(argv, config, inputs):
     results = {
         "path": list(result.path),
         "weight": _number(result.weight),
+        "log_weight": _number(result.log_weight) if result.sign else None,
+        "sign": result.sign,
         "negative_weights": bool(result.negative_weights),
     }
-    return 0, results, [], None
+    findings = []
+    if result.weight == 0.0 and result.sign != 0:
+        findings.append(
+            "path weight is below the double range and reads 0.0; "
+            f"log_weight ({result.log_weight:.6g}) holds its natural log"
+        )
+    return 0, results, findings, None
 
 
 def _hidden_labels(model, qchain: QuantumChain):

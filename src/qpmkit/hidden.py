@@ -11,6 +11,7 @@ maximum-weight hidden paths through a chain all build on those weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -313,11 +314,19 @@ def bell_check(
 
 @dataclass(frozen=True)
 class ViterbiResult:
-    """A maximum-weight hidden path and its (possibly signed) weight."""
+    """A maximum-weight hidden path and its (possibly signed) weight.
+
+    ``weight`` is a double and reads 0.0 once the path's weight falls
+    below the double range; ``log_weight`` (natural log of |weight|,
+    ``-inf`` for a zero weight) and ``sign`` (+1, 0 or -1) stay exact
+    there.
+    """
 
     path: tuple[str, ...]
     weight: float
     negative_weights: bool
+    log_weight: float
+    sign: int
 
 
 def viterbi_hidden_path(
@@ -336,8 +345,42 @@ def viterbi_hidden_path(
     lexicographically smallest state-index sequence; with signed weights
     both the largest and smallest partial products are tracked so the
     global maximum survives sign flips.
+
+    Costs O(T n^2) for a word of length T: one (2n x 2n) candidate array
+    per step and a backpointer table read once at the end.  Partial
+    products are rescaled by powers of two after every step, which is
+    exact, so the path and weight equal the plain float products' wherever
+    those stay normal doubles, and the path stays optimal past that point.
     """
     symbols = as_word(word, chain.alphabet)
+    init, factors = _step_weights(chain, basis, tol)
+    negative = bool(init.min() < -1e-12 or factors.min() < -1e-12)
+    letters = [chain.alphabet.index(s) for s in symbols]
+    path, mantissa, exponent = _best_path(init, factors, letters)
+    try:
+        weight = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        weight = math.copysign(math.inf, mantissa)
+    log_weight = math.log(abs(mantissa)) + exponent * math.log(2.0) if mantissa else -math.inf
+    return ViterbiResult(
+        path=tuple(basis.labels[i] for i in path),
+        weight=weight,
+        negative_weights=bool(negative or mantissa < 0),
+        log_weight=log_weight,
+        sign=int(np.sign(mantissa)),
+    )
+
+
+def _step_weights(
+    chain: QuantumChain, basis: HiddenStateBasis, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Initial weights tr(P_i rho P_i*) and per-letter factors[a][j, i].
+
+    ``factors[a][j, i]`` is the weight of moving from hidden state j to i
+    on letter a: tr(P_i L_a(P_j) P_i*).  Each trace is the entrywise inner
+    product of the image with P_i^T conj(P_i), so one matrix product per
+    letter covers all n^2 pairs.
+    """
     sub = chain.subspace
     if basis.dim != sub.ambient_dim:
         raise DimensionMismatchError("hidden-state basis does not match the chain's space")
@@ -355,38 +398,62 @@ def viterbi_hidden_path(
             raise UnsupportedChainError(
                 f"projector for hidden state {label!r} lies outside the chain's subspace: {exc}"
             ) from exc
+    coords = np.stack(coords)
+    projectors = np.stack(basis.projectors)
+    overlap = np.einsum("ipq,ipr->iqr", projectors, projectors.conj()).reshape(basis.size, -1)
 
-    n = basis.size
-    init = np.array(
-        [float(complex(np.trace(p @ chain.initial.matrix @ p.conj().T)).real) for p in basis.projectors]
+    def weigh(images: np.ndarray) -> np.ndarray:
+        return (images.reshape(len(images), -1) @ overlap.T).real
+
+    init = weigh(chain.initial.matrix[None])[0]
+    factors = np.stack(
+        [weigh(sub.reconstruct(coords @ chain.letter_ops[a].matrix)) for a in chain.alphabet]
     )
-    # step_weight[a][j, i]: weight of moving from hidden state j to i on symbol a
-    step_weight: dict[str, np.ndarray] = {}
-    for a in chain.alphabet:
-        mat = np.empty((n, n))
-        for j in range(n):
-            image = sub.reconstruct(coords[j] @ chain.letter_ops[a].matrix)
-            for i, proj in enumerate(basis.projectors):
-                mat[j, i] = float(complex(np.trace(proj @ image @ proj.conj().T)).real)
-        step_weight[a] = mat
-    negative = bool(init.min() < -1e-12 or any(m.min() < -1e-12 for m in step_weight.values()))
+    return init, factors
 
-    # Each state tracks its best and worst achievable signed weight with paths.
-    hi = [(float(v), (i,)) for i, v in enumerate(init)]
-    lo = list(hi)
-    for symbol in symbols:
-        weights = step_weight[symbol]
-        new_hi: list[tuple[float, tuple[int, ...]]] = []
-        new_lo: list[tuple[float, tuple[int, ...]]] = []
-        for i in range(n):
-            candidates = []
-            for j in range(n):
-                factor = weights[j, i]
-                for value, path in (hi[j], lo[j]):
-                    candidates.append((value * factor, path + (i,)))
-            new_hi.append(max(candidates, key=lambda c: (c[0], [-s for s in c[1]])))
-            new_lo.append(min(candidates, key=lambda c: (c[0], c[1])))
-        hi, lo = new_hi, new_lo
-    best_value, best_path = max(hi, key=lambda c: (c[0], [-s for s in c[1]]))
-    labels = tuple(basis.labels[i] for i in best_path)
-    return ViterbiResult(labels, float(best_value), bool(negative or best_value < 0))
+
+def _best_path(init: np.ndarray, factors: np.ndarray, letters: list[int]):
+    """Backpointer dynamic program over 2n signed prefixes.
+
+    Prefix k < n holds the largest and prefix n + k the smallest weight of
+    a path ending in state k.  ``rank`` orders the prefixes' paths
+    lexicographically (equal paths, such as a state's hi and lo before they
+    part, share a rank); taking candidates in rank order makes numpy's first
+    argmax the smallest path among equal weights.  Returns the state path
+    and its weight as mantissa * 2**exponent.
+    """
+    n = init.size
+    states = np.tile(np.arange(n), 2)
+    flip = np.repeat([1.0, -1.0], n)
+    # factor from candidate k's state into prefix k''s state, lo columns
+    # negated so that one argmax picks the hi and the lo winners
+    signed_factors = list(factors[:, states][:, :, states] * flip)
+    columns = np.arange(2 * n)
+    rank = states
+    order = np.argsort(rank, kind="stable")
+    back = []
+    vals, exponent = _rescale(np.concatenate([init, init]), 0)
+    for a in letters:
+        cand = vals[order][:, None] * signed_factors[a][order]
+        pick = cand.argmax(axis=0)
+        vals = cand[pick, columns] * flip
+        pred = order[pick]
+        back.append(pred)
+        key = rank[pred] * n + states
+        order = key.argsort(kind="stable")
+        rank = key[order].searchsorted(key)
+        vals, exponent = _rescale(vals, exponent)
+    hi_order = order[order < n]
+    k = int(hi_order[np.argmax(vals[hi_order])])
+    mantissa = float(vals[k])
+    path = [k]
+    for row in reversed(back):
+        k = int(row[k])
+        path.append(k)
+    return [k % n for k in reversed(path)], mantissa, exponent
+
+
+def _rescale(vals: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
+    """Divide by the power of two nearest the largest magnitude, which is exact."""
+    shift = math.frexp(float(np.abs(vals).max()))[1]
+    return np.ldexp(vals, -shift), exponent + shift

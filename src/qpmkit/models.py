@@ -122,19 +122,18 @@ def _check_stochastic_matrix(report, matrix, name, states, tol):
 
 
 def hmm_eval(hmm: HmmParam, word) -> float:
-    """Word probability by the forward recursion."""
+    """Word probability initial @ M_w1 @ ... @ M_wn @ 1 over the emission-split matrices."""
     symbols = as_word(word, hmm.alphabet)
-    if not symbols:
-        return 1.0
-    alpha = hmm.initial * hmm.emission[:, hmm.alphabet.index(symbols[0])]
-    for symbol in symbols[1:]:
-        alpha = (alpha @ hmm.transition) * hmm.emission[:, hmm.alphabet.index(symbol)]
-    return float(alpha.sum())
+    matrices = dict(zip(hmm.alphabet.symbols, _emission_split(hmm)))
+    vec = hmm.initial
+    for symbol in symbols:
+        vec = vec @ matrices[symbol]
+    return float(vec.sum())
 
 
 def hmm_process(hmm: HmmParam) -> Process:
-    # the linear form adds a last transition step, so it equals hmm_eval
-    # when the transition rows sum to one (what validate_hmm checks)
+    # emit-then-move: M_a = diag(emission[:, a]) @ transition, the same form
+    # hmm_eval evaluates, so both agree for any (even non-stochastic) rows
     return Process(
         hmm.alphabet,
         lambda w: hmm_eval(hmm, w),
@@ -485,9 +484,12 @@ def _qrw_form(qrw: QrwParam) -> LinearForm:
 
 
 def _draw(rng: np.random.Generator, probabilities: np.ndarray) -> int:
-    cumulative = np.cumsum(probabilities)
+    return _draw_cumulative(rng, np.cumsum(probabilities))
+
+
+def _draw_cumulative(rng: np.random.Generator, cumulative: np.ndarray) -> int:
     u = rng.random() * cumulative[-1]
-    return min(int(np.searchsorted(cumulative, u, side="right")), len(probabilities) - 1)
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
 
 
 def _clamp_distribution(values: np.ndarray, clamp_tol: float, what: str) -> np.ndarray:
@@ -501,14 +503,39 @@ def _clamp_distribution(values: np.ndarray, clamp_tol: float, what: str) -> np.n
     return clamped / total
 
 
-def _sample_hmm(hmm: HmmParam, length: int, rng: np.random.Generator, clamp_tol: float) -> Word:
-    out: list[str] = []
-    state = _draw(rng, _clamp_distribution(hmm.initial, clamp_tol, "initial distribution"))
-    for _ in range(length):
-        row = _clamp_distribution(hmm.emission[state], clamp_tol, "emission row")
-        out.append(hmm.alphabet.symbols[_draw(rng, row)])
-        state = _draw(rng, _clamp_distribution(hmm.transition[state], clamp_tol, "transition row"))
-    return tuple(out)
+class _RowCdfs:
+    """Clamped cumulative distributions of a matrix's rows, built on first visit.
+
+    A row that is never reached is never clamped, so it never raises.
+    """
+
+    def __init__(self, matrix: np.ndarray, clamp_tol: float, what: str):
+        self._matrix, self._clamp_tol, self._what = matrix, clamp_tol, what
+        self._rows: list[np.ndarray | None] = [None] * len(matrix)
+
+    def draw(self, rng: np.random.Generator, row: int) -> int:
+        cumulative = self._rows[row]
+        if cumulative is None:
+            probabilities = _clamp_distribution(self._matrix[row], self._clamp_tol, self._what)
+            cumulative = self._rows[row] = np.cumsum(probabilities)
+        return _draw_cumulative(rng, cumulative)
+
+
+def _sample_hmm(hmm: HmmParam, length: int, rngs, clamp_tol: float) -> list[Word]:
+    """One word per generator; each row's distribution is built once for all of them."""
+    initial = _RowCdfs(hmm.initial[None], clamp_tol, "initial distribution")
+    emission = _RowCdfs(hmm.emission, clamp_tol, "emission row")
+    transition = _RowCdfs(hmm.transition, clamp_tol, "transition row")
+    symbols = hmm.alphabet.symbols
+    words = []
+    for rng in rngs:
+        out: list[str] = []
+        state = initial.draw(rng, 0)
+        for _ in range(length):
+            out.append(symbols[emission.draw(rng, state)])
+            state = transition.draw(rng, state)
+        words.append(tuple(out))
+    return words
 
 
 def _sample_qrw(qrw: QrwParam, length: int, rng: np.random.Generator, clamp_tol: float) -> Word:
@@ -533,7 +560,7 @@ def sample_trajectory(
     if length < 0:
         raise ValidationError("trajectory length must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _sample_with_rng(model, length, rng, clamp_tol)
+    return _sample(model, length, [rng], clamp_tol)[0]
 
 
 def sample_trajectories(
@@ -543,21 +570,19 @@ def sample_trajectories(
     if length < 0 or count < 0:
         raise ValidationError("trajectory length and count must be >= 0")
     children = np.random.SeedSequence(seed).spawn(count)
-    return [
-        _sample_with_rng(model, length, np.random.Generator(np.random.PCG64(child)), clamp_tol)
-        for child in children
-    ]
+    rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
+    return _sample(model, length, rngs, clamp_tol)
 
 
-def _sample_with_rng(model, length: int, rng: np.random.Generator, clamp_tol: float) -> Word:
-    if isinstance(model, HmmParam):
-        return _sample_hmm(model, length, rng, clamp_tol)
+def _sample(model, length: int, rngs, clamp_tol: float) -> list[Word]:
     if isinstance(model, FfmcParam):
-        return _sample_hmm(model.to_hmm(), length, rng, clamp_tol)
+        model = model.to_hmm()
+    if isinstance(model, HmmParam):
+        return _sample_hmm(model, length, rngs, clamp_tol)
     if isinstance(model, QrwParam):
-        return _sample_qrw(model, length, rng, clamp_tol)
+        return [_sample_qrw(model, length, rng, clamp_tol) for rng in rngs]
     from .chain import QuantumChain, sample_chain_with_rng
 
     if isinstance(model, QuantumChain):
-        return sample_chain_with_rng(model, length, rng, clamp_tol)
+        return [sample_chain_with_rng(model, length, rng, clamp_tol) for rng in rngs]
     raise ValidationError(f"cannot sample trajectories from {type(model).__name__}")

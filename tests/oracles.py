@@ -54,6 +54,15 @@ def qrw_collapse_prob(qrw, word) -> float:
     return probability
 
 
+def hmm_path_weights(hmm, word) -> np.ndarray:
+    """Weight of every hidden path (w0, ..., wt), as an array indexed by the path."""
+    arr = hmm.initial.astype(float).copy()
+    for s in (hmm.alphabet.index(x) for x in word):
+        step = hmm.emission[:, s][:, None] * hmm.transition
+        arr = arr[..., None] * step[(np.newaxis,) * (arr.ndim - 1) + (Ellipsis,)]
+    return arr
+
+
 def hmm_viterbi_enumerate(hmm, word):
     """Best hidden path over the (t+1)-state weight including the trailing move.
 
@@ -62,11 +71,7 @@ def hmm_viterbi_enumerate(hmm, word):
     Returns (path, weight); numpy's first-argmax picks the
     lexicographically smallest maximizing path.
     """
-    sym = [hmm.alphabet.index(s) for s in word]
-    arr = hmm.initial.astype(float).copy()
-    for s in sym:
-        step = hmm.emission[:, s][:, None] * hmm.transition
-        arr = arr[..., None] * step[(np.newaxis,) * (arr.ndim - 1) + (Ellipsis,)]
+    arr = hmm_path_weights(hmm, word)
     flat_index = int(np.argmax(arr))
     path = np.unravel_index(flat_index, arr.shape)
     return tuple(int(i) for i in path), float(arr.max())
@@ -107,3 +112,65 @@ def equivalent_by_enumeration(first, second, horizon: int, tol: float = 1e-9) ->
             if abs(first(word) - second(word)) > tol:
                 return False
     return True
+
+
+def viterbi_reference(chain, basis, symbols):
+    """Maximum-weight hidden path by carrying every candidate's full path.
+
+    The path-copying dynamic program (O(T^2 n^2)): each state keeps its
+    largest and smallest signed prefix weight with the path that reaches
+    it; ties go to the lexicographically smallest state-index sequence.
+    Returns (labels, weight) with the plain float product as the weight.
+    """
+    sub = chain.subspace
+    coords = [sub.expand(proj) for proj in basis.projectors]
+    n = basis.size
+    init = [
+        float(complex(np.trace(p @ chain.initial.matrix @ p.conj().T)).real)
+        for p in basis.projectors
+    ]
+    step_weight = {}
+    for a in chain.alphabet:
+        mat = np.empty((n, n))
+        for j in range(n):
+            image = sub.reconstruct(coords[j] @ chain.letter_ops[a].matrix)
+            for i, proj in enumerate(basis.projectors):
+                mat[j, i] = float(complex(np.trace(proj @ image @ proj.conj().T)).real)
+        step_weight[a] = mat
+    hi = [(v, (i,)) for i, v in enumerate(init)]
+    lo = list(hi)
+    for symbol in symbols:
+        weights = step_weight[symbol]
+        new_hi, new_lo = [], []
+        for i in range(n):
+            candidates = []
+            for j in range(n):
+                for value, path in (hi[j], lo[j]):
+                    candidates.append((value * weights[j, i], path + (i,)))
+            new_hi.append(max(candidates, key=lambda c: (c[0], [-s for s in c[1]])))
+            new_lo.append(min(candidates, key=lambda c: (c[0], c[1])))
+        hi, lo = new_hi, new_lo
+    best_value, best_path = max(hi, key=lambda c: (c[0], [-s for s in c[1]]))
+    return tuple(basis.labels[i] for i in best_path), float(best_value)
+
+
+def hmm_viterbi_log(hmm, word) -> float:
+    """Best hidden-path log-weight by a max-plus recursion over log factors.
+
+    Same path weights as :func:`hmm_viterbi_enumerate`, summed in the log
+    domain so long words stay finite.
+    """
+    with np.errstate(divide="ignore"):
+        best = np.log(hmm.initial.astype(float))
+        for s in (hmm.alphabet.index(x) for x in word):
+            step = np.log(hmm.emission[:, s][:, None] * hmm.transition)
+            best = np.max(best[:, None] + step, axis=0)
+    return float(best.max())
+
+
+def hmm_path_log_weight(hmm, word, path) -> float:
+    """Summed log-factors of one hidden path (len(word) + 1 states)."""
+    total = float(np.log(hmm.initial[path[0]]))
+    for t, s in enumerate(hmm.alphabet.index(x) for x in word):
+        total += float(np.log(hmm.emission[path[t], s] * hmm.transition[path[t], path[t + 1]]))
+    return total

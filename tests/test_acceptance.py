@@ -13,7 +13,13 @@ import qpmkit as qk
 from qpmkit.hidden import HiddenStateBasis, InformationFunction
 
 from helpers import random_hmm, random_local_qrw, random_qmc
-from oracles import hmm_viterbi_enumerate, prefix_average_letter, qrw_collapse_prob
+from oracles import (
+    hmm_path_log_weight,
+    hmm_viterbi_enumerate,
+    hmm_viterbi_log,
+    prefix_average_letter,
+    qrw_collapse_prob,
+)
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -194,3 +200,19 @@ def test_10_quantum_density_sanity_sweep():
             assert check.satisfied
             assert check.jointly_observable
             assert min(check.joint_report.distribution.values()) >= -1e-9
+
+
+def test_11_long_horizon_viterbi():
+    with criterion(11, "hidden path over 1600 symbols, 8 states", 2.0):
+        rng = np.random.default_rng(1101)
+        hmm = random_hmm(rng, 8, 3)
+        chain = qk.hmm_to_qmc(hmm)
+        basis = HiddenStateBasis.standard(8, hmm.states)
+        word = tuple(rng.choice(hmm.alphabet.symbols, size=1600))
+        result = qk.viterbi_hidden_path(chain, basis, word)
+        best = hmm_viterbi_log(hmm, word)
+        path = [hmm.states.index(label) for label in result.path]
+        assert len(path) == 1601
+        assert np.isfinite(result.log_weight) and result.sign == 1
+        assert abs(result.log_weight - best) <= 1e-9 * abs(best)
+        assert abs(hmm_path_log_weight(hmm, word, path) - best) <= 1e-9 * abs(best)

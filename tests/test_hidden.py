@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpmkit as qk
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
 from qpmkit.errors import UnsupportedChainError, ValidationError
 from qpmkit.hidden import HiddenStateBasis, InformationFunction
 
 from helpers import random_hmm, random_quantum_density, single_letter_chain
-from oracles import hmm_viterbi_enumerate
+from oracles import hmm_path_weights, hmm_viterbi_enumerate, viterbi_reference
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -34,6 +37,37 @@ def feynman_setup():
     x = InformationFunction("X", dict(zip(basis.labels, "++--")), ("+", "-"))
     z = InformationFunction("Z", dict(zip(basis.labels, "+-+-")), ("+", "-"))
     return density, basis, x, z
+
+
+def dyadic_rows(rng, rows, cols):
+    """Row-stochastic matrix with entries in quarters: products tie exactly."""
+    out = np.zeros((rows, cols))
+    for r in range(rows):
+        np.add.at(out[r], rng.integers(cols, size=4), 0.25)
+    return out
+
+
+def dyadic_tie_hmm(rng) -> qk.HmmParam:
+    n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    return qk.HmmParam(
+        tuple(f"s{i}" for i in range(n)),
+        qk.Alphabet(tuple("abc"[:k])),
+        emission=dyadic_rows(rng, n, k),
+        initial=dyadic_rows(rng, 1, n)[0],
+        transition=dyadic_rows(rng, n, n),
+    )
+
+
+def signed_diagonal_qpm(rng) -> QuantumChain:
+    """Diagonal predictor chain with signed factors and a generalized initial density."""
+    n = int(rng.integers(1, 5))
+    sub = OperatorSubspace.diagonal(n)
+    diag = rng.integers(-4, 5, size=n) / 4.0
+    diag[0] = 1.0 - diag[1:].sum()
+    scale = 1.0 if rng.random() < 0.5 else float(rng.random())  # dyadic ties or generic values
+    ops = {a: SuperOperator(sub, rng.integers(-4, 5, size=(n, n)) / 4.0 * scale) for a in "ab"}
+    initial = qk.Density.generalized(np.diag(diag.astype(complex)))
+    return QuantumChain(qk.Alphabet(("a", "b")), sub, ops, initial, ChainKind.QPM)
 
 
 def random_sign_function(rng, labels, name):
@@ -311,3 +345,47 @@ class TestViterbi:
         result = qk.viterbi_hidden_path(chain, tilted, "aa")
         assert result.path == ("p", "p", "p")
         assert result.weight == pytest.approx(1.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_path_copying_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        chains = [
+            qk.hmm_to_qmc(random_hmm(rng)),
+            qk.hmm_to_qmc(dyadic_tie_hmm(rng)),
+            signed_diagonal_qpm(rng),
+            signed_diagonal_qpm(rng),
+        ]
+        for chain in chains:
+            basis = HiddenStateBasis.standard(chain.subspace.ambient_dim)
+            for _ in range(4):
+                word = tuple(rng.choice(chain.alphabet.symbols, size=int(rng.integers(0, 9))))
+                result = qk.viterbi_hidden_path(chain, basis, word)
+                path, weight = viterbi_reference(chain, basis, word)
+                assert result.path == path
+                assert result.weight == weight
+                assert result.sign == int(np.sign(weight))
+                if weight:
+                    assert result.log_weight == pytest.approx(np.log(abs(weight)), rel=1e-14)
+                else:
+                    assert result.log_weight == -np.inf
+
+    def test_reference_comparison_sees_signed_weights_and_ties(self):
+        # the property above has content: optimal paths that pass through a
+        # negative prefix (so the lo track matters) and exact ties both occur
+        rng = np.random.default_rng(7)
+        through_negative = ties = 0
+        for _ in range(40):
+            chain = signed_diagonal_qpm(rng)
+            basis = HiddenStateBasis.standard(chain.subspace.ambient_dim)
+            word = tuple(rng.choice(chain.alphabet.symbols, size=4))
+            states = [basis.labels.index(label) for label in viterbi_reference(chain, basis, word)[0]]
+            prefix = [chain.initial.matrix[states[0], states[0]].real]
+            for t, symbol in enumerate(word):
+                prefix.append(prefix[-1] * chain.letter_ops[symbol].matrix[states[t], states[t + 1]])
+            through_negative += min(prefix) < 0 < prefix[-1]
+            hmm = dyadic_tie_hmm(rng)
+            word = tuple(rng.choice(hmm.alphabet.symbols, size=3))
+            _, weight = hmm_viterbi_enumerate(hmm, word)
+            ties += weight > 0 and np.count_nonzero(hmm_path_weights(hmm, word) == weight) > 1
+        assert through_negative >= 5 and ties >= 5

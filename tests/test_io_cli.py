@@ -19,6 +19,7 @@ from qpmkit.io import (
 )
 
 from conftest import FIXTURES
+from oracles import hmm_viterbi_log
 
 ALL_FIXTURES = [
     "hmm2.json",
@@ -458,6 +459,21 @@ class TestCliCommands:
         assert code == 0
         assert report["results"]["path"] == ["s0", "s1", "s1"]
         assert report["results"]["weight"] == pytest.approx(0.07776)
+
+    def test_hidden_path_long_word_reports_log_weight(self):
+        hmm2 = load_model(FIXTURES / "hmm2.json")
+        word = "abbab" * 240
+        code, report = _run_json(["hidden-path", str(FIXTURES / "hmm2.json"), "--word", word])
+        assert code == 0
+        results = report["results"]
+        assert len(results["path"]) == len(word) + 1
+        assert results["weight"] == 0.0 and results["sign"] == 1
+        best = hmm_viterbi_log(hmm2, word)
+        assert abs(results["log_weight"] - best) <= 1e-9 * abs(best)
+        assert len(report["findings"]) == 1 and "log_weight" in report["findings"][0]
+        _, short = _run_json(["hidden-path", str(FIXTURES / "hmm2.json"), "--word", "ab"])
+        assert short["findings"] == []
+        assert short["results"]["log_weight"] == pytest.approx(np.log(0.07776))
 
     def test_reports_are_reproducible(self):
         args = ["eval", str(FIXTURES / "hmm2.json"), "--word", "abba"]

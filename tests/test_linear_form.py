@@ -113,6 +113,30 @@ class TestFactorisedSweeps:
         assert sum(bool(p) for p in problems) >= 5
         assert problems == [qk.check_process_axioms(bare(p), 3) for p in broken]
 
+    def test_hmm_with_unnormalised_rows_agrees_both_ways(self):
+        # rows summing to 1.2 and 1.0: hmm_eval and the linear form must still
+        # describe the same word function, including the final transition
+        hmm = qk.HmmParam(
+            ("s0", "s1"),
+            qk.Alphabet(("a", "b")),
+            emission=[[0.6, 0.4], [0.3, 0.7]],
+            initial=[0.5, 0.5],
+            transition=[[0.7, 0.5], [0.4, 0.6]],
+        )
+        linear = qk.hmm_process(hmm)
+        slow = bare(linear)
+        form = linear.linear
+        for word in qk.words_up_to(hmm.alphabet, 4):
+            vec = form.initial
+            for symbol in word:
+                vec = vec @ form.matrices[hmm.alphabet.index(symbol)]
+            assert abs(qk.hmm_eval(hmm, word) - float(vec @ form.end)) <= 1e-15
+        assert qk.hmm_eval(hmm, "a") == pytest.approx(0.5 * 0.6 * 1.2 + 0.5 * 0.3 * 1.0)
+        fast_hankel, slow_hankel = qk.build_hankel(linear, 3, 3), qk.build_hankel(slow, 3, 3)
+        assert np.max(np.abs(fast_hankel.matrix - slow_hankel.matrix)) <= 1e-15
+        problems = qk.check_process_axioms(linear, 3)
+        assert problems and problems == qk.check_process_axioms(slow, 3)
+
     @PROPERTY
     @given(SEEDS)
     def test_finitary_to_qpm_matches_per_word(self, seed):

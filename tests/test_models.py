@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,40 @@ class TestSampling:
         assert [
             "".join(w) for w in qk.sample_trajectories(qrw_hadamard, 5, 3, seed=2024)
         ] == ["babab", "ababa", "babab"]
+
+    @pytest.mark.parametrize(
+        "name, length, seed, digest",
+        [
+            ("hmm2", 200, 20261018, "b943fa99bc61eeaebb5e4a7f276a92cbbdc40aba339f336232857b81be3c9cf2"),
+            ("swap_ffmc", 50, 7, "37f9c2dab992951f480092de433d50f76b2e40c49c9a102d0920e8b2b16e0ed0"),
+            ("qrw_hadamard", 40, 11, "c92a7e34b67e32e4c9c6bafca5d5a4310429b789786d7898be9555662e2cf656"),
+            ("hmm2_qmc", 20, 5, "809b35e69415ad528792bfbb99a4b4de2515837453a4ea2d32e31326c141dc73"),
+        ],
+    )
+    def test_golden_digests(self, request, name, length, seed, digest):
+        # SHA-256 of eight frozen words per model: any change to the draw
+        # arithmetic or the stream layout changes the digest
+        if name == "hmm2_qmc":
+            model = qk.hmm_to_qmc(request.getfixturevalue("hmm2"))
+        else:
+            model = request.getfixturevalue(name)
+        words = qk.sample_trajectories(model, length, 8, seed=seed)
+        text = "\n".join(" ".join(w) for w in words)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_unreached_rows_are_never_checked(self):
+        hmm = qk.HmmParam(
+            ("s0", "bad"),
+            AB,
+            emission=[[1.0, 0.0], [-1.0, 2.0]],
+            initial=[1.0, 0.0],
+            transition=[[1.0, 0.0], [-1.0, 2.0]],
+        )
+        assert qk.sample_trajectories(hmm, 5, 3, seed=1) == [("a",) * 5] * 3
+        with pytest.raises(SamplingError):
+            qk.sample_trajectory(
+                qk.HmmParam(hmm.states, AB, hmm.emission, [0.0, 1.0], hmm.transition), 1, seed=1
+            )
 
     def test_seed_reproducibility(self, hmm2, qrw_hadamard):
         for model in (hmm2, qrw_hadamard):
