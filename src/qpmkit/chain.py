@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 
+_ROOT_TWO = np.sqrt(2.0)
+
+
 def hermitian_basis(n: int) -> list[np.ndarray]:
     """Orthonormal basis of the Hermitian n-by-n matrices (n**2 elements).
 
@@ -140,6 +143,11 @@ class OperatorSubspace:
         return self._basis
 
     @property
+    def stack(self) -> np.ndarray:
+        """The basis as one (dim, n, n) array."""
+        return self._stack
+
+    @property
     def dim(self) -> int:
         return len(self._basis)
 
@@ -176,6 +184,44 @@ class OperatorSubspace:
                 )
         return coords
 
+    def expand_all(self, matrices, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
+        """Coordinate rows of a stack of matrices, each checked for membership.
+
+        On the canonical basis (:attr:`is_canonical`) the coordinates are
+        read off the entries: the real diagonal, then ``√2·Re`` and
+        ``−√2·Im`` of the upper triangle, interleaved in
+        :func:`hermitian_basis` order; a matrix's reconstruction error is
+        then its distance to the Hermitian matrices.  Any other basis takes
+        one Gram solve for the whole stack.  The first matrix whose error
+        exceeds ``tol`` raises the :class:`SubspaceError` that
+        :meth:`expand` raises for it.
+        """
+        mats = np.asarray(matrices, dtype=complex)
+        n = self.ambient_dim
+        if mats.ndim != 3 or mats.shape[1:] != (n, n):
+            raise DimensionMismatchError(
+                f"expected a stack of {n}x{n} matrices, got shape {mats.shape}"
+            )
+        if self.is_canonical:
+            rows, cols = np.triu_indices(n, 1)
+            upper = mats[:, rows, cols]
+            coords = np.empty((len(mats), n * n))
+            coords[:, :n] = np.diagonal(mats, axis1=1, axis2=2).real
+            coords[:, n::2] = _ROOT_TWO * upper.real
+            coords[:, n + 1 :: 2] = -_ROOT_TWO * upper.imag
+            errors = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2)) / 2.0
+        else:
+            rhs = (self._flat_conj @ mats.reshape(len(mats), -1).T).real
+            coords = scipy.linalg.cho_solve(self._cho, rhs).T
+            errors = np.linalg.norm(self.reconstruct(coords) - mats, axis=(1, 2))
+        outside = np.flatnonzero(errors > tol)
+        if outside.size:
+            raise SubspaceError(
+                "matrix lies outside the subspace "
+                f"(reconstruction error {errors[outside[0]]:.3e})"
+            )
+        return coords
+
     def reconstruct(self, coords) -> np.ndarray:
         """The matrix with the given coordinates; a stack of coordinate rows gives a stack."""
         coords = np.asarray(coords, dtype=float)
@@ -209,6 +255,36 @@ class OperatorSubspace:
     def spans_full(self) -> bool:
         return self.dim == self.ambient_dim**2
 
+    @cached_property
+    def is_canonical(self) -> bool:
+        """True when the basis is exactly :func:`hermitian_basis`, in its order."""
+        return self.spans_full and np.array_equal(
+            self._stack, np.stack(hermitian_basis(self.ambient_dim))
+        )
+
+    @cached_property
+    def unit_coords(self) -> np.ndarray:
+        """Complex coordinates of the matrix units on a full-space basis.
+
+        Row ``i·n + j`` holds the coordinates of E_ij under the
+        complex-linear extension of :meth:`expand`: one Gram solve against
+        the conjugated basis, so ``unit_coords @ stack`` rebuilds every unit.
+        """
+        return scipy.linalg.cho_solve(self._cho, self._flat_conj).T
+
+    @cached_property
+    def _stack_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flattened stack as two (row, value) entries per matrix position.
+
+        Exact for a stack with at most two nonzero entries per position,
+        as the canonical basis has (a diagonal unit, or one symmetric and
+        one antisymmetric element); a position with one gets a second
+        entry of value 0.  Returns ``(rows, values)``, each (2, n²).
+        """
+        flat = self._stack.reshape(self.dim, -1)
+        rows = np.argsort(flat == 0, axis=0, kind="stable")[:2]
+        return rows, np.take_along_axis(flat, rows, axis=0)
+
 
 @dataclass(frozen=True)
 class SuperOperator:
@@ -239,6 +315,28 @@ class SuperOperator:
         """Build the coordinate matrix by applying ``action`` to every basis element."""
         rows = [subspace.expand(action(b), check=True, tol=tol) for b in subspace.basis]
         return cls(subspace, np.vstack(rows))
+
+    @classmethod
+    def from_kraus(
+        cls,
+        subspace: OperatorSubspace,
+        kraus,
+        tol: float = DEFAULTS.recon_tol,
+    ) -> "SuperOperator":
+        """Coordinate matrix of the Kraus map Q ↦ K Q K* in one pass.
+
+        The whole basis stack is conjugated at once (``K @ B @ K*``) and
+        :meth:`OperatorSubspace.expand_all` reads the coordinates off the
+        images: in closed form on the canonical full basis, by one Gram
+        solve otherwise.  An image outside the subspace raises
+        :class:`SubspaceError` as :meth:`from_action` does.
+        """
+        k = as_complex_matrix(kraus)
+        n = subspace.ambient_dim
+        if k.shape != (n, n):
+            raise DimensionMismatchError(f"Kraus operator must be {n}x{n}, got {k.shape}")
+        images = k @ subspace.stack @ k.conj().T
+        return cls(subspace, subspace.expand_all(images, tol))
 
     def apply_coords(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords, dtype=float) @ self.matrix
@@ -441,26 +539,27 @@ def _letter_positivity(chain, symbol, report, rng, samples, psd_tol):
 
 
 def _choi_matrix(op: SuperOperator) -> np.ndarray:
-    """Choi matrix of the complex-linear extension of a full-space operator."""
-    n = op.subspace.ambient_dim
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                unit = np.zeros((n, n), dtype=complex)
-                unit[i, i] = 1.0
-                image = op.apply(unit)
-            else:
-                sym = np.zeros((n, n), dtype=complex)
-                sym[i, j] = 1.0
-                sym[j, i] = 1.0
-                anti = np.zeros((n, n), dtype=complex)
-                anti[i, j] = -1j
-                anti[j, i] = 1j
-                image = 0.5 * op.apply(sym) + 0.5j * op.apply(anti)
-            unit_ij = np.zeros((n, n), dtype=complex)
-            unit_ij[i, j] = 1.0
-            choi += np.kron(unit_ij, image)
+    """Choi matrix of the complex-linear extension of a full-space operator.
+
+    ``Choi[(i,k),(j,l)] = Φ(E_ij)[k,l]`` (Choi, *Linear Algebra Appl.* 10,
+    1975).  The images of all n² units come from one contraction: their
+    complex coordinates times the coordinate matrix, times the basis
+    stack.  The canonical basis is orthonormal, so there the unit
+    coordinates are the stack's conjugate transpose, and the stack has
+    two entries per matrix position: the contraction is two gathers per
+    side, O(n⁴), instead of two dense n²×n² products (which also keeps
+    multithreaded BLAS out of it).
+    The result is symmetrised against rounding.
+    """
+    sub = op.subspace
+    n = sub.ambient_dim
+    if sub.is_canonical:
+        rows, values = sub._stack_entries
+        units = sum(v.conj()[:, None] * op.matrix[r] for r, v in zip(rows, values))
+        images = sum(units[:, r] * v for r, v in zip(rows, values))
+    else:
+        images = (sub.unit_coords @ op.matrix) @ sub.stack.reshape(sub.dim, -1)
+    choi = images.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return (choi + choi.conj().T) / 2.0
 
 
@@ -525,7 +624,7 @@ def unitary_to_qmc(unitary, initial: Density, symbol: str = "a") -> QuantumChain
     if initial.dim != u.shape[0]:
         raise DimensionMismatchError("density and unitary dimensions differ")
     sub = OperatorSubspace.full(u.shape[0])
-    op = SuperOperator.from_action(sub, lambda q: u @ q @ u.conj().T)
+    op = SuperOperator.from_kraus(sub, u)
     alphabet = Alphabet((symbol,))
     return QuantumChain(alphabet, sub, {symbol: op}, initial, ChainKind.QMC)
 
@@ -560,7 +659,7 @@ def povm_to_qmc(
         raise ValidationError("measurement chains start from a quantum density")
     sub = OperatorSubspace.full(n)
     ops = {
-        label: SuperOperator.from_action(sub, lambda q, m=mat: m @ q @ m.conj().T)
+        label: SuperOperator.from_kraus(sub, mat)
         for label, mat in mats.items()
     }
     return QuantumChain(Alphabet(labels), sub, ops, initial, ChainKind.QMC)
@@ -576,8 +675,7 @@ def qrw_to_qmc(qrw: QrwParam) -> QuantumChain:
         projector = np.zeros((k, k), dtype=complex)
         block = qrw.block(node)
         projector[block, block] = np.eye(qrw.coin_count)
-        kraus = projector @ qrw.unitary
-        ops[node] = SuperOperator.from_action(sub, lambda q, m=kraus: m @ q @ m.conj().T)
+        ops[node] = SuperOperator.from_kraus(sub, projector @ qrw.unitary)
     initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()))
     return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
 

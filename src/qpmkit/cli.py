@@ -258,19 +258,10 @@ def _cmd_validate(argv, config, inputs):
     if args.horizon is not None:
         config = config.replace(qpm_horizon=args.horizon)
     inputs["model"] = args.model
-    model, kind, violations = load_model_report(args.model, config)
+    model, kind, violations, report = load_model_report(args.model, config, with_report=True)
     results = {"kind": kind, "valid": not violations}
     if isinstance(model, QuantumChain):
-        # chains carry positivity evidence beyond pass/fail
-        report = chain_mod.validate_chain(
-            model,
-            horizon=config.qpm_horizon,
-            trace_tol=config.trace_tol,
-            psd_tol=config.psd_tol,
-            eval_tol=config.eval_tol,
-            preserve_tol=config.preserve_tol,
-            recon_tol=config.recon_tol,
-        )
+        # chains carry positivity evidence beyond pass/fail, gathered on load
         results["evidence"] = list(report.evidence)
         if report.horizon is not None:
             results["horizon"] = report.horizon

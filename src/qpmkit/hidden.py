@@ -61,21 +61,27 @@ class HiddenStateBasis:
             raise DimensionMismatchError("one projector per label required")
         projectors = tuple(require_hermitian(p, _PROJECTOR_TOL) for p in self.projectors)
         dim = projectors[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, proj in enumerate(projectors):
-            if proj.shape != (dim, dim):
-                raise DimensionMismatchError("projectors differ in dimension")
-            if np.max(np.abs(proj @ proj - proj)) > _PROJECTOR_TOL:
-                raise ValidationError(f"projector for {labels[i]!r} is not idempotent")
-            total += proj
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                overlap = float(np.max(np.abs(projectors[i] @ projectors[j])))
-                if overlap > _PROJECTOR_TOL:
-                    raise ValidationError(
-                        f"projectors {labels[i]!r} and {labels[j]!r} overlap ({overlap:.3e})"
-                    )
-        if np.max(np.abs(total - np.eye(dim))) > _PROJECTOR_TOL:
+        # projectors before the first one of another shape are checked first,
+        # so the first failing projector names the error, as in index order
+        shaped = [p.shape == (dim, dim) for p in projectors]
+        count = shaped.index(False) if not all(shaped) else len(projectors)
+        stack = np.stack(projectors[:count])
+        defects = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
+        bad = np.flatnonzero(defects > _PROJECTOR_TOL)
+        if bad.size:
+            raise ValidationError(f"projector for {labels[bad[0]]!r} is not idempotent")
+        if count < len(projectors):
+            raise DimensionMismatchError("projectors differ in dimension")
+        for i in range(count - 1):
+            overlaps = np.max(np.abs(stack[i] @ stack[i + 1 :]), axis=(1, 2))
+            bad = np.flatnonzero(overlaps > _PROJECTOR_TOL)
+            if bad.size:
+                j = i + 1 + bad[0]
+                raise ValidationError(
+                    f"projectors {labels[i]!r} and {labels[j]!r} overlap "
+                    f"({float(overlaps[bad[0]]):.3e})"
+                )
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > _PROJECTOR_TOL:
             raise ValidationError("projectors do not resolve the identity")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "projectors", projectors)

@@ -84,15 +84,21 @@ def canonical_json(data) -> str:
 
 def load_model(path, config: Config = DEFAULTS):
     """Load and validate a model file; raise :class:`SchemaError` on any problem."""
-    model, _, violations = _load(path, config)
+    model, _, violations, _ = _load(path, config)
     if violations:
         raise SchemaError(violations)
     return model
 
 
-def load_model_report(path, config: Config = DEFAULTS):
-    """Like :func:`load_model` but returns ``(model_or_None, kind, violations)``."""
-    return _load(path, config)
+def load_model_report(path, config: Config = DEFAULTS, *, with_report: bool = False):
+    """Like :func:`load_model` but returns ``(model_or_None, kind, violations)``.
+
+    With ``with_report`` a fourth item follows: the load-time
+    :class:`ValidationReport` of a parsed model whose kind has one (a
+    chain's carries its positivity evidence), else None.
+    """
+    loaded = _load(path, config)
+    return loaded if with_report else loaded[:3]
 
 
 def _load(path, config: Config):
@@ -100,11 +106,11 @@ def _load(path, config: Config):
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        return None, None, [f"cannot read file: {exc}"]
+        return None, None, [f"cannot read file: {exc}"], None
     except json.JSONDecodeError as exc:
-        return None, None, [f"not valid JSON: {exc}"]
+        return None, None, [f"not valid JSON: {exc}"], None
     if not isinstance(raw, dict):
-        return None, None, ["top level must be a JSON object"]
+        return None, None, ["top level must be a JSON object"], None
 
     violations: list[str] = []
     unknown = set(raw) - _TOP_KEYS
@@ -113,20 +119,20 @@ def _load(path, config: Config):
     missing = _TOP_KEYS - set(raw)
     if missing:
         violations.append(f"missing top-level fields: {sorted(missing)}")
-        return None, None, violations
+        return None, None, violations, None
     if raw["schema_version"] != SCHEMA_VERSION:
         violations.append(
             f"schema_version {raw['schema_version']!r} unsupported (expected {SCHEMA_VERSION!r})"
         )
-        return None, None, violations
+        return None, None, violations, None
     kind = raw["kind"]
     if kind not in _PAYLOAD_KEYS:
         violations.append(f"unknown kind {kind!r}")
-        return None, kind, violations
+        return None, kind, violations, None
     payload = raw["payload"]
     if not isinstance(payload, dict):
         violations.append("payload must be a JSON object")
-        return None, kind, violations
+        return None, kind, violations, None
     required, optional = _PAYLOAD_KEYS[kind]
     unknown = set(payload) - required - optional
     if unknown:
@@ -135,17 +141,17 @@ def _load(path, config: Config):
     if missing:
         violations.append(f"missing payload fields for kind {kind!r}: {sorted(missing)}")
     if violations:
-        return None, kind, violations
+        return None, kind, violations, None
 
     try:
         model, report = _PARSERS[kind](raw["alphabet"], payload, config)
     except QpmkitError as exc:
-        return None, kind, [str(exc)]
+        return None, kind, [str(exc)], None
     except (TypeError, ValueError, KeyError) as exc:
-        return None, kind, [f"malformed payload: {exc}"]
+        return None, kind, [f"malformed payload: {exc}"], None
     if report is not None and not report.ok:
-        return None, kind, report.messages()
-    return model, kind, []
+        return None, kind, report.messages(), report
+    return model, kind, [], report
 
 
 def _need_alphabet(alphabet) -> Alphabet:
@@ -362,19 +368,14 @@ _PARSERS = {
 # --------------------------------------------------------------------------
 
 
-def _dump_complex(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
-
-
-def _dump_cmatrix(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[_dump_complex(cell) for cell in row] for row in np.asarray(matrix, dtype=complex)]
+def _dump_cmatrix(matrix: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one per entry of a complex vector or matrix."""
+    arr = np.asarray(matrix, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _dump_rmatrix(matrix: np.ndarray) -> list:
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim == 1:
-        return [float(x) for x in arr]
-    return [[float(x) for x in row] for row in arr]
+    return np.asarray(matrix, dtype=float).tolist()
 
 
 def model_kind(model) -> str:
@@ -428,7 +429,7 @@ def model_to_dict(model) -> dict:
             "edges": [list(e) for e in model.edges],
             "coins": list(model.coins),
             "unitary": _dump_cmatrix(model.unitary),
-            "wave": [_dump_complex(c) for c in model.wave],
+            "wave": _dump_cmatrix(model.wave),
         }
     elif isinstance(model, QuantumChain):
         alphabet = list(model.alphabet.symbols)

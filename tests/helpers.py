@@ -73,6 +73,17 @@ def random_local_qrw(rng: np.random.Generator, n_nodes: int, n_coins: int) -> qk
     return qrw
 
 
+def walk_kraus(qrw: qk.QrwParam) -> list[np.ndarray]:
+    """The walk's project-after-evolve Kraus operators P_node U, one per node."""
+    out = []
+    for node in qrw.nodes:
+        projector = np.zeros((qrw.dim, qrw.dim), dtype=complex)
+        block = qrw.block(node)
+        projector[block, block] = np.eye(qrw.coin_count)
+        out.append(projector @ qrw.unitary)
+    return out
+
+
 def single_letter_chain(matrix, initial_diag, kind=ChainKind.QMC) -> QuantumChain:
     """Diagonal-subspace chain with one symbol; handy for limit tests."""
     matrix = np.asarray(matrix, dtype=float)

@@ -174,3 +174,63 @@ def hmm_path_log_weight(hmm, word, path) -> float:
     for t, s in enumerate(hmm.alphabet.index(x) for x in word):
         total += float(np.log(hmm.emission[path[t], s] * hmm.transition[path[t], path[t + 1]]))
     return total
+
+
+def _gram_solver(basis):
+    """Real coordinates of a Hermitian matrix over ``basis`` by a Gram solve."""
+    gram = np.array([[np.vdot(a, b).real for b in basis] for a in basis])
+
+    def coords(mat):
+        return np.linalg.solve(gram, np.array([np.vdot(b, mat).real for b in basis]))
+
+    return coords
+
+
+def superoperator_reference(basis, action, tol: float = 1e-8) -> np.ndarray:
+    """Coordinate matrix of ``action`` by expanding one basis image at a time.
+
+    Row i holds the coordinates of the image of basis element i, each
+    from its own Gram solve; an image whose reconstruction misses it by
+    more than ``tol`` raises ``ValueError``.
+    """
+    coords_of = _gram_solver(basis)
+    rows = []
+    for element in basis:
+        image = action(element)
+        coords = coords_of(image)
+        if np.linalg.norm(sum(c * b for c, b in zip(coords, basis)) - image) > tol:
+            raise ValueError("image lies outside the subspace")
+        rows.append(coords)
+    return np.vstack(rows)
+
+
+def choi_reference(basis, matrix: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij E_ij ⊗ Φ(E_ij) of a full-space coordinate matrix, unit by unit.
+
+    Off the diagonal Φ(E_ij) = Φ(S)/2 + iΦ(A)/2 with the Hermitian
+    S = E_ij + E_ji and A = -iE_ij + iE_ji; each image is expanded,
+    mapped by ``matrix`` and rebuilt on its own.  Symmetrised at the end.
+    """
+    n = basis[0].shape[0]
+    coords_of = _gram_solver(basis)
+
+    def apply(mat):
+        return sum(c * b for c, b in zip(coords_of(mat) @ matrix, basis))
+
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                unit = np.zeros((n, n), dtype=complex)
+                unit[i, i] = 1.0
+                image = apply(unit)
+            else:
+                sym = np.zeros((n, n), dtype=complex)
+                sym[i, j] = sym[j, i] = 1.0
+                anti = np.zeros((n, n), dtype=complex)
+                anti[i, j], anti[j, i] = -1j, 1j
+                image = 0.5 * apply(sym) + 0.5j * apply(anti)
+            unit_ij = np.zeros((n, n), dtype=complex)
+            unit_ij[i, j] = 1.0
+            choi += np.kron(unit_ij, image)
+    return (choi + choi.conj().T) / 2.0

@@ -216,3 +216,16 @@ def test_11_long_horizon_viterbi():
         assert np.isfinite(result.log_weight) and result.sign == 1
         assert abs(result.log_weight - best) <= 1e-9 * abs(best)
         assert abs(hmm_path_log_weight(hmm, word, path) - best) <= 1e-9 * abs(best)
+
+
+def test_12_walk_chain_at_dimension_16():
+    with criterion(12, "8-node two-coin walk to a validated chain", 1.5):
+        qrw = random_local_qrw(np.random.default_rng(1201), 8, 2)
+        assert qrw.dim == 16
+        chain = qk.qrw_to_qmc(qrw)
+        report = qk.validate_chain(chain)
+        assert report.ok
+        assert len(report.evidence) == 8
+        assert all("completely positive (Choi PSD)" in note for note in report.evidence)
+        for word in qk.words_up_to(qrw.nodes, 2):
+            assert abs(qk.chain_eval(chain, word) - qrw_collapse_prob(qrw, word)) <= 1e-10

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
-from qpmkit.errors import UnsupportedChainError, ValidationError
+from qpmkit.errors import DimensionMismatchError, UnsupportedChainError, ValidationError
 from qpmkit.hidden import HiddenStateBasis, InformationFunction
 
 from helpers import random_hmm, random_quantum_density, single_letter_chain
@@ -88,6 +88,29 @@ class TestHiddenStateBasis:
         proj = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError):
             HiddenStateBasis(("w1", "w2"), (proj, proj))
+
+    def test_overlap_names_the_first_offending_pair(self):
+        first, second = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+        both = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(ValidationError, match=r"^projectors 'w1' and 'w3' overlap \(1\.000e\+00\)$"):
+            HiddenStateBasis(("w1", "w2", "w3"), (first, second, both))
+        with pytest.raises(ValidationError, match=r"^projectors 'w2' and 'w3' overlap \(1\.000e\+00\)$"):
+            HiddenStateBasis(("w1", "w2", "w3"), (np.diag([0.0, 0.0, 1.0]), second, second))
+
+    def test_non_idempotent_names_the_first_projector(self):
+        half = np.diag([0.5, 0.0])
+        with pytest.raises(ValidationError, match=r"^projector for 'w2' is not idempotent$"):
+            HiddenStateBasis(("w1", "w2", "w3"), (np.diag([1.0, 0.0]), half, half))
+        # idempotence of every projector is checked before any overlap
+        with pytest.raises(ValidationError, match=r"^projector for 'w3' is not idempotent$"):
+            HiddenStateBasis(("w1", "w2", "w3"), (np.diag([1.0, 0.0]),) * 2 + (half,))
+
+    def test_checks_run_in_projector_order(self):
+        half, unit = np.diag([0.5, 0.0]), np.diag([1.0, 0.0])
+        with pytest.raises(ValidationError, match="'w1' is not idempotent"):
+            HiddenStateBasis(("w1", "w2"), (half, np.eye(3)))
+        with pytest.raises(DimensionMismatchError):
+            HiddenStateBasis(("w1", "w2", "w3"), (unit, np.eye(3), half))
 
     def test_rejects_incomplete(self):
         proj = np.diag([1.0, 0.0]).astype(complex)

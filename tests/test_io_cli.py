@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import qpmkit as qk
+import qpmkit.io as qpmkit_io
 from qpmkit import cli
 from qpmkit.cli import run_command
 from qpmkit.errors import SchemaError
@@ -19,6 +21,7 @@ from qpmkit.io import (
 )
 
 from conftest import FIXTURES
+from helpers import random_local_qrw, walk_kraus
 from oracles import hmm_viterbi_log
 
 ALL_FIXTURES = [
@@ -32,6 +35,38 @@ ALL_FIXTURES = [
     "bell5.json",
     "feynman4.json",
 ]
+
+
+PINNED_DIGESTS = {
+    "hmm2.json": "5acb08ad76eea044",
+    "hmm3_rank3.json": "f5cdcaa4082b5420",
+    "coin_finitary.json": "c8c965c479bebdba",
+    "qrw_hadamard.json": "c130045f807a5414",
+    "swap_qmc.json": "01318041abf1a627",
+    "swap_ffmc.json": "c2daf2bcd6488cf3",
+    "unbounded_qpm.json": "aa6bc40131a1de13",
+    "bell5.json": "c0f9021329f04067",
+    "feynman4.json": "3034975dfe6db041",
+    "hmm2 qmc": "f3c371284784871c",
+    "hmm3 qmc": "d261939cd2ac3d93",
+    "hmm2 finitary": "23d0915a0d047276",
+    "hmm2 qpm": "4456c8879988e3c6",
+    "hadamard qmc": "f3e946afd2c06f21",
+    "walk8 qmc": "d140e18291b500a0",
+    "walk8 finitary": "d9c52a9902fd5bfa",
+}
+
+
+def per_element_walk_chain(qrw) -> qk.QuantumChain:
+    """A walk's chain built one basis element at a time, so its bits do not
+    depend on the closed-form Kraus coordinates."""
+    sub = qk.OperatorSubspace.full(qrw.dim)
+    ops = {
+        node: qk.SuperOperator.from_action(sub, lambda q, m=kraus: m @ q @ m.conj().T)
+        for node, kraus in zip(qrw.nodes, walk_kraus(qrw))
+    }
+    initial = qk.Density.quantum(np.outer(qrw.wave, qrw.wave.conj()))
+    return qk.QuantumChain(qrw.nodes, sub, ops, initial, qk.ChainKind.QMC)
 
 
 def _run(args):
@@ -112,6 +147,27 @@ class TestModelFiles:
         bad.write_text(json.dumps(data))
         with pytest.raises(SchemaError):
             load_model(bad)
+
+    def test_canonical_text_is_pinned(self, hmm2, hmm3_rank3, qrw_hadamard):
+        # SHA-256 of save_model, recorded before the writer moved to ndarray.tolist()
+        walk = random_local_qrw(np.random.default_rng(12), 4, 2)
+        models = {name: load_model(FIXTURES / name) for name in ALL_FIXTURES}
+        models.update(
+            {
+                "hmm2 qmc": qk.hmm_to_qmc(hmm2),
+                "hmm3 qmc": qk.hmm_to_qmc(hmm3_rank3),
+                "hmm2 finitary": qk.hmm_to_finitary(hmm2),
+                "hmm2 qpm": qk.finitary_to_qpm(qk.hmm_to_finitary(hmm2)),
+                "hadamard qmc": per_element_walk_chain(qrw_hadamard),
+                "walk8 qmc": per_element_walk_chain(walk),
+                "walk8 finitary": qk.qpm_to_finitary(per_element_walk_chain(walk)),
+            }
+        )
+        digests = {
+            name: hashlib.sha256(save_model(model).encode()).hexdigest()[:16]
+            for name, model in models.items()
+        }
+        assert digests == PINNED_DIGESTS
 
     def test_chain_round_trip_preserves_process(self, tmp_path, hmm2):
         chain = qk.hmm_to_qmc(hmm2)
@@ -236,6 +292,68 @@ class TestCliCommands:
         code, report = _run_json(["validate", str(FIXTURES / "unbounded_qpm.json")])
         assert code == 0
         assert report["results"]["horizon"] == 6
+
+    def test_validate_reports_are_pinned(self, tmp_path, qrw_hadamard):
+        # results and findings as the command printed them before it reused the
+        # load-time validation report
+        walk = tmp_path / "walk_qmc.json"
+        save_model(per_element_walk_chain(qrw_hadamard), walk)
+        sub = qk.OperatorSubspace.full(2)
+        reduction = qk.SuperOperator.from_action(sub, lambda q: np.trace(q) * np.eye(2) - q)
+        not_cp = tmp_path / "reduction_qmc.json"
+        save_model(
+            qk.QuantumChain(
+                qk.Alphabet(("a",)),
+                sub,
+                {"a": reduction},
+                qk.Density.quantum(np.diag([0.7, 0.3]).astype(complex)),
+                qk.ChainKind.QMC,
+            ),
+            not_cp,
+        )
+        cp = "completely positive (Choi PSD), hence positive"
+        pinned = {
+            FIXTURES / "swap_qmc.json": {
+                "evidence": ["operator 'a': positivity verified exactly (diagonal basis)"],
+                "kind": "qmc",
+                "valid": True,
+            },
+            FIXTURES / "unbounded_qpm.json": {
+                "evidence": ["word probabilities checked exhaustively up to length 6"],
+                "horizon": 6,
+                "kind": "qpm",
+                "valid": True,
+            },
+            walk: {
+                "evidence": [f"operator 'a': {cp}", f"operator 'b': {cp}"],
+                "kind": "qmc",
+                "valid": True,
+            },
+            not_cp: {
+                "evidence": [
+                    "operator 'a': Choi matrix indefinite (min eigenvalue -1.000e+00); no "
+                    "positivity counterexample in 1000 samples, positivity unproven"
+                ],
+                "kind": "qmc",
+                "valid": True,
+            },
+        }
+        for path, results in pinned.items():
+            code, report = _run_json(["validate", str(path)])
+            assert (code, report["results"], report["findings"]) == (0, results, [])
+
+    def test_validate_checks_a_chain_once(self, monkeypatch):
+        calls = []
+        original = qpmkit_io.validate_chain
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qpmkit_io, "validate_chain", counted)
+        monkeypatch.setattr(qk.chain, "validate_chain", counted)
+        code, _ = _run_json(["validate", str(FIXTURES / "swap_qmc.json")])
+        assert code == 0 and len(calls) == 1
 
     def test_validate_bad_file_exits_one(self):
         code, report = _run_json(["validate", str(FIXTURES / "bad_hmm_rowsum.json")])

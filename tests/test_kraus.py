@@ -1,0 +1,190 @@
+"""Closed-form Kraus superoperators and the one-contraction Choi matrix.
+
+Both are checked against the unit-by-unit oracles in ``oracles.py`` over
+measurement, unitary and walk families of ambient dimension 1 to 5, on
+the canonical basis (closed-form coordinates) and on a mixed full basis
+(Gram solve); validation must report the same messages and evidence
+either way.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qpmkit as qk
+from qpmkit import chain as chain_mod
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, hermitian_basis
+from qpmkit.errors import SubspaceError
+
+from helpers import (
+    random_kraus_family,
+    random_local_qrw,
+    random_quantum_density,
+    random_unitary,
+    walk_kraus,
+)
+from oracles import choi_reference, superoperator_reference
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(1, 5)
+FAMILIES = st.sampled_from(["povm", "unitary", "walk"])
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def kraus_family(rng, family: str, n: int) -> list[np.ndarray]:
+    if family == "povm":
+        return list(random_kraus_family(rng, n, int(rng.integers(1, 4))).values())
+    if family == "unitary":
+        return [random_unitary(rng, n)]
+    coins = int(rng.choice([c for c in range(1, n + 1) if n % c == 0]))
+    return walk_kraus(random_local_qrw(rng, n // coins, coins))
+
+
+def mixed_full_basis(rng, n: int) -> list[np.ndarray]:
+    """A non-orthonormal basis of the Hermitian n-by-n matrices."""
+    canonical = np.stack(hermitian_basis(n))
+    mixing = np.eye(n * n) + 0.3 * rng.normal(size=(n * n, n * n)) / n
+    return list(np.tensordot(mixing, canonical, axes=1))
+
+
+def conjugation(kraus):
+    return lambda q: kraus @ q @ kraus.conj().T
+
+
+def reduction_map(q):
+    """Q -> (tr Q) I - Q: positive on 2x2 matrices, not completely positive."""
+    return np.trace(q) * np.eye(q.shape[0]) - q
+
+
+def non_positive_map(q):
+    """Q -> 2Q - (tr Q)/2 I: trace-preserving on 2x2 matrices, maps pure states off the cone."""
+    return 2.0 * q - (np.trace(q) / 2.0) * np.eye(q.shape[0])
+
+
+def report_tuple(report):
+    return report.messages(), list(report.evidence), report.horizon
+
+
+def reference_report(chain, **kwargs):
+    """validate_chain with the unit-by-unit Choi matrix in place of the contraction."""
+    with mock.patch.object(
+        chain_mod, "_choi_matrix", lambda op: choi_reference(op.subspace.basis, op.matrix)
+    ):
+        return chain_mod.validate_chain(chain, **kwargs)
+
+
+class TestFromKraus:
+    @PROPERTY
+    @given(seed=SEEDS, family=FAMILIES, n=DIMS)
+    def test_canonical_coordinates_match_the_oracle(self, seed, family, n):
+        rng = np.random.default_rng(seed)
+        sub = OperatorSubspace.full(n)
+        assert sub.is_canonical
+        for kraus in kraus_family(rng, family, n):
+            got = SuperOperator.from_kraus(sub, kraus).matrix
+            want = superoperator_reference(sub.basis, conjugation(kraus))
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    @PROPERTY
+    @given(seed=SEEDS, family=FAMILIES, n=DIMS)
+    def test_gram_solve_coordinates_match_the_oracle(self, seed, family, n):
+        rng = np.random.default_rng(seed)
+        sub = OperatorSubspace(mixed_full_basis(rng, n))
+        assert sub.spans_full and not sub.is_canonical
+        for kraus in kraus_family(rng, family, n):
+            got = SuperOperator.from_kraus(sub, kraus).matrix
+            want = superoperator_reference(sub.basis, conjugation(kraus))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_constructions_use_the_kraus_coordinates(self, rng):
+        qrw = random_local_qrw(rng, 3, 2)
+        chain = qk.qrw_to_qmc(qrw)
+        for node, kraus in zip(qrw.nodes, walk_kraus(qrw)):
+            want = superoperator_reference(chain.subspace.basis, conjugation(kraus))
+            assert np.max(np.abs(chain.letter_ops[node].matrix - want)) <= 1e-13
+        family = random_kraus_family(rng, 3, 2)
+        chain = qk.povm_to_qmc(family, random_quantum_density(rng, 3))
+        for label, kraus in family.items():
+            want = superoperator_reference(chain.subspace.basis, conjugation(kraus))
+            assert np.max(np.abs(chain.letter_ops[label].matrix - want)) <= 1e-13
+        unitary = random_unitary(rng, 3)
+        chain = qk.unitary_to_qmc(unitary, random_quantum_density(rng, 3))
+        want = superoperator_reference(chain.subspace.basis, conjugation(unitary))
+        assert np.max(np.abs(chain.letter_ops["a"].matrix - want)) <= 1e-13
+
+    def test_diagonal_subspace_rejects_a_non_diagonal_image(self):
+        sub = OperatorSubspace.diagonal(2)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        with pytest.raises(SubspaceError) as closed_form:
+            SuperOperator.from_kraus(sub, hadamard)
+        with pytest.raises(SubspaceError) as per_element:
+            SuperOperator.from_action(sub, conjugation(hadamard))
+        assert str(closed_form.value) == str(per_element.value)
+
+    def test_diagonal_subspace_keeps_a_diagonal_image(self, rng):
+        sub = OperatorSubspace.diagonal(3)
+        kraus = np.diag(rng.normal(size=3) + 1j * rng.normal(size=3))[[2, 0, 1]]
+        got = SuperOperator.from_kraus(sub, kraus).matrix
+        want = superoperator_reference(sub.basis, conjugation(kraus))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_rejects_a_kraus_operator_of_another_dimension(self):
+        with pytest.raises(qk.DimensionMismatchError):
+            SuperOperator.from_kraus(OperatorSubspace.full(2), np.eye(3))
+
+
+class TestChoiMatrix:
+    @PROPERTY
+    @given(seed=SEEDS, family=FAMILIES, n=DIMS)
+    def test_contraction_matches_the_unit_loop(self, seed, family, n):
+        rng = np.random.default_rng(seed)
+        for sub in (OperatorSubspace.full(n), OperatorSubspace(mixed_full_basis(rng, n))):
+            for kraus in kraus_family(rng, family, n):
+                op = SuperOperator.from_kraus(sub, kraus)
+                want = choi_reference(sub.basis, op.matrix)
+                assert np.max(np.abs(chain_mod._choi_matrix(op) - want)) <= 1e-12
+
+    def test_non_completely_positive_maps_match_the_unit_loop(self):
+        sub = OperatorSubspace.full(2)
+        for action in (reduction_map, non_positive_map):
+            op = SuperOperator.from_action(sub, action)
+            want = choi_reference(sub.basis, op.matrix)
+            assert np.max(np.abs(chain_mod._choi_matrix(op) - want)) <= 1e-12
+
+
+class TestValidationReports:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=SEEDS, family=FAMILIES, n=DIMS)
+    def test_kraus_chains_report_as_the_oracle_chain(self, seed, family, n):
+        rng = np.random.default_rng(seed)
+        kraus = kraus_family(rng, family, n)
+        sub = OperatorSubspace.full(n)
+        symbols = tuple(f"k{i}" for i in range(len(kraus)))
+        density = random_quantum_density(rng, n)
+        fast = {s: SuperOperator.from_kraus(sub, k) for s, k in zip(symbols, kraus)}
+        slow = {
+            s: SuperOperator(sub, superoperator_reference(sub.basis, conjugation(k)))
+            for s, k in zip(symbols, kraus)
+        }
+        alphabet = qk.Alphabet(symbols)
+        got = qk.validate_chain(QuantumChain(alphabet, sub, fast, density, ChainKind.QMC))
+        want = reference_report(QuantumChain(alphabet, sub, slow, density, ChainKind.QMC))
+        assert report_tuple(got) == report_tuple(want)
+        assert got.ok and len(got.evidence) == len(symbols)
+
+    @pytest.mark.parametrize("action", [reduction_map, non_positive_map])
+    def test_non_completely_positive_maps_report_as_the_oracle(self, rng, action):
+        sub = OperatorSubspace.full(2)
+        chain = QuantumChain(
+            qk.Alphabet(("a",)),
+            sub,
+            {"a": SuperOperator.from_action(sub, action)},
+            random_quantum_density(rng, 2),
+            ChainKind.QMC,
+        )
+        got = qk.validate_chain(chain, positivity_samples=300)
+        assert report_tuple(got) == report_tuple(reference_report(chain, positivity_samples=300))
+        assert got.evidence or got.violations
