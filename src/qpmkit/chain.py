@@ -66,7 +66,6 @@ __all__ = [
     "finitary_to_qpm",
     "qpm_to_finitary",
     "as_qpm",
-    "sample_chain_with_rng",
 ]
 
 
@@ -789,30 +788,3 @@ def as_qpm(chain: QuantumChain) -> QuantumChain:
     return QuantumChain(
         chain.alphabet, chain.subspace, dict(chain.letter_ops), chain.initial, ChainKind.QPM
     )
-
-
-def sample_chain_with_rng(
-    chain: QuantumChain,
-    length: int,
-    rng: np.random.Generator,
-    clamp_tol: float = DEFAULTS.clamp_tol,
-) -> Word:
-    """Sample a word by conditional branch probabilities along the evolution."""
-    from .models import _clamp_distribution, _draw
-
-    from .errors import SamplingError
-
-    out: list[str] = []
-    coords = chain.initial_coords
-    traces = chain.subspace.traces
-    for _ in range(length):
-        mass = float(coords @ traces)
-        if mass <= clamp_tol:
-            raise SamplingError(f"remaining trajectory weight {mass!r} is not positive")
-        branch_coords = [coords @ chain.letter_ops[a].matrix for a in chain.alphabet]
-        branch = np.array([float(c @ traces) for c in branch_coords]) / mass
-        distribution = _clamp_distribution(branch, clamp_tol, "branch distribution")
-        index = _draw(rng, distribution)
-        out.append(chain.alphabet.symbols[index])
-        coords = branch_coords[index]
-    return tuple(out)

@@ -8,6 +8,7 @@ Also hosts seedable trajectory sampling for every model family.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -438,16 +439,64 @@ def qrw_step(
 def qrw_eval(qrw: QrwParam, word) -> float:
     """Word probability as the product of step probabilities along the collapse path."""
     symbols = as_word(word, qrw.nodes)
+    if not symbols:
+        return 1.0
+    nodes = np.array([qrw.nodes.index(symbol) for symbol in symbols])
+    waves = _WalkWaves(qrw, 1)
     probability = 1.0
-    psi = qrw.wave
-    for symbol in symbols:
-        step = qrw_step(qrw, psi)
-        weight = step.probabilities[symbol]
+    for t in range(len(nodes)):
+        waves.evolve()
+        weight = float(waves.choose(nodes[t : t + 1])[0])
         probability *= weight
-        if symbol not in step.collapsed:
+        if weight <= _ZERO_WEIGHT:
             return 0.0
-        psi = step.collapsed[symbol]
+        waves.collapse()
     return probability
+
+
+# A collapse onto a node of at most this weight is undefined (qrw_step's zero_tol).
+_ZERO_WEIGHT = 1e-15
+
+
+class _WalkWaves:
+    """A stack of walk waves, each collapsed onto one node after every step.
+
+    A collapsed wave is kept as its node's coin amplitudes: evolving it
+    takes only the unitary's columns of that node's block, and a collapse
+    keeps only the chosen block, so no full wave is built after the
+    initial one.  A step is :meth:`evolve`, :meth:`choose`, :meth:`collapse`.
+    """
+
+    def __init__(self, qrw: QrwParam, count: int, trace_tol: float = DEFAULTS.trace_tol):
+        norm = float(np.linalg.norm(qrw.wave))
+        if abs(norm - 1.0) > trace_tol:
+            raise ValidationError(f"wave norm is {norm!r}, expected 1 within {trace_tol:.3e}")
+        n, k = len(qrw.nodes), qrw.coin_count
+        self._shape = (count, n, k)
+        self._node_columns = np.ascontiguousarray(
+            qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2)
+        )
+        self._offsets = np.arange(count) * n
+        self._columns = qrw.unitary
+        self._amplitudes = np.broadcast_to(qrw.wave, (count, qrw.dim))
+
+    def evolve(self) -> np.ndarray:
+        """Apply the unitary; the node weights, summed over each node's coin block, as (waves, nodes)."""
+        self._evolved = np.matmul(self._columns, self._amplitudes[..., None]).reshape(self._shape)
+        self._weights = (np.abs(self._evolved) ** 2).sum(axis=2)
+        return self._weights
+
+    def choose(self, nodes: np.ndarray) -> np.ndarray:
+        """The weight of each wave's chosen node."""
+        self._nodes, self._picked = nodes, self._offsets + nodes
+        self._chosen = self._weights.reshape(-1)[self._picked]
+        return self._chosen
+
+    def collapse(self) -> None:
+        """Project each evolved wave onto its chosen node's block and renormalise."""
+        blocks = self._evolved.reshape(-1, self._shape[2])[self._picked]
+        self._amplitudes = blocks / np.sqrt(self._chosen)[:, None]
+        self._columns = self._node_columns[self._nodes]
 
 
 def qrw_process(qrw: QrwParam) -> Process:
@@ -477,80 +526,128 @@ def _qrw_form(qrw: QrwParam) -> LinearForm:
 #
 # RNG: NumPy's PCG64 behind numpy.random.Generator.  A run with ``count``
 # trajectories derives one child stream per trajectory from
-# SeedSequence(seed).spawn(count), and each symbol is drawn by inverse-CDF
-# over the current branch distribution (single uniform per symbol), so
-# recorded trajectories are reproducible from the seed alone.
+# SeedSequence(seed).spawn(count), and each draw is an inverse-CDF draw
+# over the current branch distribution (single uniform per draw), so
+# recorded trajectories are reproducible from the seed alone.  A stream
+# yields all of its uniforms in one ``rng.random(k)`` call, which gives the
+# same doubles as k scalar calls; the trajectories of a block then advance
+# together, one array step per symbol.
 # --------------------------------------------------------------------------
 
-
-def _draw(rng: np.random.Generator, probabilities: np.ndarray) -> int:
-    return _draw_cumulative(rng, np.cumsum(probabilities))
-
-
-def _draw_cumulative(rng: np.random.Generator, cumulative: np.ndarray) -> int:
-    u = rng.random() * cumulative[-1]
-    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
+# Trajectories advanced together: bounds the uniform table and the state
+# stack at O(block * length) whatever the count.  Words do not depend on it.
+_SAMPLE_BLOCK = 256
 
 
-def _clamp_distribution(values: np.ndarray, clamp_tol: float, what: str) -> np.ndarray:
-    lowest = float(values.min())
-    if lowest < -clamp_tol:
-        raise SamplingError(f"{what} has probability {lowest!r} below the clamp tolerance")
-    clamped = np.clip(values, 0.0, None)
-    total = float(clamped.sum())
-    if total <= 0.0:
+def _clamp_rows(values: np.ndarray, clamp_tol: float, what: str) -> np.ndarray:
+    """Each row with small negative entries set to 0, normalised to unit sum."""
+    if values.min() < -clamp_tol:
+        lowest = values.min(axis=1)
+        value = float(lowest[lowest < -clamp_tol][0])
+        raise SamplingError(f"{what} has probability {value!r} below the clamp tolerance")
+    clamped = np.maximum(values, 0.0)
+    total = clamped.sum(axis=1)
+    if total.min() <= 0.0:
         raise SamplingError(f"{what} has no positive branch to sample")
-    return clamped / total
+    return clamped / total[:, None]
+
+
+def _draw_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One inverse-CDF draw per row: ``searchsorted(row, u * row[-1], side="right")``."""
+    chosen = (cdfs <= (u * cdfs[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(chosen, cdfs.shape[1] - 1)
 
 
 class _RowCdfs:
-    """Clamped cumulative distributions of a matrix's rows, built on first visit.
+    """Clamped cumulative distributions of a matrix's rows.
 
-    A row that is never reached is never clamped, so it never raises.
+    An invalid row raises only when a trajectory reaches it, so a row that
+    is never reached is never checked.
     """
 
     def __init__(self, matrix: np.ndarray, clamp_tol: float, what: str):
-        self._matrix, self._clamp_tol, self._what = matrix, clamp_tol, what
-        self._rows: list[np.ndarray | None] = [None] * len(matrix)
+        self._cdfs = np.zeros_like(matrix)
+        self._errors: dict[int, str] = {}
+        self._invalid = np.zeros(len(matrix), dtype=bool)
+        for i in range(len(matrix)):
+            try:
+                self._cdfs[i] = np.cumsum(_clamp_rows(matrix[i : i + 1], clamp_tol, what))
+            except SamplingError as exc:
+                self._errors[i], self._invalid[i] = str(exc), True
 
-    def draw(self, rng: np.random.Generator, row: int) -> int:
-        cumulative = self._rows[row]
-        if cumulative is None:
-            probabilities = _clamp_distribution(self._matrix[row], self._clamp_tol, self._what)
-            cumulative = self._rows[row] = np.cumsum(probabilities)
-        return _draw_cumulative(rng, cumulative)
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if self._errors and self._invalid[rows].any():
+            raise SamplingError(self._errors[int(rows[self._invalid[rows]][0])])
+        return _draw_rows(self._cdfs[rows], u)
 
 
-def _sample_hmm(hmm: HmmParam, length: int, rngs, clamp_tol: float) -> list[Word]:
-    """One word per generator; each row's distribution is built once for all of them."""
+def _hmm_sampler(hmm: HmmParam, clamp_tol: float):
+    """Uniforms per trajectory: the initial state, then an emission and a transition per symbol."""
     initial = _RowCdfs(hmm.initial[None], clamp_tol, "initial distribution")
     emission = _RowCdfs(hmm.emission, clamp_tol, "emission row")
     transition = _RowCdfs(hmm.transition, clamp_tol, "transition row")
-    symbols = hmm.alphabet.symbols
-    words = []
-    for rng in rngs:
-        out: list[str] = []
-        state = initial.draw(rng, 0)
-        for _ in range(length):
-            out.append(symbols[emission.draw(rng, state)])
-            state = transition.draw(rng, state)
-        words.append(tuple(out))
-    return words
+
+    def advance(u: np.ndarray) -> np.ndarray:
+        length = (len(u) - 1) // 2
+        states = initial.draw(np.zeros(u.shape[1], dtype=np.intp), u[0])
+        out = np.empty((length, u.shape[1]), dtype=np.intp)
+        for t in range(length):
+            out[t] = emission.draw(states, u[1 + 2 * t])
+            states = transition.draw(states, u[2 + 2 * t])
+        return out
+
+    return advance
 
 
-def _sample_qrw(qrw: QrwParam, length: int, rng: np.random.Generator, clamp_tol: float) -> Word:
-    out: list[str] = []
-    psi = qrw.wave
-    for _ in range(length):
-        step = qrw_step(qrw, psi)
-        probs = np.array([step.probabilities[node] for node in qrw.nodes])
-        index = _draw(rng, _clamp_distribution(probs, clamp_tol, "node distribution"))
-        node = qrw.nodes.symbols[index]
-        if node not in step.collapsed:
-            raise SamplingError(f"sampled node {node!r} has zero probability")
-        out.append(node)
-        psi = step.collapsed[node]
-    return tuple(out)
+def _qrw_sampler(qrw: QrwParam, clamp_tol: float):
+    """Node weights of the evolved waves; only the chosen node's block is kept."""
+
+    def advance(u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape, dtype=np.intp)
+        if not len(u):
+            return out
+        waves = _WalkWaves(qrw, u.shape[1])
+        for t in range(len(u)):
+            weights = waves.evolve()
+            cdfs = np.cumsum(_clamp_rows(weights, clamp_tol, "node distribution"), axis=1)
+            out[t] = nodes = _draw_rows(cdfs, u[t])
+            zero = waves.choose(nodes) <= _ZERO_WEIGHT
+            if zero.any():
+                node = qrw.nodes.symbols[nodes[zero][0]]
+                raise SamplingError(f"sampled node {node!r} has zero probability")
+            waves.collapse()
+        return out
+
+    return advance
+
+
+def _chain_sampler(chain, clamp_tol: float):
+    """Branch masses through the basis traces; the chosen branch is renormalised to unit mass."""
+    letters = np.concatenate([chain.letter_matrix(a) for a in chain.alphabet], axis=1)
+    traces = chain.subspace.traces
+    d, size = len(traces), len(chain.alphabet)
+
+    def advance(u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape, dtype=np.intp)
+        offsets = np.arange(u.shape[1]) * size
+        coords = np.broadcast_to(chain.initial_coords, (u.shape[1], d))
+        for t in range(len(u)):
+            mass = coords @ traces
+            if mass.min() <= clamp_tol:
+                value = float(mass[mass <= clamp_tol][0])
+                raise SamplingError(f"remaining trajectory weight {value!r} is not positive")
+            branches = (coords @ letters).reshape(-1, d)
+            masses = branches @ traces
+            cdfs = np.cumsum(
+                _clamp_rows(masses.reshape(-1, size) / mass[:, None], clamp_tol, "branch distribution"),
+                axis=1,
+            )
+            out[t] = chosen = _draw_rows(cdfs, u[t])
+            picked = offsets + chosen
+            coords = branches[picked] / masses[picked][:, None]
+        return out
+
+    return advance
 
 
 def sample_trajectory(
@@ -575,14 +672,23 @@ def sample_trajectories(
 
 
 def _sample(model, length: int, rngs, clamp_tol: float) -> list[Word]:
+    """One word per stream of ``rngs``, ``_SAMPLE_BLOCK`` trajectories at a time."""
     if isinstance(model, FfmcParam):
         model = model.to_hmm()
-    if isinstance(model, HmmParam):
-        return _sample_hmm(model, length, rngs, clamp_tol)
-    if isinstance(model, QrwParam):
-        return [_sample_qrw(model, length, rng, clamp_tol) for rng in rngs]
-    from .chain import QuantumChain, sample_chain_with_rng
+    from .chain import QuantumChain
 
-    if isinstance(model, QuantumChain):
-        return [sample_chain_with_rng(model, length, rng, clamp_tol) for rng in rngs]
-    raise ValidationError(f"cannot sample trajectories from {type(model).__name__}")
+    if isinstance(model, HmmParam):
+        alphabet, draws, advance = model.alphabet, 1 + 2 * length, _hmm_sampler(model, clamp_tol)
+    elif isinstance(model, QrwParam):
+        alphabet, draws, advance = model.nodes, length, _qrw_sampler(model, clamp_tol)
+    elif isinstance(model, QuantumChain):
+        alphabet, draws, advance = model.alphabet, length, _chain_sampler(model, clamp_tol)
+    else:
+        raise ValidationError(f"cannot sample trajectories from {type(model).__name__}")
+    symbols = np.array(alphabet.symbols, dtype=object)
+    rngs = iter(rngs)
+    words: list[Word] = []
+    while block := list(itertools.islice(rngs, _SAMPLE_BLOCK)):
+        uniforms = np.stack([rng.random(draws) for rng in block], axis=1)
+        words.extend(map(tuple, symbols[advance(uniforms).T].tolist()))
+    return words

@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 
+from qpmkit.errors import SamplingError, ValidationError
+
 
 def inner_double_sum(c: np.ndarray, d: np.ndarray) -> complex:
     """Entrywise double sum for tr(C* D)."""
@@ -234,3 +236,84 @@ def choi_reference(basis, matrix: np.ndarray) -> np.ndarray:
             unit_ij[i, j] = 1.0
             choi += np.kron(unit_ij, image)
     return (choi + choi.conj().T) / 2.0
+
+
+def _reference_draw(rng, values, clamp_tol: float, what: str) -> int:
+    """Clamp, normalise and draw one index by inverse CDF from one scalar uniform."""
+    lowest = float(values.min())
+    if lowest < -clamp_tol:
+        raise SamplingError(f"{what} has probability {lowest!r} below the clamp tolerance")
+    clamped = np.clip(values, 0.0, None)
+    total = float(clamped.sum())
+    if total <= 0.0:
+        raise SamplingError(f"{what} has no positive branch to sample")
+    cumulative = np.cumsum(clamped / total)
+    u = rng.random() * cumulative[-1]
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
+
+
+def sample_reference(model, length: int, rngs, clamp_tol: float = 1e-9) -> list:
+    """One word per generator, one trajectory and one scalar uniform at a time.
+
+    HMMs draw the initial state, then an emission and a transition per
+    symbol.  Walks evolve one wave, weigh each node's block and collapse
+    onto the drawn node.  Chains draw by branch mass over the prefix mass
+    and divide the chosen branch's coordinates by that branch's mass.
+    """
+    if hasattr(model, "to_hmm"):
+        model = model.to_hmm()
+    if hasattr(model, "emission"):
+        step = _reference_hmm
+    elif hasattr(model, "unitary"):
+        step = _reference_walk
+    elif hasattr(model, "letter_ops"):
+        step = _reference_chain
+    else:
+        raise ValidationError(f"cannot sample trajectories from {type(model).__name__}")
+    return [step(model, length, rng, clamp_tol) for rng in rngs]
+
+
+def _reference_hmm(hmm, length, rng, clamp_tol):
+    symbols = hmm.alphabet.symbols
+    state = _reference_draw(rng, hmm.initial, clamp_tol, "initial distribution")
+    out = []
+    for _ in range(length):
+        out.append(symbols[_reference_draw(rng, hmm.emission[state], clamp_tol, "emission row")])
+        state = _reference_draw(rng, hmm.transition[state], clamp_tol, "transition row")
+    return tuple(out)
+
+
+def _reference_walk(qrw, length, rng, clamp_tol):
+    psi = qrw.wave
+    if length and abs(float(np.linalg.norm(psi)) - 1.0) > 1e-9:
+        raise ValidationError("initial wave is not normalised")
+    out = []
+    for _ in range(length):
+        evolved = qrw.unitary @ psi
+        weights = np.array(
+            [float(np.sum(np.abs(evolved[qrw.block(node)]) ** 2)) for node in qrw.nodes]
+        )
+        index = _reference_draw(rng, weights, clamp_tol, "node distribution")
+        node = qrw.nodes.symbols[index]
+        if weights[index] <= 1e-15:
+            raise SamplingError(f"sampled node {node!r} has zero probability")
+        out.append(node)
+        psi = np.zeros_like(evolved)
+        psi[qrw.block(node)] = evolved[qrw.block(node)] / np.sqrt(weights[index])
+    return tuple(out)
+
+
+def _reference_chain(chain, length, rng, clamp_tol):
+    coords = chain.initial_coords
+    traces = chain.subspace.traces
+    out = []
+    for _ in range(length):
+        mass = float(coords @ traces)
+        if mass <= clamp_tol:
+            raise SamplingError(f"remaining trajectory weight {mass!r} is not positive")
+        branches = [coords @ chain.letter_ops[a].matrix for a in chain.alphabet]
+        masses = np.array([float(c @ traces) for c in branches])
+        index = _reference_draw(rng, masses / mass, clamp_tol, "branch distribution")
+        out.append(chain.alphabet.symbols[index])
+        coords = branches[index] / masses[index]
+    return tuple(out)

@@ -19,6 +19,7 @@ from oracles import (
     hmm_viterbi_log,
     prefix_average_letter,
     qrw_collapse_prob,
+    sample_reference,
 )
 
 AB = qk.Alphabet(("a", "b"))
@@ -229,3 +230,14 @@ def test_12_walk_chain_at_dimension_16():
         assert all("completely positive (Choi PSD)" in note for note in report.evidence)
         for word in qk.words_up_to(qrw.nodes, 2):
             assert abs(qk.chain_eval(chain, word) - qrw_collapse_prob(qrw, word)) <= 1e-10
+
+
+def test_13_batched_walk_sampling():
+    with criterion(13, "64 walk trajectories of 500 symbols at dimension 16", 0.5):
+        qrw = random_local_qrw(np.random.default_rng(1301), 8, 2)
+        assert qrw.dim == 16
+        words = qk.sample_trajectories(qrw, 500, 64, seed=1302)
+    assert len(words) == 64 and all(len(word) == 500 for word in words)
+    streams = np.random.SeedSequence(1302).spawn(4)
+    reference = sample_reference(qrw, 500, [np.random.Generator(np.random.PCG64(s)) for s in streams])
+    assert words[:4] == reference
