@@ -9,6 +9,7 @@ Also hosts seedable trajectory sampling for every model family.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -409,11 +410,15 @@ class QrwStep:
     collapsed: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
+# A collapse onto a node of at most this weight is undefined.
+_ZERO_WEIGHT = 1e-15
+
+
 def qrw_step(
     qrw: QrwParam,
     wave=None,
     trace_tol: float = DEFAULTS.trace_tol,
-    zero_tol: float = 1e-15,
+    zero_tol: float = _ZERO_WEIGHT,
 ) -> QrwStep:
     """Apply the unitary to ``wave`` (default: the initial wave) and measure the node."""
     psi = qrw.wave if wave is None else np.asarray(wave, dtype=complex)
@@ -437,66 +442,42 @@ def qrw_step(
 
 
 def qrw_eval(qrw: QrwParam, word) -> float:
-    """Word probability as the product of step probabilities along the collapse path."""
+    """Word probability as the product of step probabilities along the collapse path.
+
+    Only the chosen node's block is evolved: the first step applies that
+    block's rows of the unitary to the initial wave, every later one the
+    k x k block from the previous node's coins to the chosen node's.
+    """
     symbols = as_word(word, qrw.nodes)
     if not symbols:
         return 1.0
-    nodes = np.array([qrw.nodes.index(symbol) for symbol in symbols])
-    waves = _WalkWaves(qrw, 1)
+    _require_unit_wave(qrw)
+    n, k = len(qrw.nodes), qrw.coin_count
+    blocks = _node_columns(qrw).reshape(n, n, k, k)
+    evolve = qrw.unitary.reshape(n, k, qrw.dim)
+    amplitudes = qrw.wave
     probability = 1.0
-    for t in range(len(nodes)):
-        waves.evolve()
-        weight = float(waves.choose(nodes[t : t + 1])[0])
+    for node in [qrw.nodes.index(symbol) for symbol in symbols]:
+        evolved = evolve[node] @ amplitudes
+        weight = float(np.vdot(evolved, evolved).real)
         probability *= weight
         if weight <= _ZERO_WEIGHT:
             return 0.0
-        waves.collapse()
+        amplitudes = evolved / math.sqrt(weight)
+        evolve = blocks[node]
     return probability
 
 
-# A collapse onto a node of at most this weight is undefined (qrw_step's zero_tol).
-_ZERO_WEIGHT = 1e-15
+def _require_unit_wave(qrw: QrwParam) -> None:
+    norm = float(np.linalg.norm(qrw.wave))
+    if abs(norm - 1.0) > DEFAULTS.trace_tol:
+        raise ValidationError(f"wave norm is {norm!r}, expected 1 within {DEFAULTS.trace_tol:.3e}")
 
 
-class _WalkWaves:
-    """A stack of walk waves, each collapsed onto one node after every step.
-
-    A collapsed wave is kept as its node's coin amplitudes: evolving it
-    takes only the unitary's columns of that node's block, and a collapse
-    keeps only the chosen block, so no full wave is built after the
-    initial one.  A step is :meth:`evolve`, :meth:`choose`, :meth:`collapse`.
-    """
-
-    def __init__(self, qrw: QrwParam, count: int, trace_tol: float = DEFAULTS.trace_tol):
-        norm = float(np.linalg.norm(qrw.wave))
-        if abs(norm - 1.0) > trace_tol:
-            raise ValidationError(f"wave norm is {norm!r}, expected 1 within {trace_tol:.3e}")
-        n, k = len(qrw.nodes), qrw.coin_count
-        self._shape = (count, n, k)
-        self._node_columns = np.ascontiguousarray(
-            qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2)
-        )
-        self._offsets = np.arange(count) * n
-        self._columns = qrw.unitary
-        self._amplitudes = np.broadcast_to(qrw.wave, (count, qrw.dim))
-
-    def evolve(self) -> np.ndarray:
-        """Apply the unitary; the node weights, summed over each node's coin block, as (waves, nodes)."""
-        self._evolved = np.matmul(self._columns, self._amplitudes[..., None]).reshape(self._shape)
-        self._weights = (np.abs(self._evolved) ** 2).sum(axis=2)
-        return self._weights
-
-    def choose(self, nodes: np.ndarray) -> np.ndarray:
-        """The weight of each wave's chosen node."""
-        self._nodes, self._picked = nodes, self._offsets + nodes
-        self._chosen = self._weights.reshape(-1)[self._picked]
-        return self._chosen
-
-    def collapse(self) -> None:
-        """Project each evolved wave onto its chosen node's block and renormalise."""
-        blocks = self._evolved.reshape(-1, self._shape[2])[self._picked]
-        self._amplitudes = blocks / np.sqrt(self._chosen)[:, None]
-        self._columns = self._node_columns[self._nodes]
+def _node_columns(qrw: QrwParam) -> np.ndarray:
+    """The unitary's columns of each node's coin block, as (nodes, dim, coins)."""
+    n, k = len(qrw.nodes), qrw.coin_count
+    return np.ascontiguousarray(qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2))
 
 
 def qrw_process(qrw: QrwParam) -> Process:
@@ -536,6 +517,9 @@ def _qrw_form(qrw: QrwParam) -> LinearForm:
 
 # Trajectories advanced together: bounds the uniform table and the state
 # stack at O(block * length) whatever the count.  Words do not depend on it.
+# At 2000 trajectories x 2000 symbols (8-state HMM, dimension-16 walk, one
+# BLAS thread) 256 takes the time of a single all-at-once block at 40-60%
+# of its extra peak RSS; 64 takes 1.6-1.7x as long.
 _SAMPLE_BLOCK = 256
 
 
@@ -559,63 +543,96 @@ def _draw_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class _RowCdfs:
-    """Clamped cumulative distributions of a matrix's rows.
+    """Clamped cumulative distributions of a matrix's rows, built in one pass.
 
     An invalid row raises only when a trajectory reaches it, so a row that
     is never reached is never checked.
     """
 
     def __init__(self, matrix: np.ndarray, clamp_tol: float, what: str):
-        self._cdfs = np.zeros_like(matrix)
-        self._errors: dict[int, str] = {}
-        self._invalid = np.zeros(len(matrix), dtype=bool)
-        for i in range(len(matrix)):
-            try:
-                self._cdfs[i] = np.cumsum(_clamp_rows(matrix[i : i + 1], clamp_tol, what))
-            except SamplingError as exc:
-                self._errors[i], self._invalid[i] = str(exc), True
+        self._matrix, self._clamp_tol, self._what = matrix, clamp_tol, what
+        clamped = np.maximum(matrix, 0.0)
+        total = clamped.sum(axis=1)
+        invalid = (matrix.min(axis=1) < -clamp_tol) | (total <= 0.0)
+        self.cdfs = np.cumsum(clamped / np.where(invalid, 1.0, total)[:, None], axis=1)
+        self._invalid = invalid if invalid.any() else None
+
+    def check(self, rows: np.ndarray) -> None:
+        """Raise the error of the first invalid row among ``rows``."""
+        if self._invalid is not None and self._invalid[rows].any():
+            # every row passed here is invalid, so this raises its error
+            _clamp_rows(self._matrix[rows[self._invalid[rows]]], self._clamp_tol, self._what)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self._errors and self._invalid[rows].any():
-            raise SamplingError(self._errors[int(rows[self._invalid[rows]][0])])
-        return _draw_rows(self._cdfs[rows], u)
+        self.check(rows)
+        return _draw_rows(self.cdfs[rows], u)
 
 
 def _hmm_sampler(hmm: HmmParam, clamp_tol: float):
-    """Uniforms per trajectory: the initial state, then an emission and a transition per symbol."""
+    """Uniforms per trajectory: the initial state, then an emission and a transition per symbol.
+
+    A symbol's emission and transition are both drawn from the current
+    state, so they are drawn together from the two CDF tables side by
+    side.  The tables are padded with +inf to one entry past the wider, so
+    ``argmin(cdf <= u * cdf[-1])``, the first entry above the threshold,
+    always exists and equals ``_draw_rows``'s count.
+    """
     initial = _RowCdfs(hmm.initial[None], clamp_tol, "initial distribution")
     emission = _RowCdfs(hmm.emission, clamp_tol, "emission row")
     transition = _RowCdfs(hmm.transition, clamp_tol, "transition row")
+    widths = np.array([len(hmm.alphabet), len(hmm.states)])
+    table = np.full((len(hmm.states), 2, widths.max() + 1), np.inf)
+    table[:, 0, : widths[0]], table[:, 1, : widths[1]] = emission.cdfs, transition.cdfs
+    last = np.stack([emission.cdfs[:, -1], transition.cdfs[:, -1]], axis=1)
 
     def advance(u: np.ndarray) -> np.ndarray:
-        length = (len(u) - 1) // 2
-        states = initial.draw(np.zeros(u.shape[1], dtype=np.intp), u[0])
-        out = np.empty((length, u.shape[1]), dtype=np.intp)
+        length, count = (len(u) - 1) // 2, u.shape[1]
+        states = initial.draw(np.zeros(count, dtype=np.intp), u[0])
+        pairs = u[1:].reshape(length, 2, count).transpose(0, 2, 1)
+        out = np.empty((length, count), dtype=np.intp)
         for t in range(length):
-            out[t] = emission.draw(states, u[1 + 2 * t])
-            states = transition.draw(states, u[2 + 2 * t])
+            emission.check(states)
+            transition.check(states)
+            below = table[states] <= (pairs[t] * last[states])[..., None]
+            drawn = np.minimum(below.argmin(axis=2), widths - 1)
+            out[t], states = drawn[:, 0], drawn[:, 1]
         return out
 
     return advance
 
 
 def _qrw_sampler(qrw: QrwParam, clamp_tol: float):
-    """Node weights of the evolved waves; only the chosen node's block is kept."""
+    """Node weights of the evolved waves; only the chosen node's block is kept.
+
+    A collapsed wave is kept as its node's coin amplitudes, so evolving it
+    takes only the unitary's columns of that node's block and no full wave
+    is built after the initial one.
+    """
+    n, k = len(qrw.nodes), qrw.coin_count
+    node_columns = _node_columns(qrw)
 
     def advance(u: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape, dtype=np.intp)
         if not len(u):
             return out
-        waves = _WalkWaves(qrw, u.shape[1])
+        _require_unit_wave(qrw)
+        count = u.shape[1]
+        offsets = np.arange(count) * n
+        columns, amplitudes = qrw.unitary, np.broadcast_to(qrw.wave, (count, qrw.dim))
         for t in range(len(u)):
-            weights = waves.evolve()
-            cdfs = np.cumsum(_clamp_rows(weights, clamp_tol, "node distribution"), axis=1)
+            evolved = np.matmul(columns, amplitudes[..., None]).reshape(count * n, k)
+            weights = (np.abs(evolved) ** 2).sum(axis=1)
+            cdfs = np.cumsum(
+                _clamp_rows(weights.reshape(count, n), clamp_tol, "node distribution"), axis=1
+            )
             out[t] = nodes = _draw_rows(cdfs, u[t])
-            zero = waves.choose(nodes) <= _ZERO_WEIGHT
-            if zero.any():
-                node = qrw.nodes.symbols[nodes[zero][0]]
+            picked = offsets + nodes
+            chosen = weights[picked]
+            if chosen.min() <= _ZERO_WEIGHT:
+                node = qrw.nodes.symbols[nodes[chosen <= _ZERO_WEIGHT][0]]
                 raise SamplingError(f"sampled node {node!r} has zero probability")
-            waves.collapse()
+            amplitudes = evolved[picked] / np.sqrt(chosen)[:, None]
+            columns = node_columns[nodes]
         return out
 
     return advance
