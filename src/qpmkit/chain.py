@@ -27,7 +27,13 @@ from .errors import (
     ValidationError,
     ValidationReport,
 )
-from .hermitian import Density, DensityKind, as_complex_matrix, require_hermitian
+from .hermitian import (
+    Density,
+    DensityKind,
+    as_complex_matrix,
+    require_hermitian,
+    require_hermitian_stack,
+)
 from .models import (
     FinitaryParam,
     HmmParam,
@@ -97,6 +103,32 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     return out
 
 
+def _hermitian_stack(basis, tol: float) -> np.ndarray:
+    """The basis symmetrised as one (dim, n, n) array, each element checked as by ``require_hermitian``.
+
+    A finite basis of one non-empty square shape takes one batched check;
+    any other is checked element by element, which names what is wrong.
+    """
+    try:
+        stack = np.array(basis, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if (
+        stack is not None
+        and stack.ndim == 3
+        and stack.shape[1] == stack.shape[2]
+        and 0 not in stack.shape
+        and np.isfinite(stack).all()
+    ):
+        return require_hermitian_stack(stack, tol)
+    mats = [require_hermitian(b, tol) for b in basis]
+    if not mats:
+        raise ValidationError("subspace basis must not be empty")
+    if any(mat.shape != mats[0].shape for mat in mats):
+        raise DimensionMismatchError("basis elements differ in shape")
+    return np.stack(mats)
+
+
 class OperatorSubspace:
     """A real-linear subspace of Hermitian matrices, given by an ordered basis.
 
@@ -105,24 +137,18 @@ class OperatorSubspace:
     """
 
     def __init__(self, basis, hermitian_tol: float = DEFAULTS.hermitian_tol):
-        mats = [require_hermitian(b, hermitian_tol) for b in basis]
-        if not mats:
-            raise ValidationError("subspace basis must not be empty")
-        shape = mats[0].shape
-        for mat in mats:
-            if mat.shape != shape:
-                raise DimensionMismatchError("basis elements differ in shape")
-        self._basis = tuple(mats)
-        self._stack = np.stack(mats)
-        self._flat_conj = self._stack.conj().reshape(len(mats), -1)
-        gram = (self._flat_conj @ self._stack.reshape(len(mats), -1).T).real
+        self._stack = _hermitian_stack(basis, hermitian_tol)
+        self._basis = tuple(self._stack)
+        dim = len(self._basis)
+        self._flat_conj = self._stack.conj().reshape(dim, -1)
+        gram = (self._flat_conj @ self._stack.reshape(dim, -1).T).real
         gram = (gram + gram.T) / 2.0
         eigenvalues = np.linalg.eigvalsh(gram)
         if eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1.0):
             raise ValidationError("subspace basis is not linearly independent")
         self._gram = gram
         self._cho = scipy.linalg.cho_factor(gram)
-        self._traces = np.array([float(np.trace(m).real) for m in mats])
+        self._traces = np.array([float(np.trace(m).real) for m in self._basis])
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":

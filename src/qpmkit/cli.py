@@ -195,7 +195,7 @@ def _to_process(model, config: Config) -> process_mod.Process:
     if isinstance(model, FinitaryParam):
         return models.finitary_process(model)
     if isinstance(model, QrwParam):
-        return models.qrw_process(model)
+        return models.qrw_process(model, config.trace_tol)
     if isinstance(model, QuantumChain):
         return chain_mod.chain_process(model)
     raise ValidationError(f"{type(model).__name__} does not define a process")
@@ -410,7 +410,7 @@ def _cmd_simulate(argv, config, inputs):
     )
     model = load_model(args.model, config)
     words = models.sample_trajectories(
-        model, args.length, args.count, args.seed, config.clamp_tol
+        model, args.length, args.count, args.seed, config.clamp_tol, config.trace_tol
     )
     formatted = [process_mod.format_word(w) for w in words]
     if args.out:

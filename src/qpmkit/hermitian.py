@@ -19,8 +19,10 @@ from .errors import DimensionMismatchError, NumericError, ValidationError
 __all__ = [
     "as_complex_matrix",
     "hermitian_defect",
+    "hermitian_defects",
     "is_hermitian",
     "require_hermitian",
+    "require_hermitian_stack",
     "hermitian_inner",
     "SpectralDecomposition",
     "spectral_decompose",
@@ -59,6 +61,11 @@ def hermitian_defect(matrix) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
+def hermitian_defects(stack: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_defect` of each matrix of a non-empty (count, n, n) stack."""
+    return np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+
+
 def is_hermitian(matrix, tol: float = DEFAULTS.hermitian_tol) -> bool:
     return hermitian_defect(matrix) <= tol
 
@@ -72,8 +79,23 @@ def require_hermitian(matrix, tol: float = DEFAULTS.hermitian_tol) -> np.ndarray
     mat = _require_square(as_complex_matrix(matrix))
     defect = hermitian_defect(mat)
     if defect > tol:
-        raise ValidationError(f"matrix is not self-adjoint (defect {defect:.3e} > {tol:.3e})")
+        raise _not_self_adjoint(defect, tol)
     return (mat + mat.conj().T) / 2.0
+
+
+def require_hermitian_stack(stack: np.ndarray, tol: float = DEFAULTS.hermitian_tol) -> np.ndarray:
+    """:func:`require_hermitian` of each matrix of a finite complex (count, n, n) stack, n >= 1.
+
+    The same bits, and the same error for the first matrix out of tolerance.
+    """
+    defects = hermitian_defects(stack)
+    if defects.max() > tol:
+        raise _not_self_adjoint(float(defects[defects > tol][0]), tol)
+    return (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _not_self_adjoint(defect: float, tol: float) -> ValidationError:
+    return ValidationError(f"matrix is not self-adjoint (defect {defect:.3e} > {tol:.3e})")
 
 
 def hermitian_inner(first, second) -> complex:

@@ -11,15 +11,17 @@ canonical file reproduces it byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, validate_chain
 from .config import Config, DEFAULTS
 from .errors import QpmkitError, SchemaError, ValidationReport
-from .hermitian import Density, DensityKind, hermitian_defect
+from .hermitian import Density, DensityKind, hermitian_defect, hermitian_defects
 from .hidden import InformationFunction
 from .models import (
     FfmcParam,
@@ -74,7 +76,125 @@ class InfoFunctionsFile:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    The same text, and the same ``ValueError`` (non-finite float) or
+    ``TypeError`` (unsupported value or key) with json's message, for
+    every input json takes, with one exception: a circular structure
+    raises ``RecursionError`` instead of json's ``ValueError``.
+    ``indent`` forces json's pure-Python encoder; here each rectangular
+    nested list of floats, which is what ``ndarray.tolist()`` gives, is
+    rendered by one ``%`` formatting instead of one call per number.
+    """
+    out: list[str] = []
+    _encode(data, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _refuse(value):
+    """Raise the error that json raises on ``value``, which holds what this encoder refused."""
+    json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    raise AssertionError(f"json encoded what canonical_json refused: {value!r}")
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    if "n" in text:  # nan, inf, -inf
+        _refuse(value)
+    return text
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    _refuse({key: None})
+
+
+def _encode(value, level: int, out: list[str]) -> None:
+    """Append the text of ``value`` at indent ``level``; the type tests follow json's order."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+        elif (block := _float_block(value, level)) is not None:
+            out.append(block)
+        else:
+            newline = "\n" + "  " * (level + 1)
+            for i, item in enumerate(value):
+                out.append(("," if i else "[") + newline)
+                _encode(item, level + 1, out)
+            out.append("\n" + "  " * level + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        newline = "\n" + "  " * (level + 1)
+        for i, (key, item) in enumerate(sorted(value.items())):
+            key = encode_basestring_ascii(_key_text(key))
+            out.append(("," if i else "{") + newline + key + ": ")
+            _encode(item, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:
+        _refuse(value)
+
+
+# Lists of floats nested deeper than this take the general path, where a
+# cycle ends in RecursionError; model files nest them at most 4 deep.
+_BLOCK_DEPTH = 32
+
+
+def _float_block(value, level: int) -> str | None:
+    """The text of a rectangular nested list of floats at indent ``level``, else None.
+
+    Only a list of exact floats, or of such blocks all of one non-empty
+    shape, qualifies.  The shape is checked and the numbers flattened one
+    level at a time; the text is one ``"%r"`` template of that shape,
+    filled with all the numbers at once.
+    """
+    probe, depth = value, 0
+    while type(probe) is list and probe and depth < _BLOCK_DEPTH:
+        probe, depth = probe[0], depth + 1
+    if type(probe) is not float:
+        return None
+    shape, items = [], [value]
+    for _ in range(depth):
+        width = len(items[0])
+        if set(map(type, items)) != {list} or set(map(len, items)) != {width}:
+            return None
+        shape.append(width)
+        items = list(itertools.chain.from_iterable(items))
+    if set(map(type, items)) != {float}:
+        return None
+    template = "%r"
+    for indent, width in zip(range(level + len(shape), level, -1), reversed(shape)):
+        newline = "\n" + "  " * indent
+        template = "[" + newline + ("," + newline).join([template] * width) + "\n" + "  " * (indent - 1) + "]"
+    text = template % tuple(items)
+    if "n" in text:  # nan, inf, -inf
+        _refuse(value)
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +293,32 @@ def _complex_entry(data, what: str) -> complex:
     return complex(float(data[0]), float(data[1]))
 
 
+def _pair_array(data, ndim: int) -> np.ndarray | None:
+    """``data`` as a complex array if it is a non-empty rectangular nesting,
+    ``ndim`` lists deep, of finite numeric ``[re, im]`` pairs; else None.
+
+    The pairs are viewed as complex numbers, so every bit, the sign of
+    zero included, is what the per-entry parse gives.
+    """
+    try:
+        pairs = np.array(data)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (
+        pairs.ndim != ndim
+        or pairs.shape[-1] != 2
+        or pairs.dtype.kind not in "biuf"
+        or not np.isfinite(pairs).all()
+    ):
+        return None
+    return pairs.astype(float, copy=False).view(complex)[..., 0]
+
+
 def _complex_matrix(data, what: str) -> np.ndarray:
+    fast = _pair_array(data, 3)
+    if fast is not None:
+        return fast
+    # per entry, which names the malformed cell
     if not isinstance(data, list) or not data:
         raise ValueError(f"{what} must be a non-empty nested list")
     rows = []
@@ -188,6 +333,9 @@ def _complex_matrix(data, what: str) -> np.ndarray:
 
 
 def _complex_vector(data, what: str) -> np.ndarray:
+    fast = _pair_array(data, 2)
+    if fast is not None:
+        return fast
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list")
     return np.array([_complex_entry(cell, f"{what}[{i}]") for i, cell in enumerate(data)])
@@ -199,8 +347,34 @@ def _hermitian_checked(data, what: str, config: Config) -> np.ndarray:
         raise ValueError(f"{what} must be square")
     defect = hermitian_defect(mat)
     if defect > config.hermitian_tol:
-        raise ValueError(f"{what} is not self-adjoint (defect {defect:.3e})")
+        raise _not_self_adjoint(what, defect)
     return mat
+
+
+def _not_self_adjoint(what: str, defect: float) -> ValueError:
+    return ValueError(f"{what} is not self-adjoint (defect {defect:.3e})")
+
+
+def _chain_basis(data, ambient: int, config: Config):
+    """The basis elements, each checked as :func:`_hermitian_checked` checks it.
+
+    A well-formed basis is parsed as one stacked array with one batched
+    defect; any other is parsed element by element, which names what is
+    wrong.
+    """
+    stack = _pair_array(data, 4)
+    if stack is None or stack.shape[1] != stack.shape[2]:
+        basis = [_hermitian_checked(mat, f"basis[{i}]", config) for i, mat in enumerate(data)]
+    else:
+        defects = hermitian_defects(stack)
+        over = np.flatnonzero(defects > config.hermitian_tol)
+        if len(over):
+            raise _not_self_adjoint(f"basis[{over[0]}]", float(defects[over[0]]))
+        basis = stack
+    for i, mat in enumerate(basis):
+        if mat.shape != (ambient, ambient):
+            raise ValueError(f"basis[{i}] must be {ambient}x{ambient}")
+    return basis
 
 
 def _parse_hmm(alphabet, payload, config):
@@ -265,13 +439,7 @@ def _parse_chain(kind: ChainKind):
     def parse(alphabet, payload, config):
         alpha = _need_alphabet(alphabet)
         ambient = int(payload["ambient_dim"])
-        basis = [
-            _hermitian_checked(mat, f"basis[{i}]", config)
-            for i, mat in enumerate(payload["basis"])
-        ]
-        for i, mat in enumerate(basis):
-            if mat.shape != (ambient, ambient):
-                raise ValueError(f"basis[{i}] must be {ambient}x{ambient}")
+        basis = _chain_basis(payload["basis"], ambient, config)
         subspace = OperatorSubspace(basis, config.hermitian_tol)
         operators = {
             str(sym): SuperOperator(subspace, _real_matrix(mat, f"operator {sym!r}"))
@@ -435,7 +603,7 @@ def model_to_dict(model) -> dict:
         alphabet = list(model.alphabet.symbols)
         payload = {
             "ambient_dim": model.subspace.ambient_dim,
-            "basis": [_dump_cmatrix(b) for b in model.subspace.basis],
+            "basis": _dump_cmatrix(model.subspace.stack),
             "operators": {a: _dump_rmatrix(model.letter_ops[a].matrix) for a in model.alphabet},
             "initial": _dump_cmatrix(model.initial.matrix),
             "initial_kind": model.initial.kind.value,

@@ -441,7 +441,7 @@ def qrw_step(
     return QrwStep(probabilities, collapsed)
 
 
-def qrw_eval(qrw: QrwParam, word) -> float:
+def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> float:
     """Word probability as the product of step probabilities along the collapse path.
 
     Only the chosen node's block is evolved: the first step applies that
@@ -451,7 +451,7 @@ def qrw_eval(qrw: QrwParam, word) -> float:
     symbols = as_word(word, qrw.nodes)
     if not symbols:
         return 1.0
-    _require_unit_wave(qrw)
+    _require_unit_wave(qrw, trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
     blocks = _node_columns(qrw).reshape(n, n, k, k)
     evolve = qrw.unitary.reshape(n, k, qrw.dim)
@@ -468,10 +468,10 @@ def qrw_eval(qrw: QrwParam, word) -> float:
     return probability
 
 
-def _require_unit_wave(qrw: QrwParam) -> None:
+def _require_unit_wave(qrw: QrwParam, trace_tol: float) -> None:
     norm = float(np.linalg.norm(qrw.wave))
-    if abs(norm - 1.0) > DEFAULTS.trace_tol:
-        raise ValidationError(f"wave norm is {norm!r}, expected 1 within {DEFAULTS.trace_tol:.3e}")
+    if abs(norm - 1.0) > trace_tol:
+        raise ValidationError(f"wave norm is {norm!r}, expected 1 within {trace_tol:.3e}")
 
 
 def _node_columns(qrw: QrwParam) -> np.ndarray:
@@ -480,9 +480,12 @@ def _node_columns(qrw: QrwParam) -> np.ndarray:
     return np.ascontiguousarray(qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2))
 
 
-def qrw_process(qrw: QrwParam) -> Process:
+def qrw_process(qrw: QrwParam, trace_tol: float = DEFAULTS.trace_tol) -> Process:
     return Process(
-        qrw.nodes, lambda w: qrw_eval(qrw, w), dimension=qrw.dim**2, lowering=lambda: _qrw_form(qrw)
+        qrw.nodes,
+        lambda w: qrw_eval(qrw, w, trace_tol),
+        dimension=qrw.dim**2,
+        lowering=lambda: _qrw_form(qrw),
     )
 
 
@@ -601,7 +604,7 @@ def _hmm_sampler(hmm: HmmParam, clamp_tol: float):
     return advance
 
 
-def _qrw_sampler(qrw: QrwParam, clamp_tol: float):
+def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
     """Node weights of the evolved waves; only the chosen node's block is kept.
 
     A collapsed wave is kept as its node's coin amplitudes, so evolving it
@@ -615,7 +618,7 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float):
         out = np.empty(u.shape, dtype=np.intp)
         if not len(u):
             return out
-        _require_unit_wave(qrw)
+        _require_unit_wave(qrw, trace_tol)
         count = u.shape[1]
         offsets = np.arange(count) * n
         columns, amplitudes = qrw.unitary, np.broadcast_to(qrw.wave, (count, qrw.dim))
@@ -668,27 +671,36 @@ def _chain_sampler(chain, clamp_tol: float):
 
 
 def sample_trajectory(
-    model, length: int, seed: int, clamp_tol: float = DEFAULTS.clamp_tol
+    model,
+    length: int,
+    seed: int,
+    clamp_tol: float = DEFAULTS.clamp_tol,
+    trace_tol: float = DEFAULTS.trace_tol,
 ) -> Word:
     """Sample one word of the given length; deterministic in ``seed``."""
     if length < 0:
         raise ValidationError("trajectory length must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _sample(model, length, [rng], clamp_tol)[0]
+    return _sample(model, length, [rng], clamp_tol, trace_tol)[0]
 
 
 def sample_trajectories(
-    model, length: int, count: int, seed: int, clamp_tol: float = DEFAULTS.clamp_tol
+    model,
+    length: int,
+    count: int,
+    seed: int,
+    clamp_tol: float = DEFAULTS.clamp_tol,
+    trace_tol: float = DEFAULTS.trace_tol,
 ) -> list[Word]:
     """Sample ``count`` independent words using per-trajectory child streams."""
     if length < 0 or count < 0:
         raise ValidationError("trajectory length and count must be >= 0")
     children = np.random.SeedSequence(seed).spawn(count)
     rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
-    return _sample(model, length, rngs, clamp_tol)
+    return _sample(model, length, rngs, clamp_tol, trace_tol)
 
 
-def _sample(model, length: int, rngs, clamp_tol: float) -> list[Word]:
+def _sample(model, length: int, rngs, clamp_tol: float, trace_tol: float) -> list[Word]:
     """One word per stream of ``rngs``, ``_SAMPLE_BLOCK`` trajectories at a time."""
     if isinstance(model, FfmcParam):
         model = model.to_hmm()
@@ -697,7 +709,7 @@ def _sample(model, length: int, rngs, clamp_tol: float) -> list[Word]:
     if isinstance(model, HmmParam):
         alphabet, draws, advance = model.alphabet, 1 + 2 * length, _hmm_sampler(model, clamp_tol)
     elif isinstance(model, QrwParam):
-        alphabet, draws, advance = model.nodes, length, _qrw_sampler(model, clamp_tol)
+        alphabet, draws, advance = model.nodes, length, _qrw_sampler(model, clamp_tol, trace_tol)
     elif isinstance(model, QuantumChain):
         alphabet, draws, advance = model.alphabet, length, _chain_sampler(model, clamp_tol)
     else:

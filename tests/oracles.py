@@ -317,3 +317,15 @@ def _reference_chain(chain, length, rng, clamp_tol):
         out.append(chain.alphabet.symbols[index])
         coords = branches[index] / masses[index]
     return tuple(out)
+
+
+def complex_entries(data) -> np.ndarray:
+    """A nested list of ``[re, im]`` pairs, parsed one pair at a time."""
+
+    def parse(node):
+        if not isinstance(node[0], list):
+            re, im = node
+            return complex(float(re), float(im))
+        return [parse(child) for child in node]
+
+    return np.array(parse(data), dtype=complex)

@@ -241,3 +241,13 @@ def test_13_batched_walk_sampling():
     streams = np.random.SeedSequence(1302).spawn(4)
     reference = sample_reference(qrw, 500, [np.random.Generator(np.random.PCG64(s)) for s in streams])
     assert words[:4] == reference
+
+
+def test_14_walk_chain_file_round_trip(tmp_path):
+    path = tmp_path / "walk16_qmc.json"
+    chain = qk.qrw_to_qmc(random_local_qrw(np.random.default_rng(1201), 8, 2))
+    with criterion(14, "save and load the dimension-16 walk chain", 1.0):
+        text = qk.save_model(chain, path)
+        loaded = qk.load_model(path)
+    assert qk.save_model(loaded) == text
+    assert loaded.subspace.stack.tobytes() == chain.subspace.stack.tobytes()

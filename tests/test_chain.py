@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from qpmkit.chain import (
 )
 from qpmkit.errors import (
     BasisInsufficiencyError,
+    DimensionMismatchError,
     SubspaceError,
     ValidationError,
 )
+from qpmkit.hermitian import hermitian_defect
 
 from helpers import (
     random_hmm,
@@ -55,6 +59,42 @@ class TestOperatorSubspace:
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValidationError):
             OperatorSubspace([np.eye(2), 2 * np.eye(2)])
+
+    def test_stacked_check_gives_the_per_element_bits(self, rng):
+        basis = [
+            b + 1e-11 * (rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape))
+            for b in hermitian_basis(3)
+        ]
+        expected = [qk.require_hermitian(b) for b in basis]
+        sub = OperatorSubspace(basis)
+        assert sub.stack.tobytes() == np.stack(expected).tobytes()
+        assert [b.tobytes() for b in sub.basis] == [b.tobytes() for b in expected]
+
+    def test_first_offending_element_is_reported(self):
+        basis = hermitian_basis(2)
+        skewed = [b.copy() for b in basis]
+        skewed[2][0, 1] += 1e-6
+        skewed[3][1, 0] += 1.0
+        defect = hermitian_defect(skewed[2])
+        message = f"matrix is not self-adjoint (defect {defect:.3e} > 1.000e-09)"
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            OperatorSubspace(skewed)
+        nan = basis[1].copy()
+        nan[0, 0] = np.nan
+        cases = [
+            ([basis[0], nan, np.ones((2, 3))], ValidationError, "matrix contains non-finite entries"),
+            (
+                [basis[0], np.ones((2, 3)), nan],
+                DimensionMismatchError,
+                "expected a square matrix, got shape (2, 3)",
+            ),
+            ([basis[0], np.ones(3)], DimensionMismatchError, "expected a 2-D matrix, got shape (3,)"),
+            ([np.eye(2), np.eye(3)], DimensionMismatchError, "basis elements differ in shape"),
+            ([], ValidationError, "subspace basis must not be empty"),
+        ]
+        for elements, error, message in cases:
+            with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+                OperatorSubspace(elements)
 
     def test_gram_norm_matches_direct(self, rng):
         sub = OperatorSubspace.diagonal(3)

@@ -1,10 +1,18 @@
+import dataclasses
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpmkit as qk
 import qpmkit.io as qpmkit_io
@@ -22,7 +30,7 @@ from qpmkit.io import (
 
 from conftest import FIXTURES
 from helpers import random_local_qrw, walk_kraus
-from oracles import hmm_viterbi_log
+from oracles import complex_entries, hmm_viterbi_log
 
 ALL_FIXTURES = [
     "hmm2.json",
@@ -67,6 +75,63 @@ def per_element_walk_chain(qrw) -> qk.QuantumChain:
     }
     initial = qk.Density.quantum(np.outer(qrw.wave, qrw.wave.conj()))
     return qk.QuantumChain(qrw.nodes, sub, ops, initial, qk.ChainKind.QMC)
+
+
+def _outcome(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _json_like():
+    """Acyclic JSON-like trees; what json refuses turns up in some of them."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    refused = st.sampled_from([math.nan, math.inf, -math.inf, object(), np.int64(3)])
+
+    def rarely(common):
+        return st.one_of(*[common] * 19, refused)
+
+    def block(shape, leaves):
+        if not shape:
+            return leaves
+        return st.lists(block(shape[1:], leaves), min_size=shape[0], max_size=shape[0])
+
+    shapes = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+    odd_leaves = [
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        finite.map(np.float64),
+        st.one_of(st.integers(), st.booleans()),
+    ]
+    blocks = [finite] + [st.one_of(finite, finite, finite, finite, odd) for odd in odd_leaves]
+    scalars = rarely(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.integers(-(2**80), 2**80),
+            finite,
+            finite.map(np.float64),
+            st.text(),
+        )
+    )
+    numbers = st.one_of(st.integers(), finite, st.booleans(), finite.map(np.float64))
+    return st.recursive(
+        st.one_of(
+            scalars,
+            *[shapes.flatmap(lambda shape, leaves=leaves: block(shape, leaves)) for leaves in blocks],
+            st.lists(st.lists(finite, max_size=3), max_size=4),
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(st.text(), children, max_size=4),
+            st.dictionaries(rarely(numbers), children, max_size=3),
+            st.dictionaries(st.none(), children, max_size=1),
+            st.dictionaries(st.one_of(st.text(), st.integers(), st.tuples()), children, max_size=2),
+        ),
+        max_leaves=12,
+    )
 
 
 def _run(args):
@@ -168,6 +233,149 @@ class TestModelFiles:
             for name, model in models.items()
         }
         assert digests == PINNED_DIGESTS
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_json_like())
+    def test_canonical_json_is_json_dumps(self, value):
+        expected = _outcome(
+            lambda v: json.dumps(v, sort_keys=True, indent=2, allow_nan=False) + "\n", value
+        )
+        assert _outcome(canonical_json, value) == expected
+
+    @pytest.mark.parametrize(
+        "name, target, edit, message",
+        [
+            ("walk", "unitary", lambda m: m[1].pop(), "malformed payload: unitary rows differ in length"),
+            (
+                "walk",
+                "unitary",
+                lambda m: m[0][1].append(0.0),
+                "malformed payload: unitary[0][1]: complex scalars must be [re, im] pairs",
+            ),
+            (
+                "walk",
+                "unitary",
+                lambda m: m[1].__setitem__(0, "x"),
+                "malformed payload: unitary[1][0]: complex scalars must be [re, im] pairs",
+            ),
+            (
+                "walk",
+                "unitary",
+                lambda m: m[1][0].__setitem__(0, "x"),
+                "malformed payload: could not convert string to float: 'x'",
+            ),
+            (
+                "walk",
+                "unitary",
+                lambda m: m[0].__setitem__(1, None),
+                "malformed payload: unitary[0][1]: complex scalars must be [re, im] pairs",
+            ),
+            (
+                "walk",
+                "unitary",
+                lambda m: m[0][1].__setitem__(1, None),
+                "malformed payload: float() argument must be a string or a real number, "
+                "not 'NoneType'",
+            ),
+            ("walk", "unitary", lambda m: m.clear(), "malformed payload: unitary must be a non-empty nested list"),
+            (
+                "walk",
+                "wave",
+                lambda m: m.__setitem__(0, None),
+                "malformed payload: wave[0]: complex scalars must be [re, im] pairs",
+            ),
+            ("walk", "wave", lambda m: m.clear(), "wave must have shape (4,), got (0,)"),
+            (
+                "chain",
+                "basis",
+                lambda m: [row.pop() for row in m[0]],
+                "malformed payload: basis[0] must be square",
+            ),
+            (
+                "chain",
+                "basis",
+                lambda m: [row.pop() for b in m for row in b],
+                "malformed payload: basis[0] must be square",
+            ),
+            (
+                "chain",
+                "basis",
+                lambda m: m[3][0].__setitem__(1, [0.25, 0.5]),
+                "malformed payload: basis[3] is not self-adjoint (defect 5.590e-01)",
+            ),
+            ("chain", "basis", lambda m: m[2][1].pop(), "malformed payload: basis[2] rows differ in length"),
+            (
+                "chain",
+                "basis",
+                lambda m: m[1][0].__setitem__(0, None),
+                "malformed payload: basis[1][0][0]: complex scalars must be [re, im] pairs",
+            ),
+            ("chain", "basis", lambda m: m.clear(), "subspace basis must not be empty"),
+            (
+                "chain",
+                "basis",
+                lambda m: m[1][0].__setitem__(0, [math.nan, 0.0]),
+                "matrix contains non-finite entries",
+            ),
+            ("chain", "ambient_dim", None, "malformed payload: basis[0] must be 3x3"),
+        ],
+    )
+    def test_malformed_complex_payload_messages(
+        self, tmp_path, qrw_hadamard, name, target, edit, message
+    ):
+        # the messages of the per-entry parser that the array parse falls back to
+        model = qrw_hadamard if name == "walk" else qk.qrw_to_qmc(qrw_hadamard)
+        data = json.loads(save_model(model))
+        if edit is None:
+            data["payload"][target] = 3
+        else:
+            edit(data["payload"][target])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert load_model_report(bad)[2] == [message]
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES + ["walk8 qmc", "signed zeros"])
+    def test_loaded_arrays_are_the_per_entry_parse(self, tmp_path, qrw_hadamard, name):
+        if name == "walk8 qmc":
+            path = tmp_path / "walk8.json"
+            save_model(qk.qrw_to_qmc(random_local_qrw(np.random.default_rng(12), 4, 2)), path)
+        elif name == "signed zeros":
+            def negate_zeros(node):
+                if isinstance(node, list):
+                    return [negate_zeros(child) for child in node]
+                return -0.0 if node == 0 else node
+
+            data = json.loads(save_model(qrw_hadamard))
+            for key in ("unitary", "wave"):
+                data["payload"][key] = negate_zeros(data["payload"][key])
+            path = tmp_path / "zeros.json"
+            path.write_text(json.dumps(data))
+        else:
+            path = FIXTURES / name
+        payload = json.loads(path.read_text())["payload"]
+        model = load_model(path)
+
+        def same(got, data):
+            expected = complex_entries(data)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+        if isinstance(model, qk.QrwParam):
+            same(model.unitary, payload["unitary"])
+            same(model.wave, payload["wave"])
+            if name == "signed zeros":
+                assert np.signbit(model.wave.imag).all() and np.signbit(model.unitary.real).any()
+                assert model.wave[1] == 0 and np.signbit(model.wave[1].real)
+        elif isinstance(model, qk.QuantumChain):
+            basis = [complex_entries(b) for b in payload["basis"]]
+            expected = np.stack([(b + b.conj().T) / 2.0 for b in basis])
+            assert model.subspace.stack.tobytes() == expected.tobytes()
+            for symbol, matrix in payload["operators"].items():
+                assert model.letter_ops[symbol].matrix.tobytes() == np.array(matrix).tobytes()
+            initial = complex_entries(payload["initial"])
+            assert model.initial.matrix.tobytes() == ((initial + initial.conj().T) / 2.0).tobytes()
+        elif isinstance(model, DensityFile):
+            matrix = complex_entries(payload["matrix"])
+            assert model.density.matrix.tobytes() == ((matrix + matrix.conj().T) / 2.0).tobytes()
 
     def test_chain_round_trip_preserves_process(self, tmp_path, hmm2):
         chain = qk.hmm_to_qmc(hmm2)
@@ -610,6 +818,35 @@ class TestCliCommands:
             "findings",
             "wall_time_s",
         }
+
+    def test_trace_tolerance_flag_reaches_walk_evaluation(self, tmp_path, qrw_hadamard):
+        path = tmp_path / "stretched.json"
+        save_model(dataclasses.replace(qrw_hadamard, wave=qrw_hadamard.wave * (1 + 1e-8)), path)
+        commands = [
+            ["simulate", str(path), "--length", "3", "--count", "2"],
+            ["eval", str(path), "--word", "ab"],
+        ]
+        for command in commands:
+            code, text = _run(command + ["--tol-trace", "1e-6"])
+            assert code == 0, text
+            code, report = _run_json(command)
+            assert code == 1
+            assert report["findings"] == [
+                "wave-norm at ('wave',): initial wave norm is 1.0000000099999997, expected 1"
+            ]
+
+    def test_module_entry_point(self):
+        src = Path(qk.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "qpmkit", "validate", str(FIXTURES / "hmm2.json")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["command"] == "validate" and report["results"] == {"kind": "hmm", "valid": True}
 
     def test_help_exits_zero(self):
         code, text = _run(["--help"])
