@@ -731,7 +731,8 @@ def finitary_to_qpm(
     letter operators carry the shift coefficients fitted by least squares
     over all suffix columns up to ``horizon`` (default: the declared
     dimension).  The shifted rows p(v a w) are (F_v M_a)·Bᵀ, the basis
-    words' prefix states times the letter matrix times the suffix states.
+    words' prefix states times the letter matrix times the suffix states,
+    both taken from the factors that the Hankel keeps.
     Residuals above ``residual_tol`` mean the basis cannot reproduce the
     shifted rows and raise :class:`BasisInsufficiencyError`.
     """
@@ -752,13 +753,12 @@ def finitary_to_qpm(
     d = len(basis_words)
     if d == 0:
         raise ValidationError("process has numerical rank 0; nothing to represent")
-    basis_rows = [hankel.row_words.index(v) for v in basis_words]
+    basis_rows = [hankel._row_index[v] for v in basis_words]
     weights = hankel.matrix[basis_rows, 0]
     # column j of the design holds the normalised Hankel row of basis word j
     design = hankel.matrix[basis_rows].T / weights
-    form = process.linear
-    basis_states = word_states(form, window)[basis_rows]
-    suffixes = word_states(form, window, suffix=True)
+    basis_states = hankel._prefix_states[basis_rows]
+    suffixes = hankel._suffix_states
 
     def fit(targets: np.ndarray, what) -> np.ndarray:
         solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
@@ -772,7 +772,7 @@ def finitary_to_qpm(
 
     sub = OperatorSubspace.diagonal(d)
     ops: dict[str, SuperOperator] = {}
-    for a, matrix in zip(param.alphabet, form.matrices):
+    for a, matrix in zip(param.alphabet, process.linear.matrices):
         # the a-shifted rows p(v a w) / p(v), one target column per basis word v
         targets = (basis_states @ matrix @ suffixes.T).T / weights
         coeff = fit(targets, lambda i: f"the {a!r}-shift of basis row {i}")

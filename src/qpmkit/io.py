@@ -267,7 +267,7 @@ def _load(path, config: Config):
         model, report = _PARSERS[kind](raw["alphabet"], payload, config)
     except QpmkitError as exc:
         return None, kind, [str(exc)], None
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         return None, kind, [f"malformed payload: {exc}"], None
     if report is not None and not report.ok:
         return None, kind, report.messages(), report

@@ -245,18 +245,59 @@ def check_process_axioms(
 
 @dataclass(frozen=True)
 class TruncatedHankel:
-    """The matrix [p(vw)] over all prefixes v and suffixes w up to fixed lengths."""
+    """The matrix [p(vw)] over all prefixes v and suffixes w up to fixed lengths.
+
+    ``matrix`` is Re(F·Bᵀ), where :func:`build_hankel` keeps the prefix
+    states F (N×d) and the suffix states B (M×d) of a d-dimensional
+    linear form.  Rank and row-basis analysis decompose these factors,
+    never their N×M product.  A Hankel given only by its matrix is its
+    own prefix factor, with the identity as suffix factor.  The analysis
+    is cached on first use, so the arrays must not change afterwards.
+    """
 
     alphabet: Alphabet
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
     matrix: np.ndarray
+    _prefix_states: np.ndarray | None = field(repr=False, default=None)
+    _suffix_states: np.ndarray | None = field(repr=False, default=None)
     _row_index: dict = field(repr=False, default_factory=dict)
     _col_index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
+        if self._prefix_states is None:
+            object.__setattr__(self, "_prefix_states", self.matrix)
+            object.__setattr__(self, "_suffix_states", np.eye(self.matrix.shape[1]))
         object.__setattr__(self, "_row_index", {w: i for i, w in enumerate(self.row_words)})
         object.__setattr__(self, "_col_index", {w: i for i, w in enumerate(self.col_words)})
+
+    @cached_property
+    def _row_factor(self) -> np.ndarray:
+        """G = F·R_Bᵀ from the thin QR B = Q_B·R_B, so that ``matrix`` = G·Q_Bᵀ.
+
+        Q_B has orthonormal columns, so the rows of G (at most d wide) have
+        the norms and inner products of the Hankel rows, and G has the
+        Hankel's nonzero singular values.  Complex states enter as the
+        real pair [Re F, Im F] and [Re B, -Im B], whose product is Re(F·Bᵀ).
+        """
+        prefixes, suffixes = self._prefix_states, self._suffix_states
+        if np.iscomplexobj(prefixes) or np.iscomplexobj(suffixes):
+            prefixes = np.hstack([prefixes.real, prefixes.imag])
+            suffixes = np.hstack([suffixes.real, -suffixes.imag])
+        return prefixes @ np.linalg.qr(suffixes, mode="r").T
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``matrix``, largest first, from the R factor of G.
+
+        Thin QRs of B and of G and an SVD of at most d×d: O((N + M)·d²)
+        instead of the O(N·M·min(N, M)) of decomposing the matrix.  Only
+        zero singular values of the matrix can be missing.  The array is
+        shared by every caller and read-only.
+        """
+        values = np.linalg.svd(np.linalg.qr(self._row_factor, mode="r"), compute_uv=False)
+        values.flags.writeable = False
+        return values
 
     def entry(self, row_word: Word, col_word: Word) -> float:
         return float(self.matrix[self._row_index[row_word], self._col_index[col_word]])
@@ -278,20 +319,34 @@ def build_hankel(process: Process, row_length: int, col_length: int) -> Truncate
     For a process with a linear form the block is F·Bᵀ, the prefix states
     times the suffix states (the factorisation used in spectral learning
     of weighted automata), so its cost is linear in the number of
-    entries.  A callable-only process is evaluated once per entry.
+    entries.  Both factors stay on the result, where the rank and the
+    row basis are computed from them.  A callable-only process is
+    evaluated once per entry.
     """
     if row_length < 0 or col_length < 0:
         raise ValidationError("Hankel truncation lengths must be >= 0")
     rows = tuple(words_up_to(process.alphabet, row_length))
     cols = tuple(words_up_to(process.alphabet, col_length))
+    form = process.linear
+    if form is None:
+        return TruncatedHankel(
+            process.alphabet, rows, cols, word_table(process, row_length, col_length)
+        )
+    prefixes = word_states(form, row_length)
+    suffixes = word_states(form, col_length, suffix=True)
     return TruncatedHankel(
-        process.alphabet, rows, cols, word_table(process, row_length, col_length)
+        process.alphabet, rows, cols, np.real(prefixes @ suffixes.T), prefixes, suffixes
     )
 
 
 def numerical_rank(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) -> int:
-    """Number of singular values above ``eps`` times the largest one."""
-    singulars = np.linalg.svd(hankel.matrix, compute_uv=False)
+    """Number of singular values above ``eps`` times the largest one.
+
+    Reads :attr:`TruncatedHankel.singular_values`, the one SVD of the
+    d-wide factor, computed on first use and shared with
+    :func:`select_row_basis`.
+    """
+    singulars = hankel.singular_values
     if singulars.size == 0 or singulars[0] <= 0.0:
         return 0
     return int(np.sum(singulars > eps * singulars[0]))
@@ -302,17 +357,22 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
 
     Candidates are visited shortest-word-first and must satisfy
     p(v) > eps so that the normalized rows are again process functions.
+    The two-pass Gram-Schmidt runs on the d-column rows of the factor G
+    (``matrix`` = G·Q with orthonormal Q), which have the Hankel rows'
+    norms and inner products; the rank and the largest singular value
+    come from the same cached SVD as :func:`numerical_rank`.
     Raises :class:`DegenerateSupportError` when the eligible rows cannot
     reach the numerical rank.
     """
     target = numerical_rank(hankel, eps)
     if target == 0:
         return []
-    singular_max = float(np.linalg.svd(hankel.matrix, compute_uv=False)[0])
+    singular_max = float(hankel.singular_values[0])
     eps_col = hankel._col_index.get(EPSILON)
     if eps_col is None:
         raise ValidationError("Hankel columns must include the empty word")
 
+    rows = hankel._row_factor
     chosen: list[Word] = []
     ortho: list[np.ndarray] = []
     skipped_support = 0
@@ -320,7 +380,7 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
         if hankel.matrix[i, eps_col] <= eps:
             skipped_support += 1
             continue
-        residual = hankel.matrix[i].astype(float)
+        residual = rows[i]
         for q in ortho:  # two Gram-Schmidt passes for stability
             residual = residual - np.dot(q, residual) * q
         for q in ortho:

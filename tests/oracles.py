@@ -329,3 +329,43 @@ def complex_entries(data) -> np.ndarray:
         return [parse(child) for child in node]
 
     return np.array(parse(data), dtype=complex)
+
+
+def hankel_singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of the full N×M Hankel matrix, largest first."""
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def row_basis_reference(hankel, eps: float = 1e-8) -> list:
+    """Shortest-first greedy row basis by two-pass Gram-Schmidt on the full Hankel rows.
+
+    The rank and the largest singular value come from the SVD of the
+    N×M matrix; a row is eligible when its empty-suffix entry exceeds
+    ``eps`` and joins when its residual norm exceeds ``eps`` times the
+    largest singular value.  Raises ``ValueError`` when the eligible rows
+    cannot reach the rank, worded as the library's ``DegenerateSupportError``.
+    """
+    singulars = hankel_singular_values(hankel.matrix)
+    if singulars.size == 0 or singulars[0] <= 0.0:
+        return []
+    target = int(np.sum(singulars > eps * singulars[0]))
+    eps_col = hankel.col_words.index(())
+    chosen, ortho, skipped = [], [], 0
+    for word, row in zip(hankel.row_words, hankel.matrix):
+        if row[eps_col] <= eps:
+            skipped += 1
+            continue
+        residual = row.astype(float)
+        for _ in range(2):
+            for q in ortho:
+                residual = residual - np.dot(q, residual) * q
+        norm = float(np.linalg.norm(residual))
+        if norm > eps * singulars[0]:
+            chosen.append(word)
+            ortho.append(residual / norm)
+            if len(chosen) == target:
+                return chosen
+    raise ValueError(
+        f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical "
+        f"rank is {target} ({skipped} rows skipped for insufficient weight)"
+    )

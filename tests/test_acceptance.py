@@ -251,3 +251,18 @@ def test_14_walk_chain_file_round_trip(tmp_path):
         loaded = qk.load_model(path)
     assert qk.save_model(loaded) == text
     assert loaded.subspace.stack.tobytes() == chain.subspace.stack.tobytes()
+
+
+def test_15_factor_space_hankel_analysis():
+    hmm = random_hmm(np.random.default_rng(1501), 6, 3)
+    finitary = qk.hmm_to_finitary(hmm)
+    with criterion(15, "predictor model of a 6-state, 3-letter HMM at horizon 6", 0.1):
+        predictor = qk.finitary_to_qpm(finitary)
+    for word in qk.words_up_to(hmm.alphabet, 4):
+        assert abs(qk.chain_eval(predictor, word) - qk.hmm_eval(hmm, word)) <= 1e-12
+    with criterion(15, "1093×1093 Hankel, its rank and row basis", 0.1):
+        hankel = qk.build_hankel(qk.hmm_process(hmm), 6, 6)
+        rank = qk.numerical_rank(hankel)
+        basis = qk.select_row_basis(hankel)
+    assert hankel.matrix.shape == (1093, 1093)
+    assert len(basis) == rank == predictor.subspace.dim

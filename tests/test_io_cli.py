@@ -64,6 +64,37 @@ PINNED_DIGESTS = {
     "walk8 finitary": "d9c52a9902fd5bfa",
 }
 
+RANKABLE_FIXTURES = (
+    "coin_finitary",
+    "hmm2",
+    "hmm3_rank3",
+    "qrw_hadamard",
+    "swap_ffmc",
+    "swap_qmc",
+    "unbounded_qpm",
+)
+
+PINNED_CLI_DIGESTS = {
+    "rank coin_finitary": "2fea1887951bf726",
+    "rank coin_finitary 3x3": "375bf29416347a3f",
+    "rank hmm2": "781fa39dafee1225",
+    "rank hmm2 3x3": "ecbdf61bebed15ac",
+    "rank hmm3_rank3": "48ea3154b81fa974",
+    "rank hmm3_rank3 3x3": "48ea3154b81fa974",
+    "rank qrw_hadamard": "d3a0113b338c89c7",
+    "rank qrw_hadamard 3x3": "ecbdf61bebed15ac",
+    "rank swap_ffmc": "781fa39dafee1225",
+    "rank swap_ffmc 3x3": "ecbdf61bebed15ac",
+    "rank swap_qmc": "e283b41427f76760",
+    "rank swap_qmc 3x3": "7385d8980e7555c4",
+    "rank unbounded_qpm": "e283b41427f76760",
+    "rank unbounded_qpm 3x3": "7385d8980e7555c4",
+    "qpm coin_finitary": "874a239182fa7746",
+    "qpm hmm2": "9a9a86092a827520",
+    "qpm hmm3_rank3": "5f78161f2bc158bb",
+    "qpm swap_ffmc": "d4748203c7ed545f",
+}
+
 
 def per_element_walk_chain(qrw) -> qk.QuantumChain:
     """A walk's chain built one basis element at a time, so its bits do not
@@ -569,6 +600,16 @@ class TestCliCommands:
         assert report["results"]["valid"] is False
         assert any("row 0" in f for f in report["findings"])
 
+    def test_validate_integer_beyond_double_range_exits_one(self, tmp_path):
+        data = json.loads((FIXTURES / "qrw_hadamard.json").read_text())
+        data["payload"]["wave"][0][1] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data))
+        code, report = _run_json(["validate", str(bad)])
+        assert code == 1
+        assert report["results"] == {"kind": "qrw", "valid": False}
+        assert report["findings"] == ["malformed payload: int too large to convert to float"]
+
     def test_eval_bad_file_exits_one(self):
         code, report = _run_json(["eval", str(FIXTURES / "bad_hmm_rowsum.json"), "--word", "a"])
         assert code == 1
@@ -612,6 +653,23 @@ class TestCliCommands:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == ",,a,b"
+
+    def test_rank_and_qpm_output_is_pinned(self):
+        # SHA-256 of the reports (exit code, findings, results, tolerances), recorded
+        # before the Hankel analysis moved from the N×N matrix to its factors
+        def digest(args):
+            code, report = _run_json(args)
+            del report["wall_time_s"], report["inputs"]  # timing and the fixture's path
+            return hashlib.sha256(canonical_json([code, report]).encode()).hexdigest()[:16]
+
+        digests = {}
+        for name in RANKABLE_FIXTURES:
+            path = str(FIXTURES / f"{name}.json")
+            digests[f"rank {name}"] = digest(["rank", path])
+            digests[f"rank {name} 3x3"] = digest(["rank", path, "--rows", "3", "--cols", "3"])
+        for name in ("coin_finitary", "hmm2", "hmm3_rank3", "swap_ffmc"):
+            digests[f"qpm {name}"] = digest(["convert", str(FIXTURES / f"{name}.json"), "--to", "qpm"])
+        assert digests == PINNED_CLI_DIGESTS
 
     def test_equiv_of_conversions(self, tmp_path):
         converted = tmp_path / "hmm2_finitary.json"

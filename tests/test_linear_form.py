@@ -1,4 +1,5 @@
-"""The factorised sweeps against per-word evaluation, and equivalence against enumeration.
+"""The factorised sweeps against per-word evaluation, Hankel analysis against
+the full-matrix oracles, and equivalence against enumeration.
 
 Each model is also wrapped as a bare-callable :class:`Process` (no linear
 form), which the sweeps evaluate one word at a time; both must agree.
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.errors import DegenerateSupportError
+from qpmkit.process import TruncatedHankel
 
 from helpers import (
     random_hmm,
@@ -20,7 +23,7 @@ from helpers import (
     random_quantum_density,
     random_stochastic_rows,
 )
-from oracles import equivalent_by_enumeration
+from oracles import equivalent_by_enumeration, hankel_singular_values, row_basis_reference
 
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
@@ -169,6 +172,85 @@ class TestFactorisedSweeps:
             ]
             got = [m for m in report.messages() if m.startswith("word-probability")]
             assert got == expected
+
+
+def analysed(process, rows, cols):
+    """A Hankel block with its factor-space row basis and the oracle's; a
+    support too thin to reach the rank shows as the error message."""
+    hankel = qk.build_hankel(process, rows, cols)
+    outcomes = []
+    for pick, error in ((qk.select_row_basis, DegenerateSupportError), (row_basis_reference, ValueError)):
+        try:
+            outcomes.append(pick(hankel))
+        except error as exc:
+            outcomes.append(str(exc))
+    return hankel, outcomes
+
+
+class TestHankelAnalysis:
+    """One SVD of the d-wide factor against the SVD of the full N×M matrix.
+
+    The walks' complex forms take the real-pair route, bare callables the
+    identity suffix factor; the dyadic finitary and predictor models have
+    exactly rank-deficient Hankels and rows of zero or negative weight.
+    Over these examples no basis decision fell near a tie, so the chosen
+    words must be equal: a row's residual norm or a singular value would
+    have to lie within rounding (~1e-15 relative) of ``rank_eps`` times
+    the largest singular value for the two routes to disagree.
+    """
+
+    @PROPERTY
+    @given(SEEDS)
+    def test_rank_and_row_basis_match_the_full_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        for process in sweep_models(rng):
+            for proc in (process, bare(process)):
+                for rows, cols in ((3, 2), (2, 3), (1, 1)):
+                    hankel, (fast, slow) = analysed(proc, rows, cols)
+                    fast_values = hankel.singular_values
+                    slow_values = hankel_singular_values(hankel.matrix)
+                    scale = 1e-12 * max(slow_values[0], 1e-300)
+                    k = min(fast_values.size, slow_values.size)
+                    # only singular values that are zero can be missing on either side
+                    assert np.max(np.abs(fast_values[:k] - slow_values[:k])) <= scale
+                    assert np.all(fast_values[k:] <= scale) and np.all(slow_values[k:] <= scale)
+                    expected_rank = int(np.sum(slow_values > 1e-8 * slow_values[0]))
+                    assert qk.numerical_rank(hankel) == (expected_rank if slow_values[0] > 0 else 0)
+                    assert fast == slow
+
+    def test_dyadic_models_reach_the_degenerate_support_error(self):
+        # the comparison above has content: some dyadic Hankels are rank-deficient,
+        # some have too few rows of positive weight to reach their rank
+        rng = np.random.default_rng(7)
+        params = [dyadic_finitary(rng) for _ in range(40)]
+        results = [analysed(qk.finitary_process(p), 2, 2) for p in params]
+        assert all(fast == slow for _, (fast, slow) in results)
+        messages = [fast for _, (fast, _) in results if isinstance(fast, str)]
+        assert messages and all(
+            m.startswith("found ") and "rows skipped for insufficient weight" in m for m in messages
+        )
+        assert any(
+            qk.numerical_rank(hankel) < p.dimension for p, (hankel, _) in zip(params, results)
+        )
+
+    def test_rank_deficient_hankel_shares_its_basis(self):
+        # a 2-state form lifted to 3 states, the third a copy of the first: rank 2, not 3
+        ab = qk.Alphabet(("a", "b"))
+        small = {"a": np.array([[0.5, 0.1], [0.1, 0.2]]), "b": np.array([[0.2, 0.2], [0.3, 0.4]])}
+        lifted = {a: m[[0, 1, 0]][:, [0, 1, 0]] * [0.5, 1.0, 0.5] for a, m in small.items()}
+        param = qk.FinitaryParam(ab, lifted, np.array([1.0, 0.0, 0.0]), np.ones(3))
+        for proc in (qk.finitary_process(param), bare(qk.finitary_process(param))):
+            hankel, (fast, slow) = analysed(proc, 3, 3)
+            assert qk.numerical_rank(hankel) == 2
+            assert fast == slow == [(), ("a",)]
+
+    def test_residual_cutoff_scales_with_the_largest_singular_value(self):
+        # row "a" leaves a residual of 5e-6: under rank_eps·σ₁ (σ₁ ≈ 1000), over rank_eps·|row ε|
+        words = ((), ("a",), ("b",))
+        matrix = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 5e-6], [1.0, 1000.0, 0.0]])
+        hankel = TruncatedHankel(qk.Alphabet(("a", "b")), words, words, matrix)
+        assert qk.numerical_rank(hankel) == 2
+        assert qk.select_row_basis(hankel) == row_basis_reference(hankel) == [(), ("b",)]
 
 
 def hmm_pair(rng, delta):
