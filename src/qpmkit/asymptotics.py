@@ -24,7 +24,7 @@ from .errors import (
 )
 from .hermitian import Density, require_hermitian
 from .chain import ChainKind, QuantumChain
-from .process import as_word
+from .process import _state_after, as_word
 
 __all__ = [
     "BoundednessProbe",
@@ -304,10 +304,7 @@ def stationary_word_probability(
     """tr of the word's composed operators applied to the stationary limit."""
     if result is None:
         result = cesaro_limit(chain, **limit_kwargs)
-    symbols = as_word(word, chain.alphabet)
-    coords = result.coords
-    for symbol in symbols:
-        coords = coords @ chain.letter_ops[symbol].matrix
+    coords = _state_after(result.coords, as_word(word, chain.alphabet), chain.letter_matrix)
     return float(coords @ chain.subspace.traces)
 
 

@@ -48,6 +48,7 @@ from .process import (
     LinearForm,
     Process,
     Word,
+    _state_after,
     as_word,
     build_hankel,
     check_process_axioms,
@@ -416,9 +417,7 @@ class QuantumChain:
 def chain_eval(chain: QuantumChain, word) -> float:
     """tr of the composed letter operators applied to the initial density."""
     symbols = as_word(word, chain.alphabet)
-    coords = chain.initial_coords
-    for symbol in symbols:
-        coords = coords @ chain.letter_ops[symbol].matrix
+    coords = _state_after(chain.initial_coords, symbols, chain.letter_matrix)
     return float(coords @ chain.subspace.traces)
 
 
@@ -742,13 +741,13 @@ def finitary_to_qpm(
             "working horizon too large for exhaustive column enumeration; pass a smaller one"
         )
     process = finitary_process(param)
-    problems = check_process_axioms(process, window, max(eval_tol, 1e-9))
+    hankel = build_hankel(process, window, window)
+    problems = check_process_axioms(process, window, max(eval_tol, 1e-9), hankel)
     if problems:
         raise ValidationError(
             "parametrization does not define a process up to the working horizon: "
             + "; ".join(problems[:3])
         )
-    hankel = build_hankel(process, window, window)
     basis_words = select_row_basis(hankel, eps)
     d = len(basis_words)
     if d == 0:

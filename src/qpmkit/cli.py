@@ -35,16 +35,13 @@ from .errors import (
     ValidationError,
 )
 from .io import (
-    DensityFile,
-    InfoFunctionsFile,
     canonical_json,
     load_model,
     load_model_report,
+    model_kind,
     model_to_dict,
     save_model,
 )
-from .models import FfmcParam, FinitaryParam, HmmParam, QrwParam
-from .chain import QuantumChain
 
 _VALIDATION_ERRORS = (
     SchemaError,
@@ -187,34 +184,79 @@ def _error_findings(exc) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def _to_process(model, config: Config) -> process_mod.Process:
-    if isinstance(model, HmmParam):
-        return models.hmm_process(model)
-    if isinstance(model, FfmcParam):
-        return models.hmm_process(model.to_hmm())
-    if isinstance(model, FinitaryParam):
-        return models.finitary_process(model)
-    if isinstance(model, QrwParam):
-        return models.qrw_process(model, config.trace_tol)
-    if isinstance(model, QuantumChain):
-        return chain_mod.chain_process(model)
-    raise ValidationError(f"{type(model).__name__} does not define a process")
+def _finitary_to_qpm(param, config: Config):
+    return chain_mod.finitary_to_qpm(
+        param, eps=config.rank_eps, residual_tol=config.residual_tol, eval_tol=config.eval_tol
+    )
 
 
-def _to_chain(model, config: Config) -> QuantumChain:
-    if isinstance(model, HmmParam):
-        return chain_mod.hmm_to_qmc(model, config.eval_tol)
-    if isinstance(model, FfmcParam):
-        return chain_mod.hmm_to_qmc(model.to_hmm(), config.eval_tol)
-    if isinstance(model, QrwParam):
-        return chain_mod.qrw_to_qmc(model)
-    if isinstance(model, QuantumChain):
-        return model
-    if isinstance(model, FinitaryParam):
-        return chain_mod.finitary_to_qpm(
-            model, eps=config.rank_eps, residual_tol=config.residual_tol, eval_tol=config.eval_tol
-        )
-    raise ValidationError(f"{type(model).__name__} does not define a chain")
+def _no_labels(model, config: Config):
+    return None  # the chain's hidden states are named w1..wn
+
+
+def _through_hmm(target: str):
+    """An FFMC lowers as its HMM; this is the one place it becomes one."""
+    return lambda m, c: _lower(m.to_hmm(), target, c)
+
+
+_TARGETS = ("process", "chain", "finitary", "qmc", "qpm", "labels")
+
+# Each schema kind's lowerings, keyed by target: the process that eval, rank
+# and equiv read, the chain that stationary and hidden-path read, the
+# convert targets, and the hidden-state labels of the chain.  Entries call
+# conversions through their modules, so a rebound module attribute (a
+# tracer's wrapper, say) is the one that runs.
+_CHAIN_ROW = {
+    "process": lambda m, c: chain_mod.chain_process(m),
+    "chain": lambda m, c: m,
+    "finitary": lambda m, c: chain_mod.qpm_to_finitary(m),
+    "qpm": lambda m, c: chain_mod.as_qpm(m),
+    "labels": _no_labels,
+}
+_LOWERINGS = {
+    "hmm": {
+        "process": lambda m, c: models.hmm_process(m),
+        "chain": lambda m, c: chain_mod.hmm_to_qmc(m, c.eval_tol),
+        "finitary": lambda m, c: models.hmm_to_finitary(m, c.eval_tol),
+        "qmc": lambda m, c: chain_mod.hmm_to_qmc(m, c.eval_tol),
+        "qpm": lambda m, c: _finitary_to_qpm(models.hmm_to_finitary(m, c.eval_tol), c),
+        "labels": lambda m, c: m.states,
+    },
+    "ffmc": {target: _through_hmm(target) for target in _TARGETS},
+    "finitary": {
+        "process": lambda m, c: models.finitary_process(m),
+        "chain": _finitary_to_qpm,
+        "finitary": lambda m, c: m,
+        "qpm": _finitary_to_qpm,
+        "labels": _no_labels,
+    },
+    "qrw": {
+        "process": lambda m, c: models.qrw_process(m, c.trace_tol),
+        "chain": lambda m, c: chain_mod.qrw_to_qmc(m),
+        "finitary": lambda m, c: chain_mod.qpm_to_finitary(chain_mod.qrw_to_qmc(m)),
+        "qmc": lambda m, c: chain_mod.qrw_to_qmc(m),
+        "qpm": lambda m, c: chain_mod.as_qpm(chain_mod.qrw_to_qmc(m)),
+        "labels": lambda m, c: tuple(f"{node}:{coin}" for node in m.nodes for coin in m.coins),
+    },
+    "qmc": {**_CHAIN_ROW, "qmc": lambda m, c: m},
+    "qpm": _CHAIN_ROW,
+}
+
+_REFUSALS = {
+    "process": "{model} does not define a process",
+    "chain": "{model} does not define a chain",
+    "labels": "{model} does not define a chain",
+    "qmc": "cannot certify positivity when converting {model} to a Markov chain",
+}
+
+
+def _lower(model, target: str, config: Config):
+    """``model`` as ``target`` (see ``_LOWERINGS``); refuse when its kind has no such lowering."""
+    lowering = _LOWERINGS.get(model_kind(model), {}).get(target)
+    if lowering is None:
+        refusal = _REFUSALS.get(target, "no conversion from {model} to {target}")
+        raise ValidationError(refusal.format(model=type(model).__name__, target=target))
+    return lowering(model, config)
 
 
 def _default_truncation(proc: process_mod.Process) -> int:
@@ -224,10 +266,6 @@ def _default_truncation(proc: process_mod.Process) -> int:
     while depth > 1 and len(process_mod.words_up_to(proc.alphabet, depth)) > 130:
         depth -= 1
     return depth
-
-
-def _number(value: float):
-    return float(value)
 
 
 def _json_value(value):
@@ -241,7 +279,7 @@ def _json_value(value):
 
 
 def _distribution_pairs(distribution: dict) -> list:
-    return [[_json_value(outcome), _number(p)] for outcome, p in distribution.items()]
+    return [[_json_value(outcome), float(p)] for outcome, p in distribution.items()]
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +298,7 @@ def _cmd_validate(argv, config, inputs):
     inputs["model"] = args.model
     model, kind, violations, report = load_model_report(args.model, config, with_report=True)
     results = {"kind": kind, "valid": not violations}
-    if isinstance(model, QuantumChain):
+    if kind in ("qmc", "qpm") and not violations:
         # chains carry positivity evidence beyond pass/fail, gathered on load
         results["evidence"] = list(report.evidence)
         if report.horizon is not None:
@@ -276,10 +314,10 @@ def _cmd_eval(argv, config, inputs):
     config = _apply_flags(config, args)
     inputs.update({"model": args.model, "word": args.word})
     model = load_model(args.model, config)
-    proc = _to_process(model, config)
+    proc = _lower(model, "process", config)
     word = process_mod.parse_word(args.word, proc.alphabet)
     value = proc(word)
-    return 0, {"word": args.word, "value": _number(value)}, [], None
+    return 0, {"word": args.word, "value": float(value)}, [], None
 
 
 def _cmd_rank(argv, config, inputs):
@@ -292,7 +330,7 @@ def _cmd_rank(argv, config, inputs):
     config = _apply_flags(config, args)
     inputs.update({"model": args.model, "rows": args.rows, "cols": args.cols})
     model = load_model(args.model, config)
-    proc = _to_process(model, config)
+    proc = _lower(model, "process", config)
     rows = args.rows if args.rows is not None else _default_truncation(proc)
     cols = args.cols if args.cols is not None else _default_truncation(proc)
     hankel = process_mod.build_hankel(proc, rows, cols)
@@ -319,8 +357,8 @@ def _cmd_equiv(argv, config, inputs):
     config = _apply_flags(config, args)
     tol = args.tol if args.tol is not None else config.equiv_tol
     inputs.update({"model_a": args.model_a, "model_b": args.model_b, "tol": tol})
-    proc_a = _to_process(load_model(args.model_a, config), config)
-    proc_b = _to_process(load_model(args.model_b, config), config)
+    proc_a = _lower(load_model(args.model_a, config), "process", config)
+    proc_b = _lower(load_model(args.model_b, config), "process", config)
     witness = process_mod.distinguishing_word(proc_a, proc_b, tol)
     results = {
         "equivalent": witness is None,
@@ -339,7 +377,7 @@ def _cmd_convert(argv, config, inputs):
     config = _apply_flags(config, args)
     inputs.update({"model": args.model, "to": args.to, "out": args.out})
     model = load_model(args.model, config)
-    converted = _convert(model, args.to, config)
+    converted = _lower(model, args.to, config)
     results = {"kind": args.to}
     if args.out:
         save_model(converted, args.out)
@@ -347,53 +385,6 @@ def _cmd_convert(argv, config, inputs):
     else:
         results["model"] = model_to_dict(converted)
     return 0, results, [], None
-
-
-def _convert(model, target: str, config: Config):
-    if target == "finitary":
-        if isinstance(model, FinitaryParam):
-            return model
-        if isinstance(model, HmmParam):
-            return models.hmm_to_finitary(model, config.eval_tol)
-        if isinstance(model, FfmcParam):
-            return models.hmm_to_finitary(model.to_hmm(), config.eval_tol)
-        if isinstance(model, QrwParam):
-            return chain_mod.qpm_to_finitary(chain_mod.qrw_to_qmc(model))
-        if isinstance(model, QuantumChain):
-            return chain_mod.qpm_to_finitary(model)
-    elif target == "qmc":
-        if isinstance(model, HmmParam):
-            return chain_mod.hmm_to_qmc(model, config.eval_tol)
-        if isinstance(model, FfmcParam):
-            return chain_mod.hmm_to_qmc(model.to_hmm(), config.eval_tol)
-        if isinstance(model, QrwParam):
-            return chain_mod.qrw_to_qmc(model)
-        if isinstance(model, QuantumChain) and model.kind is chain_mod.ChainKind.QMC:
-            return model
-        raise ValidationError(
-            f"cannot certify positivity when converting {type(model).__name__} to a Markov chain"
-        )
-    elif target == "qpm":
-        if isinstance(model, FinitaryParam):
-            return chain_mod.finitary_to_qpm(
-                model,
-                eps=config.rank_eps,
-                residual_tol=config.residual_tol,
-                eval_tol=config.eval_tol,
-            )
-        if isinstance(model, (HmmParam, FfmcParam)):
-            hmm = model.to_hmm() if isinstance(model, FfmcParam) else model
-            return chain_mod.finitary_to_qpm(
-                models.hmm_to_finitary(hmm, config.eval_tol),
-                eps=config.rank_eps,
-                residual_tol=config.residual_tol,
-                eval_tol=config.eval_tol,
-            )
-        if isinstance(model, QrwParam):
-            return chain_mod.as_qpm(chain_mod.qrw_to_qmc(model))
-        if isinstance(model, QuantumChain):
-            return chain_mod.as_qpm(model)
-    raise ValidationError(f"no conversion from {type(model).__name__} to {target}")
 
 
 def _cmd_simulate(argv, config, inputs):
@@ -429,7 +420,7 @@ def _cmd_stationary(argv, config, inputs):
     config = _apply_flags(config, args)
     inputs.update({"model": args.model, "method": args.method})
     model = load_model(args.model, config)
-    qchain = _to_chain(model, config)
+    qchain = _lower(model, "chain", config)
     result = asymptotics.cesaro_limit(
         qchain,
         method=args.method,
@@ -450,11 +441,11 @@ def _cmd_stationary(argv, config, inputs):
         "iterations": result.iterations,
         "krylov_dim": result.krylov_dim,
         "spectral_gap": result.spectral_gap,
-        "stationarity_residual": _number(result.stationarity_residual),
-        "cross_difference": _number(result.cross_difference),
+        "stationarity_residual": float(result.stationarity_residual),
+        "cross_difference": float(result.cross_difference),
         "limit_kind": result.limit.kind.value,
         "limit": [[[float(c.real), float(c.imag)] for c in row] for row in matrix],
-        "letter_distribution": {k: _number(v) for k, v in letters.items()},
+        "letter_distribution": {k: float(v) for k, v in letters.items()},
     }
     return 0, results, [], None
 
@@ -462,15 +453,15 @@ def _cmd_stationary(argv, config, inputs):
 def _load_bell_inputs(paths, config):
     first = load_model(paths[0], config)
     if len(paths) == 1:
-        if not isinstance(first, DensityFile) or not first.functions:
+        if model_kind(first) != "density" or not first.functions:
             raise ValidationError(
                 "single-file form needs a density file with labels and info_functions"
             )
         return first.density, first.labels, first.functions
     second = load_model(paths[1], config)
-    if not isinstance(first, DensityFile):
+    if model_kind(first) != "density":
         raise ValidationError("first argument must be a density file")
-    if not isinstance(second, InfoFunctionsFile):
+    if model_kind(second) != "info_functions":
         raise ValidationError("second argument must be an info_functions file")
     labels = first.labels if first.labels is not None else second.labels
     if tuple(labels) != tuple(second.labels):
@@ -497,9 +488,9 @@ def _cmd_bell(argv, config, inputs):
         raise ValidationError(f"info function {exc.args[0]!r} not present") from None
     check = hidden.bell_check(density, basis, fx, fy, fz, config.eval_tol)
     results = {
-        "expectations": {k: _number(v) for k, v in check.expectations.items()},
-        "lhs": _number(check.lhs),
-        "rhs": _number(check.rhs),
+        "expectations": {k: float(v) for k, v in check.expectations.items()},
+        "lhs": float(check.lhs),
+        "rhs": float(check.rhs),
         "satisfied": bool(check.satisfied),
         "violated": bool(not check.satisfied),
         "jointly_observable": bool(check.jointly_observable),
@@ -518,15 +509,15 @@ def _cmd_hidden_path(argv, config, inputs):
     config = _apply_flags(config, args)
     inputs.update({"model": args.model, "word": args.word})
     model = load_model(args.model, config)
-    qchain = _to_chain(model, config)
-    labels = _hidden_labels(model, qchain)
+    qchain = _lower(model, "chain", config)
+    labels = _lower(model, "labels", config)
     basis = hidden.HiddenStateBasis.standard(qchain.subspace.ambient_dim, labels)
     word = process_mod.parse_word(args.word, qchain.alphabet)
     result = hidden.viterbi_hidden_path(qchain, basis, word, config.recon_tol)
     results = {
         "path": list(result.path),
-        "weight": _number(result.weight),
-        "log_weight": _number(result.log_weight) if result.sign else None,
+        "weight": float(result.weight),
+        "log_weight": float(result.log_weight) if result.sign else None,
         "sign": result.sign,
         "negative_weights": bool(result.negative_weights),
     }
@@ -537,16 +528,6 @@ def _cmd_hidden_path(argv, config, inputs):
             f"log_weight ({result.log_weight:.6g}) holds its natural log"
         )
     return 0, results, findings, None
-
-
-def _hidden_labels(model, qchain: QuantumChain):
-    if isinstance(model, HmmParam):
-        return model.states
-    if isinstance(model, FfmcParam):
-        return model.states
-    if isinstance(model, QrwParam):
-        return tuple(f"{node}:{coin}" for node in model.nodes for coin in model.coins)
-    return tuple(f"w{i + 1}" for i in range(qchain.subspace.ambient_dim))
 
 
 _HANDLERS = {

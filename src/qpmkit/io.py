@@ -15,6 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,17 +48,6 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 _TOP_KEYS = {"schema_version", "kind", "alphabet", "payload"}
-
-_PAYLOAD_KEYS = {
-    "hmm": ({"states", "emission", "initial", "transition"}, set()),
-    "ffmc": ({"states", "observation", "initial", "transition"}, set()),
-    "finitary": ({"dimension", "letter_matrices", "initial", "end", "standard_form"}, set()),
-    "qrw": ({"edges", "coins", "unitary", "wave"}, set()),
-    "qmc": ({"ambient_dim", "basis", "operators", "initial", "initial_kind"}, set()),
-    "qpm": ({"ambient_dim", "basis", "operators", "initial", "initial_kind"}, set()),
-    "density": ({"matrix", "kind"}, {"labels", "info_functions"}),
-    "info_functions": ({"labels", "functions"}, set()),
-}
 
 
 @dataclass(frozen=True)
@@ -246,25 +236,25 @@ def _load(path, config: Config):
         )
         return None, None, violations, None
     kind = raw["kind"]
-    if kind not in _PAYLOAD_KEYS:
+    if kind not in _KINDS:
         violations.append(f"unknown kind {kind!r}")
         return None, kind, violations, None
     payload = raw["payload"]
     if not isinstance(payload, dict):
         violations.append("payload must be a JSON object")
         return None, kind, violations, None
-    required, optional = _PAYLOAD_KEYS[kind]
-    unknown = set(payload) - required - optional
+    row = _KINDS[kind]
+    unknown = set(payload) - row.required - row.optional
     if unknown:
         violations.append(f"unknown payload fields for kind {kind!r}: {sorted(unknown)}")
-    missing = required - set(payload)
+    missing = row.required - set(payload)
     if missing:
         violations.append(f"missing payload fields for kind {kind!r}: {sorted(missing)}")
     if violations:
         return None, kind, violations, None
 
     try:
-        model, report = _PARSERS[kind](raw["alphabet"], payload, config)
+        model, report = row.read(raw["alphabet"], payload, config)
     except QpmkitError as exc:
         return None, kind, [str(exc)], None
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -353,6 +343,17 @@ def _hermitian_checked(data, what: str, config: Config) -> np.ndarray:
 
 def _not_self_adjoint(what: str, defect: float) -> ValueError:
     return ValueError(f"{what} is not self-adjoint (defect {defect:.3e})")
+
+
+def _density(data, what: str, wants, unknown: str, config: Config) -> Density:
+    """A quantum or generalized density, as ``wants`` says; other kinds are ``unknown``."""
+    matrix = _hermitian_checked(data, what, config)
+    wants = str(wants)
+    if wants == DensityKind.QUANTUM.value:
+        return Density.quantum(matrix, config.trace_tol, config.psd_tol, config.hermitian_tol)
+    if wants == DensityKind.GENERALIZED.value:
+        return Density.generalized(matrix, config.trace_tol, config.hermitian_tol)
+    raise ValueError(f"{unknown} {wants!r}")
 
 
 def _chain_basis(data, ambient: int, config: Config):
@@ -445,16 +446,9 @@ def _parse_chain(kind: ChainKind):
             str(sym): SuperOperator(subspace, _real_matrix(mat, f"operator {sym!r}"))
             for sym, mat in payload["operators"].items()
         }
-        initial_matrix = _hermitian_checked(payload["initial"], "initial", config)
-        wants = str(payload["initial_kind"])
-        if wants == DensityKind.QUANTUM.value:
-            initial = Density.quantum(
-                initial_matrix, config.trace_tol, config.psd_tol, config.hermitian_tol
-            )
-        elif wants == DensityKind.GENERALIZED.value:
-            initial = Density.generalized(initial_matrix, config.trace_tol, config.hermitian_tol)
-        else:
-            raise ValueError(f"unknown initial_kind {wants!r}")
+        initial = _density(
+            payload["initial"], "initial", payload["initial_kind"], "unknown initial_kind", config
+        )
         chain = QuantumChain(alpha, subspace, operators, initial, kind)
         report = validate_chain(
             chain,
@@ -473,14 +467,7 @@ def _parse_chain(kind: ChainKind):
 def _parse_density(alphabet, payload, config):
     if alphabet is not None:
         raise ValueError("density files take no alphabet (use null)")
-    matrix = _hermitian_checked(payload["matrix"], "matrix", config)
-    wants = str(payload["kind"])
-    if wants == DensityKind.QUANTUM.value:
-        density = Density.quantum(matrix, config.trace_tol, config.psd_tol, config.hermitian_tol)
-    elif wants == DensityKind.GENERALIZED.value:
-        density = Density.generalized(matrix, config.trace_tol, config.hermitian_tol)
-    else:
-        raise ValueError(f"unknown density kind {wants!r}")
+    density = _density(payload["matrix"], "matrix", payload["kind"], "unknown density kind", config)
     labels = None
     functions = None
     if "labels" in payload:
@@ -519,18 +506,6 @@ def _parse_functions(data, labels) -> dict[str, InformationFunction]:
     return out
 
 
-_PARSERS = {
-    "hmm": _parse_hmm,
-    "ffmc": _parse_ffmc,
-    "finitary": _parse_finitary,
-    "qrw": _parse_qrw,
-    "qmc": _parse_chain(ChainKind.QMC),
-    "qpm": _parse_chain(ChainKind.QPM),
-    "density": _parse_density,
-    "info_functions": _parse_info_functions,
-}
-
-
 # --------------------------------------------------------------------------
 # Writing.
 # --------------------------------------------------------------------------
@@ -546,93 +521,127 @@ def _dump_rmatrix(matrix: np.ndarray) -> list:
     return np.asarray(matrix, dtype=float).tolist()
 
 
+def _dump_hmm(model: HmmParam):
+    return list(model.alphabet.symbols), {
+        "states": list(model.states),
+        "emission": _dump_rmatrix(model.emission),
+        "initial": _dump_rmatrix(model.initial),
+        "transition": _dump_rmatrix(model.transition),
+    }
+
+
+def _dump_ffmc(model: FfmcParam):
+    alphabet = list(model.alphabet.symbols) if model.alphabet else sorted(set(model.observation.values()))
+    return alphabet, {
+        "states": list(model.states),
+        "observation": dict(model.observation),
+        "initial": _dump_rmatrix(model.initial),
+        "transition": _dump_rmatrix(model.transition),
+    }
+
+
+def _dump_finitary(model: FinitaryParam):
+    return list(model.alphabet.symbols), {
+        "dimension": model.dimension,
+        "letter_matrices": {a: _dump_rmatrix(m) for a, m in model.letter_matrices.items()},
+        "initial": _dump_rmatrix(model.initial),
+        "end": _dump_rmatrix(model.end),
+        "standard_form": bool(model.standard_form),
+    }
+
+
+def _dump_qrw(model: QrwParam):
+    return list(model.nodes.symbols), {
+        "edges": [list(e) for e in model.edges],
+        "coins": list(model.coins),
+        "unitary": _dump_cmatrix(model.unitary),
+        "wave": _dump_cmatrix(model.wave),
+    }
+
+
+def _dump_chain(model: QuantumChain):
+    return list(model.alphabet.symbols), {
+        "ambient_dim": model.subspace.ambient_dim,
+        "basis": _dump_cmatrix(model.subspace.stack),
+        "operators": {a: _dump_rmatrix(model.letter_ops[a].matrix) for a in model.alphabet},
+        "initial": _dump_cmatrix(model.initial.matrix),
+        "initial_kind": model.initial.kind.value,
+    }
+
+
+def _dump_density(bundle: DensityFile):
+    payload = {
+        "matrix": _dump_cmatrix(bundle.density.matrix),
+        "kind": bundle.density.kind.value,
+    }
+    if bundle.labels is not None:
+        payload["labels"] = list(bundle.labels)
+    if bundle.functions is not None:
+        payload["info_functions"] = {name: dict(f.mapping) for name, f in bundle.functions.items()}
+    return None, payload
+
+
+def _dump_info_functions(model: InfoFunctionsFile):
+    return None, {
+        "labels": list(model.labels),
+        "functions": {name: dict(f.mapping) for name, f in model.functions.items()},
+    }
+
+
+class _Kind(NamedTuple):
+    """A schema kind: its model class, payload fields, reader and writer.
+
+    ``read(alphabet, payload, config)`` gives the model and its load-time
+    report (or None); ``dump(model)`` gives the file's alphabet and payload.
+    """
+
+    cls: type
+    required: set
+    read: Callable
+    dump: Callable
+    optional: set = set()
+
+
+_CHAIN_FIELDS = {"ambient_dim", "basis", "operators", "initial", "initial_kind"}
+_KINDS = {
+    "hmm": _Kind(HmmParam, {"states", "emission", "initial", "transition"}, _parse_hmm, _dump_hmm),
+    "ffmc": _Kind(
+        FfmcParam, {"states", "observation", "initial", "transition"}, _parse_ffmc, _dump_ffmc
+    ),
+    "finitary": _Kind(
+        FinitaryParam,
+        {"dimension", "letter_matrices", "initial", "end", "standard_form"},
+        _parse_finitary,
+        _dump_finitary,
+    ),
+    "qrw": _Kind(QrwParam, {"edges", "coins", "unitary", "wave"}, _parse_qrw, _dump_qrw),
+    "qmc": _Kind(QuantumChain, _CHAIN_FIELDS, _parse_chain(ChainKind.QMC), _dump_chain),
+    "qpm": _Kind(QuantumChain, _CHAIN_FIELDS, _parse_chain(ChainKind.QPM), _dump_chain),
+    "density": _Kind(
+        DensityFile, {"matrix", "kind"}, _parse_density, _dump_density, {"labels", "info_functions"}
+    ),
+    "info_functions": _Kind(
+        InfoFunctionsFile, {"labels", "functions"}, _parse_info_functions, _dump_info_functions
+    ),
+}
+
+
 def model_kind(model) -> str:
-    if isinstance(model, HmmParam):
-        return "hmm"
-    if isinstance(model, FfmcParam):
-        return "ffmc"
-    if isinstance(model, FinitaryParam):
-        return "finitary"
-    if isinstance(model, QrwParam):
-        return "qrw"
     if isinstance(model, QuantumChain):
-        return model.kind.value
-    if isinstance(model, (Density, DensityFile)):
-        return "density"
-    if isinstance(model, InfoFunctionsFile):
-        return "info_functions"
+        return model.kind.value  # one class, two kinds
+    if isinstance(model, Density):
+        return "density"  # written as a density file without labels
+    for kind, row in _KINDS.items():
+        if isinstance(model, row.cls):
+            return kind
     raise ValueError(f"cannot serialize {type(model).__name__}")
 
 
 def model_to_dict(model) -> dict:
     kind = model_kind(model)
-    if isinstance(model, HmmParam):
-        alphabet = list(model.alphabet.symbols)
-        payload = {
-            "states": list(model.states),
-            "emission": _dump_rmatrix(model.emission),
-            "initial": _dump_rmatrix(model.initial),
-            "transition": _dump_rmatrix(model.transition),
-        }
-    elif isinstance(model, FfmcParam):
-        alphabet = list(model.alphabet.symbols) if model.alphabet else sorted(set(model.observation.values()))
-        payload = {
-            "states": list(model.states),
-            "observation": dict(model.observation),
-            "initial": _dump_rmatrix(model.initial),
-            "transition": _dump_rmatrix(model.transition),
-        }
-    elif isinstance(model, FinitaryParam):
-        alphabet = list(model.alphabet.symbols)
-        payload = {
-            "dimension": model.dimension,
-            "letter_matrices": {a: _dump_rmatrix(m) for a, m in model.letter_matrices.items()},
-            "initial": _dump_rmatrix(model.initial),
-            "end": _dump_rmatrix(model.end),
-            "standard_form": bool(model.standard_form),
-        }
-    elif isinstance(model, QrwParam):
-        alphabet = list(model.nodes.symbols)
-        payload = {
-            "edges": [list(e) for e in model.edges],
-            "coins": list(model.coins),
-            "unitary": _dump_cmatrix(model.unitary),
-            "wave": _dump_cmatrix(model.wave),
-        }
-    elif isinstance(model, QuantumChain):
-        alphabet = list(model.alphabet.symbols)
-        payload = {
-            "ambient_dim": model.subspace.ambient_dim,
-            "basis": _dump_cmatrix(model.subspace.stack),
-            "operators": {a: _dump_rmatrix(model.letter_ops[a].matrix) for a in model.alphabet},
-            "initial": _dump_cmatrix(model.initial.matrix),
-            "initial_kind": model.initial.kind.value,
-        }
-    elif isinstance(model, (Density, DensityFile)):
-        bundle = model if isinstance(model, DensityFile) else DensityFile(model)
-        alphabet = None
-        payload = {
-            "matrix": _dump_cmatrix(bundle.density.matrix),
-            "kind": bundle.density.kind.value,
-        }
-        if bundle.labels is not None:
-            payload["labels"] = list(bundle.labels)
-        if bundle.functions is not None:
-            payload["info_functions"] = {
-                name: dict(f.mapping) for name, f in bundle.functions.items()
-            }
-    else:
-        alphabet = None
-        payload = {
-            "labels": list(model.labels),
-            "functions": {name: dict(f.mapping) for name, f in model.functions.items()},
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "alphabet": alphabet,
-        "payload": payload,
-    }
+    bundle = DensityFile(model) if isinstance(model, Density) else model
+    alphabet, payload = _KINDS[kind].dump(bundle)
+    return dict(schema_version=SCHEMA_VERSION, kind=kind, alphabet=alphabet, payload=payload)
 
 
 def save_model(model, path=None) -> str:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .errors import ValidationReport
 from .hermitian import is_unitary
-from .process import Alphabet, LinearForm, Process, Word, as_word
+from .process import Alphabet, LinearForm, Process, Word, _state_after, as_word
 
 __all__ = [
     "HmmParam",
@@ -125,11 +125,8 @@ def _check_stochastic_matrix(report, matrix, name, states, tol):
 
 def hmm_eval(hmm: HmmParam, word) -> float:
     """Word probability initial @ M_w1 @ ... @ M_wn @ 1 over the emission-split matrices."""
-    symbols = as_word(word, hmm.alphabet)
     matrices = dict(zip(hmm.alphabet.symbols, _emission_split(hmm)))
-    vec = hmm.initial
-    for symbol in symbols:
-        vec = vec @ matrices[symbol]
+    vec = _state_after(hmm.initial, as_word(word, hmm.alphabet), matrices.__getitem__)
     return float(vec.sum())
 
 
@@ -253,9 +250,7 @@ def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryPa
 
 def finitary_eval(param: FinitaryParam, word) -> float:
     symbols = as_word(word, param.alphabet)
-    vec = param.initial
-    for symbol in symbols:
-        vec = vec @ param.letter_matrices[symbol]
+    vec = _state_after(param.initial, symbols, param.letter_matrices.__getitem__)
     return float(vec @ param.end)
 
 

@@ -172,6 +172,13 @@ class Process:
         return None if self.lowering is None else self.lowering()
 
 
+def _state_after(vec: np.ndarray, word: Word, matrix_of: Callable[[str], np.ndarray]):
+    """``vec`` times the letter matrices of ``word``, left to right, one product per symbol."""
+    for symbol in word:
+        vec = vec @ matrix_of(symbol)
+    return vec
+
+
 def word_states(form: LinearForm, length: int, suffix: bool = False) -> np.ndarray:
     """Prefix states initial·M_v, or suffix states M_w·end, for all words up to ``length``.
 
@@ -207,15 +214,23 @@ def word_table(process: Process, row_length: int, col_length: int) -> np.ndarray
 
 
 def check_process_axioms(
-    process: Process, horizon: int, tol: float = DEFAULTS.eval_tol
+    process: Process,
+    horizon: int,
+    tol: float = DEFAULTS.eval_tol,
+    hankel: TruncatedHankel | None = None,
 ) -> list[str]:
     """Check nonnegativity, marginal consistency and p() == 1 up to ``horizon``.
 
     Returns human-readable problem descriptions; empty means the axioms
-    hold on every word of length at most ``horizon``.
+    hold on every word of length at most ``horizon``.  A ``hankel`` of
+    the process with prefixes up to ``horizon`` lends its prefix states,
+    whose product with the empty suffix's state is :func:`word_table`'s.
     """
     problems: list[str] = []
-    values = word_table(process, max(horizon, 0), 0)[:, 0]
+    if hankel is None:
+        values = word_table(process, max(horizon, 0), 0)[:, 0]
+    else:
+        values = np.real(hankel._prefix_states @ hankel._suffix_states[:1].T)[:, 0]
     root = float(values[0])
     if abs(root - 1.0) > tol:
         problems.append(f"p(empty word) is {root!r}, expected 1")

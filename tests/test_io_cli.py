@@ -18,7 +18,8 @@ import qpmkit as qk
 import qpmkit.io as qpmkit_io
 from qpmkit import cli
 from qpmkit.cli import run_command
-from qpmkit.errors import SchemaError
+from qpmkit.config import DEFAULTS
+from qpmkit.errors import SchemaError, ValidationError
 from qpmkit.io import (
     DensityFile,
     InfoFunctionsFile,
@@ -93,6 +94,167 @@ PINNED_CLI_DIGESTS = {
     "qpm hmm2": "9a9a86092a827520",
     "qpm hmm3_rank3": "5f78161f2bc158bb",
     "qpm swap_ffmc": "d4748203c7ed545f",
+}
+
+
+MATRIX_FIXTURES = sorted(path.name for path in FIXTURES.glob("*.json"))
+
+PINNED_MATRIX_DIGESTS = {
+    "validate bad_hmm_rowsum.json": "f682c3e9c32d9417",
+    "eval bad_hmm_rowsum.json --word ab": "775c85e6d7d18442",
+    "rank bad_hmm_rowsum.json": "7cb366cee001c633",
+    "convert bad_hmm_rowsum.json --to finitary": "d0d03a37c6a257f5",
+    "convert bad_hmm_rowsum.json --to qmc": "d0d03a37c6a257f5",
+    "convert bad_hmm_rowsum.json --to qpm": "d0d03a37c6a257f5",
+    "simulate bad_hmm_rowsum.json --length 4 --count 3 --seed 5": "b7dc60b8cc27f161",
+    "stationary bad_hmm_rowsum.json": "06dc2e7839e302ab",
+    "stationary bad_hmm_rowsum.json --method spectral": "06dc2e7839e302ab",
+    "bell bad_hmm_rowsum.json": "b494c590ef8c35ce",
+    "hidden-path bad_hmm_rowsum.json --word ab": "f82fa9d44a1f8db6",
+    "validate bell5.json": "f5f10ded17b11097",
+    "eval bell5.json --word ab": "d0819466e6c047f2",
+    "rank bell5.json": "943ad378f4d1f4c0",
+    "convert bell5.json --to finitary": "9fd467afe42043c6",
+    "convert bell5.json --to qmc": "341efa8821ccf8cf",
+    "convert bell5.json --to qpm": "86a72d566518f272",
+    "simulate bell5.json --length 4 --count 3 --seed 5": "d1d56f0364d995a7",
+    "stationary bell5.json": "4cd3d1a3f0486f97",
+    "stationary bell5.json --method spectral": "4cd3d1a3f0486f97",
+    "bell bell5.json": "a9680529b2ec58c8",
+    "hidden-path bell5.json --word ab": "c6aa85a70df6a09d",
+    "validate coin_finitary.json": "51102bc03c5f198c",
+    "eval coin_finitary.json --word ab": "700f6eb7317bb518",
+    "rank coin_finitary.json": "2fea1887951bf726",
+    "convert coin_finitary.json --to finitary": "a8c04c4f94fc0bb3",
+    "convert coin_finitary.json --to qmc": "3f09b3c50b179e84",
+    "convert coin_finitary.json --to qpm": "874a239182fa7746",
+    "simulate coin_finitary.json --length 4 --count 3 --seed 5": "e25f20f8cef71c93",
+    "stationary coin_finitary.json": "f7e7109ad85ff5c8",
+    "stationary coin_finitary.json --method spectral": "48b4e2fcf19be40e",
+    "bell coin_finitary.json": "a06398a4b3eceeba",
+    "hidden-path coin_finitary.json --word ab": "d87d08c1b47af4ea",
+    "validate feynman4.json": "f5f10ded17b11097",
+    "eval feynman4.json --word ab": "d0819466e6c047f2",
+    "rank feynman4.json": "943ad378f4d1f4c0",
+    "convert feynman4.json --to finitary": "9fd467afe42043c6",
+    "convert feynman4.json --to qmc": "341efa8821ccf8cf",
+    "convert feynman4.json --to qpm": "86a72d566518f272",
+    "simulate feynman4.json --length 4 --count 3 --seed 5": "d1d56f0364d995a7",
+    "stationary feynman4.json": "4cd3d1a3f0486f97",
+    "stationary feynman4.json --method spectral": "4cd3d1a3f0486f97",
+    "bell feynman4.json": "eb78e1a85962c186",
+    "hidden-path feynman4.json --word ab": "c6aa85a70df6a09d",
+    "validate hmm2.json": "56f338caf58faec7",
+    "eval hmm2.json --word ab": "fcd0731060ef030c",
+    "rank hmm2.json": "781fa39dafee1225",
+    "convert hmm2.json --to finitary": "99e01462474ae82a",
+    "convert hmm2.json --to qmc": "4088834970abb851",
+    "convert hmm2.json --to qpm": "9a9a86092a827520",
+    "simulate hmm2.json --length 4 --count 3 --seed 5": "72072ecd5766b8d9",
+    "stationary hmm2.json": "cdfee2b8c78e2b9d",
+    "stationary hmm2.json --method spectral": "83bec480c05a156a",
+    "bell hmm2.json": "a06398a4b3eceeba",
+    "hidden-path hmm2.json --word ab": "6f05d1605ff2d5b2",
+    "validate hmm3_rank3.json": "56f338caf58faec7",
+    "eval hmm3_rank3.json --word ab": "3d7571915748c7c3",
+    "rank hmm3_rank3.json": "48ea3154b81fa974",
+    "convert hmm3_rank3.json --to finitary": "b5e86d43de751047",
+    "convert hmm3_rank3.json --to qmc": "8e210749f0d50842",
+    "convert hmm3_rank3.json --to qpm": "5f78161f2bc158bb",
+    "simulate hmm3_rank3.json --length 4 --count 3 --seed 5": "3009f50a2b389fc6",
+    "stationary hmm3_rank3.json": "80d27bbabfc79075",
+    "stationary hmm3_rank3.json --method spectral": "c493b0d32c433334",
+    "bell hmm3_rank3.json": "a06398a4b3eceeba",
+    "hidden-path hmm3_rank3.json --word ab": "959a0a413b95093c",
+    "validate qrw_hadamard.json": "abe8c27eb65db77d",
+    "eval qrw_hadamard.json --word ab": "8a9591ac4bcde721",
+    "rank qrw_hadamard.json": "d3a0113b338c89c7",
+    "convert qrw_hadamard.json --to finitary": "679b75a1e5aa1c0f",
+    "convert qrw_hadamard.json --to qmc": "3a0fe32ec1fd3d32",
+    "convert qrw_hadamard.json --to qpm": "0e846feed42d778a",
+    "simulate qrw_hadamard.json --length 4 --count 3 --seed 5": "54bb65ac74467ef2",
+    "stationary qrw_hadamard.json": "1df769ce56a90285",
+    "stationary qrw_hadamard.json --method spectral": "494f98e85ddde0d5",
+    "bell qrw_hadamard.json": "a06398a4b3eceeba",
+    "hidden-path qrw_hadamard.json --word ab": "baefc94302fba768",
+    "validate swap_ffmc.json": "53514d72d4b3df07",
+    "eval swap_ffmc.json --word ab": "5a87d0719be3ce1e",
+    "rank swap_ffmc.json": "781fa39dafee1225",
+    "convert swap_ffmc.json --to finitary": "5b3ed98cf46e37dd",
+    "convert swap_ffmc.json --to qmc": "6c811170b1cd2035",
+    "convert swap_ffmc.json --to qpm": "d4748203c7ed545f",
+    "simulate swap_ffmc.json --length 4 --count 3 --seed 5": "3e9325d5681dc27b",
+    "stationary swap_ffmc.json": "14c113a424c917fd",
+    "stationary swap_ffmc.json --method spectral": "25c0e5a1c0b815d2",
+    "bell swap_ffmc.json": "a06398a4b3eceeba",
+    "hidden-path swap_ffmc.json --word ab": "9e9052e890f1c5e2",
+    "validate swap_qmc.json": "fdb36cbd1ff5483d",
+    "eval swap_qmc.json --word aa": "f19dc2aaafe3cc81",
+    "rank swap_qmc.json": "e283b41427f76760",
+    "convert swap_qmc.json --to finitary": "78361b8bdfb63f42",
+    "convert swap_qmc.json --to qmc": "e6e64287e2e86671",
+    "convert swap_qmc.json --to qpm": "38ec38889c7a0a45",
+    "simulate swap_qmc.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
+    "stationary swap_qmc.json": "70896d6d086f1f11",
+    "stationary swap_qmc.json --method spectral": "043f35ac28f0556b",
+    "bell swap_qmc.json": "a06398a4b3eceeba",
+    "hidden-path swap_qmc.json --word aa": "aa5bca12c1d7554f",
+    "validate unbounded_qpm.json": "a71985a6ed4edf31",
+    "eval unbounded_qpm.json --word aa": "a60781cc299ff21c",
+    "rank unbounded_qpm.json": "e283b41427f76760",
+    "convert unbounded_qpm.json --to finitary": "b04f5d98a5b8206d",
+    "convert unbounded_qpm.json --to qmc": "cb76ba45d58608ca",
+    "convert unbounded_qpm.json --to qpm": "9b50f7ecb36bb261",
+    "simulate unbounded_qpm.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
+    "stationary unbounded_qpm.json": "e771b24084400a58",
+    "stationary unbounded_qpm.json --method spectral": "e771b24084400a58",
+    "bell unbounded_qpm.json": "a06398a4b3eceeba",
+    "hidden-path unbounded_qpm.json --word aa": "7256cdd0665da0d0",
+    "equiv bad_hmm_rowsum.json bell5.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json coin_finitary.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json feynman4.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json hmm2.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json hmm3_rank3.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json qrw_hadamard.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json swap_ffmc.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json swap_qmc.json": "5fb36b6342af267d",
+    "equiv bad_hmm_rowsum.json unbounded_qpm.json": "5fb36b6342af267d",
+    "equiv bell5.json coin_finitary.json": "e329c4b0c492b9de",
+    "equiv bell5.json feynman4.json": "e329c4b0c492b9de",
+    "equiv bell5.json hmm2.json": "e329c4b0c492b9de",
+    "equiv bell5.json hmm3_rank3.json": "e329c4b0c492b9de",
+    "equiv bell5.json qrw_hadamard.json": "e329c4b0c492b9de",
+    "equiv bell5.json swap_ffmc.json": "e329c4b0c492b9de",
+    "equiv bell5.json swap_qmc.json": "e329c4b0c492b9de",
+    "equiv bell5.json unbounded_qpm.json": "e329c4b0c492b9de",
+    "equiv coin_finitary.json feynman4.json": "e329c4b0c492b9de",
+    "equiv coin_finitary.json hmm2.json": "90fac9e30d413a15",
+    "equiv coin_finitary.json hmm3_rank3.json": "d1e1d2727ef55fd8",
+    "equiv coin_finitary.json qrw_hadamard.json": "dc91dc0e36ef6844",
+    "equiv coin_finitary.json swap_ffmc.json": "90fac9e30d413a15",
+    "equiv coin_finitary.json swap_qmc.json": "1090dacf12d6540e",
+    "equiv coin_finitary.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv feynman4.json hmm2.json": "e329c4b0c492b9de",
+    "equiv feynman4.json hmm3_rank3.json": "e329c4b0c492b9de",
+    "equiv feynman4.json qrw_hadamard.json": "e329c4b0c492b9de",
+    "equiv feynman4.json swap_ffmc.json": "e329c4b0c492b9de",
+    "equiv feynman4.json swap_qmc.json": "e329c4b0c492b9de",
+    "equiv feynman4.json unbounded_qpm.json": "e329c4b0c492b9de",
+    "equiv hmm2.json hmm3_rank3.json": "15fb0d1bb9ded083",
+    "equiv hmm2.json qrw_hadamard.json": "d496ba7fa6030084",
+    "equiv hmm2.json swap_ffmc.json": "d1e1d2727ef55fd8",
+    "equiv hmm2.json swap_qmc.json": "1090dacf12d6540e",
+    "equiv hmm2.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv hmm3_rank3.json qrw_hadamard.json": "f79af28ccfe4bdd6",
+    "equiv hmm3_rank3.json swap_ffmc.json": "15fb0d1bb9ded083",
+    "equiv hmm3_rank3.json swap_qmc.json": "1090dacf12d6540e",
+    "equiv hmm3_rank3.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv qrw_hadamard.json swap_ffmc.json": "d496ba7fa6030084",
+    "equiv qrw_hadamard.json swap_qmc.json": "1090dacf12d6540e",
+    "equiv qrw_hadamard.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv swap_ffmc.json swap_qmc.json": "1090dacf12d6540e",
+    "equiv swap_ffmc.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv swap_qmc.json unbounded_qpm.json": "9ee29d8c0a6ebe2f",
 }
 
 
@@ -176,6 +338,20 @@ def _run_json(args):
     return code, json.loads(text)
 
 
+def _report_digest(args) -> str:
+    """SHA-256 of the exit code and the report, less its timing and the input paths.
+
+    ``simulate`` without ``--out`` prints words, not a report; their text is hashed.
+    """
+    code, text = _run(args)
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        return hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()[:16]
+    del report["wall_time_s"], report["inputs"]
+    return hashlib.sha256(canonical_json([code, report]).encode()).hexdigest()[:16]
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_round_trip_is_byte_identical(self, name):
@@ -214,6 +390,20 @@ class TestModelFiles:
         bad.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="unknown kind"):
             load_model(bad)
+
+    @pytest.mark.parametrize(
+        "name, field, message",
+        [
+            ("swap_qmc.json", "initial_kind", "malformed payload: unknown initial_kind 'mixed'"),
+            ("bell5.json", "kind", "malformed payload: unknown density kind 'mixed'"),
+        ],
+    )
+    def test_rejects_unknown_density_kind(self, tmp_path, name, field, message):
+        data = json.loads((FIXTURES / name).read_text())
+        data["payload"][field] = "mixed"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert load_model_report(bad)[2] == [message]
 
     def test_row_sum_violation_reported_with_row(self):
         model, kind, violations = load_model_report(FIXTURES / "bad_hmm_rowsum.json")
@@ -655,21 +845,75 @@ class TestCliCommands:
         assert out.read_text().splitlines()[0] == ",,a,b"
 
     def test_rank_and_qpm_output_is_pinned(self):
-        # SHA-256 of the reports (exit code, findings, results, tolerances), recorded
-        # before the Hankel analysis moved from the N×N matrix to its factors
-        def digest(args):
-            code, report = _run_json(args)
-            del report["wall_time_s"], report["inputs"]  # timing and the fixture's path
-            return hashlib.sha256(canonical_json([code, report]).encode()).hexdigest()[:16]
-
+        # recorded before the Hankel analysis moved from the N×N matrix to its factors
         digests = {}
         for name in RANKABLE_FIXTURES:
             path = str(FIXTURES / f"{name}.json")
-            digests[f"rank {name}"] = digest(["rank", path])
-            digests[f"rank {name} 3x3"] = digest(["rank", path, "--rows", "3", "--cols", "3"])
+            digests[f"rank {name}"] = _report_digest(["rank", path])
+            digests[f"rank {name} 3x3"] = _report_digest(["rank", path, "--rows", "3", "--cols", "3"])
         for name in ("coin_finitary", "hmm2", "hmm3_rank3", "swap_ffmc"):
-            digests[f"qpm {name}"] = digest(["convert", str(FIXTURES / f"{name}.json"), "--to", "qpm"])
+            path = str(FIXTURES / f"{name}.json")
+            digests[f"qpm {name}"] = _report_digest(["convert", path, "--to", "qpm"])
         assert digests == PINNED_CLI_DIGESTS
+
+    def test_every_command_report_is_pinned(self):
+        # every command on every fixture, refusals included, recorded before the
+        # per-class dispatch in cli and io became tables keyed by schema kind
+        digests = {}
+        for name in MATRIX_FIXTURES:
+            path = str(FIXTURES / name)
+            alphabet = json.loads((FIXTURES / name).read_text())["alphabet"] or ["a", "b"]
+            word = "".join((alphabet * 2)[:2])
+            for args in (
+                ["validate"],
+                ["eval", "--word", word],
+                ["rank"],
+                ["convert", "--to", "finitary"],
+                ["convert", "--to", "qmc"],
+                ["convert", "--to", "qpm"],
+                ["simulate", "--length", "4", "--count", "3", "--seed", "5"],
+                ["stationary"],
+                ["stationary", "--method", "spectral"],
+                ["bell"],
+                ["hidden-path", "--word", word],
+            ):
+                digests[" ".join([args[0], name] + args[1:])] = _report_digest(
+                    [args[0], path] + args[1:]
+                )
+        for i, first in enumerate(MATRIX_FIXTURES):
+            for second in MATRIX_FIXTURES[i + 1 :]:
+                digests[f"equiv {first} {second}"] = _report_digest(
+                    ["equiv", str(FIXTURES / first), str(FIXTURES / second)]
+                )
+        assert digests == PINNED_MATRIX_DIGESTS
+
+    def test_every_kind_lowers_or_is_refused(self, unbounded_qpm, coin_finitary):
+        # a kind, or a target of a kind, without a lowering is refused with the
+        # message the per-class dispatch gave before the lowering table
+        function = qk.InformationFunction("X", {"w1": -1, "w2": 1}, (-1, 1))
+        without_row = {
+            "density": DensityFile(qk.Density.quantum(np.eye(2) / 2)),
+            "info_functions": InfoFunctionsFile(("w1", "w2"), {"X": function}),
+        }
+        assert set(qpmkit_io._KINDS) == set(cli._LOWERINGS) | set(without_row)
+        missing = {kind: set(cli._TARGETS) - set(row) for kind, row in cli._LOWERINGS.items()}
+        assert missing == {kind: set() for kind in ("hmm", "ffmc", "qrw", "qmc")} | {
+            "finitary": {"qmc"},
+            "qpm": {"qmc"},
+        }
+        refusals = [(model, target) for model in without_row.values() for target in cli._TARGETS]
+        refusals += [(coin_finitary, "qmc"), (unbounded_qpm, "qmc")]
+        for model, target in refusals:
+            name = type(model).__name__
+            message = {
+                "process": f"{name} does not define a process",
+                "chain": f"{name} does not define a chain",
+                "labels": f"{name} does not define a chain",
+                "qmc": f"cannot certify positivity when converting {name} to a Markov chain",
+            }.get(target, f"no conversion from {name} to {target}")
+            with pytest.raises(ValidationError) as refused:
+                cli._lower(model, target, DEFAULTS)
+            assert str(refused.value) == message
 
     def test_equiv_of_conversions(self, tmp_path):
         converted = tmp_path / "hmm2_finitary.json"

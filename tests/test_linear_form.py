@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
 from qpmkit.errors import DegenerateSupportError
-from qpmkit.process import TruncatedHankel
+from qpmkit.process import TruncatedHankel, word_table
 
 from helpers import (
     random_hmm,
@@ -107,6 +107,8 @@ class TestFactorisedSweeps:
             for horizon in (0, 3):
                 expected = qk.check_process_axioms(bare(process), horizon)
                 assert qk.check_process_axioms(process, horizon) == expected
+                hankel = qk.build_hankel(process, horizon, 2)
+                assert qk.check_process_axioms(process, horizon, hankel=hankel) == expected
 
     def test_axiom_problems_are_reported(self):
         # the dyadic models do break the axioms, so the comparison above has content
@@ -115,6 +117,12 @@ class TestFactorisedSweeps:
         problems = [qk.check_process_axioms(p, 3) for p in broken]
         assert sum(bool(p) for p in problems) >= 5
         assert problems == [qk.check_process_axioms(bare(p), 3) for p in broken]
+        # the Hankel's prefix states give the values word_table gives, bit for bit
+        for p in broken + [qk.hmm_process(small_hmm(rng)) for _ in range(10)]:
+            hankel = qk.build_hankel(p, 3, 3)
+            values = np.real(hankel._prefix_states @ hankel._suffix_states[:1].T)[:, 0]
+            assert values.tobytes() == word_table(p, 3, 0)[:, 0].tobytes()
+            assert qk.check_process_axioms(p, 3, hankel=hankel) == qk.check_process_axioms(p, 3)
 
     def test_hmm_with_unnormalised_rows_agrees_both_ways(self):
         # rows summing to 1.2 and 1.0: hmm_eval and the linear form must still
