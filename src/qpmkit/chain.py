@@ -38,9 +38,9 @@ from .models import (
     FinitaryParam,
     HmmParam,
     QrwParam,
+    _standard_form,
     finitary_process,
     hmm_to_finitary,
-    validate_hmm,
     validate_qrw,
 )
 from .process import (
@@ -706,7 +706,6 @@ def qrw_to_qmc(qrw: QrwParam) -> QuantumChain:
 
 def hmm_to_qmc(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> QuantumChain:
     """Represent a hidden Markov model on the diagonal-matrix subspace."""
-    validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
     finitary = hmm_to_finitary(hmm, tol)
     n = hmm.n_states
     sub = OperatorSubspace.diagonal(n)
@@ -789,21 +788,14 @@ def qpm_to_finitary(chain: QuantumChain) -> FinitaryParam:
     vector the basis traces, so evaluation is the same arithmetic in a
     different order.
     """
-    matrices = {a: chain.letter_ops[a].matrix.copy() for a in chain.alphabet}
-    param = FinitaryParam(
+    initial, end = chain.initial_coords, chain.subspace.traces
+    return FinitaryParam(
         Alphabet(chain.alphabet.symbols),
-        matrices,
-        chain.initial_coords.copy(),
-        chain.subspace.traces.copy(),
-        standard_form=False,
+        {a: chain.letter_ops[a].matrix.copy() for a in chain.alphabet},
+        initial.copy(),
+        end.copy(),
+        standard_form=bool(_standard_form(initial, end, chain.total_matrix)),
     )
-    from .models import is_standard_form
-
-    if is_standard_form(param):
-        param = FinitaryParam(
-            param.alphabet, matrices, param.initial, param.end, standard_form=True
-        )
-    return param
 
 
 def as_qpm(chain: QuantumChain) -> QuantumChain:

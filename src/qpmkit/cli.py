@@ -15,19 +15,11 @@ import dataclasses
 import sys
 import time
 
-import numpy as np
-
 from . import asymptotics, chain as chain_mod, hidden, models, process as process_mod
-from .config import Config, load_config
+from .config import DEFAULTS, Config, load_config
 from .errors import (
     AlphabetError,
-    BasisInsufficiencyError,
-    ConsistencyError,
-    DegenerateSupportError,
     DimensionMismatchError,
-    DivergenceError,
-    NumericError,
-    SamplingError,
     SchemaError,
     SubspaceError,
     UnsupportedChainError,
@@ -51,19 +43,11 @@ _VALIDATION_ERRORS = (
     SubspaceError,
     UnsupportedChainError,
 )
-_NUMERIC_ERRORS = (
-    NumericError,
-    DivergenceError,
-    ConsistencyError,
-    SamplingError,
-    BasisInsufficiencyError,
-    DegenerateSupportError,
-)
 
 _USAGE = """usage: qpmkit <command> [options]
 
 commands:
-  validate <model>                          check a model file, list violations
+  validate <model> [--horizon N]            check a model file, list violations
   eval <model> --word W                     word probability under the model
   rank <model> [--rows L --cols L] [--csv F] truncated Hankel rank and row basis
   equiv <modelA> <modelB> [--tol T]         finitary process equivalence
@@ -74,22 +58,59 @@ commands:
   hidden-path <model> --word W              maximum-weight hidden-state path
 
 Tolerances come from built-in defaults, then a JSON file named by the
-QPMKIT_CONFIG environment variable, then --tol-* flags.
+QPMKIT_CONFIG environment variable, then --tol-* flags.  validate --horizon
+is --qpm-horizon and equiv --tol is --tol-equiv; of two spellings of one
+value, the last given wins.  The report's tolerances are the config that ran.
 """
 
-_TOL_FLAGS = {
-    "tol_hermitian": "hermitian_tol",
-    "tol_psd": "psd_tol",
-    "tol_trace": "trace_tol",
-    "tol_recon": "recon_tol",
-    "tol_unitary": "unitary_tol",
-    "tol_eval": "eval_tol",
-    "tol_rank": "rank_eps",
-    "tol_equiv": "equiv_tol",
-    "tol_residual": "residual_tol",
-    "tol_clamp": "clamp_tol",
-    "tol_cesaro": "cesaro_tol",
-    "tol_stationarity": "stationarity_tol",
+# Flags every command takes, each naming the Config field it sets.
+_CONFIG_FLAGS = {
+    "--tol-hermitian": "hermitian_tol",
+    "--tol-psd": "psd_tol",
+    "--tol-trace": "trace_tol",
+    "--tol-recon": "recon_tol",
+    "--tol-unitary": "unitary_tol",
+    "--tol-eval": "eval_tol",
+    "--tol-rank": "rank_eps",
+    "--tol-equiv": "equiv_tol",
+    "--tol-residual": "residual_tol",
+    "--tol-clamp": "clamp_tol",
+    "--tol-cesaro": "cesaro_tol",
+    "--tol-stationarity": "stationarity_tol",
+    "--qpm-horizon": "qpm_horizon",
+}
+
+# Each command's own arguments, as add_argument keywords by name.  A flag
+# whose dest is a Config field is a second spelling of that field's flag.
+_ARGUMENTS = {
+    "validate": {"model": {}, "--horizon": {"dest": "qpm_horizon", "type": int}},
+    "eval": {"model": {}, "--word": {"required": True}},
+    "rank": {"model": {}, "--rows": {"type": int}, "--cols": {"type": int}, "--csv": {}},
+    "equiv": {"model_a": {}, "model_b": {}, "--tol": {"dest": "equiv_tol", "type": float}},
+    "convert": {
+        "model": {},
+        "--to": {"required": True, "choices": ["finitary", "qmc", "qpm"]},
+        "--out": {},
+    },
+    "simulate": {
+        "model": {},
+        "--length": {"type": int, "required": True},
+        "--count": {"type": int, "default": 1},
+        "--seed": {"type": int, "default": 0},
+        "--out": {},
+    },
+    "stationary": {
+        "model": {},
+        "--method": {"choices": ["iterative", "spectral"], "default": "iterative"},
+        "--csv": {},
+    },
+    "bell": {
+        "files": {"nargs": "+"},
+        "--x": {"default": "X"},
+        "--y": {"default": "Y"},
+        "--z": {"default": "Z"},
+    },
+    "hidden-path": {"model": {}, "--word": {"required": True}},
 }
 
 
@@ -100,21 +121,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _base_parser(command: str) -> _Parser:
     parser = _Parser(prog=f"qpmkit {command}", add_help=True)
-    for flag in _TOL_FLAGS:
-        parser.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None)
-    parser.add_argument("--qpm-horizon", type=int, default=None)
+    for flag, field in _CONFIG_FLAGS.items():
+        parser.add_argument(flag, dest=field, type=type(getattr(DEFAULTS, field)))
     return parser
 
 
 def _apply_flags(config: Config, args: argparse.Namespace) -> Config:
-    overrides = {}
-    for flag, field in _TOL_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "qpm_horizon", None) is not None:
-        overrides["qpm_horizon"] = args.qpm_horizon
-    return config.replace(**overrides) if overrides else config
+    fields = _CONFIG_FLAGS.values()
+    return config.replace(
+        **{field: value for field in fields if (value := getattr(args, field)) is not None}
+    )
 
 
 def main() -> None:
@@ -128,8 +144,7 @@ def run_command(argv, stdout=None) -> int:
         out.write(_USAGE)
         return 0 if argv else 64
     command = argv[0]
-    handler = _HANDLERS.get(command)
-    if handler is None:
+    if command not in _HANDLERS:
         out.write(_USAGE)
         return 64
 
@@ -144,8 +159,12 @@ def run_command(argv, stdout=None) -> int:
     }
     lines = None
     try:
-        config = load_config()
-        code, results, findings, lines = handler(argv[1:], config, report["inputs"])
+        parser = _base_parser(command)
+        for name, options in _ARGUMENTS[command].items():
+            parser.add_argument(name, **options)
+        args = parser.parse_args(argv[1:])
+        config = _apply_flags(load_config(), args)
+        code, results, findings, lines = _HANDLERS[command](args, config, report["inputs"])
         report["results"] = results
         report["findings"] = findings
         report["tolerances"] = dataclasses.asdict(config)
@@ -158,10 +177,7 @@ def run_command(argv, stdout=None) -> int:
     except _VALIDATION_ERRORS as exc:
         report["findings"] = _error_findings(exc)
         code = 1
-    except _NUMERIC_ERRORS as exc:
-        report["findings"] = [f"{type(exc).__name__}: {exc}"]
-        code = 2
-    except Exception as exc:  # e.g. LinAlgError or MemoryError from numpy: still one report
+    except Exception as exc:  # numeric failures, and e.g. LinAlgError or MemoryError from numpy
         report["findings"] = [f"{type(exc).__name__}: {exc}"]
         code = 2
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
@@ -268,33 +284,19 @@ def _default_truncation(proc: process_mod.Process) -> int:
     return depth
 
 
-def _json_value(value):
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return int(value)
-    return value
-
-
 def _distribution_pairs(distribution: dict) -> list:
-    return [[_json_value(outcome), float(p)] for outcome, p in distribution.items()]
+    return [[outcome, float(p)] for outcome, p in distribution.items()]
 
 
 # --------------------------------------------------------------------------
-# Handlers.  Each returns (exit_code, results, findings, raw_lines_or_None).
+# Handlers.  Each takes the parsed arguments, the config that runs (flags
+# applied; the report records it as ``tolerances``) and the report's
+# ``inputs`` to fill, and returns (exit_code, results, findings,
+# raw_lines_or_None).
 # --------------------------------------------------------------------------
 
 
-def _cmd_validate(argv, config, inputs):
-    parser = _base_parser("validate")
-    parser.add_argument("model")
-    parser.add_argument("--horizon", type=int, default=None)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
-    if args.horizon is not None:
-        config = config.replace(qpm_horizon=args.horizon)
+def _cmd_validate(args, config, inputs):
     inputs["model"] = args.model
     model, kind, violations, report = load_model_report(args.model, config, with_report=True)
     results = {"kind": kind, "valid": not violations}
@@ -306,12 +308,7 @@ def _cmd_validate(argv, config, inputs):
     return (0 if not violations else 1), results, violations, None
 
 
-def _cmd_eval(argv, config, inputs):
-    parser = _base_parser("eval")
-    parser.add_argument("model")
-    parser.add_argument("--word", required=True)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_eval(args, config, inputs):
     inputs.update({"model": args.model, "word": args.word})
     model = load_model(args.model, config)
     proc = _lower(model, "process", config)
@@ -320,14 +317,7 @@ def _cmd_eval(argv, config, inputs):
     return 0, {"word": args.word, "value": float(value)}, [], None
 
 
-def _cmd_rank(argv, config, inputs):
-    parser = _base_parser("rank")
-    parser.add_argument("model")
-    parser.add_argument("--rows", type=int, default=None)
-    parser.add_argument("--cols", type=int, default=None)
-    parser.add_argument("--csv", default=None)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_rank(args, config, inputs):
     inputs.update({"model": args.model, "rows": args.rows, "cols": args.cols})
     model = load_model(args.model, config)
     proc = _lower(model, "process", config)
@@ -348,18 +338,11 @@ def _cmd_rank(argv, config, inputs):
     return 0, results, [], None
 
 
-def _cmd_equiv(argv, config, inputs):
-    parser = _base_parser("equiv")
-    parser.add_argument("model_a")
-    parser.add_argument("model_b")
-    parser.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
-    tol = args.tol if args.tol is not None else config.equiv_tol
-    inputs.update({"model_a": args.model_a, "model_b": args.model_b, "tol": tol})
+def _cmd_equiv(args, config, inputs):
+    inputs.update({"model_a": args.model_a, "model_b": args.model_b, "tol": config.equiv_tol})
     proc_a = _lower(load_model(args.model_a, config), "process", config)
     proc_b = _lower(load_model(args.model_b, config), "process", config)
-    witness = process_mod.distinguishing_word(proc_a, proc_b, tol)
+    witness = process_mod.distinguishing_word(proc_a, proc_b, config.equiv_tol)
     results = {
         "equivalent": witness is None,
         "horizon": int(proc_a.dimension) + int(proc_b.dimension),
@@ -368,13 +351,7 @@ def _cmd_equiv(argv, config, inputs):
     return 0, results, [], None
 
 
-def _cmd_convert(argv, config, inputs):
-    parser = _base_parser("convert")
-    parser.add_argument("model")
-    parser.add_argument("--to", required=True, choices=["finitary", "qmc", "qpm"])
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_convert(args, config, inputs):
     inputs.update({"model": args.model, "to": args.to, "out": args.out})
     model = load_model(args.model, config)
     converted = _lower(model, args.to, config)
@@ -387,15 +364,7 @@ def _cmd_convert(argv, config, inputs):
     return 0, results, [], None
 
 
-def _cmd_simulate(argv, config, inputs):
-    parser = _base_parser("simulate")
-    parser.add_argument("model")
-    parser.add_argument("--length", type=int, required=True)
-    parser.add_argument("--count", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_simulate(args, config, inputs):
     inputs.update(
         {"model": args.model, "length": args.length, "count": args.count, "seed": args.seed}
     )
@@ -411,13 +380,7 @@ def _cmd_simulate(argv, config, inputs):
     return 0, {"count": len(formatted)}, [], formatted
 
 
-def _cmd_stationary(argv, config, inputs):
-    parser = _base_parser("stationary")
-    parser.add_argument("model")
-    parser.add_argument("--method", choices=["iterative", "spectral"], default="iterative")
-    parser.add_argument("--csv", default=None)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_stationary(args, config, inputs):
     inputs.update({"model": args.model, "method": args.method})
     model = load_model(args.model, config)
     qchain = _lower(model, "chain", config)
@@ -469,14 +432,7 @@ def _load_bell_inputs(paths, config):
     return first.density, labels, second.functions
 
 
-def _cmd_bell(argv, config, inputs):
-    parser = _base_parser("bell")
-    parser.add_argument("files", nargs="+")
-    parser.add_argument("--x", default="X")
-    parser.add_argument("--y", default="Y")
-    parser.add_argument("--z", default="Z")
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_bell(args, config, inputs):
     if len(args.files) > 2:
         raise UsageError("bell takes one or two files")
     inputs.update({"files": list(args.files), "x": args.x, "y": args.y, "z": args.z})
@@ -501,12 +457,7 @@ def _cmd_bell(argv, config, inputs):
     return 0, results, [], None
 
 
-def _cmd_hidden_path(argv, config, inputs):
-    parser = _base_parser("hidden-path")
-    parser.add_argument("model")
-    parser.add_argument("--word", required=True)
-    args = parser.parse_args(argv)
-    config = _apply_flags(config, args)
+def _cmd_hidden_path(args, config, inputs):
     inputs.update({"model": args.model, "word": args.word})
     model = load_model(args.model, config)
     qchain = _lower(model, "chain", config)

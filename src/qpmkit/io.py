@@ -531,8 +531,7 @@ def _dump_hmm(model: HmmParam):
 
 
 def _dump_ffmc(model: FfmcParam):
-    alphabet = list(model.alphabet.symbols) if model.alphabet else sorted(set(model.observation.values()))
-    return alphabet, {
+    return list(model.to_hmm().alphabet.symbols), {
         "states": list(model.states),
         "observation": dict(model.observation),
         "initial": _dump_rmatrix(model.initial),

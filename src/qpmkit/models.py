@@ -268,11 +268,16 @@ def finitary_process(param: FinitaryParam) -> Process:
 
 
 def is_standard_form(param: FinitaryParam, tol: float = DEFAULTS.eval_tol) -> bool:
-    ones = np.ones(param.dimension)
+    return _standard_form(param.initial, param.end, param.total_matrix, tol)
+
+
+def _standard_form(initial, end, total, tol: float = DEFAULTS.eval_tol) -> bool:
+    """All-ones end vector, fixed by the summed letter matrices, with unit initial weight."""
+    ones = np.ones(len(end))
     return (
-        np.max(np.abs(param.end - ones)) <= tol
-        and abs(float(param.initial @ param.end) - 1.0) <= tol
-        and np.max(np.abs(param.total_matrix @ param.end - param.end)) <= tol
+        np.max(np.abs(end - ones)) <= tol
+        and abs(float(initial @ end) - 1.0) <= tol
+        and np.max(np.abs(total @ end - end)) <= tol
     )
 
 
@@ -419,9 +424,7 @@ def qrw_step(
     psi = qrw.wave if wave is None else np.asarray(wave, dtype=complex)
     if psi.shape != (qrw.dim,):
         raise DimensionMismatchError(f"wave must have shape {(qrw.dim,)}, got {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > trace_tol:
-        raise ValidationError(f"wave norm is {norm!r}, expected 1 within {trace_tol:.3e}")
+    _require_unit_wave(psi, trace_tol)
     evolved = qrw.unitary @ psi
     probabilities: dict[str, float] = {}
     collapsed: dict[str, np.ndarray] = {}
@@ -446,7 +449,7 @@ def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> floa
     symbols = as_word(word, qrw.nodes)
     if not symbols:
         return 1.0
-    _require_unit_wave(qrw, trace_tol)
+    _require_unit_wave(qrw.wave, trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
     blocks = _node_columns(qrw).reshape(n, n, k, k)
     evolve = qrw.unitary.reshape(n, k, qrw.dim)
@@ -463,8 +466,8 @@ def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> floa
     return probability
 
 
-def _require_unit_wave(qrw: QrwParam, trace_tol: float) -> None:
-    norm = float(np.linalg.norm(qrw.wave))
+def _require_unit_wave(wave: np.ndarray, trace_tol: float) -> None:
+    norm = float(np.linalg.norm(wave))
     if abs(norm - 1.0) > trace_tol:
         raise ValidationError(f"wave norm is {norm!r}, expected 1 within {trace_tol:.3e}")
 
@@ -613,7 +616,7 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
         out = np.empty(u.shape, dtype=np.intp)
         if not len(u):
             return out
-        _require_unit_wave(qrw, trace_tol)
+        _require_unit_wave(qrw.wave, trace_tol)
         count = u.shape[1]
         offsets = np.arange(count) * n
         columns, amplitudes = qrw.unitary, np.broadcast_to(qrw.wave, (count, qrw.dim))

@@ -1154,3 +1154,110 @@ class TestCliCommands:
         code, text = _run(["--help"])
         assert code == 0
         assert "commands" in text
+
+
+class TestFfmcAlphabet:
+    def test_round_trip_keeps_the_first_seen_symbol_order(self, tmp_path):
+        ffmc = qk.FfmcParam(
+            ("s0", "s1", "s2"),
+            {"s0": "b", "s1": "a", "s2": "b"},
+            [0.5, 0.25, 0.25],
+            [[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.3, 0.3, 0.4]],
+        )
+        path = tmp_path / "ffmc.json"
+        save_model(ffmc, path)
+        loaded = load_model(path)
+        assert ffmc.to_hmm().alphabet.symbols == ("b", "a")
+        assert loaded.to_hmm().alphabet.symbols == ("b", "a")
+        rows = [
+            qk.select_row_basis(qk.build_hankel(qk.hmm_process(m.to_hmm()), 2, 2))
+            for m in (ffmc, loaded)
+        ]
+        assert rows[0] == rows[1]
+        assert rows[0][:2] == [(), ("b",)]
+
+
+_CONFIG_RUNS = {
+    "defaults": (["rank", "hmm2.json"], {}, {}),
+    "--tol-rank": (["rank", "hmm2.json", "--tol-rank", "0.5"], {}, {"rank_eps": 0.5}),
+    "--qpm-horizon": (
+        ["validate", "unbounded_qpm.json", "--qpm-horizon", "2"],
+        {},
+        {"qpm_horizon": 2},
+    ),
+    "--horizon": (["validate", "unbounded_qpm.json", "--horizon", "3"], {}, {"qpm_horizon": 3}),
+    "--tol-equiv": (
+        ["equiv", "hmm2.json", "hmm3_rank3.json", "--tol-equiv", "0.01"],
+        {},
+        {"equiv_tol": 0.01},
+    ),
+    "--tol": (["equiv", "hmm2.json", "hmm3_rank3.json", "--tol", "0.02"], {}, {"equiv_tol": 0.02}),
+    "--horizon last": (
+        ["validate", "unbounded_qpm.json", "--qpm-horizon", "2", "--horizon", "3"],
+        {},
+        {"qpm_horizon": 3},
+    ),
+    "--qpm-horizon last": (
+        ["validate", "unbounded_qpm.json", "--horizon", "3", "--qpm-horizon", "2"],
+        {},
+        {"qpm_horizon": 2},
+    ),
+    "--tol-equiv last": (
+        ["equiv", "hmm2.json", "hmm2.json", "--tol", "0.02", "--tol-equiv", "0.01"],
+        {},
+        {"equiv_tol": 0.01},
+    ),
+    "QPMKIT_CONFIG": (
+        ["eval", "hmm2.json", "--word", "ab"],
+        {"trace_tol": 1e-6},
+        {"trace_tol": 1e-6},
+    ),
+    "QPMKIT_CONFIG and a flag": (
+        ["rank", "hmm2.json", "--tol-rank", "0.5"],
+        {"rank_eps": 0.05, "psd_tol": 1e-7},
+        {"rank_eps": 0.5, "psd_tol": 1e-7},
+    ),
+}
+
+
+class TestReportedConfig:
+    @pytest.mark.parametrize("name", list(_CONFIG_RUNS))
+    def test_tolerances_are_the_config_that_ran(self, name, tmp_path, monkeypatch):
+        args, file_config, ran = _CONFIG_RUNS[name]
+        if file_config:
+            config_path = tmp_path / "conf.json"
+            config_path.write_text(json.dumps(file_config))
+            monkeypatch.setenv("QPMKIT_CONFIG", str(config_path))
+        else:
+            monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        argv = [a if not a.endswith(".json") else str(FIXTURES / a) for a in args]
+        code, report = _run_json(argv)
+        assert code == 0, report["findings"]
+        assert report["tolerances"] == dataclasses.asdict(DEFAULTS.replace(**ran))
+
+    def test_rank_under_a_flag_reports_the_cutoff_it_used(self):
+        code, report = _run_json(["rank", str(FIXTURES / "hmm2.json"), "--tol-rank", "0.5"])
+        assert code == 0
+        assert report["results"]["numerical_rank"] == 1
+        assert report["tolerances"]["rank_eps"] == 0.5
+
+    @pytest.mark.parametrize(
+        "alias, flag, args, value",
+        [
+            ("--horizon", "--qpm-horizon", ["validate", "unbounded_qpm.json"], "1"),
+            ("--horizon", "--qpm-horizon", ["validate", "unbounded_qpm.json"], "2"),
+            ("--tol", "--tol-equiv", ["equiv", "hmm2.json", "hmm3_rank3.json"], "0.5"),
+            ("--tol", "--tol-equiv", ["equiv", "hmm2.json", "hmm3_rank3.json"], "1e-3"),
+        ],
+    )
+    def test_alias_gives_the_same_report_as_the_flag(self, alias, flag, args, value):
+        argv = [args[0]] + [str(FIXTURES / a) for a in args[1:]]
+        reports = []
+        for extra in ([alias, value], [flag, value], []):
+            code, report = _run_json(argv + extra)
+            assert code == 0, report["findings"]
+            del report["wall_time_s"]
+            reports.append(report)
+        by_alias, by_flag, by_default = reports
+        assert by_alias == by_flag
+        assert by_alias["tolerances"] != by_default["tolerances"]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -399,3 +400,42 @@ class TestSampling:
             observed = sum(1 for w in words if w == word) / size
             sigma = np.sqrt(expected * (1 - expected) / size)
             assert abs(observed - expected) <= 4 * sigma + 1e-12
+
+
+class TestConversionsDoTheirWorkOnce:
+    def test_hmm_to_qmc_refuses_an_invalid_hmm_with_one_message(self, hmm2):
+        broken = qk.HmmParam(
+            hmm2.states, hmm2.alphabet, hmm2.emission, [0.5, 0.1], hmm2.transition
+        )
+        with pytest.raises(ValidationError) as refused:
+            qk.hmm_to_qmc(broken)
+        assert str(refused.value).startswith("invalid hidden Markov model: ")
+        assert str(refused.value) == str(
+            pytest.raises(ValidationError, qk.hmm_to_finitary, broken).value
+        )
+
+    def test_qpm_to_finitary_flags_standard_form(self, hmm2, swap_qmc, unbounded_qpm, qrw_hadamard):
+        flags = []
+        for chain in (qk.hmm_to_qmc(hmm2), swap_qmc, unbounded_qpm, qk.qrw_to_qmc(qrw_hadamard)):
+            param = qk.qpm_to_finitary(chain)
+            assert type(param.standard_form) is bool
+            assert param.standard_form == qk.is_standard_form(param)
+            assert np.array_equal(param.initial, chain.initial_coords)
+            assert np.array_equal(param.end, chain.subspace.traces)
+            for a in chain.alphabet:
+                assert np.array_equal(param.letter_matrices[a], chain.letter_ops[a].matrix)
+                assert param.letter_matrices[a] is not chain.letter_ops[a].matrix
+            flags.append(param.standard_form)
+        assert set(flags) == {True, False}
+
+    def test_step_eval_and_sampling_refuse_a_stretched_wave_alike(self, qrw_hadamard):
+        stretched = dataclasses.replace(qrw_hadamard, wave=qrw_hadamard.wave * 1.5)
+        calls = [
+            lambda: qk.qrw_step(stretched),
+            lambda: qk.qrw_step(qrw_hadamard, stretched.wave),
+            lambda: qk.qrw_eval(stretched, "a"),
+            lambda: qk.sample_trajectories(stretched, 2, 1, 0),
+        ]
+        messages = {str(pytest.raises(ValidationError, call).value) for call in calls}
+        norm = float(np.linalg.norm(stretched.wave))
+        assert messages == {f"wave norm is {norm!r}, expected 1 within 1.000e-09"}
