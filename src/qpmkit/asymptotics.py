@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULTS
 from .errors import (
@@ -218,6 +217,8 @@ def _spectral_average(chain: QuantumChain):
     evolution to the span of the orbit, and splits off the
     eigenvalue-one cluster by a sorted Schur form.
     """
+    import scipy.linalg
+
     sub = chain.subspace
     gram_chol = scipy.linalg.cholesky(sub.gram, lower=True)
     evolution = gram_chol.T @ chain.total_matrix.T @ np.linalg.inv(gram_chol.T)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULTS
 from .errors import (
@@ -85,23 +84,24 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     Diagonal units come first, then for each pair i < j the symmetric and
     antisymmetric unit-norm elements.
     """
-    out: list[np.ndarray] = []
-    for i in range(n):
-        unit = np.zeros((n, n), dtype=complex)
-        unit[i, i] = 1.0
-        out.append(unit)
+    return list(_canonical_stack(n).copy())
+
+
+@lru_cache(maxsize=4)
+def _canonical_stack(n: int) -> np.ndarray:
+    """:func:`hermitian_basis` as one read-only (n², n, n) array, filled by index."""
+    stack = np.zeros((n * n, n, n), dtype=complex)
+    units = np.arange(n)
+    stack[units, units, units] = 1.0
+    rows, cols = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(len(rows))
     root_half = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[i, j] = root_half
-            sym[j, i] = root_half
-            out.append(sym)
-            anti = np.zeros((n, n), dtype=complex)
-            anti[i, j] = -1j * root_half
-            anti[j, i] = 1j * root_half
-            out.append(anti)
-    return out
+    stack[sym, rows, cols] = root_half
+    stack[sym, cols, rows] = root_half
+    stack[sym + 1, rows, cols] = -1j * root_half
+    stack[sym + 1, cols, rows] = 1j * root_half
+    stack.flags.writeable = False
+    return stack
 
 
 def _hermitian_stack(basis, tol: float) -> np.ndarray:
@@ -121,6 +121,8 @@ def _hermitian_stack(basis, tol: float) -> np.ndarray:
         and 0 not in stack.shape
         and np.isfinite(stack).all()
     ):
+        if _is_hermitian_basis(stack):
+            return stack
         return require_hermitian_stack(stack, tol)
     mats = [require_hermitian(b, tol) for b in basis]
     if not mats:
@@ -128,6 +130,18 @@ def _hermitian_stack(basis, tol: float) -> np.ndarray:
     if any(mat.shape != mats[0].shape for mat in mats):
         raise DimensionMismatchError("basis elements differ in shape")
     return np.stack(mats)
+
+
+def _is_hermitian_basis(stack: np.ndarray) -> bool:
+    """True when a (dim, n, n) stack is :func:`hermitian_basis` bit for bit.
+
+    That stack is exactly Hermitian and symmetrising leaves its bits as
+    they are, so it needs no check.
+    """
+    n = stack.shape[1]
+    return len(stack) == n * n and np.array_equal(
+        stack.view(np.uint64), _canonical_stack(n).view(np.uint64)
+    )
 
 
 class OperatorSubspace:
@@ -141,19 +155,26 @@ class OperatorSubspace:
         self._stack = _hermitian_stack(basis, hermitian_tol)
         self._basis = tuple(self._stack)
         dim = len(self._basis)
-        self._flat_conj = self._stack.conj().reshape(dim, -1)
-        gram = (self._flat_conj @ self._stack.reshape(dim, -1).T).real
-        gram = (gram + gram.T) / 2.0
-        eigenvalues = np.linalg.eigvalsh(gram)
-        if eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1.0):
-            raise ValidationError("subspace basis is not linearly independent")
+        flat = self._stack.reshape(dim, -1)
+        self._flat_conj = flat.conj()
+        if self.is_canonical:
+            # Orthogonal by construction: the dense product's off-diagonal
+            # entries are exact zeros and its diagonal is this, bit for bit.
+            gram = np.diag(np.einsum("ij,ij->i", self._flat_conj, flat).real)
+        else:
+            gram = (self._flat_conj @ flat.T).real
+            gram = (gram + gram.T) / 2.0
+            eigenvalues = np.linalg.eigvalsh(gram)
+            if eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1.0):
+                raise ValidationError("subspace basis is not linearly independent")
         self._gram = gram
-        self._cho = scipy.linalg.cho_factor(gram)
+        diag = np.diag(gram)
+        self._inv_sqrt_diag = 1.0 / np.sqrt(diag) if np.array_equal(gram, np.diag(diag)) else None
         self._traces = np.array([float(np.trace(m).real) for m in self._basis])
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":
-        return cls(hermitian_basis(n))
+        return cls(_canonical_stack(n))
 
     @classmethod
     def diagonal(cls, n: int) -> "OperatorSubspace":
@@ -201,7 +222,7 @@ class OperatorSubspace:
                 f"matrix shape {mat.shape} does not match ambient {self._basis[0].shape}"
             )
         rhs = (self._flat_conj @ mat.reshape(-1)).real
-        coords = scipy.linalg.cho_solve(self._cho, rhs)
+        coords = self._gram_solve(rhs)
         if check:
             error = float(np.linalg.norm(self.reconstruct(coords) - mat))
             if error > tol:
@@ -238,7 +259,7 @@ class OperatorSubspace:
             errors = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2)) / 2.0
         else:
             rhs = (self._flat_conj @ mats.reshape(len(mats), -1).T).real
-            coords = scipy.linalg.cho_solve(self._cho, rhs).T
+            coords = self._gram_solve(rhs).T
             errors = np.linalg.norm(self.reconstruct(coords) - mats, axis=(1, 2))
         outside = np.flatnonzero(errors > tol)
         if outside.size:
@@ -284,9 +305,7 @@ class OperatorSubspace:
     @cached_property
     def is_canonical(self) -> bool:
         """True when the basis is exactly :func:`hermitian_basis`, in its order."""
-        return self.spans_full and np.array_equal(
-            self._stack, np.stack(hermitian_basis(self.ambient_dim))
-        )
+        return self.spans_full and np.array_equal(self._stack, _canonical_stack(self.ambient_dim))
 
     @cached_property
     def unit_coords(self) -> np.ndarray:
@@ -296,7 +315,32 @@ class OperatorSubspace:
         complex-linear extension of :meth:`expand`: one Gram solve against
         the conjugated basis, so ``unit_coords @ stack`` rebuilds every unit.
         """
-        return scipy.linalg.cho_solve(self._cho, self._flat_conj).T
+        return self._gram_solve(self._flat_conj).T
+
+    def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``gram @ x = rhs`` for a vector or for each column of a matrix.
+
+        A diagonal Gram takes ``rhs * s * s`` with ``s = 1/sqrt(diag)``:
+        LAPACK's Cholesky solve on a diagonal factor multiplies by the same
+        reciprocals, so every nonzero entry has its bits (an exact zero may
+        differ in sign).  Any other Gram takes a Cholesky factor, built on
+        first use.  Non-finite input raises the ``ValueError`` that
+        ``scipy.linalg.cho_solve`` raises, on either path.
+        """
+        s = self._inv_sqrt_diag
+        if s is None:
+            return self._cho_solve(rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        s = s.reshape(s.shape + (1,) * (rhs.ndim - 1))
+        return rhs * s * s
+
+    @cached_property
+    def _cho_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        import scipy.linalg
+
+        factor = scipy.linalg.cho_factor(self._gram)
+        return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
 
     @cached_property
     def _stack_entries(self) -> tuple[np.ndarray, np.ndarray]:

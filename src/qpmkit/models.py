@@ -159,9 +159,7 @@ class FfmcParam:
     def __post_init__(self):
         states = tuple(str(s) for s in self.states)
         object.__setattr__(self, "states", states)
-        missing = [s for s in states if s not in self.observation]
-        if missing:
-            raise ValidationError(f"observation function is not total; missing {missing}")
+        _require_total(states, self.observation)
         n = len(states)
         object.__setattr__(self, "initial", _as_float_matrix(self.initial, (n,), "initial"))
         object.__setattr__(
@@ -169,7 +167,9 @@ class FfmcParam:
         )
 
     def to_hmm(self) -> HmmParam:
-        return ffmc_to_hmm(self.states, self.observation, self.initial, self.transition, self.alphabet)
+        return _labelled_hmm(
+            self.states, self.observation, self.initial, self.transition, self.alphabet
+        )
 
 
 def ffmc_to_hmm(
@@ -181,9 +181,18 @@ def ffmc_to_hmm(
 ) -> HmmParam:
     """Turn a deterministic labeling into a 0/1 emission matrix."""
     states = tuple(str(s) for s in states)
+    _require_total(states, observation)
+    return _labelled_hmm(states, observation, initial, transition, alphabet)
+
+
+def _require_total(states: tuple[str, ...], observation: Mapping[str, str]) -> None:
     missing = [s for s in states if s not in observation]
     if missing:
         raise ValidationError(f"observation function is not total; missing {missing}")
+
+
+def _labelled_hmm(states, observation, initial, transition, alphabet) -> HmmParam:
+    """:func:`ffmc_to_hmm` on string states whose labeling is already checked total."""
     if alphabet is None:
         seen: list[str] = []
         for s in states:

@@ -188,6 +188,32 @@ def _gram_solver(basis):
     return coords
 
 
+def dense_gram(basis) -> np.ndarray:
+    """Gram matrix Re tr(B_i* B_j) by one dense product of the flattened basis, symmetrised."""
+    flat = np.array(basis, dtype=complex).reshape(len(basis), -1)
+    gram = (flat.conj() @ flat.T).real
+    return (gram + gram.T) / 2.0
+
+
+def hermitian_basis_reference(n: int) -> list:
+    """Diagonal units, then per pair i < j the symmetric and antisymmetric elements, one at a time."""
+    out = []
+    for i in range(n):
+        unit = np.zeros((n, n), dtype=complex)
+        unit[i, i] = 1.0
+        out.append(unit)
+    root_half = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[i, j] = sym[j, i] = root_half
+            anti = np.zeros((n, n), dtype=complex)
+            anti[i, j] = -1j * root_half
+            anti[j, i] = 1j * root_half
+            out += [sym, anti]
+    return out
+
+
 def superoperator_reference(basis, action, tol: float = 1e-8) -> np.ndarray:
     """Coordinate matrix of ``action`` by expanding one basis image at a time.
 

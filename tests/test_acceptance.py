@@ -266,3 +266,11 @@ def test_15_factor_space_hankel_analysis():
         basis = qk.select_row_basis(hankel)
     assert hankel.matrix.shape == (1093, 1093)
     assert len(basis) == rank == predictor.subspace.dim
+
+
+def test_16_canonical_basis_without_a_dense_gram():
+    with criterion(16, "canonical Hermitian basis at dimension 32", 0.1):
+        sub = qk.OperatorSubspace.full(32)
+    assert sub.is_canonical and sub.dim == 1024
+    assert np.array_equal(sub.gram, np.diag(np.diag(sub.gram)))
+    assert np.abs(np.diag(sub.gram) - 1.0).max() <= 1e-15

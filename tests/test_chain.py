@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit.chain import (
@@ -17,7 +20,7 @@ from qpmkit.errors import (
     SubspaceError,
     ValidationError,
 )
-from qpmkit.hermitian import hermitian_defect
+from qpmkit.hermitian import hermitian_defect, require_hermitian_stack
 
 from helpers import (
     random_hmm,
@@ -27,7 +30,7 @@ from helpers import (
     random_unitary,
     single_letter_chain,
 )
-from oracles import hmm_path_prob, qrw_collapse_prob
+from oracles import dense_gram, hermitian_basis_reference, hmm_path_prob, qrw_collapse_prob
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -41,6 +44,21 @@ class TestHermitianBasis:
             for j, right in enumerate(basis):
                 inner = qk.hermitian_inner(left, right)
                 assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+    def test_matches_the_element_by_element_construction(self):
+        for n in range(7):
+            basis = hermitian_basis(n)
+            reference = hermitian_basis_reference(n)
+            assert len(basis) == len(reference)
+            assert [b.tobytes() for b in basis] == [r.tobytes() for r in reference]
+            assert all(b.dtype == complex for b in basis)
+
+    def test_symmetrising_leaves_the_bits_unchanged(self):
+        # why OperatorSubspace may take this exact stack without the Hermitian check
+        for n in range(1, 17):
+            stack = np.stack(hermitian_basis(n))
+            assert require_hermitian_stack(stack).tobytes() == stack.tobytes()
+            assert OperatorSubspace(list(stack)).stack.tobytes() == stack.tobytes()
 
 
 class TestOperatorSubspace:
@@ -96,11 +114,74 @@ class TestOperatorSubspace:
             with pytest.raises(error, match=rf"^{re.escape(message)}$"):
                 OperatorSubspace(elements)
 
+    def test_canonical_gram_equals_the_dense_product(self):
+        for n in range(1, 17):
+            sub = OperatorSubspace.full(n)
+            assert sub.is_canonical
+            assert sub.gram.tobytes() == dense_gram(hermitian_basis(n)).tobytes()
+
     def test_gram_norm_matches_direct(self, rng):
         sub = OperatorSubspace.diagonal(3)
         coords = rng.normal(size=3)
         direct = np.linalg.norm(sub.reconstruct(coords))
         assert sub.norm(coords) == pytest.approx(direct)
+
+
+# Right-hand-side entries: both signed zeros, then finite doubles.
+RHS_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+class TestGramSolve:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        complex_rhs=st.booleans(),
+        columns=st.sampled_from([None, 1, 3]),
+    )
+    def test_diagonal_gram_matches_the_cholesky_solve(self, data, n, complex_rhs, columns):
+        """Scaled canonical elements have a diagonal Gram; the numpy path gives LAPACK's values.
+
+        Every nonzero entry matches bit for bit.  For a real right-hand
+        side an exact zero keeps its sign, which LAPACK's triangular
+        updates can flip.
+        """
+        canonical = hermitian_basis(n)
+        picks = data.draw(st.lists(st.integers(0, n * n - 1), min_size=1, unique=True))
+        scales = data.draw(
+            st.lists(st.floats(0.01, 100.0), min_size=len(picks), max_size=len(picks))
+        )
+        sub = OperatorSubspace([c * canonical[i] for c, i in zip(scales, sorted(picks))])
+        shape = (sub.dim,) if columns is None else (sub.dim, columns)
+        size = int(np.prod(shape)) * (2 if complex_rhs else 1)
+        flat = np.array(data.draw(st.lists(RHS_ENTRIES, min_size=size, max_size=size)))
+        rhs = flat.view(complex).reshape(shape) if complex_rhs else flat.reshape(shape)
+
+        ours = sub._gram_solve(rhs)
+        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sub.gram), rhs)
+        assert sub._inv_sqrt_diag is not None
+        assert ours.dtype == reference.dtype and ours.shape == reference.shape
+        ours_bits, reference_bits = (np.ascontiguousarray(x).view(float) for x in (ours, reference))
+        nonzero = reference_bits != 0
+        assert np.array_equal(ours_bits == 0, ~nonzero)
+        assert ours_bits[nonzero].tobytes() == reference_bits[nonzero].tobytes()
+        if not complex_rhs:
+            assert np.array_equal(np.signbit(ours), np.signbit(rhs))
+
+    def test_dense_gram_takes_the_cholesky_path(self):
+        basis = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
+        sub = OperatorSubspace(basis)
+        assert sub._inv_sqrt_diag is None
+        mat = 0.3 * basis[0] - 1.7 * basis[1]
+        assert np.allclose(sub.expand(mat), [0.3, -1.7], atol=1e-14)
+
+    def test_overflowing_right_hand_side_is_refused_on_both_paths(self):
+        big = 1.7e308
+        dense = OperatorSubspace([np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])])
+        for sub in (OperatorSubspace.full(2), dense):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                    sub.expand(np.array([[big, big], [big, 0.0]]))
 
 
 class TestSuperOperator:

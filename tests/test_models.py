@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import qpmkit as qk
+from qpmkit import models
 from qpmkit.errors import AlphabetError, SamplingError, ValidationError
+from qpmkit.io import load_model
 
+from conftest import FIXTURES
 from helpers import random_hmm, random_local_qrw, single_letter_chain
 from oracles import hmm_path_prob, qrw_collapse_prob
 
@@ -103,8 +106,22 @@ class TestFfmc:
         assert np.allclose(hmm.emission, 1.0)
 
     def test_requires_total_observation(self):
-        with pytest.raises(ValidationError):
-            qk.ffmc_to_hmm(("s0", "s1"), {"s0": "a"}, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        message = r"^observation function is not total; missing \['s1'\]$"
+        args = (("s0", "s1"), {"s0": "a"}, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match=message):
+            qk.ffmc_to_hmm(*args)
+        with pytest.raises(ValidationError, match=message):
+            qk.FfmcParam(*args)
+
+    def test_totality_is_checked_once_per_load(self, monkeypatch):
+        calls = []
+        check = models._require_total
+        monkeypatch.setattr(models, "_require_total", lambda *a: calls.append(a) or check(*a))
+        ffmc = load_model(FIXTURES / "swap_ffmc.json")
+        hmm = ffmc.to_hmm()
+        assert len(calls) == 1
+        assert hmm.alphabet.symbols == ("a", "b")
+        assert np.array_equal(hmm.emission, np.eye(2))
 
     def test_parity_cycle_matches_direct_simulation(self):
         # 4-cycle chain labeled by node parity, against a direct vectorized
