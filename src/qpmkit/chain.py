@@ -170,7 +170,9 @@ class OperatorSubspace:
         self._gram = gram
         diag = np.diag(gram)
         self._inv_sqrt_diag = 1.0 / np.sqrt(diag) if np.array_equal(gram, np.diag(diag)) else None
-        self._traces = np.array([float(np.trace(m).real) for m in self._basis])
+        # complex sums, then a contiguous copy of their real parts: the bits
+        # of np.trace(m).real for each element m
+        self._traces = np.diagonal(self._stack, axis1=1, axis2=2).sum(axis=-1).real.copy()
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":
@@ -284,19 +286,25 @@ class OperatorSubspace:
 
     @cached_property
     def is_unit_diagonal(self) -> bool:
-        """True when the basis consists of distinct diagonal unit matrices."""
-        seen: set[int] = set()
-        for mat in self._basis:
-            if np.any(np.abs(mat - np.diag(np.diag(mat))) > 1e-14):
-                return False
-            diag = np.diag(mat).real
-            hot = np.flatnonzero(np.abs(diag) > 1e-14)
-            if hot.size != 1 or abs(diag[hot[0]] - 1.0) > 1e-12:
-                return False
-            if int(hot[0]) in seen:
-                return False
-            seen.add(int(hot[0]))
-        return True
+        """True when the basis consists of distinct diagonal unit matrices.
+
+        Each element has off-diagonal entries within 1e-14 of zero and one
+        diagonal entry whose real part is not, within 1e-12 of one; no two
+        share that entry, so there are at most n of them.
+        """
+        n = self.ambient_dim
+        if self.dim > n:
+            return False
+        if np.any(np.abs(self._stack[:, ~np.eye(n, dtype=bool)]) > 1e-14):
+            return False
+        diag = np.diagonal(self._stack, axis1=1, axis2=2).real
+        hot = np.abs(diag) > 1e-14
+        if np.any(hot.sum(axis=1) != 1):
+            return False
+        at = hot.argmax(axis=1)
+        if np.any(np.abs(diag[np.arange(self.dim), at] - 1.0) > 1e-12):
+            return False
+        return len(set(at.tolist())) == self.dim
 
     @property
     def spans_full(self) -> bool:
@@ -460,8 +468,9 @@ class QuantumChain:
 
 def chain_eval(chain: QuantumChain, word) -> float:
     """tr of the composed letter operators applied to the initial density."""
-    symbols = as_word(word, chain.alphabet)
-    coords = _state_after(chain.initial_coords, symbols, chain.letter_matrix)
+    symbols = as_word(word, chain.alphabet)  # checks every symbol
+    ops = chain.letter_ops
+    coords = _state_after(chain.initial_coords, symbols, lambda symbol: ops[symbol].matrix)
     return float(coords @ chain.subspace.traces)
 
 

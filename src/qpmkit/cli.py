@@ -276,11 +276,18 @@ def _lower(model, target: str, config: Config):
 
 
 def _default_truncation(proc: process_mod.Process) -> int:
-    """Declared dimension, reduced until the Hankel stays desk-sized."""
+    """Declared dimension, reduced until the Hankel stays desk-sized.
+
+    The largest depth d, from 1 up to the declared dimension, at which the
+    words of length at most d number at most 130 (depth 1 if none does).
+    Their count, Σ_{k≤d} |A|^k, is summed as integers: no word is built.
+    """
     declared = proc.dimension if proc.dimension is not None else 3
-    depth = max(int(declared), 1)
-    while depth > 1 and len(process_mod.words_up_to(proc.alphabet, depth)) > 130:
-        depth -= 1
+    letters = len(proc.alphabet)
+    depth, words = 1, 1 + letters
+    while depth < int(declared) and words + letters ** (depth + 1) <= 130:
+        depth += 1
+        words += letters**depth
     return depth
 
 

@@ -71,10 +71,12 @@ def canonical_json(data) -> str:
     The same text, and the same ``ValueError`` (non-finite float) or
     ``TypeError`` (unsupported value or key) with json's message, for
     every input json takes, with one exception: a circular structure
-    raises ``RecursionError`` instead of json's ``ValueError``.
-    ``indent`` forces json's pure-Python encoder; here each rectangular
-    nested list of floats, which is what ``ndarray.tolist()`` gives, is
-    rendered by one ``%`` formatting instead of one call per number.
+    raises ``RecursionError`` instead of json's ``ValueError``.  NumPy
+    arrays are also taken, and written as their ``tolist()`` would be.
+    ``indent`` forces json's pure-Python encoder; here each float64
+    array, and each rectangular nested list of floats, is rendered as
+    one block: ``repr`` runs only on its nonzero numbers, and one join
+    writes the text.
     """
     out: list[str] = []
     _encode(data, 0, out)
@@ -146,6 +148,12 @@ def _encode(value, level: int, out: list[str]) -> None:
             out.append(("," if i else "{") + newline + key + ": ")
             _encode(item, level + 1, out)
         out.append("\n" + "  " * level + "}")
+    elif isinstance(value, np.ndarray):
+        # subclasses may list themselves otherwise (a masked entry as None)
+        if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim and value.size:
+            out.append(_array_text(value, level))
+        else:
+            _encode(value.tolist(), level, out)
     else:
         _refuse(value)
 
@@ -160,8 +168,7 @@ def _float_block(value, level: int) -> str | None:
 
     Only a list of exact floats, or of such blocks all of one non-empty
     shape, qualifies.  The shape is checked and the numbers flattened one
-    level at a time; the text is one ``"%r"`` template of that shape,
-    filled with all the numbers at once.
+    level at a time, then rendered as one array.
     """
     probe, depth = value, 0
     while type(probe) is list and probe and depth < _BLOCK_DEPTH:
@@ -177,14 +184,46 @@ def _float_block(value, level: int) -> str | None:
         items = list(itertools.chain.from_iterable(items))
     if set(map(type, items)) != {float}:
         return None
-    template = "%r"
-    for indent, width in zip(range(level + len(shape), level, -1), reversed(shape)):
-        newline = "\n" + "  " * indent
-        template = "[" + newline + ("," + newline).join([template] * width) + "\n" + "  " * (indent - 1) + "]"
-    text = template % tuple(items)
-    if "n" in text:  # nan, inf, -inf
-        _refuse(value)
-    return text
+    return _array_text(np.array(items).reshape(shape), level)
+
+
+_SIGNED_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _array_text(arr: np.ndarray, level: int) -> str:
+    """The text of a non-empty float64 array at indent ``level``, as json writes its ``tolist()``.
+
+    Model files are mostly exact zeros, so each number's text starts as
+    ``"0.0"`` or ``"-0.0"`` by its sign bit, and only the nonzero numbers
+    are formatted, by ``repr``.  The texts are interleaved with json's
+    separators: one default, overwritten by a strided slice at the block
+    boundaries of each axis, outer axes last.
+    """
+    flat = arr.reshape(-1)
+    if not np.isfinite(flat).all():
+        _refuse(arr.tolist())
+    texts = _SIGNED_ZEROS[np.signbit(flat).view(np.int8)]
+    hot = np.flatnonzero(flat)
+    texts[hot] = list(map(float.__repr__, flat[hot].tolist()))
+    depth, size = arr.ndim, flat.size
+    inner = "\n" + "  " * (level + depth)
+
+    def closing(count: int) -> str:  # closes the innermost ``count`` lists
+        return "".join("\n" + "  " * (level + depth - 1 - t) + "]" for t in range(count))
+
+    def opening(count: int) -> str:  # opens ``count`` lists, down to the numbers
+        return "".join("\n" + "  " * (level + depth - count + t) + "[" for t in range(count)) + inner
+
+    parts = ["," + inner] * (2 * size + 1)
+    period = 1
+    for count, width in enumerate(reversed(arr.shape[1:]), 1):
+        period *= width
+        boundary = closing(count) + "," + opening(count)
+        parts[2 * period : -1 : 2 * period] = [boundary] * (size // period - 1)
+    parts[0] = "[" + opening(depth - 1)
+    parts[-1] = closing(depth)
+    parts[1::2] = texts.tolist()
+    return "".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -511,14 +550,14 @@ def _parse_functions(data, labels) -> dict[str, InformationFunction]:
 # --------------------------------------------------------------------------
 
 
-def _dump_cmatrix(matrix: np.ndarray) -> list:
-    """Nested lists of ``[re, im]`` pairs, one per entry of a complex vector or matrix."""
+def _dump_cmatrix(matrix: np.ndarray) -> np.ndarray:
+    """A float64 array of ``[re, im]`` pairs, one per entry of a complex array."""
     arr = np.asarray(matrix, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    return np.stack([arr.real, arr.imag], axis=-1)
 
 
-def _dump_rmatrix(matrix: np.ndarray) -> list:
-    return np.asarray(matrix, dtype=float).tolist()
+def _dump_rmatrix(matrix: np.ndarray) -> np.ndarray:
+    return np.asarray(matrix, dtype=float)
 
 
 def _dump_hmm(model: HmmParam):

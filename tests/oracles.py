@@ -214,6 +214,20 @@ def hermitian_basis_reference(n: int) -> list:
     return out
 
 
+def unit_diagonal_reference(basis) -> bool:
+    """Element by element: distinct diagonal units, to 1e-14 off and 1e-12 on the unit."""
+    seen = set()
+    for mat in basis:
+        if np.any(np.abs(mat - np.diag(np.diag(mat))) > 1e-14):
+            return False
+        diag = np.diag(mat).real
+        hot = np.flatnonzero(np.abs(diag) > 1e-14)
+        if hot.size != 1 or abs(diag[hot[0]] - 1.0) > 1e-12 or int(hot[0]) in seen:
+            return False
+        seen.add(int(hot[0]))
+    return True
+
+
 def superoperator_reference(basis, action, tol: float = 1e-8) -> np.ndarray:
     """Coordinate matrix of ``action`` by expanding one basis image at a time.
 

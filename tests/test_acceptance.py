@@ -11,6 +11,7 @@ import pytest
 
 import qpmkit as qk
 from qpmkit.hidden import HiddenStateBasis, InformationFunction
+from qpmkit.io import model_to_dict
 
 from helpers import random_hmm, random_local_qrw, random_qmc
 from oracles import (
@@ -274,3 +275,25 @@ def test_16_canonical_basis_without_a_dense_gram():
     assert sub.is_canonical and sub.dim == 1024
     assert np.array_equal(sub.gram, np.diag(np.diag(sub.gram)))
     assert np.abs(np.diag(sub.gram) - 1.0).max() <= 1e-15
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def test_17_walk_chain_written_from_arrays():
+    chain = qk.qrw_to_qmc(random_local_qrw(np.random.default_rng(1201), 8, 2))
+    nested = _as_lists(model_to_dict(chain))  # the payload as the list writer took it
+    with criterion(17, "write the dimension-16 walk chain from its arrays", 1.0):
+        from_arrays, from_lists = [], []
+        for _ in range(3):  # interleaved, so a change of host speed hits both
+            started = time.perf_counter()
+            text = qk.save_model(chain)
+            from_arrays.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            want = qk.canonical_json(nested)
+            from_lists.append(time.perf_counter() - started)
+        assert text == want
+        assert min(from_arrays) <= 0.6 * min(from_lists)

@@ -30,7 +30,13 @@ from helpers import (
     random_unitary,
     single_letter_chain,
 )
-from oracles import dense_gram, hermitian_basis_reference, hmm_path_prob, qrw_collapse_prob
+from oracles import (
+    dense_gram,
+    hermitian_basis_reference,
+    hmm_path_prob,
+    qrw_collapse_prob,
+    unit_diagonal_reference,
+)
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -119,6 +125,44 @@ class TestOperatorSubspace:
             sub = OperatorSubspace.full(n)
             assert sub.is_canonical
             assert sub.gram.tobytes() == dense_gram(hermitian_basis(n)).tobytes()
+
+    def test_traces_and_unit_diagonal_match_the_element_loop(self, rng):
+        def units(n, picks, scale=1.0, off=0.0, extra=0.0):
+            out = []
+            for i in picks:
+                mat = np.zeros((n, n), dtype=complex)
+                mat[i, i] = scale
+                mat[i, (i + 1) % n] = mat[(i + 1) % n, i] = off
+                mat[(i + 1) % n, (i + 1) % n] += extra
+                out.append(mat)
+            return out
+
+        def dense(n, dim):
+            raw = rng.normal(size=(dim, n, n)) + 1j * rng.normal(size=(dim, n, n))
+            raw *= 10.0 ** rng.integers(-6, 6, size=(dim, n, n))
+            return list((raw + raw.conj().transpose(0, 2, 1)) / 2.0)
+
+        bases = [hermitian_basis(n) for n in (1, 2, 5, 12)]
+        bases += [dense(n, dim) for n, dim in ((3, 9), (9, 5), (20, 3), (130, 2))]
+        bases += [
+            units(3, [0, 1, 2]),
+            units(4, [2, 0]),
+            units(3, [1], off=1e-15),
+            units(3, [1], off=1e-13),
+            units(3, [0, 2], scale=1.0 + 1e-13),
+            units(3, [0, 2], scale=1.0 + 1e-11),
+            units(3, [0], scale=-1.0),
+            units(3, [0, 1], extra=1e-15),
+            units(3, [0, 2], extra=1e-13),
+        ]
+        for basis in bases:
+            sub = OperatorSubspace(basis)
+            traces = [float(np.trace(m).real) for m in sub.basis]
+            assert sub.traces.tobytes() == np.array(traces).tobytes()
+            assert sub.is_unit_diagonal is unit_diagonal_reference(sub.basis)
+        assert [OperatorSubspace(b).is_unit_diagonal for b in bases[-9:]] == [
+            True, True, True, False, True, False, False, True, False
+        ]
 
     def test_gram_norm_matches_direct(self, rng):
         sub = OperatorSubspace.diagonal(3)

@@ -327,6 +327,37 @@ def _json_like():
     )
 
 
+@st.composite
+def _float_arrays(draw):
+    """Arrays as model files hold them: 1-4 axes, the last a [re, im] pair axis.
+
+    Blocks are all zero, about 1% nonzero or dense, with signed zeros,
+    subnormals and powers of ten among the numbers; some axes are empty,
+    and a few arrays have another dtype.
+    """
+    shape = tuple(draw(st.lists(st.integers(0, 6), max_size=3))) + (2,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(np.prod(shape))
+    nonzero = rng.random(size) < draw(st.sampled_from([0.0, 0.01, 1.0]))
+    values = np.where(rng.random(size) < draw(st.sampled_from([0.0, 0.5])), -0.0, 0.0)
+    scales = 10.0 ** rng.integers(-320, 300, size=size)
+    special = [5e-324, -5e-324, 1e16, 1e-5, -1e-5, 1e-7, 1.5, 2.0**60]
+    drawn = np.where(rng.random(size) < 0.3, rng.choice(special, size), rng.normal(size=size) * scales)
+    values[nonzero] = drawn[nonzero]
+    dtype = draw(st.sampled_from([np.float64] * 6 + [np.float32, np.int64, np.bool_]))
+    if dtype is not np.float64:  # small integers, which every dtype holds
+        values = np.where(nonzero, rng.integers(-3, 4, size), 0)
+    return values.reshape(shape).astype(dtype)
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _run(args):
     buffer = io.StringIO()
     code = run_command(args, buffer)
@@ -462,6 +493,26 @@ class TestModelFiles:
             lambda v: json.dumps(v, sort_keys=True, indent=2, allow_nan=False) + "\n", value
         )
         assert _outcome(canonical_json, value) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_float_arrays(), min_size=1, max_size=3))
+    def test_canonical_json_writes_arrays_as_their_lists(self, arrays):
+        data = {"payload": {f"block{i}": arr for i, arr in enumerate(arrays)}, "pairs": arrays}
+        want = json.dumps(_as_lists(data), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert canonical_json(data) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 5, -1])
+    def test_canonical_json_refuses_non_finite_arrays_as_json_does(self, bad, at):
+        arr = np.zeros((3, 2, 2))
+        arr.reshape(-1)[at] = bad
+        arr[1, 1, 1] = math.inf  # json names the first one it meets
+        data = {"a": [1.0, 2.0], "b": arr}
+        want = _outcome(
+            lambda v: json.dumps(_as_lists(v), sort_keys=True, indent=2, allow_nan=False), data
+        )
+        assert want[0] is ValueError
+        assert _outcome(canonical_json, data) == want
 
     @pytest.mark.parametrize(
         "name, target, edit, message",
@@ -826,6 +877,36 @@ class TestCliCommands:
         assert code == 0
         assert report["results"]["numerical_rank"] == 1
         assert report["results"]["row_basis"] == [""]
+
+    def test_default_truncation_counts_words_without_building_them(self):
+        def by_listing(proc):  # the depth as it was chosen when words were listed
+            depth = max(int(proc.dimension), 1)
+            while depth > 1 and len(qk.words_up_to(proc.alphabet, depth)) > 130:
+                depth -= 1
+            return depth
+
+        for size in range(1, 5):
+            alphabet = qk.Alphabet(tuple("abcd"[:size]))
+            for depth in range(8):
+                if size**depth <= 4096:
+                    count = sum(size**k for k in range(depth + 1))
+                    assert len(qk.words_up_to(alphabet, depth)) == count
+            for declared in range(-1, 140):  # 129 is the deepest for one letter
+                if size ** max(declared, 0) > 20000:
+                    break
+                proc = qk.Process(alphabet, lambda word: 0.0, dimension=declared)
+                assert cli._default_truncation(proc) == by_listing(proc), (size, declared)
+
+    def test_rank_of_a_walk_with_36_declared_dimensions_is_quick(self, tmp_path):
+        path = tmp_path / "walk3x2.json"
+        save_model(random_local_qrw(np.random.default_rng(36), 3, 2), path)
+        assert qk.qrw_process(load_model(path)).dimension == 36
+        started = time.perf_counter()
+        code, report = _run_json(["rank", str(path)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 0, report["findings"]
+        assert (report["results"]["rows"], report["results"]["cols"]) == (4, 4)
+        assert report["results"]["shape"] == [121, 121]
 
     def test_rank_writes_csv(self, tmp_path):
         out = tmp_path / "hankel.csv"

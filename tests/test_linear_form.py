@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
-from qpmkit.errors import DegenerateSupportError
-from qpmkit.process import TruncatedHankel, word_table
+from qpmkit.errors import AlphabetError, DegenerateSupportError
+from qpmkit.process import TruncatedHankel, _state_after, as_word, word_table
 
 from helpers import (
     random_hmm,
@@ -180,6 +180,41 @@ class TestFactorisedSweeps:
             ]
             got = [m for m in report.messages() if m.startswith("word-probability")]
             assert got == expected
+
+
+def chain_families(rng) -> list[QuantumChain]:
+    return [random_qmc(rng, kind) for kind in ("hmm", "povm", "unitary", "qrw")] + [
+        dyadic_qpm(rng),
+        povm_chain(rng),
+    ]
+
+
+def checked_lookup_eval(chain: QuantumChain, word) -> float:
+    """chain_eval with each symbol checked again as its matrix is looked up."""
+    symbols = as_word(word, chain.alphabet)
+    coords = _state_after(chain.initial_coords, symbols, chain.letter_matrix)
+    return float(coords @ chain.subspace.traces)
+
+
+class TestChainEval:
+    @PROPERTY
+    @given(SEEDS)
+    def test_values_are_the_checked_lookups_bit_for_bit(self, seed):
+        for chain in chain_families(np.random.default_rng(seed)):
+            for word in qk.words_up_to(chain.alphabet, 3):
+                assert repr(qk.chain_eval(chain, word)) == repr(checked_lookup_eval(chain, word))
+
+    def test_fixture_chains_and_unknown_symbols(self, swap_qmc, unbounded_qpm, hmm2):
+        for chain in (swap_qmc, unbounded_qpm, qk.hmm_to_qmc(hmm2)):
+            first = chain.alphabet.symbols[0]
+            for word in qk.words_up_to(chain.alphabet, 4):
+                assert repr(qk.chain_eval(chain, word)) == repr(checked_lookup_eval(chain, word))
+            for word in ((first, "zz"), "zz", [first, first, 7]):
+                with pytest.raises(AlphabetError) as got:
+                    qk.chain_eval(chain, word)
+                with pytest.raises(AlphabetError) as want:
+                    checked_lookup_eval(chain, word)
+                assert str(got.value) == str(want.value)
 
 
 def analysed(process, rows, cols):
