@@ -169,7 +169,8 @@ class OperatorSubspace:
                 raise ValidationError("subspace basis is not linearly independent")
         self._gram = gram
         diag = np.diag(gram)
-        self._inv_sqrt_diag = 1.0 / np.sqrt(diag) if np.array_equal(gram, np.diag(diag)) else None
+        self._gram_diag = diag if np.array_equal(gram, np.diag(diag)) else None
+        self._inv_sqrt_diag = None if self._gram_diag is None else 1.0 / np.sqrt(diag)
         # complex sums, then a contiguous copy of their real parts: the bits
         # of np.trace(m).real for each element m
         self._traces = np.diagonal(self._stack, axis1=1, axis2=2).sum(axis=-1).real.copy()
@@ -282,7 +283,17 @@ class OperatorSubspace:
     def norm(self, coords) -> float:
         """Hermitian-space norm of the element with the given coordinates."""
         coords = np.asarray(coords, dtype=float)
-        return float(np.sqrt(max(coords @ self._gram @ coords, 0.0)))
+        return float(np.sqrt(max(self.gram_dot(coords) @ coords, 0.0)))
+
+    def gram_dot(self, coords: np.ndarray) -> np.ndarray:
+        """``coords @ gram`` for a coordinate row or a stack of rows.
+
+        A diagonal Gram scales each coordinate: every nonzero entry has the
+        bits of the dense product, whose other terms are exact zeros.
+        """
+        if self._gram_diag is None:
+            return coords @ self._gram
+        return coords * self._gram_diag
 
     @cached_property
     def is_unit_diagonal(self) -> bool:
@@ -332,23 +343,22 @@ class OperatorSubspace:
         LAPACK's Cholesky solve on a diagonal factor multiplies by the same
         reciprocals, so every nonzero entry has its bits (an exact zero may
         differ in sign).  Any other Gram takes a Cholesky factor, built on
-        first use.  Non-finite input raises the ``ValueError`` that
-        ``scipy.linalg.cho_solve`` raises, on either path.
+        first use.  Non-finite input raises ``ValueError("array must not
+        contain infs or NaNs")`` on either path.
         """
-        s = self._inv_sqrt_diag
-        if s is None:
-            return self._cho_solve(rhs)
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
+        s = self._inv_sqrt_diag
+        if s is None:
+            factor = self._cholesky
+            return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
         s = s.reshape(s.shape + (1,) * (rhs.ndim - 1))
         return rhs * s * s
 
     @cached_property
-    def _cho_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        import scipy.linalg
-
-        factor = scipy.linalg.cho_factor(self._gram)
-        return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
+    def _cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of the Gram."""
+        return np.linalg.cholesky(self._gram)
 
     @cached_property
     def _stack_entries(self) -> tuple[np.ndarray, np.ndarray]:

@@ -164,10 +164,10 @@ def run_command(argv, stdout=None) -> int:
             parser.add_argument(name, **options)
         args = parser.parse_args(argv[1:])
         config = _apply_flags(load_config(), args)
+        report["tolerances"] = dataclasses.asdict(config)
         code, results, findings, lines = _HANDLERS[command](args, config, report["inputs"])
         report["results"] = results
         report["findings"] = findings
-        report["tolerances"] = dataclasses.asdict(config)
     except UsageError as exc:
         out.write(_USAGE)
         out.write(f"error: {exc}\n")
@@ -410,6 +410,7 @@ def _cmd_stationary(args, config, inputs):
         "method": result.method,
         "iterations": result.iterations,
         "krylov_dim": result.krylov_dim,
+        "invariance_residual": result.invariance_residual,
         "spectral_gap": result.spectral_gap,
         "stationarity_residual": float(result.stationarity_residual),
         "cross_difference": float(result.cross_difference),

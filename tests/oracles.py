@@ -11,7 +11,13 @@ import itertools
 
 import numpy as np
 
-from qpmkit.errors import SamplingError, ValidationError
+from qpmkit.errors import (
+    ConsistencyError,
+    DivergenceError,
+    NumericError,
+    SamplingError,
+    ValidationError,
+)
 
 
 def inner_double_sum(c: np.ndarray, d: np.ndarray) -> complex:
@@ -87,6 +93,73 @@ def cesaro_brute(matrix: np.ndarray, start: np.ndarray, horizon: int) -> np.ndar
         current = current @ matrix
         acc += current
     return acc / horizon
+
+
+def spectral_limit_reference(chain):
+    """Cesàro limit coordinates by a sorted Schur form of the whitened orbit evolution.
+
+    Whitens coordinates by the Gram's Cholesky factor, builds the orbit's
+    Krylov basis by modified Gram–Schmidt (two passes) on the dense
+    whitened evolution, sorts the eigenvalue-one cluster to the top of a
+    complex Schur form and decouples it by a Sylvester solve.  Returns
+    ``(coords, krylov_dim, spectral_gap)`` and raises the library's
+    errors, with its messages, for a radius above one, a missing cluster
+    and a defective one.
+    """
+    import scipy.linalg
+
+    sub = chain.subspace
+    gram_chol = scipy.linalg.cholesky(sub.gram, lower=True)
+    evolution = gram_chol.T @ chain.total_matrix.T @ np.linalg.inv(gram_chol.T)
+    z0 = gram_chol.T @ chain.initial_coords
+    scale = max(float(np.linalg.norm(z0)), 1.0)
+    krylov = []
+    vec = z0.copy()
+    for _ in range(sub.dim + 1):
+        residual = vec.copy()
+        for _ in range(2):
+            for q in krylov:
+                residual -= np.dot(q, residual) * q
+        norm = float(np.linalg.norm(residual))
+        if norm <= 1e-12 * scale:
+            break
+        krylov.append(residual / norm)
+        vec = evolution @ krylov[-1]
+    basis = np.vstack(krylov)
+    restricted = basis @ evolution @ basis.T
+    schur_t, schur_z, n_cluster = scipy.linalg.schur(
+        restricted.astype(complex), output="complex", sort=lambda lam: abs(lam - 1.0) <= 1e-8
+    )
+    outside = np.abs(np.diag(schur_t)[n_cluster:])
+    if outside.size and outside.max() > 1.0 + 1e-8:
+        raise DivergenceError(
+            f"evolution has spectral radius {float(outside.max()):.6f} > 1 on the orbit span"
+        )
+    if n_cluster == 0:
+        raise ConsistencyError(
+            "no eigenvalue-one component on the orbit span; the trace cannot be preserved"
+        )
+    head = schur_t[:n_cluster, :n_cluster]
+    defect = float(np.linalg.norm(head - np.diag(np.diag(head))))
+    if defect > 1e-6:
+        raise ConsistencyError(
+            f"eigenvalue-one cluster is defective (off-diagonal mass {defect:.3e}); "
+            "incompatible with a bounded orbit"
+        )
+    y = schur_z.conj().T @ (basis @ z0)
+    if n_cluster < len(y):
+        coupling = scipy.linalg.solve_sylvester(
+            head, -schur_t[n_cluster:, n_cluster:], schur_t[:n_cluster, n_cluster:]
+        )
+        y_head = y[:n_cluster] + coupling @ y[n_cluster:]
+    else:
+        y_head = y[:n_cluster]
+    z_limit = basis.T @ (schur_z[:, :n_cluster] @ y_head)
+    imag = float(np.max(np.abs(z_limit.imag)))
+    if imag > 1e-8:
+        raise NumericError(f"spectral limit has imaginary residue {imag:.3e}")
+    coords = scipy.linalg.solve_triangular(gram_chol.T, z_limit.real, lower=False)
+    return coords, len(krylov), (float(1.0 - outside.max()) if outside.size else None)
 
 
 def prefix_average_letter(chain, symbol: str, horizon: int) -> float:

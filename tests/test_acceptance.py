@@ -297,3 +297,14 @@ def test_17_walk_chain_written_from_arrays():
             from_lists.append(time.perf_counter() - started)
         assert text == want
         assert min(from_arrays) <= 0.6 * min(from_lists)
+
+
+def test_18_stationary_limit_on_the_orbit_at_dimension_32():
+    chain = qk.qrw_to_qmc(random_local_qrw(np.random.default_rng(1801), 16, 2))
+    assert chain.subspace.dim == 1024
+    with criterion(18, "Cesàro limit of the dimension-32 walk chain", 0.1):
+        result = qk.cesaro_limit(chain)
+    assert result.cross_difference <= 1e-8
+    assert result.stationarity_residual <= 1e-7
+    assert result.invariance_residual <= 1e-12
+    assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-12)

@@ -1,16 +1,34 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpmkit as qk
+from qpmkit import asymptotics
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.cli import _lower
+from qpmkit.config import DEFAULTS
 from qpmkit.errors import (
     ConsistencyError,
     DimensionMismatchError,
     DivergenceError,
     NumericError,
 )
+from qpmkit.io import load_model
 
-from helpers import random_qmc, single_letter_chain
-from oracles import cesaro_brute, prefix_average_letter
+from helpers import (
+    random_hmm,
+    random_local_qrw,
+    random_qmc,
+    random_quantum_density,
+    single_letter_chain,
+)
+from oracles import cesaro_brute, prefix_average_letter, spectral_limit_reference
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestBoundednessProbe:
@@ -192,3 +210,192 @@ class TestStationaryWordProbability:
             for word in qk.words_of_length(chain.alphabet, depth)
         )
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def _overlap_chain(rng) -> QuantumChain:
+    """A one-letter predictor chain over the non-orthogonal basis {diag(1, 0), I}."""
+    sub = OperatorSubspace([np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)])
+    stay = float(rng.uniform(0.05, 0.95))
+    op = SuperOperator(sub, np.array([[stay, (1.0 - stay) / 2.0], [0.0, 1.0]]))  # keeps traces (1, 2)
+    weight = float(rng.uniform(0.05, 0.95))
+    initial = qk.Density.quantum(np.diag([weight, 1.0 - weight]).astype(complex))
+    return QuantumChain(qk.Alphabet(("a",)), sub, {"a": op}, initial, ChainKind.QPM)
+
+
+def _rotation_chain(rng) -> QuantumChain:
+    phases = np.exp(1j * rng.uniform(0.1, 6.0, size=3))
+    return qk.unitary_to_qmc(np.diag(phases), random_quantum_density(rng, 3))
+
+
+FAMILIES = {
+    "hmm": lambda rng: random_qmc(rng, "hmm"),
+    "povm": lambda rng: random_qmc(rng, "povm"),
+    "unitary": lambda rng: random_qmc(rng, "unitary"),
+    "walk": lambda rng: qk.qrw_to_qmc(random_local_qrw(rng, int(rng.integers(2, 5)), 2)),
+    "predictor": lambda rng: qk.finitary_to_qpm(qk.hmm_to_finitary(random_hmm(rng))),
+    "overlap": _overlap_chain,
+    "rotation": _rotation_chain,
+}
+
+FIXTURE_CHAINS = (
+    "coin_finitary.json",
+    "hmm2.json",
+    "hmm3_rank3.json",
+    "qrw_hadamard.json",
+    "swap_ffmc.json",
+    "swap_qmc.json",
+)
+
+
+def _assert_routes_match_reference(chain):
+    """Both routes within 1e-10 of the Schur reference, on the same Krylov space.
+
+    A running average converges like 1/t, so the iterative route's error
+    is about its stopping tolerance; it runs at 1e-11 here (the default
+    is 1e-8).
+    """
+    sub = chain.subspace
+    reference, krylov_dim, gap = spectral_limit_reference(chain)
+    reference = reference / float(reference @ sub.traces)
+    spectral = qk.cesaro_limit(chain, "spectral")
+    iterative = qk.cesaro_limit(chain, "iterative", tol=1e-11)
+    assert sub.norm(spectral.coords - reference) <= 1e-10
+    assert sub.norm(iterative.coords - reference) <= 1e-10
+    assert spectral.krylov_dim == krylov_dim
+    assert (spectral.spectral_gap is None) == (gap is None)
+    if gap is not None:
+        assert abs(spectral.spectral_gap - gap) <= 1e-10
+    for result in (spectral, iterative):
+        assert 0.0 <= result.invariance_residual <= 1e-10
+
+
+class TestOrbitRoutes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2**32 - 1))
+    def test_routes_match_the_schur_reference(self, family, seed):
+        _assert_routes_match_reference(FAMILIES[family](np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("name", FIXTURE_CHAINS)
+    def test_fixture_chains_match_the_schur_reference(self, name):
+        _assert_routes_match_reference(_lower(load_model(FIXTURES / name), "chain", DEFAULTS))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_krylov_basis_is_orthonormal_and_closed(self, family):
+        chain = FAMILIES[family](np.random.default_rng(1802))
+        orbit = asymptotics._orbit(chain)
+        k = len(orbit.basis)
+        gram = orbit.basis @ chain.subspace.gram @ orbit.basis.T
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
+        assert orbit.invariance_residual <= 1e-12
+        moved = orbit.basis @ chain.total_matrix
+        assert np.abs(moved - orbit.evolution @ orbit.basis).max() <= 1e-12
+        assert orbit.start @ orbit.basis == pytest.approx(chain.initial_coords, abs=1e-12)
+
+    def test_growth_off_the_orbit_no_longer_stops_the_average(self):
+        # the third coordinate doubles each step but the orbit never reaches
+        # it; squaring the full matrix used to raise "evolved orbit grows
+        # without bound" before the averages settled
+        chain = single_letter_chain(
+            [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 2.0]], [0.3, 0.7, 0.0], ChainKind.QPM
+        )
+        for method in ("iterative", "spectral"):
+            result = qk.cesaro_limit(chain, method)
+            assert result.coords == pytest.approx([0.5, 0.5, 0.0], abs=1e-8)
+
+
+_SHEAR = np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.4], [-0.2, 0.3, 1.0]])
+
+
+def _sheared(matrix):
+    return _SHEAR @ np.asarray(matrix, dtype=float) @ np.linalg.inv(_SHEAR)
+
+
+# One-letter predictor chains (evolution, initial diagonal) that have no
+# limit, with the error cesaro_limit raised for them, under either method,
+# before both routes moved to the orbit's Krylov space.
+FAILING_CHAINS = {
+    "halving": (0.5 * np.eye(2), [0.3, 0.7], ConsistencyError,
+                "no eigenvalue-one component on the orbit span; the trace cannot be preserved"),
+    "decaying": ([[0.9, 0.0], [0.0, 0.5]], [0.3, 0.7], ConsistencyError,
+                 "no eigenvalue-one component on the orbit span; the trace cannot be preserved"),
+    "jordan": ([[1.0, 0.5], [0.0, 1.0]], [0.3, 0.7], ConsistencyError,
+               "eigenvalue-one cluster is defective (off-diagonal mass 5.000e-01); "
+               "incompatible with a bounded orbit"),
+    "jordan, decaying part": ([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.1, 0.0, 0.9]], [0.3, 0.3, 0.4],
+                              ConsistencyError,
+                              "eigenvalue-one cluster is defective (off-diagonal mass 2.000e-01); "
+                              "incompatible with a bounded orbit"),
+    "jordan, sheared": (_sheared([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.4]]),
+                        [0.2, 0.3, 0.5], ConsistencyError,
+                        "eigenvalue-one cluster is defective (off-diagonal mass 3.812e-01); "
+                        "incompatible with a bounded orbit"),
+    "jordan, trace lost": ([[1.0, 0.0], [-0.5, 1.0]], [0.3, 0.7], DivergenceError,
+                           "averaged orbit grows without bound"),
+    "growing": (np.diag([1.2, 0.5]), [0.3, 0.7], DivergenceError,
+                "evolution has spectral radius 1.200000 > 1 on the orbit span"),
+    "growing swap": ([[0.0, 1.1], [1.1, 0.0]], [0.3, 0.7], DivergenceError,
+                     "averaged orbit grows without bound"),
+    "flip": (np.diag([-1.0, 1.0]), [0.3, 0.7], ConsistencyError,
+             "averaged trace drifted to 0.7000000000000001"),
+    "slow loss": (np.diag([1.0, 0.9999999]), [0.3, 0.7], ConsistencyError,
+                  "averaged trace drifted to 0.30000000052923814"),
+    "sheared rotation": (_sheared([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]]),
+                         [0.2, 0.3, 0.5], ConsistencyError,
+                         "averaged trace drifted to 0.16270967741935483"),
+}
+
+_NUMBER = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+
+
+def _assert_same_message(got: str, want: str):
+    """Equal text; numbers equal to 1e-8 relative.
+
+    Numbers printed with a format (``.3e``, ``.6f``) must match digit for
+    digit.  A ``repr`` of a trace shows rounding that depends on the route
+    that computed it.
+    """
+    assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want)
+    for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        assert float(a) == pytest.approx(float(b), rel=1e-8)
+
+
+def _failing_chains():
+    chains = {"unbounded_qpm": load_model(FIXTURES / "unbounded_qpm.json")}
+    for name, (matrix, initial, _, _) in FAILING_CHAINS.items():
+        chains[name] = single_letter_chain(matrix, initial, ChainKind.QPM)
+    return chains
+
+
+class TestFailuresAreUnchanged:
+    @pytest.mark.parametrize("method", ["iterative", "spectral"])
+    @pytest.mark.parametrize("name", ["unbounded_qpm", *FAILING_CHAINS])
+    def test_cesaro_limit_raises_as_before(self, name, method):
+        chain = _failing_chains()[name]
+        error, message = (
+            FAILING_CHAINS[name][2:]
+            if name in FAILING_CHAINS
+            else (DivergenceError, "averaged orbit grows without bound")
+        )
+        with pytest.raises(error) as raised:
+            qk.cesaro_limit(chain, method)
+        assert type(raised.value) is error
+        _assert_same_message(str(raised.value), message)
+
+    @pytest.mark.parametrize("name", ["unbounded_qpm", *FAILING_CHAINS])
+    def test_spectral_route_raises_as_the_reference(self, name):
+        chain = _failing_chains()[name]
+        outcomes = []
+        for route in (
+            lambda: asymptotics._spectral_average(asymptotics._orbit(chain)),
+            lambda: spectral_limit_reference(chain),
+        ):
+            try:
+                route()
+                outcomes.append(None)
+            except (ConsistencyError, DivergenceError, NumericError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        ours, reference = outcomes
+        assert (ours is None) == (reference is None)
+        if reference is not None:
+            assert ours[0] is reference[0]
+            _assert_same_message(ours[1], reference[1])

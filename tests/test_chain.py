@@ -164,6 +164,18 @@ class TestOperatorSubspace:
             True, True, True, False, True, False, False, True, False
         ]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_gram_dot_has_the_bits_of_the_dense_product(self, rng, n):
+        dense = OperatorSubspace([np.eye(n), *hermitian_basis(n)[1:]])
+        for sub in (OperatorSubspace.full(n), OperatorSubspace.diagonal(n), dense):
+            coords = rng.normal(size=(4, sub.dim)) * (rng.random((4, sub.dim)) < 0.7)
+            want = coords @ sub.gram
+            got = sub.gram_dot(coords)
+            assert np.array_equal(got == 0, want == 0)
+            assert got[want != 0].tobytes() == want[want != 0].tobytes()
+            for row in coords:
+                assert sub.norm(row) == float(np.sqrt(max(row @ sub.gram @ row, 0.0)))
+
     def test_gram_norm_matches_direct(self, rng):
         sub = OperatorSubspace.diagonal(3)
         coords = rng.normal(size=3)
@@ -211,6 +223,29 @@ class TestGramSolve:
         assert ours_bits[nonzero].tobytes() == reference_bits[nonzero].tobytes()
         if not complex_rhs:
             assert np.array_equal(np.signbit(ours), np.signbit(rhs))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        complex_rhs=st.booleans(),
+        columns=st.sampled_from([None, 1, 3]),
+    )
+    def test_dense_gram_matches_the_scipy_cholesky_solve(self, seed, n, complex_rhs, columns):
+        """A non-diagonal Gram takes numpy's Cholesky factor and two solves."""
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, n * n + 1))
+        mix = rng.normal(size=(dim, n * n)) + 3.0 * np.eye(dim, n * n)
+        basis = np.einsum("ij,jkl->ikl", mix, hermitian_basis(n))
+        sub = OperatorSubspace(basis)
+        assert sub._inv_sqrt_diag is None
+        shape = (sub.dim,) if columns is None else (sub.dim, columns)
+        rhs = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_rhs else 0.0)
+        ours = sub._gram_solve(rhs)
+        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sub.gram), rhs)
+        assert ours.dtype == reference.dtype and ours.shape == reference.shape
+        scale = np.linalg.cond(sub.gram) * np.abs(reference).max()
+        assert np.abs(ours - reference).max() <= 1e-13 * scale
 
     def test_dense_gram_takes_the_cholesky_path(self):
         basis = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]

@@ -1,11 +1,11 @@
-"""Which paths load scipy.
+"""No path loads scipy.
 
-``import qpmkit``, every load, and every command but ``stationary`` on
-the shipped model kinds run on numpy alone.  scipy is imported by the
-Cesàro spectral route, which every ``stationary`` run takes (the
-iterative method cross-checks against it), and by Gram solves on a
-non-diagonal basis.  Each case runs in a fresh interpreter, because the
-test process has scipy loaded already.
+``import qpmkit``, every load, every command on the shipped model kinds
+(``stationary`` with both methods among them) and Gram solves on a
+non-diagonal basis run on numpy alone; scipy is a test-only dependency.
+Each case runs in a fresh interpreter, because the test process has
+scipy loaded already, and the stationary and Gram-solve cases block the
+import outright (``sys.modules['scipy'] = None``).
 """
 
 import json
@@ -32,7 +32,10 @@ def run(*argv):
     return qpmkit.cli.run_command([str(a) for a in argv], stdout=io.StringIO())
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "scipy" and module is not None
+    )
 """
 
 _NUMPY_ONLY = _PRELUDE + """
@@ -77,10 +80,29 @@ print(json.dumps({
 }))
 """
 
-_STATIONARY = _PRELUDE + """
-before = scipy_modules()
-code = run("stationary", fixtures / "hmm2.json", "--method", sys.argv[3])
-print(json.dumps({"before": before, "code": code, "scipy": scipy_modules()}))
+_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+""" + _PRELUDE
+
+_STATIONARY = _BLOCKED + """
+codes = {
+    name: run("stationary", fixtures / name, "--method", sys.argv[3])
+    for name in ("hmm2.json", "qrw_hadamard.json", "swap_qmc.json", "coin_finitary.json")
+}
+print(json.dumps({"codes": codes, "scipy": scipy_modules()}))
+"""
+
+_DENSE_GRAM = _BLOCKED + """
+import numpy as np
+from qpmkit.chain import OperatorSubspace
+sub = OperatorSubspace([np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])])
+coords = sub.expand(0.3 * np.eye(2) - 1.7 * np.array([[1.0, 1.0], [1.0, 0.0]]))
+print(json.dumps({
+    "diagonal": sub._inv_sqrt_diag is not None,
+    "coords": coords.tolist(),
+    "scipy": scipy_modules(),
+}))
 """
 
 
@@ -121,8 +143,19 @@ def test_load_and_every_numpy_command_leave_scipy_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["spectral", "iterative"])
-def test_stationary_imports_scipy_for_the_spectral_route(tmp_path, method):
+def test_stationary_leaves_scipy_unloaded(tmp_path, method):
     result = _run(_STATIONARY, FIXTURES, tmp_path, method)
-    assert result["before"] == []
-    assert result["code"] == 0
-    assert "scipy.linalg" in result["scipy"]
+    assert result["codes"] == {
+        "hmm2.json": 0,
+        "qrw_hadamard.json": 0,
+        "swap_qmc.json": 0,
+        "coin_finitary.json": 0,
+    }
+    assert result["scipy"] == []
+
+
+def test_dense_gram_solve_leaves_scipy_unloaded(tmp_path):
+    result = _run(_DENSE_GRAM, FIXTURES, tmp_path)
+    assert not result["diagonal"]
+    assert result["coords"] == pytest.approx([0.3, -1.7], abs=1e-14)
+    assert result["scipy"] == []

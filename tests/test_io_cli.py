@@ -101,49 +101,49 @@ MATRIX_FIXTURES = sorted(path.name for path in FIXTURES.glob("*.json"))
 
 PINNED_MATRIX_DIGESTS = {
     "validate bad_hmm_rowsum.json": "f682c3e9c32d9417",
-    "eval bad_hmm_rowsum.json --word ab": "775c85e6d7d18442",
-    "rank bad_hmm_rowsum.json": "7cb366cee001c633",
-    "convert bad_hmm_rowsum.json --to finitary": "d0d03a37c6a257f5",
-    "convert bad_hmm_rowsum.json --to qmc": "d0d03a37c6a257f5",
-    "convert bad_hmm_rowsum.json --to qpm": "d0d03a37c6a257f5",
-    "simulate bad_hmm_rowsum.json --length 4 --count 3 --seed 5": "b7dc60b8cc27f161",
-    "stationary bad_hmm_rowsum.json": "06dc2e7839e302ab",
-    "stationary bad_hmm_rowsum.json --method spectral": "06dc2e7839e302ab",
-    "bell bad_hmm_rowsum.json": "b494c590ef8c35ce",
-    "hidden-path bad_hmm_rowsum.json --word ab": "f82fa9d44a1f8db6",
+    "eval bad_hmm_rowsum.json --word ab": "8d431ad85d97813b",
+    "rank bad_hmm_rowsum.json": "7c83727a9c4d5b2d",
+    "convert bad_hmm_rowsum.json --to finitary": "49a3bf96bb4287a2",
+    "convert bad_hmm_rowsum.json --to qmc": "49a3bf96bb4287a2",
+    "convert bad_hmm_rowsum.json --to qpm": "49a3bf96bb4287a2",
+    "simulate bad_hmm_rowsum.json --length 4 --count 3 --seed 5": "3d879f8e3a6e6824",
+    "stationary bad_hmm_rowsum.json": "c8971144e6844a6f",
+    "stationary bad_hmm_rowsum.json --method spectral": "c8971144e6844a6f",
+    "bell bad_hmm_rowsum.json": "cf9464f3e8360326",
+    "hidden-path bad_hmm_rowsum.json --word ab": "db5cb10371c5cc45",
     "validate bell5.json": "f5f10ded17b11097",
-    "eval bell5.json --word ab": "d0819466e6c047f2",
-    "rank bell5.json": "943ad378f4d1f4c0",
-    "convert bell5.json --to finitary": "9fd467afe42043c6",
-    "convert bell5.json --to qmc": "341efa8821ccf8cf",
-    "convert bell5.json --to qpm": "86a72d566518f272",
-    "simulate bell5.json --length 4 --count 3 --seed 5": "d1d56f0364d995a7",
-    "stationary bell5.json": "4cd3d1a3f0486f97",
-    "stationary bell5.json --method spectral": "4cd3d1a3f0486f97",
+    "eval bell5.json --word ab": "5d8b2899f2dfce0d",
+    "rank bell5.json": "cff1a599fdd6279f",
+    "convert bell5.json --to finitary": "38dac8be5b64a860",
+    "convert bell5.json --to qmc": "8dec2c54aa9a1918",
+    "convert bell5.json --to qpm": "1a501c353c92d9d4",
+    "simulate bell5.json --length 4 --count 3 --seed 5": "81caefc5a40c9113",
+    "stationary bell5.json": "1885ef71f019e4ba",
+    "stationary bell5.json --method spectral": "1885ef71f019e4ba",
     "bell bell5.json": "a9680529b2ec58c8",
-    "hidden-path bell5.json --word ab": "c6aa85a70df6a09d",
+    "hidden-path bell5.json --word ab": "8519e09915185d20",
     "validate coin_finitary.json": "51102bc03c5f198c",
     "eval coin_finitary.json --word ab": "700f6eb7317bb518",
     "rank coin_finitary.json": "2fea1887951bf726",
     "convert coin_finitary.json --to finitary": "a8c04c4f94fc0bb3",
-    "convert coin_finitary.json --to qmc": "3f09b3c50b179e84",
+    "convert coin_finitary.json --to qmc": "e8001b0d4a0e98aa",
     "convert coin_finitary.json --to qpm": "874a239182fa7746",
-    "simulate coin_finitary.json --length 4 --count 3 --seed 5": "e25f20f8cef71c93",
-    "stationary coin_finitary.json": "f7e7109ad85ff5c8",
-    "stationary coin_finitary.json --method spectral": "48b4e2fcf19be40e",
-    "bell coin_finitary.json": "a06398a4b3eceeba",
+    "simulate coin_finitary.json --length 4 --count 3 --seed 5": "a640f00701680c20",
+    "stationary coin_finitary.json": "6b10fdcd25b0f178",
+    "stationary coin_finitary.json --method spectral": "23adf5e2d42ec717",
+    "bell coin_finitary.json": "b057cbfd118acd0a",
     "hidden-path coin_finitary.json --word ab": "d87d08c1b47af4ea",
     "validate feynman4.json": "f5f10ded17b11097",
-    "eval feynman4.json --word ab": "d0819466e6c047f2",
-    "rank feynman4.json": "943ad378f4d1f4c0",
-    "convert feynman4.json --to finitary": "9fd467afe42043c6",
-    "convert feynman4.json --to qmc": "341efa8821ccf8cf",
-    "convert feynman4.json --to qpm": "86a72d566518f272",
-    "simulate feynman4.json --length 4 --count 3 --seed 5": "d1d56f0364d995a7",
-    "stationary feynman4.json": "4cd3d1a3f0486f97",
-    "stationary feynman4.json --method spectral": "4cd3d1a3f0486f97",
-    "bell feynman4.json": "eb78e1a85962c186",
-    "hidden-path feynman4.json --word ab": "c6aa85a70df6a09d",
+    "eval feynman4.json --word ab": "5d8b2899f2dfce0d",
+    "rank feynman4.json": "cff1a599fdd6279f",
+    "convert feynman4.json --to finitary": "38dac8be5b64a860",
+    "convert feynman4.json --to qmc": "8dec2c54aa9a1918",
+    "convert feynman4.json --to qpm": "1a501c353c92d9d4",
+    "simulate feynman4.json --length 4 --count 3 --seed 5": "81caefc5a40c9113",
+    "stationary feynman4.json": "1885ef71f019e4ba",
+    "stationary feynman4.json --method spectral": "1885ef71f019e4ba",
+    "bell feynman4.json": "9d3cf67cf98c2329",
+    "hidden-path feynman4.json --word ab": "8519e09915185d20",
     "validate hmm2.json": "56f338caf58faec7",
     "eval hmm2.json --word ab": "fcd0731060ef030c",
     "rank hmm2.json": "781fa39dafee1225",
@@ -151,9 +151,9 @@ PINNED_MATRIX_DIGESTS = {
     "convert hmm2.json --to qmc": "4088834970abb851",
     "convert hmm2.json --to qpm": "9a9a86092a827520",
     "simulate hmm2.json --length 4 --count 3 --seed 5": "72072ecd5766b8d9",
-    "stationary hmm2.json": "cdfee2b8c78e2b9d",
-    "stationary hmm2.json --method spectral": "83bec480c05a156a",
-    "bell hmm2.json": "a06398a4b3eceeba",
+    "stationary hmm2.json": "5cd5f0dc51d8d5f8",
+    "stationary hmm2.json --method spectral": "5ab2425c3c3dedf3",
+    "bell hmm2.json": "b057cbfd118acd0a",
     "hidden-path hmm2.json --word ab": "6f05d1605ff2d5b2",
     "validate hmm3_rank3.json": "56f338caf58faec7",
     "eval hmm3_rank3.json --word ab": "3d7571915748c7c3",
@@ -162,9 +162,9 @@ PINNED_MATRIX_DIGESTS = {
     "convert hmm3_rank3.json --to qmc": "8e210749f0d50842",
     "convert hmm3_rank3.json --to qpm": "5f78161f2bc158bb",
     "simulate hmm3_rank3.json --length 4 --count 3 --seed 5": "3009f50a2b389fc6",
-    "stationary hmm3_rank3.json": "80d27bbabfc79075",
-    "stationary hmm3_rank3.json --method spectral": "c493b0d32c433334",
-    "bell hmm3_rank3.json": "a06398a4b3eceeba",
+    "stationary hmm3_rank3.json": "7fd6f2553f991582",
+    "stationary hmm3_rank3.json --method spectral": "7f0a5d08136c3b7f",
+    "bell hmm3_rank3.json": "b057cbfd118acd0a",
     "hidden-path hmm3_rank3.json --word ab": "959a0a413b95093c",
     "validate qrw_hadamard.json": "abe8c27eb65db77d",
     "eval qrw_hadamard.json --word ab": "8a9591ac4bcde721",
@@ -173,9 +173,9 @@ PINNED_MATRIX_DIGESTS = {
     "convert qrw_hadamard.json --to qmc": "3a0fe32ec1fd3d32",
     "convert qrw_hadamard.json --to qpm": "0e846feed42d778a",
     "simulate qrw_hadamard.json --length 4 --count 3 --seed 5": "54bb65ac74467ef2",
-    "stationary qrw_hadamard.json": "1df769ce56a90285",
-    "stationary qrw_hadamard.json --method spectral": "494f98e85ddde0d5",
-    "bell qrw_hadamard.json": "a06398a4b3eceeba",
+    "stationary qrw_hadamard.json": "637eda680555ad22",
+    "stationary qrw_hadamard.json --method spectral": "d0488104d295faa0",
+    "bell qrw_hadamard.json": "b057cbfd118acd0a",
     "hidden-path qrw_hadamard.json --word ab": "baefc94302fba768",
     "validate swap_ffmc.json": "53514d72d4b3df07",
     "eval swap_ffmc.json --word ab": "5a87d0719be3ce1e",
@@ -184,9 +184,9 @@ PINNED_MATRIX_DIGESTS = {
     "convert swap_ffmc.json --to qmc": "6c811170b1cd2035",
     "convert swap_ffmc.json --to qpm": "d4748203c7ed545f",
     "simulate swap_ffmc.json --length 4 --count 3 --seed 5": "3e9325d5681dc27b",
-    "stationary swap_ffmc.json": "14c113a424c917fd",
-    "stationary swap_ffmc.json --method spectral": "25c0e5a1c0b815d2",
-    "bell swap_ffmc.json": "a06398a4b3eceeba",
+    "stationary swap_ffmc.json": "a0fce079301f7f7c",
+    "stationary swap_ffmc.json --method spectral": "b02a7e1864fb09b9",
+    "bell swap_ffmc.json": "b057cbfd118acd0a",
     "hidden-path swap_ffmc.json --word ab": "9e9052e890f1c5e2",
     "validate swap_qmc.json": "fdb36cbd1ff5483d",
     "eval swap_qmc.json --word aa": "f19dc2aaafe3cc81",
@@ -195,65 +195,65 @@ PINNED_MATRIX_DIGESTS = {
     "convert swap_qmc.json --to qmc": "e6e64287e2e86671",
     "convert swap_qmc.json --to qpm": "38ec38889c7a0a45",
     "simulate swap_qmc.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
-    "stationary swap_qmc.json": "70896d6d086f1f11",
-    "stationary swap_qmc.json --method spectral": "043f35ac28f0556b",
-    "bell swap_qmc.json": "a06398a4b3eceeba",
+    "stationary swap_qmc.json": "f132615010902d42",
+    "stationary swap_qmc.json --method spectral": "3f51b63da80eb90a",
+    "bell swap_qmc.json": "b057cbfd118acd0a",
     "hidden-path swap_qmc.json --word aa": "aa5bca12c1d7554f",
     "validate unbounded_qpm.json": "a71985a6ed4edf31",
     "eval unbounded_qpm.json --word aa": "a60781cc299ff21c",
     "rank unbounded_qpm.json": "e283b41427f76760",
     "convert unbounded_qpm.json --to finitary": "b04f5d98a5b8206d",
-    "convert unbounded_qpm.json --to qmc": "cb76ba45d58608ca",
+    "convert unbounded_qpm.json --to qmc": "9df1ba5453bbffd8",
     "convert unbounded_qpm.json --to qpm": "9b50f7ecb36bb261",
     "simulate unbounded_qpm.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
-    "stationary unbounded_qpm.json": "e771b24084400a58",
-    "stationary unbounded_qpm.json --method spectral": "e771b24084400a58",
-    "bell unbounded_qpm.json": "a06398a4b3eceeba",
+    "stationary unbounded_qpm.json": "eef2a8e86a679afc",
+    "stationary unbounded_qpm.json --method spectral": "eef2a8e86a679afc",
+    "bell unbounded_qpm.json": "b057cbfd118acd0a",
     "hidden-path unbounded_qpm.json --word aa": "7256cdd0665da0d0",
-    "equiv bad_hmm_rowsum.json bell5.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json coin_finitary.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json feynman4.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json hmm2.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json hmm3_rank3.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json qrw_hadamard.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json swap_ffmc.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json swap_qmc.json": "5fb36b6342af267d",
-    "equiv bad_hmm_rowsum.json unbounded_qpm.json": "5fb36b6342af267d",
-    "equiv bell5.json coin_finitary.json": "e329c4b0c492b9de",
-    "equiv bell5.json feynman4.json": "e329c4b0c492b9de",
-    "equiv bell5.json hmm2.json": "e329c4b0c492b9de",
-    "equiv bell5.json hmm3_rank3.json": "e329c4b0c492b9de",
-    "equiv bell5.json qrw_hadamard.json": "e329c4b0c492b9de",
-    "equiv bell5.json swap_ffmc.json": "e329c4b0c492b9de",
-    "equiv bell5.json swap_qmc.json": "e329c4b0c492b9de",
-    "equiv bell5.json unbounded_qpm.json": "e329c4b0c492b9de",
-    "equiv coin_finitary.json feynman4.json": "e329c4b0c492b9de",
+    "equiv bad_hmm_rowsum.json bell5.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json coin_finitary.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json feynman4.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json hmm2.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json hmm3_rank3.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json qrw_hadamard.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json swap_ffmc.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json swap_qmc.json": "badbf6958291854d",
+    "equiv bad_hmm_rowsum.json unbounded_qpm.json": "badbf6958291854d",
+    "equiv bell5.json coin_finitary.json": "7ba4e6b40ba69943",
+    "equiv bell5.json feynman4.json": "7ba4e6b40ba69943",
+    "equiv bell5.json hmm2.json": "7ba4e6b40ba69943",
+    "equiv bell5.json hmm3_rank3.json": "7ba4e6b40ba69943",
+    "equiv bell5.json qrw_hadamard.json": "7ba4e6b40ba69943",
+    "equiv bell5.json swap_ffmc.json": "7ba4e6b40ba69943",
+    "equiv bell5.json swap_qmc.json": "7ba4e6b40ba69943",
+    "equiv bell5.json unbounded_qpm.json": "7ba4e6b40ba69943",
+    "equiv coin_finitary.json feynman4.json": "7ba4e6b40ba69943",
     "equiv coin_finitary.json hmm2.json": "90fac9e30d413a15",
     "equiv coin_finitary.json hmm3_rank3.json": "d1e1d2727ef55fd8",
     "equiv coin_finitary.json qrw_hadamard.json": "dc91dc0e36ef6844",
     "equiv coin_finitary.json swap_ffmc.json": "90fac9e30d413a15",
-    "equiv coin_finitary.json swap_qmc.json": "1090dacf12d6540e",
-    "equiv coin_finitary.json unbounded_qpm.json": "1090dacf12d6540e",
-    "equiv feynman4.json hmm2.json": "e329c4b0c492b9de",
-    "equiv feynman4.json hmm3_rank3.json": "e329c4b0c492b9de",
-    "equiv feynman4.json qrw_hadamard.json": "e329c4b0c492b9de",
-    "equiv feynman4.json swap_ffmc.json": "e329c4b0c492b9de",
-    "equiv feynman4.json swap_qmc.json": "e329c4b0c492b9de",
-    "equiv feynman4.json unbounded_qpm.json": "e329c4b0c492b9de",
+    "equiv coin_finitary.json swap_qmc.json": "c4286fffbb14a0e9",
+    "equiv coin_finitary.json unbounded_qpm.json": "c4286fffbb14a0e9",
+    "equiv feynman4.json hmm2.json": "7ba4e6b40ba69943",
+    "equiv feynman4.json hmm3_rank3.json": "7ba4e6b40ba69943",
+    "equiv feynman4.json qrw_hadamard.json": "7ba4e6b40ba69943",
+    "equiv feynman4.json swap_ffmc.json": "7ba4e6b40ba69943",
+    "equiv feynman4.json swap_qmc.json": "7ba4e6b40ba69943",
+    "equiv feynman4.json unbounded_qpm.json": "7ba4e6b40ba69943",
     "equiv hmm2.json hmm3_rank3.json": "15fb0d1bb9ded083",
     "equiv hmm2.json qrw_hadamard.json": "d496ba7fa6030084",
     "equiv hmm2.json swap_ffmc.json": "d1e1d2727ef55fd8",
-    "equiv hmm2.json swap_qmc.json": "1090dacf12d6540e",
-    "equiv hmm2.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv hmm2.json swap_qmc.json": "c4286fffbb14a0e9",
+    "equiv hmm2.json unbounded_qpm.json": "c4286fffbb14a0e9",
     "equiv hmm3_rank3.json qrw_hadamard.json": "f79af28ccfe4bdd6",
     "equiv hmm3_rank3.json swap_ffmc.json": "15fb0d1bb9ded083",
-    "equiv hmm3_rank3.json swap_qmc.json": "1090dacf12d6540e",
-    "equiv hmm3_rank3.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv hmm3_rank3.json swap_qmc.json": "c4286fffbb14a0e9",
+    "equiv hmm3_rank3.json unbounded_qpm.json": "c4286fffbb14a0e9",
     "equiv qrw_hadamard.json swap_ffmc.json": "d496ba7fa6030084",
-    "equiv qrw_hadamard.json swap_qmc.json": "1090dacf12d6540e",
-    "equiv qrw_hadamard.json unbounded_qpm.json": "1090dacf12d6540e",
-    "equiv swap_ffmc.json swap_qmc.json": "1090dacf12d6540e",
-    "equiv swap_ffmc.json unbounded_qpm.json": "1090dacf12d6540e",
+    "equiv qrw_hadamard.json swap_qmc.json": "c4286fffbb14a0e9",
+    "equiv qrw_hadamard.json unbounded_qpm.json": "c4286fffbb14a0e9",
+    "equiv swap_ffmc.json swap_qmc.json": "c4286fffbb14a0e9",
+    "equiv swap_ffmc.json unbounded_qpm.json": "c4286fffbb14a0e9",
     "equiv swap_qmc.json unbounded_qpm.json": "9ee29d8c0a6ebe2f",
 }
 
@@ -939,7 +939,10 @@ class TestCliCommands:
 
     def test_every_command_report_is_pinned(self):
         # every command on every fixture, refusals included, recorded before the
-        # per-class dispatch in cli and io became tables keyed by schema kind
+        # per-class dispatch in cli and io became tables keyed by schema kind;
+        # refusals re-pinned when failed reports gained their tolerances, and
+        # stationary reports when both Cesàro routes moved to the orbit's
+        # Krylov space (each moved value is listed in CHANGES.md)
         digests = {}
         for name in MATRIX_FIXTURES:
             path = str(FIXTURES / name)
@@ -1141,6 +1144,16 @@ class TestCliCommands:
         assert letters["a"] == pytest.approx(0.5, abs=1e-8)
         assert letters["b"] == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("method", ["iterative", "spectral"])
+    def test_stationary_reports_the_orbit_space(self, method):
+        code, report = _run_json(
+            ["stationary", str(FIXTURES / "qrw_hadamard.json"), "--method", method]
+        )
+        assert code == 0
+        results = report["results"]
+        assert results["krylov_dim"] == (3 if method == "spectral" else None)
+        assert 0.0 <= results["invariance_residual"] <= 1e-12
+
     def test_bell_single_file(self):
         code, report = _run_json(["bell", str(FIXTURES / "bell5.json")])
         assert code == 0
@@ -1315,6 +1328,15 @@ class TestReportedConfig:
         code, report = _run_json(argv)
         assert code == 0, report["findings"]
         assert report["tolerances"] == dataclasses.asdict(DEFAULTS.replace(**ran))
+
+    def test_failed_run_reports_the_config_that_judged_it(self, monkeypatch):
+        monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        argv = ["eval", str(FIXTURES / "bad_hmm_rowsum.json"), "--word", "a", "--tol-eval", "1e-3"]
+        code, report = _run_json(argv)
+        assert code == 1
+        assert report["findings"] and not report["results"]
+        assert report["tolerances"] == dataclasses.asdict(DEFAULTS.replace(eval_tol=1e-3))
+        assert report["tolerances"]["eval_tol"] == 0.001
 
     def test_rank_under_a_flag_reports_the_cutoff_it_used(self):
         code, report = _run_json(["rank", str(FIXTURES / "hmm2.json"), "--tol-rank", "0.5"])
