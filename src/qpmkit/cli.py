@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 import time
 
@@ -80,6 +81,9 @@ _CONFIG_FLAGS = {
     "--qpm-horizon": "qpm_horizon",
 }
 
+# Every Config field, in declaration order: the report's ``tolerances``.
+_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(Config))
+
 # Each command's own arguments, as add_argument keywords by name.  A flag
 # whose dest is a Config field is a second spelling of that field's flag.
 _ARGUMENTS = {
@@ -114,15 +118,31 @@ _ARGUMENTS = {
 }
 
 
+class _Help(Exception):
+    """A command's help text, raised so that it reaches the caller's stream."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
-def _base_parser(command: str) -> _Parser:
+
+@functools.cache
+def _parser(command: str) -> _Parser:
+    """``command``'s parser, built on its first call and reused by later ones.
+
+    The config flags come first, then the command's own arguments, the order
+    its help lists them in.  ``parse_args`` leaves the parser as it was, so
+    the calls that share it stay independent.
+    """
     parser = _Parser(prog=f"qpmkit {command}", add_help=True)
     for flag, field in _CONFIG_FLAGS.items():
         parser.add_argument(flag, dest=field, type=type(getattr(DEFAULTS, field)))
+    for name, options in _ARGUMENTS[command].items():
+        parser.add_argument(name, **options)
     return parser
 
 
@@ -159,12 +179,9 @@ def run_command(argv, stdout=None) -> int:
     }
     lines = None
     try:
-        parser = _base_parser(command)
-        for name, options in _ARGUMENTS[command].items():
-            parser.add_argument(name, **options)
-        args = parser.parse_args(argv[1:])
+        args = _parser(command).parse_args(argv[1:])
         config = _apply_flags(load_config(), args)
-        report["tolerances"] = dataclasses.asdict(config)
+        report["tolerances"] = {field: getattr(config, field) for field in _CONFIG_FIELDS}
         code, results, findings, lines = _HANDLERS[command](args, config, report["inputs"])
         report["results"] = results
         report["findings"] = findings
@@ -172,8 +189,9 @@ def run_command(argv, stdout=None) -> int:
         out.write(_USAGE)
         out.write(f"error: {exc}\n")
         return 64
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
+    except _Help as exc:
+        out.write(str(exc))
+        return 0
     except _VALIDATION_ERRORS as exc:
         report["findings"] = _error_findings(exc)
         code = 1

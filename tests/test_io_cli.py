@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -374,7 +375,10 @@ def _report_digest(args) -> str:
 
     ``simulate`` without ``--out`` prints words, not a report; their text is hashed.
     """
-    code, text = _run(args)
+    return _digest(*_run(args))
+
+
+def _digest(code, text) -> str:
     try:
         report = json.loads(text)
     except json.JSONDecodeError:
@@ -1249,6 +1253,12 @@ class TestCliCommands:
         assert code == 0
         assert "commands" in text
 
+    def test_command_help_goes_to_the_callers_stream(self, capsys):
+        code, text = _run(["validate", "--help"])
+        assert code == 0
+        assert "--horizon" in text and text.startswith("usage: qpmkit validate")
+        assert capsys.readouterr().out == ""
+
 
 class TestFfmcAlphabet:
     def test_round_trip_keeps_the_first_seen_symbol_order(self, tmp_path):
@@ -1364,3 +1374,54 @@ class TestReportedConfig:
         by_alias, by_flag, by_default = reports
         assert by_alias == by_flag
         assert by_alias["tolerances"] != by_default["tolerances"]
+
+
+class TestParserReuse:
+    """Each command's parser is built once per process; the calls sharing it stay apart."""
+
+    def test_a_flag_does_not_outlive_its_call(self, monkeypatch):
+        monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        path = str(FIXTURES / "hmm3_rank3.json")
+        code, report = _run_json(["rank", path, "--tol-rank", "0.5"])
+        assert code == 0 and report["tolerances"]["rank_eps"] == 0.5
+        code, text = _run(["rank", path])
+        assert json.loads(text)["tolerances"] == dataclasses.asdict(DEFAULTS)
+        assert _digest(code, text) == PINNED_CLI_DIGESTS["rank hmm3_rank3"]
+
+    def test_a_usage_error_does_not_outlive_its_call(self, monkeypatch):
+        monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        path = str(FIXTURES / "hmm2.json")
+        assert _run(["eval", path])[0] == 64
+        code, text = _run(["eval", path, "--word", "ab"])
+        assert code == 0
+        assert _digest(code, text) == PINNED_MATRIX_DIGESTS["eval hmm2.json --word ab"]
+
+    def test_config_is_read_on_every_call(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        argv = ["eval", str(FIXTURES / "hmm2.json"), "--word", "ab"]
+        _, before = _run_json(argv)
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({"trace_tol": 1e-6}))
+        monkeypatch.setenv("QPMKIT_CONFIG", str(config_path))
+        _, after = _run_json(argv)
+        assert before["tolerances"] == dataclasses.asdict(DEFAULTS)
+        assert after["tolerances"] == dataclasses.asdict(DEFAULTS.replace(trace_tol=1e-6))
+
+    def test_a_command_builds_its_parser_once(self, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        cli._parser.cache_clear()
+        path = str(FIXTURES / "hmm2.json")
+        for argv in (["validate", path], ["eval", path, "--word", "ab"]):
+            added.clear()
+            built = ["-h", *cli._CONFIG_FLAGS, *cli._ARGUMENTS[argv[0]]]
+            assert _run(argv)[0] == 0
+            assert added == built
+            assert _run(argv)[0] == 0
+            assert added == built  # the second call reuses the parser
