@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hermitian import Density, require_hermitian
 from .chain import ChainKind, QuantumChain
-from .process import _state_after, as_word
+from .process import word_value
 
 __all__ = [
     "BoundednessProbe",
@@ -350,8 +350,8 @@ def stationary_word_probability(
     """tr of the word's composed operators applied to the stationary limit."""
     if result is None:
         result = cesaro_limit(chain, **limit_kwargs)
-    coords = _state_after(result.coords, as_word(word, chain.alphabet), chain.letter_matrix)
-    return float(coords @ chain.subspace.traces)
+    letters = chain.alphabet.indices(word)
+    return word_value(result.coords, chain.letter_matrices, letters, chain.subspace.traces)
 
 
 def stationary_letter_distribution(

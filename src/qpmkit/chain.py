@@ -47,12 +47,11 @@ from .process import (
     LinearForm,
     Process,
     Word,
-    _state_after,
-    as_word,
     build_hankel,
     check_process_axioms,
     select_row_basis,
     word_states,
+    word_value,
     words_up_to,
 )
 
@@ -471,17 +470,16 @@ class QuantumChain:
     def total_matrix(self) -> np.ndarray:
         return sum(self.letter_ops[a].matrix for a in self.alphabet)
 
-    def letter_matrix(self, symbol: str) -> np.ndarray:
-        self.alphabet.index(symbol)
-        return self.letter_ops[symbol].matrix
+    @property
+    def letter_matrices(self) -> list[np.ndarray]:
+        """The letter operators' coordinate matrices in alphabet order."""
+        return [self.letter_ops[a].matrix for a in self.alphabet]
 
 
 def chain_eval(chain: QuantumChain, word) -> float:
     """tr of the composed letter operators applied to the initial density."""
-    symbols = as_word(word, chain.alphabet)  # checks every symbol
-    ops = chain.letter_ops
-    coords = _state_after(chain.initial_coords, symbols, lambda symbol: ops[symbol].matrix)
-    return float(coords @ chain.subspace.traces)
+    letters = chain.alphabet.indices(word)
+    return word_value(chain.initial_coords, chain.letter_matrices, letters, chain.subspace.traces)
 
 
 def chain_process(chain: QuantumChain) -> Process:
@@ -495,7 +493,7 @@ def chain_process(chain: QuantumChain) -> Process:
 
 def _linear_form(chain: QuantumChain, initial_coords: np.ndarray) -> LinearForm:
     """Coordinates of the initial density, the letter coordinate matrices, the basis traces."""
-    matrices = np.stack([chain.letter_ops[a].matrix for a in chain.alphabet])
+    matrices = np.stack(chain.letter_matrices)
     return LinearForm(initial_coords, matrices, chain.subspace.traces)
 
 

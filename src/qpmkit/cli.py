@@ -148,9 +148,8 @@ def _parser(command: str) -> _Parser:
 
 def _apply_flags(config: Config, args: argparse.Namespace) -> Config:
     fields = _CONFIG_FLAGS.values()
-    return config.replace(
-        **{field: value for field in fields if (value := getattr(args, field)) is not None}
-    )
+    given = {field: value for field in fields if (value := getattr(args, field)) is not None}
+    return config.replace(**given) if given else config
 
 
 def main() -> None:

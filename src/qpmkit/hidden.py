@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hermitian import Density, require_hermitian, spectral_decompose
 from .chain import QuantumChain
-from .process import as_word
+from .process import _rescale, _scaled
 
 __all__ = [
     "HiddenStateBasis",
@@ -358,15 +358,11 @@ def viterbi_hidden_path(
     exact, so the path and weight equal the plain float products' wherever
     those stay normal doubles, and the path stays optimal past that point.
     """
-    symbols = as_word(word, chain.alphabet)
+    letters = chain.alphabet.indices(word)
     init, factors = _step_weights(chain, basis, tol)
     negative = bool(init.min() < -1e-12 or factors.min() < -1e-12)
-    letters = [chain.alphabet.index(s) for s in symbols]
     path, mantissa, exponent = _best_path(init, factors, letters)
-    try:
-        weight = math.ldexp(mantissa, exponent)
-    except OverflowError:
-        weight = math.copysign(math.inf, mantissa)
+    weight = _scaled(mantissa, exponent)
     log_weight = math.log(abs(mantissa)) + exponent * math.log(2.0) if mantissa else -math.inf
     return ViterbiResult(
         path=tuple(basis.labels[i] for i in path),
@@ -458,8 +454,3 @@ def _best_path(init: np.ndarray, factors: np.ndarray, letters: list[int]):
         path.append(k)
     return [k % n for k in reversed(path)], mantissa, exponent
 
-
-def _rescale(vals: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
-    """Divide by the power of two nearest the largest magnitude, which is exact."""
-    shift = math.frexp(float(np.abs(vals).max()))[1]
-    return np.ldexp(vals, -shift), exponent + shift

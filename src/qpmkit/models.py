@@ -23,7 +23,7 @@ from .errors import (
 )
 from .errors import ValidationReport
 from .hermitian import is_unitary
-from .process import Alphabet, LinearForm, Process, Word, _state_after, as_word
+from .process import Alphabet, LinearForm, Process, Word, word_value
 
 __all__ = [
     "HmmParam",
@@ -125,9 +125,7 @@ def _check_stochastic_matrix(report, matrix, name, states, tol):
 
 def hmm_eval(hmm: HmmParam, word) -> float:
     """Word probability initial @ M_w1 @ ... @ M_wn @ 1 over the emission-split matrices."""
-    matrices = dict(zip(hmm.alphabet.symbols, _emission_split(hmm)))
-    vec = _state_after(hmm.initial, as_word(word, hmm.alphabet), matrices.__getitem__)
-    return float(vec.sum())
+    return word_value(hmm.initial, _emission_split(hmm), hmm.alphabet.indices(word))
 
 
 def hmm_process(hmm: HmmParam) -> Process:
@@ -258,9 +256,8 @@ def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryPa
 
 
 def finitary_eval(param: FinitaryParam, word) -> float:
-    symbols = as_word(word, param.alphabet)
-    vec = _state_after(param.initial, symbols, param.letter_matrices.__getitem__)
-    return float(vec @ param.end)
+    mats = [param.letter_matrices[a] for a in param.alphabet]
+    return word_value(param.initial, mats, param.alphabet.indices(word), param.end)
 
 
 def finitary_process(param: FinitaryParam) -> Process:
@@ -455,8 +452,8 @@ def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> floa
     block's rows of the unitary to the initial wave, every later one the
     k x k block from the previous node's coins to the chosen node's.
     """
-    symbols = as_word(word, qrw.nodes)
-    if not symbols:
+    nodes = qrw.nodes.indices(word)
+    if not nodes:
         return 1.0
     _require_unit_wave(qrw.wave, trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
@@ -464,7 +461,7 @@ def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> floa
     evolve = qrw.unitary.reshape(n, k, qrw.dim)
     amplitudes = qrw.wave
     probability = 1.0
-    for node in [qrw.nodes.index(symbol) for symbol in symbols]:
+    for node in nodes:
         evolved = evolve[node] @ amplitudes
         weight = float(np.vdot(evolved, evolved).real)
         probability *= weight
@@ -650,7 +647,7 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
 
 def _chain_sampler(chain, clamp_tol: float):
     """Branch masses through the basis traces; the chosen branch is renormalised to unit mass."""
-    letters = np.concatenate([chain.letter_matrix(a) for a in chain.alphabet], axis=1)
+    letters = np.concatenate(chain.letter_matrices, axis=1)
     traces = chain.subspace.traces
     d, size = len(traces), len(chain.alphabet)
 

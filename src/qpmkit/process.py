@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -80,6 +81,29 @@ class Alphabet:
         except ValueError:
             raise AlphabetError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {symbol: i for i, symbol in enumerate(self.symbols)}
+
+    def indices(self, word) -> list[int]:
+        """The letter index of each symbol of ``word``, checked in the same pass.
+
+        ``word`` is a symbol sequence or text in the CLI's word syntax
+        (see :func:`parse_word`).  The first symbol not in the alphabet
+        raises the :class:`AlphabetError` of :meth:`index`.
+        """
+        if isinstance(word, str):
+            word = _split_word(word, self)
+        elif not isinstance(word, (tuple, list)):
+            word = tuple(word)
+        positions = self._positions
+        try:
+            return [positions[symbol] for symbol in word]
+        except (KeyError, TypeError):  # unhashable symbols are not in the alphabet either
+            for symbol in word:
+                self.index(symbol)
+            raise
+
 
 def words_of_length(alphabet: Alphabet, length: int) -> list[Word]:
     """All words of exactly ``length`` symbols, in alphabet order."""
@@ -103,18 +127,20 @@ def format_word(word: Word) -> str:
     return ",".join(word)
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse the CLI's word syntax (concatenated chars or comma-separated tokens)."""
+def _split_word(text: str, alphabet: Alphabet) -> Word:
     if text == "":
         return EPSILON
     if "," in text:
-        parts = tuple(text.split(","))
-    elif all(len(s) == 1 for s in alphabet.symbols):
-        parts = tuple(text)
-    else:
-        parts = (text,)
-    for symbol in parts:
-        alphabet.index(symbol)
+        return tuple(text.split(","))
+    if all(len(s) == 1 for s in alphabet.symbols):
+        return tuple(text)
+    return (text,)
+
+
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    """Parse the CLI's word syntax (concatenated chars or comma-separated tokens)."""
+    parts = _split_word(text, alphabet)
+    alphabet.indices(parts)
     return parts
 
 
@@ -126,8 +152,7 @@ def as_word(word, alphabet: Alphabet | None = None) -> Word:
         return parse_word(word, alphabet)
     parts = tuple(word)
     if alphabet is not None:
-        for symbol in parts:
-            alphabet.index(symbol)
+        alphabet.indices(parts)
     return parts
 
 
@@ -172,11 +197,104 @@ class Process:
         return None if self.lowering is None else self.lowering()
 
 
-def _state_after(vec: np.ndarray, word: Word, matrix_of: Callable[[str], np.ndarray]):
-    """``vec`` times the letter matrices of ``word``, left to right, one product per symbol."""
-    for symbol in word:
-        vec = vec @ matrix_of(symbol)
-    return vec
+# Words of at least _BLOCKED_MIN letters on nonnegative forms of dimension
+# 1.._BLOCKED_MAX_DIM multiply each block of _BLOCK letters first and step
+# the state once per block; the constants come from the timing table in
+# CHANGES.md.
+_BLOCK = 32
+_BLOCK_LEVELS = 5  # log2(_BLOCK) pairwise product levels
+_BLOCKED_MIN = 2 * _BLOCK
+_BLOCKED_MAX_DIM = 16
+_GATHER = 16 * _BLOCK  # letters whose matrices are gathered at once
+# A step through a block product whose largest entry is below 1 grows the
+# state at most n-fold, so over the 16 blocks of a gather (n <= 16) every
+# state on the way is at least 2**-64 of the last one.  When the last one
+# is above 2**_FLOOR, none came within 2**53 of the subnormal range.
+_FLOOR = -1022 + 53 + 64
+
+
+def word_value(start: np.ndarray, matrices, letters: list[int], end=None) -> float:
+    """float(start · M_l1 ··· M_lT · end), or the sum of the final state without ``end``.
+
+    ``matrices`` holds one real square matrix per letter index (a stacked
+    array or a list) and ``letters`` the word's indices
+    (:meth:`Alphabet.indices`).  Longer words on narrow forms whose letter
+    matrices have no negative entry, such as HMMs and their diagonal
+    chains, step the state once per block of letters
+    (:func:`_blocked_state`), and the value is ldexp(mantissa, exponent):
+    it reads 0.0 only when the word's value is below the double range.
+    Words under ``_BLOCKED_MIN`` letters, forms wider than
+    ``_BLOCKED_MAX_DIM`` and signed forms step the state once per letter,
+    with the bits of the plain loop.  A product of signed matrices can
+    cancel: its rounding error, relative to the product, grows with the
+    number of factors multiplied before the state sees them.
+    """
+    narrow = len(letters) >= _BLOCKED_MIN and 0 < start.shape[0] <= _BLOCKED_MAX_DIM
+    stacked = np.asarray(matrices) if narrow else None
+    if narrow and stacked.min() >= 0.0:
+        vec, exponent = _blocked_state(start, stacked, letters)
+    else:
+        vec, exponent = start, 0
+        for a in letters:
+            vec = vec @ matrices[a]
+    return _scaled(float(vec.sum() if end is None else vec @ end), exponent)
+
+
+def _blocked_state(start: np.ndarray, mats: np.ndarray, letters: list[int]):
+    """The prefix product as (state, exponent), one state step per block of letters.
+
+    Every matrix is carried as mantissa · 2**exponent with its largest
+    entry in [0.5, 1), which is exact: the letters once, each block
+    product once.  The word is padded with identities to whole blocks of
+    ``_BLOCK`` letters.  At most ``_GATHER`` letters are gathered at a
+    time, and each block is multiplied in ``_BLOCK_LEVELS`` batched
+    pairwise levels, left factor first.  The state then steps through
+    the gathered blocks and is rescaled once; if it ended low enough
+    that a step may have neared the subnormal range, the gather is
+    stepped again with a rescale after every block.  With nonnegative
+    letter matrices no sum cancels, so every entry of a block product
+    keeps double precision relative to itself.
+    """
+    count, n = mats.shape[0], mats.shape[1]
+    scale = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
+    # letter index ``count`` is the identity that pads the word
+    mats = np.concatenate([np.ldexp(mats, -scale[:, None, None]), np.eye(n)[None]])
+    scale = np.append(scale, 0)
+    indices = np.full(-(-len(letters) // _BLOCK) * _BLOCK, count)
+    indices[: len(letters)] = letters
+    vec, exponent = _rescale(start, 0)
+    for lo in range(0, len(indices), _GATHER):
+        chunk = indices[lo : lo + _GATHER]
+        blocks = mats[chunk].reshape(-1, _BLOCK, n, n)
+        for _ in range(_BLOCK_LEVELS):
+            blocks = blocks[:, 0::2] @ blocks[:, 1::2]
+        tops = np.frexp(np.abs(blocks).max(axis=(1, 2, 3)))[1]
+        blocks = np.ldexp(blocks[:, 0], -tops[:, None, None])
+        shifts = (scale[chunk].reshape(-1, _BLOCK).sum(axis=1) + tops).tolist()
+        stepped = vec
+        for block in blocks:
+            stepped = stepped @ block
+        stepped, grown = _rescale(stepped, 0)
+        if grown > _FLOOR and stepped.any():
+            vec, exponent = stepped, exponent + sum(shifts) + grown
+            continue
+        for block, shift in zip(blocks, shifts):
+            vec, exponent = _rescale(vec @ block, exponent + shift)
+    return vec, exponent
+
+
+def _rescale(vals: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
+    """Divide by the power of two nearest the largest magnitude, which is exact."""
+    shift = math.frexp(float(np.abs(vals).max()))[1]
+    return np.ldexp(vals, -shift), exponent + shift
+
+
+def _scaled(mantissa: float, exponent: int) -> float:
+    """mantissa · 2**exponent as a double: 0.0 below its range, ±inf above it."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
 
 
 def word_states(form: LinearForm, length: int, suffix: bool = False) -> np.ndarray:

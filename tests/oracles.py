@@ -45,6 +45,43 @@ def hmm_path_prob(hmm, word) -> float:
     return float(total)
 
 
+def prefix_product_reference(start, matrices, letters, end=None) -> float:
+    """start · M_l1 ··· M_lT · end by one vector-matrix product per letter.
+
+    Without ``end`` the final state is summed.  Underflows like any plain
+    float product.
+    """
+    vec = start
+    for a in letters:
+        vec = vec @ matrices[a]
+    return float(vec.sum() if end is None else vec @ end)
+
+
+def forward_log_reference(start, matrices, letters, end=None) -> float:
+    """log|start · M_l1 ··· M_lT · end| by the scaled forward recursion.
+
+    As in Rabiner (Proc. IEEE 77, 1989), the state is divided by a scale
+    at the start and after every letter, and the logs of the scales are
+    summed; here the scale is the largest magnitude, so signed forms work
+    too.  Without ``end`` the final state is summed.  Returns -inf for an
+    exact zero.
+    """
+    top = float(np.max(np.abs(start)))
+    if top == 0.0:
+        return -np.inf
+    vec = np.array(start, dtype=float) / top
+    log_scale = np.log(top)
+    for a in letters:
+        vec = vec @ matrices[a]
+        top = float(np.max(np.abs(vec)))
+        if top == 0.0:
+            return -np.inf
+        vec = vec / top
+        log_scale += np.log(top)
+    final = float(vec.sum() if end is None else vec @ end)
+    return log_scale + np.log(abs(final)) if final else -np.inf
+
+
 def qrw_collapse_prob(qrw, word) -> float:
     """Word probability by explicit wave evolution and collapse."""
     psi = qrw.wave.copy()

@@ -15,10 +15,12 @@ from qpmkit.io import model_to_dict
 
 from helpers import random_hmm, random_local_qrw, random_qmc
 from oracles import (
+    forward_log_reference,
     hmm_path_log_weight,
     hmm_viterbi_enumerate,
     hmm_viterbi_log,
     prefix_average_letter,
+    prefix_product_reference,
     qrw_collapse_prob,
     sample_reference,
 )
@@ -308,3 +310,39 @@ def test_18_stationary_limit_on_the_orbit_at_dimension_32():
     assert result.stationarity_residual <= 1e-7
     assert result.invariance_residual <= 1e-12
     assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_19_long_words_step_once_per_block():
+    rng = np.random.default_rng(1901)
+    hmm = random_hmm(rng, 8, 3)
+    chain = qk.hmm_to_qmc(hmm)
+    assert chain.subspace.dim == 8
+    letters = [int(a) for a in rng.integers(3, size=2000)]
+    word = tuple(hmm.alphabet.symbols[a] for a in letters)
+    hmm_matrices = [hmm.emission[:, i][:, None] * hmm.transition for i in range(3)]
+    chain_matrices = [chain.letter_ops[a].matrix for a in chain.alphabet]
+    chain_start, traces = chain.initial_coords, chain.subspace.traces
+    runs = {
+        "hmm_eval": (
+            lambda: qk.hmm_eval(hmm, word),
+            lambda: prefix_product_reference(hmm.initial, hmm_matrices, letters),
+        ),
+        "chain_eval": (
+            lambda: qk.chain_eval(chain, word),
+            lambda: prefix_product_reference(chain_start, chain_matrices, letters, traces),
+        ),
+    }
+    log = forward_log_reference(hmm.initial, hmm_matrices, letters)
+    assert log < -745  # below the double range: the value reads 0.0, as the loop's does
+    with criterion(19, "2000-letter words at most 0.6x the per-letter loop's time", 2.0):
+        for name, (evaluate, reference) in runs.items():
+            fast, plain = [], []
+            for _ in range(7):  # interleaved, so a change of host speed hits both
+                started = time.perf_counter()
+                value = evaluate()
+                fast.append(time.perf_counter() - started)
+                started = time.perf_counter()
+                want = reference()
+                plain.append(time.perf_counter() - started)
+            assert value == want == 0.0, name
+            assert np.median(fast) <= 0.6 * np.median(plain), name

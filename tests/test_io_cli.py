@@ -1425,3 +1425,10 @@ class TestParserReuse:
             assert added == built
             assert _run(argv)[0] == 0
             assert added == built  # the second call reuses the parser
+
+    def test_no_flag_keeps_the_loaded_config(self):
+        config = DEFAULTS.replace(trace_tol=1e-6)
+        plain = cli._parser("validate").parse_args(["hmm2.json"])
+        assert cli._apply_flags(config, plain) is config  # not a replaced copy
+        flagged = cli._parser("validate").parse_args(["hmm2.json", "--tol-rank", "0.5"])
+        assert cli._apply_flags(config, flagged) == config.replace(rank_eps=0.5)

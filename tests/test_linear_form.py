@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
 from qpmkit.errors import AlphabetError, DegenerateSupportError
-from qpmkit.process import TruncatedHankel, _state_after, as_word, word_table
+from qpmkit.process import TruncatedHankel, word_table
 
 from helpers import (
     random_hmm,
@@ -23,7 +23,12 @@ from helpers import (
     random_quantum_density,
     random_stochastic_rows,
 )
-from oracles import equivalent_by_enumeration, hankel_singular_values, row_basis_reference
+from oracles import (
+    equivalent_by_enumeration,
+    hankel_singular_values,
+    prefix_product_reference,
+    row_basis_reference,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
@@ -190,10 +195,12 @@ def chain_families(rng) -> list[QuantumChain]:
 
 
 def checked_lookup_eval(chain: QuantumChain, word) -> float:
-    """chain_eval with each symbol checked again as its matrix is looked up."""
-    symbols = as_word(word, chain.alphabet)
-    coords = _state_after(chain.initial_coords, symbols, chain.letter_matrix)
-    return float(coords @ chain.subspace.traces)
+    """chain_eval by the plain per-letter loop, each symbol looked up on its own."""
+    letters = [chain.alphabet.index(symbol) for symbol in word]
+    matrices = [chain.letter_ops[a].matrix for a in chain.alphabet]
+    return prefix_product_reference(
+        chain.initial_coords, matrices, letters, chain.subspace.traces
+    )
 
 
 class TestChainEval:
