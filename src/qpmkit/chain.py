@@ -486,7 +486,6 @@ def chain_process(chain: QuantumChain) -> Process:
     return Process(
         chain.alphabet,
         lambda w: chain_eval(chain, w),
-        dimension=chain.subspace.dim,
         lowering=lambda: _linear_form(chain, chain.initial_coords),
     )
 

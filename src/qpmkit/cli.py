@@ -292,17 +292,16 @@ def _lower(model, target: str, config: Config):
     return lowering(model, config)
 
 
-def _default_truncation(proc: process_mod.Process) -> int:
-    """Declared dimension, reduced until the Hankel stays desk-sized.
+def _default_truncation(letters: int, dimension: int) -> int:
+    """The linear form's dimension, reduced until the Hankel stays desk-sized.
 
-    The largest depth d, from 1 up to the declared dimension, at which the
-    words of length at most d number at most 130 (depth 1 if none does).
-    Their count, Σ_{k≤d} |A|^k, is summed as integers: no word is built.
+    The largest depth d, from 1 up to ``dimension``, at which the words of
+    length at most d over ``letters`` symbols number at most 130 (depth 1
+    if none does).  Their count, Σ_{k≤d} |A|^k, is summed as integers: no
+    word is built.
     """
-    declared = proc.dimension if proc.dimension is not None else 3
-    letters = len(proc.alphabet)
     depth, words = 1, 1 + letters
-    while depth < int(declared) and words + letters ** (depth + 1) <= 130:
+    while depth < dimension and words + letters ** (depth + 1) <= 130:
         depth += 1
         words += letters**depth
     return depth
@@ -336,17 +335,16 @@ def _cmd_eval(args, config, inputs):
     inputs.update({"model": args.model, "word": args.word})
     model = load_model(args.model, config)
     proc = _lower(model, "process", config)
-    word = process_mod.parse_word(args.word, proc.alphabet)
-    value = proc(word)
-    return 0, {"word": args.word, "value": float(value)}, [], None
+    return 0, {"word": args.word, "value": proc(args.word)}, [], None
 
 
 def _cmd_rank(args, config, inputs):
     inputs.update({"model": args.model, "rows": args.rows, "cols": args.cols})
     model = load_model(args.model, config)
     proc = _lower(model, "process", config)
-    rows = args.rows if args.rows is not None else _default_truncation(proc)
-    cols = args.cols if args.cols is not None else _default_truncation(proc)
+    depth = _default_truncation(len(proc.alphabet), proc.linear.dim)
+    rows = args.rows if args.rows is not None else depth
+    cols = args.cols if args.cols is not None else depth
     hankel = process_mod.build_hankel(proc, rows, cols)
     rank = process_mod.numerical_rank(hankel, config.rank_eps)
     basis = process_mod.select_row_basis(hankel, config.rank_eps)
@@ -369,7 +367,7 @@ def _cmd_equiv(args, config, inputs):
     witness = process_mod.distinguishing_word(proc_a, proc_b, config.equiv_tol)
     results = {
         "equivalent": witness is None,
-        "horizon": int(proc_a.dimension) + int(proc_b.dimension),
+        "horizon": proc_a.linear.dim + proc_b.linear.dim,
         "witness": None if witness is None else process_mod.format_word(witness),
     }
     return 0, results, [], None

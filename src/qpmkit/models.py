@@ -134,7 +134,6 @@ def hmm_process(hmm: HmmParam) -> Process:
     return Process(
         hmm.alphabet,
         lambda w: hmm_eval(hmm, w),
-        dimension=hmm.n_states,
         lowering=lambda: LinearForm(hmm.initial, _emission_split(hmm), np.ones(hmm.n_states)),
     )
 
@@ -264,7 +263,6 @@ def finitary_process(param: FinitaryParam) -> Process:
     return Process(
         param.alphabet,
         lambda w: finitary_eval(param, w),
-        dimension=param.dimension,
         lowering=lambda: LinearForm(
             param.initial,
             np.stack([param.letter_matrices[a] for a in param.alphabet]),
@@ -488,7 +486,6 @@ def qrw_process(qrw: QrwParam, trace_tol: float = DEFAULTS.trace_tol) -> Process
     return Process(
         qrw.nodes,
         lambda w: qrw_eval(qrw, w, trace_tol),
-        dimension=qrw.dim**2,
         lowering=lambda: _qrw_form(qrw),
     )
 

@@ -14,7 +14,7 @@ import csv
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -144,18 +144,6 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return parts
 
 
-def as_word(word, alphabet: Alphabet | None = None) -> Word:
-    """Normalize str/sequence input to a symbol tuple, optionally validated."""
-    if isinstance(word, str):
-        if alphabet is None:
-            return tuple(word)
-        return parse_word(word, alphabet)
-    parts = tuple(word)
-    if alphabet is not None:
-        alphabet.indices(parts)
-    return parts
-
-
 class LinearForm(NamedTuple):
     """A process as p(w) = Re(initial · M_w1 ··· M_wn · end).
 
@@ -175,26 +163,24 @@ class LinearForm(NamedTuple):
 
 @dataclass(frozen=True)
 class Process:
-    """A word-probability function with an optional declared finitary dimension.
+    """A word-probability function and the linear form that represents it.
 
-    ``lowering``, when given, returns the process's :class:`LinearForm`;
-    it runs on first access of :attr:`linear`, so evaluating single words
-    through ``fn`` never pays for it.  A process built from a bare
-    callable has no linear form, and the sweeps below fall back to one
-    call of ``fn`` per word.
+    ``fn`` evaluates one word and checks its symbols against the
+    alphabet.  ``lowering`` returns the process's :class:`LinearForm`; it
+    runs on first access of :attr:`linear`, so evaluating single words
+    through ``fn`` never pays for it.  The sweeps below run on the form.
     """
 
     alphabet: Alphabet
     fn: Callable[[Word], float]
-    dimension: int | None = None
-    lowering: Callable[[], LinearForm] | None = field(default=None, repr=False, compare=False)
+    lowering: Callable[[], LinearForm] = field(repr=False, compare=False)
 
     def __call__(self, word) -> float:
-        return float(self.fn(as_word(word, self.alphabet)))
+        return float(self.fn(word))
 
     @cached_property
-    def linear(self) -> LinearForm | None:
-        return None if self.lowering is None else self.lowering()
+    def linear(self) -> LinearForm:
+        return self.lowering()
 
 
 # Words of at least _BLOCKED_MIN letters on nonnegative forms of dimension
@@ -315,22 +301,6 @@ def word_states(form: LinearForm, length: int, suffix: bool = False) -> np.ndarr
     return np.concatenate(layers)
 
 
-def word_table(process: Process, row_length: int, col_length: int) -> np.ndarray:
-    """The matrix [p(vw)] over prefixes v and suffixes w up to the given lengths.
-
-    With a linear form this is the product of the prefix and suffix state
-    tables; a callable-only process is evaluated once per entry.
-    """
-    form = process.linear
-    if form is None:
-        rows = words_up_to(process.alphabet, row_length)
-        cols = words_up_to(process.alphabet, col_length)
-        return np.array([[process(v + w) for w in cols] for v in rows])
-    prefixes = word_states(form, row_length)
-    suffixes = word_states(form, col_length, suffix=True)
-    return np.real(prefixes @ suffixes.T)
-
-
 def check_process_axioms(
     process: Process,
     horizon: int,
@@ -340,15 +310,17 @@ def check_process_axioms(
     """Check nonnegativity, marginal consistency and p() == 1 up to ``horizon``.
 
     Returns human-readable problem descriptions; empty means the axioms
-    hold on every word of length at most ``horizon``.  A ``hankel`` of
-    the process with prefixes up to ``horizon`` lends its prefix states,
-    whose product with the empty suffix's state is :func:`word_table`'s.
+    hold on every word of length at most ``horizon``.  The values are the
+    prefix states times the end vector, the empty suffix's state; a
+    ``hankel`` of the process with prefixes up to ``horizon`` lends both.
     """
     problems: list[str] = []
     if hankel is None:
-        values = word_table(process, max(horizon, 0), 0)[:, 0]
+        form = process.linear
+        prefixes, ends = word_states(form, max(horizon, 0)), form.end[None, :]
     else:
-        values = np.real(hankel._prefix_states @ hankel._suffix_states[:1].T)[:, 0]
+        prefixes, ends = hankel._prefix_states, hankel._suffix_states[:1]
+    values = np.real(prefixes @ ends.T)[:, 0]
     root = float(values[0])
     if abs(root - 1.0) > tol:
         problems.append(f"p(empty word) is {root!r}, expected 1")
@@ -383,24 +355,20 @@ class TruncatedHankel:
     ``matrix`` is Re(F·Bᵀ), where :func:`build_hankel` keeps the prefix
     states F (N×d) and the suffix states B (M×d) of a d-dimensional
     linear form.  Rank and row-basis analysis decompose these factors,
-    never their N×M product.  A Hankel given only by its matrix is its
-    own prefix factor, with the identity as suffix factor.  The analysis
-    is cached on first use, so the arrays must not change afterwards.
+    never their N×M product.  The analysis is cached on first use, so the
+    arrays must not change afterwards.
     """
 
     alphabet: Alphabet
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
     matrix: np.ndarray
-    _prefix_states: np.ndarray | None = field(repr=False, default=None)
-    _suffix_states: np.ndarray | None = field(repr=False, default=None)
+    _prefix_states: np.ndarray = field(repr=False)
+    _suffix_states: np.ndarray = field(repr=False)
     _row_index: dict = field(repr=False, default_factory=dict)
     _col_index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self._prefix_states is None:
-            object.__setattr__(self, "_prefix_states", self.matrix)
-            object.__setattr__(self, "_suffix_states", np.eye(self.matrix.shape[1]))
         object.__setattr__(self, "_row_index", {w: i for i, w in enumerate(self.row_words)})
         object.__setattr__(self, "_col_index", {w: i for i, w in enumerate(self.col_words)})
 
@@ -453,18 +421,13 @@ def build_hankel(process: Process, row_length: int, col_length: int) -> Truncate
     times the suffix states (the factorisation used in spectral learning
     of weighted automata), so its cost is linear in the number of
     entries.  Both factors stay on the result, where the rank and the
-    row basis are computed from them.  A callable-only process is
-    evaluated once per entry.
+    row basis are computed from them.
     """
     if row_length < 0 or col_length < 0:
         raise ValidationError("Hankel truncation lengths must be >= 0")
     rows = tuple(words_up_to(process.alphabet, row_length))
     cols = tuple(words_up_to(process.alphabet, col_length))
     form = process.linear
-    if form is None:
-        return TruncatedHankel(
-            process.alphabet, rows, cols, word_table(process, row_length, col_length)
-        )
     prefixes = word_states(form, row_length)
     suffixes = word_states(form, col_length, suffix=True)
     return TruncatedHankel(
@@ -544,22 +507,10 @@ def distinguishing_word(
     every word's state is a combination of visited ones and the
     processes agree everywhere.  Words are visited shortest first, and
     in exact arithmetic the returned word has minimal length.
-
-    When either process is only a callable, every word up to the sum of
-    the declared dimensions is compared instead, which needs both
-    ``dimension`` fields.
     """
     if first.alphabet.symbols != second.alphabet.symbols:
         raise DimensionMismatchError("processes must share an alphabet")
     one, two = first.linear, second.linear
-    if one is None or two is None:
-        if first.dimension is None or second.dimension is None:
-            raise ValidationError("both processes need a known finitary dimension")
-        horizon = int(first.dimension) + int(second.dimension)
-        gaps = np.abs(word_table(first, horizon, 0) - word_table(second, horizon, 0))[:, 0]
-        over = np.flatnonzero(gaps > tol)
-        return words_up_to(first.alphabet, horizon)[over[0]] if over.size else None
-
     d = one.dim
     dtype = np.result_type(one.matrices, two.matrices, one.initial, two.initial)
     mats = np.zeros((len(first.alphabet), d + two.dim, d + two.dim), dtype=dtype)
@@ -592,21 +543,6 @@ def distinguishing_word(
     return None
 
 
-def processes_equivalent(
-    first: Process,
-    second: Process,
-    dim_first: int | None = None,
-    dim_second: int | None = None,
-    tol: float = DEFAULTS.equiv_tol,
-) -> bool:
-    """True when no word distinguishes the processes; see :func:`distinguishing_word`.
-
-    ``dim_first`` / ``dim_second`` override the declared dimensions; they
-    matter only for callable-only processes, whose comparison runs over
-    every word up to the sum of the dimensions.
-    """
-    if dim_first is not None:
-        first = replace(first, dimension=dim_first)
-    if dim_second is not None:
-        second = replace(second, dimension=dim_second)
+def processes_equivalent(first: Process, second: Process, tol: float = DEFAULTS.equiv_tol) -> bool:
+    """True when no word distinguishes the processes; see :func:`distinguishing_word`."""
     return distinguishing_word(first, second, tol) is None

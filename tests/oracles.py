@@ -213,6 +213,51 @@ def prefix_average_letter(chain, symbol: str, horizon: int) -> float:
     return acc / horizon
 
 
+def _words_up_to(alphabet, length: int) -> list:
+    """Every word of at most ``length`` symbols, shortest first, each length in alphabet order."""
+    return [
+        word
+        for t in range(length + 1)
+        for word in itertools.product(alphabet.symbols, repeat=t)
+    ]
+
+
+def word_table_reference(process, row_length: int, col_length: int) -> np.ndarray:
+    """The matrix [p(vw)] over prefixes v and suffixes w, one call of ``process`` per entry."""
+    rows = _words_up_to(process.alphabet, row_length)
+    cols = _words_up_to(process.alphabet, col_length)
+    return np.array([[process(v + w) for w in cols] for v in rows])
+
+
+def axiom_problems_reference(process, horizon: int, tol: float = 1e-9) -> list:
+    """The problems ``check_process_axioms`` reports, found word by word.
+
+    Each word up to ``horizon`` is evaluated on its own; a word shorter
+    than ``horizon`` has its one-symbol extensions summed in alphabet
+    order, starting from 0.0.
+    """
+    problems = []
+    root = process(())
+    if abs(root - 1.0) > tol:
+        problems.append(f"p(empty word) is {root!r}, expected 1")
+    if horizon < 0:
+        return problems
+    for word in _words_up_to(process.alphabet, horizon):
+        name = ("," if any(len(s) != 1 for s in word) else "").join(word) or "empty"
+        value = process(word)
+        if value < -tol:
+            problems.append(f"p({name}) is negative: {value!r}")
+        if len(word) < horizon:
+            extended = 0.0
+            for symbol in process.alphabet.symbols:
+                extended += process(word + (symbol,))
+            if abs(extended - value) > tol:
+                problems.append(
+                    f"one-symbol extensions of {name} sum to {extended!r}, expected {value!r}"
+                )
+    return problems
+
+
 def equivalent_by_enumeration(first, second, horizon: int, tol: float = 1e-9) -> bool:
     """Compare two processes word by word on every word up to ``horizon``.
 

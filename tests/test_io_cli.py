@@ -883,9 +883,9 @@ class TestCliCommands:
         assert report["results"]["row_basis"] == [""]
 
     def test_default_truncation_counts_words_without_building_them(self):
-        def by_listing(proc):  # the depth as it was chosen when words were listed
-            depth = max(int(proc.dimension), 1)
-            while depth > 1 and len(qk.words_up_to(proc.alphabet, depth)) > 130:
+        def by_listing(alphabet, dimension):  # the depth as it was chosen when words were listed
+            depth = max(dimension, 1)
+            while depth > 1 and len(qk.words_up_to(alphabet, depth)) > 130:
                 depth -= 1
             return depth
 
@@ -898,13 +898,13 @@ class TestCliCommands:
             for declared in range(-1, 140):  # 129 is the deepest for one letter
                 if size ** max(declared, 0) > 20000:
                     break
-                proc = qk.Process(alphabet, lambda word: 0.0, dimension=declared)
-                assert cli._default_truncation(proc) == by_listing(proc), (size, declared)
+                depth = cli._default_truncation(size, declared)
+                assert depth == by_listing(alphabet, declared), (size, declared)
 
     def test_rank_of_a_walk_with_36_declared_dimensions_is_quick(self, tmp_path):
         path = tmp_path / "walk3x2.json"
         save_model(random_local_qrw(np.random.default_rng(36), 3, 2), path)
-        assert qk.qrw_process(load_model(path)).dimension == 36
+        assert qk.qrw_process(load_model(path)).linear.dim == 36
         started = time.perf_counter()
         code, report = _run_json(["rank", str(path)])
         assert time.perf_counter() - started < 1.0

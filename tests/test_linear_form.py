@@ -1,8 +1,8 @@
 """The factorised sweeps against per-word evaluation, Hankel analysis against
 the full-matrix oracles, and equivalence against enumeration.
 
-Each model is also wrapped as a bare-callable :class:`Process` (no linear
-form), which the sweeps evaluate one word at a time; both must agree.
+The per-word references in ``oracles`` call each model's word function once
+per word; the sweeps on the linear form must agree with them.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
 from qpmkit.errors import AlphabetError, DegenerateSupportError
-from qpmkit.process import TruncatedHankel, word_table
+from qpmkit.process import TruncatedHankel
 
 from helpers import (
     random_hmm,
@@ -24,19 +24,16 @@ from helpers import (
     random_stochastic_rows,
 )
 from oracles import (
+    axiom_problems_reference,
     equivalent_by_enumeration,
     hankel_singular_values,
     prefix_product_reference,
     row_basis_reference,
+    word_table_reference,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
-
-
-def bare(process: qk.Process) -> qk.Process:
-    """The same word function without a linear form."""
-    return qk.Process(process.alphabet, process.fn, process.dimension)
 
 
 def dyadic(rng, shape):
@@ -88,9 +85,8 @@ def test_every_model_family_lowers():
     rng = np.random.default_rng(3)
     for process in sweep_models(rng):
         form = process.linear
-        assert form.dim == process.dimension
+        assert form.initial.shape == form.end.shape == (form.dim,)
         assert form.matrices.shape == (len(process.alphabet), form.dim, form.dim)
-        assert bare(process).linear is None
 
 
 class TestFactorisedSweeps:
@@ -100,9 +96,11 @@ class TestFactorisedSweeps:
         rng = np.random.default_rng(seed)
         for process in sweep_models(rng):
             fast = qk.build_hankel(process, 3, 2)
-            slow = qk.build_hankel(bare(process), 3, 2)
-            assert fast.row_words == slow.row_words and fast.col_words == slow.col_words
-            assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
+            slow = word_table_reference(process, 3, 2)
+            assert fast.row_words == tuple(qk.words_up_to(process.alphabet, 3))
+            assert fast.col_words == tuple(qk.words_up_to(process.alphabet, 2))
+            assert fast.matrix.shape == slow.shape
+            assert np.max(np.abs(fast.matrix - slow)) <= 1e-12
 
     @PROPERTY
     @given(SEEDS)
@@ -110,7 +108,7 @@ class TestFactorisedSweeps:
         rng = np.random.default_rng(seed)
         for process in sweep_models(rng):
             for horizon in (0, 3):
-                expected = qk.check_process_axioms(bare(process), horizon)
+                expected = axiom_problems_reference(process, horizon)
                 assert qk.check_process_axioms(process, horizon) == expected
                 hankel = qk.build_hankel(process, horizon, 2)
                 assert qk.check_process_axioms(process, horizon, hankel=hankel) == expected
@@ -121,12 +119,10 @@ class TestFactorisedSweeps:
         broken = [qk.finitary_process(dyadic_finitary(rng)) for _ in range(10)]
         problems = [qk.check_process_axioms(p, 3) for p in broken]
         assert sum(bool(p) for p in problems) >= 5
-        assert problems == [qk.check_process_axioms(bare(p), 3) for p in broken]
-        # the Hankel's prefix states give the values word_table gives, bit for bit
+        assert problems == [axiom_problems_reference(p, 3) for p in broken]
+        # the Hankel's prefix states give the problems, to the bit of every value
         for p in broken + [qk.hmm_process(small_hmm(rng)) for _ in range(10)]:
             hankel = qk.build_hankel(p, 3, 3)
-            values = np.real(hankel._prefix_states @ hankel._suffix_states[:1].T)[:, 0]
-            assert values.tobytes() == word_table(p, 3, 0)[:, 0].tobytes()
             assert qk.check_process_axioms(p, 3, hankel=hankel) == qk.check_process_axioms(p, 3)
 
     def test_hmm_with_unnormalised_rows_agrees_both_ways(self):
@@ -140,7 +136,6 @@ class TestFactorisedSweeps:
             transition=[[0.7, 0.5], [0.4, 0.6]],
         )
         linear = qk.hmm_process(hmm)
-        slow = bare(linear)
         form = linear.linear
         for word in qk.words_up_to(hmm.alphabet, 4):
             vec = form.initial
@@ -148,10 +143,10 @@ class TestFactorisedSweeps:
                 vec = vec @ form.matrices[hmm.alphabet.index(symbol)]
             assert abs(qk.hmm_eval(hmm, word) - float(vec @ form.end)) <= 1e-15
         assert qk.hmm_eval(hmm, "a") == pytest.approx(0.5 * 0.6 * 1.2 + 0.5 * 0.3 * 1.0)
-        fast_hankel, slow_hankel = qk.build_hankel(linear, 3, 3), qk.build_hankel(slow, 3, 3)
-        assert np.max(np.abs(fast_hankel.matrix - slow_hankel.matrix)) <= 1e-15
+        fast_hankel = qk.build_hankel(linear, 3, 3)
+        assert np.max(np.abs(fast_hankel.matrix - word_table_reference(linear, 3, 3))) <= 1e-15
         problems = qk.check_process_axioms(linear, 3)
-        assert problems and problems == qk.check_process_axioms(slow, 3)
+        assert problems and problems == axiom_problems_reference(linear, 3)
 
     @PROPERTY
     @given(SEEDS)
@@ -166,7 +161,7 @@ class TestFactorisedSweeps:
         ]
         for param, tol in params:
             qpm = qk.finitary_to_qpm(param)
-            slow = bare(qk.finitary_process(param))
+            slow = qk.finitary_process(param)
             for word in qk.words_up_to(param.alphabet, 4):
                 assert abs(qk.chain_eval(qpm, word) - slow(word)) <= tol
 
@@ -176,7 +171,7 @@ class TestFactorisedSweeps:
         rng = np.random.default_rng(seed)
         for chain in (dyadic_qpm(rng), qk.as_qpm(random_qmc(rng, "povm"))):
             report = qk.validate_chain(chain, horizon=4)
-            slow = bare(qk.chain_process(chain))
+            slow = qk.chain_process(chain)
             expected = [
                 f"word-probability at ('words', {word!r}): tr over word "
                 f"{''.join(word) or 'empty'} is {slow(word)!r}, outside [0, 1]"
@@ -224,10 +219,18 @@ class TestChainEval:
                 assert str(got.value) == str(want.value)
 
 
-def analysed(process, rows, cols):
+def per_word_hankel(process, rows, cols) -> TruncatedHankel:
+    """The Hankel block evaluated word by word, as its own prefix factor
+    with the identity as suffix factor."""
+    matrix = word_table_reference(process, rows, cols)
+    words = (tuple(qk.words_up_to(process.alphabet, n)) for n in (rows, cols))
+    return TruncatedHankel(process.alphabet, *words, matrix, matrix, np.eye(matrix.shape[1]))
+
+
+def analysed(process, rows, cols, build=qk.build_hankel):
     """A Hankel block with its factor-space row basis and the oracle's; a
     support too thin to reach the rank shows as the error message."""
-    hankel = qk.build_hankel(process, rows, cols)
+    hankel = build(process, rows, cols)
     outcomes = []
     for pick, error in ((qk.select_row_basis, DegenerateSupportError), (row_basis_reference, ValueError)):
         try:
@@ -240,7 +243,7 @@ def analysed(process, rows, cols):
 class TestHankelAnalysis:
     """One SVD of the d-wide factor against the SVD of the full N×M matrix.
 
-    The walks' complex forms take the real-pair route, bare callables the
+    The walks' complex forms take the real-pair route, per-word Hankels the
     identity suffix factor; the dyadic finitary and predictor models have
     exactly rank-deficient Hankels and rows of zero or negative weight.
     Over these examples no basis decision fell near a tie, so the chosen
@@ -254,9 +257,9 @@ class TestHankelAnalysis:
     def test_rank_and_row_basis_match_the_full_matrix(self, seed):
         rng = np.random.default_rng(seed)
         for process in sweep_models(rng):
-            for proc in (process, bare(process)):
+            for build in (qk.build_hankel, per_word_hankel):
                 for rows, cols in ((3, 2), (2, 3), (1, 1)):
-                    hankel, (fast, slow) = analysed(proc, rows, cols)
+                    hankel, (fast, slow) = analysed(process, rows, cols, build)
                     fast_values = hankel.singular_values
                     slow_values = hankel_singular_values(hankel.matrix)
                     scale = 1e-12 * max(slow_values[0], 1e-300)
@@ -289,8 +292,8 @@ class TestHankelAnalysis:
         small = {"a": np.array([[0.5, 0.1], [0.1, 0.2]]), "b": np.array([[0.2, 0.2], [0.3, 0.4]])}
         lifted = {a: m[[0, 1, 0]][:, [0, 1, 0]] * [0.5, 1.0, 0.5] for a, m in small.items()}
         param = qk.FinitaryParam(ab, lifted, np.array([1.0, 0.0, 0.0]), np.ones(3))
-        for proc in (qk.finitary_process(param), bare(qk.finitary_process(param))):
-            hankel, (fast, slow) = analysed(proc, 3, 3)
+        for build in (qk.build_hankel, per_word_hankel):
+            hankel, (fast, slow) = analysed(qk.finitary_process(param), 3, 3, build)
             assert qk.numerical_rank(hankel) == 2
             assert fast == slow == [(), ("a",)]
 
@@ -298,7 +301,7 @@ class TestHankelAnalysis:
         # row "a" leaves a residual of 5e-6: under rank_eps·σ₁ (σ₁ ≈ 1000), over rank_eps·|row ε|
         words = ((), ("a",), ("b",))
         matrix = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 5e-6], [1.0, 1000.0, 0.0]])
-        hankel = TruncatedHankel(qk.Alphabet(("a", "b")), words, words, matrix)
+        hankel = TruncatedHankel(qk.Alphabet(("a", "b")), words, words, matrix, matrix, np.eye(3))
         assert qk.numerical_rank(hankel) == 2
         assert qk.select_row_basis(hankel) == row_basis_reference(hankel) == [(), ("b",)]
 
@@ -364,7 +367,7 @@ class TestEquivalence:
     def test_verdict_matches_enumeration(self, delta, seed):
         rng = np.random.default_rng(seed)
         for first, second in equivalence_pairs(rng, delta):
-            horizon = first.dimension + second.dimension
+            horizon = first.linear.dim + second.linear.dim
             expected = equivalent_by_enumeration(first, second, horizon)
             assert qk.processes_equivalent(first, second) is expected
             witness = qk.distinguishing_word(first, second)
@@ -388,4 +391,3 @@ class TestEquivalence:
         b_loop = b + np.array([[0.0, 0.0], [0.0, 0.5]])
         second = qk.finitary_process(qk.FinitaryParam(ab, {"a": a, "b": b_loop}, start, ones))
         assert qk.distinguishing_word(first, second) == ("b", "b")
-        assert qk.distinguishing_word(first, bare(first)) is None

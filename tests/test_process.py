@@ -10,12 +10,18 @@ from oracles import hmm_path_prob
 AB = qk.Alphabet(("a", "b"))
 
 
+def one_state(a: float, b: float, start: float = 1.0) -> qk.Process:
+    """p(w) = start · a^#a(w) · b^#b(w), as a one-state finitary process."""
+    matrices = {"a": [[a]], "b": [[b]]}
+    return qk.finitary_process(qk.FinitaryParam(AB, matrices, [start], [1.0]))
+
+
 def iid_coin() -> qk.Process:
-    return qk.Process(AB, lambda w: 0.5 ** len(w), dimension=1)
+    return one_state(0.5, 0.5)
 
 
 def constant_a() -> qk.Process:
-    return qk.Process(AB, lambda w: 1.0 if all(s == "a" for s in w) else 0.0, dimension=1)
+    return one_state(1.0, 0.0)
 
 
 class TestAlphabetAndWords:
@@ -57,12 +63,12 @@ class TestProcessAxioms:
         assert qk.check_process_axioms(iid_coin(), horizon=4) == []
 
     def test_detects_bad_root(self):
-        broken = qk.Process(AB, lambda w: 0.5)
+        broken = one_state(1.0, 1.0, start=0.5)  # p(w) = 0.5 for every word
         problems = qk.check_process_axioms(broken, horizon=1)
         assert any("empty word" in p for p in problems)
 
     def test_detects_inconsistent_marginals(self):
-        broken = qk.Process(AB, lambda w: 1.0 if not w else 0.7 ** len(w))
+        broken = one_state(0.7, 0.7)  # p(w) = 0.7^|w|
         problems = qk.check_process_axioms(broken, horizon=2)
         assert any("extensions" in p for p in problems)
 
@@ -137,10 +143,11 @@ class TestNumericalRank:
         for proc in processes:
             for depth in range(5):
                 hankel = qk.build_hankel(proc, depth, depth)
-                assert qk.numerical_rank(hankel) <= proc.dimension
+                assert qk.numerical_rank(hankel) <= proc.linear.dim
 
     def test_zero_matrix_has_rank_zero(self):
-        hankel = TruncatedHankel(AB, ((),), ((),), np.zeros((1, 1)))
+        zero = np.zeros((1, 1))
+        hankel = TruncatedHankel(AB, ((),), ((),), zero, zero, np.eye(1))
         assert qk.numerical_rank(hankel) == 0
 
 
@@ -161,9 +168,18 @@ class TestSelectRowBasis:
     def test_normalized_rows_are_process_functions(self, hmm2):
         proc = qk.hmm_process(hmm2)
         hankel = qk.build_hankel(proc, 2, 2)
+        param = qk.hmm_to_finitary(hmm2)
         for v in qk.select_row_basis(hankel):
-            weight = proc(v)
-            normalized = qk.Process(AB, lambda w, v=v, c=weight: proc(v + w) / c)
+            # p(vw) / p(v) over w: the two-state form started from the state after v
+            start = param.initial
+            for symbol in v:
+                start = start @ param.letter_matrices[symbol]
+            shifted = qk.FinitaryParam(
+                param.alphabet, param.letter_matrices, start / proc(v), param.end
+            )
+            normalized = qk.finitary_process(shifted)
+            for w in qk.words_up_to(param.alphabet, 2):
+                assert normalized(w) == pytest.approx(proc(v + w) / proc(v), abs=1e-12)
             assert qk.check_process_axioms(normalized, horizon=1, tol=1e-9) == []
 
     def test_deterministic_process(self):
@@ -173,7 +189,8 @@ class TestSelectRowBasis:
     def test_degenerate_support_raises(self):
         # the second row carries rank but has no weight at the empty suffix
         matrix = np.array([[1.0, 0.5, 0.5], [0.0, 0.4, -0.4], [0.5, 0.25, 0.25]])
-        hankel = TruncatedHankel(AB, ((), ("a",), ("b",)), ((), ("a",), ("b",)), matrix)
+        words = ((), ("a",), ("b",))
+        hankel = TruncatedHankel(AB, words, words, matrix, matrix, np.eye(3))
         with pytest.raises(DegenerateSupportError):
             qk.select_row_basis(hankel)
 
@@ -188,11 +205,7 @@ class TestEquivalence:
         assert qk.processes_equivalent(qk.hmm_process(hmm2), converted)
 
     def test_biased_coin_differs(self):
-        biased = qk.Process(
-            AB,
-            lambda w: float(np.prod([0.6 if s == "a" else 0.4 for s in w])),
-            dimension=1,
-        )
+        biased = one_state(0.6, 0.4)
         assert not qk.processes_equivalent(iid_coin(), biased)
         assert qk.processes_equivalent(biased, biased)
 
@@ -201,16 +214,9 @@ class TestEquivalence:
         b = qk.hmm_process(hmm3_rank3)
         assert qk.processes_equivalent(a, b) == qk.processes_equivalent(b, a)
 
-    def test_requires_dimensions(self):
-        nodim = qk.Process(AB, lambda w: 0.5 ** len(w))
-        with pytest.raises(ValidationError):
-            qk.processes_equivalent(nodim, nodim)
-        with pytest.raises(ValidationError):
-            qk.distinguishing_word(nodim, nodim)
-
-    def test_explicit_dimensions_override(self):
-        nodim = qk.Process(AB, lambda w: 0.5 ** len(w))
-        assert qk.processes_equivalent(nodim, nodim, dim_first=1, dim_second=1)
+    def test_a_process_needs_its_linear_form(self):
+        with pytest.raises(TypeError):
+            qk.Process(AB, lambda w: 0.5 ** len(w))
 
 
 def test_hankel_csv_round_trip(tmp_path, hmm2):
