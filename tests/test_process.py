@@ -214,6 +214,31 @@ class TestEquivalence:
         b = qk.hmm_process(hmm3_rank3)
         assert qk.processes_equivalent(a, b) == qk.processes_equivalent(b, a)
 
+    def test_requires_dimensions(self):
+        # the horizon counts both linear forms' states: a 5-state shift
+        # register agrees with the fair coin on every word of fewer than 4
+        # letters and differs on each word of 4
+        depth = 4
+        shift = np.diag(np.full(depth, 0.5), k=1)
+        end = np.ones(depth + 1)
+        end[-1] = 0.3
+        start = np.eye(depth + 1)[0]
+        register = qk.finitary_process(qk.FinitaryParam(AB, {"a": shift, "b": shift}, start, end))
+        assert register.linear.dim == depth + 1
+        for word in qk.words_up_to(AB, depth - 1):
+            assert register(word) == pytest.approx(iid_coin()(word), abs=1e-15)
+        assert not qk.processes_equivalent(iid_coin(), register)
+        assert not qk.processes_equivalent(register, iid_coin())
+        witness = qk.distinguishing_word(iid_coin(), register)
+        assert len(witness) == depth
+        assert register(witness) == pytest.approx(0.3 * iid_coin()(witness), abs=1e-15)
+
+    def test_explicit_dimensions_override(self):
+        # no override is left: the dimensions are the linear forms'
+        with pytest.raises(TypeError):
+            qk.processes_equivalent(iid_coin(), iid_coin(), dim_first=1, dim_second=1)
+        assert qk.processes_equivalent(iid_coin(), iid_coin())
+
     def test_a_process_needs_its_linear_form(self):
         with pytest.raises(TypeError):
             qk.Process(AB, lambda w: 0.5 ** len(w))
