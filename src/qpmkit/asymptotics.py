@@ -1,12 +1,13 @@
 """Boundedness probes, averaged stationary limits, and limit statistics.
 
-A bounded chain's time-averaged orbit converges to a stationary density.
-Both routes that compute it run on the orbit's Krylov space, built once
-by matrix–vector products: doubling the averaging horizon until the
-running averages stop moving, and projecting onto the eigenvalue-one
-invariant subspace of the evolution restricted to that space.  They are
-cross-checked against each other, and the limit's stationarity is
-checked on the full coordinates.  Everything runs on numpy.
+A bounded chain's time-averaged orbit converges to a stationary density:
+by the mean ergodic theorem, the projection of the initial density onto
+the evolution's fixed space.  It is computed exactly on the orbit's
+Krylov space, built once by matrix–vector products, by projecting onto
+the eigenvalue-one invariant subspace of the evolution restricted to
+that space; the same spectrum decides boundedness.  The limit's
+stationarity and trace are checked on the full coordinates.  Everything
+runs on numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "stationary_letter_distribution",
 ]
 
-_DIVERGENCE_CAP = 1e9
 _CLUSTER_TOL = 1e-8
 _DEFECT_TOL = 1e-6
 _KRYLOV_TOL = 1e-12
@@ -45,15 +45,23 @@ _KRYLOV_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BoundednessProbe:
-    """Squared Hermitian norms tr((mu^t Q)^2) of the evolved initial density."""
+    """Squared Hermitian norms tr((mu^t Q)^2) of the evolved initial density.
+
+    ``values`` are evidence only.  ``growing`` comes from the spectrum of
+    the evolution on the orbit's Krylov space: the orbit is bounded
+    exactly when the spectral radius is at most 1 (within
+    ``_CLUSTER_TOL``) and every unit-modulus eigenvalue is semisimple.
+    ``verdict`` names the certificate.
+    """
 
     values: np.ndarray
     max_square_trace: float
     growing: bool
+    verdict: str
 
 
 def boundedness_probe(chain: QuantumChain, horizon: int = 100) -> BoundednessProbe:
-    """Track tr((mu^t Q)^2) for t = 0..horizon and flag sustained growth."""
+    """Track tr((mu^t Q)^2) for t = 0..horizon; decide growth from the orbit spectrum."""
     if horizon < 1:
         raise ValidationError("probe horizon must be >= 1")
     gram = chain.subspace.gram
@@ -66,73 +74,93 @@ def boundedness_probe(chain: QuantumChain, horizon: int = 100) -> BoundednessPro
             values = values[: t + 1]
             break
         coords = coords @ total
-    half = len(values) // 2
-    first = float(np.max(values[:half])) if half else float(values[0])
-    second = float(np.max(values[half:]))
-    growing = bool(not np.isfinite(second) or second > first * (1 + 1e-9) + 1e-12)
-    return BoundednessProbe(values, float(np.max(values[np.isfinite(values)])), growing)
+    a = _orbit(chain).evolution.T
+    eigenvalues = np.linalg.eigvals(a)
+    radius = float(np.abs(eigenvalues).max(initial=0.0))
+    growing = radius > 1.0 + _CLUSTER_TOL
+    if growing:
+        verdict = f"growing: evolution has spectral radius {radius:.6f} > 1 on the orbit span"
+    else:
+        verdict = (
+            f"bounded: spectral radius {radius:.6f} <= 1 on the orbit span, "
+            "peripheral spectrum semisimple"
+        )
+        for centre in _peripheral(eigenvalues):
+            defect = _invariant_pair(a, eigenvalues, centre)[2]
+            if defect > _DEFECT_TOL:
+                growing = True
+                verdict = (
+                    f"growing: unit-modulus eigenvalue {complex(centre):.6f} is defective "
+                    f"(off-diagonal mass {defect:.3e}) on the orbit span"
+                )
+                break
+    max_square_trace = float(np.max(values[np.isfinite(values)]))
+    return BoundednessProbe(values, max_square_trace, growing, verdict)
 
 
 @dataclass(frozen=True)
 class CesaroResult:
-    """A stationary averaged limit with convergence metadata.
+    """A stationary averaged limit, with the orbit spectrum that certifies it.
 
     ``coords`` are the limit's coordinates over the chain's subspace
-    basis; ``cross_difference`` is the distance between the two
-    computation routes.  ``invariance_residual`` measures how far the
-    orbit's Krylov space, on which both routes run, is from invariant
-    under the evolution (see :class:`_Orbit`).
+    basis; ``invariance_residual`` measures how far the orbit's Krylov
+    space is from invariant (see :class:`_Orbit`).  The other fields are
+    described in :func:`_spectral_average`.
     """
 
     limit: Density
     coords: np.ndarray
-    method: str
-    iterations: int | None
-    krylov_dim: int | None
-    spectral_gap: float | None
+    krylov_dim: int
     stationarity_residual: float
-    cross_difference: float
     invariance_residual: float
+    spectral_gap: float | None
+    peripheral_spectrum: tuple[complex, ...]
+    fixed_space_dim: int
+    projector_condition: float
+
+    @property
+    def iterations(self) -> None:
+        """Always ``None``; kept read-only for readers of the removed doubling route."""
+        return None
+
+    @property
+    def cross_difference(self) -> float:
+        """Always ``0.0``; kept read-only for readers of the removed cross-route check."""
+        return 0.0
 
 
 def cesaro_limit(
     chain: QuantumChain,
-    method: str = "iterative",
-    tol: float = DEFAULTS.cesaro_tol,
-    t_max: int = DEFAULTS.cesaro_t_max,
+    method: str = "spectral",
     stationarity_tol: float = DEFAULTS.stationarity_tol,
 ) -> CesaroResult:
-    """Averaged limit of the evolved initial density.
+    """Averaged limit of the evolved initial density, by spectral projection.
 
-    ``method`` selects which route's numbers are reported; the other
-    route always runs as a cross-check and a disagreement beyond
-    ``10 * tol`` raises :class:`ConsistencyError`.  Unbounded growth
-    raises :class:`DivergenceError`.
+    ``method`` is accepted for compatibility: ``"iterative"`` and
+    ``"spectral"`` give the same result; any other name raises
+    :class:`ValidationError`.  See :func:`_spectral_average` for the
+    errors of an orbit without a limit.  A limit that is not stationary
+    or has lost its trace raises :class:`ConsistencyError`.
     """
     if method not in ("iterative", "spectral"):
         raise ValidationError(f"unknown method {method!r}")
     sub = chain.subspace
     orbit = _orbit(chain)
-    iterative, iterations = _iterative_average(orbit, tol, t_max)
-    spectral, gap = _spectral_average(orbit)
-    # every running average has unit trace exactly; rounding drift over the
-    # ~1e8-step averaging horizons is linear in t, so project it back out
-    iterative_coords = _renormalize_trace(iterative @ orbit.basis, sub)
-    spectral_coords = _renormalize_trace(spectral @ orbit.basis, sub)
-    cross = sub.norm(iterative_coords - spectral_coords)
-    if cross > 10 * tol:
-        raise ConsistencyError(
-            f"averaging routes disagree by {cross:.3e} (allowed {10 * tol:.3e})"
-        )
-    coords = iterative_coords if method == "iterative" else spectral_coords
+    projected, spectrum = _spectral_average(orbit)
+    # the projection keeps the trace in exact arithmetic: divide out its
+    # rounding, and refuse a mass that moved
+    coords = projected @ orbit.basis
+    mass = float(coords @ sub.traces)
+    if abs(mass - 1.0) > 1e-6:
+        raise ConsistencyError(f"averaged trace drifted to {mass!r}")
+    coords = coords / mass
     residual = sub.norm(coords @ chain.total_matrix - coords)
     if residual > stationarity_tol:
         raise ConsistencyError(f"limit is not stationary (residual {residual:.3e})")
     trace = float(coords @ sub.traces)
     if abs(trace - 1.0) > 1e-8:
         raise ConsistencyError(f"limit trace drifted to {trace!r}")
-    matrix = sub.reconstruct(coords)
-    matrix = require_hermitian(matrix, tol=1e-8)
+    matrix = require_hermitian(sub.reconstruct(coords), tol=1e-8)
     if chain.kind is ChainKind.QMC:
         limit = Density.quantum(matrix, trace_tol=1e-8, psd_tol=1e-8)
     else:
@@ -140,21 +168,11 @@ def cesaro_limit(
     return CesaroResult(
         limit=limit,
         coords=coords,
-        method=method,
-        iterations=iterations if method == "iterative" else None,
-        krylov_dim=len(orbit.basis) if method == "spectral" else None,
-        spectral_gap=gap if method == "spectral" else None,
+        krylov_dim=len(orbit.basis),
         stationarity_residual=float(residual),
-        cross_difference=float(cross),
         invariance_residual=orbit.invariance_residual,
+        **spectrum,
     )
-
-
-def _renormalize_trace(coords: np.ndarray, sub) -> np.ndarray:
-    mass = float(coords @ sub.traces)
-    if abs(mass - 1.0) > 1e-6:
-        raise ConsistencyError(f"averaged trace drifted to {mass!r}")
-    return coords / mass
 
 
 @dataclass(frozen=True)
@@ -163,16 +181,14 @@ class _Orbit:
 
     ``basis`` holds k coordinate rows, orthonormal under the Gram inner
     product.  In coordinates c on it an element is ``c @ basis``, the
-    initial density is ``start`` and one step is ``c @ evolution``;
-    ``traces`` is the trace functional.  ``invariance_residual`` is the
-    Frobenius Hermitian-space norm of the parts of the basis's images
-    that leave the span, ‖(I − QQ*)MQ‖.
+    initial density is ``start`` and one step is ``c @ evolution``.
+    ``invariance_residual`` is the Frobenius Hermitian-space norm of the
+    parts of the basis's images that leave the span, ‖(I − QQ*)MQ‖.
     """
 
     basis: np.ndarray
     evolution: np.ndarray
     start: np.ndarray
-    traces: np.ndarray
     invariance_residual: float
 
 
@@ -217,87 +233,62 @@ def _orbit(chain: QuantumChain) -> _Orbit:
         basis=basis,
         evolution=evolution,
         start=weighted @ x0,
-        traces=basis @ sub.traces,
         invariance_residual=float(np.sqrt(max(np.sum(sub.gram_dot(leak) * leak), 0.0))),
     )
 
 
-def _iterative_average(orbit: _Orbit, tol: float, t_max: int):
-    """Running averages at doubling horizons until they stop moving.
+def _peripheral(eigenvalues: np.ndarray) -> np.ndarray:
+    """The eigenvalues within ``_CLUSTER_TOL`` of the unit circle, sorted by angle."""
+    peripheral = eigenvalues[np.abs(np.abs(eigenvalues) - 1.0) <= _CLUSTER_TOL]
+    return peripheral[np.argsort(np.angle(peripheral), kind="stable")]
 
-    Convergence means two consecutive checkpoints below the tolerance
-    (beating modes can dip under it once by phase accident).  If the
-    horizon cap is reached first, the best checkpoint is returned as
-    long as it came reasonably close.  Runs on the orbit's Krylov
-    coordinates, where the Hermitian-space norm is the Euclidean one.
+
+def _invariant_pair(a: np.ndarray, eigenvalues: np.ndarray, centre):
+    """Invariant subspaces of ``a`` for its eigenvalues near ``centre``, and their defect.
+
+    The eigenvalues within ``_CLUSTER_TOL`` of ``centre`` form the
+    cluster.  Its orthonormal right and left invariant subspaces R and L
+    are the null spaces of p(a) and p(a)* for p(z) = ∏(z − λ) over the
+    cluster, read off one SVD.  On a Krylov space each eigenvalue has a
+    single Jordan block, so a semisimple cluster is one eigenvalue; a
+    larger one must show its defect.  That defect is the off-diagonal
+    mass of the cluster's Schur block T: ‖R*aR − centre·I‖ equals
+    ‖T − centre·I‖, whose diagonal part, each |λ − centre| ≤
+    ``_CLUSTER_TOL``, lies far below ``_DEFECT_TOL``.
     """
-    x0 = orbit.start
-    tau = orbit.traces
-    tau_norm2 = float(tau @ tau)
-    norm = np.linalg.norm
-
-    def pin(matrix: np.ndarray) -> np.ndarray:
-        # both the powers and the running averages fix the trace vector
-        # exactly; without this projection the rounding drift of that
-        # eigenvalue compounds linearly in the horizon
-        defect = tau - matrix @ tau
-        return matrix + np.outer(defect, tau) / tau_norm2
-
-    partial = pin(orbit.evolution.copy())  # (1/t) sum of the first t powers, t = 1
-    power = partial.copy()
-    t = 1
-    best_step = np.inf
-    best = None
-    best_t = t
-    sub_tol_streak = 0
-    while True:
-        current = x0 @ partial
-        if not np.all(np.isfinite(current)) or norm(current) > _DIVERGENCE_CAP:
-            raise DivergenceError("averaged orbit grows without bound")
-        if not np.all(np.isfinite(power)) or np.abs(power).max() > 1e12:
-            raise DivergenceError("evolved orbit grows without bound")
-        nxt = pin((partial + power @ partial) / 2.0)
-        power = pin(power @ power)
-        t *= 2
-        step = float(norm(x0 @ nxt - current))
-        partial = nxt
-        if np.isfinite(step) and step <= tol:
-            # beating modes can slip under the tolerance at a single
-            # phase-lucky checkpoint; demand two in a row
-            sub_tol_streak += 1
-            if sub_tol_streak >= 2:
-                return x0 @ partial, t
-        else:
-            sub_tol_streak = 0
-        if np.isfinite(step) and step < best_step:
-            best_step = step
-            best = x0 @ partial
-            best_t = t
-        if t >= t_max:
-            if best is not None and best_step <= 100 * tol:
-                return best, best_t
-            raise NumericError(
-                f"averages still moving by {best_step:.3e} at horizon {t}; limit not resolved"
-            )
+    cluster = eigenvalues[np.abs(eigenvalues - centre) <= _CLUSTER_TOL]
+    k = len(a)
+    poly = np.eye(k, dtype=complex)
+    for lam in cluster:
+        poly = poly @ (a - lam * np.eye(k))
+    u, _, vh = np.linalg.svd(poly)
+    right, left = vh[k - cluster.size :].conj().T, u[:, k - cluster.size :]
+    defect = float(np.linalg.norm(right.conj().T @ a @ right - centre * np.eye(cluster.size)))
+    return right, left, defect
 
 
 def _spectral_average(orbit: _Orbit):
-    """Project the orbit onto the eigenvalue-one invariant subspace.
+    """Project the orbit's start onto the eigenvalue-one invariant subspace.
 
-    Works on the orbit's Krylov coordinates, where the evolution acts on
-    columns as ``a = evolution.T``.  The eigenvalues of ``a`` within
-    ``_CLUSTER_TOL`` of one form the cluster.  Its right and left
-    invariant subspaces are the null spaces of p(a) and p(a)* for
-    p(z) = ∏(z − λ) over the cluster, read off one SVD; the limit is the
-    oblique projection R (L*R)⁻¹ L* of the start.  On a Krylov space each
-    eigenvalue has a single Jordan block, so a semisimple cluster is one
-    eigenvalue; a larger one must show its defect.  That defect is the
-    off-diagonal mass of the cluster's Schur block T: ‖R*aR − I‖ equals
-    ‖T − I‖, whose diagonal part, each |λ − 1| ≤ ``_CLUSTER_TOL``, lies
-    far below ``_DEFECT_TOL``.
+    By the mean ergodic theorem, the Cesàro means of a power-bounded
+    evolution converge to the projection onto its fixed space.  On the
+    orbit's Krylov coordinates the evolution acts on columns as
+    ``a = evolution.T``; with R and L the invariant subspaces of its
+    eigenvalue-one cluster (:func:`_invariant_pair`), the limit is the
+    oblique projection R (L*R)⁻¹ L* of the start.  A radius above one
+    raises :class:`DivergenceError`; a missing cluster, or a defective
+    one, raises :class:`ConsistencyError`.
+
+    Returns the projected coordinates and the spectrum's fields of
+    :class:`CesaroResult`: ``spectral_gap``, 1 minus the largest modulus
+    off the cluster (``None`` if there is none); ``peripheral_spectrum``,
+    the eigenvalues within ``_CLUSTER_TOL`` of the unit circle sorted by
+    angle, where any other than 1 keep the orbit rotating and only its
+    average converges; ``fixed_space_dim``, the cluster's size; and
+    ``projector_condition``, the projector's norm ‖(L*R)⁻¹‖, which is 1
+    when it is orthogonal.
     """
     a = orbit.evolution.T
-    k = len(a)
     eigenvalues = np.linalg.eigvals(a)
     near = np.abs(eigenvalues - 1.0) <= _CLUSTER_TOL
     outside = np.abs(eigenvalues[~near])
@@ -305,29 +296,27 @@ def _spectral_average(orbit: _Orbit):
         raise DivergenceError(
             f"evolution has spectral radius {float(outside.max()):.6f} > 1 on the orbit span"
         )
-    cluster = eigenvalues[near]
-    if cluster.size == 0:
+    if not near.any():
         raise ConsistencyError(
             "no eigenvalue-one component on the orbit span; the trace cannot be preserved"
         )
-    poly = np.eye(k, dtype=complex)
-    for lam in cluster:
-        poly = poly @ (a - lam * np.eye(k))
-    u, _, vh = np.linalg.svd(poly)
-    right = vh[k - cluster.size :].conj().T
-    left = u[:, k - cluster.size :]
-    defect = float(np.linalg.norm(right.conj().T @ a @ right - np.eye(cluster.size)))
+    right, left, defect = _invariant_pair(a, eigenvalues, 1.0)
     if defect > _DEFECT_TOL:
         raise ConsistencyError(
             f"eigenvalue-one cluster is defective (off-diagonal mass {defect:.3e}); "
             "incompatible with a bounded orbit"
         )
-    projected = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ orbit.start)
+    pairing = left.conj().T @ right
+    projected = right @ np.linalg.solve(pairing, left.conj().T @ orbit.start)
     imag = float(np.max(np.abs(projected.imag)))
     if imag > 1e-8:
         raise NumericError(f"spectral limit has imaginary residue {imag:.3e}")
-    gap = float(1.0 - outside.max()) if outside.size else None
-    return projected.real, gap
+    return projected.real, {
+        "spectral_gap": float(1.0 - outside.max()) if outside.size else None,
+        "peripheral_spectrum": tuple(complex(z) for z in _peripheral(eigenvalues)),
+        "fixed_space_dim": int(near.sum()),
+        "projector_condition": float(np.linalg.norm(np.linalg.inv(pairing), 2)),
+    }
 
 
 def limit_functional(result: CesaroResult, functional_matrix) -> float:

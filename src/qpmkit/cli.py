@@ -54,14 +54,16 @@ commands:
   equiv <modelA> <modelB> [--tol T]         finitary process equivalence
   convert <model> --to {finitary,qmc,qpm} [--out F]
   simulate <model> --length N [--count K] [--seed S] [--out F]
-  stationary <model> [--method {iterative,spectral}] [--csv F]
+  stationary <model> [--csv F]              averaged limit and orbit spectrum
   bell <density+functions.json | density.json functions.json> [--x X --y Y --z Z]
   hidden-path <model> --word W              maximum-weight hidden-state path
 
 Tolerances come from built-in defaults, then a JSON file named by the
 QPMKIT_CONFIG environment variable, then --tol-* flags.  validate --horizon
 is --qpm-horizon and equiv --tol is --tol-equiv; of two spellings of one
-value, the last given wins.  The report's tolerances are the config that ran.
+value, the last given wins.  The report's tolerances are the config that ran;
+no command reads --tol-cesaro.  stationary accepts --method
+{iterative,spectral}, which has no effect.
 """
 
 # Flags every command takes, each naming the Config field it sets.
@@ -105,7 +107,10 @@ _ARGUMENTS = {
     },
     "stationary": {
         "model": {},
-        "--method": {"choices": ["iterative", "spectral"], "default": "iterative"},
+        "--method": {
+            "choices": ["iterative", "spectral"],
+            "help": "accepted for compatibility; has no effect",
+        },
         "--csv": {},
     },
     "bell": {
@@ -403,16 +408,10 @@ def _cmd_simulate(args, config, inputs):
 
 
 def _cmd_stationary(args, config, inputs):
-    inputs.update({"model": args.model, "method": args.method})
+    inputs["model"] = args.model
     model = load_model(args.model, config)
     qchain = _lower(model, "chain", config)
-    result = asymptotics.cesaro_limit(
-        qchain,
-        method=args.method,
-        tol=config.cesaro_tol,
-        t_max=config.cesaro_t_max,
-        stationarity_tol=config.stationarity_tol,
-    )
+    result = asymptotics.cesaro_limit(qchain, stationarity_tol=config.stationarity_tol)
     letters = asymptotics.stationary_letter_distribution(qchain, result)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
@@ -422,13 +421,13 @@ def _cmd_stationary(args, config, inputs):
                 writer.writerow([symbol, repr(float(value))])
     matrix = result.limit.matrix
     results = {
-        "method": result.method,
-        "iterations": result.iterations,
         "krylov_dim": result.krylov_dim,
         "invariance_residual": result.invariance_residual,
         "spectral_gap": result.spectral_gap,
+        "peripheral_spectrum": [[z.real, z.imag] for z in result.peripheral_spectrum],
+        "fixed_space_dim": result.fixed_space_dim,
+        "projector_condition": result.projector_condition,
         "stationarity_residual": float(result.stationarity_residual),
-        "cross_difference": float(result.cross_difference),
         "limit_kind": result.limit.kind.value,
         "limit": [[[float(c.real), float(c.imag)] for c in row] for row in matrix],
         "letter_distribution": {k: float(v) for k, v in letters.items()},

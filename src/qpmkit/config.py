@@ -26,10 +26,10 @@ class Config:
     residual_tol: float = 1e-8       # least-squares residual for row-basis fits
     clamp_tol: float = 1e-9          # negative branch probabilities clamped to 0
     preserve_tol: float = 1e-10      # per-basis-element trace preservation
-    cesaro_tol: float = 1e-8         # averaged-orbit stopping tolerance
+    cesaro_tol: float = 1e-8         # unread; kept in every report's tolerances
     stationarity_tol: float = 1e-7   # residual of the fixed-point equation
     qpm_horizon: int = 6             # exhaustive word-check horizon
-    cesaro_t_max: int = 2 ** 40      # cap on the averaging horizon
+    cesaro_t_max: int = 2 ** 40      # unread; kept in every report's tolerances
 
     def replace(self, **overrides) -> "Config":
         return dataclasses.replace(self, **overrides)

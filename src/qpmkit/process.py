@@ -312,13 +312,20 @@ def check_process_axioms(
     Returns human-readable problem descriptions; empty means the axioms
     hold on every word of length at most ``horizon``.  The values are the
     prefix states times the end vector, the empty suffix's state; a
-    ``hankel`` of the process with prefixes up to ``horizon`` lends both.
+    ``hankel`` of the process with prefixes up to ``horizon`` lends both,
+    and one whose prefixes reach another length raises
+    :class:`ValidationError`.
     """
     problems: list[str] = []
     if hankel is None:
         form = process.linear
         prefixes, ends = word_states(form, max(horizon, 0)), form.end[None, :]
     else:
+        reach = len(hankel.row_words[-1])
+        if reach != horizon:
+            raise ValidationError(
+                f"hankel prefixes reach length {reach}, but the horizon is {horizon}"
+            )
         prefixes, ends = hankel._prefix_states, hankel._suffix_states[:1]
     values = np.real(prefixes @ ends.T)[:, 0]
     root = float(values[0])

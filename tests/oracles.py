@@ -132,16 +132,14 @@ def cesaro_brute(matrix: np.ndarray, start: np.ndarray, horizon: int) -> np.ndar
     return acc / horizon
 
 
-def spectral_limit_reference(chain):
-    """Cesàro limit coordinates by a sorted Schur form of the whitened orbit evolution.
+def _whitened_orbit(chain):
+    """The orbit's Krylov space in coordinates whitened by the Gram's Cholesky factor.
 
-    Whitens coordinates by the Gram's Cholesky factor, builds the orbit's
-    Krylov basis by modified Gram–Schmidt (two passes) on the dense
-    whitened evolution, sorts the eigenvalue-one cluster to the top of a
-    complex Schur form and decouples it by a Sylvester solve.  Returns
-    ``(coords, krylov_dim, spectral_gap)`` and raises the library's
-    errors, with its messages, for a radius above one, a missing cluster
-    and a defective one.
+    Builds an orthonormal basis of span{z0 E^t} by modified Gram–Schmidt
+    (two passes) on the dense whitened evolution E.  Returns ``(gram_chol,
+    basis, restricted, z0)``: the factor L with gram = L Lᵀ, the basis
+    rows, E restricted to their span (acting on columns) and the whitened
+    start Lᵀ·x0.
     """
     import scipy.linalg
 
@@ -163,7 +161,21 @@ def spectral_limit_reference(chain):
         krylov.append(residual / norm)
         vec = evolution @ krylov[-1]
     basis = np.vstack(krylov)
-    restricted = basis @ evolution @ basis.T
+    return gram_chol, basis, basis @ evolution @ basis.T, z0
+
+
+def spectral_limit_reference(chain):
+    """Cesàro limit coordinates by a sorted Schur form of the whitened orbit evolution.
+
+    On the orbit of :func:`_whitened_orbit`, sorts the eigenvalue-one
+    cluster to the top of a complex Schur form and decouples it by a
+    Sylvester solve.  Returns ``(coords, krylov_dim, spectral_gap)`` and
+    raises the library's errors, with its messages, for a radius above
+    one, a missing cluster and a defective one.
+    """
+    import scipy.linalg
+
+    gram_chol, basis, restricted, z0 = _whitened_orbit(chain)
     schur_t, schur_z, n_cluster = scipy.linalg.schur(
         restricted.astype(complex), output="complex", sort=lambda lam: abs(lam - 1.0) <= 1e-8
     )
@@ -196,7 +208,64 @@ def spectral_limit_reference(chain):
     if imag > 1e-8:
         raise NumericError(f"spectral limit has imaginary residue {imag:.3e}")
     coords = scipy.linalg.solve_triangular(gram_chol.T, z_limit.real, lower=False)
-    return coords, len(krylov), (float(1.0 - outside.max()) if outside.size else None)
+    return coords, len(basis), (float(1.0 - outside.max()) if outside.size else None)
+
+
+def doubling_limit_reference(chain, tol: float = 1e-8, t_max: int = 2**40):
+    """Cesàro limit coordinates by running averages at doubling horizons.
+
+    Runs on the orbit of :func:`_whitened_orbit`, whose coordinates carry
+    the Hermitian-space norm as the Euclidean one, with the evolution
+    acting on rows.  The average A_t of the first t powers doubles as
+    A_2t = (A_t + P_t·A_t) / 2 with P_t the t-th power; both are pinned
+    to fix the trace functional, whose rounding drift otherwise compounds
+    linearly in t.  The averages have converged at two checkpoints in a
+    row that move by at most ``tol`` (beating modes can dip under it once
+    by phase accident).  At the ``t_max`` cap the best checkpoint counts
+    if it moved by at most 100·``tol``; otherwise :class:`NumericError`.
+    Growth raises :class:`DivergenceError`.  Returns ``(coords, horizon)``,
+    the coordinates not renormalised to unit trace.
+    """
+    import scipy.linalg
+
+    gram_chol, basis, restricted, z0 = _whitened_orbit(chain)
+    x0 = basis @ z0
+    tau = basis @ scipy.linalg.solve_triangular(gram_chol, chain.subspace.traces, lower=True)
+    tau_norm2 = float(tau @ tau)
+    norm = np.linalg.norm
+
+    def pin(matrix):
+        return matrix + np.outer(tau - matrix @ tau, tau) / tau_norm2
+
+    partial = pin(restricted.T.copy())  # the average of the first t powers, t = 1
+    power = partial.copy()
+    t = 1
+    best_step, best, best_t = np.inf, None, t
+    streak = 0
+    while True:
+        current = x0 @ partial
+        if not np.all(np.isfinite(current)) or norm(current) > 1e9:
+            raise DivergenceError("averaged orbit grows without bound")
+        if not np.all(np.isfinite(power)) or np.abs(power).max() > 1e12:
+            raise DivergenceError("evolved orbit grows without bound")
+        partial = pin((partial + power @ partial) / 2.0)
+        power = pin(power @ power)
+        t *= 2
+        step = float(norm(x0 @ partial - current))
+        streak = streak + 1 if step <= tol else 0
+        if streak >= 2:
+            best, best_t = x0 @ partial, t
+            break
+        if step < best_step:
+            best_step, best, best_t = step, x0 @ partial, t
+        if t >= t_max:
+            if best is not None and best_step <= 100 * tol:
+                break
+            raise NumericError(
+                f"averages still moving by {best_step:.3e} at horizon {t}; limit not resolved"
+            )
+    coords = scipy.linalg.solve_triangular(gram_chol.T, basis.T @ best, lower=False)
+    return coords, best_t
 
 
 def prefix_average_letter(chain, symbol: str, horizon: int) -> float:

@@ -15,6 +15,7 @@ from qpmkit.io import model_to_dict
 
 from helpers import random_hmm, random_local_qrw, random_qmc
 from oracles import (
+    doubling_limit_reference,
     forward_log_reference,
     hmm_path_log_weight,
     hmm_viterbi_enumerate,
@@ -133,13 +134,13 @@ def test_06_averaged_limits(swap_qmc):
         flavors = ["hmm", "povm", "unitary", "qrw"]
         for index in range(10):
             chain = random_qmc(rng, flavors[index % len(flavors)])
-            iterative = qk.cesaro_limit(chain, "iterative")
-            spectral = qk.cesaro_limit(chain, "spectral")
-            assert chain.subspace.norm(iterative.coords - spectral.coords) <= 1e-6
-            for result in (iterative, spectral):
-                assert result.stationarity_residual <= 1e-7
-                assert abs(np.trace(result.limit.matrix).real - 1.0) <= 1e-8
-                assert np.linalg.eigvalsh(result.limit.matrix).min() >= -1e-8
+            result = qk.cesaro_limit(chain)
+            doubling, _ = doubling_limit_reference(chain)
+            doubling = doubling / float(doubling @ chain.subspace.traces)
+            assert chain.subspace.norm(result.coords - doubling) <= 1e-6
+            assert result.stationarity_residual <= 1e-7
+            assert abs(np.trace(result.limit.matrix).real - 1.0) <= 1e-8
+            assert np.linalg.eigvalsh(result.limit.matrix).min() >= -1e-8
 
 
 def test_07_stationary_letter_distribution(qrw_hadamard):
@@ -306,7 +307,9 @@ def test_18_stationary_limit_on_the_orbit_at_dimension_32():
     assert chain.subspace.dim == 1024
     with criterion(18, "Cesàro limit of the dimension-32 walk chain", 0.1):
         result = qk.cesaro_limit(chain)
-    assert result.cross_difference <= 1e-8
+    doubling, _ = doubling_limit_reference(chain)
+    doubling = doubling / float(doubling @ chain.subspace.traces)
+    assert chain.subspace.norm(result.coords - doubling) <= 1e-8
     assert result.stationarity_residual <= 1e-7
     assert result.invariance_residual <= 1e-12
     assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-12)

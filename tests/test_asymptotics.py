@@ -24,9 +24,15 @@ from helpers import (
     random_local_qrw,
     random_qmc,
     random_quantum_density,
+    random_unitary,
     single_letter_chain,
 )
-from oracles import cesaro_brute, prefix_average_letter, spectral_limit_reference
+from oracles import (
+    cesaro_brute,
+    doubling_limit_reference,
+    prefix_average_letter,
+    spectral_limit_reference,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,6 +56,37 @@ class TestBoundednessProbe:
         assert probe.growing
         assert probe.max_square_trace > 100.0
 
+    def test_bounded_purity_rise_is_not_growth(self):
+        # a trace-preserving amplitude-damping chain: the purity rises from
+        # 0.5 towards 1 (0.578 at t = 50, 0.701 at t = 100), yet every orbit
+        # of a channel is bounded; the sampled maxima used to call it growing
+        damping = {
+            "a": np.array([[1.0, 0.0], [0.0, np.sqrt(0.99)]]),
+            "b": np.array([[0.0, np.sqrt(0.01)], [0.0, 0.0]]),
+        }
+        chain = qk.povm_to_qmc(damping, qk.Density.quantum(np.eye(2, dtype=complex) / 2))
+        probe = qk.boundedness_probe(chain, 100)
+        assert probe.values[-1] > probe.values[50] > probe.values[0] == pytest.approx(0.5)
+        assert not probe.growing
+        assert probe.verdict == (
+            "bounded: spectral radius 1.000000 <= 1 on the orbit span, "
+            "peripheral spectrum semisimple"
+        )
+
+    def test_verdict_names_the_certificate(self, unbounded_qpm):
+        probe = qk.boundedness_probe(unbounded_qpm, 10)
+        assert probe.verdict == (
+            "growing: evolution has spectral radius 1.050000 > 1 on the orbit span"
+        )
+        # radius one, but a Jordan block at eigenvalue one: the orbit grows linearly
+        jordan = single_letter_chain([[1.0, 0.5], [0.0, 1.0]], [0.3, 0.7], ChainKind.QPM)
+        probe = qk.boundedness_probe(jordan, 10)
+        assert probe.growing
+        assert probe.verdict == (
+            "growing: unit-modulus eigenvalue 1.000000+0.000000j is defective "
+            "(off-diagonal mass 5.000e-01) on the orbit span"
+        )
+
     def test_values_are_squared_norms(self, hmm2):
         chain = qk.hmm_to_qmc(hmm2)
         probe = qk.boundedness_probe(chain, 5)
@@ -59,6 +96,10 @@ class TestBoundednessProbe:
         assert probe.values[0] == pytest.approx(expected, abs=1e-12)
 
 
+def _unit_trace(coords, chain):
+    return coords / float(coords @ chain.subspace.traces)
+
+
 class TestCesaroLimit:
     def test_identity_evolution_returns_initial(self):
         chain = single_letter_chain(np.eye(2), [0.3, 0.7])
@@ -66,13 +107,14 @@ class TestCesaroLimit:
         assert np.allclose(result.limit.matrix, chain.initial.matrix, atol=1e-12)
 
     def test_swap_chain_averages_to_uniform(self, swap_qmc):
-        for method in ("iterative", "spectral"):
-            result = qk.cesaro_limit(swap_qmc, method=method)
+        results = [qk.cesaro_limit(swap_qmc, method=m) for m in ("iterative", "spectral")]
+        for result in results:
             assert np.allclose(result.limit.matrix, np.diag([0.5, 0.5]), atol=1e-8)
             assert result.limit.kind is qk.DensityKind.QUANTUM
-        assert qk.cesaro_limit(swap_qmc, "iterative").iterations is not None
-        spectral = qk.cesaro_limit(swap_qmc, "spectral")
-        assert spectral.krylov_dim == 2
+            assert result.krylov_dim == 2
+            assert result.iterations is None and result.cross_difference == 0.0
+        # both accepted names run the one projection
+        assert np.array_equal(results[0].coords, results[1].coords)
 
     def test_matches_brute_force_running_average(self, hmm2):
         chain = qk.hmm_to_qmc(hmm2)
@@ -85,35 +127,36 @@ class TestCesaroLimit:
         unitary = np.diag([1j, -1j])
         density = qk.pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2))
         chain = qk.unitary_to_qmc(unitary, density)
-        result = qk.cesaro_limit(chain, method="spectral")
+        result = qk.cesaro_limit(chain)
         assert np.allclose(result.limit.matrix, np.diag([0.5, 0.5]), atol=1e-10)
         assert np.linalg.eigvalsh(result.limit.matrix).min() >= -1e-8
 
     def test_random_markov_chains_converge_consistently(self, rng):
         for flavor in ("hmm", "povm", "unitary", "qrw"):
             chain = random_qmc(rng, flavor)
-            iterative = qk.cesaro_limit(chain, "iterative")
-            spectral = qk.cesaro_limit(chain, "spectral")
-            sub = chain.subspace
-            assert sub.norm(iterative.coords - spectral.coords) <= 1e-6
-            for result in (iterative, spectral):
-                assert result.stationarity_residual <= 1e-7
-                assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-8)
-                assert np.linalg.eigvalsh(result.limit.matrix).min() >= -1e-8
+            result = qk.cesaro_limit(chain)
+            doubling, _ = doubling_limit_reference(chain)
+            assert chain.subspace.norm(result.coords - _unit_trace(doubling, chain)) <= 1e-6
+            assert result.stationarity_residual <= 1e-7
+            assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-8)
+            assert np.linalg.eigvalsh(result.limit.matrix).min() >= -1e-8
 
     def test_unbounded_chain_diverges(self, unbounded_qpm):
+        for method in ("iterative", "spectral"):
+            with pytest.raises(DivergenceError):
+                qk.cesaro_limit(unbounded_qpm, method)
         with pytest.raises(DivergenceError):
-            qk.cesaro_limit(unbounded_qpm, "iterative")
-        with pytest.raises(DivergenceError):
-            qk.cesaro_limit(unbounded_qpm, "spectral")
+            doubling_limit_reference(unbounded_qpm)
 
     def test_tiny_horizon_cap_raises(self):
-        # an irrational rotation averages out only at rate 1/t
+        # an irrational rotation averages out only at rate 1/t, so the
+        # doubling reference gives up at its horizon cap
         unitary = np.diag([np.exp(0.7j), np.exp(-0.3j)])
         density = qk.pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2))
         chain = qk.unitary_to_qmc(unitary, density)
         with pytest.raises(NumericError):
-            qk.cesaro_limit(chain, "iterative", tol=1e-12, t_max=4)
+            doubling_limit_reference(chain, tol=1e-12, t_max=4)
+        assert qk.cesaro_limit(chain).stationarity_residual <= 1e-12
 
     def test_unknown_method_rejected(self, swap_qmc):
         with pytest.raises(qk.ValidationError):
@@ -127,8 +170,6 @@ class TestCesaroLimit:
 
     def test_non_orthonormal_basis_is_handled(self):
         # overlapping diagonal basis exercises the Gram-whitened spectral route
-        from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
-
         sub = OperatorSubspace([np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)])
         op = SuperOperator(sub, np.array([[0.5, 0.25], [0.0, 1.0]]))
         chain = QuantumChain(
@@ -138,12 +179,43 @@ class TestCesaroLimit:
             qk.Density.quantum(np.diag([0.7, 0.3]).astype(complex)),
             ChainKind.QPM,
         )
-        iterative = qk.cesaro_limit(chain, "iterative")
-        spectral = qk.cesaro_limit(chain, "spectral")
-        assert sub.norm(iterative.coords - spectral.coords) <= 1e-6
-        for result in (iterative, spectral):
-            assert result.stationarity_residual <= 1e-7
-            assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-8)
+        result = qk.cesaro_limit(chain)
+        doubling, _ = doubling_limit_reference(chain)
+        assert sub.norm(result.coords - _unit_trace(doubling, chain)) <= 1e-6
+        assert result.stationarity_residual <= 1e-7
+        assert np.trace(result.limit.matrix).real == pytest.approx(1.0, abs=1e-8)
+
+    def test_seed_177_unitary_chain_gets_its_limit(self):
+        # eigenvalues 1, 1 and e^{±2.41i}: the running average converges like
+        # 1/t and the doubling route used to stop short of stationarity
+        rng = np.random.default_rng(177)
+        chain = random_qmc(rng, str(rng.choice(["hmm", "povm", "unitary"])))
+        _assert_matches_spectral_reference(chain)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+    def test_rotating_unitary_chains_get_their_limits(self, seed, n):
+        rng = np.random.default_rng(seed)
+        _assert_matches_spectral_reference(
+            qk.unitary_to_qmc(random_unitary(rng, n), random_quantum_density(rng, n))
+        )
+
+
+def _assert_matches_spectral_reference(chain):
+    reference, _, _ = spectral_limit_reference(chain)
+    result = qk.cesaro_limit(chain)
+    assert chain.subspace.norm(result.coords - _unit_trace(reference, chain)) <= 1e-10
+
+
+class TestPeripheralSpectrum:
+    def test_peripheral_spectrum_is_on_the_unit_circle(self, rng):
+        for flavor in ("hmm", "povm", "unitary", "qrw"):
+            result = qk.cesaro_limit(random_qmc(rng, flavor))
+            moduli = np.abs(result.peripheral_spectrum)
+            assert np.all(np.abs(moduli - 1.0) <= 1e-8)
+            ones = np.abs(np.asarray(result.peripheral_spectrum) - 1.0) <= 1e-8
+            assert int(ones.sum()) == result.fixed_space_dim >= 1
+            assert result.projector_condition >= 1.0 - 1e-12
 
 
 class TestLimitFunctional:
@@ -248,25 +320,22 @@ FIXTURE_CHAINS = (
 
 
 def _assert_routes_match_reference(chain):
-    """Both routes within 1e-10 of the Schur reference, on the same Krylov space.
+    """The limit within 1e-10 of the Schur and the doubling references.
 
-    A running average converges like 1/t, so the iterative route's error
-    is about its stopping tolerance; it runs at 1e-11 here (the default
-    is 1e-8).
+    A running average converges like 1/t, so the doubling reference's
+    error is about its stopping tolerance; it runs at 1e-11 here.
     """
     sub = chain.subspace
     reference, krylov_dim, gap = spectral_limit_reference(chain)
-    reference = reference / float(reference @ sub.traces)
-    spectral = qk.cesaro_limit(chain, "spectral")
-    iterative = qk.cesaro_limit(chain, "iterative", tol=1e-11)
-    assert sub.norm(spectral.coords - reference) <= 1e-10
-    assert sub.norm(iterative.coords - reference) <= 1e-10
-    assert spectral.krylov_dim == krylov_dim
-    assert (spectral.spectral_gap is None) == (gap is None)
+    doubling, _ = doubling_limit_reference(chain, tol=1e-11)
+    result = qk.cesaro_limit(chain)
+    assert sub.norm(result.coords - _unit_trace(reference, chain)) <= 1e-10
+    assert sub.norm(result.coords - _unit_trace(doubling, chain)) <= 1e-10
+    assert result.krylov_dim == krylov_dim
+    assert (result.spectral_gap is None) == (gap is None)
     if gap is not None:
-        assert abs(spectral.spectral_gap - gap) <= 1e-10
-    for result in (spectral, iterative):
-        assert 0.0 <= result.invariance_residual <= 1e-10
+        assert abs(result.spectral_gap - gap) <= 1e-10
+    assert 0.0 <= result.invariance_residual <= 1e-10
 
 
 class TestOrbitRoutes:
@@ -298,9 +367,10 @@ class TestOrbitRoutes:
         chain = single_letter_chain(
             [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 2.0]], [0.3, 0.7, 0.0], ChainKind.QPM
         )
-        for method in ("iterative", "spectral"):
-            result = qk.cesaro_limit(chain, method)
-            assert result.coords == pytest.approx([0.5, 0.5, 0.0], abs=1e-8)
+        result = qk.cesaro_limit(chain)
+        assert result.coords == pytest.approx([0.5, 0.5, 0.0], abs=1e-8)
+        doubling, _ = doubling_limit_reference(chain)
+        assert doubling == pytest.approx([0.5, 0.5, 0.0], abs=1e-8)
 
 
 _SHEAR = np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.4], [-0.2, 0.3, 1.0]])
@@ -311,8 +381,11 @@ def _sheared(matrix):
 
 
 # One-letter predictor chains (evolution, initial diagonal) that have no
-# limit, with the error cesaro_limit raised for them, under either method,
-# before both routes moved to the orbit's Krylov space.
+# limit, with the error cesaro_limit raises for them.  The types are those
+# raised while the horizon doubling still ran beside the projection, except
+# for "jordan, trace lost": the doubling alone called its growth a
+# divergence, where the projection finds the defective eigenvalue-one
+# cluster, as it does for the other Jordan blocks.
 FAILING_CHAINS = {
     "halving": (0.5 * np.eye(2), [0.3, 0.7], ConsistencyError,
                 "no eigenvalue-one component on the orbit span; the trace cannot be preserved"),
@@ -329,12 +402,13 @@ FAILING_CHAINS = {
                         [0.2, 0.3, 0.5], ConsistencyError,
                         "eigenvalue-one cluster is defective (off-diagonal mass 3.812e-01); "
                         "incompatible with a bounded orbit"),
-    "jordan, trace lost": ([[1.0, 0.0], [-0.5, 1.0]], [0.3, 0.7], DivergenceError,
-                           "averaged orbit grows without bound"),
+    "jordan, trace lost": ([[1.0, 0.0], [-0.5, 1.0]], [0.3, 0.7], ConsistencyError,
+                           "eigenvalue-one cluster is defective (off-diagonal mass 5.000e-01); "
+                           "incompatible with a bounded orbit"),
     "growing": (np.diag([1.2, 0.5]), [0.3, 0.7], DivergenceError,
                 "evolution has spectral radius 1.200000 > 1 on the orbit span"),
     "growing swap": ([[0.0, 1.1], [1.1, 0.0]], [0.3, 0.7], DivergenceError,
-                     "averaged orbit grows without bound"),
+                     "evolution has spectral radius 1.100000 > 1 on the orbit span"),
     "flip": (np.diag([-1.0, 1.0]), [0.3, 0.7], ConsistencyError,
              "averaged trace drifted to 0.7000000000000001"),
     "slow loss": (np.diag([1.0, 0.9999999]), [0.3, 0.7], ConsistencyError,
@@ -374,7 +448,7 @@ class TestFailuresAreUnchanged:
         error, message = (
             FAILING_CHAINS[name][2:]
             if name in FAILING_CHAINS
-            else (DivergenceError, "averaged orbit grows without bound")
+            else (DivergenceError, "evolution has spectral radius 1.050000 > 1 on the orbit span")
         )
         with pytest.raises(error) as raised:
             qk.cesaro_limit(chain, method)

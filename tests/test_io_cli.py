@@ -130,8 +130,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert coin_finitary.json --to qmc": "e8001b0d4a0e98aa",
     "convert coin_finitary.json --to qpm": "874a239182fa7746",
     "simulate coin_finitary.json --length 4 --count 3 --seed 5": "a640f00701680c20",
-    "stationary coin_finitary.json": "6b10fdcd25b0f178",
-    "stationary coin_finitary.json --method spectral": "23adf5e2d42ec717",
+    "stationary coin_finitary.json": "e14edad31cab86f5",
+    "stationary coin_finitary.json --method spectral": "e14edad31cab86f5",
     "bell coin_finitary.json": "b057cbfd118acd0a",
     "hidden-path coin_finitary.json --word ab": "d87d08c1b47af4ea",
     "validate feynman4.json": "f5f10ded17b11097",
@@ -152,8 +152,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert hmm2.json --to qmc": "4088834970abb851",
     "convert hmm2.json --to qpm": "9a9a86092a827520",
     "simulate hmm2.json --length 4 --count 3 --seed 5": "72072ecd5766b8d9",
-    "stationary hmm2.json": "5cd5f0dc51d8d5f8",
-    "stationary hmm2.json --method spectral": "5ab2425c3c3dedf3",
+    "stationary hmm2.json": "4e84802ae7606f09",
+    "stationary hmm2.json --method spectral": "4e84802ae7606f09",
     "bell hmm2.json": "b057cbfd118acd0a",
     "hidden-path hmm2.json --word ab": "6f05d1605ff2d5b2",
     "validate hmm3_rank3.json": "56f338caf58faec7",
@@ -163,8 +163,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert hmm3_rank3.json --to qmc": "8e210749f0d50842",
     "convert hmm3_rank3.json --to qpm": "5f78161f2bc158bb",
     "simulate hmm3_rank3.json --length 4 --count 3 --seed 5": "3009f50a2b389fc6",
-    "stationary hmm3_rank3.json": "7fd6f2553f991582",
-    "stationary hmm3_rank3.json --method spectral": "7f0a5d08136c3b7f",
+    "stationary hmm3_rank3.json": "bcb2aec6e1842b2f",
+    "stationary hmm3_rank3.json --method spectral": "bcb2aec6e1842b2f",
     "bell hmm3_rank3.json": "b057cbfd118acd0a",
     "hidden-path hmm3_rank3.json --word ab": "959a0a413b95093c",
     "validate qrw_hadamard.json": "abe8c27eb65db77d",
@@ -174,8 +174,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert qrw_hadamard.json --to qmc": "3a0fe32ec1fd3d32",
     "convert qrw_hadamard.json --to qpm": "0e846feed42d778a",
     "simulate qrw_hadamard.json --length 4 --count 3 --seed 5": "54bb65ac74467ef2",
-    "stationary qrw_hadamard.json": "637eda680555ad22",
-    "stationary qrw_hadamard.json --method spectral": "d0488104d295faa0",
+    "stationary qrw_hadamard.json": "ad37419cc2a1beab",
+    "stationary qrw_hadamard.json --method spectral": "ad37419cc2a1beab",
     "bell qrw_hadamard.json": "b057cbfd118acd0a",
     "hidden-path qrw_hadamard.json --word ab": "baefc94302fba768",
     "validate swap_ffmc.json": "53514d72d4b3df07",
@@ -185,8 +185,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert swap_ffmc.json --to qmc": "6c811170b1cd2035",
     "convert swap_ffmc.json --to qpm": "d4748203c7ed545f",
     "simulate swap_ffmc.json --length 4 --count 3 --seed 5": "3e9325d5681dc27b",
-    "stationary swap_ffmc.json": "a0fce079301f7f7c",
-    "stationary swap_ffmc.json --method spectral": "b02a7e1864fb09b9",
+    "stationary swap_ffmc.json": "51802c28fc4ac03a",
+    "stationary swap_ffmc.json --method spectral": "51802c28fc4ac03a",
     "bell swap_ffmc.json": "b057cbfd118acd0a",
     "hidden-path swap_ffmc.json --word ab": "9e9052e890f1c5e2",
     "validate swap_qmc.json": "fdb36cbd1ff5483d",
@@ -196,8 +196,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert swap_qmc.json --to qmc": "e6e64287e2e86671",
     "convert swap_qmc.json --to qpm": "38ec38889c7a0a45",
     "simulate swap_qmc.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
-    "stationary swap_qmc.json": "f132615010902d42",
-    "stationary swap_qmc.json --method spectral": "3f51b63da80eb90a",
+    "stationary swap_qmc.json": "5c247b618b4605ff",
+    "stationary swap_qmc.json --method spectral": "5c247b618b4605ff",
     "bell swap_qmc.json": "b057cbfd118acd0a",
     "hidden-path swap_qmc.json --word aa": "aa5bca12c1d7554f",
     "validate unbounded_qpm.json": "a71985a6ed4edf31",
@@ -207,8 +207,8 @@ PINNED_MATRIX_DIGESTS = {
     "convert unbounded_qpm.json --to qmc": "9df1ba5453bbffd8",
     "convert unbounded_qpm.json --to qpm": "9b50f7ecb36bb261",
     "simulate unbounded_qpm.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
-    "stationary unbounded_qpm.json": "eef2a8e86a679afc",
-    "stationary unbounded_qpm.json --method spectral": "eef2a8e86a679afc",
+    "stationary unbounded_qpm.json": "a335ceb9720ac552",
+    "stationary unbounded_qpm.json --method spectral": "a335ceb9720ac552",
     "bell unbounded_qpm.json": "b057cbfd118acd0a",
     "hidden-path unbounded_qpm.json --word aa": "7256cdd0665da0d0",
     "equiv bad_hmm_rowsum.json bell5.json": "badbf6958291854d",
@@ -946,7 +946,8 @@ class TestCliCommands:
         # per-class dispatch in cli and io became tables keyed by schema kind;
         # refusals re-pinned when failed reports gained their tolerances, and
         # stationary reports when both Cesàro routes moved to the orbit's
-        # Krylov space (each moved value is listed in CHANGES.md)
+        # Krylov space and again when the projection became the one route
+        # (each re-pin is explained in CHANGES.md)
         digests = {}
         for name in MATRIX_FIXTURES:
             path = str(FIXTURES / name)
@@ -1150,13 +1151,35 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("method", ["iterative", "spectral"])
     def test_stationary_reports_the_orbit_space(self, method):
-        code, report = _run_json(
-            ["stationary", str(FIXTURES / "qrw_hadamard.json"), "--method", method]
-        )
+        path = str(FIXTURES / "qrw_hadamard.json")
+        code, report = _run_json(["stationary", path, "--method", method])
         assert code == 0
         results = report["results"]
-        assert results["krylov_dim"] == (3 if method == "spectral" else None)
+        assert results["krylov_dim"] == 3
         assert 0.0 <= results["invariance_residual"] <= 1e-12
+        # --method is accepted and has no effect
+        assert _run_json(["stationary", path])[1]["results"] == results
+
+    @pytest.mark.parametrize(
+        "name, peripheral, gap, condition",
+        [
+            ("qrw_hadamard.json", [[1.0, 0.0], [-1.0, 0.0]], 0.0, 1.0),
+            ("hmm2.json", [[1.0, 0.0]], 0.7, 1.0101525445522108),
+        ],
+        ids=["qrw_hadamard", "hmm2"],
+    )
+    def test_stationary_reports_the_peripheral_spectrum(self, name, peripheral, gap, condition):
+        # the walk's orbit keeps flipping (eigenvalue -1) and only its average
+        # converges; the HMM's orbit settles.  The walk's projector onto its
+        # fixed space is orthogonal, the HMM's oblique (norm above one).
+        code, report = _run_json(["stationary", str(FIXTURES / name)])
+        assert code == 0
+        results = report["results"]
+        assert results["peripheral_spectrum"] == [pytest.approx(z, abs=1e-12) for z in peripheral]
+        assert results["fixed_space_dim"] == 1
+        assert results["spectral_gap"] == pytest.approx(gap, abs=1e-12)
+        assert results["projector_condition"] == pytest.approx(condition, abs=1e-12)
+        assert not {"method", "iterations", "cross_difference"} & set(results)
 
     def test_bell_single_file(self):
         code, report = _run_json(["bell", str(FIXTURES / "bell5.json")])
