@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import difflib
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from qpmkit.io import (
     save_model,
 )
 
+import golden_runs
 from conftest import FIXTURES
 from helpers import random_local_qrw, walk_kraus
 from oracles import complex_entries, hmm_viterbi_log
@@ -64,198 +66,6 @@ PINNED_DIGESTS = {
     "hadamard qmc": "f3e946afd2c06f21",
     "walk8 qmc": "d140e18291b500a0",
     "walk8 finitary": "d9c52a9902fd5bfa",
-}
-
-RANKABLE_FIXTURES = (
-    "coin_finitary",
-    "hmm2",
-    "hmm3_rank3",
-    "qrw_hadamard",
-    "swap_ffmc",
-    "swap_qmc",
-    "unbounded_qpm",
-)
-
-PINNED_CLI_DIGESTS = {
-    "rank coin_finitary": "2fea1887951bf726",
-    "rank coin_finitary 3x3": "375bf29416347a3f",
-    "rank hmm2": "781fa39dafee1225",
-    "rank hmm2 3x3": "ecbdf61bebed15ac",
-    "rank hmm3_rank3": "48ea3154b81fa974",
-    "rank hmm3_rank3 3x3": "48ea3154b81fa974",
-    "rank qrw_hadamard": "d3a0113b338c89c7",
-    "rank qrw_hadamard 3x3": "ecbdf61bebed15ac",
-    "rank swap_ffmc": "781fa39dafee1225",
-    "rank swap_ffmc 3x3": "ecbdf61bebed15ac",
-    "rank swap_qmc": "e283b41427f76760",
-    "rank swap_qmc 3x3": "7385d8980e7555c4",
-    "rank unbounded_qpm": "e283b41427f76760",
-    "rank unbounded_qpm 3x3": "7385d8980e7555c4",
-    "qpm coin_finitary": "874a239182fa7746",
-    "qpm hmm2": "9a9a86092a827520",
-    "qpm hmm3_rank3": "5f78161f2bc158bb",
-    "qpm swap_ffmc": "d4748203c7ed545f",
-}
-
-
-MATRIX_FIXTURES = sorted(path.name for path in FIXTURES.glob("*.json"))
-
-PINNED_MATRIX_DIGESTS = {
-    "validate bad_hmm_rowsum.json": "f682c3e9c32d9417",
-    "eval bad_hmm_rowsum.json --word ab": "8d431ad85d97813b",
-    "rank bad_hmm_rowsum.json": "7c83727a9c4d5b2d",
-    "convert bad_hmm_rowsum.json --to finitary": "49a3bf96bb4287a2",
-    "convert bad_hmm_rowsum.json --to qmc": "49a3bf96bb4287a2",
-    "convert bad_hmm_rowsum.json --to qpm": "49a3bf96bb4287a2",
-    "simulate bad_hmm_rowsum.json --length 4 --count 3 --seed 5": "3d879f8e3a6e6824",
-    "stationary bad_hmm_rowsum.json": "c8971144e6844a6f",
-    "stationary bad_hmm_rowsum.json --method spectral": "c8971144e6844a6f",
-    "bell bad_hmm_rowsum.json": "cf9464f3e8360326",
-    "hidden-path bad_hmm_rowsum.json --word ab": "db5cb10371c5cc45",
-    "validate bell5.json": "f5f10ded17b11097",
-    "eval bell5.json --word ab": "5d8b2899f2dfce0d",
-    "rank bell5.json": "cff1a599fdd6279f",
-    "convert bell5.json --to finitary": "38dac8be5b64a860",
-    "convert bell5.json --to qmc": "8dec2c54aa9a1918",
-    "convert bell5.json --to qpm": "1a501c353c92d9d4",
-    "simulate bell5.json --length 4 --count 3 --seed 5": "81caefc5a40c9113",
-    "stationary bell5.json": "1885ef71f019e4ba",
-    "stationary bell5.json --method spectral": "1885ef71f019e4ba",
-    "bell bell5.json": "a9680529b2ec58c8",
-    "hidden-path bell5.json --word ab": "8519e09915185d20",
-    "validate coin_finitary.json": "51102bc03c5f198c",
-    "eval coin_finitary.json --word ab": "700f6eb7317bb518",
-    "rank coin_finitary.json": "2fea1887951bf726",
-    "convert coin_finitary.json --to finitary": "a8c04c4f94fc0bb3",
-    "convert coin_finitary.json --to qmc": "e8001b0d4a0e98aa",
-    "convert coin_finitary.json --to qpm": "874a239182fa7746",
-    "simulate coin_finitary.json --length 4 --count 3 --seed 5": "a640f00701680c20",
-    "stationary coin_finitary.json": "e14edad31cab86f5",
-    "stationary coin_finitary.json --method spectral": "e14edad31cab86f5",
-    "bell coin_finitary.json": "b057cbfd118acd0a",
-    "hidden-path coin_finitary.json --word ab": "d87d08c1b47af4ea",
-    "validate feynman4.json": "f5f10ded17b11097",
-    "eval feynman4.json --word ab": "5d8b2899f2dfce0d",
-    "rank feynman4.json": "cff1a599fdd6279f",
-    "convert feynman4.json --to finitary": "38dac8be5b64a860",
-    "convert feynman4.json --to qmc": "8dec2c54aa9a1918",
-    "convert feynman4.json --to qpm": "1a501c353c92d9d4",
-    "simulate feynman4.json --length 4 --count 3 --seed 5": "81caefc5a40c9113",
-    "stationary feynman4.json": "1885ef71f019e4ba",
-    "stationary feynman4.json --method spectral": "1885ef71f019e4ba",
-    "bell feynman4.json": "9d3cf67cf98c2329",
-    "hidden-path feynman4.json --word ab": "8519e09915185d20",
-    "validate hmm2.json": "56f338caf58faec7",
-    "eval hmm2.json --word ab": "fcd0731060ef030c",
-    "rank hmm2.json": "781fa39dafee1225",
-    "convert hmm2.json --to finitary": "99e01462474ae82a",
-    "convert hmm2.json --to qmc": "4088834970abb851",
-    "convert hmm2.json --to qpm": "9a9a86092a827520",
-    "simulate hmm2.json --length 4 --count 3 --seed 5": "72072ecd5766b8d9",
-    "stationary hmm2.json": "4e84802ae7606f09",
-    "stationary hmm2.json --method spectral": "4e84802ae7606f09",
-    "bell hmm2.json": "b057cbfd118acd0a",
-    "hidden-path hmm2.json --word ab": "6f05d1605ff2d5b2",
-    "validate hmm3_rank3.json": "56f338caf58faec7",
-    "eval hmm3_rank3.json --word ab": "3d7571915748c7c3",
-    "rank hmm3_rank3.json": "48ea3154b81fa974",
-    "convert hmm3_rank3.json --to finitary": "b5e86d43de751047",
-    "convert hmm3_rank3.json --to qmc": "8e210749f0d50842",
-    "convert hmm3_rank3.json --to qpm": "5f78161f2bc158bb",
-    "simulate hmm3_rank3.json --length 4 --count 3 --seed 5": "3009f50a2b389fc6",
-    "stationary hmm3_rank3.json": "bcb2aec6e1842b2f",
-    "stationary hmm3_rank3.json --method spectral": "bcb2aec6e1842b2f",
-    "bell hmm3_rank3.json": "b057cbfd118acd0a",
-    "hidden-path hmm3_rank3.json --word ab": "959a0a413b95093c",
-    "validate qrw_hadamard.json": "abe8c27eb65db77d",
-    "eval qrw_hadamard.json --word ab": "8a9591ac4bcde721",
-    "rank qrw_hadamard.json": "d3a0113b338c89c7",
-    "convert qrw_hadamard.json --to finitary": "679b75a1e5aa1c0f",
-    "convert qrw_hadamard.json --to qmc": "3a0fe32ec1fd3d32",
-    "convert qrw_hadamard.json --to qpm": "0e846feed42d778a",
-    "simulate qrw_hadamard.json --length 4 --count 3 --seed 5": "54bb65ac74467ef2",
-    "stationary qrw_hadamard.json": "ad37419cc2a1beab",
-    "stationary qrw_hadamard.json --method spectral": "ad37419cc2a1beab",
-    "bell qrw_hadamard.json": "b057cbfd118acd0a",
-    "hidden-path qrw_hadamard.json --word ab": "baefc94302fba768",
-    "validate swap_ffmc.json": "53514d72d4b3df07",
-    "eval swap_ffmc.json --word ab": "5a87d0719be3ce1e",
-    "rank swap_ffmc.json": "781fa39dafee1225",
-    "convert swap_ffmc.json --to finitary": "5b3ed98cf46e37dd",
-    "convert swap_ffmc.json --to qmc": "6c811170b1cd2035",
-    "convert swap_ffmc.json --to qpm": "d4748203c7ed545f",
-    "simulate swap_ffmc.json --length 4 --count 3 --seed 5": "3e9325d5681dc27b",
-    "stationary swap_ffmc.json": "51802c28fc4ac03a",
-    "stationary swap_ffmc.json --method spectral": "51802c28fc4ac03a",
-    "bell swap_ffmc.json": "b057cbfd118acd0a",
-    "hidden-path swap_ffmc.json --word ab": "9e9052e890f1c5e2",
-    "validate swap_qmc.json": "fdb36cbd1ff5483d",
-    "eval swap_qmc.json --word aa": "f19dc2aaafe3cc81",
-    "rank swap_qmc.json": "e283b41427f76760",
-    "convert swap_qmc.json --to finitary": "78361b8bdfb63f42",
-    "convert swap_qmc.json --to qmc": "e6e64287e2e86671",
-    "convert swap_qmc.json --to qpm": "38ec38889c7a0a45",
-    "simulate swap_qmc.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
-    "stationary swap_qmc.json": "5c247b618b4605ff",
-    "stationary swap_qmc.json --method spectral": "5c247b618b4605ff",
-    "bell swap_qmc.json": "b057cbfd118acd0a",
-    "hidden-path swap_qmc.json --word aa": "aa5bca12c1d7554f",
-    "validate unbounded_qpm.json": "a71985a6ed4edf31",
-    "eval unbounded_qpm.json --word aa": "a60781cc299ff21c",
-    "rank unbounded_qpm.json": "e283b41427f76760",
-    "convert unbounded_qpm.json --to finitary": "b04f5d98a5b8206d",
-    "convert unbounded_qpm.json --to qmc": "9df1ba5453bbffd8",
-    "convert unbounded_qpm.json --to qpm": "9b50f7ecb36bb261",
-    "simulate unbounded_qpm.json --length 4 --count 3 --seed 5": "17ef097df69467d8",
-    "stationary unbounded_qpm.json": "a335ceb9720ac552",
-    "stationary unbounded_qpm.json --method spectral": "a335ceb9720ac552",
-    "bell unbounded_qpm.json": "b057cbfd118acd0a",
-    "hidden-path unbounded_qpm.json --word aa": "7256cdd0665da0d0",
-    "equiv bad_hmm_rowsum.json bell5.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json coin_finitary.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json feynman4.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json hmm2.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json hmm3_rank3.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json qrw_hadamard.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json swap_ffmc.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json swap_qmc.json": "badbf6958291854d",
-    "equiv bad_hmm_rowsum.json unbounded_qpm.json": "badbf6958291854d",
-    "equiv bell5.json coin_finitary.json": "7ba4e6b40ba69943",
-    "equiv bell5.json feynman4.json": "7ba4e6b40ba69943",
-    "equiv bell5.json hmm2.json": "7ba4e6b40ba69943",
-    "equiv bell5.json hmm3_rank3.json": "7ba4e6b40ba69943",
-    "equiv bell5.json qrw_hadamard.json": "7ba4e6b40ba69943",
-    "equiv bell5.json swap_ffmc.json": "7ba4e6b40ba69943",
-    "equiv bell5.json swap_qmc.json": "7ba4e6b40ba69943",
-    "equiv bell5.json unbounded_qpm.json": "7ba4e6b40ba69943",
-    "equiv coin_finitary.json feynman4.json": "7ba4e6b40ba69943",
-    "equiv coin_finitary.json hmm2.json": "90fac9e30d413a15",
-    "equiv coin_finitary.json hmm3_rank3.json": "d1e1d2727ef55fd8",
-    "equiv coin_finitary.json qrw_hadamard.json": "dc91dc0e36ef6844",
-    "equiv coin_finitary.json swap_ffmc.json": "90fac9e30d413a15",
-    "equiv coin_finitary.json swap_qmc.json": "c4286fffbb14a0e9",
-    "equiv coin_finitary.json unbounded_qpm.json": "c4286fffbb14a0e9",
-    "equiv feynman4.json hmm2.json": "7ba4e6b40ba69943",
-    "equiv feynman4.json hmm3_rank3.json": "7ba4e6b40ba69943",
-    "equiv feynman4.json qrw_hadamard.json": "7ba4e6b40ba69943",
-    "equiv feynman4.json swap_ffmc.json": "7ba4e6b40ba69943",
-    "equiv feynman4.json swap_qmc.json": "7ba4e6b40ba69943",
-    "equiv feynman4.json unbounded_qpm.json": "7ba4e6b40ba69943",
-    "equiv hmm2.json hmm3_rank3.json": "15fb0d1bb9ded083",
-    "equiv hmm2.json qrw_hadamard.json": "d496ba7fa6030084",
-    "equiv hmm2.json swap_ffmc.json": "d1e1d2727ef55fd8",
-    "equiv hmm2.json swap_qmc.json": "c4286fffbb14a0e9",
-    "equiv hmm2.json unbounded_qpm.json": "c4286fffbb14a0e9",
-    "equiv hmm3_rank3.json qrw_hadamard.json": "f79af28ccfe4bdd6",
-    "equiv hmm3_rank3.json swap_ffmc.json": "15fb0d1bb9ded083",
-    "equiv hmm3_rank3.json swap_qmc.json": "c4286fffbb14a0e9",
-    "equiv hmm3_rank3.json unbounded_qpm.json": "c4286fffbb14a0e9",
-    "equiv qrw_hadamard.json swap_ffmc.json": "d496ba7fa6030084",
-    "equiv qrw_hadamard.json swap_qmc.json": "c4286fffbb14a0e9",
-    "equiv qrw_hadamard.json unbounded_qpm.json": "c4286fffbb14a0e9",
-    "equiv swap_ffmc.json swap_qmc.json": "c4286fffbb14a0e9",
-    "equiv swap_ffmc.json unbounded_qpm.json": "c4286fffbb14a0e9",
-    "equiv swap_qmc.json unbounded_qpm.json": "9ee29d8c0a6ebe2f",
 }
 
 
@@ -368,23 +178,6 @@ def _run(args):
 def _run_json(args):
     code, text = _run(args)
     return code, json.loads(text)
-
-
-def _report_digest(args) -> str:
-    """SHA-256 of the exit code and the report, less its timing and the input paths.
-
-    ``simulate`` without ``--out`` prints words, not a report; their text is hashed.
-    """
-    return _digest(*_run(args))
-
-
-def _digest(code, text) -> str:
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError:
-        return hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()[:16]
-    del report["wall_time_s"], report["inputs"]
-    return hashlib.sha256(canonical_json([code, report]).encode()).hexdigest()[:16]
 
 
 class TestModelFiles:
@@ -929,53 +722,6 @@ class TestCliCommands:
         assert code == 0
         assert out.read_text().splitlines()[0] == ",,a,b"
 
-    def test_rank_and_qpm_output_is_pinned(self):
-        # recorded before the Hankel analysis moved from the N×N matrix to its factors
-        digests = {}
-        for name in RANKABLE_FIXTURES:
-            path = str(FIXTURES / f"{name}.json")
-            digests[f"rank {name}"] = _report_digest(["rank", path])
-            digests[f"rank {name} 3x3"] = _report_digest(["rank", path, "--rows", "3", "--cols", "3"])
-        for name in ("coin_finitary", "hmm2", "hmm3_rank3", "swap_ffmc"):
-            path = str(FIXTURES / f"{name}.json")
-            digests[f"qpm {name}"] = _report_digest(["convert", path, "--to", "qpm"])
-        assert digests == PINNED_CLI_DIGESTS
-
-    def test_every_command_report_is_pinned(self):
-        # every command on every fixture, refusals included, recorded before the
-        # per-class dispatch in cli and io became tables keyed by schema kind;
-        # refusals re-pinned when failed reports gained their tolerances, and
-        # stationary reports when both Cesàro routes moved to the orbit's
-        # Krylov space and again when the projection became the one route
-        # (each re-pin is explained in CHANGES.md)
-        digests = {}
-        for name in MATRIX_FIXTURES:
-            path = str(FIXTURES / name)
-            alphabet = json.loads((FIXTURES / name).read_text())["alphabet"] or ["a", "b"]
-            word = "".join((alphabet * 2)[:2])
-            for args in (
-                ["validate"],
-                ["eval", "--word", word],
-                ["rank"],
-                ["convert", "--to", "finitary"],
-                ["convert", "--to", "qmc"],
-                ["convert", "--to", "qpm"],
-                ["simulate", "--length", "4", "--count", "3", "--seed", "5"],
-                ["stationary"],
-                ["stationary", "--method", "spectral"],
-                ["bell"],
-                ["hidden-path", "--word", word],
-            ):
-                digests[" ".join([args[0], name] + args[1:])] = _report_digest(
-                    [args[0], path] + args[1:]
-                )
-        for i, first in enumerate(MATRIX_FIXTURES):
-            for second in MATRIX_FIXTURES[i + 1 :]:
-                digests[f"equiv {first} {second}"] = _report_digest(
-                    ["equiv", str(FIXTURES / first), str(FIXTURES / second)]
-                )
-        assert digests == PINNED_MATRIX_DIGESTS
-
     def test_every_kind_lowers_or_is_refused(self, unbounded_qpm, coin_finitary):
         # a kind, or a target of a kind, without a lowering is refused with the
         # message the per-class dispatch gave before the lowering table
@@ -1304,6 +1050,34 @@ class TestFfmcAlphabet:
         assert rows[0][:2] == [(), ("b",)]
 
 
+def _matches_golden(name, code, text) -> bool:
+    suffix, golden = golden_runs.golden_text(code, text)
+    return (golden_runs.GOLDEN / f"{name}{suffix}").read_bytes() == golden.encode()
+
+
+class TestGoldenReports:
+    """Every pinned CLI run prints what its golden file in tests/golden/ holds."""
+
+    @pytest.mark.parametrize("name", sorted(golden_runs.RUNS))
+    def test_run_matches_its_golden(self, name, monkeypatch):
+        monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        path, text = golden_runs.render(name)
+        golden = path.read_bytes() if path.exists() else b""
+        if golden != text.encode():
+            diff = difflib.unified_diff(
+                golden.decode().splitlines(keepends=True),
+                text.splitlines(keepends=True),
+                f"tests/golden/{path.name}",
+                "this run",
+            )
+            rewrite = f"PYTHONPATH=src python tests/golden_runs.py {name}"
+            pytest.fail("".join(diff) + f"\nif the change is intended: {rewrite}", pytrace=False)
+
+    def test_every_golden_has_a_run(self):
+        stems = [path.name.rsplit(".", 1)[0] for path in golden_runs.GOLDEN.iterdir()]
+        assert sorted(stems) == sorted(golden_runs.RUNS)
+
+
 _CONFIG_RUNS = {
     "defaults": (["rank", "hmm2.json"], {}, {}),
     "--tol-rank": (["rank", "hmm2.json", "--tol-rank", "0.5"], {}, {"rank_eps": 0.5}),
@@ -1409,7 +1183,7 @@ class TestParserReuse:
         assert code == 0 and report["tolerances"]["rank_eps"] == 0.5
         code, text = _run(["rank", path])
         assert json.loads(text)["tolerances"] == dataclasses.asdict(DEFAULTS)
-        assert _digest(code, text) == PINNED_CLI_DIGESTS["rank hmm3_rank3"]
+        assert _matches_golden("rank_hmm3_rank3", code, text)
 
     def test_a_usage_error_does_not_outlive_its_call(self, monkeypatch):
         monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
@@ -1417,7 +1191,7 @@ class TestParserReuse:
         assert _run(["eval", path])[0] == 64
         code, text = _run(["eval", path, "--word", "ab"])
         assert code == 0
-        assert _digest(code, text) == PINNED_MATRIX_DIGESTS["eval hmm2.json --word ab"]
+        assert _matches_golden("eval_hmm2.json_word_ab", code, text)
 
     def test_config_is_read_on_every_call(self, tmp_path, monkeypatch):
         monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
