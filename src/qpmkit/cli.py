@@ -61,9 +61,8 @@ commands:
 Tolerances come from built-in defaults, then a JSON file named by the
 QPMKIT_CONFIG environment variable, then --tol-* flags.  validate --horizon
 is --qpm-horizon and equiv --tol is --tol-equiv; of two spellings of one
-value, the last given wins.  The report's tolerances are the config that ran;
-no command reads --tol-cesaro.  stationary accepts --method
-{iterative,spectral}, which has no effect.
+value, the last given wins.  The report's tolerances are the config that ran.
+stationary accepts --method {iterative,spectral}, which has no effect.
 """
 
 # Flags every command takes, each naming the Config field it sets.
@@ -78,7 +77,6 @@ _CONFIG_FLAGS = {
     "--tol-equiv": "equiv_tol",
     "--tol-residual": "residual_tol",
     "--tol-clamp": "clamp_tol",
-    "--tol-cesaro": "cesaro_tol",
     "--tol-stationarity": "stationarity_tol",
     "--qpm-horizon": "qpm_horizon",
 }

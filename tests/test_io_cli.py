@@ -522,6 +522,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             qk.load_config()
 
+    @pytest.mark.parametrize("key, value", [("cesaro_tol", 1e-8), ("cesaro_t_max", 2**40)])
+    def test_env_rejects_the_removed_cesaro_knobs(self, tmp_path, monkeypatch, key, value):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({key: value}))
+        monkeypatch.setenv("QPMKIT_CONFIG", str(config_path))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            qk.load_config()
+
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
         config_path = tmp_path / "conf.json"
         config_path.write_text(json.dumps({"rank_eps": 0.05}))
@@ -661,6 +669,11 @@ class TestCliCommands:
     def test_missing_argument_exits_64(self):
         code, text = _run(["eval", str(FIXTURES / "hmm2.json")])
         assert code == 64
+
+    def test_removed_cesaro_flag_is_a_usage_error(self):
+        code, text = _run(["stationary", str(FIXTURES / "hmm2.json"), "--tol-cesaro", "1e-8"])
+        assert code == 64
+        assert "unrecognized arguments: --tol-cesaro 1e-8" in text
 
     def test_numeric_failure_exits_two(self):
         code, report = _run_json(["stationary", str(FIXTURES / "unbounded_qpm.json")])
