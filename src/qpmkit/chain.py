@@ -749,9 +749,16 @@ def povm_to_qmc(
     return QuantumChain(Alphabet(labels), sub, ops, initial, ChainKind.QMC)
 
 
-def qrw_to_qmc(qrw: QrwParam) -> QuantumChain:
-    """Embed a quantum random walk: project-after-evolve Kraus operators per node."""
-    validate_qrw(qrw).raise_if_invalid("invalid quantum random walk")
+def qrw_to_qmc(
+    qrw: QrwParam,
+    unitary_tol: float = DEFAULTS.unitary_tol,
+    trace_tol: float = DEFAULTS.trace_tol,
+) -> QuantumChain:
+    """Embed a quantum random walk: project-after-evolve Kraus operators per node.
+
+    The walk is validated, and its initial density checked, under the given tolerances.
+    """
+    validate_qrw(qrw, unitary_tol, trace_tol).raise_if_invalid("invalid quantum random walk")
     k = qrw.dim
     sub = OperatorSubspace.full(k)
     ops: dict[str, SuperOperator] = {}
@@ -760,7 +767,7 @@ def qrw_to_qmc(qrw: QrwParam) -> QuantumChain:
         block = qrw.block(node)
         projector[block, block] = np.eye(qrw.coin_count)
         ops[node] = SuperOperator.from_kraus(sub, projector @ qrw.unitary)
-    initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()))
+    initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), trace_tol)
     return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
 
 

@@ -13,14 +13,18 @@ import argparse
 import csv
 import dataclasses
 import functools
+import math
 import sys
 import time
+
+import numpy as np
 
 from . import asymptotics, chain as chain_mod, hidden, models, process as process_mod
 from .config import DEFAULTS, Config, load_config
 from .errors import (
     AlphabetError,
     DimensionMismatchError,
+    NumericError,
     SchemaError,
     SubspaceError,
     UnsupportedChainError,
@@ -65,6 +69,18 @@ value, the last given wins.  The report's tolerances are the config that ran.
 stationary accepts --method {iterative,spectral}, which has no effect.
 """
 
+
+def _finite_float(text: str) -> float:
+    """A float flag's value; NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # Flags every command takes, each naming the Config field it sets.
 _CONFIG_FLAGS = {
     "--tol-hermitian": "hermitian_tol",
@@ -90,7 +106,7 @@ _ARGUMENTS = {
     "validate": {"model": {}, "--horizon": {"dest": "qpm_horizon", "type": int}},
     "eval": {"model": {}, "--word": {"required": True}},
     "rank": {"model": {}, "--rows": {"type": int}, "--cols": {"type": int}, "--csv": {}},
-    "equiv": {"model_a": {}, "model_b": {}, "--tol": {"dest": "equiv_tol", "type": float}},
+    "equiv": {"model_a": {}, "model_b": {}, "--tol": {"dest": "equiv_tol", "type": _finite_float}},
     "convert": {
         "model": {},
         "--to": {"required": True, "choices": ["finitary", "qmc", "qpm"]},
@@ -143,7 +159,8 @@ def _parser(command: str) -> _Parser:
     """
     parser = _Parser(prog=f"qpmkit {command}", add_help=True)
     for flag, field in _CONFIG_FLAGS.items():
-        parser.add_argument(flag, dest=field, type=type(getattr(DEFAULTS, field)))
+        kind = _finite_float if isinstance(getattr(DEFAULTS, field), float) else int
+        parser.add_argument(flag, dest=field, type=kind)
     for name, options in _ARGUMENTS[command].items():
         parser.add_argument(name, **options)
     return parser
@@ -185,6 +202,7 @@ def run_command(argv, stdout=None) -> int:
         config = _apply_flags(load_config(), args)
         report["tolerances"] = {field: getattr(config, field) for field in _CONFIG_FIELDS}
         code, results, findings, lines = _HANDLERS[command](args, config, report["inputs"])
+        _refuse_non_finite(results)
         report["results"] = results
         report["findings"] = findings
     except UsageError as exc:
@@ -209,6 +227,34 @@ def run_command(argv, stdout=None) -> int:
     return code
 
 
+def _non_finite(value, where: str):
+    """(path, number) of each non-finite number in ``value``, which is at ``where``."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            yield where, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{where}[{i}]")
+    elif isinstance(value, np.ndarray):
+        for index in np.argwhere(~np.isfinite(value)):
+            yield where + "".join(f"[{i}]" for i in index), value[tuple(index)]
+
+
+def _refuse_non_finite(results) -> None:
+    """Raise :class:`NumericError` naming the non-finite numbers in ``results``.
+
+    JSON holds none, so the report could not be written.
+    """
+    bad = list(_non_finite(results, "results"))
+    if bad:
+        shown = ", ".join(f"{where} = {float(value)!r}" for where, value in bad[:3])
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise NumericError(f"non-finite result: {shown}{more}")
+
+
 def _error_findings(exc) -> list[str]:
     if isinstance(exc, SchemaError):
         return list(exc.violations)
@@ -228,6 +274,10 @@ def _finitary_to_qpm(param, config: Config):
 
 def _no_labels(model, config: Config):
     return None  # the chain's hidden states are named w1..wn
+
+
+def _walk_chain(qrw, config: Config):
+    return chain_mod.qrw_to_qmc(qrw, config.unitary_tol, config.trace_tol)
 
 
 def _through_hmm(target: str):
@@ -268,10 +318,10 @@ _LOWERINGS = {
     },
     "qrw": {
         "process": lambda m, c: models.qrw_process(m, c.trace_tol),
-        "chain": lambda m, c: chain_mod.qrw_to_qmc(m),
-        "finitary": lambda m, c: chain_mod.qpm_to_finitary(chain_mod.qrw_to_qmc(m)),
-        "qmc": lambda m, c: chain_mod.qrw_to_qmc(m),
-        "qpm": lambda m, c: chain_mod.as_qpm(chain_mod.qrw_to_qmc(m)),
+        "chain": _walk_chain,
+        "finitary": lambda m, c: chain_mod.qpm_to_finitary(_walk_chain(m, c)),
+        "qmc": _walk_chain,
+        "qpm": lambda m, c: chain_mod.as_qpm(_walk_chain(m, c)),
         "labels": lambda m, c: tuple(f"{node}:{coin}" for node in m.nodes for coin in m.coins),
     },
     "qmc": {**_CHAIN_ROW, "qmc": lambda m, c: m},

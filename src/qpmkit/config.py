@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 
@@ -53,4 +54,9 @@ def load_config(environ=None) -> Config:
     unknown = set(data) - _FIELD_NAMES
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    non_finite = sorted(
+        key for key, value in data.items() if isinstance(value, float) and not math.isfinite(value)
+    )
+    if non_finite:
+        raise ValueError(f"non-finite config values: {non_finite}")
     return DEFAULTS.replace(**data)

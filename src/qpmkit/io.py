@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
@@ -309,38 +310,70 @@ def _need_alphabet(alphabet) -> Alphabet:
     return Alphabet(tuple(str(s) for s in alphabet))
 
 
+def _finite_number(value, what: str) -> float:
+    """``value`` as a float; anything but a finite JSON number is refused, naming ``what``."""
+    if type(value) not in (int, float) or not math.isfinite(number := float(value)):
+        raise ValueError(f"{what}: {value!r} is not a finite number")
+    return number
+
+
 def _real_matrix(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.array(data)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        # per entry, which names the first one that is not a finite number
+        _finite_numbers(data, what)
+        arr = np.asarray(data, dtype=float)
     if arr.ndim not in (1, 2):
         raise ValueError(f"{what} must be a vector or matrix")
-    return arr
+    return arr.astype(float, copy=False)
+
+
+def _finite_numbers(data, what: str) -> None:
+    if isinstance(data, list):
+        for i, item in enumerate(data):
+            _finite_numbers(item, f"{what}[{i}]")
+    else:
+        _finite_number(data, what)
 
 
 def _complex_entry(data, what: str) -> complex:
     if not (isinstance(data, list) and len(data) == 2):
         raise ValueError(f"{what}: complex scalars must be [re, im] pairs")
-    return complex(float(data[0]), float(data[1]))
+    return complex(_finite_number(data[0], what), _finite_number(data[1], what))
 
 
 def _pair_array(data, ndim: int) -> np.ndarray | None:
     """``data`` as a complex array if it is a non-empty rectangular nesting,
     ``ndim`` lists deep, of finite numeric ``[re, im]`` pairs; else None.
 
-    The pairs are viewed as complex numbers, so every bit, the sign of
-    zero included, is what the per-entry parse gives.
+    The lists are flattened one level at a time, each level's lengths
+    checked to agree, and the numbers converted as one flat list: numpy
+    converts a nested list at a cost per list, and most of these lists
+    are pairs.  The pairs are viewed as complex numbers, so every bit,
+    the sign of zero included, is what the per-entry parse gives.
     """
+    shape, items = [], [data]
     try:
-        pairs = np.array(data)
-    except (TypeError, ValueError, OverflowError):
+        for _ in range(ndim):
+            widths = set(map(len, items))
+            if len(widths) != 1:
+                return None
+            shape.append(widths.pop())
+            items = list(itertools.chain.from_iterable(items))
+        pairs = np.array(items)
+    except (TypeError, ValueError, OverflowError):  # a number where a list belongs, say
         return None
     if (
-        pairs.ndim != ndim
-        or pairs.shape[-1] != 2
-        or pairs.dtype.kind not in "biuf"
+        pairs.ndim != 1
+        or shape[-1] != 2
+        or pairs.dtype.kind not in "iuf"
         or not np.isfinite(pairs).all()
     ):
         return None
-    return pairs.astype(float, copy=False).view(complex)[..., 0]
+    return pairs.astype(float, copy=False).reshape(shape).view(complex)[..., 0]
 
 
 def _complex_matrix(data, what: str) -> np.ndarray:

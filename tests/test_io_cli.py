@@ -246,6 +246,89 @@ class TestModelFiles:
         with pytest.raises(SchemaError, match=r"\[re, im\]"):
             load_model(bad)
 
+    @pytest.mark.parametrize(
+        "fixture, edit, message",
+        [
+            (
+                "hmm2.json",
+                lambda p: p["transition"][0].__setitem__(0, "0.7"),
+                "transition[0][0]: '0.7' is not a finite number",
+            ),
+            (
+                "coin_finitary.json",
+                lambda p: p["letter_matrices"]["b"][0].__setitem__(0, math.inf),
+                "letter matrix 'b'[0][0]: inf is not a finite number",
+            ),
+            (
+                "qrw_hadamard.json",
+                lambda p: p["unitary"][2][3].__setitem__(1, math.nan),
+                "unitary[2][3]: nan is not a finite number",
+            ),
+            (
+                "qrw_hadamard.json",
+                lambda p: p["wave"][1].__setitem__(1, "0"),
+                "wave[1]: '0' is not a finite number",
+            ),
+            (
+                "swap_qmc.json",
+                lambda p: p["operators"]["a"][1].__setitem__(1, math.nan),
+                "operator 'a'[1][1]: nan is not a finite number",
+            ),
+            (
+                "unbounded_qpm.json",
+                lambda p: p["operators"]["a"][0].__setitem__(1, -math.inf),
+                "operator 'a'[0][1]: -inf is not a finite number",
+            ),
+            (
+                "swap_qmc.json",
+                lambda p: p["basis"][1][0][1].__setitem__(0, "0.5"),
+                "basis[1][0][1]: '0.5' is not a finite number",
+            ),
+            (
+                "swap_qmc.json",
+                lambda p: p["initial"][0][0].__setitem__(0, None),
+                "initial[0][0]: None is not a finite number",
+            ),
+            (
+                "bell5.json",
+                lambda p: p["matrix"][1][1].__setitem__(0, math.nan),
+                "matrix[1][1]: nan is not a finite number",
+            ),
+        ],
+        ids=[
+            "hmm string",
+            "finitary inf",
+            "walk unitary nan",
+            "walk wave string",
+            "chain operator nan",
+            "predictor operator -inf",
+            "chain basis string",
+            "chain initial null",
+            "density nan",
+        ],
+    )
+    def test_refuses_entries_that_are_not_finite_numbers(
+        self, tmp_path, fixture, edit, message
+    ):
+        data = json.loads((FIXTURES / fixture).read_text())
+        edit(data["payload"])
+        bad = tmp_path / fixture
+        bad.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        code, report = _run_json(["validate", str(bad)])
+        assert code == 1
+        assert report["results"]["valid"] is False
+        assert report["findings"] == [f"malformed payload: {message}"]
+
+    def test_an_unbounded_model_with_nan_is_refused_by_every_command(self, tmp_path):
+        data = json.loads((FIXTURES / "unbounded_qpm.json").read_text())
+        data["payload"]["operators"]["a"][1][0] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        message = "malformed payload: operator 'a'[1][0]: nan is not a finite number"
+        for argv in (["validate", str(bad)], ["eval", str(bad), "--word", "aa"]):
+            code, report = _run_json(argv)
+            assert (code, report["findings"]) == (1, [message])
+
     def test_rejects_non_hermitian_density(self, tmp_path):
         data = json.loads((FIXTURES / "bell5.json").read_text())
         data["payload"]["matrix"][0][1] = [0.2, 0.0]
@@ -331,7 +414,7 @@ class TestModelFiles:
                 "walk",
                 "unitary",
                 lambda m: m[1][0].__setitem__(0, "x"),
-                "malformed payload: could not convert string to float: 'x'",
+                "malformed payload: unitary[1][0]: 'x' is not a finite number",
             ),
             (
                 "walk",
@@ -343,8 +426,7 @@ class TestModelFiles:
                 "walk",
                 "unitary",
                 lambda m: m[0][1].__setitem__(1, None),
-                "malformed payload: float() argument must be a string or a real number, "
-                "not 'NoneType'",
+                "malformed payload: unitary[0][1]: None is not a finite number",
             ),
             ("walk", "unitary", lambda m: m.clear(), "malformed payload: unitary must be a non-empty nested list"),
             (
@@ -384,7 +466,7 @@ class TestModelFiles:
                 "chain",
                 "basis",
                 lambda m: m[1][0].__setitem__(0, [math.nan, 0.0]),
-                "matrix contains non-finite entries",
+                "malformed payload: basis[1][0][0]: nan is not a finite number",
             ),
             ("chain", "ambient_dim", None, "malformed payload: basis[0] must be 3x3"),
         ],
@@ -679,6 +761,51 @@ class TestCliCommands:
         code, report = _run_json(["stationary", str(FIXTURES / "unbounded_qpm.json")])
         assert code == 2
         assert any("DivergenceError" in f for f in report["findings"])
+
+    def test_a_non_finite_result_exits_two_with_one_report(self):
+        # run as the console runs it, where numpy's overflow warnings stay warnings
+        src = Path(qk.__file__).resolve().parents[1]
+        path = str(FIXTURES / "unbounded_qpm.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "qpmkit", "eval", path, "--word", "a" * 20000],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        report = json.loads(done.stdout)
+        assert report["results"] == {}
+        assert report["findings"] == ["NumericError: non-finite result: results.value = nan"]
+
+    def test_non_finite_results_are_named(self):
+        matrix = np.array([[0.0, np.inf], [-np.inf, 1.0]])
+        results = {"limit": [[1.0, math.nan]], "model": {"m": matrix}}
+        with pytest.raises(qk.NumericError) as refused:
+            cli._refuse_non_finite(results)
+        assert str(refused.value) == (
+            "non-finite result: results.limit[0][1] = nan, results.model.m[0][1] = inf, "
+            "results.model.m[1][0] = -inf"
+        )
+        cli._refuse_non_finite({"value": 0.5, "words": ["ab"], "path": [1, 2]})
+
+    @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-trace"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_tolerance_flag_is_a_usage_error(self, flag, value):
+        code, text = _run(["rank", str(FIXTURES / "hmm2.json"), f"{flag}={value}"])
+        assert code == 64
+        assert text.endswith(f"error: argument {flag}: not a finite number: '{value}'\n")
+
+    def test_a_non_finite_config_value_exits_two(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text('{"rank_eps": NaN, "trace_tol": Infinity}')
+        monkeypatch.setenv("QPMKIT_CONFIG", str(config_path))
+        code, report = _run_json(["rank", str(FIXTURES / "hmm2.json")])
+        assert code == 2
+        assert report["findings"] == [
+            "ValueError: non-finite config values: ['rank_eps', 'trace_tol']"
+        ]
 
     def test_rank_reports_basis(self):
         code, report = _run_json(
@@ -1016,6 +1143,44 @@ class TestCliCommands:
             assert report["findings"] == [
                 "wave-norm at ('wave',): initial wave norm is 1.0000000099999997, expected 1"
             ]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["stationary"],
+            ["convert", "--to", "qmc"],
+            ["convert", "--to", "finitary"],
+            ["convert", "--to", "qpm"],
+            ["hidden-path", "--word", "ab"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_walks_chain_is_built_under_the_runs_tolerances(
+        self, tmp_path, qrw_hadamard, command
+    ):
+        # validate, eval, rank and simulate read the walk itself under them already
+        unitary = qrw_hadamard.unitary.copy()
+        unitary.reshape(-1)[np.flatnonzero(unitary)[0]] *= 1 + 1e-7  # one nonzero entry
+        wave = qrw_hadamard.wave * (1 + 1e-8)
+        stretched = {
+            "unitary": (dataclasses.replace(qrw_hadamard, unitary=unitary), "--tol-unitary"),
+            "wave": (dataclasses.replace(qrw_hadamard, wave=wave), "--tol-trace"),
+        }
+        for name, (walk, flag) in stretched.items():
+            path = tmp_path / f"{name}.json"
+            save_model(walk, path)
+            argv = [command[0], str(path)] + command[1:]
+            code, text = _run(argv + [flag, "1e-6"])
+            if (command[0], name) == ("stationary", "unitary"):
+                # accepted as a walk, its chain is not trace preserving: the
+                # orbit grows by 5e-8 a step, and its limit is refused
+                assert code == 2
+                assert json.loads(text)["findings"] == [
+                    "DivergenceError: evolution has spectral radius 1.000000 > 1 on the orbit span"
+                ]
+            else:
+                assert code == 0, (name, text)
+            assert _run(argv)[0] == 1
 
     def test_module_entry_point(self):
         src = Path(qk.__file__).resolve().parents[1]
