@@ -30,8 +30,6 @@ from qpmkit.io import canonical_json
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
-SUFFIXES = (".json", ".txt")
-
 
 def _name(argv: list[str]) -> str:
     return "_".join(arg.removeprefix("--") for arg in argv)
@@ -100,7 +98,7 @@ def render(name: str) -> tuple[Path, str]:
 
 def rewrite(name: str) -> Path:
     path, text = render(name)
-    for suffix in SUFFIXES:
+    for suffix in (".json", ".txt"):  # a run may have changed kind of output
         GOLDEN.joinpath(f"{name}{suffix}").unlink(missing_ok=True)
     path.write_bytes(text.encode())
     return path
