@@ -500,6 +500,10 @@ def _linear_form(chain: QuantumChain, initial_coords: np.ndarray) -> LinearForm:
 # Validation.
 # --------------------------------------------------------------------------
 
+# The positivity counterexample search draws from this seed, so a chain's
+# report is the same on every run.
+_POSITIVITY_SEED = 0
+
 
 def validate_chain(
     chain: QuantumChain,
@@ -510,7 +514,6 @@ def validate_chain(
     preserve_tol: float = DEFAULTS.preserve_tol,
     recon_tol: float = DEFAULTS.recon_tol,
     positivity_samples: int = 1000,
-    seed: int = 0,
 ) -> ValidationReport:
     """Check the chain's defining axioms; report violations and evidence.
 
@@ -549,7 +552,7 @@ def validate_chain(
                 f"initial density has eigenvalue {smallest!r}",
                 ("initial",),
             )
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_POSITIVITY_SEED)
         for symbol in chain.alphabet:
             _letter_positivity(chain, symbol, report, rng, positivity_samples, psd_tol)
     else:
@@ -808,7 +811,7 @@ def finitary_to_qpm(
         )
     process = finitary_process(param)
     hankel = build_hankel(process, window, window)
-    problems = check_process_axioms(process, window, max(eval_tol, 1e-9), hankel)
+    problems = check_process_axioms(process, window, max(eval_tol, 1e-9))
     if problems:
         raise ValidationError(
             "parametrization does not define a process up to the working horizon: "

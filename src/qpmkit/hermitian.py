@@ -154,12 +154,11 @@ def _column_key(col: np.ndarray) -> tuple:
 def spectral_decompose(
     matrix,
     hermitian_tol: float = DEFAULTS.hermitian_tol,
-    cluster_gap: float = CLUSTER_GAP,
 ) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix with a deterministic ordering.
 
     Eigenvalues are sorted in descending order.  Inside a degenerate
-    cluster (eigenvalue gap below ``cluster_gap``) the eigenvectors are
+    cluster (eigenvalue gap below :data:`CLUSTER_GAP`) the eigenvectors are
     re-orthonormalized and ordered by the lexicographic order of their
     phase-normalized components, so repeated runs agree.
     """
@@ -174,7 +173,7 @@ def spectral_decompose(
     start = 0
     n = values.shape[0]
     for stop in range(1, n + 1):
-        at_break = stop == n or (values[stop - 1] - values[stop]) > cluster_gap
+        at_break = stop == n or (values[stop - 1] - values[stop]) > CLUSTER_GAP
         if not at_break:
             continue
         if stop - start > 1:

@@ -23,7 +23,7 @@ import numpy as np
 from .chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, validate_chain
 from .config import Config, DEFAULTS
 from .errors import QpmkitError, SchemaError, ValidationReport
-from .hermitian import Density, DensityKind, hermitian_defect, hermitian_defects
+from .hermitian import Density, DensityKind, hermitian_defects
 from .hidden import InformationFunction
 from .models import (
     FfmcParam,
@@ -310,116 +310,92 @@ def _need_alphabet(alphabet) -> Alphabet:
     return Alphabet(tuple(str(s) for s in alphabet))
 
 
-def _finite_number(value, what: str) -> float:
-    """``value`` as a float; anything but a finite JSON number is refused, naming ``what``."""
-    if type(value) not in (int, float) or not math.isfinite(number := float(value)):
-        raise ValueError(f"{what}: {value!r} is not a finite number")
-    return number
+def _array(data, what: str, ndim: int | None = None) -> np.ndarray:
+    """A payload array: one rectangular nesting of finite JSON numbers.
 
-
-def _real_matrix(data, what: str) -> np.ndarray:
-    try:
-        arr = np.array(data)
-    except (ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        # per entry, which names the first one that is not a finite number
-        _finite_numbers(data, what)
-        arr = np.asarray(data, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{what} must be a vector or matrix")
-    return arr.astype(float, copy=False)
-
-
-def _finite_numbers(data, what: str) -> None:
-    if isinstance(data, list):
-        for i, item in enumerate(data):
-            _finite_numbers(item, f"{what}[{i}]")
-    else:
-        _finite_number(data, what)
-
-
-def _complex_entry(data, what: str) -> complex:
-    if not (isinstance(data, list) and len(data) == 2):
-        raise ValueError(f"{what}: complex scalars must be [re, im] pairs")
-    return complex(_finite_number(data[0], what), _finite_number(data[1], what))
-
-
-def _pair_array(data, ndim: int) -> np.ndarray | None:
-    """``data`` as a complex array if it is a non-empty rectangular nesting,
-    ``ndim`` lists deep, of finite numeric ``[re, im]`` pairs; else None.
-
-    The lists are flattened one level at a time, each level's lengths
-    checked to agree, and the numbers converted as one flat list: numpy
-    converts a nested list at a cost per list, and most of these lists
-    are pairs.  The pairs are viewed as complex numbers, so every bit,
-    the sign of zero included, is what the per-entry parse gives.
+    With ``ndim`` None the numbers are real and nested as deep as the
+    first entry, one or two lists; else each entry is an ``[re, im]``
+    pair and the pairs are nested ``ndim`` lists deep.  The lists are
+    flattened one level at a time, each level's lengths checked to agree,
+    and the numbers converted as one flat list: numpy converts a nested
+    list at a cost per list, and most of these lists are pairs.  The
+    pairs are viewed as complex numbers, so every bit, the sign of zero
+    included, is what the per-entry parse gives.  Anything else is
+    refused by :func:`_refuse_entries`, which names the first bad entry.
     """
+    pairs = ndim is not None
+    if not pairs:
+        ndim, probe = 0, data
+        while type(probe) is list:
+            ndim, probe = ndim + 1, probe[0] if probe else None
     shape, items = [], [data]
     try:
-        for _ in range(ndim):
-            widths = set(map(len, items))
-            if len(widths) != 1:
-                return None
-            shape.append(widths.pop())
+        for _ in range(ndim + pairs):
+            if not items and len(shape) == ndim:  # an empty vector has no pairs to count
+                shape.append(2)
+                break
+            (width,) = set(map(len, items))
+            shape.append(width)
             items = list(itertools.chain.from_iterable(items))
-        pairs = np.array(items)
+        flat = np.array(items)
+        if flat.dtype.kind == "O" and set(map(type, items)) <= {int, float}:
+            flat = np.array(items, dtype=float)  # integers wider than 64 bits
     except (TypeError, ValueError, OverflowError):  # a number where a list belongs, say
-        return None
+        flat = None
     if (
-        pairs.ndim != 1
-        or shape[-1] != 2
-        or pairs.dtype.kind not in "iuf"
-        or not np.isfinite(pairs).all()
+        flat is None
+        or flat.ndim != 1
+        or flat.dtype.kind not in "iuf"
+        or not np.isfinite(flat).all()
+        or (pairs and shape[-1] != 2)
     ):
-        return None
-    return pairs.astype(float, copy=False).reshape(shape).view(complex)[..., 0]
+        _refuse_entries(data, what, ndim, pairs)
+        # every list is rectangular on its own: an empty nesting, or rows of rows of two shapes
+        wants = "non-empty nested list" if pairs else "vector or matrix"
+        raise ValueError(f"{what} must be a {wants}")
+    arr = flat.astype(float, copy=False).reshape(shape)
+    if pairs:
+        return arr.view(complex)[..., 0]
+    if ndim not in (1, 2):
+        raise ValueError(f"{what} must be a vector or matrix")
+    return arr
 
 
-def _complex_matrix(data, what: str) -> np.ndarray:
-    fast = _pair_array(data, 3)
-    if fast is not None:
-        return fast
-    # per entry, which names the malformed cell
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"{what} must be a non-empty nested list")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list):
-            raise ValueError(f"{what} row {i} is not a list")
-        rows.append([_complex_entry(cell, f"{what}[{i}][{j}]") for j, cell in enumerate(row)])
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{what} rows differ in length")
-    return np.array(rows, dtype=complex)
+def _refuse_entries(data, what: str, depth: int, pairs: bool) -> None:
+    """Raise the error that names the first entry of ``data`` breaking :func:`_array`'s rule.
+
+    Entries are checked in order, each list's own entries before the
+    lengths of its rows.  Returns if every list is rectangular on its own.
+    """
+    if depth:
+        if type(data) is not list:
+            raise ValueError(f"{what}: {data!r} is not a list")
+        for i, item in enumerate(data):
+            _refuse_entries(item, f"{what}[{i}]", depth - 1, pairs)
+        if depth > 1 and len(set(map(len, data))) > 1:
+            raise ValueError(f"{what} rows differ in length")
+    elif pairs and (type(data) is not list or len(data) != 2):
+        raise ValueError(f"{what}: complex scalars must be [re, im] pairs")
+    else:
+        for number in data if pairs else [data]:
+            if type(number) not in (int, float) or not math.isfinite(float(number)):
+                raise ValueError(f"{what}: {number!r} is not a finite number")
 
 
-def _complex_vector(data, what: str) -> np.ndarray:
-    fast = _pair_array(data, 2)
-    if fast is not None:
-        return fast
-    if not isinstance(data, list):
-        raise ValueError(f"{what} must be a list")
-    return np.array([_complex_entry(cell, f"{what}[{i}]") for i, cell in enumerate(data)])
-
-
-def _hermitian_checked(data, what: str, config: Config) -> np.ndarray:
-    mat = _complex_matrix(data, what)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be square")
-    defect = hermitian_defect(mat)
-    if defect > config.hermitian_tol:
-        raise _not_self_adjoint(what, defect)
-    return mat
-
-
-def _not_self_adjoint(what: str, defect: float) -> ValueError:
-    return ValueError(f"{what} is not self-adjoint (defect {defect:.3e})")
+def _self_adjoint(stack: np.ndarray, names: Callable[[int], str], config: Config) -> None:
+    """Refuse the first matrix of a non-empty (count, n, n) stack that is not self-adjoint."""
+    defects = hermitian_defects(stack)
+    over = np.flatnonzero(defects > config.hermitian_tol)
+    if len(over):
+        raise ValueError(f"{names(over[0])} is not self-adjoint (defect {defects[over[0]]:.3e})")
 
 
 def _density(data, what: str, wants, unknown: str, config: Config) -> Density:
     """A quantum or generalized density, as ``wants`` says; other kinds are ``unknown``."""
-    matrix = _hermitian_checked(data, what, config)
+    matrix = _array(data, what, 2)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what} must be square")
+    _self_adjoint(matrix[None], lambda _: what, config)
     wants = str(wants)
     if wants == DensityKind.QUANTUM.value:
         return Density.quantum(matrix, config.trace_tol, config.psd_tol, config.hermitian_tol)
@@ -429,24 +405,26 @@ def _density(data, what: str, wants, unknown: str, config: Config) -> Density:
 
 
 def _chain_basis(data, ambient: int, config: Config):
-    """The basis elements, each checked as :func:`_hermitian_checked` checks it.
+    """The basis elements, each square, ``ambient`` wide and self-adjoint.
 
-    A well-formed basis is parsed as one stacked array with one batched
-    defect; any other is parsed element by element, which names what is
-    wrong.
+    A well-formed basis is read as one stacked array with one batched
+    defect check; elements that differ in shape, or one that is
+    malformed, are read one by one, which names what is wrong.
     """
-    stack = _pair_array(data, 4)
-    if stack is None or stack.shape[1] != stack.shape[2]:
-        basis = [_hermitian_checked(mat, f"basis[{i}]", config) for i, mat in enumerate(data)]
-    else:
-        defects = hermitian_defects(stack)
-        over = np.flatnonzero(defects > config.hermitian_tol)
-        if len(over):
-            raise _not_self_adjoint(f"basis[{over[0]}]", float(defects[over[0]]))
-        basis = stack
+    try:
+        basis = _array(data, "basis", 3)
+    except ValueError:
+        if type(data) is not list:
+            raise
+        basis = [_array(mat, f"basis[{i}]", 2) for i, mat in enumerate(data)]
     for i, mat in enumerate(basis):
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"basis[{i}] must be square")
         if mat.shape != (ambient, ambient):
             raise ValueError(f"basis[{i}] must be {ambient}x{ambient}")
+    if len(basis):
+        basis = np.asarray(basis)
+        _self_adjoint(basis, lambda i: f"basis[{i}]", config)
     return basis
 
 
@@ -454,9 +432,9 @@ def _parse_hmm(alphabet, payload, config):
     hmm = HmmParam(
         states=tuple(str(s) for s in payload["states"]),
         alphabet=_need_alphabet(alphabet),
-        emission=_real_matrix(payload["emission"], "emission"),
-        initial=_real_matrix(payload["initial"], "initial"),
-        transition=_real_matrix(payload["transition"], "transition"),
+        emission=_array(payload["emission"], "emission"),
+        initial=_array(payload["initial"], "initial"),
+        transition=_array(payload["transition"], "transition"),
     )
     return hmm, validate_hmm(hmm, config.eval_tol)
 
@@ -465,8 +443,8 @@ def _parse_ffmc(alphabet, payload, config):
     ffmc = FfmcParam(
         states=tuple(str(s) for s in payload["states"]),
         observation={str(k): str(v) for k, v in payload["observation"].items()},
-        initial=_real_matrix(payload["initial"], "initial"),
-        transition=_real_matrix(payload["transition"], "transition"),
+        initial=_array(payload["initial"], "initial"),
+        transition=_array(payload["transition"], "transition"),
         alphabet=_need_alphabet(alphabet),
     )
     return ffmc, validate_hmm(ffmc.to_hmm(), config.eval_tol)
@@ -476,14 +454,14 @@ def _parse_finitary(alphabet, payload, config):
     alpha = _need_alphabet(alphabet)
     dimension = int(payload["dimension"])
     matrices = {
-        str(sym): _real_matrix(mat, f"letter matrix {sym!r}")
+        str(sym): _array(mat, f"letter matrix {sym!r}")
         for sym, mat in payload["letter_matrices"].items()
     }
     param = FinitaryParam(
         alphabet=alpha,
         letter_matrices=matrices,
-        initial=_real_matrix(payload["initial"], "initial"),
-        end=_real_matrix(payload["end"], "end"),
+        initial=_array(payload["initial"], "initial"),
+        end=_array(payload["end"], "end"),
         standard_form=bool(payload["standard_form"]),
     )
     report = ValidationReport()
@@ -502,8 +480,8 @@ def _parse_qrw(alphabet, payload, config):
         nodes=_need_alphabet(alphabet),
         edges=tuple((str(a), str(b)) for a, b in payload["edges"]),
         coins=tuple(str(c) for c in payload["coins"]),
-        unitary=_complex_matrix(payload["unitary"], "unitary"),
-        wave=_complex_vector(payload["wave"], "wave"),
+        unitary=_array(payload["unitary"], "unitary", 2),
+        wave=_array(payload["wave"], "wave", 1),
     )
     return qrw, validate_qrw(qrw, config.unitary_tol, config.trace_tol)
 
@@ -515,7 +493,7 @@ def _parse_chain(kind: ChainKind):
         basis = _chain_basis(payload["basis"], ambient, config)
         subspace = OperatorSubspace(basis, config.hermitian_tol)
         operators = {
-            str(sym): SuperOperator(subspace, _real_matrix(mat, f"operator {sym!r}"))
+            str(sym): SuperOperator(subspace, _array(mat, f"operator {sym!r}"))
             for sym, mat in payload["operators"].items()
         }
         initial = _density(

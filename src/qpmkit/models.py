@@ -422,7 +422,6 @@ def qrw_step(
     qrw: QrwParam,
     wave=None,
     trace_tol: float = DEFAULTS.trace_tol,
-    zero_tol: float = _ZERO_WEIGHT,
 ) -> QrwStep:
     """Apply the unitary to ``wave`` (default: the initial wave) and measure the node."""
     psi = qrw.wave if wave is None else np.asarray(wave, dtype=complex)
@@ -436,7 +435,7 @@ def qrw_step(
         block = qrw.block(node)
         weight = float(np.sum(np.abs(evolved[block]) ** 2))
         probabilities[node] = weight
-        if weight > zero_tol:
+        if weight > _ZERO_WEIGHT:
             projected = np.zeros_like(evolved)
             projected[block] = evolved[block]
             collapsed[node] = projected / np.sqrt(weight)

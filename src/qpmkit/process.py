@@ -305,29 +305,16 @@ def check_process_axioms(
     process: Process,
     horizon: int,
     tol: float = DEFAULTS.eval_tol,
-    hankel: TruncatedHankel | None = None,
 ) -> list[str]:
     """Check nonnegativity, marginal consistency and p() == 1 up to ``horizon``.
 
     Returns human-readable problem descriptions; empty means the axioms
     hold on every word of length at most ``horizon``.  The values are the
-    prefix states times the end vector, the empty suffix's state; a
-    ``hankel`` of the process with prefixes up to ``horizon`` lends both,
-    and one whose prefixes reach another length raises
-    :class:`ValidationError`.
+    prefix states times the end vector.
     """
     problems: list[str] = []
-    if hankel is None:
-        form = process.linear
-        prefixes, ends = word_states(form, max(horizon, 0)), form.end[None, :]
-    else:
-        reach = len(hankel.row_words[-1])
-        if reach != horizon:
-            raise ValidationError(
-                f"hankel prefixes reach length {reach}, but the horizon is {horizon}"
-            )
-        prefixes, ends = hankel._prefix_states, hankel._suffix_states[:1]
-    values = np.real(prefixes @ ends.T)[:, 0]
+    form = process.linear
+    values = np.real(word_states(form, max(horizon, 0)) @ form.end[None, :].T)[:, 0]
     root = float(values[0])
     if abs(root - 1.0) > tol:
         problems.append(f"p(empty word) is {root!r}, expected 1")

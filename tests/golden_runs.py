@@ -63,14 +63,11 @@ def _runs() -> dict[str, list[str]]:
         for second in fixtures[i + 1 :]
     ]
     named = {_name(argv): argv for argv in runs}
-    # the Hankel and predictor-model runs, recorded before the Hankel
-    # analysis moved from the N×N matrix to its factors
+    # the Hankel runs at a size other than the default, recorded before the
+    # Hankel analysis moved from the N×N matrix to its factors
     for model in ("coin_finitary", "hmm2", "hmm3_rank3", "qrw_hadamard", "swap_ffmc",
                   "swap_qmc", "unbounded_qpm"):
-        named[f"rank_{model}"] = ["rank", f"{model}.json"]
         named[f"rank_{model}_3x3"] = ["rank", f"{model}.json", "--rows", "3", "--cols", "3"]
-    for model in ("coin_finitary", "hmm2", "hmm3_rank3", "swap_ffmc"):
-        named[f"qpm_{model}"] = ["convert", f"{model}.json", "--to", "qpm"]
     return named
 
 

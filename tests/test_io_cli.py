@@ -252,47 +252,62 @@ class TestModelFiles:
             (
                 "hmm2.json",
                 lambda p: p["transition"][0].__setitem__(0, "0.7"),
-                "transition[0][0]: '0.7' is not a finite number",
+                "malformed payload: transition[0][0]: '0.7' is not a finite number",
             ),
             (
                 "coin_finitary.json",
                 lambda p: p["letter_matrices"]["b"][0].__setitem__(0, math.inf),
-                "letter matrix 'b'[0][0]: inf is not a finite number",
+                "malformed payload: letter matrix 'b'[0][0]: inf is not a finite number",
             ),
             (
                 "qrw_hadamard.json",
                 lambda p: p["unitary"][2][3].__setitem__(1, math.nan),
-                "unitary[2][3]: nan is not a finite number",
+                "malformed payload: unitary[2][3]: nan is not a finite number",
             ),
             (
                 "qrw_hadamard.json",
                 lambda p: p["wave"][1].__setitem__(1, "0"),
-                "wave[1]: '0' is not a finite number",
+                "malformed payload: wave[1]: '0' is not a finite number",
             ),
             (
                 "swap_qmc.json",
                 lambda p: p["operators"]["a"][1].__setitem__(1, math.nan),
-                "operator 'a'[1][1]: nan is not a finite number",
+                "malformed payload: operator 'a'[1][1]: nan is not a finite number",
             ),
             (
                 "unbounded_qpm.json",
                 lambda p: p["operators"]["a"][0].__setitem__(1, -math.inf),
-                "operator 'a'[0][1]: -inf is not a finite number",
+                "malformed payload: operator 'a'[0][1]: -inf is not a finite number",
             ),
             (
                 "swap_qmc.json",
                 lambda p: p["basis"][1][0][1].__setitem__(0, "0.5"),
-                "basis[1][0][1]: '0.5' is not a finite number",
+                "malformed payload: basis[1][0][1]: '0.5' is not a finite number",
             ),
             (
                 "swap_qmc.json",
                 lambda p: p["initial"][0][0].__setitem__(0, None),
-                "initial[0][0]: None is not a finite number",
+                "malformed payload: initial[0][0]: None is not a finite number",
             ),
             (
                 "bell5.json",
                 lambda p: p["matrix"][1][1].__setitem__(0, math.nan),
-                "matrix[1][1]: nan is not a finite number",
+                "malformed payload: matrix[1][1]: nan is not a finite number",
+            ),
+            (
+                "hmm2.json",
+                lambda p: p["transition"][0].pop(),
+                "malformed payload: transition rows differ in length",
+            ),
+            (
+                "swap_qmc.json",
+                lambda p: p["operators"]["a"][1].pop(),
+                "malformed payload: operator 'a' rows differ in length",
+            ),
+            (
+                "hmm2.json",
+                lambda p: p.__setitem__("initial", [p["initial"]]),
+                "initial distribution must have shape (2,), got (1, 2)",
             ),
         ],
         ids=[
@@ -305,6 +320,9 @@ class TestModelFiles:
             "chain basis string",
             "chain initial null",
             "density nan",
+            "hmm ragged transition",
+            "chain ragged operator",
+            "hmm initial one list too deep",
         ],
     )
     def test_refuses_entries_that_are_not_finite_numbers(
@@ -317,7 +335,7 @@ class TestModelFiles:
         code, report = _run_json(["validate", str(bad)])
         assert code == 1
         assert report["results"]["valid"] is False
-        assert report["findings"] == [f"malformed payload: {message}"]
+        assert report["findings"] == [message]
 
     def test_an_unbounded_model_with_nan_is_refused_by_every_command(self, tmp_path):
         data = json.loads((FIXTURES / "unbounded_qpm.json").read_text())
@@ -474,7 +492,7 @@ class TestModelFiles:
     def test_malformed_complex_payload_messages(
         self, tmp_path, qrw_hadamard, name, target, edit, message
     ):
-        # the messages of the per-entry parser that the array parse falls back to
+        # the messages of the walk that names the first bad entry
         model = qrw_hadamard if name == "walk" else qk.qrw_to_qmc(qrw_hadamard)
         data = json.loads(save_model(model))
         if edit is None:
@@ -1361,7 +1379,7 @@ class TestParserReuse:
         assert code == 0 and report["tolerances"]["rank_eps"] == 0.5
         code, text = _run(["rank", path])
         assert json.loads(text)["tolerances"] == dataclasses.asdict(DEFAULTS)
-        assert _matches_golden("rank_hmm3_rank3", code, text)
+        assert _matches_golden("rank_hmm3_rank3.json", code, text)
 
     def test_a_usage_error_does_not_outlive_its_call(self, monkeypatch):
         monkeypatch.delenv("QPMKIT_CONFIG", raising=False)

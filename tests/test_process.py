@@ -72,15 +72,6 @@ class TestProcessAxioms:
         problems = qk.check_process_axioms(broken, horizon=2)
         assert any("extensions" in p for p in problems)
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_hankel_of_another_horizon_is_refused(self, rows):
-        # a longer Hankel used to be checked past the horizon, or to raise
-        # IndexError; a shorter one only up to its own prefixes
-        broken = one_state(0.7, 0.7)  # p(w) = 0.7^|w|
-        hankel = qk.build_hankel(broken, rows, 1)
-        with pytest.raises(ValidationError, match=rf"reach length {rows}, but the horizon is 2"):
-            qk.check_process_axioms(broken, horizon=2, hankel=hankel)
-
 
 class TestBuildHankel:
     def test_coin_three_by_three(self):
