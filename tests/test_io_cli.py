@@ -309,6 +309,56 @@ class TestModelFiles:
                 lambda p: p.__setitem__("initial", [p["initial"]]),
                 "initial distribution must have shape (2,), got (1, 2)",
             ),
+            (
+                "hmm2.json",
+                lambda p: p["emission"][0].pop(),
+                "malformed payload: emission rows differ in length",
+            ),
+            (
+                "hmm2.json",
+                lambda p: p["transition"].__setitem__(1, 0.5),
+                "malformed payload: transition[1]: 0.5 is not a list",
+            ),
+            (
+                "hmm2.json",
+                lambda p: p.__setitem__("transition", [p["transition"]]),
+                "malformed payload: transition must be a vector or matrix",
+            ),
+            (
+                "hmm2.json",
+                lambda p: p.__setitem__("initial", 0.5),
+                "malformed payload: initial must be a vector or matrix",
+            ),
+            (
+                "swap_ffmc.json",
+                lambda p: p["transition"][1].pop(),
+                "malformed payload: transition rows differ in length",
+            ),
+            (
+                "swap_ffmc.json",
+                lambda p: p["initial"].__setitem__(1, [0.5]),
+                "malformed payload: initial[1]: [0.5] is not a finite number",
+            ),
+            (
+                "coin_finitary.json",
+                lambda p: p["letter_matrices"]["b"].append([0.5, 0.5]),
+                "malformed payload: letter matrix 'b' rows differ in length",
+            ),
+            (
+                "coin_finitary.json",
+                lambda p: p["end"].__setitem__(0, "1"),
+                "malformed payload: end[0]: '1' is not a finite number",
+            ),
+            (
+                "bell5.json",
+                lambda p: p["matrix"][2].pop(),
+                "malformed payload: matrix rows differ in length",
+            ),
+            (
+                "swap_qmc.json",
+                lambda p: p["initial"][1].pop(),
+                "malformed payload: initial rows differ in length",
+            ),
         ],
         ids=[
             "hmm string",
@@ -323,6 +373,16 @@ class TestModelFiles:
             "hmm ragged transition",
             "chain ragged operator",
             "hmm initial one list too deep",
+            "hmm ragged emission",
+            "hmm transition row a number",
+            "hmm transition one list too deep",
+            "hmm initial a number",
+            "ffmc ragged transition",
+            "ffmc initial entry a list",
+            "finitary ragged letter matrix",
+            "finitary end string",
+            "density ragged matrix",
+            "chain ragged initial",
         ],
     )
     def test_refuses_entries_that_are_not_finite_numbers(
@@ -487,6 +547,13 @@ class TestModelFiles:
                 "malformed payload: basis[1][0][0]: nan is not a finite number",
             ),
             ("chain", "ambient_dim", None, "malformed payload: basis[0] must be 3x3"),
+            ("walk", "unitary", lambda m: m.__setitem__(2, 1.0), "malformed payload: unitary[2]: 1.0 is not a list"),
+            (
+                "walk",
+                "wave",
+                lambda m: m[2].pop(),
+                "malformed payload: wave[2]: complex scalars must be [re, im] pairs",
+            ),
         ],
     )
     def test_malformed_complex_payload_messages(
