@@ -40,6 +40,7 @@ __all__ = [
 
 _CLUSTER_TOL = 1e-8
 _DEFECT_TOL = 1e-6
+_SPLIT_TOL = 1e-6  # peripheral defect tests: rounding splits a Jordan block by ~1e-8
 _KRYLOV_TOL = 1e-12
 
 
@@ -76,26 +77,13 @@ def boundedness_probe(chain: QuantumChain, horizon: int = 100) -> BoundednessPro
         coords = coords @ total
     a = _orbit(chain).evolution.T
     eigenvalues = np.linalg.eigvals(a)
-    radius = float(np.abs(eigenvalues).max(initial=0.0))
-    growing = radius > 1.0 + _CLUSTER_TOL
-    if growing:
-        verdict = f"growing: evolution has spectral radius {radius:.6f} > 1 on the orbit span"
-    else:
-        verdict = (
-            f"bounded: spectral radius {radius:.6f} <= 1 on the orbit span, "
-            "peripheral spectrum semisimple"
-        )
-        for centre in _peripheral(eigenvalues):
-            defect = _invariant_pair(a, eigenvalues, centre)[2]
-            if defect > _DEFECT_TOL:
-                growing = True
-                verdict = (
-                    f"growing: unit-modulus eigenvalue {complex(centre):.6f} is defective "
-                    f"(off-diagonal mass {defect:.3e}) on the orbit span"
-                )
-                break
+    found = _growth(a, eigenvalues, _peripheral(eigenvalues))
+    verdict = f"growing: {found}" if found else (
+        f"bounded: spectral radius {float(np.abs(eigenvalues).max(initial=0.0)):.6f} <= 1 "
+        "on the orbit span, peripheral spectrum semisimple"
+    )
     max_square_trace = float(np.max(values[np.isfinite(values)]))
-    return BoundednessProbe(values, max_square_trace, growing, verdict)
+    return BoundednessProbe(values, max_square_trace, found is not None, verdict)
 
 
 @dataclass(frozen=True)
@@ -243,20 +231,18 @@ def _peripheral(eigenvalues: np.ndarray) -> np.ndarray:
     return peripheral[np.argsort(np.angle(peripheral), kind="stable")]
 
 
-def _invariant_pair(a: np.ndarray, eigenvalues: np.ndarray, centre):
-    """Invariant subspaces of ``a`` for its eigenvalues near ``centre``, and their defect.
+def _invariant_pair(a: np.ndarray, cluster: np.ndarray, centre):
+    """Invariant subspaces of ``a`` for a ``cluster`` of its eigenvalues near ``centre``.
 
-    The eigenvalues within ``_CLUSTER_TOL`` of ``centre`` form the
-    cluster.  Its orthonormal right and left invariant subspaces R and L
-    are the null spaces of p(a) and p(a)* for p(z) = ∏(z − λ) over the
-    cluster, read off one SVD.  On a Krylov space each eigenvalue has a
-    single Jordan block, so a semisimple cluster is one eigenvalue; a
-    larger one must show its defect.  That defect is the off-diagonal
-    mass of the cluster's Schur block T: ‖R*aR − centre·I‖ equals
-    ‖T − centre·I‖, whose diagonal part, each |λ − centre| ≤
-    ``_CLUSTER_TOL``, lies far below ``_DEFECT_TOL``.
+    The orthonormal right and left invariant subspaces R and L are the
+    null spaces of p(a) and p(a)* for p(z) = ∏(z − λ) over the cluster,
+    read off one SVD.  On a Krylov space each eigenvalue has a single
+    Jordan block, so a semisimple cluster is one eigenvalue; a larger one
+    must show its defect.  That defect is the off-diagonal mass of the
+    cluster's Schur block T: ‖R*aR − centre·I‖ equals ‖T − centre·I‖,
+    whose diagonal part, each |λ − centre| within the cluster's radius,
+    lies below ``_DEFECT_TOL``.
     """
-    cluster = eigenvalues[np.abs(eigenvalues - centre) <= _CLUSTER_TOL]
     k = len(a)
     poly = np.eye(k, dtype=complex)
     for lam in cluster:
@@ -265,6 +251,21 @@ def _invariant_pair(a: np.ndarray, eigenvalues: np.ndarray, centre):
     right, left = vh[k - cluster.size :].conj().T, u[:, k - cluster.size :]
     defect = float(np.linalg.norm(right.conj().T @ a @ right - centre * np.eye(cluster.size)))
     return right, left, defect
+
+
+def _growth(a: np.ndarray, eigenvalues: np.ndarray, centres) -> str | None:
+    """Why the orbit grows (radius above one, or a defective one of ``centres``), or None."""
+    radius = float(np.abs(eigenvalues).max(initial=0.0))
+    if radius > 1.0 + _CLUSTER_TOL:
+        return f"evolution has spectral radius {radius:.6f} > 1 on the orbit span"
+    for centre in centres:
+        defect = _invariant_pair(a, eigenvalues[abs(eigenvalues - centre) <= _SPLIT_TOL], centre)[2]
+        if defect > _DEFECT_TOL:
+            return (
+                f"unit-modulus eigenvalue {complex(centre):.6f} is defective "
+                f"(off-diagonal mass {defect:.3e}) on the orbit span"
+            )
+    return None
 
 
 def _spectral_average(orbit: _Orbit):
@@ -277,7 +278,8 @@ def _spectral_average(orbit: _Orbit):
     eigenvalue-one cluster (:func:`_invariant_pair`), the limit is the
     oblique projection R (L*R)⁻¹ L* of the start.  A radius above one
     raises :class:`DivergenceError`; a missing cluster, or a defective
-    one, raises :class:`ConsistencyError`.
+    one, raises :class:`ConsistencyError`; only then does a defective
+    unit-modulus eigenvalue off it raise :class:`DivergenceError`.
 
     Returns the projected coordinates and the spectrum's fields of
     :class:`CesaroResult`: ``spectral_gap``, 1 minus the largest modulus
@@ -292,20 +294,22 @@ def _spectral_average(orbit: _Orbit):
     eigenvalues = np.linalg.eigvals(a)
     near = np.abs(eigenvalues - 1.0) <= _CLUSTER_TOL
     outside = np.abs(eigenvalues[~near])
-    if outside.size and outside.max() > 1.0 + _CLUSTER_TOL:
-        raise DivergenceError(
-            f"evolution has spectral radius {float(outside.max()):.6f} > 1 on the orbit span"
-        )
+    found = _growth(a, eigenvalues, ())
+    if found:
+        raise DivergenceError(found)
     if not near.any():
         raise ConsistencyError(
             "no eigenvalue-one component on the orbit span; the trace cannot be preserved"
         )
-    right, left, defect = _invariant_pair(a, eigenvalues, 1.0)
+    right, left, defect = _invariant_pair(a, eigenvalues[near], 1.0)
     if defect > _DEFECT_TOL:
         raise ConsistencyError(
             f"eigenvalue-one cluster is defective (off-diagonal mass {defect:.3e}); "
             "incompatible with a bounded orbit"
         )
+    found = _growth(a, eigenvalues, _peripheral(eigenvalues[~near]))
+    if found:
+        raise DivergenceError(found)
     pairing = left.conj().T @ right
     projected = right @ np.linalg.solve(pairing, left.conj().T @ orbit.start)
     imag = float(np.max(np.abs(projected.imag)))

@@ -798,9 +798,9 @@ def finitary_to_qpm(
     The subspace is spanned by diagonal units, one per selected basis row;
     letter operators carry the shift coefficients fitted by least squares
     over all suffix columns up to ``horizon`` (default: the declared
-    dimension).  The shifted rows p(v a w) are (F_v M_a)·Bᵀ, the basis
-    words' prefix states times the letter matrix times the suffix states,
-    both taken from the factors that the Hankel keeps.
+    dimension).  The rows p(v w) = F_v·Bᵀ and their shifts p(v a w) =
+    (F_v M_a)·Bᵀ are products of the basis words' prefix states and the
+    suffix states that the Hankel keeps; its N×M block is never built.
     Residuals above ``residual_tol`` mean the basis cannot reproduce the
     shifted rows and raise :class:`BasisInsufficiencyError`.
     """
@@ -818,15 +818,15 @@ def finitary_to_qpm(
             + "; ".join(problems[:3])
         )
     basis_words = select_row_basis(hankel, eps)
-    d = len(basis_words)
-    if d == 0:
+    if not basis_words:
         raise ValidationError("process has numerical rank 0; nothing to represent")
-    basis_rows = [hankel._row_index[v] for v in basis_words]
-    weights = hankel.matrix[basis_rows, 0]
-    # column j of the design holds the normalised Hankel row of basis word j
-    design = hankel.matrix[basis_rows].T / weights
-    basis_states = hankel._prefix_states[basis_rows]
+    # the Hankel rows of the empty word and the basis words, from one product
+    states = hankel._prefix_states[[0] + [hankel.row_words.index(v) for v in basis_words]]
     suffixes = hankel._suffix_states
+    rows = np.real(states @ suffixes.T)
+    weights = rows[1:, 0]
+    # column j of the design holds the normalised Hankel row of basis word j
+    design = rows[1:].T / weights
 
     def fit(targets: np.ndarray, what) -> np.ndarray:
         solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
@@ -838,14 +838,14 @@ def finitary_to_qpm(
                 )
         return solution
 
-    sub = OperatorSubspace.diagonal(d)
+    sub = OperatorSubspace.diagonal(len(basis_words))
     ops: dict[str, SuperOperator] = {}
     for a, matrix in zip(param.alphabet, process.linear.matrices):
         # the a-shifted rows p(v a w) / p(v), one target column per basis word v
-        targets = (basis_states @ matrix @ suffixes.T).T / weights
+        targets = (states[1:] @ matrix @ suffixes.T).T / weights
         coeff = fit(targets, lambda i: f"the {a!r}-shift of basis row {i}")
         ops[a] = SuperOperator(sub, coeff.T)
-    root = fit(hankel.matrix[0][:, None], lambda i: "the process itself")[:, 0]
+    root = fit(rows[0][:, None], lambda i: "the process itself")[:, 0]
     initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
     return QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
 

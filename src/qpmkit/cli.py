@@ -408,7 +408,7 @@ def _cmd_rank(args, config, inputs):
         "cols": cols,
         "numerical_rank": rank,
         "row_basis": [process_mod.format_word(w) for w in basis],
-        "shape": list(hankel.matrix.shape),
+        "shape": [len(hankel.row_words), len(hankel.col_words)],
     }
     return 0, results, [], None
 

@@ -349,7 +349,7 @@ def _array(data, what: str, ndim: int | None = None) -> np.ndarray:
         or not np.isfinite(flat).all()
         or (pairs and shape[-1] != 2)
     ):
-        _refuse_entries(data, what, ndim, pairs)
+        _refuse_entries(data, what, ndim if pairs else min(ndim, 2), pairs)
         # every list is rectangular on its own: an empty nesting, or rows of rows of two shapes
         wants = "non-empty nested list" if pairs else "vector or matrix"
         raise ValueError(f"{what} must be a {wants}")

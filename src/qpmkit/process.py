@@ -346,25 +346,23 @@ def check_process_axioms(
 class TruncatedHankel:
     """The matrix [p(vw)] over all prefixes v and suffixes w up to fixed lengths.
 
-    ``matrix`` is Re(F·Bᵀ), where :func:`build_hankel` keeps the prefix
-    states F (N×d) and the suffix states B (M×d) of a d-dimensional
-    linear form.  Rank and row-basis analysis decompose these factors,
-    never their N×M product.  The analysis is cached on first use, so the
+    :func:`build_hankel` keeps the prefix states F (N×d) and the suffix
+    states B (M×d) of a d-dimensional linear form.  Rank and row-basis
+    analysis decompose these factors; their N×M product ``matrix`` is
+    built only when it is read.  Both are cached on first use, so the
     arrays must not change afterwards.
     """
 
     alphabet: Alphabet
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
-    matrix: np.ndarray
     _prefix_states: np.ndarray = field(repr=False)
     _suffix_states: np.ndarray = field(repr=False)
-    _row_index: dict = field(repr=False, default_factory=dict)
-    _col_index: dict = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_row_index", {w: i for i, w in enumerate(self.row_words)})
-        object.__setattr__(self, "_col_index", {w: i for i, w in enumerate(self.col_words)})
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Re(F·Bᵀ), built on first read: N·M doubles."""
+        return np.real(self._prefix_states @ self._suffix_states.T)
 
     @cached_property
     def _row_factor(self) -> np.ndarray:
@@ -395,10 +393,10 @@ class TruncatedHankel:
         return values
 
     def entry(self, row_word: Word, col_word: Word) -> float:
-        return float(self.matrix[self._row_index[row_word], self._col_index[col_word]])
+        return float(self.matrix[self.row_words.index(row_word), self.col_words.index(col_word)])
 
     def row(self, row_word: Word) -> np.ndarray:
-        return self.matrix[self._row_index[row_word]]
+        return self.matrix[self.row_words.index(row_word)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -413,9 +411,9 @@ def build_hankel(process: Process, row_length: int, col_length: int) -> Truncate
 
     For a process with a linear form the block is F·Bᵀ, the prefix states
     times the suffix states (the factorisation used in spectral learning
-    of weighted automata), so its cost is linear in the number of
-    entries.  Both factors stay on the result, where the rank and the
-    row basis are computed from them.
+    of weighted automata).  Only the factors are built, so the cost is
+    linear in the number of words; the rank and the row basis are
+    computed from them.
     """
     if row_length < 0 or col_length < 0:
         raise ValidationError("Hankel truncation lengths must be >= 0")
@@ -424,9 +422,7 @@ def build_hankel(process: Process, row_length: int, col_length: int) -> Truncate
     form = process.linear
     prefixes = word_states(form, row_length)
     suffixes = word_states(form, col_length, suffix=True)
-    return TruncatedHankel(
-        process.alphabet, rows, cols, np.real(prefixes @ suffixes.T), prefixes, suffixes
-    )
+    return TruncatedHankel(process.alphabet, rows, cols, prefixes, suffixes)
 
 
 def numerical_rank(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) -> int:
@@ -446,7 +442,7 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
     """Greedily pick prefix words whose rows span the Hankel row space.
 
     Candidates are visited shortest-word-first and must satisfy
-    p(v) > eps so that the normalized rows are again process functions.
+    p(v) = Re(F_v·B_ε) > eps so that the normalized rows are process functions.
     The two-pass Gram-Schmidt runs on the d-column rows of the factor G
     (``matrix`` = G·Q with orthonormal Q), which have the Hankel rows'
     norms and inner products; the rank and the largest singular value
@@ -458,17 +454,16 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
     if target == 0:
         return []
     singular_max = float(hankel.singular_values[0])
-    eps_col = hankel._col_index.get(EPSILON)
-    if eps_col is None:
+    if EPSILON not in hankel.col_words:
         raise ValidationError("Hankel columns must include the empty word")
+    empty = hankel._suffix_states[hankel.col_words.index(EPSILON)]
+    support = np.real(hankel._prefix_states @ empty)
 
     rows = hankel._row_factor
     chosen: list[Word] = []
     ortho: list[np.ndarray] = []
-    skipped_support = 0
     for i, word in enumerate(hankel.row_words):
-        if hankel.matrix[i, eps_col] <= eps:
-            skipped_support += 1
+        if support[i] <= eps:
             continue
         residual = rows[i]
         for q in ortho:  # two Gram-Schmidt passes for stability
@@ -482,8 +477,8 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
             if len(chosen) == target:
                 return chosen
     raise DegenerateSupportError(
-        f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical "
-        f"rank is {target} ({skipped_support} rows skipped for insufficient weight)"
+        f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical rank is "
+        f"{target} ({np.count_nonzero(support <= eps)} rows skipped for insufficient weight)"
     )
 
 

@@ -3,8 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from oracles import (
 )
 
 AB = qk.Alphabet(("a", "b"))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @contextmanager
@@ -349,3 +355,39 @@ def test_19_long_words_step_once_per_block():
                 plain.append(time.perf_counter() - started)
             assert value == want == 0.0, name
             assert np.median(fast) <= 0.6 * np.median(plain), name
+
+
+def _fresh_cli(*args) -> tuple[int, dict, float]:
+    """``python -m qpmkit`` in a new process at one BLAS thread: exit code, report, peak RSS (MB)."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(qk.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qpmkit", *map(str, args)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    out = child.stdout.read()
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, json.loads(out), usage.ru_maxrss / 1024  # ru_maxrss is in KiB
+
+
+def test_20_hankel_analysis_without_the_block(tmp_path):
+    hmm2 = FIXTURES / "hmm2.json"
+    code, _, baseline = _fresh_cli("eval", hmm2, "--word", "ab")
+    assert code == 0
+    with criterion(20, "rank of hmm2 at L = 14 without its 32767×32767 block", 30.0):
+        code, report, peak = _fresh_cli("rank", hmm2, "--rows", 14, "--cols", 14)
+    assert code == 0, report
+    assert report["results"]["shape"] == [32767, 32767]
+    assert report["results"]["numerical_rank"] == 2
+    assert report["wall_time_s"] < 0.1
+    assert peak - baseline < 60, f"peak RSS {peak:.0f} MB against {baseline:.0f} MB for eval"
+    model = tmp_path / "hmm12.json"
+    model.write_text(qk.save_model(random_hmm(np.random.default_rng(5), 12, 2)))
+    with criterion(20, "predictor model of a 12-state, 2-letter HMM at horizon 12", 30.0):
+        code, report, peak = _fresh_cli("convert", model, "--to", "qpm", "--out", tmp_path / "q.json")
+    assert code == 0, report
+    assert report["results"]["kind"] == "qpm"
+    assert peak - baseline < 60, f"peak RSS {peak:.0f} MB against {baseline:.0f} MB for eval"

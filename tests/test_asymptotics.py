@@ -148,6 +148,32 @@ class TestCesaroLimit:
         with pytest.raises(DivergenceError):
             doubling_limit_reference(unbounded_qpm)
 
+    def test_a_split_jordan_block_at_minus_one_has_no_limit(self):
+        # S·J·S⁻¹ with a 2-block at -1: rows sum to 1, so the chain is trace
+        # preserving, but its orbit grows linearly.  In rounding the block
+        # splits into -0.99999999345 and -1.0000000065, 1.3e-8 apart, and each
+        # used to pass as a simple eigenvalue on the unit circle.
+        shear = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        jordan = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+        matrix = shear @ jordan @ np.linalg.inv(shear)
+        chain = single_letter_chain(matrix, [0.2, 0.5, 0.3], ChainKind.QPM)
+        assert qk.validate_chain(chain).ok
+        # the Cesàro means alternate: [0.75, 0, 0.25] at even t, towards [1.25, 0, -0.25] at odd t
+        coords, total, means = chain.initial_coords, np.zeros(3), {}
+        for t in range(1, 4002):
+            total, coords = total + coords, coords @ matrix
+            means[t] = total / t
+        assert means[4000] == pytest.approx([0.75, 0.0, 0.25], abs=1e-12)
+        assert means[4001] == pytest.approx([1.25, 0.0, -0.25], abs=1e-3)
+        probe = qk.boundedness_probe(chain, 10)
+        assert probe.growing
+        assert probe.verdict.startswith("growing: unit-modulus eigenvalue -1.000000")
+        with pytest.raises(DivergenceError) as raised:
+            qk.cesaro_limit(chain)
+        assert type(raised.value) is DivergenceError
+        assert str(raised.value).startswith("unit-modulus eigenvalue -1.000000")
+        assert str(raised.value).endswith("is defective (off-diagonal mass 1.155e+00) on the orbit span")
+
     def test_tiny_horizon_cap_raises(self):
         # an irrational rotation averages out only at rate 1/t, so the
         # doubling reference gives up at its horizon cap

@@ -480,6 +480,26 @@ class TestFinitaryToQpm:
         with pytest.raises(ValidationError):
             qk.finitary_to_qpm(broken)
 
+    @pytest.mark.parametrize("letters, horizon", [(2, 19), (3, 12), (1000, 2)])
+    def test_refuses_a_horizon_past_its_column_budget_before_building(
+        self, monkeypatch, letters, horizon
+    ):
+        # |A|^h above 500 000 suffix columns is refused before any word is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(qk.chain, "finitary_process", unreachable)
+        monkeypatch.setattr(qk.chain, "build_hankel", unreachable)
+        alphabet = qk.Alphabet(tuple(f"s{i}" for i in range(letters)))
+        param = qk.FinitaryParam(
+            alphabet, {a: [[1.0 / letters]] for a in alphabet}, [1.0], [1.0], standard_form=True
+        )
+        with pytest.raises(ValidationError) as raised:
+            qk.finitary_to_qpm(param, horizon=horizon)
+        assert str(raised.value) == (
+            "working horizon too large for exhaustive column enumeration; pass a smaller one"
+        )
+
 
 class TestQpmToFinitary:
     def test_hmm_round_trip_preserves_process(self, hmm2):

@@ -180,6 +180,121 @@ def _run_json(args):
     return code, json.loads(text)
 
 
+def _edited(fixture: str, edit):
+    """Write ``fixture``'s JSON after ``edit`` changed the parsed data in place."""
+
+    def write(path):
+        data = json.loads((FIXTURES / fixture).read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+
+    return write
+
+
+def _set(*keys_and_value):
+    """An edit that sets data[k1]...[kn] to the last argument, or deletes it when that is ``...``."""
+    *keys, value = keys_and_value
+
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        if value is ...:
+            del data[keys[-1]]
+        else:
+            data[keys[-1]] = value
+
+    return edit
+
+
+# Findings of load_model_report for refusals outside the payload arrays;
+# "PATH" stands for the file's path.
+LOAD_REFUSALS = {
+    "top level a list": (
+        lambda path: path.write_text("[]"),
+        ["top level must be a JSON object"],
+    ),
+    "missing top-level fields": (
+        _edited("hmm2.json", lambda d: [d.pop(key) for key in ("kind", "payload")]),
+        ["missing top-level fields: ['kind', 'payload']"],
+    ),
+    "unknown and missing top-level fields": (
+        _edited("hmm2.json", lambda d: d.update(comment=d.pop("alphabet"))),
+        ["unknown top-level fields: ['comment']", "missing top-level fields: ['alphabet']"],
+    ),
+    "unsupported schema_version": (
+        _edited("hmm2.json", _set("schema_version", 1)),
+        ["schema_version 1 unsupported (expected '1')"],
+    ),
+    "payload a list": (
+        _edited("hmm2.json", _set("payload", [])),
+        ["payload must be a JSON object"],
+    ),
+    "missing payload fields": (
+        _edited("hmm2.json", _set("payload", "emission", ...)),
+        ["missing payload fields for kind 'hmm': ['emission']"],
+    ),
+    "unknown and missing payload fields": (
+        _edited("coin_finitary.json", lambda d: d["payload"].update(stand=d["payload"].pop("end"))),
+        [
+            "unknown payload fields for kind 'finitary': ['stand']",
+            "missing payload fields for kind 'finitary': ['end']",
+        ],
+    ),
+    "empty alphabet": (
+        _edited("hmm2.json", _set("alphabet", [])),
+        ["malformed payload: alphabet must be a non-empty list of symbols"],
+    ),
+    "alphabet a string": (
+        _edited("swap_qmc.json", _set("alphabet", "ab")),
+        ["malformed payload: alphabet must be a non-empty list of symbols"],
+    ),
+    "unreadable file": (
+        lambda path: None,
+        ["cannot read file: [Errno 2] No such file or directory: 'PATH'"],
+    ),
+    "not valid JSON": (
+        lambda path: path.write_text('{"schema_version": "1",'),
+        ["not valid JSON: Expecting property name enclosed in double quotes: line 1 column 24 (char 23)"],
+    ),
+    "density with an alphabet": (
+        _edited("bell5.json", _set("alphabet", ["a"])),
+        ["malformed payload: density files take no alphabet (use null)"],
+    ),
+    "density not square": (
+        _edited("bell5.json", lambda d: d["payload"]["matrix"].pop()),
+        ["malformed payload: matrix must be square"],
+    ),
+    "one label too few": (
+        _edited("feynman4.json", lambda d: d["payload"]["labels"].pop()),
+        ["malformed payload: one label per matrix dimension required"],
+    ),
+    "info_functions without labels": (
+        _edited("bell5.json", _set("payload", "labels", ...)),
+        ["malformed payload: info_functions require labels"],
+    ),
+    "info_functions a list": (
+        _edited("bell5.json", _set("payload", "info_functions", [])),
+        ["malformed payload: info functions must map names to label->value tables"],
+    ),
+    "info function a list": (
+        _edited("feynman4.json", _set("payload", "info_functions", "Z", ["+", "-", "+", "-"])),
+        ["malformed payload: info function 'Z' must be a label->value table"],
+    ),
+    "info function missing labels": (
+        _edited("feynman4.json", _set("payload", "info_functions", "X", "w3", ...)),
+        ["malformed payload: info function 'X' missing labels ['w3']"],
+    ),
+    "info function unknown labels": (
+        _edited("bell5.json", _set("payload", "info_functions", "Y", "w9", 1)),
+        ["malformed payload: info function 'Y' has unknown labels ['w9']"],
+    ),
+    "standard form that does not hold": (
+        _edited("coin_finitary.json", lambda d: d["payload"].update(initial=[0.5], end=[2.0])),
+        ["standard-form: flagged standard form but constraints do not hold"],
+    ),
+}
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_round_trip_is_byte_identical(self, name):
@@ -232,6 +347,15 @@ class TestModelFiles:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert load_model_report(bad)[2] == [message]
+
+    @pytest.mark.parametrize("name", LOAD_REFUSALS)
+    def test_load_refusals_are_named(self, tmp_path, name):
+        write, findings = LOAD_REFUSALS[name]
+        path = tmp_path / "model.json"
+        write(path)
+        model, _, violations = load_model_report(path)
+        assert model is None
+        assert violations == [finding.replace("PATH", str(path)) for finding in findings]
 
     def test_row_sum_violation_reported_with_row(self):
         model, kind, violations = load_model_report(FIXTURES / "bad_hmm_rowsum.json")
@@ -359,6 +483,11 @@ class TestModelFiles:
                 lambda p: p["initial"][1].pop(),
                 "malformed payload: initial rows differ in length",
             ),
+            (
+                "unbounded_qpm.json",
+                lambda p: p["operators"]["a"][0].__setitem__(0, [p["operators"]["a"][0][0]]),
+                "malformed payload: operator 'a'[0][0]: [1.55] is not a finite number",
+            ),
         ],
         ids=[
             "hmm string",
@@ -383,6 +512,7 @@ class TestModelFiles:
             "finitary end string",
             "density ragged matrix",
             "chain ragged initial",
+            "predictor first entry a list",
         ],
     )
     def test_refuses_entries_that_are_not_finite_numbers(

@@ -218,7 +218,7 @@ def per_word_hankel(process, rows, cols) -> TruncatedHankel:
     with the identity as suffix factor."""
     matrix = word_table_reference(process, rows, cols)
     words = (tuple(qk.words_up_to(process.alphabet, n)) for n in (rows, cols))
-    return TruncatedHankel(process.alphabet, *words, matrix, matrix, np.eye(matrix.shape[1]))
+    return TruncatedHankel(process.alphabet, *words, matrix, np.eye(matrix.shape[1]))
 
 
 def analysed(process, rows, cols, build=qk.build_hankel):
@@ -295,7 +295,7 @@ class TestHankelAnalysis:
         # row "a" leaves a residual of 5e-6: under rank_eps·σ₁ (σ₁ ≈ 1000), over rank_eps·|row ε|
         words = ((), ("a",), ("b",))
         matrix = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 5e-6], [1.0, 1000.0, 0.0]])
-        hankel = TruncatedHankel(qk.Alphabet(("a", "b")), words, words, matrix, matrix, np.eye(3))
+        hankel = TruncatedHankel(qk.Alphabet(("a", "b")), words, words, matrix, np.eye(3))
         assert qk.numerical_rank(hankel) == 2
         assert qk.select_row_basis(hankel) == row_basis_reference(hankel) == [(), ("b",)]
 

@@ -147,7 +147,7 @@ class TestNumericalRank:
 
     def test_zero_matrix_has_rank_zero(self):
         zero = np.zeros((1, 1))
-        hankel = TruncatedHankel(AB, ((),), ((),), zero, zero, np.eye(1))
+        hankel = TruncatedHankel(AB, ((),), ((),), zero, np.eye(1))
         assert qk.numerical_rank(hankel) == 0
 
 
@@ -190,7 +190,7 @@ class TestSelectRowBasis:
         # the second row carries rank but has no weight at the empty suffix
         matrix = np.array([[1.0, 0.5, 0.5], [0.0, 0.4, -0.4], [0.5, 0.25, 0.25]])
         words = ((), ("a",), ("b",))
-        hankel = TruncatedHankel(AB, words, words, matrix, matrix, np.eye(3))
+        hankel = TruncatedHankel(AB, words, words, matrix, np.eye(3))
         with pytest.raises(DegenerateSupportError):
             qk.select_row_basis(hankel)
 
