@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -540,7 +540,7 @@ def validate_chain(
         if abs(value) > preserve_tol:
             report.add(
                 "trace-preservation",
-                f"summed operators change the trace of basis element {i} by {value!r}",
+                f"summed operators change the trace of basis element {i} by {float(value)!r}",
                 ("operators", i),
             )
 
@@ -552,9 +552,10 @@ def validate_chain(
                 f"initial density has eigenvalue {smallest!r}",
                 ("initial",),
             )
-        rng = np.random.default_rng(_POSITIVITY_SEED)
+        # only the sampled searches draw, so numpy.random loads on first use
+        generator = cache(lambda: np.random.default_rng(_POSITIVITY_SEED))
         for symbol in chain.alphabet:
-            _letter_positivity(chain, symbol, report, rng, positivity_samples, psd_tol)
+            _letter_positivity(chain, symbol, report, generator, positivity_samples, psd_tol)
     else:
         window = DEFAULTS.qpm_horizon if horizon is None else horizon
         report.horizon = window
@@ -572,7 +573,7 @@ def validate_chain(
     return report
 
 
-def _letter_positivity(chain, symbol, report, rng, samples, psd_tol):
+def _letter_positivity(chain, symbol, report, generator, samples, psd_tol):
     sub = chain.subspace
     op = chain.letter_ops[symbol]
     if sub.is_unit_diagonal:
@@ -592,7 +593,7 @@ def _letter_positivity(chain, symbol, report, rng, samples, psd_tol):
         if smallest >= -1e-8:
             report.note(f"operator {symbol!r}: completely positive (Choi PSD), hence positive")
             return
-        counterexample = _positivity_counterexample_pure(op, rng, samples)
+        counterexample = _positivity_counterexample_pure(op, generator(), samples)
         if counterexample is not None:
             report.add(
                 "positivity",
@@ -606,7 +607,7 @@ def _letter_positivity(chain, symbol, report, rng, samples, psd_tol):
                 "positivity unproven"
             )
         return
-    found, tested = _positivity_sampling(chain, op, rng, samples)
+    found, tested = _positivity_sampling(chain, op, generator(), samples)
     if found is not None:
         report.add(
             "positivity",
@@ -792,6 +793,7 @@ def finitary_to_qpm(
     eps: float = DEFAULTS.rank_eps,
     residual_tol: float = DEFAULTS.residual_tol,
     eval_tol: float = DEFAULTS.eval_tol,
+    preserve_tol: float = DEFAULTS.preserve_tol,
 ) -> QuantumChain:
     """Predictor model over a process-function row basis of the Hankel matrix.
 
@@ -802,7 +804,10 @@ def finitary_to_qpm(
     (F_v M_a)·Bᵀ are products of the basis words' prefix states and the
     suffix states that the Hankel keeps; its N×M block is never built.
     Residuals above ``residual_tol`` mean the basis cannot reproduce the
-    shifted rows and raise :class:`BasisInsufficiencyError`.
+    shifted rows and raise :class:`BasisInsufficiencyError`, as does a
+    fit whose summed operators change a basis element's trace by more
+    than ``preserve_tol``: :func:`validate_chain`, and so the loader,
+    would refuse that chain.
     """
     window = param.dimension if horizon is None else horizon
     if len(param.alphabet) ** max(window, 1) > 500_000:
@@ -847,7 +852,15 @@ def finitary_to_qpm(
         ops[a] = SuperOperator(sub, coeff.T)
     root = fit(rows[0][:, None], lambda i: "the process itself")[:, 0]
     initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
-    return QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
+    chain = QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
+    drift = chain.total_matrix @ sub.traces - sub.traces
+    for i, value in enumerate(drift):
+        if abs(value) > preserve_tol:
+            raise BasisInsufficiencyError(
+                f"fitted operators change the trace of basis element {i} by "
+                f"{float(value)!r} (preserve_tol {preserve_tol:.3e})"
+            )
+    return chain
 
 
 def qpm_to_finitary(chain: QuantumChain) -> FinitaryParam:

@@ -268,7 +268,11 @@ def _error_findings(exc) -> list[str]:
 
 def _finitary_to_qpm(param, config: Config):
     return chain_mod.finitary_to_qpm(
-        param, eps=config.rank_eps, residual_tol=config.residual_tol, eval_tol=config.eval_tol
+        param,
+        eps=config.rank_eps,
+        residual_tol=config.residual_tol,
+        eval_tol=config.eval_tol,
+        preserve_tol=config.preserve_tol,
     )
 
 

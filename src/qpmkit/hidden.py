@@ -352,11 +352,12 @@ def viterbi_hidden_path(
     both the largest and smallest partial products are tracked so the
     global maximum survives sign flips.
 
-    Costs O(T n^2) for a word of length T: one (2n x 2n) candidate array
-    per step and a backpointer table read once at the end.  Partial
-    products are rescaled by powers of two after every step, which is
-    exact, so the path and weight equal the plain float products' wherever
-    those stay normal doubles, and the path stays optimal past that point.
+    Costs O(T n^2) for a word of length T: one (n x n) candidate array
+    per step when no weight is negative, (2n x 2n) otherwise, and
+    backpointers read once at the end.  Partial products are rescaled by
+    powers of two after every step, which is exact, so the path and
+    weight equal the plain float products' wherever those stay normal
+    doubles, and the path stays optimal past that point.
     """
     letters = chain.alphabet.indices(word)
     init, factors = _step_weights(chain, basis, tol)
@@ -415,42 +416,74 @@ def _step_weights(
 
 
 def _best_path(init: np.ndarray, factors: np.ndarray, letters: list[int]):
-    """Backpointer dynamic program over 2n signed prefixes.
+    """The maximum-weight state path and its weight as mantissa * 2**exponent.
 
-    Prefix k < n holds the largest and prefix n + k the smallest weight of
-    a path ending in state k.  ``rank`` orders the prefixes' paths
-    lexicographically (equal paths, such as a state's hi and lo before they
-    part, share a rank); taking candidates in rank order makes numpy's first
-    argmax the smallest path among equal weights.  Returns the state path
-    and its weight as mantissa * 2**exponent.
+    With nonnegative initial weights and factors a smaller prefix never
+    overtakes a larger one of the same state, so one prefix per state
+    gives the largest weights.  That holds for every quantum Markov
+    chain, by complete positivity.  Otherwise each state keeps its
+    largest and its smallest prefix.  A word of weight 0 is run with
+    both: there the smallest prefixes can reach a lexicographically
+    smaller zero-weight path, and the answer stays the one that tracks
+    them.  On a word of positive weight the path can differ from the
+    two-prefix one only where two prefixes of one state that differ by
+    rounding alone round to the same product a step later; it then has
+    the same weight.
+    """
+    if init.min() >= 0 and factors.min() >= 0:
+        path, mantissa, exponent = _ranked_prefixes(init, factors, letters, 1)
+        if mantissa:
+            return path, mantissa, exponent
+    return _ranked_prefixes(init, factors, letters, 2)
+
+
+def _ranked_prefixes(init: np.ndarray, factors: np.ndarray, letters: list[int], halves: int):
+    """Backpointer dynamic program over ``halves`` prefixes per state, in rank order.
+
+    Slot ``halves * k`` holds the largest weight of a path ending in state
+    k and, with two halves, slot ``2k + 1`` the smallest, stored negated
+    so that one argmax picks both winners.  ``order[r]`` is the slot whose
+    path has lexicographic rank r, and ``vals`` holds the slots' values in
+    that order, so numpy's first argmax over a slot's candidates is the
+    smallest path among equal weights.  A new slot's path is its
+    predecessor's followed by its state; slots run in state order, so one
+    stable argsort of the predecessors' ranks gives the new ranks.  A
+    state's two halves on one path sort adjacent, the larger first, and
+    the second one never wins.  Each step is one gather of the letter's
+    factors, one product, one argmax, one argsort and one reorder; values
+    are then rescaled by the power of two of the largest magnitude, which
+    is exact.
     """
     n = init.size
-    states = np.tile(np.arange(n), 2)
-    flip = np.repeat([1.0, -1.0], n)
-    # factor from candidate k's state into prefix k''s state, lo columns
-    # negated so that one argmax picks the hi and the lo winners
-    signed_factors = list(factors[:, states][:, :, states] * flip)
-    columns = np.arange(2 * n)
-    rank = states
-    order = np.argsort(rank, kind="stable")
-    back = []
-    vals, exponent = _rescale(np.concatenate([init, init]), 0)
+    states = np.repeat(np.arange(n), halves)
+    flip = np.tile([1.0, -1.0][:halves], n)
+    # into[a][c, k]: factor from slot k's state into slot c's state, negated
+    # where exactly one of k and c is a smallest-prefix slot
+    into = list(np.swapaxes(flip[:, None] * factors[:, states][:, :, states] * flip, 1, 2).copy())
+    slots = np.arange(n * halves)
+    rows = slots * slots.size  # where each slot's candidates start in cand.ravel()
+    order = slots
+    vals, exponent = _rescale(np.repeat(init, halves) * flip, 0)
+    orders, picks = [], []
     for a in letters:
-        cand = vals[order][:, None] * signed_factors[a][order]
-        pick = cand.argmax(axis=0)
-        vals = cand[pick, columns] * flip
-        pred = order[pick]
-        back.append(pred)
-        key = rank[pred] * n + states
-        order = key.argsort(kind="stable")
-        rank = key[order].searchsorted(key)
-        vals, exponent = _rescale(vals, exponent)
-    hi_order = order[order < n]
-    k = int(hi_order[np.argmax(vals[hi_order])])
-    mantissa = float(vals[k])
+        cand = into[a].take(order, axis=1)
+        cand *= vals
+        pick = cand.argmax(axis=1)
+        orders.append(order)
+        picks.append(pick)
+        order = pick.argsort(kind="stable")
+        vals = cand.take(rows + pick)[order]
+        # indexing at the argmax is cheaper than max() on a few values
+        top = vals[vals.argmax()] if halves == 1 else np.abs(vals).max()
+        shift = math.frexp(top)[1]
+        vals = np.ldexp(vals, -shift)
+        exponent += shift
+    ranks = np.flatnonzero(order % halves == 0)  # the largest-prefix slots, in rank order
+    r = int(ranks[np.argmax(vals[ranks])])
+    k = int(order[r])
+    mantissa = float(vals[r])
     path = [k]
-    for row in reversed(back):
-        k = int(row[k])
+    for order, pick in zip(reversed(orders), reversed(picks)):
+        k = int(order[pick[k]])
         path.append(k)
-    return [k % n for k in reversed(path)], mantissa, exponent
-
+    return [int(states[k]) for k in reversed(path)], mantissa, exponent

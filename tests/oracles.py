@@ -8,6 +8,7 @@ verifies.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -378,6 +379,57 @@ def viterbi_reference(chain, basis, symbols):
         hi, lo = new_hi, new_lo
     best_value, best_path = max(hi, key=lambda c: (c[0], [-s for s in c[1]]))
     return tuple(basis.labels[i] for i in best_path), float(best_value)
+
+
+def best_path_reference(init: np.ndarray, factors: np.ndarray, letters) -> tuple:
+    """Backpointer dynamic program over 2n signed prefixes, re-ranked by search.
+
+    The O(T n^2) program that tracks both the largest and the smallest
+    prefix of every state whatever the signs, with ``factors[a][j, i]``
+    the weight of moving from state j to i on letter a.  Prefix k < n
+    holds the largest and prefix n + k the smallest weight of a path
+    ending in state k.  ``rank`` orders the prefixes' paths
+    lexicographically (equal paths, such as a state's hi and lo before
+    they part, share a rank) and is recomputed every step by a sort and a
+    search; taking candidates in rank order makes numpy's first argmax
+    the smallest path among equal weights.  Values are divided by the
+    power of two nearest their largest magnitude after every step.
+    Returns (state path, mantissa, exponent) with weight mantissa *
+    2**exponent, for words far past what :func:`viterbi_reference` can
+    check.
+    """
+
+    def rescale(vals, exponent):
+        shift = math.frexp(float(np.abs(vals).max()))[1]
+        return np.ldexp(vals, -shift), exponent + shift
+
+    n = init.size
+    states = np.tile(np.arange(n), 2)
+    flip = np.repeat([1.0, -1.0], n)
+    signed_factors = list(factors[:, states][:, :, states] * flip)
+    columns = np.arange(2 * n)
+    rank = states
+    order = np.argsort(rank, kind="stable")
+    back = []
+    vals, exponent = rescale(np.concatenate([init, init]), 0)
+    for a in letters:
+        cand = vals[order][:, None] * signed_factors[a][order]
+        pick = cand.argmax(axis=0)
+        vals = cand[pick, columns] * flip
+        pred = order[pick]
+        back.append(pred)
+        key = rank[pred] * n + states
+        order = key.argsort(kind="stable")
+        rank = key[order].searchsorted(key)
+        vals, exponent = rescale(vals, exponent)
+    hi_order = order[order < n]
+    k = int(hi_order[np.argmax(vals[hi_order])])
+    mantissa = float(vals[k])
+    path = [k]
+    for row in reversed(back):
+        k = int(row[k])
+        path.append(k)
+    return [k % n for k in reversed(path)], mantissa, exponent
 
 
 def hmm_viterbi_log(hmm, word) -> float:

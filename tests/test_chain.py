@@ -473,6 +473,20 @@ class TestFinitaryToQpm:
                 qk.hmm_eval(cycle, word), abs=1e-9
             )
 
+    def test_refuses_a_fit_that_changes_a_basis_trace(self):
+        # validate_chain, and so the loader, would refuse this fit: its
+        # operators move basis element 7's trace by 1.24e-10 > preserve_tol
+        finitary = qk.hmm_to_finitary(random_hmm(np.random.default_rng(5), 12, 2))
+        with pytest.raises(BasisInsufficiencyError, match="basis element 7 by 1.2357"):
+            qk.finitary_to_qpm(finitary)
+        chain = qk.finitary_to_qpm(finitary, preserve_tol=1e-9)
+        assert qk.validate_chain(chain, preserve_tol=1e-9).ok
+        # the findings print plain floats, not numpy scalar reprs
+        assert [v.message for v in qk.validate_chain(chain).violations] == [
+            "summed operators change the trace of basis element 7 by 1.2357159739906365e-10",
+            "summed operators change the trace of basis element 10 by -1.0598355526525438e-10",
+        ]
+
     def test_rejects_non_process_parametrization(self):
         broken = qk.FinitaryParam(
             AB, {"a": [[0.9]], "b": [[0.4]]}, [1.0], [1.0], standard_form=False

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,21 @@ from hypothesis import strategies as st
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
 from qpmkit.errors import DimensionMismatchError, UnsupportedChainError, ValidationError
-from qpmkit.hidden import HiddenStateBasis, InformationFunction
+from qpmkit.hidden import (
+    HiddenStateBasis,
+    InformationFunction,
+    _best_path,
+    _ranked_prefixes,
+    _step_weights,
+)
 
 from helpers import random_hmm, random_quantum_density, single_letter_chain
-from oracles import hmm_path_weights, hmm_viterbi_enumerate, viterbi_reference
+from oracles import (
+    best_path_reference,
+    hmm_path_weights,
+    hmm_viterbi_enumerate,
+    viterbi_reference,
+)
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -68,6 +81,43 @@ def signed_diagonal_qpm(rng) -> QuantumChain:
     ops = {a: SuperOperator(sub, rng.integers(-4, 5, size=(n, n)) / 4.0 * scale) for a in "ab"}
     initial = qk.Density.generalized(np.diag(diag.astype(complex)))
     return QuantumChain(qk.Alphabet(("a", "b")), sub, ops, initial, ChainKind.QPM)
+
+
+def sparse_hmm(rng) -> qk.HmmParam:
+    """Random HMM with exact zeros: some words are dead, some paths are cut."""
+    hmm = random_hmm(rng)
+
+    def thinned(rows):
+        keep = rng.random(rows.shape) < 0.4
+        keep[np.arange(len(rows)), rng.integers(rows.shape[1], size=len(rows))] = True
+        rows = rows * keep
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    initial = thinned(hmm.initial[None])[0]
+    return qk.HmmParam(
+        hmm.states, hmm.alphabet, thinned(hmm.emission), initial, thinned(hmm.transition)
+    )
+
+
+def long_word_cases(rng):
+    """(chain, word) pairs of up to 3000 letters, one per family."""
+
+    def uniform_word(chain):
+        return tuple(rng.choice(chain.alphabet.symbols, size=int(rng.integers(0, 3001))))
+
+    positive = qk.hmm_to_qmc(random_hmm(rng))
+    sparse = sparse_hmm(rng)
+    live = qk.sample_trajectory(sparse, int(rng.integers(0, 3001)), int(rng.integers(2**32)))
+    sparse_chain = qk.hmm_to_qmc(sparse)
+    dyadic = qk.hmm_to_qmc(dyadic_tie_hmm(rng))
+    signed = signed_diagonal_qpm(rng)
+    return [
+        (positive, uniform_word(positive)),
+        (sparse_chain, live),
+        (sparse_chain, uniform_word(sparse_chain)),  # mostly dead
+        (dyadic, uniform_word(dyadic)),
+        (signed, uniform_word(signed)),
+    ]
 
 
 def random_sign_function(rng, labels, name):
@@ -392,6 +442,60 @@ class TestViterbi:
                     assert result.log_weight == pytest.approx(np.log(abs(weight)), rel=1e-14)
                 else:
                     assert result.log_weight == -np.inf
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_long_words_match_the_searched_rank_reference_bit_for_bit(self, seed):
+        # past many rescales, where the path-copying reference cannot go
+        rng = np.random.default_rng(seed)
+        for chain, word in long_word_cases(rng):
+            basis = HiddenStateBasis.standard(chain.subspace.ambient_dim)
+            init, factors = _step_weights(chain, basis, qk.DEFAULTS.recon_tol)
+            letters = chain.alphabet.indices(word)
+            path, mantissa, exponent = best_path_reference(init, factors, letters)
+            found = _best_path(init, factors, letters)
+            assert found == (path, mantissa, exponent)
+            assert math.copysign(1.0, found[1]) == math.copysign(1.0, mantissa)
+            result = qk.viterbi_hidden_path(chain, basis, word)
+            assert result.path == tuple(basis.labels[i] for i in path)
+            assert result.sign == int(np.sign(mantissa))
+            assert result.negative_weights == bool(
+                init.min() < -1e-12 or factors.min() < -1e-12 or mantissa < 0
+            )
+            if mantissa:
+                assert result.log_weight == math.log(abs(mantissa)) + exponent * math.log(2.0)
+            else:
+                assert result.log_weight == -math.inf
+
+    def test_long_word_cases_reach_dead_and_long_live_words(self):
+        # the property above has content: sparse HMMs give live words of
+        # thousands of letters, and dead words, which take the rerun with
+        # both halves (the test below pins one where that changes the path)
+        rng = np.random.default_rng(11)
+        dead = long_live = 0
+        for _ in range(12):
+            for chain, word in long_word_cases(rng)[1:3]:
+                basis = HiddenStateBasis.standard(chain.subspace.ambient_dim)
+                init, factors = _step_weights(chain, basis, qk.DEFAULTS.recon_tol)
+                mantissa = best_path_reference(init, factors, chain.alphabet.indices(word))[1]
+                dead += mantissa == 0
+                long_live += mantissa != 0 and len(word) > 1000
+        assert dead >= 3 and long_live >= 3
+
+    def test_dead_word_keeps_the_lexicographically_smallest_zero_path(self):
+        # s0 emits only a and stays; "bab" is dead.  One prefix per state
+        # would answer s1 s0 s0 s0; the smallest prefixes reach s0 s0 s0 s0
+        hmm = qk.HmmParam(
+            ("s0", "s1"), AB, [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0], [[1.0, 0.0], [0.5, 0.5]]
+        )
+        chain = qk.hmm_to_qmc(hmm)
+        basis = HiddenStateBasis.standard(2, hmm.states)
+        init, factors = _step_weights(chain, basis, qk.DEFAULTS.recon_tol)
+        assert _ranked_prefixes(init, factors, [1, 0, 1], 1)[0] == [1, 0, 0, 0]
+        result = qk.viterbi_hidden_path(chain, basis, "bab")
+        assert result.path == ("s0",) * 4
+        assert (result.weight, result.sign, result.log_weight) == (0.0, 0, -math.inf)
+        assert result.path == viterbi_reference(chain, basis, "bab")[0]
 
     def test_reference_comparison_sees_signed_weights_and_ties(self):
         # the property above has content: optimal paths that pass through a

@@ -1,10 +1,13 @@
-"""No path loads scipy.
+"""No path loads scipy, and chain loads do not load ``numpy.random``.
 
 ``import qpmkit``, every load, every command on the shipped model kinds
 (``stationary`` with both methods among them) and Gram solves on a
 non-diagonal basis run on numpy alone; scipy is a test-only dependency.
-Each case runs in a fresh interpreter, because the test process has
-scipy loaded already, and the stationary and Gram-solve cases block the
+Loading a quantum Markov chain validates it, and only the sampled
+positivity searches draw random numbers, so chains whose positivity is
+proved exactly load without ``numpy.random``.  Each case runs in a fresh
+interpreter, because the test process has scipy and ``numpy.random``
+loaded already, and the stationary and Gram-solve cases block the scipy
 import outright (``sys.modules['scipy'] = None``).
 """
 
@@ -105,6 +108,40 @@ print(json.dumps({
 }))
 """
 
+_LAZY_RANDOM = _PRELUDE + """
+import numpy as np
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, validate_chain
+
+def random_loaded():
+    return "numpy.random" in sys.modules
+
+loads = {}
+for path in sys.argv[3:]:
+    load_model(path)
+    loads[Path(path).name] = [random_loaded(), run("validate", path), random_loaded()]
+
+def findings(sub, action, initial):
+    # two letters that each take half of the map share one stream of draws
+    op = SuperOperator.from_action(sub, lambda q: 0.5 * action(q))
+    chain = QuantumChain(
+        qpmkit.Alphabet(("a", "b")), sub, {"a": op, "b": op},
+        qpmkit.Density.quantum(initial), ChainKind.QMC,
+    )
+    report = validate_chain(chain)
+    return [v.message for v in report.violations] + list(report.evidence)
+
+pauli = OperatorSubspace([np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)])
+sampled = {
+    "pure": findings(
+        OperatorSubspace.full(2), lambda q: 2.0 * q - q.T, np.diag([0.7, 0.3]).astype(complex)
+    ),
+    "nonnegative": findings(
+        pauli, lambda q: 1.5 * np.trace(q) * np.eye(2) - 2.0 * q, np.eye(2, dtype=complex) / 2
+    ),
+}
+print(json.dumps({"loads": loads, "sampled": sampled, "random": random_loaded()}))
+"""
+
 
 def _run(script: str, *args) -> dict:
     src = Path(qk.__file__).resolve().parents[1]
@@ -159,3 +196,30 @@ def test_dense_gram_solve_leaves_scipy_unloaded(tmp_path):
     assert not result["diagonal"]
     assert result["coords"] == pytest.approx([0.3, -1.7], abs=1e-14)
     assert result["scipy"] == []
+
+
+def test_chain_loads_leave_numpy_random_unloaded(tmp_path):
+    hmm_chain = tmp_path / "hmm2_qmc.json"
+    hmm_chain.write_text(qk.save_model(qk.hmm_to_qmc(qk.load_model(FIXTURES / "hmm2.json"))))
+    walk_chain = tmp_path / "walk_qmc.json"
+    walk_chain.write_text(
+        qk.save_model(qk.qrw_to_qmc(qk.load_model(FIXTURES / "qrw_hadamard.json")))
+    )
+    result = _run(_LAZY_RANDOM, FIXTURES, tmp_path, FIXTURES / "swap_qmc.json", hmm_chain, walk_chain)
+    assert result["loads"] == {
+        "swap_qmc.json": [False, 0, False],
+        "hmm2_qmc.json": [False, 0, False],
+        "walk_qmc.json": [False, 0, False],
+    }
+    # the searches that draw still see the same numbers, letter after letter
+    assert result["sampled"] == {
+        "pure": [
+            "operator 'a' maps a pure density to eigenvalue -0.14386528409254595",
+            "operator 'b' maps a pure density to eigenvalue -0.2727762264605372",
+        ],
+        "nonnegative": [
+            "operator 'a' maps a nonnegative element to eigenvalue -0.06605243164565094",
+            "operator 'b' maps a nonnegative element to eigenvalue -0.18079752745474242",
+        ],
+    }
+    assert result["random"]

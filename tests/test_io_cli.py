@@ -33,7 +33,7 @@ from qpmkit.io import (
 
 import golden_runs
 from conftest import FIXTURES
-from helpers import random_local_qrw, walk_kraus
+from helpers import random_hmm, random_local_qrw, walk_kraus
 from oracles import complex_entries, hmm_viterbi_log
 
 ALL_FIXTURES = [
@@ -1178,6 +1178,29 @@ class TestCliCommands:
             ["convert", str(FIXTURES / "unbounded_qpm.json"), "--to", "qmc"]
         )
         assert code == 1
+
+    def test_convert_to_qpm_refuses_a_fit_its_loader_would_refuse(self, tmp_path, monkeypatch):
+        # this 12-state HMM's fitted operators move basis element 7's trace
+        # by 1.24e-10, past preserve_tol: convert writes no file that load
+        # and validate would then reject
+        model = tmp_path / "hmm12.json"
+        model.write_text(qk.save_model(random_hmm(np.random.default_rng(5), 12, 2)))
+        out = tmp_path / "hmm12_qpm.json"
+        argv = ["convert", str(model), "--to", "qpm", "--out", str(out)]
+        code, report = _run_json(argv)
+        assert code == 2
+        assert report["findings"] == [
+            "BasisInsufficiencyError: fitted operators change the trace of basis element 7 "
+            "by 1.2357159739906365e-10 (preserve_tol 1.000e-10)"
+        ]
+        assert not out.exists()
+        # the check reads the run's preserve_tol, the one its loader reads
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({"preserve_tol": 1e-9}))
+        monkeypatch.setenv("QPMKIT_CONFIG", str(config_path))
+        assert _run_json(argv)[0] == 0
+        code, report = _run_json(["validate", str(out)])
+        assert (code, report["results"]["valid"]) == (0, True)
 
     def test_simulate_prints_words(self):
         code, text = _run(
