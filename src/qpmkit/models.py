@@ -508,14 +508,23 @@ def _qrw_form(qrw: QrwParam) -> LinearForm:
 # --------------------------------------------------------------------------
 # Trajectory sampling.
 #
-# RNG: NumPy's PCG64 behind numpy.random.Generator.  A run with ``count``
-# trajectories derives one child stream per trajectory from
-# SeedSequence(seed).spawn(count), and each draw is an inverse-CDF draw
-# over the current branch distribution (single uniform per draw), so
-# recorded trajectories are reproducible from the seed alone.  A stream
-# yields all of its uniforms in one ``rng.random(k)`` call, which gives the
-# same doubles as k scalar calls; the trajectories of a block then advance
-# together, one array step per symbol.
+# RNG: NumPy's PCG64 behind numpy.random.Generator, one stream per call,
+# seeded with SeedSequence(seed).  A call for ``count`` trajectories that
+# take ``draws`` uniforms each reads a (count, draws) block of uniforms
+# that the stream fills row by row, and trajectory i reads row i.  So
+# ``sample_trajectory`` is row 0, and the words of a smaller count are a
+# prefix of a larger count's.  Each draw is an inverse-CDF draw over the
+# current branch distribution (single uniform per draw), so recorded
+# trajectories are reproducible from the seed alone.  The block is filled
+# ``_SAMPLE_BLOCK`` rows at a time, which gives the same doubles as one
+# call, and the trajectories of a block advance together, one array step
+# per symbol.
+#
+# Walk and chain steps do not check their distributions.  They keep each
+# step's masses, and every ``_CHECK_STEPS`` steps one vectorised pass finds
+# the first step, and in it the first trajectory, that the per-step checks
+# refuse and raises their error.  Steps after a failure run on, under
+# np.errstate, and are thrown away.
 # --------------------------------------------------------------------------
 
 # Trajectories advanced together: bounds the uniform table and the state
@@ -524,6 +533,11 @@ def _qrw_form(qrw: QrwParam) -> LinearForm:
 # BLAS thread) 256 takes the time of a single all-at-once block at 40-60%
 # of its extra peak RSS; 64 takes 1.6-1.7x as long.
 _SAMPLE_BLOCK = 256
+
+# Steps whose masses are kept between checks: bounds that buffer at
+# O(block * _CHECK_STEPS) whatever the length.  Words and errors do not
+# depend on it.
+_CHECK_STEPS = 64
 
 
 def _clamp_rows(values: np.ndarray, clamp_tol: float, what: str) -> np.ndarray:
@@ -540,9 +554,17 @@ def _clamp_rows(values: np.ndarray, clamp_tol: float, what: str) -> np.ndarray:
 
 
 def _draw_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One inverse-CDF draw per row: ``searchsorted(row, u * row[-1], side="right")``."""
-    chosen = (cdfs <= (u * cdfs[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(chosen, cdfs.shape[1] - 1)
+    """One inverse-CDF draw per row: ``searchsorted(row, u * row[-1], side="right")``, capped at the last index.
+
+    A CDF does not decrease, so counting its entries before the last that
+    are at most the threshold gives that capped count.
+    """
+    return (cdfs[:, :-1] <= (u * cdfs[:, -1])[:, None]).sum(axis=1)
+
+
+def _chunk_ends(length: int, t: int) -> bool:
+    """True when step ``t`` is the last of its ``_CHECK_STEPS`` chunk or of the word."""
+    return t % _CHECK_STEPS == _CHECK_STEPS - 1 or t == length - 1
 
 
 class _RowCdfs:
@@ -558,13 +580,13 @@ class _RowCdfs:
         total = clamped.sum(axis=1)
         invalid = (matrix.min(axis=1) < -clamp_tol) | (total <= 0.0)
         self.cdfs = np.cumsum(clamped / np.where(invalid, 1.0, total)[:, None], axis=1)
-        self._invalid = invalid if invalid.any() else None
+        self.invalid = invalid if invalid.any() else None
 
     def check(self, rows: np.ndarray) -> None:
         """Raise the error of the first invalid row among ``rows``."""
-        if self._invalid is not None and self._invalid[rows].any():
+        if self.invalid is not None and self.invalid[rows].any():
             # every row passed here is invalid, so this raises its error
-            _clamp_rows(self._matrix[rows[self._invalid[rows]]], self._clamp_tol, self._what)
+            _clamp_rows(self._matrix[rows[self.invalid[rows]]], self._clamp_tol, self._what)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         self.check(rows)
@@ -576,28 +598,30 @@ def _hmm_sampler(hmm: HmmParam, clamp_tol: float):
 
     A symbol's emission and transition are both drawn from the current
     state, so they are drawn together from the two CDF tables side by
-    side.  The tables are padded with +inf to one entry past the wider, so
-    ``argmin(cdf <= u * cdf[-1])``, the first entry above the threshold,
-    always exists and equals ``_draw_rows``'s count.
+    side.  Each table holds a row's entries before its last, padded with
+    +inf to the wider width, so ``argmin(entry <= u * cdf[-1])``, the first
+    entry above the threshold, always exists and equals ``_draw_rows``.
+    The rows are checked when the tables are built, so a step checks the
+    states it reaches only when some row is invalid.
     """
     initial = _RowCdfs(hmm.initial[None], clamp_tol, "initial distribution")
     emission = _RowCdfs(hmm.emission, clamp_tol, "emission row")
     transition = _RowCdfs(hmm.transition, clamp_tol, "transition row")
-    widths = np.array([len(hmm.alphabet), len(hmm.states)])
-    table = np.full((len(hmm.states), 2, widths.max() + 1), np.inf)
-    table[:, 0, : widths[0]], table[:, 1, : widths[1]] = emission.cdfs, transition.cdfs
+    checks = [rows.check for rows in (emission, transition) if rows.invalid is not None]
+    k, n = len(hmm.alphabet), len(hmm.states)
+    table = np.full((n, 2, max(k, n)), np.inf)
+    table[:, 0, : k - 1], table[:, 1, : n - 1] = emission.cdfs[:, :-1], transition.cdfs[:, :-1]
     last = np.stack([emission.cdfs[:, -1], transition.cdfs[:, -1]], axis=1)
 
     def advance(u: np.ndarray) -> np.ndarray:
-        length, count = (len(u) - 1) // 2, u.shape[1]
-        states = initial.draw(np.zeros(count, dtype=np.intp), u[0])
-        pairs = u[1:].reshape(length, 2, count).transpose(0, 2, 1)
+        count, length = len(u), (u.shape[1] - 1) // 2
+        states = initial.draw(np.zeros(count, dtype=np.intp), u[:, 0])
+        pairs = u[:, 1:].reshape(count, length, 2)
         out = np.empty((length, count), dtype=np.intp)
         for t in range(length):
-            emission.check(states)
-            transition.check(states)
-            below = table[states] <= (pairs[t] * last[states])[..., None]
-            drawn = np.minimum(below.argmin(axis=2), widths - 1)
+            for check in checks:
+                check(states)
+            drawn = (table[states] <= (pairs[:, t] * last[states])[..., None]).argmin(axis=2)
             out[t], states = drawn[:, 0], drawn[:, 1]
         return out
 
@@ -609,62 +633,95 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
 
     A collapsed wave is kept as its node's coin amplitudes, so evolving it
     takes only the unitary's columns of that node's block and no full wave
-    is built after the initial one.
+    is built after the initial one.  Node weights are sums of squares, so
+    they need no clamp; a chunk's weights are checked once, at its end.
     """
     n, k = len(qrw.nodes), qrw.coin_count
     node_columns = _node_columns(qrw)
 
+    def check(weights: np.ndarray, drawn: np.ndarray) -> None:
+        """Raise the error of the first step, and lane, the per-step checks refuse."""
+        zero = np.take_along_axis(weights, drawn[..., None], axis=2)[..., 0] <= _ZERO_WEIGHT
+        for i in np.flatnonzero(zero.any(axis=1)):
+            _clamp_rows(weights[i], clamp_tol, "node distribution")
+            node = qrw.nodes.symbols[drawn[i][zero[i]][0]]
+            raise SamplingError(f"sampled node {node!r} has zero probability")
+
     def advance(u: np.ndarray) -> np.ndarray:
-        out = np.empty(u.shape, dtype=np.intp)
-        if not len(u):
+        count, length = u.shape
+        out = np.empty((length, count), dtype=np.intp)
+        if not length:
             return out
         _require_unit_wave(qrw.wave, trace_tol)
-        count = u.shape[1]
         offsets = np.arange(count) * n
+        kept = np.empty((_CHECK_STEPS, count, n))
         columns, amplitudes = qrw.unitary, np.broadcast_to(qrw.wave, (count, qrw.dim))
-        for t in range(len(u)):
-            evolved = np.matmul(columns, amplitudes[..., None]).reshape(count * n, k)
-            weights = (np.abs(evolved) ** 2).sum(axis=1)
-            cdfs = np.cumsum(
-                _clamp_rows(weights.reshape(count, n), clamp_tol, "node distribution"), axis=1
-            )
-            out[t] = nodes = _draw_rows(cdfs, u[t])
-            picked = offsets + nodes
-            chosen = weights[picked]
-            if chosen.min() <= _ZERO_WEIGHT:
-                node = qrw.nodes.symbols[nodes[chosen <= _ZERO_WEIGHT][0]]
-                raise SamplingError(f"sampled node {node!r} has zero probability")
-            amplitudes = evolved[picked] / np.sqrt(chosen)[:, None]
-            columns = node_columns[nodes]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(length):
+                evolved = np.matmul(columns, amplitudes[..., None]).reshape(count * n, k)
+                weights = kept[t % _CHECK_STEPS]
+                np.sum(np.abs(evolved) ** 2, axis=1, out=weights.reshape(-1))
+                cdfs = np.cumsum(weights / weights.sum(axis=1)[:, None], axis=1)
+                out[t] = nodes = _draw_rows(cdfs, u[:, t])
+                picked = offsets + nodes
+                amplitudes = evolved[picked] / np.sqrt(weights.reshape(-1)[picked])[:, None]
+                columns = node_columns[nodes]
+                if _chunk_ends(length, t):
+                    steps = t % _CHECK_STEPS + 1
+                    check(kept[:steps], out[t + 1 - steps : t + 1])
         return out
 
     return advance
 
 
 def _chain_sampler(chain, clamp_tol: float):
-    """Branch masses through the basis traces; the chosen branch is renormalised to unit mass."""
-    letters = np.concatenate(chain.letter_matrices, axis=1)
+    """Prefix mass, branch masses and branches of a step from one product.
+
+    ``coords @ [traces | M_a traces ... | M_a ...]`` gives all three; the
+    chosen branch is renormalised to unit mass.  A chunk's masses are
+    checked once, at its end.
+    """
     traces = chain.subspace.traces
     d, size = len(traces), len(chain.alphabet)
+    weigh = np.concatenate(
+        [traces[:, None], np.stack([m @ traces for m in chain.letter_matrices], axis=1)]
+        + list(chain.letter_matrices),
+        axis=1,
+    )
+
+    def check(masses: np.ndarray) -> None:
+        """Raise the error of the first step, and lane, the per-step checks refuse."""
+        mass = masses[..., 0]
+        probabilities = masses[..., 1:] / masses[..., :1]
+        refused = (
+            (mass <= clamp_tol)
+            | (probabilities.min(axis=2) < -clamp_tol)
+            | (np.maximum(probabilities, 0.0).sum(axis=2) <= 0.0)
+        )
+        for i in np.flatnonzero(refused.any(axis=1)):
+            if mass[i].min() <= clamp_tol:
+                value = float(mass[i][mass[i] <= clamp_tol][0])
+                raise SamplingError(f"remaining trajectory weight {value!r} is not positive")
+            _clamp_rows(probabilities[i], clamp_tol, "branch distribution")
 
     def advance(u: np.ndarray) -> np.ndarray:
-        out = np.empty(u.shape, dtype=np.intp)
-        offsets = np.arange(u.shape[1]) * size
-        coords = np.broadcast_to(chain.initial_coords, (u.shape[1], d))
-        for t in range(len(u)):
-            mass = coords @ traces
-            if mass.min() <= clamp_tol:
-                value = float(mass[mass <= clamp_tol][0])
-                raise SamplingError(f"remaining trajectory weight {value!r} is not positive")
-            branches = (coords @ letters).reshape(-1, d)
-            masses = branches @ traces
-            cdfs = np.cumsum(
-                _clamp_rows(masses.reshape(-1, size) / mass[:, None], clamp_tol, "branch distribution"),
-                axis=1,
-            )
-            out[t] = chosen = _draw_rows(cdfs, u[t])
-            picked = offsets + chosen
-            coords = branches[picked] / masses[picked][:, None]
+        count, length = u.shape
+        out = np.empty((length, count), dtype=np.intp)
+        lanes = np.arange(count)
+        kept = np.empty((_CHECK_STEPS, count, 1 + size))
+        coords = np.broadcast_to(chain.initial_coords, (count, d))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(length):
+                product = coords @ weigh
+                masses = kept[t % _CHECK_STEPS]
+                masses[...] = product[:, : 1 + size]
+                probabilities = np.maximum(masses[:, 1:] / masses[:, :1], 0.0)
+                cdfs = np.cumsum(probabilities / probabilities.sum(axis=1)[:, None], axis=1)
+                out[t] = drawn = _draw_rows(cdfs, u[:, t])
+                branches = product[:, 1 + size :].reshape(count, size, d)
+                coords = branches[lanes, drawn] / masses[lanes, 1 + drawn][:, None]
+                if _chunk_ends(length, t):
+                    check(kept[: t % _CHECK_STEPS + 1])
         return out
 
     return advance
@@ -677,11 +734,13 @@ def sample_trajectory(
     clamp_tol: float = DEFAULTS.clamp_tol,
     trace_tol: float = DEFAULTS.trace_tol,
 ) -> Word:
-    """Sample one word of the given length; deterministic in ``seed``."""
+    """Sample one word of the given length; deterministic in ``seed``.
+
+    It is the first word of :func:`sample_trajectories` with the same seed.
+    """
     if length < 0:
         raise ValidationError("trajectory length must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _sample(model, length, [rng], clamp_tol, trace_tol)[0]
+    return _sample(model, length, 1, seed, clamp_tol, trace_tol)[0]
 
 
 def sample_trajectories(
@@ -692,16 +751,14 @@ def sample_trajectories(
     clamp_tol: float = DEFAULTS.clamp_tol,
     trace_tol: float = DEFAULTS.trace_tol,
 ) -> list[Word]:
-    """Sample ``count`` independent words using per-trajectory child streams."""
+    """Sample ``count`` independent words; word i reads row i of one seeded stream."""
     if length < 0 or count < 0:
         raise ValidationError("trajectory length and count must be >= 0")
-    children = np.random.SeedSequence(seed).spawn(count)
-    rngs = (np.random.Generator(np.random.PCG64(child)) for child in children)
-    return _sample(model, length, rngs, clamp_tol, trace_tol)
+    return _sample(model, length, count, seed, clamp_tol, trace_tol)
 
 
-def _sample(model, length: int, rngs, clamp_tol: float, trace_tol: float) -> list[Word]:
-    """One word per stream of ``rngs``, ``_SAMPLE_BLOCK`` trajectories at a time."""
+def _sample(model, length: int, count: int, seed: int, clamp_tol: float, trace_tol: float) -> list[Word]:
+    """``count`` words from one stream, ``_SAMPLE_BLOCK`` trajectories at a time."""
     if isinstance(model, FfmcParam):
         model = model.to_hmm()
     from .chain import QuantumChain
@@ -715,9 +772,9 @@ def _sample(model, length: int, rngs, clamp_tol: float, trace_tol: float) -> lis
     else:
         raise ValidationError(f"cannot sample trajectories from {type(model).__name__}")
     symbols = np.array(alphabet.symbols, dtype=object)
-    rngs = iter(rngs)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     words: list[Word] = []
-    while block := list(itertools.islice(rngs, _SAMPLE_BLOCK)):
-        uniforms = np.stack([rng.random(draws) for rng in block], axis=1)
+    for start in range(0, count, _SAMPLE_BLOCK):
+        uniforms = rng.random((min(_SAMPLE_BLOCK, count - start), draws))
         words.extend(map(tuple, symbols[advance(uniforms).T].tolist()))
     return words

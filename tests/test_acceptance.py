@@ -248,9 +248,9 @@ def test_13_batched_walk_sampling():
         assert qrw.dim == 16
         words = qk.sample_trajectories(qrw, 500, 64, seed=1302)
     assert len(words) == 64 and all(len(word) == 500 for word in words)
-    streams = np.random.SeedSequence(1302).spawn(4)
-    reference = sample_reference(qrw, 500, [np.random.Generator(np.random.PCG64(s)) for s in streams])
-    assert words[:4] == reference
+    # one stream, read row by row: the reference draws the first four words in turn
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1302)))
+    assert words[:4] == sample_reference(qrw, 500, [stream] * 4)
 
 
 def test_14_walk_chain_file_round_trip(tmp_path):

@@ -1,9 +1,9 @@
 """Batched trajectory sampling against the scalar reference samplers.
 
 ``oracles.sample_reference`` draws one trajectory and one scalar uniform
-at a time; the library draws each stream's uniforms at once and advances
-a block of trajectories together.  Words, and whether a run raises, must
-be the same.
+at a time; the library fills a block of uniform rows from one stream and
+advances the block's trajectories together.  Words, and whether a run
+raises, must be the same.
 """
 
 import numpy as np
@@ -90,8 +90,14 @@ def outcome(sample):
         return type(exc)
 
 
-def children(seed: int, count: int):
-    return [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(count)]
+def stream(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def rows(seed: int, count: int):
+    """One stream per trajectory slot: the reference draws each word's uniforms
+    after the words before it, so word i reads row i of the stream."""
+    return [stream(seed)] * count
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -100,7 +106,7 @@ def children(seed: int, count: int):
 def test_batched_words_equal_reference(family, model_seed, seed, count, length):
     model = make_model(family, model_seed)
     got = outcome(lambda: qk.sample_trajectories(model, length, count, seed))
-    want = outcome(lambda: sample_reference(model, length, children(seed, count)))
+    want = outcome(lambda: sample_reference(model, length, rows(seed, count)))
     assert got == want
 
 
@@ -109,18 +115,94 @@ def test_batched_words_equal_reference(family, model_seed, seed, count, length):
 @given(model_seed=SEEDS, seed=SEEDS, length=st.integers(0, 40))
 def test_single_stream_equals_reference(family, model_seed, seed, length):
     model = make_model(family, model_seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     got = outcome(lambda: [qk.sample_trajectory(model, length, seed)])
-    assert got == outcome(lambda: sample_reference(model, length, [rng]))
+    assert got == outcome(lambda: sample_reference(model, length, rows(seed, 1)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(model_seed=SEEDS, seed=SEEDS, count=st.integers(0, 9), more=st.integers(1, 300),
+       length=st.integers(0, 12))
+def test_fewer_words_are_a_prefix(family, model_seed, seed, count, more, length):
+    # word i reads row i of one stream, so a count's words do not depend on
+    # the count, across blocks too, and sample_trajectory is row 0
+    model = make_model(family, model_seed)
+    words = outcome(lambda: qk.sample_trajectories(model, length, count + more, seed))
+    if isinstance(words, list):
+        assert qk.sample_trajectories(model, length, count, seed) == words[:count]
+        assert qk.sample_trajectory(model, length, seed) == words[0]
+
+
+def failing_hmm() -> qk.HmmParam:
+    """States s0, s1, s2 in turn, surely; s2's emission row is invalid."""
+    return qk.HmmParam(
+        ("s0", "s1", "s2"),
+        AB,
+        emission=[[1.0, 0.0], [0.0, 1.0], [-0.5, 1.5]],
+        initial=[1.0, 0.0, 0.0],
+        transition=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    )
+
+
+def failing_chain() -> QuantumChain:
+    """A diagonal predictor chain through states 0, 1, 2, surely; in state 2
+    the branches of "a" and "b" weigh 1.4 and -0.4."""
+    sub = OperatorSubspace.diagonal(3)
+    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.4]])
+    b = np.zeros((3, 3))
+    b[2, 2] = -0.4
+    ops = {"a": SuperOperator(sub, a), "b": SuperOperator(sub, b)}
+    density = qk.Density.generalized(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    return QuantumChain(AB, sub, ops, density, ChainKind.QPM)
+
+
+def failing_walk() -> qk.QrwParam:
+    """A contraction that moves the wave from node a to b to c, surely, and
+    then leaves node a a weight of 1e-18 and the others none."""
+    nodes = qk.Alphabet(("a", "b", "c"))
+    edges = (("a", "b"), ("b", "c"), ("c", "a"))
+    shift = np.array([[0.0, 0.0, 1e-9], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return qk.QrwParam(nodes, edges, ("x",), shift, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "build, prefix, message",
+    [
+        (failing_hmm, "ab", "emission row has probability -0.5 below the clamp tolerance"),
+        (failing_chain, "aa", "branch distribution has probability -0.4 below the clamp tolerance"),
+        (failing_walk, "bc", "sampled node 'a' has zero probability"),
+    ],
+)
+def test_structural_failure_mid_word_raises_its_error(build, prefix, message):
+    # every trajectory reaches the failure at its third symbol whatever its
+    # uniforms, so the error does not depend on the stream layout
+    model = build()
+    assert qk.sample_trajectories(model, 2, 3, seed=4) == [tuple(prefix)] * 3
+    for count in (1, 5):
+        with pytest.raises(SamplingError) as refused:
+            qk.sample_trajectories(model, 6, count, seed=4)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_words_do_not_depend_on_block_size(monkeypatch, hmm2, qrw_hadamard, block):
+    # nor on the steps between checks, nor does the error of a failing run
     walk = random_local_qrw(np.random.default_rng(3), 3, 2)
-    cases = [(hmm2, 30), (qrw_hadamard, 30), (walk, 30), (qk.hmm_to_qmc(hmm2), 30)]
-    expected = [qk.sample_trajectories(model, length, 7, seed=21) for model, length in cases]
+    cases = [hmm2, qrw_hadamard, walk, qk.hmm_to_qmc(hmm2), failing_hmm(), failing_chain(), failing_walk()]
+
+    def run():
+        results = []
+        for model in cases:
+            try:
+                results.append(qk.sample_trajectories(model, 30, 7, seed=21))
+            except SamplingError as exc:
+                results.append(str(exc))
+        return results
+
+    expected = run()
     monkeypatch.setattr(models, "_SAMPLE_BLOCK", block)
-    assert [qk.sample_trajectories(model, length, 7, seed=21) for model, length in cases] == expected
+    monkeypatch.setattr(models, "_CHECK_STEPS", block)
+    assert run() == expected
 
 
 @pytest.mark.parametrize("name", ["hmm2", "qrw_hadamard"])
@@ -136,8 +218,9 @@ def test_long_chain_trajectories_renormalise(request, name):
 
 def test_one_bad_trajectory_raises():
     # the initial law sends exactly the trajectory with the smallest first
-    # uniform to a state whose emission row is invalid
-    first = sorted(rng.random() for rng in children(5, 5))
+    # uniform to a state whose emission row is invalid; a word of 3 symbols
+    # takes 7 uniforms
+    first = sorted(stream(5).random((5, 7))[:, 0])
     bad_share = (first[0] + first[1]) / 2
 
     def hmm(p):
@@ -147,7 +230,7 @@ def test_one_bad_trajectory_raises():
     with pytest.raises(SamplingError, match="emission row"):
         qk.sample_trajectories(hmm(bad_share), 3, 5, seed=5)
     with pytest.raises(SamplingError):
-        sample_reference(hmm(bad_share), 3, children(5, 5))
+        sample_reference(hmm(bad_share), 3, rows(5, 5))
     below = first[0] / 2
     assert qk.sample_trajectories(hmm(below), 3, 5, seed=5) == [("a",) * 3] * 5
 
@@ -166,7 +249,7 @@ def test_walk_errors():
     with pytest.raises(SamplingError, match="zero probability"):
         qk.sample_trajectories(shrinking, 1, 2, seed=0)
     with pytest.raises(SamplingError):
-        sample_reference(shrinking, 1, children(0, 2))
+        sample_reference(shrinking, 1, rows(0, 2))
 
 
 def test_unsupported_model_raises_without_trajectories():
