@@ -20,6 +20,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import (
     DimensionMismatchError,
+    SubspaceError,
     UnsupportedChainError,
     ValidationError,
 )
@@ -46,6 +47,16 @@ __all__ = [
 _PROJECTOR_TOL = 1e-9
 
 
+def _checked_labels(labels, count: int) -> tuple[str, ...]:
+    """Distinct non-empty labels as strings, one per projector."""
+    labels = tuple(str(label) for label in labels)
+    if not labels or len(set(labels)) != len(labels):
+        raise ValidationError("hidden-state labels must be non-empty and distinct")
+    if len(labels) != count:
+        raise DimensionMismatchError("one projector per label required")
+    return labels
+
+
 @dataclass(frozen=True)
 class HiddenStateBasis:
     """Labeled orthogonal projectors summing to the identity."""
@@ -54,11 +65,7 @@ class HiddenStateBasis:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        labels = tuple(str(label) for label in self.labels)
-        if not labels or len(set(labels)) != len(labels):
-            raise ValidationError("hidden-state labels must be non-empty and distinct")
-        if len(labels) != len(self.projectors):
-            raise DimensionMismatchError("one projector per label required")
+        labels = _checked_labels(self.labels, len(self.projectors))
         projectors = tuple(require_hermitian(p, _PROJECTOR_TOL) for p in self.projectors)
         dim = projectors[0].shape[0]
         # projectors before the first one of another shape are checked first,
@@ -96,15 +103,21 @@ class HiddenStateBasis:
 
     @classmethod
     def standard(cls, dim: int, labels: Sequence[str] | None = None) -> "HiddenStateBasis":
-        """Coordinate-axis projectors, one hidden state per basis vector."""
+        """Coordinate-axis projectors, one hidden state per basis vector.
+
+        They are exact orthogonal projectors resolving the identity by
+        construction, so only the labels are checked.
+        """
         if labels is None:
             labels = tuple(f"w{i + 1}" for i in range(dim))
-        projectors = []
-        for i in range(dim):
-            proj = np.zeros((dim, dim), dtype=complex)
-            proj[i, i] = 1.0
-            projectors.append(proj)
-        return cls(tuple(labels), tuple(projectors))
+        labels = _checked_labels(labels, dim)
+        projectors = np.zeros((dim, dim, dim), dtype=complex)
+        axes = np.arange(dim)
+        projectors[axes, axes, axes] = 1.0
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "labels", labels)
+        object.__setattr__(basis, "projectors", tuple(projectors))
+        return basis
 
     @classmethod
     def from_density(
@@ -387,22 +400,26 @@ def _step_weights(
     sub = chain.subspace
     if basis.dim != sub.ambient_dim:
         raise DimensionMismatchError("hidden-state basis does not match the chain's space")
-    for label, proj in zip(basis.labels, basis.projectors):
-        if abs(float(np.trace(proj).real) - 1.0) > 1e-9:
-            raise UnsupportedChainError(
-                f"hidden state {label!r} has a projector of rank != 1; "
-                "path weights do not factorize"
-            )
-    coords = []
-    for label, proj in zip(basis.labels, basis.projectors):
-        try:
-            coords.append(sub.expand(proj, check=True, tol=tol))
-        except Exception as exc:
-            raise UnsupportedChainError(
-                f"projector for hidden state {label!r} lies outside the chain's subspace: {exc}"
-            ) from exc
-    coords = np.stack(coords)
     projectors = np.stack(basis.projectors)
+    ranks = np.trace(projectors, axis1=1, axis2=2).real
+    wrong = np.flatnonzero(np.abs(ranks - 1.0) > 1e-9)
+    if wrong.size:
+        raise UnsupportedChainError(
+            f"hidden state {basis.labels[wrong[0]]!r} has a projector of rank != 1; "
+            "path weights do not factorize"
+        )
+    try:
+        coords = sub.expand_all(projectors, tol)
+    except (SubspaceError, ValueError):
+        # expanded one at a time only to name the first projector that fails
+        for label, proj in zip(basis.labels, basis.projectors):
+            try:
+                sub.expand(proj, check=True, tol=tol)
+            except Exception as exc:
+                raise UnsupportedChainError(
+                    f"projector for hidden state {label!r} lies outside the chain's subspace: {exc}"
+                ) from exc
+        raise
     overlap = np.einsum("ipq,ipr->iqr", projectors, projectors.conj()).reshape(basis.size, -1)
 
     def weigh(images: np.ndarray) -> np.ndarray:

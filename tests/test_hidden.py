@@ -162,6 +162,19 @@ class TestHiddenStateBasis:
         with pytest.raises(DimensionMismatchError):
             HiddenStateBasis(("w1", "w2", "w3"), (unit, np.eye(3), half))
 
+    def test_standard_checks_only_its_labels(self):
+        basis = HiddenStateBasis.standard(3, ("x", "y", "z"))
+        checked = HiddenStateBasis(("x", "y", "z"), tuple(np.eye(3)[i] * np.eye(3)[:, [i]] for i in range(3)))
+        assert basis.labels == checked.labels
+        for got, want in zip(basis.projectors, checked.projectors):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(ValidationError, match="^hidden-state labels must be non-empty and distinct$"):
+            HiddenStateBasis.standard(2, ("w", "w"))
+        with pytest.raises(ValidationError, match="^hidden-state labels must be non-empty and distinct$"):
+            HiddenStateBasis.standard(0)
+        with pytest.raises(DimensionMismatchError, match="^one projector per label required$"):
+            HiddenStateBasis.standard(3, ("a", "b"))
+
     def test_rejects_incomplete(self):
         proj = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError):
@@ -408,6 +421,21 @@ class TestViterbi:
         tilted = HiddenStateBasis(("p", "m"), (plus, minus))
         with pytest.raises(UnsupportedChainError):
             qk.viterbi_hidden_path(chain, tilted, "a")
+
+    def test_set_up_errors_name_the_first_failing_projector(self):
+        chain = single_letter_chain(np.eye(3), [0.2, 0.3, 0.5])  # diagonal subspace
+        plus = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], dtype=complex)
+        minus = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, -0.5], [0.0, -0.5, 0.5]], dtype=complex)
+        first = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        tilted = HiddenStateBasis(("e", "p", "m"), (first, plus, minus))
+        with pytest.raises(UnsupportedChainError, match="^projector for hidden state 'p' lies outside"):
+            qk.viterbi_hidden_path(chain, tilted, "a")
+        coarse = HiddenStateBasis(("e", "rest"), (first, np.diag([0.0, 1.0, 1.0]).astype(complex)))
+        with pytest.raises(
+            UnsupportedChainError,
+            match="^hidden state 'rest' has a projector of rank != 1; path weights do not factorize$",
+        ):
+            qk.viterbi_hidden_path(chain, coarse, "a")
 
     def test_full_space_chain_supports_tilted_bases(self, rng):
         density = qk.pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2))
