@@ -515,7 +515,10 @@ def _qrw_form(qrw: QrwParam) -> LinearForm:
 # ``sample_trajectory`` is row 0, and the words of a smaller count are a
 # prefix of a larger count's.  Each draw is an inverse-CDF draw over the
 # current branch distribution (single uniform per draw), so recorded
-# trajectories are reproducible from the seed alone.  The block is filled
+# trajectories are reproducible from the seed alone.  HMM draws read
+# normalised CDF tables; walk and chain draws compare the uniform times the
+# total weight with the running sums of the (clamped) weights, which is the
+# same draw up to rounding at the CDF's steps.  The block is filled
 # ``_SAMPLE_BLOCK`` rows at a time, which gives the same doubles as one
 # call, and the trajectories of a block advance together, one array step
 # per symbol.
@@ -540,26 +543,29 @@ _SAMPLE_BLOCK = 256
 _CHECK_STEPS = 64
 
 
-def _clamp_rows(values: np.ndarray, clamp_tol: float, what: str) -> np.ndarray:
-    """Each row with small negative entries set to 0, normalised to unit sum."""
+def _check_rows(values: np.ndarray, clamp_tol: float, what: str) -> None:
+    """Refuse rows of weights with an entry below ``-clamp_tol``, then rows with no positive entry.
+
+    Entries above ``-clamp_tol`` and below 0 are clamped to 0.  The first
+    refused row names the error.
+    """
     if values.min() < -clamp_tol:
         lowest = values.min(axis=1)
         value = float(lowest[lowest < -clamp_tol][0])
         raise SamplingError(f"{what} has probability {value!r} below the clamp tolerance")
-    clamped = np.maximum(values, 0.0)
-    total = clamped.sum(axis=1)
-    if total.min() <= 0.0:
+    if np.maximum(values, 0.0).sum(axis=1).min() <= 0.0:
         raise SamplingError(f"{what} has no positive branch to sample")
-    return clamped / total[:, None]
 
 
 def _draw_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One inverse-CDF draw per row: ``searchsorted(row, u * row[-1], side="right")``, capped at the last index.
 
     A CDF does not decrease, so counting its entries before the last that
-    are at most the threshold gives that capped count.
+    are at most the threshold gives that capped count.  ``np.add.reduce``
+    and ``np.add.accumulate`` are np.sum and np.cumsum at less call
+    overhead.
     """
-    return (cdfs[:, :-1] <= (u * cdfs[:, -1])[:, None]).sum(axis=1)
+    return np.add.reduce(cdfs[:, :-1] <= (u * cdfs[:, -1])[:, None], axis=1)
 
 
 def _chunk_ends(length: int, t: int) -> bool:
@@ -586,7 +592,7 @@ class _RowCdfs:
         """Raise the error of the first invalid row among ``rows``."""
         if self.invalid is not None and self.invalid[rows].any():
             # every row passed here is invalid, so this raises its error
-            _clamp_rows(self._matrix[rows[self.invalid[rows]]], self._clamp_tol, self._what)
+            _check_rows(self._matrix[rows[self.invalid[rows]]], self._clamp_tol, self._what)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         self.check(rows)
@@ -621,7 +627,8 @@ def _hmm_sampler(hmm: HmmParam, clamp_tol: float):
         for t in range(length):
             for check in checks:
                 check(states)
-            drawn = (table[states] <= (pairs[:, t] * last[states])[..., None]).argmin(axis=2)
+            thresholds = pairs[:, t] * last.take(states, axis=0)
+            drawn = (table.take(states, axis=0) <= thresholds[..., None]).argmin(axis=2)
             out[t], states = drawn[:, 0], drawn[:, 1]
         return out
 
@@ -643,7 +650,7 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
         """Raise the error of the first step, and lane, the per-step checks refuse."""
         zero = np.take_along_axis(weights, drawn[..., None], axis=2)[..., 0] <= _ZERO_WEIGHT
         for i in np.flatnonzero(zero.any(axis=1)):
-            _clamp_rows(weights[i], clamp_tol, "node distribution")
+            _check_rows(weights[i], clamp_tol, "node distribution")
             node = qrw.nodes.symbols[drawn[i][zero[i]][0]]
             raise SamplingError(f"sampled node {node!r} has zero probability")
 
@@ -660,12 +667,12 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
             for t in range(length):
                 evolved = np.matmul(columns, amplitudes[..., None]).reshape(count * n, k)
                 weights = kept[t % _CHECK_STEPS]
-                np.sum(np.abs(evolved) ** 2, axis=1, out=weights.reshape(-1))
-                cdfs = np.cumsum(weights / weights.sum(axis=1)[:, None], axis=1)
-                out[t] = nodes = _draw_rows(cdfs, u[:, t])
+                np.add.reduce(np.abs(evolved) ** 2, axis=1, out=weights.reshape(-1))
+                out[t] = nodes = _draw_rows(np.add.accumulate(weights, axis=1), u[:, t])
                 picked = offsets + nodes
-                amplitudes = evolved[picked] / np.sqrt(weights.reshape(-1)[picked])[:, None]
-                columns = node_columns[nodes]
+                chosen = weights.reshape(-1).take(picked)
+                amplitudes = evolved.take(picked, axis=0) / np.sqrt(chosen)[:, None]
+                columns = node_columns.take(nodes, axis=0)
                 if _chunk_ends(length, t):
                     steps = t % _CHECK_STEPS + 1
                     check(kept[:steps], out[t + 1 - steps : t + 1])
@@ -675,24 +682,24 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
 
 
 def _chain_sampler(chain, clamp_tol: float):
-    """Prefix mass, branch masses and branches of a step from one product.
+    """Branches, branch masses and prefix mass of a step from one product.
 
-    ``coords @ [traces | M_a traces ... | M_a ...]`` gives all three; the
-    chosen branch is renormalised to unit mass.  A chunk's masses are
-    checked once, at its end.
+    ``coords @ [M_a | M_a traces ... | traces]`` gives all three: each
+    branch's coordinates followed by its mass, then the prefix mass.  The
+    chosen branch is renormalised to unit mass.  A step keeps its prefix
+    mass and branch probabilities, and a chunk's are checked once, at its
+    end.
     """
     traces = chain.subspace.traces
     d, size = len(traces), len(chain.alphabet)
     weigh = np.concatenate(
-        [traces[:, None], np.stack([m @ traces for m in chain.letter_matrices], axis=1)]
-        + list(chain.letter_matrices),
+        [np.column_stack([m, m @ traces]) for m in chain.letter_matrices] + [traces[:, None]],
         axis=1,
     )
 
     def check(masses: np.ndarray) -> None:
         """Raise the error of the first step, and lane, the per-step checks refuse."""
-        mass = masses[..., 0]
-        probabilities = masses[..., 1:] / masses[..., :1]
+        mass, probabilities = masses[..., 0], masses[..., 1:] / masses[..., :1]
         refused = (
             (mass <= clamp_tol)
             | (probabilities.min(axis=2) < -clamp_tol)
@@ -702,7 +709,7 @@ def _chain_sampler(chain, clamp_tol: float):
             if mass[i].min() <= clamp_tol:
                 value = float(mass[i][mass[i] <= clamp_tol][0])
                 raise SamplingError(f"remaining trajectory weight {value!r} is not positive")
-            _clamp_rows(probabilities[i], clamp_tol, "branch distribution")
+            _check_rows(probabilities[i], clamp_tol, "branch distribution")
 
     def advance(u: np.ndarray) -> np.ndarray:
         count, length = u.shape
@@ -713,13 +720,13 @@ def _chain_sampler(chain, clamp_tol: float):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for t in range(length):
                 product = coords @ weigh
+                branches = product[:, :-1].reshape(count, size, d + 1)
                 masses = kept[t % _CHECK_STEPS]
-                masses[...] = product[:, : 1 + size]
-                probabilities = np.maximum(masses[:, 1:] / masses[:, :1], 0.0)
-                cdfs = np.cumsum(probabilities / probabilities.sum(axis=1)[:, None], axis=1)
-                out[t] = drawn = _draw_rows(cdfs, u[:, t])
-                branches = product[:, 1 + size :].reshape(count, size, d)
-                coords = branches[lanes, drawn] / masses[lanes, 1 + drawn][:, None]
+                masses[:, 0], masses[:, 1:] = product[:, -1], branches[:, :, d]
+                clamped = np.maximum(masses[:, 1:], 0.0)
+                out[t] = drawn = _draw_rows(np.add.accumulate(clamped, axis=1), u[:, t])
+                chosen = branches[lanes, drawn]
+                coords = chosen[:, :d] / chosen[:, d:]
                 if _chunk_ends(length, t):
                     check(kept[: t % _CHECK_STEPS + 1])
         return out
