@@ -561,9 +561,9 @@ def _draw_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One inverse-CDF draw per row: ``searchsorted(row, u * row[-1], side="right")``, capped at the last index.
 
     A CDF does not decrease, so counting its entries before the last that
-    are at most the threshold gives that capped count.  ``np.add.reduce``
-    and ``np.add.accumulate`` are np.sum and np.cumsum at less call
-    overhead.
+    are at most the threshold gives that capped count.  Here and in the
+    step loops, ``np.add.reduce`` and ``np.add.accumulate`` are np.sum and
+    np.cumsum at less call overhead.
     """
     return np.add.reduce(cdfs[:, :-1] <= (u * cdfs[:, -1])[:, None], axis=1)
 
@@ -648,11 +648,12 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
 
     def check(weights: np.ndarray, drawn: np.ndarray) -> None:
         """Raise the error of the first step, and lane, the per-step checks refuse."""
-        zero = np.take_along_axis(weights, drawn[..., None], axis=2)[..., 0] <= _ZERO_WEIGHT
-        for i in np.flatnonzero(zero.any(axis=1)):
+        chosen = np.take_along_axis(weights, drawn[..., None], axis=2)[..., 0]
+        for i in np.flatnonzero((chosen <= _ZERO_WEIGHT).any(axis=1)):
             _check_rows(weights[i], clamp_tol, "node distribution")
-            node = qrw.nodes.symbols[drawn[i][zero[i]][0]]
-            raise SamplingError(f"sampled node {node!r} has zero probability")
+            if chosen[i].min() <= _ZERO_WEIGHT:
+                node = qrw.nodes.symbols[drawn[i][chosen[i] <= _ZERO_WEIGHT][0]]
+                raise SamplingError(f"sampled node {node!r} has zero probability")
 
     def advance(u: np.ndarray) -> np.ndarray:
         count, length = u.shape
@@ -687,8 +688,7 @@ def _chain_sampler(chain, clamp_tol: float):
     ``coords @ [M_a | M_a traces ... | traces]`` gives all three: each
     branch's coordinates followed by its mass, then the prefix mass.  The
     chosen branch is renormalised to unit mass.  A step keeps its prefix
-    mass and branch probabilities, and a chunk's are checked once, at its
-    end.
+    and branch masses, and a chunk's are checked once, at its end.
     """
     traces = chain.subspace.traces
     d, size = len(traces), len(chain.alphabet)
