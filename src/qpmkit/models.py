@@ -8,7 +8,6 @@ Also hosts seedable trajectory sampling for every model family.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence

@@ -95,8 +95,8 @@ def stream(seed: int) -> np.random.Generator:
 
 
 def rows(seed: int, count: int):
-    """One stream per trajectory slot: the reference draws each word's uniforms
-    after the words before it, so word i reads row i of the stream."""
+    """One stream, once per word: the reference draws a word's uniforms after
+    the words before it, so word i reads row i of the stream."""
     return [stream(seed)] * count
 
 
@@ -182,6 +182,33 @@ def test_structural_failure_mid_word_raises_its_error(build, prefix, message):
         with pytest.raises(SamplingError) as refused:
             qk.sample_trajectories(model, 6, count, seed=4)
         assert str(refused.value) == message
+
+
+def forking_walk() -> qk.QrwParam:
+    """From node a the wave moves to b or to c, at weight 1 each.  From b it
+    leaves node d a weight of 1e-18; from c it moves to e, and from e it
+    leaves node a a weight of 1e-18."""
+    move = np.zeros((5, 5))
+    move[1, 0] = move[2, 0] = 1.0
+    move[3, 1] = 1e-9
+    move[4, 2] = 1.0
+    move[0, 4] = 1e-9
+    edges = (("a", "b"), ("a", "c"), ("b", "d"), ("c", "e"), ("e", "a"))
+    return qk.QrwParam(qk.Alphabet(tuple("abcde")), edges, ("x",), move, np.eye(5)[0])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64])
+@pytest.mark.parametrize("seed, node", [(1, "a"), (2, "d"), (4, "d")])
+def test_the_first_failing_step_names_the_error(monkeypatch, steps, seed, node):
+    # a trajectory whose first uniform is below 1/2 moves to b and fails at
+    # its second symbol, naming d; any other moves to c and fails at its
+    # third, naming a.  The earliest step wins over the earliest
+    # trajectory: with seed 4, trajectory 0 moves to c and trajectory 1 to b.
+    first = stream(seed).random((2, 3))[:, 0]
+    assert ("d" if (first < 0.5).any() else "a") == node
+    monkeypatch.setattr(models, "_CHECK_STEPS", steps)
+    with pytest.raises(SamplingError, match=f"^sampled node '{node}' has zero probability$"):
+        qk.sample_trajectories(forking_walk(), 3, 2, seed)
 
 
 @pytest.mark.parametrize("block", [1, 3])
