@@ -164,7 +164,7 @@ class TestHiddenStateBasis:
 
     def test_standard_checks_only_its_labels(self):
         basis = HiddenStateBasis.standard(3, ("x", "y", "z"))
-        checked = HiddenStateBasis(("x", "y", "z"), tuple(np.eye(3)[i] * np.eye(3)[:, [i]] for i in range(3)))
+        checked = HiddenStateBasis(("x", "y", "z"), tuple(np.diag(row) for row in np.eye(3)))
         assert basis.labels == checked.labels
         for got, want in zip(basis.projectors, checked.projectors):
             assert got.dtype == want.dtype and np.array_equal(got, want)
