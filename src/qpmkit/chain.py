@@ -47,8 +47,8 @@ from .process import (
     LinearForm,
     Process,
     Word,
+    _axiom_problems,
     build_hankel,
-    check_process_axioms,
     select_row_basis,
     word_states,
     word_value,
@@ -180,12 +180,8 @@ class OperatorSubspace:
 
     @classmethod
     def diagonal(cls, n: int) -> "OperatorSubspace":
-        basis = []
-        for i in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, i] = 1.0
-            basis.append(unit)
-        return cls(basis)
+        """The diagonal units E_11 … E_nn, built once per n and shared, read-only."""
+        return _diagonal_subspace(n)
 
     @property
     def basis(self) -> tuple[np.ndarray, ...]:
@@ -433,6 +429,20 @@ class SuperOperator:
         return self.subspace.reconstruct(self.apply_coords(coords))
 
 
+@lru_cache(maxsize=16)
+def _diagonal_subspace(n: int) -> OperatorSubspace:
+    """:meth:`OperatorSubspace.diagonal`, its arrays read-only since every caller shares them."""
+    basis = []
+    for i in range(n):
+        unit = np.zeros((n, n), dtype=complex)
+        unit[i, i] = 1.0
+        basis.append(unit)
+    sub = OperatorSubspace(basis)
+    for array in (sub.stack, sub.gram, sub.traces):
+        array.flags.writeable = False
+    return sub
+
+
 class ChainKind(Enum):
     QMC = "qmc"
     QPM = "qpm"
@@ -470,10 +480,10 @@ class QuantumChain:
     def total_matrix(self) -> np.ndarray:
         return sum(self.letter_ops[a].matrix for a in self.alphabet)
 
-    @property
-    def letter_matrices(self) -> list[np.ndarray]:
+    @cached_property
+    def letter_matrices(self) -> tuple[np.ndarray, ...]:
         """The letter operators' coordinate matrices in alphabet order."""
-        return [self.letter_ops[a].matrix for a in self.alphabet]
+        return tuple(self.letter_ops[a].matrix for a in self.alphabet)
 
 
 def chain_eval(chain: QuantumChain, word) -> float:
@@ -797,13 +807,17 @@ def finitary_to_qpm(
 ) -> QuantumChain:
     """Predictor model over a process-function row basis of the Hankel matrix.
 
-    The subspace is spanned by diagonal units, one per selected basis row;
-    letter operators carry the shift coefficients fitted by least squares
-    over all suffix columns up to ``horizon`` (default: the declared
-    dimension).  The rows p(v w) = F_v·Bᵀ and their shifts p(v a w) =
-    (F_v M_a)·Bᵀ are products of the basis words' prefix states and the
-    suffix states that the Hankel keeps; its N×M block is never built.
-    Residuals above ``residual_tol`` mean the basis cannot reproduce the
+    The subspace is spanned by diagonal units, one per selected basis row
+    (:meth:`OperatorSubspace.diagonal`, shared); letter operators carry
+    the shift coefficients fitted by least squares over all suffix
+    columns up to ``horizon`` (default: the declared dimension).  The
+    rows p(v w) = F_v·Bᵀ and their shifts p(v a w) = (F_v M_a)·Bᵀ are
+    products of the basis words' prefix states and the suffix states
+    that the Hankel keeps; its N×M block is never built, and the process
+    axioms are checked on its prefix states.  One least-squares solve
+    fits every letter's shifted rows and the process itself.  Residuals
+    above ``residual_tol``, checked letter by letter in alphabet order
+    and then for the process, mean the basis cannot reproduce the
     shifted rows and raise :class:`BasisInsufficiencyError`, as does a
     fit whose summed operators change a basis element's trace by more
     than ``preserve_tol``: :func:`validate_chain`, and so the loader,
@@ -816,7 +830,9 @@ def finitary_to_qpm(
         )
     process = finitary_process(param)
     hankel = build_hankel(process, window, window)
-    problems = check_process_axioms(process, window, max(eval_tol, 1e-9))
+    problems = _axiom_problems(
+        param.alphabet, hankel._prefix_states, process.linear.end, window, max(eval_tol, 1e-9)
+    )
     if problems:
         raise ValidationError(
             "parametrization does not define a process up to the working horizon: "
@@ -830,27 +846,32 @@ def finitary_to_qpm(
     suffixes = hankel._suffix_states
     rows = np.real(states @ suffixes.T)
     weights = rows[1:, 0]
-    # column j of the design holds the normalised Hankel row of basis word j
+    # column j of the design holds the normalised Hankel row of basis word j;
+    # the targets are the a-shifted rows p(v a w) / p(v), one column per
+    # letter a and basis word v, then the process itself
     design = rows[1:].T / weights
-
-    def fit(targets: np.ndarray, what) -> np.ndarray:
-        solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        residuals = np.linalg.norm(design @ solution - targets, axis=0)
-        for i, residual in enumerate(residuals):
-            if residual > residual_tol:
-                raise BasisInsufficiencyError(
-                    f"row basis cannot reproduce {what(i)} (residual {residual:.3e})"
-                )
-        return solution
-
-    sub = OperatorSubspace.diagonal(len(basis_words))
-    ops: dict[str, SuperOperator] = {}
-    for a, matrix in zip(param.alphabet, process.linear.matrices):
-        # the a-shifted rows p(v a w) / p(v), one target column per basis word v
-        targets = (states[1:] @ matrix @ suffixes.T).T / weights
-        coeff = fit(targets, lambda i: f"the {a!r}-shift of basis row {i}")
-        ops[a] = SuperOperator(sub, coeff.T)
-    root = fit(rows[0][:, None], lambda i: "the process itself")[:, 0]
+    shifted = [(states[1:] @ m @ suffixes.T).T / weights for m in process.linear.matrices]
+    targets = np.hstack(shifted + [rows[0][:, None]])
+    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    residuals = np.linalg.norm(design @ solution - targets, axis=0)
+    r = len(basis_words)
+    failed = np.flatnonzero(residuals > residual_tol)
+    if failed.size:
+        j = int(failed[0])
+        what = (
+            f"the {param.alphabet.symbols[j // r]!r}-shift of basis row {j % r}"
+            if j < len(shifted) * r
+            else "the process itself"
+        )
+        raise BasisInsufficiencyError(
+            f"row basis cannot reproduce {what} (residual {residuals[j]:.3e})"
+        )
+    sub = OperatorSubspace.diagonal(r)
+    ops = {
+        a: SuperOperator(sub, solution[:, k * r : (k + 1) * r].T)
+        for k, a in enumerate(param.alphabet)
+    }
+    root = solution[:, -1]
     initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
     chain = QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
     drift = chain.total_matrix @ sub.traces - sub.traces

@@ -312,24 +312,42 @@ def check_process_axioms(
     hold on every word of length at most ``horizon``.  The values are the
     prefix states times the end vector.
     """
-    problems: list[str] = []
     form = process.linear
-    values = np.real(word_states(form, max(horizon, 0)) @ form.end[None, :].T)[:, 0]
+    return _axiom_problems(
+        process.alphabet, word_states(form, max(horizon, 0)), form.end, horizon, tol
+    )
+
+
+def _axiom_problems(
+    alphabet: Alphabet, states: np.ndarray, end: np.ndarray, horizon: int, tol: float
+) -> list[str]:
+    """:func:`check_process_axioms` on prefix states already built.
+
+    ``states`` holds the prefix states of the words up to ``max(horizon,
+    0)`` in :func:`words_up_to` order, as :func:`word_states` and the
+    Hankel's prefix factor do.  The words are listed only when a value
+    is flagged, to name them.
+    """
+    problems: list[str] = []
+    values = np.real(states @ end[None, :].T)[:, 0]
     root = float(values[0])
     if abs(root - 1.0) > tol:
         problems.append(f"p(empty word) is {root!r}, expected 1")
     if horizon < 0:
         return problems
     # in words_up_to order the one-letter extensions of word i sit at k*i + 1 + a
-    children = values[1:].reshape(-1, len(process.alphabet))
+    children = values[1:].reshape(-1, len(alphabet))
     extended = np.zeros(children.shape[0])
     for column in children.T:  # left to right, as a running sum would add them
         extended = extended + column
     negative = values < -tol
     inconsistent = np.zeros(values.shape[0], dtype=bool)
     inconsistent[: extended.shape[0]] = np.abs(extended - values[: extended.shape[0]]) > tol
-    words = words_up_to(process.alphabet, horizon)
-    for i in np.flatnonzero(negative | inconsistent):
+    flagged = np.flatnonzero(negative | inconsistent)
+    if not flagged.size:
+        return problems
+    words = words_up_to(alphabet, horizon)
+    for i in flagged:
         name = format_word(words[i]) or "empty"
         value = float(values[i])
         if negative[i]:
@@ -381,14 +399,14 @@ class TruncatedHankel:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values of ``matrix``, largest first, from the R factor of G.
+        """Singular values of ``matrix``, largest first, from one SVD of G.
 
-        Thin QRs of B and of G and an SVD of at most d×d: O((N + M)·d²)
-        instead of the O(N·M·min(N, M)) of decomposing the matrix.  Only
-        zero singular values of the matrix can be missing.  The array is
-        shared by every caller and read-only.
+        G is N×d (2d wide for complex states): with the thin QR of B that
+        forms it, O((N + M)·d²) instead of the O(N·M·min(N, M)) of
+        decomposing the matrix.  Only zero singular values of the matrix
+        can be missing.  The array is shared by every caller and read-only.
         """
-        values = np.linalg.svd(np.linalg.qr(self._row_factor, mode="r"), compute_uv=False)
+        values = np.linalg.svd(self._row_factor, compute_uv=False)
         values.flags.writeable = False
         return values
 
@@ -418,7 +436,7 @@ def build_hankel(process: Process, row_length: int, col_length: int) -> Truncate
     if row_length < 0 or col_length < 0:
         raise ValidationError("Hankel truncation lengths must be >= 0")
     rows = tuple(words_up_to(process.alphabet, row_length))
-    cols = tuple(words_up_to(process.alphabet, col_length))
+    cols = rows if col_length == row_length else tuple(words_up_to(process.alphabet, col_length))
     form = process.linear
     prefixes = word_states(form, row_length)
     suffixes = word_states(form, col_length, suffix=True)

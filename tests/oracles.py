@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from qpmkit.errors import (
+    BasisInsufficiencyError,
     ConsistencyError,
     DivergenceError,
     NumericError,
@@ -326,6 +327,42 @@ def axiom_problems_reference(process, horizon: int, tol: float = 1e-9) -> list:
                     f"one-symbol extensions of {name} sum to {extended!r}, expected {value!r}"
                 )
     return problems
+
+
+def qpm_fit_reference(process, basis_words, horizon: int, residual_tol: float = 1e-8):
+    """The predictor fit of ``finitary_to_qpm`` on a given row basis, one solve at a time.
+
+    Entries are evaluated word by word over the suffixes w up to
+    ``horizon``.  Column j of the design is basis word v_j's row
+    p(v_j w) / p(v_j); letter a's targets are the shifted rows
+    p(v_j a w) / p(v_j), fitted by one ``lstsq`` per letter, and the
+    process's row p(w) by one more.  Residual norms are checked letter
+    by letter in alphabet order, each basis row in turn, then the
+    process's; the first above ``residual_tol`` raises
+    ``BasisInsufficiencyError`` in the library's words.  Returns the
+    coefficient matrices by letter (row j: the image of basis element j),
+    the initial coordinates and the design's 2-norm condition number.
+    """
+    cols = _words_up_to(process.alphabet, horizon)
+    weights = np.array([process(v) for v in basis_words])
+    design = np.array([[process(v + w) for v in basis_words] for w in cols]) / weights
+
+    def fit(targets, what):
+        solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+        residuals = np.linalg.norm(design @ solution - targets, axis=0)
+        for i, residual in enumerate(residuals):
+            if residual > residual_tol:
+                raise BasisInsufficiencyError(
+                    f"row basis cannot reproduce {what(i)} (residual {residual:.3e})"
+                )
+        return solution
+
+    matrices = {}
+    for a in process.alphabet.symbols:
+        targets = np.array([[process(v + (a,) + w) for v in basis_words] for w in cols]) / weights
+        matrices[a] = fit(targets, lambda i: f"the {a!r}-shift of basis row {i}").T
+    root = fit(np.array([[process(w)] for w in cols]), lambda i: "the process itself")[:, 0]
+    return matrices, root, float(np.linalg.cond(design))
 
 
 def equivalent_by_enumeration(first, second, horizon: int, tol: float = 1e-9) -> bool:

@@ -34,11 +34,14 @@ from oracles import (
     dense_gram,
     hermitian_basis_reference,
     hmm_path_prob,
+    qpm_fit_reference,
     qrw_collapse_prob,
     unit_diagonal_reference,
 )
 
 AB = qk.Alphabet(("a", "b"))
+# the (states, letters) shapes of the benchmark's sweep ladder
+SWEEP_SHAPES = ((3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3))
 
 
 class TestHermitianBasis:
@@ -79,6 +82,15 @@ class TestOperatorSubspace:
         sub = OperatorSubspace.diagonal(2)
         with pytest.raises(SubspaceError):
             sub.expand(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_diagonal_subspace_is_built_once_and_read_only(self, n):
+        sub = OperatorSubspace.diagonal(n)
+        assert OperatorSubspace.diagonal(n) is sub
+        assert sub.is_unit_diagonal and sub.dim == n
+        for array in (sub.stack, sub.gram, sub.traces):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValidationError):
@@ -443,6 +455,12 @@ class TestFinitaryToQpm:
                 qk.hmm_eval(hmm2, word), abs=1e-9
             )
 
+    def test_shares_the_diagonal_subspace_with_hmm_to_qmc(self, hmm2, hmm3_rank3):
+        for hmm in (hmm2, hmm3_rank3):
+            predictor = qk.finitary_to_qpm(qk.hmm_to_finitary(hmm))
+            assert predictor.subspace.dim == hmm.n_states
+            assert predictor.subspace is qk.hmm_to_qmc(hmm).subspace
+
     def test_initial_trace_is_one(self, hmm3_rank3):
         chain = qk.finitary_to_qpm(qk.hmm_to_finitary(hmm3_rank3))
         assert np.trace(chain.initial.matrix).real == pytest.approx(1.0, abs=1e-8)
@@ -455,8 +473,9 @@ class TestFinitaryToQpm:
 
     def test_insufficient_row_basis_is_detected(self):
         # a period-4 cycle labeled aabb: at horizon 2 the selected rows
-        # cannot express the b-shift of the aa row, at the declared
-        # dimension the conversion is exact
+        # cannot express the b-shift of the aa row (basis row 2) though
+        # every a-shift fits, and the per-letter fit names the same; at
+        # the declared dimension the conversion is exact
         cycle = qk.ffmc_to_hmm(
             ("s0", "s1", "s2", "s3"),
             {"s0": "a", "s1": "a", "s2": "b", "s3": "b"},
@@ -465,13 +484,44 @@ class TestFinitaryToQpm:
             AB,
         )
         finitary = qk.hmm_to_finitary(cycle)
-        with pytest.raises(BasisInsufficiencyError):
+        message = r"cannot reproduce the 'b'-shift of basis row 2 \(residual 1.271e\+00\)"
+        with pytest.raises(BasisInsufficiencyError, match=message):
             qk.finitary_to_qpm(finitary, horizon=2)
+        process = qk.finitary_process(finitary)
+        basis = qk.select_row_basis(qk.build_hankel(process, 2, 2))
+        assert basis == [(), ("a",), ("a", "a")]
+        with pytest.raises(BasisInsufficiencyError, match=message):
+            qpm_fit_reference(process, basis, 2)
         chain = qk.finitary_to_qpm(finitary, horizon=4)
         for word in qk.words_up_to(AB, 5):
             assert qk.chain_eval(chain, word) == pytest.approx(
                 qk.hmm_eval(cycle, word), abs=1e-9
             )
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_single_solve_matches_the_per_letter_fit(self, seed):
+        """One HMM of each sweep shape and one walk-derived form per seed.
+
+        Both fits solve the same least-squares problems, so they agree to
+        a few units of rounding times the design's condition number (at
+        most 2.9 ε·cond·scale over 60 seeds).
+        """
+        rng = np.random.default_rng(seed)
+        params = [qk.hmm_to_finitary(random_hmm(rng, n, k)) for n, k in SWEEP_SHAPES]
+        params.append(qk.qpm_to_finitary(qk.qrw_to_qmc(random_local_qrw(rng, 2, 1))))
+        for param in params:
+            chain = qk.finitary_to_qpm(param)
+            process = qk.finitary_process(param)
+            window = param.dimension
+            basis = qk.select_row_basis(qk.build_hankel(process, window, window))
+            matrices, root, condition = qpm_fit_reference(process, basis, window)
+            scale = max(max(np.abs(m).max() for m in matrices.values()), np.abs(root).max())
+            bound = 64 * np.finfo(float).eps * condition * scale
+            assert chain.subspace.dim == len(basis)
+            for a in param.alphabet:
+                assert np.abs(chain.letter_ops[a].matrix - matrices[a]).max() <= bound
+            assert np.abs(chain.initial_coords - root).max() <= bound
 
     def test_refuses_a_fit_that_changes_a_basis_trace(self):
         # validate_chain, and so the loader, would refuse this fit: its
@@ -484,7 +534,7 @@ class TestFinitaryToQpm:
         # the findings print plain floats, not numpy scalar reprs
         assert [v.message for v in qk.validate_chain(chain).violations] == [
             "summed operators change the trace of basis element 7 by 1.2357159739906365e-10",
-            "summed operators change the trace of basis element 10 by -1.0598355526525438e-10",
+            "summed operators change the trace of basis element 10 by -1.0598388833216177e-10",
         ]
 
     def test_rejects_non_process_parametrization(self):

@@ -64,13 +64,27 @@ class TestProcessAxioms:
 
     def test_detects_bad_root(self):
         broken = one_state(1.0, 1.0, start=0.5)  # p(w) = 0.5 for every word
-        problems = qk.check_process_axioms(broken, horizon=1)
-        assert any("empty word" in p for p in problems)
+        assert qk.check_process_axioms(broken, horizon=1) == [
+            "p(empty word) is 0.5, expected 1",
+            "one-symbol extensions of empty sum to 1.0, expected 0.5",
+        ]
 
     def test_detects_inconsistent_marginals(self):
         broken = one_state(0.7, 0.7)  # p(w) = 0.7^|w|
-        problems = qk.check_process_axioms(broken, horizon=2)
-        assert any("extensions" in p for p in problems)
+        assert qk.check_process_axioms(broken, horizon=2) == [
+            "one-symbol extensions of empty sum to 1.4, expected 1.0",
+            "one-symbol extensions of a sum to 0.9799999999999999, expected 0.7",
+            "one-symbol extensions of b sum to 0.9799999999999999, expected 0.7",
+        ]
+
+    def test_valid_process_lists_no_words(self, monkeypatch, hmm2):
+        # words are listed only to name a flagged value
+        def unreachable(*args, **kwargs):
+            raise AssertionError("listed the words of a valid process")
+
+        process = qk.hmm_process(hmm2)
+        monkeypatch.setattr(qk.process, "words_up_to", unreachable)
+        assert qk.check_process_axioms(process, horizon=5) == []
 
 
 class TestBuildHankel:
@@ -100,6 +114,10 @@ class TestBuildHankel:
         hankel = qk.build_hankel(qk.hmm_process(hmm2), 2, 2)
         assert hankel.entry(("a",), ("b",)) == pytest.approx(hankel.entry(("a", "b"), ()))
         assert hankel.entry((), ("a", "a")) == pytest.approx(hankel.entry(("a", "a"), ()))
+
+    def test_equal_lengths_share_one_word_tuple(self, hmm2):
+        hankel = qk.build_hankel(qk.hmm_process(hmm2), 3, 3)
+        assert hankel.col_words is hankel.row_words
 
     def test_rejects_negative_truncation(self):
         with pytest.raises(ValidationError):
