@@ -773,16 +773,29 @@ def qrw_to_qmc(
     The walk is validated, and its initial density checked, under the given tolerances.
     """
     validate_qrw(qrw, unitary_tol, trace_tol).raise_if_invalid("invalid quantum random walk")
-    k = qrw.dim
-    sub = OperatorSubspace.full(k)
-    ops: dict[str, SuperOperator] = {}
-    for node in qrw.nodes:
-        projector = np.zeros((k, k), dtype=complex)
-        block = qrw.block(node)
-        projector[block, block] = np.eye(qrw.coin_count)
-        ops[node] = SuperOperator.from_kraus(sub, projector @ qrw.unitary)
+    sub = OperatorSubspace.full(qrw.dim)
+    ops = _walk_ops(qrw, sub)
     initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), trace_tol)
     return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
+
+
+def _walk_form(qrw: QrwParam) -> LinearForm:
+    """``chain_process(qrw_to_qmc(qrw)).linear``, bit for bit, with no check and no chain."""
+    sub = OperatorSubspace.full(qrw.dim)
+    density = np.outer(qrw.wave, qrw.wave.conj())
+    # symmetrised as Density.quantum symmetrises it
+    initial = sub.expand((density + density.conj().T) / 2.0, check=False)
+    matrices = np.stack([op.matrix for op in _walk_ops(qrw, sub).values()])
+    return LinearForm(initial, matrices, sub.traces)
+
+
+def _walk_ops(qrw: QrwParam, sub: OperatorSubspace) -> dict[str, SuperOperator]:
+    """Each node's Kraus map ρ ↦ K ρ K*, K = P_node U, in node order."""
+    owner = np.arange(qrw.dim) // qrw.coin_count
+    return {
+        node: SuperOperator.from_kraus(sub, np.diag((owner == i).astype(complex)) @ qrw.unitary)
+        for i, node in enumerate(qrw.nodes)
+    }
 
 
 def hmm_to_qmc(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> QuantumChain:
@@ -844,7 +857,7 @@ def finitary_to_qpm(
     # the Hankel rows of the empty word and the basis words, from one product
     states = hankel._prefix_states[[0] + [hankel.row_words.index(v) for v in basis_words]]
     suffixes = hankel._suffix_states
-    rows = np.real(states @ suffixes.T)
+    rows = states @ suffixes.T
     weights = rows[1:, 0]
     # column j of the design holds the normalised Hankel row of basis word j;
     # the targets are the a-shifted rows p(v a w) / p(v), one column per

@@ -481,27 +481,14 @@ def _node_columns(qrw: QrwParam) -> np.ndarray:
 
 
 def qrw_process(qrw: QrwParam, trace_tol: float = DEFAULTS.trace_tol) -> Process:
+    """The walk's process; its linear form is its chain's coordinates (see ``qrw_to_qmc``)."""
+    from .chain import _walk_form  # chain imports this module
+
     return Process(
         qrw.nodes,
         lambda w: qrw_eval(qrw, w, trace_tol),
-        lowering=lambda: _qrw_form(qrw),
+        lowering=lambda: _walk_form(qrw),
     )
-
-
-def _qrw_form(qrw: QrwParam) -> LinearForm:
-    """Kraus superoperators K_a ⊗ conj(K_a), K_a = P_a U, on row-major vec(rho).
-
-    vec(K rho K*) = (K ⊗ conj(K)) vec(rho), transposed here because
-    states are row vectors; the end vector vec(I) takes the trace.
-    """
-    k = qrw.dim
-    superops = []
-    for node in qrw.nodes:
-        kraus = np.zeros((k, k), dtype=complex)
-        kraus[qrw.block(node)] = qrw.unitary[qrw.block(node)]
-        superops.append(np.kron(kraus, kraus.conj()).T)
-    density = np.outer(qrw.wave, qrw.wave.conj())
-    return LinearForm(density.reshape(-1), np.stack(superops), np.eye(k).reshape(-1))
 
 
 # --------------------------------------------------------------------------

@@ -145,11 +145,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 
 class LinearForm(NamedTuple):
-    """A process as p(w) = Re(initial · M_w1 ··· M_wn · end).
+    """A process as p(w) = initial · M_w1 ··· M_wn · end.
 
     ``matrices`` stacks one square matrix per letter in alphabet order.
-    Entries may be complex (quantum walks act on vectorised densities);
-    word probabilities are the real part of the product.
+    Every array is real (float64): a walk lowers to its chain's
+    coordinates over the Hermitian matrices, which are real.
     """
 
     initial: np.ndarray
@@ -329,7 +329,7 @@ def _axiom_problems(
     is flagged, to name them.
     """
     problems: list[str] = []
-    values = np.real(states @ end[None, :].T)[:, 0]
+    values = (states @ end[None, :].T)[:, 0]
     root = float(values[0])
     if abs(root - 1.0) > tol:
         problems.append(f"p(empty word) is {root!r}, expected 1")
@@ -379,8 +379,8 @@ class TruncatedHankel:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Re(F·Bᵀ), built on first read: N·M doubles."""
-        return np.real(self._prefix_states @ self._suffix_states.T)
+        """F·Bᵀ, built on first read: N·M doubles."""
+        return self._prefix_states @ self._suffix_states.T
 
     @cached_property
     def _row_factor(self) -> np.ndarray:
@@ -388,20 +388,15 @@ class TruncatedHankel:
 
         Q_B has orthonormal columns, so the rows of G (at most d wide) have
         the norms and inner products of the Hankel rows, and G has the
-        Hankel's nonzero singular values.  Complex states enter as the
-        real pair [Re F, Im F] and [Re B, -Im B], whose product is Re(F·Bᵀ).
+        Hankel's nonzero singular values.
         """
-        prefixes, suffixes = self._prefix_states, self._suffix_states
-        if np.iscomplexobj(prefixes) or np.iscomplexobj(suffixes):
-            prefixes = np.hstack([prefixes.real, prefixes.imag])
-            suffixes = np.hstack([suffixes.real, -suffixes.imag])
-        return prefixes @ np.linalg.qr(suffixes, mode="r").T
+        return self._prefix_states @ np.linalg.qr(self._suffix_states, mode="r").T
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of ``matrix``, largest first, from one SVD of G.
 
-        G is N×d (2d wide for complex states): with the thin QR of B that
+        G is N×d: with the thin QR of B that
         forms it, O((N + M)·d²) instead of the O(N·M·min(N, M)) of
         decomposing the matrix.  Only zero singular values of the matrix
         can be missing.  The array is shared by every caller and read-only.
@@ -460,7 +455,7 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
     """Greedily pick prefix words whose rows span the Hankel row space.
 
     Candidates are visited shortest-word-first and must satisfy
-    p(v) = Re(F_v·B_ε) > eps so that the normalized rows are process functions.
+    p(v) = F_v·B_ε > eps so that the normalized rows are process functions.
     The two-pass Gram-Schmidt runs on the d-column rows of the factor G
     (``matrix`` = G·Q with orthonormal Q), which have the Hankel rows'
     norms and inner products; the rank and the largest singular value
@@ -475,7 +470,7 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
     if EPSILON not in hankel.col_words:
         raise ValidationError("Hankel columns must include the empty word")
     empty = hankel._suffix_states[hankel.col_words.index(EPSILON)]
-    support = np.real(hankel._prefix_states @ empty)
+    support = hankel._prefix_states @ empty
 
     rows = hankel._row_factor
     chosen: list[Word] = []
@@ -519,28 +514,27 @@ def distinguishing_word(
         raise DimensionMismatchError("processes must share an alphabet")
     one, two = first.linear, second.linear
     d = one.dim
-    dtype = np.result_type(one.matrices, two.matrices, one.initial, two.initial)
-    mats = np.zeros((len(first.alphabet), d + two.dim, d + two.dim), dtype=dtype)
+    mats = np.zeros((len(first.alphabet), d + two.dim, d + two.dim))
     mats[:, :d, :d] = one.matrices
     mats[:, d:, d:] = two.matrices
     probe = np.concatenate([one.end, -two.end])
-    basis = np.empty((0, d + two.dim), dtype=dtype)  # orthonormal rows
+    basis = np.empty((0, d + two.dim))  # orthonormal rows
     queue: deque = deque()
 
     def visit(word: Word, state: np.ndarray) -> bool:
         nonlocal basis
-        if abs(np.real(state @ probe)) > tol:
+        if abs(state @ probe) > tol:
             return True
         residual = state
         for _ in range(2):  # two Gram-Schmidt passes for stability
-            residual = residual - (basis.conj() @ residual) @ basis
+            residual = residual - (basis @ residual) @ basis
         norm = float(np.linalg.norm(residual))
         if norm > DEFAULTS.rank_eps * float(np.linalg.norm(state)):
             basis = np.vstack([basis, residual / norm])
             queue.append((word, state))
         return False
 
-    if visit(EPSILON, np.concatenate([one.initial, two.initial]).astype(dtype)):
+    if visit(EPSILON, np.concatenate([one.initial, two.initial])):
         return EPSILON
     while queue:
         word, state = queue.popleft()

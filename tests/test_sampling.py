@@ -294,6 +294,6 @@ def test_qrw_eval_matches_linear_form(seed, nodes, coins, length):
     state = form.initial
     for symbol in word:
         state = state @ form.matrices[qrw.nodes.index(symbol)]
-    expected = float((state @ form.end).real)
+    expected = float(state @ form.end)
     assert expected > 0
     assert abs(qk.qrw_eval(qrw, word) - expected) <= 1e-12 * expected
