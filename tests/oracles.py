@@ -101,6 +101,32 @@ def qrw_collapse_prob(qrw, word) -> float:
     return probability
 
 
+def walk_form_reference(qrw) -> tuple:
+    """The walk's Kraus superoperators K_a ⊗ conj(K_a), K_a = P_a U, on row-major vec(ρ).
+
+    vec(K ρ K*) = (K ⊗ conj(K)) vec(ρ), transposed here because states
+    are row vectors; the end vector vec(I) takes the trace.  Returns the
+    complex (initial, matrices, end), for :func:`complex_form_value`.
+    """
+    k = qrw.dim
+    superops = []
+    for node in qrw.nodes:
+        kraus = np.zeros((k, k), dtype=complex)
+        kraus[qrw.block(node)] = qrw.unitary[qrw.block(node)]
+        superops.append(np.kron(kraus, kraus.conj()).T)
+    density = np.outer(qrw.wave, qrw.wave.conj())
+    return density.reshape(-1), superops, np.eye(k).reshape(-1)
+
+
+def complex_form_value(form, letters) -> float:
+    """Re(initial · M_l1 ··· M_lT · end) by one complex vector-matrix product per letter."""
+    initial, matrices, end = form
+    vec = initial
+    for a in letters:
+        vec = vec @ matrices[a]
+    return float((vec @ end).real)
+
+
 def hmm_path_weights(hmm, word) -> np.ndarray:
     """Weight of every hidden path (w0, ..., wt), as an array indexed by the path."""
     arr = hmm.initial.astype(float).copy()

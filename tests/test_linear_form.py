@@ -25,10 +25,12 @@ from helpers import (
 )
 from oracles import (
     axiom_problems_reference,
+    complex_form_value,
     equivalent_by_enumeration,
     hankel_singular_values,
     prefix_product_reference,
     row_basis_reference,
+    walk_form_reference,
     word_table_reference,
 )
 
@@ -87,6 +89,7 @@ def test_every_model_family_lowers():
         form = process.linear
         assert form.initial.shape == form.end.shape == (form.dim,)
         assert form.matrices.shape == (len(process.alphabet), form.dim, form.dim)
+        assert all(array.dtype == np.float64 for array in form)
 
 
 class TestFactorisedSweeps:
@@ -237,7 +240,7 @@ def analysed(process, rows, cols, build=qk.build_hankel):
 class TestHankelAnalysis:
     """One SVD of the d-wide factor against the SVD of the full N×M matrix.
 
-    The walks' complex forms take the real-pair route, per-word Hankels the
+    Walks enter as their chains' real coordinates, per-word Hankels with the
     identity suffix factor; the dyadic finitary and predictor models have
     exactly rank-deficient Hankels and rows of zero or negative weight.
     Over these examples no basis decision fell near a tie, so the chosen
@@ -347,6 +350,69 @@ def walk_pair(rng, delta):
     rotated = walk.unitary @ np.array([[c, -s], [s, c]])
     other = qk.QrwParam(walk.nodes, walk.edges, walk.coins, rotated, walk.wave)
     return qk.qrw_process(walk), qk.qrw_process(other)
+
+
+def seeded_walk(seed) -> qk.QrwParam:
+    rng = np.random.default_rng(seed)
+    return random_local_qrw(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
+
+
+def rotated_walk(walk: qk.QrwParam, delta: float) -> qk.QrwParam:
+    """The walk with its unitary rotated by ``delta`` in the first two basis coordinates."""
+    rotation = np.eye(walk.dim, dtype=complex)
+    c, s = np.cos(delta), np.sin(delta)
+    rotation[:2, :2] = [[c, -s], [s, c]]
+    return qk.QrwParam(walk.nodes, walk.edges, walk.coins, walk.unitary @ rotation, walk.wave)
+
+
+def reference_walk_value(walk: qk.QrwParam, word) -> float:
+    return complex_form_value(walk_form_reference(walk), walk.nodes.indices(word))
+
+
+def reference_walk_hankel(walk: qk.QrwParam, length: int) -> TruncatedHankel:
+    """The walk's Hankel block from its complex reference form, one word loop per
+    distinct word, as its own prefix factor with the identity as suffix factor."""
+    form = walk_form_reference(walk)
+    words = tuple(qk.words_up_to(walk.nodes, length))
+    values: dict = {}
+    for word in (v + w for v in words for w in words):
+        if word not in values:
+            values[word] = complex_form_value(form, walk.nodes.indices(word))
+    matrix = np.array([[values[v + w] for w in words] for v in words])
+    return TruncatedHankel(walk.nodes, words, words, matrix, np.eye(len(words)))
+
+
+class TestWalkForm:
+    """A walk lowers to its chain's coordinates: the real form of ``qrw_to_qmc``.
+
+    The complex Kraus-superoperator form of ``oracles.walk_form_reference``,
+    evaluated by its own word loop, is the same process, so the Hankel
+    analysis and the equivalence verdicts read the same on either.
+    """
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(SEEDS)
+    def test_walk_form_is_its_chain_form(self, seed):
+        walk = seeded_walk(seed)
+        process = qk.qrw_process(walk)
+        chain_form = qk.chain_process(qk.qrw_to_qmc(walk)).linear
+        for mine, theirs in zip(process.linear, chain_form):
+            assert mine.dtype == theirs.dtype == np.float64
+            assert mine.shape == theirs.shape
+            assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+        fast = qk.build_hankel(process, 3, 3)
+        slow = reference_walk_hankel(walk, 3)
+        assert fast.matrix.shape == slow.matrix.shape
+        assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
+        assert qk.numerical_rank(fast) == qk.numerical_rank(slow)
+        assert qk.select_row_basis(fast) == qk.select_row_basis(slow)
+        converted = qk.qpm_to_finitary(qk.qrw_to_qmc(walk))
+        assert qk.processes_equivalent(process, qk.finitary_process(converted))
+        rotated = rotated_walk(walk, 1e-3)
+        witness = qk.distinguishing_word(process, qk.qrw_process(rotated))
+        assert witness is not None
+        difference = reference_walk_value(walk, witness) - reference_walk_value(rotated, witness)
+        assert abs(difference) > 1e-9
 
 
 def equivalence_pairs(rng, delta: float):
