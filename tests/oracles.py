@@ -101,6 +101,31 @@ def qrw_collapse_prob(qrw, word) -> float:
     return probability
 
 
+def locality_reference(qrw, tol: float) -> list:
+    """``validate_qrw``'s locality messages, one column block at a time.
+
+    For each node, coin and non-adjacent other node in order, the largest
+    magnitude that the column of (node, coin) puts on the other node's
+    block is reported when it exceeds ``tol``.
+    """
+    messages = []
+    for node in qrw.nodes:
+        allowed = {b for a, b in qrw.edges if a == node} | {node}
+        for coin in qrw.coins:
+            column = qrw.unitary[:, qrw.basis_index(node, coin)]
+            for other in qrw.nodes:
+                if other in allowed:
+                    continue
+                leak = float(np.max(np.abs(column[qrw.block(other)])))
+                if leak > tol:
+                    messages.append(
+                        f"locality at ('unitary', {node!r}, {other!r}): evolution moves "
+                        f"amplitude from node {node!r} to non-adjacent node {other!r} "
+                        f"(magnitude {leak:.3e})"
+                    )
+    return messages
+
+
 def walk_form_reference(qrw) -> tuple:
     """The walk's Kraus superoperators K_a ⊗ conj(K_a), K_a = P_a U, on row-major vec(ρ).
 

@@ -11,7 +11,7 @@ from qpmkit.io import load_model
 
 from conftest import FIXTURES
 from helpers import random_hmm, random_local_qrw, single_letter_chain
-from oracles import hmm_path_prob, qrw_collapse_prob
+from oracles import hmm_path_prob, locality_reference, qrw_collapse_prob
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -224,6 +224,23 @@ class TestQrw:
         wave = np.array([1.0, 0.0, 0.0], dtype=complex)
         report = qk.validate_qrw(qk.QrwParam(nodes, edges, ("c",), unitary, wave))
         assert any(v.code == "locality" for v in report.violations)
+
+    def test_locality_messages_match_the_column_loop(self):
+        # local walks with sparse leaks of 1e-12 .. 1e-1 on random edge sets
+        rng = np.random.default_rng(17)
+        flagged = 0
+        for _ in range(100):
+            walk = random_local_qrw(rng, int(rng.integers(2, 6)), int(rng.integers(1, 3)))
+            n, d = len(walk.nodes), walk.dim
+            scale = 10.0 ** rng.integers(-12, 0, size=(d, d))
+            leaks = (rng.random((d, d)) < 0.15) * rng.normal(size=(d, d)) * scale
+            names = walk.nodes.symbols
+            edges = tuple((a, b) for a in names for b in names if a != b and rng.random() < 0.3)
+            leaky = qk.QrwParam(walk.nodes, edges, walk.coins, walk.unitary + leaks, walk.wave)
+            got = [m for m in qk.validate_qrw(leaky).messages() if m.startswith("locality")]
+            assert got == locality_reference(leaky, 1e-9)
+            flagged += bool(got)
+        assert flagged >= 20
 
     def test_wave_norm_checked(self, qrw_hadamard):
         report = qk.validate_qrw(
