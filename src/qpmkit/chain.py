@@ -92,7 +92,7 @@ def _canonical_stack(n: int) -> np.ndarray:
     stack = np.zeros((n * n, n, n), dtype=complex)
     units = np.arange(n)
     stack[units, units, units] = 1.0
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _upper_indices(n)
     sym = n + 2 * np.arange(len(rows))
     root_half = 1.0 / np.sqrt(2.0)
     stack[sym, rows, cols] = root_half
@@ -101,6 +101,14 @@ def _canonical_stack(n: int) -> np.ndarray:
     stack[sym + 1, cols, rows] = 1j * root_half
     stack.flags.writeable = False
     return stack
+
+
+@lru_cache(maxsize=16)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per n and shared, read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _hermitian_stack(basis, tol: float) -> np.ndarray:
@@ -248,7 +256,7 @@ class OperatorSubspace:
                 f"expected a stack of {n}x{n} matrices, got shape {mats.shape}"
             )
         if self.is_canonical:
-            rows, cols = np.triu_indices(n, 1)
+            rows, cols = _upper_indices(n)
             upper = mats[:, rows, cols]
             coords = np.empty((len(mats), n * n))
             coords[:, :n] = np.diagonal(mats, axis1=1, axis2=2).real
@@ -599,8 +607,10 @@ def _letter_positivity(chain, symbol, report, generator, samples, psd_tol):
         return
     if sub.spans_full:
         choi = _choi_matrix(op)
-        smallest = float(np.linalg.eigvalsh(choi).min())
-        if smallest >= -1e-8:
+        # a factorisation certifies; only a failed one needs the spectrum
+        certified = _factorises(choi, 1e-8)
+        smallest = None if certified else float(np.linalg.eigvalsh(choi).min())
+        if certified or smallest >= -1e-8:
             report.note(f"operator {symbol!r}: completely positive (Choi PSD), hence positive")
             return
         counterexample = _positivity_counterexample_pure(op, generator(), samples)
@@ -634,6 +644,21 @@ def _letter_positivity(chain, symbol, report, generator, samples, psd_tol):
             f"operator {symbol!r}: no positivity counterexample in {tested} sampled "
             "nonnegative elements (evidence only)"
         )
+
+
+def _factorises(matrix: np.ndarray, shift: float) -> bool:
+    """True when ``matrix + shift·I`` has a finite Cholesky factor.
+
+    It then has no eigenvalue below ``-shift``, up to the rounding of one
+    factorisation: the verdict of ``eigvalsh(matrix).min() >= -shift``
+    for a fraction of its cost (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 10).
+    """
+    try:
+        factor = np.linalg.cholesky(matrix + shift * np.eye(len(matrix)))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def _choi_matrix(op: SuperOperator) -> np.ndarray:
