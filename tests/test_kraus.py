@@ -188,3 +188,38 @@ class TestValidationReports:
         got = qk.validate_chain(chain, positivity_samples=300)
         assert report_tuple(got) == report_tuple(reference_report(chain, positivity_samples=300))
         assert got.evidence or got.violations
+
+
+class TestCholeskyCertificate:
+    """Choi + 1e-8·I factorising is the verdict ``eigvalsh(Choi).min() >= -1e-8``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 64, 100, 128, 256])
+    def test_verdicts_match_the_spectrum(self, n):
+        rng = np.random.default_rng(n)
+        basis = random_unitary(rng, n)
+        for rank in sorted({1, max(n // 8, 1), n}):
+            spectrum = np.zeros(n)
+            spectrum[:rank] = rng.uniform(0.1, 1.0, size=rank)
+            for shift in (0.0, 5e-9, 2e-8, 1e-6, 1.0):
+                matrix = (basis * (spectrum - shift)) @ basis.conj().T
+                matrix = (matrix + matrix.conj().T) / 2.0
+                want = float(np.linalg.eigvalsh(matrix).min()) >= -1e-8
+                assert want is bool(spectrum.min() - shift >= -1e-8)
+                assert chain_mod._factorises(matrix, 1e-8) is want
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=SEEDS, family=FAMILIES, n=DIMS)
+    def test_reports_match_the_spectrum_route(self, seed, family, n):
+        rng = np.random.default_rng(seed)
+        sub = OperatorSubspace.full(n)
+        kraus = kraus_family(rng, family, n)
+        ops = {f"k{i}": SuperOperator.from_kraus(sub, k) for i, k in enumerate(kraus)}
+        if n == 2:  # the two maps that are not completely positive
+            ops["r"] = SuperOperator.from_action(sub, reduction_map)
+            ops["m"] = SuperOperator.from_action(sub, non_positive_map)
+        density = random_quantum_density(rng, n)
+        chain = QuantumChain(qk.Alphabet(tuple(ops)), sub, ops, density, ChainKind.QMC)
+        got = qk.validate_chain(chain, positivity_samples=100)
+        with mock.patch.object(chain_mod, "_factorises", lambda matrix, shift: False):
+            want = qk.validate_chain(chain, positivity_samples=100)
+        assert report_tuple(got) == report_tuple(want)
