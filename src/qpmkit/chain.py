@@ -184,7 +184,8 @@ class OperatorSubspace:
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":
-        return cls(_canonical_stack(n))
+        """:func:`hermitian_basis` as a subspace, built once per n and shared, read-only."""
+        return _full_subspace(n)
 
     @classmethod
     def diagonal(cls, n: int) -> "OperatorSubspace":
@@ -437,6 +438,12 @@ class SuperOperator:
         return self.subspace.reconstruct(self.apply_coords(coords))
 
 
+@lru_cache(maxsize=4)
+def _full_subspace(n: int) -> OperatorSubspace:
+    """:meth:`OperatorSubspace.full`, its arrays read-only since every caller shares them."""
+    return _read_only(OperatorSubspace(_canonical_stack(n)))
+
+
 @lru_cache(maxsize=16)
 def _diagonal_subspace(n: int) -> OperatorSubspace:
     """:meth:`OperatorSubspace.diagonal`, its arrays read-only since every caller shares them."""
@@ -445,7 +452,10 @@ def _diagonal_subspace(n: int) -> OperatorSubspace:
         unit = np.zeros((n, n), dtype=complex)
         unit[i, i] = 1.0
         basis.append(unit)
-    sub = OperatorSubspace(basis)
+    return _read_only(OperatorSubspace(basis))
+
+
+def _read_only(sub: OperatorSubspace) -> OperatorSubspace:
     for array in (sub.stack, sub.gram, sub.traces):
         array.flags.writeable = False
     return sub

@@ -396,10 +396,10 @@ class TruncatedHankel:
     def singular_values(self) -> np.ndarray:
         """Singular values of ``matrix``, largest first, from one SVD of G.
 
-        G is N×d: with the thin QR of B that
-        forms it, O((N + M)·d²) instead of the O(N·M·min(N, M)) of
-        decomposing the matrix.  Only zero singular values of the matrix
-        can be missing.  The array is shared by every caller and read-only.
+        G is N×d: with the thin QR of B that forms it, O((N + M)·d²)
+        instead of the O(N·M·min(N, M)) of decomposing the matrix.  Only
+        zero singular values of the matrix can be missing.  The array is
+        shared by every caller and read-only.
         """
         values = np.linalg.svd(self._row_factor, compute_uv=False)
         values.flags.writeable = False

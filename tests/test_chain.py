@@ -92,6 +92,15 @@ class TestOperatorSubspace:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_full_subspace_is_built_once_and_read_only(self, n):
+        sub = OperatorSubspace.full(n)
+        assert OperatorSubspace.full(n) is sub
+        assert sub.is_canonical and sub.dim == n * n
+        for array in (sub.stack, sub.gram, sub.traces):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValidationError):
             OperatorSubspace([np.eye(2), 2 * np.eye(2)])
