@@ -456,6 +456,7 @@ def _diagonal_subspace(n: int) -> OperatorSubspace:
 
 
 def _read_only(sub: OperatorSubspace) -> OperatorSubspace:
+    """Freeze the arrays that a shared subspace hands to every caller."""
     for array in (sub.stack, sub.gram, sub.traces):
         array.flags.writeable = False
     return sub

@@ -110,7 +110,7 @@ def locality_reference(qrw, tol: float) -> list:
     """
     messages = []
     for node in qrw.nodes:
-        allowed = {b for a, b in qrw.edges if a == node} | {node}
+        allowed = set(qrw.neighbors(node)) | {node}
         for coin in qrw.coins:
             column = qrw.unitary[:, qrw.basis_index(node, coin)]
             for other in qrw.nodes:
