@@ -231,7 +231,7 @@ class TestQrw:
         flagged = 0
         for _ in range(100):
             walk = random_local_qrw(rng, int(rng.integers(2, 6)), int(rng.integers(1, 3)))
-            n, d = len(walk.nodes), walk.dim
+            d = walk.dim
             scale = 10.0 ** rng.integers(-12, 0, size=(d, d))
             leaks = (rng.random((d, d)) < 0.15) * rng.normal(size=(d, d)) * scale
             names = walk.nodes.symbols
