@@ -48,8 +48,8 @@ from .process import (
     Process,
     Word,
     _axiom_problems,
+    _row_basis_indices,
     build_hankel,
-    select_row_basis,
     word_states,
     word_value,
     words_up_to,
@@ -384,14 +384,15 @@ class SuperOperator:
 
     Row ``i`` of ``matrix`` holds the coordinates of the image of the
     i-th basis element, so coordinate row vectors evolve by right
-    multiplication.
+    multiplication.  The matrix is stored C-contiguous, the layout on
+    which a chain evaluates exactly as its saved file does.
     """
 
     subspace: OperatorSubspace
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.ascontiguousarray(self.matrix, dtype=float)
         d = self.subspace.dim
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"coordinate matrix must be {d}x{d}, got {mat.shape}")
@@ -550,10 +551,22 @@ def validate_chain(
     checked (exactly on diagonal-unit bases, via complete positivity plus
     counterexample search on the full Hermitian space, by sampling
     otherwise).  Predictor models get the word-probability window checked
-    exhaustively up to ``horizon`` (recorded in the report).
+    exhaustively up to ``horizon`` (recorded in the report).  A letter
+    operator with a non-finite coordinate entry is reported by name, and
+    then only the initial density is checked: every other check computes
+    with the letter matrices.
     """
     report = ValidationReport()
     sub = chain.subspace
+    finite = True
+    for symbol in chain.alphabet:
+        if not np.isfinite(chain.letter_ops[symbol].matrix).all():
+            finite = False
+            report.add(
+                "non-finite",
+                f"operator {symbol!r} has a non-finite coordinate entry",
+                ("operators", symbol),
+            )
     try:
         coords = sub.expand(chain.initial.matrix, check=True, tol=recon_tol)
     except SubspaceError as exc:
@@ -563,6 +576,8 @@ def validate_chain(
     trace = float(coords @ sub.traces)
     if abs(trace - 1.0) > trace_tol:
         report.add("initial-trace", f"tr of the initial density is {trace!r}", ("initial",))
+    if not finite:
+        return report
 
     drift = chain.total_matrix @ sub.traces - sub.traces
     for i, value in enumerate(drift):
@@ -825,13 +840,35 @@ def _walk_form(qrw: QrwParam) -> LinearForm:
     return LinearForm(initial, matrices, sub.traces)
 
 
+# At most this many complex image entries (64 KB) are built at once.  The
+# images of one node are dim**4 entries, so narrow walks batch their nodes
+# and walks of ambient dimension 8 or more take one node at a time: larger
+# batches measured slower there, the per-matrix products dominating.
+_WALK_IMAGE_ENTRIES = 1 << 12
+
+
 def _walk_ops(qrw: QrwParam, sub: OperatorSubspace) -> dict[str, SuperOperator]:
-    """Each node's Kraus map ρ ↦ K ρ K*, K = P_node U, in node order."""
-    owner = np.arange(qrw.dim) // qrw.coin_count
-    return {
-        node: SuperOperator.from_kraus(sub, np.diag((owner == i).astype(complex)) @ qrw.unitary)
-        for i, node in enumerate(qrw.nodes)
-    }
+    """Each node's Kraus map ρ ↦ K ρ K*, K = P_node U, in node order.
+
+    The Kraus operators of a batch of nodes conjugate the basis stack in
+    one stacked product, and one :meth:`OperatorSubspace.expand_all`
+    reads all their images: each image takes the matrix products of
+    :meth:`SuperOperator.from_kraus`, so the coordinates have its bits.
+    """
+    unitary = as_complex_matrix(qrw.unitary)  # from_kraus's check of every K
+    n, dim = len(qrw.nodes), qrw.dim
+    units = np.arange(dim)
+    projectors = np.zeros((n, dim, dim), dtype=complex)
+    projectors[units // qrw.coin_count, units, units] = 1.0
+    kraus = projectors @ unitary
+    batch = max(1, _WALK_IMAGE_ENTRIES // dim**4)
+    coords = []
+    for lo in range(0, n, batch):
+        k = kraus[lo : lo + batch, None]
+        images = k @ sub.stack @ k.conj().transpose(0, 1, 3, 2)
+        flat = sub.expand_all(images.reshape(-1, dim, dim))
+        coords.extend(flat.reshape(-1, dim * dim, dim * dim))
+    return {node: SuperOperator(sub, matrix) for node, matrix in zip(qrw.nodes, coords)}
 
 
 def hmm_to_qmc(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> QuantumChain:
@@ -887,11 +924,11 @@ def finitary_to_qpm(
             "parametrization does not define a process up to the working horizon: "
             + "; ".join(problems[:3])
         )
-    basis_words = select_row_basis(hankel, eps)
-    if not basis_words:
+    basis_rows = _row_basis_indices(hankel, eps)
+    if not basis_rows:
         raise ValidationError("process has numerical rank 0; nothing to represent")
     # the Hankel rows of the empty word and the basis words, from one product
-    states = hankel._prefix_states[[0] + [hankel.row_words.index(v) for v in basis_words]]
+    states = hankel._prefix_states[[0] + basis_rows]
     suffixes = hankel._suffix_states
     rows = states @ suffixes.T
     weights = rows[1:, 0]
@@ -903,7 +940,7 @@ def finitary_to_qpm(
     targets = np.hstack(shifted + [rows[0][:, None]])
     solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
     residuals = np.linalg.norm(design @ solution - targets, axis=0)
-    r = len(basis_words)
+    r = len(basis_rows)
     failed = np.flatnonzero(residuals > residual_tol)
     if failed.size:
         j = int(failed[0])

@@ -49,7 +49,8 @@ __all__ = [
 
 
 def _as_float_matrix(value, shape, what: str) -> np.ndarray:
-    mat = np.asarray(value, dtype=float)
+    """``value`` as a C-contiguous float64 array of ``shape`` with finite entries."""
+    mat = np.ascontiguousarray(value, dtype=float)
     if mat.shape != shape:
         raise DimensionMismatchError(f"{what} must have shape {shape}, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -138,8 +139,8 @@ def hmm_process(hmm: HmmParam) -> Process:
 
 
 def _emission_split(hmm: HmmParam) -> np.ndarray:
-    """Letter matrices diag(emission[:, a]) @ transition, stacked in alphabet order."""
-    return hmm.emission.T[:, :, None] * hmm.transition[None, :, :]
+    """Letter matrices diag(emission[:, a]) @ transition, stacked C-contiguous in alphabet order."""
+    return np.multiply(hmm.emission.T[:, :, None], hmm.transition[None, :, :], order="C")
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ class FinitaryParam:
     standard_form: bool = False
 
     def __post_init__(self):
-        initial = np.asarray(self.initial, dtype=float)
+        initial = np.ascontiguousarray(self.initial, dtype=float)
         if initial.ndim != 1:
             raise DimensionMismatchError("initial vector must be 1-D")
         d = initial.shape[0]
@@ -376,11 +377,21 @@ def validate_qrw(
     unitary_tol: float = DEFAULTS.unitary_tol,
     trace_tol: float = DEFAULTS.trace_tol,
 ) -> ValidationReport:
-    """Check wave normalization, unitarity, and graph locality of the evolution."""
+    """Check wave normalization, unitarity, and graph locality of the evolution.
+
+    A wave or a unitary with a non-finite entry is reported by name, and
+    the checks that compute with it are skipped.
+    """
     report = ValidationReport()
-    norm = float(np.linalg.norm(qrw.wave))
-    if abs(norm - 1.0) > trace_tol:
-        report.add("wave-norm", f"initial wave norm is {norm!r}, expected 1", ("wave",))
+    if not np.isfinite(qrw.wave).all():
+        report.add("non-finite", "initial wave has a non-finite entry", ("wave",))
+    else:
+        norm = float(np.linalg.norm(qrw.wave))
+        if abs(norm - 1.0) > trace_tol:
+            report.add("wave-norm", f"initial wave norm is {norm!r}, expected 1", ("wave",))
+    if not np.isfinite(qrw.unitary).all():
+        report.add("non-finite", "evolution operator has a non-finite entry", ("unitary",))
+        return report
     if not is_unitary(qrw.unitary, unitary_tol):
         report.add("not-unitary", "evolution operator is not unitary", ("unitary",))
     n, k = len(qrw.nodes), qrw.coin_count

@@ -415,6 +415,22 @@ class TestQrwToQmc:
                 qrw_collapse_prob(qrw, word), abs=1e-10
             )
 
+    @pytest.mark.parametrize("nodes, coins", [(1, 1), (2, 1), (2, 2), (3, 2), (5, 1), (4, 2)])
+    def test_node_operators_are_the_per_node_kraus_maps(self, nodes, coins):
+        # one batched Kraus product per walk (one node at a time from ambient
+        # dimension 8) gives from_kraus's coordinates, bit for bit
+        rng = np.random.default_rng(100 * nodes + coins)
+        for _ in range(5):
+            qrw = random_local_qrw(rng, nodes, coins)
+            chain = qk.qrw_to_qmc(qrw)
+            owner = np.arange(qrw.dim) // coins
+            for i, node in enumerate(qrw.nodes):
+                kraus = np.diag((owner == i).astype(complex)) @ qrw.unitary
+                expected = SuperOperator.from_kraus(chain.subspace, kraus).matrix
+                assert np.array_equal(
+                    chain.letter_ops[node].matrix.view(np.uint64), expected.view(np.uint64)
+                )
+
     def test_invalid_walk_rejected(self, qrw_hadamard):
         broken = qk.QrwParam(
             qrw_hadamard.nodes,
@@ -540,11 +556,27 @@ class TestFinitaryToQpm:
             qk.finitary_to_qpm(finitary)
         chain = qk.finitary_to_qpm(finitary, preserve_tol=1e-9)
         assert qk.validate_chain(chain, preserve_tol=1e-9).ok
-        # the findings print plain floats, not numpy scalar reprs
+        # the findings print plain floats, not numpy scalar reprs; they are
+        # the loader's findings for this chain's file, bit for bit
         assert [v.message for v in qk.validate_chain(chain).violations] == [
             "summed operators change the trace of basis element 7 by 1.2357159739906365e-10",
-            "summed operators change the trace of basis element 10 by -1.0598388833216177e-10",
+            "summed operators change the trace of basis element 10 by -1.0598399935446423e-10",
         ]
+
+    def test_an_in_memory_predictor_evaluates_as_its_file(self, tmp_path):
+        # the operators are stored C-contiguous, as the loader stores them, so
+        # the converted chain and its saved copy run the same BLAS calls
+        for seed in range(40):
+            hmm = random_hmm(np.random.default_rng(seed))
+            chain = qk.finitary_to_qpm(qk.hmm_to_finitary(hmm))
+            path = tmp_path / f"qpm{seed}.json"
+            qk.save_model(chain, path)
+            loaded = qk.load_model(path)
+            words = qk.words_up_to(chain.alphabet, 4)
+            mine = np.array([qk.chain_eval(chain, w) for w in words])
+            theirs = np.array([qk.chain_eval(loaded, w) for w in words])
+            assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64)), seed
+            assert qk.validate_chain(chain).messages() == qk.validate_chain(loaded).messages()
 
     def test_rejects_non_process_parametrization(self):
         broken = qk.FinitaryParam(
@@ -628,6 +660,15 @@ class TestValidateChain:
         )
         report = qk.validate_chain(scaled)
         assert any(v.code == "trace-preservation" for v in report.violations)
+
+    @pytest.mark.parametrize("kind", [ChainKind.QMC, ChainKind.QPM])
+    def test_a_non_finite_operator_is_named_and_certifies_nothing(self, kind):
+        chain = single_letter_chain([[1.0, np.nan], [0.0, 1.0]], [0.5, 0.5], kind)
+        report = qk.validate_chain(chain)
+        assert [(v.code, v.message, v.where) for v in report.violations] == [
+            ("non-finite", "operator 'a' has a non-finite coordinate entry", ("operators", "a"))
+        ]
+        assert report.evidence == []
 
     def test_signed_density_fails_as_markov_chain(self):
         diag = np.array([-1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3])

@@ -89,7 +89,13 @@ def test_every_model_family_lowers():
         form = process.linear
         assert form.initial.shape == form.end.shape == (form.dim,)
         assert form.matrices.shape == (len(process.alphabet), form.dim, form.dim)
-        assert all(array.dtype == np.float64 for array in form)
+        assert all(array.dtype == np.float64 and array.flags.c_contiguous for array in form)
+    # every chain keeps the layout that word_value's .dot calls are made on
+    chains = [random_qmc(rng, flavor) for flavor in ("hmm", "povm", "unitary", "qrw")]
+    chains += [dyadic_qpm(rng), qk.finitary_to_qpm(qk.hmm_to_finitary(random_hmm(rng)))]
+    for chain in chains:
+        arrays = (*chain.letter_matrices, chain.initial_coords, chain.subspace.traces)
+        assert all(array.dtype == np.float64 and array.flags.c_contiguous for array in arrays)
 
 
 class TestFactorisedSweeps:

@@ -254,6 +254,23 @@ class TestQrw:
         )
         assert any(v.code == "wave-norm" for v in report.violations)
 
+    @pytest.mark.parametrize("field", ["unitary", "wave"])
+    def test_a_non_finite_entry_is_named_not_raised(self, qrw_hadamard, field):
+        arrays = {"unitary": qrw_hadamard.unitary.copy(), "wave": qrw_hadamard.wave.copy()}
+        arrays[field][0] = np.nan
+        walk = qk.QrwParam(
+            qrw_hadamard.nodes,
+            qrw_hadamard.edges,
+            qrw_hadamard.coins,
+            arrays["unitary"],
+            arrays["wave"],
+        )
+        what = {"unitary": "evolution operator", "wave": "initial wave"}[field]
+        report = qk.validate_qrw(walk)
+        assert [(v.code, v.message, v.where) for v in report.violations] == [
+            ("non-finite", f"{what} has a non-finite entry", (field,))
+        ]
+
     def test_identity_evolution_keeps_wave(self):
         nodes = qk.Alphabet(("a", "b"))
         qrw = qk.QrwParam(
