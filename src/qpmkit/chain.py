@@ -392,7 +392,7 @@ class SuperOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float, order="C")
         d = self.subspace.dim
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"coordinate matrix must be {d}x{d}, got {mat.shape}")

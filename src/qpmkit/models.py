@@ -50,7 +50,7 @@ __all__ = [
 
 def _as_float_matrix(value, shape, what: str) -> np.ndarray:
     """``value`` as a C-contiguous float64 array of ``shape`` with finite entries."""
-    mat = np.ascontiguousarray(value, dtype=float)
+    mat = np.asarray(value, dtype=float, order="C")
     if mat.shape != shape:
         raise DimensionMismatchError(f"{what} must have shape {shape}, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -219,7 +219,7 @@ class FinitaryParam:
     standard_form: bool = False
 
     def __post_init__(self):
-        initial = np.ascontiguousarray(self.initial, dtype=float)
+        initial = np.asarray(self.initial, dtype=float, order="C")
         if initial.ndim != 1:
             raise DimensionMismatchError("initial vector must be 1-D")
         d = initial.shape[0]
