@@ -6,7 +6,7 @@ import pytest
 
 import qpmkit as qk
 from qpmkit import models
-from qpmkit.errors import AlphabetError, SamplingError, ValidationError
+from qpmkit.errors import AlphabetError, DimensionMismatchError, SamplingError, ValidationError
 from qpmkit.io import load_model
 
 from conftest import FIXTURES
@@ -173,6 +173,17 @@ class TestFinitaryEval:
         total = sum(qk.finitary_eval(finitary, w) for w in qk.words_of_length(AB, depth))
         assert total == pytest.approx(1.0, abs=1e-10)
 
+
+    def test_arrays_are_stored_c_contiguous_and_keep_their_shape(self):
+        # transposed views are copied into the layout word_value runs on; a
+        # scalar is not a 1-element vector
+        matrix = np.array([[0.5, 0.0], [0.25, 0.25]]).T
+        param = qk.FinitaryParam(AB, {"a": matrix, "b": matrix}, np.ones(4)[::2] / 2, [1.0, 1.0])
+        arrays = (*param.letter_matrices.values(), param.initial, param.end)
+        assert all(array.flags.c_contiguous for array in arrays)
+        assert np.array_equal(param.letter_matrices["a"], matrix)
+        with pytest.raises(DimensionMismatchError, match="initial vector must be 1-D"):
+            qk.FinitaryParam(qk.Alphabet(("a",)), {"a": [[1.0]]}, 1.0, [1.0])
 
 class TestStandardize:
     def test_round_trip_preserves_process(self, hmm2):
