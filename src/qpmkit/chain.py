@@ -558,15 +558,13 @@ def validate_chain(
     """
     report = ValidationReport()
     sub = chain.subspace
-    finite = True
-    for symbol in chain.alphabet:
-        if not np.isfinite(chain.letter_ops[symbol].matrix).all():
-            finite = False
-            report.add(
-                "non-finite",
-                f"operator {symbol!r} has a non-finite coordinate entry",
-                ("operators", symbol),
-            )
+    broken = [a for a in chain.alphabet if not np.isfinite(chain.letter_ops[a].matrix).all()]
+    for symbol in broken:
+        report.add(
+            "non-finite",
+            f"operator {symbol!r} has a non-finite coordinate entry",
+            ("operators", symbol),
+        )
     try:
         coords = sub.expand(chain.initial.matrix, check=True, tol=recon_tol)
     except SubspaceError as exc:
@@ -576,7 +574,7 @@ def validate_chain(
     trace = float(coords @ sub.traces)
     if abs(trace - 1.0) > trace_tol:
         report.add("initial-trace", f"tr of the initial density is {trace!r}", ("initial",))
-    if not finite:
+    if broken:
         return report
 
     drift = chain.total_matrix @ sub.traces - sub.traces
