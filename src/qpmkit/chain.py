@@ -39,7 +39,7 @@ from .models import (
     QrwParam,
     _standard_form,
     finitary_process,
-    hmm_to_finitary,
+    validate_hmm,
     validate_qrw,
 )
 from .process import (
@@ -154,8 +154,9 @@ def _is_hermitian_basis(stack: np.ndarray) -> bool:
 class OperatorSubspace:
     """A real-linear subspace of Hermitian matrices, given by an ordered basis.
 
-    Coordinates are row vectors against the basis; expansion solves the
-    Gram system and can verify membership by reconstruction error.
+    Coordinates are row vectors against the basis.  :meth:`expand_all`
+    is the one expansion: it reads them off a stack of matrices and
+    checks each matrix's membership by its reconstruction error.
     """
 
     def __init__(self, basis, hermitian_tol: float = DEFAULTS.hermitian_tol):
@@ -217,26 +218,14 @@ class OperatorSubspace:
     def traces(self) -> np.ndarray:
         return self._traces
 
-    def expand(self, matrix, check: bool = True, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
-        """Coordinates of a Hermitian matrix over the basis.
-
-        With ``check`` the reconstruction error is compared against
-        ``tol`` and a :class:`SubspaceError` raised for non-members.
-        """
-        mat = as_complex_matrix(matrix)
+    def expand(self, matrix, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
+        """Coordinates of one Hermitian matrix: :meth:`expand_all` of a stack of one."""
+        mat = np.asarray(matrix, dtype=complex)
         if mat.shape != self._basis[0].shape:
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match ambient {self._basis[0].shape}"
             )
-        rhs = (self._flat_conj @ mat.reshape(-1)).real
-        coords = self._gram_solve(rhs)
-        if check:
-            error = float(np.linalg.norm(self.reconstruct(coords) - mat))
-            if error > tol:
-                raise SubspaceError(
-                    f"matrix lies outside the subspace (reconstruction error {error:.3e})"
-                )
-        return coords
+        return self.expand_all(mat[None], tol)[0]
 
     def expand_all(self, matrices, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
         """Coordinate rows of a stack of matrices, each checked for membership.
@@ -246,9 +235,10 @@ class OperatorSubspace:
         ``−√2·Im`` of the upper triangle, interleaved in
         :func:`hermitian_basis` order; a matrix's reconstruction error is
         then its distance to the Hermitian matrices.  Any other basis takes
-        one Gram solve for the whole stack.  The first matrix whose error
-        exceeds ``tol`` raises the :class:`SubspaceError` that
-        :meth:`expand` raises for it.
+        one Gram solve for the whole stack.  Non-finite input, or
+        coordinates that overflow, raise ``ValueError("array must not
+        contain infs or NaNs")``; otherwise the first matrix whose error
+        exceeds ``tol`` raises a :class:`SubspaceError`.
         """
         mats = np.asarray(matrices, dtype=complex)
         n = self.ambient_dim
@@ -268,13 +258,15 @@ class OperatorSubspace:
             rhs = (self._flat_conj @ mats.reshape(len(mats), -1).T).real
             coords = self._gram_solve(rhs).T
             errors = np.linalg.norm(self.reconstruct(coords) - mats, axis=(1, 2))
-        outside = np.flatnonzero(errors > tol)
-        if outside.size:
-            raise SubspaceError(
-                "matrix lies outside the subspace "
-                f"(reconstruction error {errors[outside[0]]:.3e})"
-            )
-        return coords
+        # a non-finite entry gives a non-finite error, which is not <= tol
+        within = errors <= tol
+        if within.all() and np.isfinite(coords).all():
+            return coords
+        if not (np.isfinite(coords).all() and np.isfinite(errors).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        raise SubspaceError(
+            f"matrix lies outside the subspace (reconstruction error {errors[~within][0]:.3e})"
+        )
 
     def reconstruct(self, coords) -> np.ndarray:
         """The matrix with the given coordinates; a stack of coordinate rows gives a stack."""
@@ -347,11 +339,9 @@ class OperatorSubspace:
         LAPACK's Cholesky solve on a diagonal factor multiplies by the same
         reciprocals, so every nonzero entry has its bits (an exact zero may
         differ in sign).  Any other Gram takes a Cholesky factor, built on
-        first use.  Non-finite input raises ``ValueError("array must not
-        contain infs or NaNs")`` on either path.
+        first use.  Non-finite input gives non-finite output on either path,
+        which :meth:`expand_all` refuses.
         """
-        if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
         s = self._inv_sqrt_diag
         if s is None:
             factor = self._cholesky
@@ -405,9 +395,9 @@ class SuperOperator:
         action: Callable[[np.ndarray], np.ndarray],
         tol: float = DEFAULTS.recon_tol,
     ) -> "SuperOperator":
-        """Build the coordinate matrix by applying ``action`` to every basis element."""
-        rows = [subspace.expand(action(b), check=True, tol=tol) for b in subspace.basis]
-        return cls(subspace, np.vstack(rows))
+        """Build the coordinate matrix from ``action``'s images of the basis, in one expansion."""
+        images = np.stack([action(b) for b in subspace.basis])
+        return cls(subspace, subspace.expand_all(images, tol))
 
     @classmethod
     def from_kraus(
@@ -435,7 +425,7 @@ class SuperOperator:
         return np.asarray(coords, dtype=float) @ self.matrix
 
     def apply(self, matrix, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
-        coords = self.subspace.expand(matrix, check=True, tol=tol)
+        coords = self.subspace.expand(matrix, tol)
         return self.subspace.reconstruct(self.apply_coords(coords))
 
 
@@ -566,7 +556,7 @@ def validate_chain(
             ("operators", symbol),
         )
     try:
-        coords = sub.expand(chain.initial.matrix, check=True, tol=recon_tol)
+        coords = sub.expand(chain.initial.matrix, recon_tol)
     except SubspaceError as exc:
         report.add("initial-membership", str(exc), ("initial",))
         return report
@@ -727,7 +717,7 @@ def _positivity_sampling(chain, op, rng, samples):
     sub = chain.subspace
     n = sub.ambient_dim
     try:
-        identity_coords = sub.expand(np.eye(n), check=True, tol=1e-10)
+        identity_coords = sub.expand(np.eye(n), 1e-10)
     except SubspaceError:
         identity_coords = None
     worst = None
@@ -829,11 +819,11 @@ def qrw_to_qmc(
 
 
 def _walk_form(qrw: QrwParam) -> LinearForm:
-    """``chain_process(qrw_to_qmc(qrw)).linear``, bit for bit, with no check and no chain."""
+    """``chain_process(qrw_to_qmc(qrw)).linear``, bit for bit, with no walk check and no chain."""
     sub = OperatorSubspace.full(qrw.dim)
     density = np.outer(qrw.wave, qrw.wave.conj())
     # symmetrised as Density.quantum symmetrises it
-    initial = sub.expand((density + density.conj().T) / 2.0, check=False)
+    initial = sub.expand((density + density.conj().T) / 2.0)
     matrices = np.stack([op.matrix for op in _walk_ops(qrw, sub).values()])
     return LinearForm(initial, matrices, sub.traces)
 
@@ -870,13 +860,13 @@ def _walk_ops(qrw: QrwParam, sub: OperatorSubspace) -> dict[str, SuperOperator]:
 
 
 def hmm_to_qmc(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> QuantumChain:
-    """Represent a hidden Markov model on the diagonal-matrix subspace."""
-    finitary = hmm_to_finitary(hmm, tol)
-    n = hmm.n_states
-    sub = OperatorSubspace.diagonal(n)
-    ops = {
-        a: SuperOperator(sub, finitary.letter_matrices[a]) for a in hmm.alphabet
-    }
+    """Represent a hidden Markov model on the diagonal-matrix subspace.
+
+    The letter operators are read-only views of the model's letter stack.
+    """
+    validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
+    sub = OperatorSubspace.diagonal(hmm.n_states)
+    ops = {a: SuperOperator(sub, m) for a, m in zip(hmm.alphabet, hmm._letter_stack)}
     initial = Density.quantum(np.diag(hmm.initial.astype(complex)), psd_tol=tol)
     return QuantumChain(hmm.alphabet, sub, ops, initial, ChainKind.QMC)
 

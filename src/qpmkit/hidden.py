@@ -414,7 +414,7 @@ def _step_weights(
         # expanded one at a time only to name the first projector that fails
         for label, proj in zip(basis.labels, basis.projectors):
             try:
-                sub.expand(proj, check=True, tol=tol)
+                sub.expand(proj, tol)
             except Exception as exc:
                 raise UnsupportedChainError(
                     f"projector for hidden state {label!r} lies outside the chain's subspace: {exc}"

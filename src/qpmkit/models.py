@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -94,15 +95,25 @@ class HmmParam:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _letter_stack(self) -> np.ndarray:
+        """Letter matrices diag(emission[:, a]) @ transition, C-contiguous in alphabet order.
+
+        Built on first use and read-only, since every evaluation and
+        conversion of this model shares it.
+        """
+        stack = np.multiply(self.emission.T[:, :, None], self.transition[None, :, :], order="C")
+        stack.flags.writeable = False
+        return stack
+
 
 def validate_hmm(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> ValidationReport:
     """List every violated stochasticity constraint, with indices."""
     report = ValidationReport()
     _check_stochastic_matrix(report, hmm.emission, "emission", hmm.states, tol)
     _check_stochastic_matrix(report, hmm.transition, "transition", hmm.states, tol)
-    for i, value in enumerate(hmm.initial):
-        if value < -tol:
-            report.add("negative-entry", f"initial[{i}] = {value!r}", ("initial", i))
+    for i in np.flatnonzero(hmm.initial < -tol).tolist():
+        report.add("negative-entry", f"initial[{i}] = {float(hmm.initial[i])!r}", ("initial", i))
     total = float(hmm.initial.sum())
     if abs(total - 1.0) > tol:
         report.add("row-sum", f"initial distribution sums to {total!r}", ("initial",))
@@ -110,22 +121,25 @@ def validate_hmm(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> ValidationRep
 
 
 def _check_stochastic_matrix(report, matrix, name, states, tol):
-    for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            if value < -tol:
-                report.add("negative-entry", f"{name}[{i}, {j}] = {value!r}", (name, i, j))
-        total = float(row.sum())
-        if abs(total - 1.0) > tol:
+    """Per row, each entry below ``-tol``, then a sum off 1 by more than ``tol``."""
+    negative = matrix < -tol
+    totals = matrix.sum(axis=1)
+    off = np.abs(totals - 1.0) > tol
+    for i in np.flatnonzero(negative.any(axis=1) | off).tolist():
+        for j in np.flatnonzero(negative[i]).tolist():
+            value = float(matrix[i, j])
+            report.add("negative-entry", f"{name}[{i}, {j}] = {value!r}", (name, i, j))
+        if off[i]:
             report.add(
                 "row-sum",
-                f"{name} row {i} ({states[i]}) sums to {total!r}, expected 1",
+                f"{name} row {i} ({states[i]}) sums to {float(totals[i])!r}, expected 1",
                 (name, i),
             )
 
 
 def hmm_eval(hmm: HmmParam, word) -> float:
     """Word probability initial @ M_w1 @ ... @ M_wn @ 1 over the emission-split matrices."""
-    return word_value(hmm.initial, _emission_split(hmm), hmm.alphabet.indices(word))
+    return word_value(hmm.initial, hmm._letter_stack, hmm.alphabet.indices(word))
 
 
 def hmm_process(hmm: HmmParam) -> Process:
@@ -134,13 +148,8 @@ def hmm_process(hmm: HmmParam) -> Process:
     return Process(
         hmm.alphabet,
         lambda w: hmm_eval(hmm, w),
-        lowering=lambda: LinearForm(hmm.initial, _emission_split(hmm), np.ones(hmm.n_states)),
+        lowering=lambda: LinearForm(hmm.initial, hmm._letter_stack, np.ones(hmm.n_states)),
     )
-
-
-def _emission_split(hmm: HmmParam) -> np.ndarray:
-    """Letter matrices diag(emission[:, a]) @ transition, stacked C-contiguous in alphabet order."""
-    return np.multiply(hmm.emission.T[:, :, None], hmm.transition[None, :, :], order="C")
 
 
 @dataclass(frozen=True)
@@ -249,7 +258,8 @@ class FinitaryParam:
 def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryParam:
     """Split the transition matrix by emitted symbol; end vector all ones."""
     validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
-    matrices = dict(zip(hmm.alphabet, _emission_split(hmm)))
+    # a copy, so the finitary model's matrices are its own and writable
+    matrices = dict(zip(hmm.alphabet, hmm._letter_stack.copy()))
     ones = np.ones(hmm.n_states)
     return FinitaryParam(hmm.alphabet, matrices, hmm.initial.copy(), ones, standard_form=True)
 

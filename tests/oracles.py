@@ -126,6 +126,34 @@ def locality_reference(qrw, tol: float) -> list:
     return messages
 
 
+def validate_hmm_reference(hmm, tol: float) -> list:
+    """``validate_hmm``'s (code, message, where) triples, entry by entry.
+
+    Per row of the emission and then the transition matrix: each entry
+    below ``-tol``, then the row sum if it is off 1 by more than ``tol``;
+    then the same for the initial distribution.  Values print as floats.
+    """
+    found = []
+    for name, matrix in (("emission", hmm.emission), ("transition", hmm.transition)):
+        for i, row in enumerate(matrix):
+            for j, value in enumerate(row):
+                if value < -tol:
+                    found.append(
+                        ("negative-entry", f"{name}[{i}, {j}] = {float(value)!r}", (name, i, j))
+                    )
+            total = float(row.sum())
+            if abs(total - 1.0) > tol:
+                message = f"{name} row {i} ({hmm.states[i]}) sums to {total!r}, expected 1"
+                found.append(("row-sum", message, (name, i)))
+    for i, value in enumerate(hmm.initial):
+        if value < -tol:
+            found.append(("negative-entry", f"initial[{i}] = {float(value)!r}", ("initial", i)))
+    total = float(hmm.initial.sum())
+    if abs(total - 1.0) > tol:
+        found.append(("row-sum", f"initial distribution sums to {total!r}", ("initial",)))
+    return found
+
+
 def walk_form_reference(qrw) -> tuple:
     """The walk's Kraus superoperators K_a ⊗ conj(K_a), K_a = P_a U, on row-major vec(ρ).
 

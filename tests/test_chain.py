@@ -284,6 +284,88 @@ class TestGramSolve:
                     sub.expand(np.array([[big, big], [big, 0.0]]))
 
 
+def subspace_of_kind(rng, kind: str, n: int) -> OperatorSubspace:
+    """The canonical full basis, the diagonal units, or a full basis with a dense Gram."""
+    if kind == "full":
+        return OperatorSubspace.full(n)
+    if kind == "diagonal":
+        return OperatorSubspace.diagonal(n)
+    mix = rng.normal(size=(n * n, n * n)) + 3.0 * np.eye(n * n)
+    return OperatorSubspace(np.einsum("ij,jkl->ikl", mix, hermitian_basis(n)))
+
+
+# A 2x2 matrix with finite entries whose coordinates overflow, and matrices
+# with an inf or a nan on the diagonal, in the upper and in the lower triangle.
+NON_FINITE = [
+    [[1.7e308, 1.7e308], [1.7e308, 0.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [np.inf, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [0.0, 1.0]],
+    [[1.0, 0.0], [np.nan, 1.0]],
+]
+
+
+def refused():
+    return pytest.raises(ValueError, match="array must not contain infs or NaNs")
+
+
+class TestOneExpansion:
+    """``expand`` is ``expand_all`` of one matrix, and ``from_action`` reads as ``from_kraus``."""
+
+    KINDS = st.sampled_from(["full", "diagonal", "dense"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), kind=KINDS)
+    def test_expand_is_expand_all_of_one_matrix(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        sub = subspace_of_kind(rng, kind, n)
+        if kind == "diagonal":
+            matrix = np.diag(rng.normal(size=n)).astype(complex)
+        else:
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            matrix = (raw + raw.conj().T) / 2.0
+        assert sub.expand(matrix).tobytes() == sub.expand_all(matrix[None])[0].tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), kind=KINDS)
+    def test_from_action_is_from_kraus(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        sub = subspace_of_kind(rng, kind, n)
+        kraus = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if kind == "diagonal":
+            # a permuted diagonal maps diagonal matrices to diagonal matrices
+            kraus = np.diag(np.diag(kraus))[rng.permutation(n)]
+        by_action = SuperOperator.from_action(sub, lambda q: kraus @ q @ kraus.conj().T)
+        assert by_action.matrix.tobytes() == SuperOperator.from_kraus(sub, kraus).matrix.tobytes()
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
+    @pytest.mark.parametrize(
+        "matrix",
+        NON_FINITE,
+        ids=["overflow", "inf-diagonal", "inf-lower", "nan-diagonal", "nan-upper", "nan-lower"],
+    )
+    def test_non_finite_input_is_refused(self, dense, matrix):
+        basis = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
+        sub = OperatorSubspace(basis) if dense else OperatorSubspace.full(2)
+        bad = np.array(matrix, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with refused():
+                sub.expand(bad)
+            with refused():
+                sub.expand_all(np.stack([np.eye(2), bad]))
+            with refused():
+                SuperOperator.from_action(sub, lambda q: bad)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
+    def test_overflowing_kraus_images_are_refused(self, dense):
+        rng = np.random.default_rng(4)
+        sub = subspace_of_kind(rng, "dense", 2) if dense else OperatorSubspace.full(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with refused():
+                SuperOperator.from_kraus(sub, np.diag([1e200, 1.0]))
+
+
 class TestSuperOperator:
     def test_from_action_reproduces_matrix(self, rng):
         sub = OperatorSubspace.full(2)

@@ -214,8 +214,8 @@ def test_chain_loads_leave_numpy_random_unloaded(tmp_path):
     # the searches that draw still see the same numbers, letter after letter
     assert result["sampled"] == {
         "pure": [
-            "operator 'a' maps a pure density to eigenvalue -0.14386528409254595",
-            "operator 'b' maps a pure density to eigenvalue -0.2727762264605372",
+            "operator 'a' maps a pure density to eigenvalue -0.14386528409254584",
+            "operator 'b' maps a pure density to eigenvalue -0.2727762264605369",
         ],
         "nonnegative": [
             "operator 'a' maps a nonnegative element to eigenvalue -0.06605243164565094",

@@ -63,15 +63,17 @@ PINNED_DIGESTS = {
     "hmm3 qmc": "d261939cd2ac3d93",
     "hmm2 finitary": "23d0915a0d047276",
     "hmm2 qpm": "4456c8879988e3c6",
-    "hadamard qmc": "f3e946afd2c06f21",
-    "walk8 qmc": "d140e18291b500a0",
-    "walk8 finitary": "d9c52a9902fd5bfa",
+    "hadamard qmc": "cf61a38a282008e0",
+    "walk8 qmc": "da43b45de685a9a1",
+    "walk8 finitary": "c0f537390e04e369",
 }
 
 
 def per_element_walk_chain(qrw) -> qk.QuantumChain:
-    """A walk's chain built one basis element at a time, so its bits do not
-    depend on the closed-form Kraus coordinates."""
+    """A walk's chain built from each node's conjugation map by ``from_action``.
+
+    Its bits are those of the closed-form Kraus coordinates: both routes
+    stack the basis images and read them in one ``expand_all``."""
     sub = qk.OperatorSubspace.full(qrw.dim)
     ops = {
         node: qk.SuperOperator.from_action(sub, lambda q, m=kraus: m @ q @ m.conj().T)

@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit import models
@@ -11,7 +13,7 @@ from qpmkit.io import load_model
 
 from conftest import FIXTURES
 from helpers import random_hmm, random_local_qrw, single_letter_chain
-from oracles import hmm_path_prob, locality_reference, qrw_collapse_prob
+from oracles import hmm_path_prob, locality_reference, qrw_collapse_prob, validate_hmm_reference
 
 AB = qk.Alphabet(("a", "b"))
 
@@ -54,6 +56,61 @@ class TestValidateHmm:
             hmm2.states, hmm2.alphabet, hmm2.emission, [0.6, 0.6], hmm2.transition
         )
         assert any(v.where == ("initial",) for v in qk.validate_hmm(broken).violations)
+
+    def test_negative_entries_print_as_floats(self, hmm2):
+        broken = qk.HmmParam(
+            hmm2.states, hmm2.alphabet, [[1.1, -0.1], [0.2, 0.8]], [1.2, -0.2], hmm2.transition
+        )
+        messages = qk.validate_hmm(broken).messages()
+        assert messages == [
+            "negative-entry at ('emission', 0, 1): emission[0, 1] = -0.1",
+            "negative-entry at ('initial', 1): initial[1] = -0.2",
+        ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k=st.integers(1, 4),
+        tol=st.sampled_from([0.0, 1e-9, 0.05]),
+    )
+    def test_findings_match_the_entry_by_entry_reference(self, seed, n, k, tol):
+        """Defective rows: entries pushed below zero, rows rescaled off one."""
+        rng = np.random.default_rng(seed)
+        hmm = random_hmm(rng, n, k)
+        emission, transition = hmm.emission.copy(), hmm.transition.copy()
+        initial = hmm.initial.copy()
+        for array in (emission, transition, initial[None]):
+            hit = rng.random(array.shape) < 0.3
+            array[hit] -= rng.choice([1e-12, 0.01, 0.5], size=int(hit.sum()))
+            array *= rng.choice([1.0, 1.0 + 1e-12, 1.2], size=(len(array), 1))
+        broken = qk.HmmParam(hmm.states, hmm.alphabet, emission, initial, transition)
+        got = [(v.code, v.message, v.where) for v in qk.validate_hmm(broken, tol).violations]
+        assert got == validate_hmm_reference(broken, tol)
+
+
+class TestHmmLetterStack:
+    def test_built_once_and_read_only(self, hmm2):
+        stack = hmm2._letter_stack
+        assert hmm2._letter_stack is stack and stack.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0.0
+        for a, matrix in zip(hmm2.alphabet, stack):
+            want = np.diag(hmm2.emission[:, hmm2.alphabet.index(a)]) @ hmm2.transition
+            assert np.array_equal(matrix, want)
+
+    def test_readers_share_the_stack(self, hmm2):
+        stack = hmm2._letter_stack
+        assert qk.hmm_process(hmm2).linear.matrices is stack
+        chain = qk.hmm_to_qmc(hmm2)
+        assert all(np.shares_memory(op.matrix, stack) for op in chain.letter_ops.values())
+
+    def test_finitary_matrices_are_writable_copies(self, hmm2):
+        finitary = qk.hmm_to_finitary(hmm2)
+        for a, matrix in finitary.letter_matrices.items():
+            assert matrix.flags.writeable
+            assert not np.shares_memory(matrix, hmm2._letter_stack)
+            assert np.array_equal(matrix, hmm2._letter_stack[hmm2.alphabet.index(a)])
 
 
 class TestHmmToFinitary:
