@@ -17,6 +17,7 @@ from .errors import (
     DegenerateSupportError,
     DimensionMismatchError,
     DivergenceError,
+    NonFiniteError,
     NumericError,
     QpmkitError,
     SamplingError,

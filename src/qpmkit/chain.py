@@ -22,6 +22,7 @@ from .config import DEFAULTS
 from .errors import (
     BasisInsufficiencyError,
     DimensionMismatchError,
+    NonFiniteError,
     SubspaceError,
     ValidationError,
     ValidationReport,
@@ -236,8 +237,8 @@ class OperatorSubspace:
         :func:`hermitian_basis` order; a matrix's reconstruction error is
         then its distance to the Hermitian matrices.  Any other basis takes
         one Gram solve for the whole stack.  Non-finite input, or
-        coordinates that overflow, raise ``ValueError("array must not
-        contain infs or NaNs")``; otherwise the first matrix whose error
+        coordinates that overflow, raise :class:`NonFiniteError` ("array
+        must not contain infs or NaNs"); otherwise the first matrix whose error
         exceeds ``tol`` raises a :class:`SubspaceError`.
         """
         mats = np.asarray(matrices, dtype=complex)
@@ -246,24 +247,25 @@ class OperatorSubspace:
             raise DimensionMismatchError(
                 f"expected a stack of {n}x{n} matrices, got shape {mats.shape}"
             )
-        if self.is_canonical:
-            rows, cols = _upper_indices(n)
-            upper = mats[:, rows, cols]
-            coords = np.empty((len(mats), n * n))
-            coords[:, :n] = np.diagonal(mats, axis1=1, axis2=2).real
-            coords[:, n::2] = _ROOT_TWO * upper.real
-            coords[:, n + 1 :: 2] = -_ROOT_TWO * upper.imag
-            errors = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2)) / 2.0
-        else:
-            rhs = (self._flat_conj @ mats.reshape(len(mats), -1).T).real
-            coords = self._gram_solve(rhs).T
-            errors = np.linalg.norm(self.reconstruct(coords) - mats, axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            if self.is_canonical:
+                rows, cols = _upper_indices(n)
+                upper = mats[:, rows, cols]
+                coords = np.empty((len(mats), n * n))
+                coords[:, :n] = np.diagonal(mats, axis1=1, axis2=2).real
+                coords[:, n::2] = _ROOT_TWO * upper.real
+                coords[:, n + 1 :: 2] = -_ROOT_TWO * upper.imag
+                errors = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2)) / 2.0
+            else:
+                rhs = (self._flat_conj @ mats.reshape(len(mats), -1).T).real
+                coords = self._gram_solve(rhs).T
+                errors = np.linalg.norm(self.reconstruct(coords) - mats, axis=(1, 2))
         # a non-finite entry gives a non-finite error, which is not <= tol
         within = errors <= tol
         if within.all() and np.isfinite(coords).all():
             return coords
         if not (np.isfinite(coords).all() and np.isfinite(errors).all()):
-            raise ValueError("array must not contain infs or NaNs")
+            raise NonFiniteError("array must not contain infs or NaNs")
         raise SubspaceError(
             f"matrix lies outside the subspace (reconstruction error {errors[~within][0]:.3e})"
         )
@@ -418,7 +420,8 @@ class SuperOperator:
         n = subspace.ambient_dim
         if k.shape != (n, n):
             raise DimensionMismatchError(f"Kraus operator must be {n}x{n}, got {k.shape}")
-        images = k @ subspace.stack @ k.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):  # expand_all refuses the overflow
+            images = k @ subspace.stack @ k.conj().T
         return cls(subspace, subspace.expand_all(images, tol))
 
     def apply_coords(self, coords: np.ndarray) -> np.ndarray:
@@ -853,7 +856,8 @@ def _walk_ops(qrw: QrwParam, sub: OperatorSubspace) -> dict[str, SuperOperator]:
     coords = []
     for lo in range(0, n, batch):
         k = kraus[lo : lo + batch, None]
-        images = k @ sub.stack @ k.conj().transpose(0, 1, 3, 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # expand_all refuses the overflow
+            images = k @ sub.stack @ k.conj().transpose(0, 1, 3, 2)
         flat = sub.expand_all(images.reshape(-1, dim, dim))
         coords.extend(flat.reshape(-1, dim * dim, dim * dim))
     return {node: SuperOperator(sub, matrix) for node, matrix in zip(qrw.nodes, coords)}

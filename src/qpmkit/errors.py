@@ -21,6 +21,10 @@ class NumericError(QpmkitError):
     """A numerical routine failed to produce a usable result."""
 
 
+class NonFiniteError(NumericError, ValueError):
+    """Data or a result holds an infinity or a NaN; a ``ValueError`` as numpy's own refusal is."""
+
+
 class AlphabetError(QpmkitError):
     """A symbol does not belong to the relevant alphabet."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -460,14 +459,28 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
 
     Candidates are visited shortest-word-first and must satisfy
     p(v) = F_v·B_ε > eps so that the normalized rows are process functions.
-    The two-pass Gram-Schmidt runs on the d-column rows of the factor G
-    (``matrix`` = G·Q with orthonormal Q), which have the Hankel rows'
-    norms and inner products; the rank and the largest singular value
-    come from the same cached SVD as :func:`numerical_rank`.
+    A row of the factor G (``matrix`` = G·Q, Q orthonormal, so G keeps the
+    rows' norms and inner products) joins when :func:`_orthonormal_append`,
+    shared with :func:`distinguishing_word`, leaves it a residual above
+    ``eps`` times the largest singular value; the rank and that value come
+    from the same cached SVD as :func:`numerical_rank`.
     Raises :class:`DegenerateSupportError` when the eligible rows cannot
     reach the numerical rank.
     """
     return [hankel.row_words[i] for i in _row_basis_indices(hankel, eps)]
+
+
+def _orthonormal_append(basis: np.ndarray, rank: int, vector: np.ndarray, cut: float) -> bool:
+    """Whether ``vector``'s residual against the orthonormal rows ``basis[:rank]``
+    exceeds ``cut``; if so it is stored, normalised, in ``basis[rank]``.  Two
+    classical Gram-Schmidt passes keep it orthogonal to rounding level."""
+    filled, residual = basis[:rank], vector
+    for _ in range(2):
+        residual = residual - filled.dot(residual).dot(filled)
+    norm = math.sqrt(residual.dot(residual))  # numpy's 2-norm of a real vector, bit for bit
+    if norm > cut:
+        basis[rank] = residual / norm
+    return norm > cut
 
 
 def _row_basis_indices(hankel: TruncatedHankel, eps: float) -> list[int]:
@@ -475,33 +488,28 @@ def _row_basis_indices(hankel: TruncatedHankel, eps: float) -> list[int]:
     target = numerical_rank(hankel, eps)
     if target == 0:
         return []
-    singular_max = float(hankel.singular_values[0])
+    cut = eps * float(hankel.singular_values[0])
     if EPSILON not in hankel.col_words:
         raise ValidationError("Hankel columns must include the empty word")
-    empty = hankel._suffix_states[hankel.col_words.index(EPSILON)]
-    support = hankel._prefix_states @ empty
+    support = hankel._prefix_states @ hankel._suffix_states[hankel.col_words.index(EPSILON)]
 
-    rows = hankel._row_factor
+    basis = np.empty((target, hankel._row_factor.shape[1]))
     chosen: list[int] = []
-    ortho: list[np.ndarray] = []
     for i, weight in enumerate(support.tolist()):
-        if weight <= eps:
-            continue
-        residual = rows[i]
-        for q in ortho:  # two Gram-Schmidt passes for stability
-            residual = residual - q.dot(residual) * q
-        for q in ortho:
-            residual = residual - q.dot(residual) * q
-        norm = math.sqrt(residual.dot(residual))  # numpy's 2-norm of a real vector, bit for bit
-        if norm > eps * singular_max:
+        if weight > eps and _orthonormal_append(basis, len(chosen), hankel._row_factor[i], cut):
             chosen.append(i)
-            ortho.append(residual / norm)
             if len(chosen) == target:
                 return chosen
     raise DegenerateSupportError(
         f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical rank is "
         f"{target} ({np.count_nonzero(support <= eps)} rows skipped for insufficient weight)"
     )
+
+
+# The equivalence search's independence cut, relative to the state's norm: above
+# the ~(d1 + d2)·u that two passes leave on a dependent state (a cut at that level
+# kept spurious directions), far below a difference of weight 1e-9 (rank_eps dropped it).
+_INDEPENDENT = 1e-12
 
 
 def distinguishing_word(
@@ -511,13 +519,13 @@ def distinguishing_word(
 
     With linear forms on both sides this is a breadth-first search over
     the direct-sum automaton (Tzeng 1992).  Every visited word is
-    compared, and a word's forward state joins the basis only when it is
-    independent of the basis so far (relative residual above
-    ``rank_eps``); the basis has at most d1 + d2 vectors, so the search
-    costs O((d1 + d2)^3 |A|).  Once no new independent state appears,
-    every word's state is a combination of visited ones and the
-    processes agree everywhere.  Words are visited shortest first, and
-    in exact arithmetic the returned word has minimal length.
+    compared, and a word's forward state joins the basis when
+    :func:`_orthonormal_append`, shared with :func:`select_row_basis`,
+    leaves a residual above ``_INDEPENDENT`` (1e-12) times its norm; the
+    basis has at most d1 + d2 vectors, so the search costs
+    O((d1 + d2)^3 |A|).  Once no new independent state appears, every
+    word's state is a combination of visited ones, and a verdict of
+    None rests on the visited words.  Words are visited shortest first.
     """
     if first.alphabet.symbols != second.alphabet.symbols:
         raise DimensionMismatchError("processes must share an alphabet")
@@ -527,36 +535,17 @@ def distinguishing_word(
     mats[:, :d, :d] = one.matrices
     mats[:, d:, d:] = two.matrices
     probe = np.concatenate([one.end, -two.end])
-    # orthonormal rows, the first ``rank`` of them filled; independent rows
-    # of R^(d1+d2) number at most d1 + d2, and a full basis takes no more
+    # orthonormal rows, one per kept state: R^(d1+d2) holds at most d1 + d2
     basis = np.empty((d + two.dim, d + two.dim))
-    rank = 0
-    queue: deque = deque()
-
-    def visit(word: Word, state: np.ndarray) -> bool:
-        nonlocal rank
+    kept: list = []  # (word, state), read by ``children`` while it grows
+    children = ((w + (a,), grown) for w, s in kept for a, grown in zip(first.alphabet, s @ mats))
+    root = (EPSILON, np.concatenate([one.initial, two.initial]))
+    for word, state in itertools.chain([root], children):  # breadth first
         if abs(state.dot(probe)) > tol:
-            return True
-        if rank == len(basis):  # the basis spans every state
-            return False
-        filled = basis[:rank]
-        residual = state
-        for _ in range(2):  # two Gram-Schmidt passes for stability
-            residual = residual - filled.dot(residual).dot(filled)
-        norm = math.sqrt(residual.dot(residual))  # numpy's 2-norm of a real vector, bit for bit
-        if norm > DEFAULTS.rank_eps * math.sqrt(state.dot(state)):
-            basis[rank] = residual / norm
-            rank += 1
-            queue.append((word, state))
-        return False
-
-    if visit(EPSILON, np.concatenate([one.initial, two.initial])):
-        return EPSILON
-    while queue:
-        word, state = queue.popleft()
-        for symbol, grown in zip(first.alphabet, state @ mats):
-            if visit(word + (symbol,), grown):
-                return word + (symbol,)
+            return word
+        cut = _INDEPENDENT * math.sqrt(state.dot(state))
+        if len(kept) < len(basis) and _orthonormal_append(basis, len(kept), state, cut):
+            kept.append((word, state))
     return None
 
 

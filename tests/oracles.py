@@ -15,6 +15,7 @@ import numpy as np
 from qpmkit.errors import (
     BasisInsufficiencyError,
     ConsistencyError,
+    DegenerateSupportError,
     DivergenceError,
     NumericError,
     SamplingError,
@@ -457,6 +458,27 @@ def equivalent_by_enumeration(first, second, horizon: int, tol: float = 1e-9) ->
     return True
 
 
+def shortest_difference_by_enumeration(first, second, horizon: int, tol: float = 1e-9):
+    """The shortlex-first word of at most ``horizon`` letters on which two
+    processes differ by more than ``tol``, or None.
+
+    A process's value never grows when a letter is appended, so a word on
+    which both values are at most ``tol`` has no extension on which they
+    differ by more, and its extensions are not enumerated.
+    """
+    level = [()]
+    for _ in range(horizon + 1):
+        grown = []
+        for word in level:
+            one, two = first(word), second(word)
+            if abs(one - two) > tol:
+                return word
+            if max(one, two) > tol:
+                grown.extend(word + (symbol,) for symbol in first.alphabet.symbols)
+        level = grown
+    return None
+
+
 def viterbi_reference(chain, basis, symbols):
     """Maximum-weight hidden path by carrying every candidate's full path.
 
@@ -800,4 +822,40 @@ def row_basis_reference(hankel, eps: float = 1e-8) -> list:
     raise ValueError(
         f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical "
         f"rank is {target} ({skipped} rows skipped for insufficient weight)"
+    )
+
+
+def row_basis_indices_reference(hankel, eps: float = 1e-8) -> list:
+    """The row search of ``select_row_basis`` as indices, one basis row at a time.
+
+    Two modified Gram-Schmidt passes, each subtracting the basis rows one
+    by one, on the rows of the Hankel's factor G; the rank, the cut
+    ``eps`` times the largest singular value and the eligibility
+    p(v) > ``eps`` are the library's.  Raises the library's
+    ``DegenerateSupportError`` with its message when the eligible rows
+    cannot reach the rank.
+    """
+    singulars = hankel.singular_values
+    if singulars.size == 0 or singulars[0] <= 0.0:
+        return []
+    target = int(np.sum(singulars > eps * singulars[0]))
+    empty = hankel._suffix_states[hankel.col_words.index(())]
+    support = hankel._prefix_states @ empty
+    chosen, ortho = [], []
+    for i, weight in enumerate(support.tolist()):
+        if weight <= eps:
+            continue
+        residual = hankel._row_factor[i]
+        for _ in range(2):
+            for q in ortho:
+                residual = residual - q.dot(residual) * q
+        norm = math.sqrt(residual.dot(residual))
+        if norm > eps * float(singulars[0]):
+            chosen.append(i)
+            ortho.append(residual / norm)
+            if len(chosen) == target:
+                return chosen
+    raise DegenerateSupportError(
+        f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical rank is "
+        f"{target} ({np.count_nonzero(support <= eps)} rows skipped for insufficient weight)"
     )

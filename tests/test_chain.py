@@ -17,6 +17,9 @@ from qpmkit.chain import (
 from qpmkit.errors import (
     BasisInsufficiencyError,
     DimensionMismatchError,
+    NonFiniteError,
+    NumericError,
+    QpmkitError,
     SubspaceError,
     ValidationError,
 )
@@ -364,6 +367,46 @@ class TestOneExpansion:
         with np.errstate(over="ignore", invalid="ignore"):
             with refused():
                 SuperOperator.from_kraus(sub, np.diag([1e200, 1.0]))
+
+
+NON_FINITE_IDS = ["overflow", "inf-diagonal", "inf-lower", "nan-diagonal", "nan-upper", "nan-lower"]
+
+
+class TestNonFiniteRefusal:
+    """The refusals above, with warnings as errors and no ``np.errstate``: a
+    ``RuntimeWarning`` on the way would be raised in place of the refusal."""
+
+    def test_the_refusal_is_a_library_error_and_a_value_error(self):
+        assert issubclass(NonFiniteError, NumericError) and issubclass(NonFiniteError, ValueError)
+        assert issubclass(NumericError, QpmkitError)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
+    @pytest.mark.parametrize("matrix", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_input(self, dense, matrix):
+        basis = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
+        sub = OperatorSubspace(basis) if dense else OperatorSubspace.full(2)
+        bad = np.array(matrix, dtype=complex)
+        message = "array must not contain infs or NaNs"
+        with pytest.raises(NonFiniteError, match=message):
+            sub.expand(bad)
+        with pytest.raises(NonFiniteError, match=message):
+            sub.expand_all(np.stack([np.eye(2), bad]))
+        with pytest.raises(NonFiniteError, match=message):
+            SuperOperator.from_action(sub, lambda q: bad)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
+    def test_overflowing_kraus_images(self, dense):
+        rng = np.random.default_rng(4)
+        sub = subspace_of_kind(rng, "dense", 2) if dense else OperatorSubspace.full(2)
+        with pytest.raises(NonFiniteError, match="array must not contain infs or NaNs"):
+            SuperOperator.from_kraus(sub, np.diag([1e200, 1.0]))
+
+    def test_overflowing_walk_images(self):
+        # the lowering of a walk builds its Kraus images without checking the walk
+        walk = random_local_qrw(np.random.default_rng(1), 2, 1)
+        big = qk.QrwParam(walk.nodes, walk.edges, walk.coins, walk.unitary * 1e200, walk.wave)
+        with pytest.raises(NonFiniteError, match="array must not contain infs or NaNs"):
+            qk.qrw_process(big).linear
 
 
 class TestSuperOperator:

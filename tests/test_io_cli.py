@@ -1137,6 +1137,32 @@ class TestCliCommands:
         gap = qk.hmm_eval(first, word) - qk.hmm_eval(second, word)
         assert abs(gap) > 1e-9
 
+    def test_equiv_finds_a_difference_carried_by_a_rarely_reached_state(self, tmp_path):
+        # s2 is entered with weight 1e-9 and emits "a" in one model, "b" in the other:
+        # p("aaa") is 1.0 against 0.9999999980000001, so "aaa" differs by 2e-9 > --tol
+        eps = 1e-9
+        paths = []
+        for name, last_emission in (("a", [1.0, 0.0]), ("b", [0.0, 1.0])):
+            payload = {
+                "states": ["s0", "s1", "s2"],
+                "initial": [1.0, 0.0, 0.0],
+                "transition": [[1 - eps, 0.0, eps], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                "emission": [[1.0, 0.0], [1.0, 0.0], last_emission],
+            }
+            path = tmp_path / f"rare_{name}.json"
+            path.write_text(
+                json.dumps(
+                    {"schema_version": "1", "kind": "hmm", "alphabet": ["a", "b"], "payload": payload}
+                )
+            )
+            paths.append(str(path))
+        code, report = _run_json(["equiv", *paths, "--tol", "1e-9"])
+        assert code == 0
+        assert report["results"]["equivalent"] is False
+        assert report["results"]["witness"] == "aaa"
+        first, second = (load_model(path) for path in paths)
+        assert qk.hmm_eval(first, "aaa") - qk.hmm_eval(second, "aaa") > 1e-9
+
     def test_equiv_of_a_walk_with_itself_is_fast(self):
         # declared dimensions 16 + 16: comparing every word up to length 32 is out of reach
         path = str(FIXTURES / "qrw_hadamard.json")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qpmkit as qk
 from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
 from qpmkit.errors import AlphabetError, DegenerateSupportError
-from qpmkit.process import TruncatedHankel
+from qpmkit.process import TruncatedHankel, _row_basis_indices
 
 from helpers import (
     random_hmm,
@@ -29,7 +29,9 @@ from oracles import (
     equivalent_by_enumeration,
     hankel_singular_values,
     prefix_product_reference,
+    row_basis_indices_reference,
     row_basis_reference,
+    shortest_difference_by_enumeration,
     walk_form_reference,
     word_table_reference,
 )
@@ -300,6 +302,26 @@ class TestHankelAnalysis:
             assert qk.numerical_rank(hankel) == 2
             assert fast == slow == [(), ("a",)]
 
+    @PROPERTY
+    @given(SEEDS)
+    def test_row_search_is_the_one_row_at_a_time_reference(self, seed):
+        # the shared independence test subtracts the filled basis in two
+        # matrix-vector products; the reference subtracts it row by row
+        rng = np.random.default_rng(seed)
+        processes = sweep_models(rng) + [qk.finitary_process(dyadic_finitary(rng)) for _ in range(4)]
+        for process in processes:
+            for build in (qk.build_hankel, per_word_hankel):
+                for rows, cols in ((3, 2), (2, 3), (1, 1)):
+                    hankel = build(process, rows, cols)
+                    for eps in (1e-8, 1e-4):
+                        outcomes = []
+                        for pick in (_row_basis_indices, row_basis_indices_reference):
+                            try:
+                                outcomes.append(pick(hankel, eps))
+                            except DegenerateSupportError as exc:
+                                outcomes.append(str(exc))
+                        assert outcomes[0] == outcomes[1]
+
     def test_residual_cutoff_scales_with_the_largest_singular_value(self):
         # row "a" leaves a residual of 5e-6: under rank_eps·σ₁ (σ₁ ≈ 1000), over rank_eps·|row ε|
         words = ((), ("a",), ("b",))
@@ -457,3 +479,84 @@ class TestEquivalence:
         b_loop = b + np.array([[0.0, 0.0], [0.0, 0.5]])
         second = qk.finitary_process(qk.FinitaryParam(ab, {"a": a, "b": b_loop}, start, ones))
         assert qk.distinguishing_word(first, second) == ("b", "b")
+
+
+# Members of the rarely-reached-state family below on which the search misses
+# the shortest word that differs by more than 2·tol within the horizon, or
+# returns a longer witness.  Every visited word differs by at most tol, and the
+# missed word's state is a combination of visited states whose differences add
+# up past 2·tol: a limit of comparing visited words at a tolerance, which no
+# independence cut removes.
+TOLERANCE_MISSES = {
+    (4, 1e-7, "transition"),
+    (9, 1e-7, "transition"),
+    (11, 1e-7, "transition"),
+    (26, 1e-7, "transition"),
+    (27, 1e-7, "transition"),
+}
+
+
+def rare_state_pair(seed: int, eps: float, row: str):
+    """Two 3- or 4-state HMMs whose last state is entered with weight ``eps`` from
+    every other state and never at the start, and whose emission or transition
+    row for that state differs."""
+    rng = np.random.default_rng(seed)
+    hmm = random_hmm(rng, int(rng.integers(3, 5)), 2)
+    transition = hmm.transition.copy()
+    transition[:-1, :-1] *= (1 - eps) / transition[:-1, :-1].sum(axis=1, keepdims=True)
+    transition[:-1, -1] = eps
+    initial = hmm.initial.copy()
+    initial[-1] = 0.0
+    initial /= initial.sum()
+    emission, other_emission, other_transition = hmm.emission, hmm.emission.copy(), transition.copy()
+    if row == "emission":
+        other_emission[-1] = random_stochastic_rows(rng, 1, 2)[0]
+    else:
+        other_transition[-1] = random_stochastic_rows(rng, 1, hmm.n_states)[0]
+    first = qk.HmmParam(hmm.states, hmm.alphabet, emission, initial, transition)
+    second = qk.HmmParam(hmm.states, hmm.alphabet, other_emission, initial, other_transition)
+    return qk.hmm_process(first), qk.hmm_process(second)
+
+
+def search_against_enumeration(first, second, tol: float = 1e-9):
+    """(witness, missed): ``distinguishing_word``'s witness, checked to differ by
+    more than ``tol``, and whether it misses the shortest word that enumeration
+    to horizon d1 + d2 finds differing by more than 2·tol, or is longer."""
+    horizon = first.linear.dim + second.linear.dim
+    shortest = shortest_difference_by_enumeration(first, second, horizon, 2 * tol)
+    witness = qk.distinguishing_word(first, second, tol)
+    if witness is not None:
+        assert len(witness) <= horizon
+        assert abs(first(witness) - second(witness)) > tol
+    return witness, shortest is not None and (witness is None or len(witness) > len(shortest))
+
+
+class TestNearEquivalence:
+    """Pairs that differ by little, against enumeration at twice the tolerance.
+
+    A witness may differ by between tol and 2·tol where no word differs by
+    more than 2·tol; the search returns a witness whenever enumeration finds a
+    word that does, no longer than the shortest one, except on the members
+    listed in ``TOLERANCE_MISSES``.
+    """
+
+    @pytest.mark.parametrize("row", ["emission", "transition"])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+    def test_difference_in_a_rarely_reached_state(self, eps, row):
+        found = 0
+        for seed in range(30):
+            witness, missed = search_against_enumeration(*rare_state_pair(seed, eps, row))
+            assert missed == ((seed, eps, row) in TOLERANCE_MISSES), seed
+            found += witness is not None
+        if eps >= 1e-7:  # differences of this weight show
+            assert found
+        if eps == 1e-13:  # within tol on every word up to the horizon
+            assert not found
+
+    def test_walk_rotated_by_1e_9(self):
+        # one coin per node: the rotation mixes the amplitudes of nodes n0 and n1
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            walk = random_local_qrw(rng, int(rng.integers(2, 5)), 1)
+            pair = qk.qrw_process(walk), qk.qrw_process(rotated_walk(walk, 1e-9))
+            assert not search_against_enumeration(*pair)[1]
