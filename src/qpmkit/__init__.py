@@ -85,13 +85,13 @@ from .chain import (
     ChainKind,
     OperatorSubspace,
     QuantumChain,
-    SuperOperator,
     as_qpm,
     chain_eval,
     chain_process,
     finitary_to_qpm,
     hermitian_basis,
     hmm_to_qmc,
+    kraus_coords,
     povm_to_qmc,
     qpm_to_finitary,
     qrw_to_qmc,

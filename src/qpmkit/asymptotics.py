@@ -283,10 +283,12 @@ def _spectral_average(orbit: _Orbit):
 
     Returns the projected coordinates and the spectrum's fields of
     :class:`CesaroResult`: ``spectral_gap``, 1 minus the largest modulus
-    off the cluster (``None`` if there is none); ``peripheral_spectrum``,
-    the eigenvalues within ``_CLUSTER_TOL`` of the unit circle sorted by
-    angle, where any other than 1 keep the orbit rotating and only its
-    average converges; ``fixed_space_dim``, the cluster's size; and
+    off the cluster (``None`` if there is none), exactly 0.0 when an
+    eigenvalue off it is peripheral, so that rounding never reads as
+    decay; ``peripheral_spectrum``, the eigenvalues within
+    ``_CLUSTER_TOL`` of the unit circle sorted by angle, where any other
+    than 1 keep the orbit rotating and only its average converges;
+    ``fixed_space_dim``, the cluster's size; and
     ``projector_condition``, the projector's norm ‖(L*R)⁻¹‖, which is 1
     when it is orthogonal.
     """
@@ -307,7 +309,8 @@ def _spectral_average(orbit: _Orbit):
             f"eigenvalue-one cluster is defective (off-diagonal mass {defect:.3e}); "
             "incompatible with a bounded orbit"
         )
-    found = _growth(a, eigenvalues, _peripheral(eigenvalues[~near]))
+    rotating = _peripheral(eigenvalues[~near])
+    found = _growth(a, eigenvalues, rotating)
     if found:
         raise DivergenceError(found)
     pairing = left.conj().T @ right
@@ -315,8 +318,9 @@ def _spectral_average(orbit: _Orbit):
     imag = float(np.max(np.abs(projected.imag)))
     if imag > 1e-8:
         raise NumericError(f"spectral limit has imaginary residue {imag:.3e}")
+    gap = None if not outside.size else 0.0 if rotating.size else float(1.0 - outside.max())
     return projected.real, {
-        "spectral_gap": float(1.0 - outside.max()) if outside.size else None,
+        "spectral_gap": gap,
         "peripheral_spectrum": tuple(complex(z) for z in _peripheral(eigenvalues)),
         "fixed_space_dim": int(near.sum()),
         "projector_condition": float(np.linalg.norm(np.linalg.inv(pairing), 2)),
@@ -344,7 +348,7 @@ def stationary_word_probability(
     if result is None:
         result = cesaro_limit(chain, **limit_kwargs)
     letters = chain.alphabet.indices(word)
-    return word_value(result.coords, chain.letter_matrices, letters, chain.subspace.traces)
+    return word_value(result.coords, chain.operators, letters, chain.subspace.traces)
 
 
 def stationary_letter_distribution(

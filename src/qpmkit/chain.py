@@ -1,12 +1,13 @@
 """Quantum Markov chains and quantum predictor models.
 
 A chain is a subspace of Hermitian matrices, one real-linear operator per
-alphabet symbol (stored as a coordinate matrix over the subspace basis),
-and an initial density.  Markov chains additionally require a positive
-initial density and positivity-preserving letter operators; predictor
-models only require unit trace, trace preservation and word probabilities
-in [0, 1].  Word probabilities are traces of the composed letter
-operators applied to the initial density, first letter applied first.
+alphabet symbol (stored as a coordinate matrix over the subspace basis,
+the matrices stacked in alphabet order), and an initial density.  Markov
+chains additionally require a positive initial density and
+positivity-preserving letter operators; predictor models only require
+unit trace, trace preservation and word probabilities in [0, 1].  Word
+probabilities are traces of the composed letter operators applied to the
+initial density, first letter applied first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -47,10 +48,10 @@ from .process import (
     Alphabet,
     LinearForm,
     Process,
-    Word,
     _axiom_problems,
     _row_basis_indices,
     build_hankel,
+    format_word,
     word_states,
     word_value,
     words_up_to,
@@ -59,7 +60,7 @@ from .process import (
 __all__ = [
     "hermitian_basis",
     "OperatorSubspace",
-    "SuperOperator",
+    "kraus_coords",
     "ChainKind",
     "QuantumChain",
     "chain_eval",
@@ -370,68 +371,6 @@ class OperatorSubspace:
         return rows, np.take_along_axis(flat, rows, axis=0)
 
 
-@dataclass(frozen=True)
-class SuperOperator:
-    """A real-linear map on an operator subspace, as a coordinate matrix.
-
-    Row ``i`` of ``matrix`` holds the coordinates of the image of the
-    i-th basis element, so coordinate row vectors evolve by right
-    multiplication.  The matrix is stored C-contiguous, the layout on
-    which a chain evaluates exactly as its saved file does.
-    """
-
-    subspace: OperatorSubspace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float, order="C")
-        d = self.subspace.dim
-        if mat.shape != (d, d):
-            raise DimensionMismatchError(f"coordinate matrix must be {d}x{d}, got {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_action(
-        cls,
-        subspace: OperatorSubspace,
-        action: Callable[[np.ndarray], np.ndarray],
-        tol: float = DEFAULTS.recon_tol,
-    ) -> "SuperOperator":
-        """Build the coordinate matrix from ``action``'s images of the basis, in one expansion."""
-        images = np.stack([action(b) for b in subspace.basis])
-        return cls(subspace, subspace.expand_all(images, tol))
-
-    @classmethod
-    def from_kraus(
-        cls,
-        subspace: OperatorSubspace,
-        kraus,
-        tol: float = DEFAULTS.recon_tol,
-    ) -> "SuperOperator":
-        """Coordinate matrix of the Kraus map Q ↦ K Q K* in one pass.
-
-        The whole basis stack is conjugated at once (``K @ B @ K*``) and
-        :meth:`OperatorSubspace.expand_all` reads the coordinates off the
-        images: in closed form on the canonical full basis, by one Gram
-        solve otherwise.  An image outside the subspace raises
-        :class:`SubspaceError` as :meth:`from_action` does.
-        """
-        k = as_complex_matrix(kraus)
-        n = subspace.ambient_dim
-        if k.shape != (n, n):
-            raise DimensionMismatchError(f"Kraus operator must be {n}x{n}, got {k.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # expand_all refuses the overflow
-            images = k @ subspace.stack @ k.conj().T
-        return cls(subspace, subspace.expand_all(images, tol))
-
-    def apply_coords(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=float) @ self.matrix
-
-    def apply(self, matrix, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
-        coords = self.subspace.expand(matrix, tol)
-        return self.subspace.reconstruct(self.apply_coords(coords))
-
-
 @lru_cache(maxsize=4)
 def _full_subspace(n: int) -> OperatorSubspace:
     """:meth:`OperatorSubspace.full`, its arrays read-only since every caller shares them."""
@@ -463,23 +402,30 @@ class ChainKind(Enum):
 
 @dataclass(frozen=True)
 class QuantumChain:
-    """Letter-indexed superoperators over a common subspace plus an initial density."""
+    """Letter operators over a common subspace plus an initial density.
+
+    ``operators[i]`` is the coordinate matrix of the i-th alphabet
+    symbol's operator: its row j holds the coordinates of the image of
+    the j-th basis element, so coordinate rows evolve by right
+    multiplication.  The stack is stored as one C-contiguous float64
+    ``(len(alphabet), dim, dim)`` array, the layout on which a chain
+    evaluates exactly as its saved file does.
+    """
 
     alphabet: Alphabet
     subspace: OperatorSubspace
-    letter_ops: dict[str, SuperOperator]
+    operators: np.ndarray
     initial: Density
     kind: ChainKind
 
     def __post_init__(self):
-        for symbol in self.alphabet:
-            if symbol not in self.letter_ops:
-                raise ValidationError(f"missing operator for symbol {symbol!r}")
-            if self.letter_ops[symbol].subspace is not self.subspace:
-                raise ValidationError("letter operators must share the chain's subspace")
-        extra = set(self.letter_ops) - set(self.alphabet.symbols)
-        if extra:
-            raise ValidationError(f"operators for unknown symbols: {sorted(extra)}")
+        ops = np.asarray(self.operators, dtype=float, order="C")
+        d = self.subspace.dim
+        if ops.shape != (len(self.alphabet), d, d):
+            raise DimensionMismatchError(
+                f"operator stack must have shape {(len(self.alphabet), d, d)}, got {ops.shape}"
+            )
+        object.__setattr__(self, "operators", ops)
         if self.initial.matrix.shape[0] != self.subspace.ambient_dim:
             raise DimensionMismatchError("initial density does not match the ambient dimension")
         if self.kind is ChainKind.QMC and self.initial.kind is not DensityKind.QUANTUM:
@@ -491,32 +437,23 @@ class QuantumChain:
 
     @cached_property
     def total_matrix(self) -> np.ndarray:
-        return sum(self.letter_ops[a].matrix for a in self.alphabet)
-
-    @cached_property
-    def letter_matrices(self) -> tuple[np.ndarray, ...]:
-        """The letter operators' coordinate matrices in alphabet order."""
-        return tuple(self.letter_ops[a].matrix for a in self.alphabet)
+        """The summed operators, added letter by letter in alphabet order from 0.0."""
+        return np.add.reduce(self.operators, axis=0, initial=0.0)
 
 
 def chain_eval(chain: QuantumChain, word) -> float:
     """tr of the composed letter operators applied to the initial density."""
     letters = chain.alphabet.indices(word)
-    return word_value(chain.initial_coords, chain.letter_matrices, letters, chain.subspace.traces)
+    return word_value(chain.initial_coords, chain.operators, letters, chain.subspace.traces)
 
 
 def chain_process(chain: QuantumChain) -> Process:
+    """The chain's process; its linear form holds the chain's own arrays."""
     return Process(
         chain.alphabet,
         lambda w: chain_eval(chain, w),
-        lowering=lambda: _linear_form(chain, chain.initial_coords),
+        lowering=lambda: LinearForm(chain.initial_coords, chain.operators, chain.subspace.traces),
     )
-
-
-def _linear_form(chain: QuantumChain, initial_coords: np.ndarray) -> LinearForm:
-    """Coordinates of the initial density, the letter coordinate matrices, the basis traces."""
-    matrices = np.stack(chain.letter_matrices)
-    return LinearForm(initial_coords, matrices, chain.subspace.traces)
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +488,8 @@ def validate_chain(
     """
     report = ValidationReport()
     sub = chain.subspace
-    broken = [a for a in chain.alphabet if not np.isfinite(chain.letter_ops[a].matrix).all()]
+    finite = np.isfinite(chain.operators).all(axis=(1, 2))
+    broken = [a for a, ok in zip(chain.alphabet, finite) if not ok]
     for symbol in broken:
         report.add(
             "non-finite",
@@ -589,30 +527,30 @@ def validate_chain(
             )
         # only the sampled searches draw, so numpy.random loads on first use
         generator = cache(lambda: np.random.default_rng(_POSITIVITY_SEED))
-        for symbol in chain.alphabet:
-            _letter_positivity(chain, symbol, report, generator, positivity_samples, psd_tol)
+        for symbol, matrix in zip(chain.alphabet, chain.operators):
+            _letter_positivity(sub, symbol, matrix, report, generator, positivity_samples, psd_tol)
     else:
         window = DEFAULTS.qpm_horizon if horizon is None else horizon
         report.horizon = window
-        values = word_states(_linear_form(chain, coords), max(window, 0)) @ sub.traces
+        form = LinearForm(coords, chain.operators, sub.traces)
+        values = word_states(form, max(window, 0)) @ sub.traces
         words = words_up_to(chain.alphabet, window)
         outside = (values < -eval_tol) | (values > 1.0 + eval_tol)
         for i in np.flatnonzero(outside[: len(words)]):
             word = words[i]
+            name = format_word(word) or "empty"
             report.add(
                 "word-probability",
-                f"tr over word {''.join(word) or 'empty'} is {float(values[i])!r}, outside [0, 1]",
+                f"tr over word {name} is {float(values[i])!r}, outside [0, 1]",
                 ("words", word),
             )
         report.note(f"word probabilities checked exhaustively up to length {window}")
     return report
 
 
-def _letter_positivity(chain, symbol, report, generator, samples, psd_tol):
-    sub = chain.subspace
-    op = chain.letter_ops[symbol]
+def _letter_positivity(sub, symbol, matrix, report, generator, samples, psd_tol):
     if sub.is_unit_diagonal:
-        worst = float(op.matrix.min())
+        worst = float(matrix.min())
         if worst < -psd_tol:
             report.add(
                 "positivity",
@@ -623,14 +561,14 @@ def _letter_positivity(chain, symbol, report, generator, samples, psd_tol):
             report.note(f"operator {symbol!r}: positivity verified exactly (diagonal basis)")
         return
     if sub.spans_full:
-        choi = _choi_matrix(op)
+        choi = _choi_matrix(sub, matrix)
         # a factorisation certifies; only a failed one needs the spectrum
         certified = _factorises(choi, 1e-8)
         smallest = None if certified else float(np.linalg.eigvalsh(choi).min())
         if certified or smallest >= -1e-8:
             report.note(f"operator {symbol!r}: completely positive (Choi PSD), hence positive")
             return
-        counterexample = _positivity_counterexample_pure(op, generator(), samples)
+        counterexample = _positivity_counterexample_pure(sub, matrix, generator(), samples)
         if counterexample is not None:
             report.add(
                 "positivity",
@@ -644,7 +582,7 @@ def _letter_positivity(chain, symbol, report, generator, samples, psd_tol):
                 "positivity unproven"
             )
         return
-    found, tested = _positivity_sampling(chain, op, generator(), samples)
+    found, tested = _positivity_sampling(sub, matrix, generator(), samples)
     if found is not None:
         report.add(
             "positivity",
@@ -678,8 +616,8 @@ def _factorises(matrix: np.ndarray, shift: float) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def _choi_matrix(op: SuperOperator) -> np.ndarray:
-    """Choi matrix of the complex-linear extension of a full-space operator.
+def _choi_matrix(sub: OperatorSubspace, matrix: np.ndarray) -> np.ndarray:
+    """Choi matrix of the complex-linear extension of a full-space coordinate matrix.
 
     ``Choi[(i,k),(j,l)] = Φ(E_ij)[k,l]`` (Choi, *Linear Algebra Appl.* 10,
     1975).  The images of all n² units come from one contraction: their
@@ -691,33 +629,31 @@ def _choi_matrix(op: SuperOperator) -> np.ndarray:
     multithreaded BLAS out of it).
     The result is symmetrised against rounding.
     """
-    sub = op.subspace
     n = sub.ambient_dim
     if sub.is_canonical:
         rows, values = sub._stack_entries
-        units = sum(v.conj()[:, None] * op.matrix[r] for r, v in zip(rows, values))
+        units = sum(v.conj()[:, None] * matrix[r] for r, v in zip(rows, values))
         images = sum(units[:, r] * v for r, v in zip(rows, values))
     else:
-        images = (sub.unit_coords @ op.matrix) @ sub.stack.reshape(sub.dim, -1)
+        images = (sub.unit_coords @ matrix) @ sub.stack.reshape(sub.dim, -1)
     choi = images.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return (choi + choi.conj().T) / 2.0
 
 
-def _positivity_counterexample_pure(op, rng, samples):
-    n = op.subspace.ambient_dim
+def _positivity_counterexample_pure(sub, matrix, rng, samples):
+    n = sub.ambient_dim
     for _ in range(samples):
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
         vec /= np.linalg.norm(vec)
-        image = op.apply(np.outer(vec, vec.conj()))
+        image = sub.reconstruct(sub.expand(np.outer(vec, vec.conj())) @ matrix)
         smallest = float(np.linalg.eigvalsh(image).min())
         if smallest < -1e-7:
             return smallest
     return None
 
 
-def _positivity_sampling(chain, op, rng, samples):
+def _positivity_sampling(sub, matrix, rng, samples):
     """Search random nonnegative subspace elements for a positivity violation."""
-    sub = chain.subspace
     n = sub.ambient_dim
     try:
         identity_coords = sub.expand(np.eye(n), 1e-10)
@@ -738,7 +674,7 @@ def _positivity_sampling(chain, op, rng, samples):
         elif smallest < 0.0:
             continue
         tested += 1
-        image = sub.reconstruct(op.apply_coords(coords))
+        image = sub.reconstruct(coords @ matrix)
         image_min = float(np.linalg.eigvalsh(image).min())
         scale = max(float(np.linalg.norm(element)), 1.0)
         if image_min < -1e-7 * scale:
@@ -764,9 +700,8 @@ def unitary_to_qmc(unitary, initial: Density, symbol: str = "a") -> QuantumChain
     if initial.dim != u.shape[0]:
         raise DimensionMismatchError("density and unitary dimensions differ")
     sub = OperatorSubspace.full(u.shape[0])
-    op = SuperOperator.from_kraus(sub, u)
-    alphabet = Alphabet((symbol,))
-    return QuantumChain(alphabet, sub, {symbol: op}, initial, ChainKind.QMC)
+    ops = kraus_coords(sub, u[None])
+    return QuantumChain(Alphabet((symbol,)), sub, ops, initial, ChainKind.QMC)
 
 
 def povm_to_qmc(
@@ -798,10 +733,7 @@ def povm_to_qmc(
     if initial.kind is not DensityKind.QUANTUM:
         raise ValidationError("measurement chains start from a quantum density")
     sub = OperatorSubspace.full(n)
-    ops = {
-        label: SuperOperator.from_kraus(sub, mat)
-        for label, mat in mats.items()
-    }
+    ops = kraus_coords(sub, np.stack(list(mats.values())))
     return QuantumChain(Alphabet(labels), sub, ops, initial, ChainKind.QMC)
 
 
@@ -816,7 +748,7 @@ def qrw_to_qmc(
     """
     validate_qrw(qrw, unitary_tol, trace_tol).raise_if_invalid("invalid quantum random walk")
     sub = OperatorSubspace.full(qrw.dim)
-    ops = _walk_ops(qrw, sub)
+    ops = kraus_coords(sub, _walk_kraus(qrw))
     initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), trace_tol)
     return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
 
@@ -827,52 +759,67 @@ def _walk_form(qrw: QrwParam) -> LinearForm:
     density = np.outer(qrw.wave, qrw.wave.conj())
     # symmetrised as Density.quantum symmetrises it
     initial = sub.expand((density + density.conj().T) / 2.0)
-    matrices = np.stack([op.matrix for op in _walk_ops(qrw, sub).values()])
-    return LinearForm(initial, matrices, sub.traces)
+    return LinearForm(initial, kraus_coords(sub, _walk_kraus(qrw)), sub.traces)
 
 
-# At most this many complex image entries (64 KB) are built at once.  The
-# images of one node are dim**4 entries, so narrow walks batch their nodes
-# and walks of ambient dimension 8 or more take one node at a time: larger
-# batches measured slower there, the per-matrix products dominating.
-_WALK_IMAGE_ENTRIES = 1 << 12
-
-
-def _walk_ops(qrw: QrwParam, sub: OperatorSubspace) -> dict[str, SuperOperator]:
-    """Each node's Kraus map ρ ↦ K ρ K*, K = P_node U, in node order.
-
-    The Kraus operators of a batch of nodes conjugate the basis stack in
-    one stacked product, and one :meth:`OperatorSubspace.expand_all`
-    reads all their images: each image takes the matrix products of
-    :meth:`SuperOperator.from_kraus`, so the coordinates have its bits.
-    """
-    unitary = as_complex_matrix(qrw.unitary)  # from_kraus's check of every K
-    n, dim = len(qrw.nodes), qrw.dim
-    units = np.arange(dim)
-    projectors = np.zeros((n, dim, dim), dtype=complex)
+def _walk_kraus(qrw: QrwParam) -> np.ndarray:
+    """The Kraus operators K = P_node U of the walk's nodes, as one (nodes, dim, dim) stack."""
+    unitary = as_complex_matrix(qrw.unitary)  # refuses a non-finite unitary before the product
+    units = np.arange(qrw.dim)
+    projectors = np.zeros((len(qrw.nodes), qrw.dim, qrw.dim), dtype=complex)
     projectors[units // qrw.coin_count, units, units] = 1.0
-    kraus = projectors @ unitary
-    batch = max(1, _WALK_IMAGE_ENTRIES // dim**4)
-    coords = []
-    for lo in range(0, n, batch):
-        k = kraus[lo : lo + batch, None]
+    return projectors @ unitary
+
+
+# At most this many complex image entries (64 KB) are built at once.  On
+# the full space the images of one Kraus operator are n**4 entries, so
+# narrow chains batch their operators and those of ambient dimension 8 or
+# more take one at a time: larger batches measured slower there, the
+# per-matrix products dominating.
+_IMAGE_ENTRIES = 1 << 12
+
+
+def kraus_coords(subspace: OperatorSubspace, kraus) -> np.ndarray:
+    """Coordinate matrices of the Kraus maps Q ↦ K Q K*, one per operator of an (m, n, n) stack.
+
+    Returns an (m, dim, dim) stack whose matrix j has, in row i, the
+    coordinates of K_j B_i K_j* for the i-th basis element B_i.  The
+    operators of a batch conjugate the whole basis stack in one stacked
+    product, and one :meth:`OperatorSubspace.expand_all` reads all their
+    images: in closed form on the canonical full basis, where a batch
+    has the bits of one operator at a time, and by one Gram solve
+    otherwise, whose rounding depends on the batch.  A non-finite
+    operator raises :class:`ValidationError`, a stack of another shape
+    :class:`DimensionMismatchError`, images that overflow
+    :class:`NonFiniteError`, and an image outside the subspace
+    :class:`SubspaceError`.
+    """
+    k = np.asarray(kraus, dtype=complex)
+    n, dim = subspace.ambient_dim, subspace.dim
+    if k.ndim != 3 or k.shape[1:] != (n, n):
+        raise DimensionMismatchError(f"Kraus operators must be {n}x{n}, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValidationError("matrix contains non-finite entries")
+    batch = max(1, _IMAGE_ENTRIES // (dim * n * n))
+    coords = np.empty((len(k), dim, dim))
+    for lo in range(0, len(k), batch):
+        part = k[lo : lo + batch, None]
         with np.errstate(over="ignore", invalid="ignore"):  # expand_all refuses the overflow
-            images = k @ sub.stack @ k.conj().transpose(0, 1, 3, 2)
-        flat = sub.expand_all(images.reshape(-1, dim, dim))
-        coords.extend(flat.reshape(-1, dim * dim, dim * dim))
-    return {node: SuperOperator(sub, matrix) for node, matrix in zip(qrw.nodes, coords)}
+            images = part @ subspace.stack @ part.conj().transpose(0, 1, 3, 2)
+        flat = subspace.expand_all(images.reshape(-1, n, n))
+        coords[lo : lo + batch] = flat.reshape(-1, dim, dim)
+    return coords
 
 
 def hmm_to_qmc(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> QuantumChain:
     """Represent a hidden Markov model on the diagonal-matrix subspace.
 
-    The letter operators are read-only views of the model's letter stack.
+    The letter operators are the model's own read-only letter stack.
     """
     validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
     sub = OperatorSubspace.diagonal(hmm.n_states)
-    ops = {a: SuperOperator(sub, m) for a, m in zip(hmm.alphabet, hmm._letter_stack)}
     initial = Density.quantum(np.diag(hmm.initial.astype(complex)), psd_tol=tol)
-    return QuantumChain(hmm.alphabet, sub, ops, initial, ChainKind.QMC)
+    return QuantumChain(hmm.alphabet, sub, hmm._letter_stack, initial, ChainKind.QMC)
 
 
 def finitary_to_qpm(
@@ -945,10 +892,9 @@ def finitary_to_qpm(
             f"row basis cannot reproduce {what} (residual {residuals[j]:.3e})"
         )
     sub = OperatorSubspace.diagonal(r)
-    ops = {
-        a: SuperOperator(sub, solution[:, k * r : (k + 1) * r].T)
-        for k, a in enumerate(param.alphabet)
-    }
+    # column k*r + i of the solution is row i of letter k's coordinate matrix
+    size = len(param.alphabet)
+    ops = np.ascontiguousarray(solution[:, : size * r].reshape(r, size, r).transpose(1, 2, 0))
     root = solution[:, -1]
     initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
     chain = QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
@@ -973,7 +919,7 @@ def qpm_to_finitary(chain: QuantumChain) -> FinitaryParam:
     initial, end = chain.initial_coords, chain.subspace.traces
     return FinitaryParam(
         Alphabet(chain.alphabet.symbols),
-        {a: chain.letter_ops[a].matrix.copy() for a in chain.alphabet},
+        {a: matrix.copy() for a, matrix in zip(chain.alphabet, chain.operators)},
         initial.copy(),
         end.copy(),
         standard_form=bool(_standard_form(initial, end, chain.total_matrix)),
@@ -985,5 +931,5 @@ def as_qpm(chain: QuantumChain) -> QuantumChain:
     if chain.kind is ChainKind.QPM:
         return chain
     return QuantumChain(
-        chain.alphabet, chain.subspace, dict(chain.letter_ops), chain.initial, ChainKind.QPM
+        chain.alphabet, chain.subspace, chain.operators, chain.initial, ChainKind.QPM
     )

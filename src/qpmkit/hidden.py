@@ -426,9 +426,7 @@ def _step_weights(
         return (images.reshape(len(images), -1) @ overlap.T).real
 
     init = weigh(chain.initial.matrix[None])[0]
-    factors = np.stack(
-        [weigh(sub.reconstruct(coords @ chain.letter_ops[a].matrix)) for a in chain.alphabet]
-    )
+    factors = np.stack([weigh(sub.reconstruct(coords @ m)) for m in chain.operators])
     return init, factors
 
 

@@ -20,9 +20,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, validate_chain
+from .chain import ChainKind, OperatorSubspace, QuantumChain, validate_chain
 from .config import Config, DEFAULTS
-from .errors import QpmkitError, SchemaError, ValidationReport
+from .errors import (
+    DimensionMismatchError,
+    QpmkitError,
+    SchemaError,
+    ValidationError,
+    ValidationReport,
+)
 from .hermitian import Density, DensityKind, hermitian_defects
 from .hidden import InformationFunction
 from .models import (
@@ -492,14 +498,18 @@ def _parse_chain(kind: ChainKind):
         ambient = int(payload["ambient_dim"])
         basis = _chain_basis(payload["basis"], ambient, config)
         subspace = OperatorSubspace(basis, config.hermitian_tol)
-        operators = {
-            str(sym): SuperOperator(subspace, _array(mat, f"operator {sym!r}"))
-            for sym, mat in payload["operators"].items()
-        }
+        d = subspace.dim
+        table = {}
+        for sym, mat in payload["operators"].items():
+            matrix = table[str(sym)] = _array(mat, f"operator {sym!r}")
+            if matrix.shape != (d, d):
+                raise DimensionMismatchError(
+                    f"coordinate matrix must be {d}x{d}, got {matrix.shape}"
+                )
         initial = _density(
             payload["initial"], "initial", payload["initial_kind"], "unknown initial_kind", config
         )
-        chain = QuantumChain(alpha, subspace, operators, initial, kind)
+        chain = QuantumChain(alpha, subspace, _operator_stack(alpha, table), initial, kind)
         report = validate_chain(
             chain,
             trace_tol=config.trace_tol,
@@ -512,6 +522,17 @@ def _parse_chain(kind: ChainKind):
         return chain, report
 
     return parse
+
+
+def _operator_stack(alphabet: Alphabet, table: dict[str, np.ndarray]) -> np.ndarray:
+    """A file's operator table as one stack in alphabet order; every symbol has one entry."""
+    for symbol in alphabet:
+        if symbol not in table:
+            raise ValidationError(f"missing operator for symbol {symbol!r}")
+    extra = set(table) - set(alphabet.symbols)
+    if extra:
+        raise ValidationError(f"operators for unknown symbols: {sorted(extra)}")
+    return np.stack([table[symbol] for symbol in alphabet])
 
 
 def _parse_density(alphabet, payload, config):
@@ -612,7 +633,7 @@ def _dump_chain(model: QuantumChain):
     return list(model.alphabet.symbols), {
         "ambient_dim": model.subspace.ambient_dim,
         "basis": _dump_cmatrix(model.subspace.stack),
-        "operators": {a: _dump_rmatrix(model.letter_ops[a].matrix) for a in model.alphabet},
+        "operators": dict(zip(model.alphabet, model.operators)),
         "initial": _dump_cmatrix(model.initial.matrix),
         "initial_kind": model.initial.kind.value,
     }

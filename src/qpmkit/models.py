@@ -252,7 +252,18 @@ class FinitaryParam:
 
     @property
     def total_matrix(self) -> np.ndarray:
-        return sum(self.letter_matrices[a] for a in self.alphabet)
+        return np.add.reduce(self._letter_stack, axis=0, initial=0.0)
+
+    @cached_property
+    def _letter_stack(self) -> np.ndarray:
+        """The letter matrices stacked in alphabet order, C-contiguous.
+
+        Built on first use and read-only, since every evaluation and
+        lowering of this model shares it.
+        """
+        stack = np.stack([self.letter_matrices[a] for a in self.alphabet])
+        stack.flags.writeable = False
+        return stack
 
 
 def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryParam:
@@ -265,19 +276,14 @@ def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryPa
 
 
 def finitary_eval(param: FinitaryParam, word) -> float:
-    mats = [param.letter_matrices[a] for a in param.alphabet]
-    return word_value(param.initial, mats, param.alphabet.indices(word), param.end)
+    return word_value(param.initial, param._letter_stack, param.alphabet.indices(word), param.end)
 
 
 def finitary_process(param: FinitaryParam) -> Process:
     return Process(
         param.alphabet,
         lambda w: finitary_eval(param, w),
-        lowering=lambda: LinearForm(
-            param.initial,
-            np.stack([param.letter_matrices[a] for a in param.alphabet]),
-            param.end,
-        ),
+        lowering=lambda: LinearForm(param.initial, param._letter_stack, param.end),
     )
 
 
@@ -700,7 +706,7 @@ def _chain_sampler(chain, clamp_tol: float):
     traces = chain.subspace.traces
     d, size = len(traces), len(chain.alphabet)
     weigh = np.concatenate(
-        [np.column_stack([m, m @ traces]) for m in chain.letter_matrices] + [traces[:, None]],
+        [np.column_stack([m, m @ traces]) for m in chain.operators] + [traces[:, None]],
         axis=1,
     )
 

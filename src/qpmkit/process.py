@@ -201,31 +201,31 @@ _FLOOR = -1022 + 53 + 64
 def word_value(start: np.ndarray, matrices, letters: list[int], end=None) -> float:
     """float(start · M_l1 ··· M_lT · end), or the sum of the final state without ``end``.
 
-    ``matrices`` holds one real square matrix per letter index (a stacked
-    array or a list) and ``letters`` the word's indices
+    ``matrices`` stacks one real square matrix per letter index and
+    ``letters`` holds the word's indices
     (:meth:`Alphabet.indices`).  Longer words on narrow forms whose letter
     matrices have no negative entry, such as HMMs and their diagonal
     chains, step the state once per block of letters
     (:func:`_blocked_state`), and the value is ldexp(mantissa, exponent):
     it reads 0.0 only when the word's value is below the double range.
     Words under ``_BLOCKED_MIN`` letters, forms wider than
-    ``_BLOCKED_MAX_DIM`` and signed forms step the state once per letter,
-    with the bits of the plain loop.  A product of signed matrices can
-    cancel: its rounding error, relative to the product, grows with the
-    number of factors multiplied before the state sees them.
+    ``_BLOCKED_MAX_DIM`` and signed forms step the state once per letter
+    through ``list(matrices)``, made once per call (indexing the stack
+    makes a view per letter).  A product of signed matrices can cancel:
+    its rounding error, relative to the product, grows with the number
+    of factors multiplied before the state sees them.
 
     Every model stores its arrays C-contiguous float64, and on that
     layout ``ndarray.dot`` makes the BLAS call of ``@``, with its bits, at
     less than half of its per-call cost.
     """
     narrow = len(letters) >= _BLOCKED_MIN and 0 < start.shape[0] <= _BLOCKED_MAX_DIM
-    stacked = np.asarray(matrices) if narrow else None
-    if narrow and stacked.min() >= 0.0:
-        vec, exponent = _blocked_state(start, stacked, letters)
+    if narrow and matrices.min() >= 0.0:
+        vec, exponent = _blocked_state(start, matrices, letters)
     else:
-        vec, exponent = start, 0
+        vec, exponent, mats = start, 0, list(matrices)
         for a in letters:
-            vec = vec.dot(matrices[a])
+            vec = vec.dot(mats[a])
     return _scaled(float(vec.sum() if end is None else vec.dot(end)), exponent)
 
 

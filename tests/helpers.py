@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import qpmkit as qk
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 
 
 def random_stochastic_rows(rng: np.random.Generator, rows: int, cols: int, floor=0.05):
@@ -84,6 +84,11 @@ def walk_kraus(qrw: qk.QrwParam) -> list[np.ndarray]:
     return out
 
 
+def action_coords(sub: OperatorSubspace, action) -> np.ndarray:
+    """The coordinate matrix of a map given by its action: one expansion of the basis images."""
+    return sub.expand_all(np.stack([action(b) for b in sub.basis]))
+
+
 def single_letter_chain(matrix, initial_diag, kind=ChainKind.QMC) -> QuantumChain:
     """Diagonal-subspace chain with one symbol; handy for limit tests."""
     matrix = np.asarray(matrix, dtype=float)
@@ -93,9 +98,7 @@ def single_letter_chain(matrix, initial_diag, kind=ChainKind.QMC) -> QuantumChai
         density = qk.Density.quantum(np.diag(np.asarray(initial_diag, dtype=complex)))
     else:
         density = qk.Density.generalized(np.diag(np.asarray(initial_diag, dtype=complex)))
-    return QuantumChain(
-        qk.Alphabet(("a",)), sub, {"a": SuperOperator(sub, matrix)}, density, kind
-    )
+    return QuantumChain(qk.Alphabet(("a",)), sub, matrix[None], density, kind)
 
 
 def random_qmc(rng: np.random.Generator, flavor: str) -> QuantumChain:

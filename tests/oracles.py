@@ -355,7 +355,7 @@ def prefix_average_letter(chain, symbol: str, horizon: int) -> float:
     ending in ``symbol``, computed by plain power iteration."""
     coords = chain.initial_coords.copy()
     total = chain.total_matrix
-    letter = chain.letter_ops[symbol].matrix
+    letter = chain.operators[chain.alphabet.index(symbol)]
     traces = chain.subspace.traces
     acc = 0.0
     for _ in range(horizon):
@@ -495,10 +495,10 @@ def viterbi_reference(chain, basis, symbols):
         for p in basis.projectors
     ]
     step_weight = {}
-    for a in chain.alphabet:
+    for a, letter in zip(chain.alphabet, chain.operators):
         mat = np.empty((n, n))
         for j in range(n):
-            image = sub.reconstruct(coords[j] @ chain.letter_ops[a].matrix)
+            image = sub.reconstruct(coords[j] @ letter)
             for i, proj in enumerate(basis.projectors):
                 mat[j, i] = float(complex(np.trace(proj @ image @ proj.conj().T)).real)
         step_weight[a] = mat
@@ -720,7 +720,7 @@ def sample_reference(model, length: int, rngs, clamp_tol: float = 1e-9) -> list:
         step = _reference_hmm
     elif hasattr(model, "unitary"):
         step = _reference_walk
-    elif hasattr(model, "letter_ops"):
+    elif hasattr(model, "operators"):
         step = _reference_chain
     else:
         raise ValidationError(f"cannot sample trajectories from {type(model).__name__}")
@@ -765,7 +765,7 @@ def _reference_chain(chain, length, rng, clamp_tol):
         mass = float(coords @ traces)
         if mass <= clamp_tol:
             raise SamplingError(f"remaining trajectory weight {mass!r} is not positive")
-        branches = [coords @ chain.letter_ops[a].matrix for a in chain.alphabet]
+        branches = [coords @ m for m in chain.operators]
         masses = np.array([float(c @ traces) for c in branches])
         index = _reference_draw(rng, masses / mass, clamp_tol, "branch distribution")
         out.append(chain.alphabet.symbols[index])

@@ -329,7 +329,7 @@ def test_19_long_words_step_once_per_block():
     letters = [int(a) for a in rng.integers(3, size=2000)]
     word = tuple(hmm.alphabet.symbols[a] for a in letters)
     hmm_matrices = [hmm.emission[:, i][:, None] * hmm.transition for i in range(3)]
-    chain_matrices = [chain.letter_ops[a].matrix for a in chain.alphabet]
+    chain_matrices = list(chain.operators)
     chain_start, traces = chain.initial_coords, chain.subspace.traces
     runs = {
         "hmm_eval": (

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit import asymptotics
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 from qpmkit.cli import _lower
 from qpmkit.config import DEFAULTS
 from qpmkit.errors import (
@@ -197,11 +197,11 @@ class TestCesaroLimit:
     def test_non_orthonormal_basis_is_handled(self):
         # overlapping diagonal basis exercises the Gram-whitened spectral route
         sub = OperatorSubspace([np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)])
-        op = SuperOperator(sub, np.array([[0.5, 0.25], [0.0, 1.0]]))
+        op = np.array([[0.5, 0.25], [0.0, 1.0]])
         chain = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": op},
+            op[None],
             qk.Density.quantum(np.diag([0.7, 0.3]).astype(complex)),
             ChainKind.QPM,
         )
@@ -314,10 +314,10 @@ def _overlap_chain(rng) -> QuantumChain:
     """A one-letter predictor chain over the non-orthogonal basis {diag(1, 0), I}."""
     sub = OperatorSubspace([np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)])
     stay = float(rng.uniform(0.05, 0.95))
-    op = SuperOperator(sub, np.array([[stay, (1.0 - stay) / 2.0], [0.0, 1.0]]))  # keeps traces (1, 2)
+    op = np.array([[stay, (1.0 - stay) / 2.0], [0.0, 1.0]])  # keeps traces (1, 2)
     weight = float(rng.uniform(0.05, 0.95))
     initial = qk.Density.quantum(np.diag([weight, 1.0 - weight]).astype(complex))
-    return QuantumChain(qk.Alphabet(("a",)), sub, {"a": op}, initial, ChainKind.QPM)
+    return QuantumChain(qk.Alphabet(("a",)), sub, op[None], initial, ChainKind.QPM)
 
 
 def _rotation_chain(rng) -> QuantumChain:

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from qpmkit.chain import (
     ChainKind,
     OperatorSubspace,
     QuantumChain,
-    SuperOperator,
     hermitian_basis,
+    kraus_coords,
 )
 from qpmkit.errors import (
     BasisInsufficiencyError,
@@ -26,6 +27,7 @@ from qpmkit.errors import (
 from qpmkit.hermitian import hermitian_defect, require_hermitian_stack
 
 from helpers import (
+    action_coords,
     random_hmm,
     random_kraus_family,
     random_local_qrw,
@@ -314,7 +316,7 @@ def refused():
 
 
 class TestOneExpansion:
-    """``expand`` is ``expand_all`` of one matrix, and ``from_action`` reads as ``from_kraus``."""
+    """``expand`` is ``expand_all`` of one matrix; basis images give the Kraus coordinates."""
 
     KINDS = st.sampled_from(["full", "diagonal", "dense"])
 
@@ -339,8 +341,8 @@ class TestOneExpansion:
         if kind == "diagonal":
             # a permuted diagonal maps diagonal matrices to diagonal matrices
             kraus = np.diag(np.diag(kraus))[rng.permutation(n)]
-        by_action = SuperOperator.from_action(sub, lambda q: kraus @ q @ kraus.conj().T)
-        assert by_action.matrix.tobytes() == SuperOperator.from_kraus(sub, kraus).matrix.tobytes()
+        by_action = action_coords(sub, lambda q: kraus @ q @ kraus.conj().T)
+        assert by_action.tobytes() == kraus_coords(sub, kraus[None])[0].tobytes()
 
     @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
     @pytest.mark.parametrize(
@@ -358,7 +360,7 @@ class TestOneExpansion:
             with refused():
                 sub.expand_all(np.stack([np.eye(2), bad]))
             with refused():
-                SuperOperator.from_action(sub, lambda q: bad)
+                action_coords(sub, lambda q: bad)
 
     @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
     def test_overflowing_kraus_images_are_refused(self, dense):
@@ -366,7 +368,7 @@ class TestOneExpansion:
         sub = subspace_of_kind(rng, "dense", 2) if dense else OperatorSubspace.full(2)
         with np.errstate(over="ignore", invalid="ignore"):
             with refused():
-                SuperOperator.from_kraus(sub, np.diag([1e200, 1.0]))
+                kraus_coords(sub, np.diag([1e200, 1.0])[None])
 
 
 NON_FINITE_IDS = ["overflow", "inf-diagonal", "inf-lower", "nan-diagonal", "nan-upper", "nan-lower"]
@@ -392,14 +394,14 @@ class TestNonFiniteRefusal:
         with pytest.raises(NonFiniteError, match=message):
             sub.expand_all(np.stack([np.eye(2), bad]))
         with pytest.raises(NonFiniteError, match=message):
-            SuperOperator.from_action(sub, lambda q: bad)
+            action_coords(sub, lambda q: bad)
 
     @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "gram-solve"])
     def test_overflowing_kraus_images(self, dense):
         rng = np.random.default_rng(4)
         sub = subspace_of_kind(rng, "dense", 2) if dense else OperatorSubspace.full(2)
         with pytest.raises(NonFiniteError, match="array must not contain infs or NaNs"):
-            SuperOperator.from_kraus(sub, np.diag([1e200, 1.0]))
+            kraus_coords(sub, np.diag([1e200, 1.0])[None])
 
     def test_overflowing_walk_images(self):
         # the lowering of a walk builds its Kraus images without checking the walk
@@ -407,23 +409,6 @@ class TestNonFiniteRefusal:
         big = qk.QrwParam(walk.nodes, walk.edges, walk.coins, walk.unitary * 1e200, walk.wave)
         with pytest.raises(NonFiniteError, match="array must not contain infs or NaNs"):
             qk.qrw_process(big).linear
-
-
-class TestSuperOperator:
-    def test_from_action_reproduces_matrix(self, rng):
-        sub = OperatorSubspace.full(2)
-        u = random_unitary(rng, 2)
-        op = SuperOperator.from_action(sub, lambda q: u @ q @ u.conj().T)
-        rebuilt = SuperOperator.from_action(sub, op.apply)
-        assert np.allclose(rebuilt.matrix, op.matrix, atol=1e-10)
-
-    def test_coordinate_action_matches_matrix_action(self, rng):
-        sub = OperatorSubspace.full(2)
-        u = random_unitary(rng, 2)
-        op = SuperOperator.from_action(sub, lambda q: u @ q @ u.conj().T)
-        density = random_quantum_density(rng, 2).matrix
-        via_coords = sub.reconstruct(op.apply_coords(sub.expand(density)))
-        assert np.allclose(via_coords, u @ density @ u.conj().T, atol=1e-10)
 
 
 class TestChainEval:
@@ -470,7 +455,7 @@ class TestUnitaryToQmc:
         density = qk.Density.quantum(np.diag([1.0, 0.0]).astype(complex))
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
         chain = qk.unitary_to_qmc(sigma_x, density)
-        flipped = chain.letter_ops["a"].apply(density.matrix)
+        flipped = chain.subspace.reconstruct(chain.initial_coords @ chain.operators[0])
         assert np.allclose(flipped, np.diag([0.0, 1.0]))
 
     def test_rejects_non_unitary(self, rng):
@@ -543,7 +528,7 @@ class TestQrwToQmc:
     @pytest.mark.parametrize("nodes, coins", [(1, 1), (2, 1), (2, 2), (3, 2), (5, 1), (4, 2)])
     def test_node_operators_are_the_per_node_kraus_maps(self, nodes, coins):
         # one batched Kraus product per walk (one node at a time from ambient
-        # dimension 8) gives from_kraus's coordinates, bit for bit
+        # dimension 8) gives each node's coordinates on its own, bit for bit
         rng = np.random.default_rng(100 * nodes + coins)
         for _ in range(5):
             qrw = random_local_qrw(rng, nodes, coins)
@@ -551,10 +536,8 @@ class TestQrwToQmc:
             owner = np.arange(qrw.dim) // coins
             for i, node in enumerate(qrw.nodes):
                 kraus = np.diag((owner == i).astype(complex)) @ qrw.unitary
-                expected = SuperOperator.from_kraus(chain.subspace, kraus).matrix
-                assert np.array_equal(
-                    chain.letter_ops[node].matrix.view(np.uint64), expected.view(np.uint64)
-                )
+                expected = kraus_coords(chain.subspace, kraus[None])[0]
+                assert np.array_equal(chain.operators[i].view(np.uint64), expected.view(np.uint64))
 
     def test_invalid_walk_rejected(self, qrw_hadamard):
         broken = qk.QrwParam(
@@ -572,7 +555,7 @@ class TestHmmToQmc:
     def test_one_state_scales_by_emission(self):
         hmm = qk.HmmParam(("s0",), AB, [[0.3, 0.7]], [1.0], [[1.0]])
         chain = qk.hmm_to_qmc(hmm)
-        assert np.allclose(chain.letter_ops["a"].matrix, [[0.3]])
+        assert np.allclose(chain.operators[0], [[0.3]])
         assert qk.chain_eval(chain, "ab") == pytest.approx(0.21)
 
     def test_matches_forward_values(self, hmm2):
@@ -586,16 +569,15 @@ class TestHmmToQmc:
         chain = qk.hmm_to_qmc(hmm2)
         for _ in range(10):
             coords = rng.random(2)
-            for op in chain.letter_ops.values():
-                assert op.apply_coords(coords).min() >= -1e-12
+            for matrix in chain.operators:
+                assert (coords @ matrix).min() >= -1e-12
 
 
 class TestFinitaryToQpm:
     def test_coin_collapses_to_one_dimension(self, coin_finitary):
         chain = qk.finitary_to_qpm(coin_finitary)
         assert chain.subspace.dim == 1
-        assert np.allclose(chain.letter_ops["a"].matrix, [[0.5]])
-        assert np.allclose(chain.letter_ops["b"].matrix, [[0.5]])
+        assert np.allclose(chain.operators, [[[0.5]], [[0.5]]])
         assert np.allclose(chain.initial.matrix, [[1.0]])
 
     def test_reproduces_hmm_process(self, hmm2):
@@ -669,8 +651,8 @@ class TestFinitaryToQpm:
             scale = max(max(np.abs(m).max() for m in matrices.values()), np.abs(root).max())
             bound = 64 * np.finfo(float).eps * condition * scale
             assert chain.subspace.dim == len(basis)
-            for a in param.alphabet:
-                assert np.abs(chain.letter_ops[a].matrix - matrices[a]).max() <= bound
+            for a, matrix in zip(param.alphabet, chain.operators):
+                assert np.abs(matrix - matrices[a]).max() <= bound
             assert np.abs(chain.initial_coords - root).max() <= bound
 
     def test_refuses_a_fit_that_changes_a_basis_trace(self):
@@ -776,10 +758,7 @@ class TestValidateChain:
         scaled = QuantumChain(
             chain.alphabet,
             chain.subspace,
-            {
-                "a": SuperOperator(chain.subspace, chain.letter_ops["a"].matrix * 1.1),
-                "b": chain.letter_ops["b"],
-            },
+            chain.operators * [[[1.1]], [[1.0]]],
             chain.initial,
             ChainKind.QMC,
         )
@@ -801,7 +780,7 @@ class TestValidateChain:
         chain = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": SuperOperator(sub, np.eye(5))},
+            np.eye(5)[None],
             qk.Density(np.diag(diag).astype(complex), qk.DensityKind.QUANTUM),
             ChainKind.QMC,
         )
@@ -816,28 +795,41 @@ class TestValidateChain:
         assert report.horizon == qk.DEFAULTS.qpm_horizon
 
     def test_word_probability_window_violations_detected(self):
-        ops = {"a": np.array([[1.2, 0.0], [0.0, 0.3]]), "b": np.array([[-0.2, 0.0], [0.0, 0.7]])}
+        ops = np.array([[[1.2, 0.0], [0.0, 0.3]], [[-0.2, 0.0], [0.0, 0.7]]])
         sub = OperatorSubspace.diagonal(2)
         chain = QuantumChain(
             AB,
             sub,
-            {sym: SuperOperator(sub, mat) for sym, mat in ops.items()},
+            ops,
             qk.Density.generalized(np.diag([1.0, 0.0]).astype(complex)),
             ChainKind.QPM,
         )
         report = qk.validate_chain(chain, horizon=2)
         assert any(v.code == "word-probability" for v in report.violations)
 
+    def test_word_probability_findings_name_words_as_parse_word_reads_them(self):
+        # multi-character symbols are joined with commas, which parse_word reads back
+        alphabet = qk.Alphabet(("up", "down"))
+        chain = QuantumChain(
+            alphabet,
+            OperatorSubspace.diagonal(1),
+            np.array([[[1.4]], [[-0.4]]]),
+            qk.Density.generalized(np.eye(1, dtype=complex)),
+            ChainKind.QPM,
+        )
+        report = qk.validate_chain(chain, horizon=2)
+        names = [re.match(r"tr over word (\S+) is", v.message).group(1) for v in report.violations]
+        assert names == ["up", "down", "up,up", "up,down", "down,up"]
+        for name, violation in zip(names, report.violations):
+            assert qk.parse_word(name, alphabet) == violation.where[1]
+
     def test_negative_diagonal_operator_is_flagged_exactly(self):
-        ops = {
-            "a": np.array([[-0.5, 0.0], [0.0, 0.5]]),
-            "b": np.array([[1.5, 0.0], [0.0, 0.5]]),
-        }
+        ops = np.array([[[-0.5, 0.0], [0.0, 0.5]], [[1.5, 0.0], [0.0, 0.5]]])
         sub = OperatorSubspace.diagonal(2)
         chain = QuantumChain(
             AB,
             sub,
-            {sym: SuperOperator(sub, mat) for sym, mat in ops.items()},
+            ops,
             qk.Density.quantum(np.diag([0.5, 0.5]).astype(complex)),
             ChainKind.QMC,
         )
@@ -853,13 +845,11 @@ class TestValidateChain:
     def test_positive_but_not_completely_positive_map_is_evidence_only(self, rng):
         # reduction-style map Q -> (tr Q) I - Q: positive on H_2, Choi indefinite
         sub = OperatorSubspace.full(2)
-        op = SuperOperator.from_action(
-            sub, lambda q: np.trace(q) * np.eye(2) - q
-        )
+        op = action_coords(sub, lambda q: np.trace(q) * np.eye(2) - q)
         chain = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": op},
+            op[None],
             random_quantum_density(rng, 2),
             ChainKind.QMC,
         )
@@ -871,13 +861,11 @@ class TestValidateChain:
         # Q -> 2 Q - (tr Q)/2 I is trace-preserving on H_2 but maps pure
         # states to indefinite matrices
         sub = OperatorSubspace.full(2)
-        op = SuperOperator.from_action(
-            sub, lambda q: 2.0 * q - (np.trace(q) / 2.0) * np.eye(2)
-        )
+        op = action_coords(sub, lambda q: 2.0 * q - (np.trace(q) / 2.0) * np.eye(2))
         chain = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": op},
+            op[None],
             random_quantum_density(rng, 2),
             ChainKind.QMC,
         )
@@ -890,10 +878,7 @@ class TestValidateChain:
         good = QuantumChain(
             qk.Alphabet(("a", "b")),
             sub,
-            {
-                "a": SuperOperator(sub, np.array([[0.6]])),
-                "b": SuperOperator(sub, np.array([[0.4]])),
-            },
+            np.array([[[0.6]], [[0.4]]]),
             qk.Density.quantum(np.diag([1.0, 0.0]).astype(complex)),
             ChainKind.QMC,
         )
@@ -902,10 +887,7 @@ class TestValidateChain:
         bad = QuantumChain(
             qk.Alphabet(("a", "b")),
             sub,
-            {
-                "a": SuperOperator(sub, np.array([[1.5]])),
-                "b": SuperOperator(sub, np.array([[-0.5]])),
-            },
+            np.array([[[1.5]], [[-0.5]]]),
             qk.Density.quantum(np.diag([1.0, 0.0]).astype(complex)),
             ChainKind.QMC,
         )
@@ -929,7 +911,7 @@ class TestValidateChain:
         good = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": SuperOperator(sub, np.diag([1.0, 0.5]))},
+            np.diag([1.0, 0.5])[None],
             qk.Density.quantum(np.eye(2, dtype=complex) / 2),
             ChainKind.QMC,
         )
@@ -938,7 +920,7 @@ class TestValidateChain:
         bad = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": SuperOperator(sub, np.diag([1.0, 1.5]))},
+            np.diag([1.0, 1.5])[None],
             qk.Density.quantum(np.eye(2, dtype=complex) / 2),
             ChainKind.QMC,
         )
@@ -967,3 +949,104 @@ class TestConversionTriangle:
         for chain in chains:
             drift = chain.total_matrix @ chain.subspace.traces - chain.subspace.traces
             assert np.max(np.abs(drift)) <= 1e-10
+
+
+CHAIN_FIXTURES = ("swap_qmc.json", "unbounded_qpm.json")
+FIXTURES = Path(__file__).parent / "fixtures"
+CHAIN_SOURCES = (
+    "unitary_to_qmc",
+    "povm_to_qmc",
+    "qrw_to_qmc",
+    "hmm_to_qmc",
+    "finitary_to_qpm",
+    "as_qpm",
+) + CHAIN_FIXTURES
+
+
+def chain_sources() -> dict[str, QuantumChain]:
+    """One chain from every source that builds one."""
+    rng = np.random.default_rng(28)
+    hmm = random_hmm(rng, 3, 2)
+    sources = {
+        "unitary_to_qmc": qk.unitary_to_qmc(random_unitary(rng, 3), random_quantum_density(rng, 3)),
+        "povm_to_qmc": qk.povm_to_qmc(
+            random_kraus_family(rng, 2, 3), random_quantum_density(rng, 2)
+        ),
+        "qrw_to_qmc": qk.qrw_to_qmc(random_local_qrw(rng, 3, 2)),
+        "hmm_to_qmc": qk.hmm_to_qmc(hmm),
+        "finitary_to_qpm": qk.finitary_to_qpm(qk.hmm_to_finitary(hmm)),
+        "as_qpm": qk.as_qpm(qk.hmm_to_qmc(hmm)),
+    }
+    sources.update((name, qk.load_model(FIXTURES / name)) for name in CHAIN_FIXTURES)
+    return sources
+
+
+class TestOneOperatorStack:
+    @pytest.mark.parametrize("source", CHAIN_SOURCES)
+    def test_every_source_gives_one_contiguous_stack(self, source):
+        chain = chain_sources()[source]
+        ops = chain.operators
+        assert type(ops) is np.ndarray and ops.dtype == np.float64 and ops.flags.c_contiguous
+        assert ops.shape == (len(chain.alphabet), chain.subspace.dim, chain.subspace.dim)
+        assert qk.chain_process(chain).linear.matrices is ops
+
+    def test_hmm_to_qmc_shares_the_hmm_stack(self, hmm2):
+        chain = qk.hmm_to_qmc(hmm2)
+        assert np.shares_memory(chain.operators, hmm2._letter_stack)
+        assert qk.as_qpm(chain).operators is chain.operators
+
+    def test_a_stack_of_another_shape_is_refused(self):
+        sub = OperatorSubspace.diagonal(2)
+        density = qk.Density.quantum(np.eye(2, dtype=complex) / 2)
+        for ops in (np.eye(2), np.stack([np.eye(2)] * 3), np.ones((2, 3, 3))):
+            with pytest.raises(DimensionMismatchError, match="operator stack must have shape"):
+                QuantumChain(AB, sub, ops, density, ChainKind.QMC)
+
+    @pytest.mark.parametrize("which", ["hadamard", "walk4", "povm"])
+    def test_in_memory_chains_evaluate_as_their_files(self, tmp_path, qrw_hadamard, which):
+        rng = np.random.default_rng(4)
+        if which == "hadamard":
+            chain = qk.qrw_to_qmc(qrw_hadamard)
+        elif which == "walk4":
+            chain = qk.qrw_to_qmc(random_local_qrw(rng, 4, 1))
+        else:
+            chain = qk.povm_to_qmc(random_kraus_family(rng, 2, 3), random_quantum_density(rng, 2))
+        path = tmp_path / "chain.json"
+        qk.save_model(chain, path)
+        loaded = qk.load_model(path)
+        words = qk.words_up_to(chain.alphabet, 6)
+        mine, theirs = (np.array([qk.chain_eval(c, w) for w in words]) for c in (chain, loaded))
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+    def test_total_matrix_is_the_left_to_right_sum(self):
+        chains = [qk.load_model(FIXTURES / name) for name in CHAIN_FIXTURES]
+        walk = qk.qrw_to_qmc(random_local_qrw(np.random.default_rng(16), 8, 2))
+        assert walk.subspace.ambient_dim == 16
+        for chain in chains + [walk]:
+            total = sum(chain.operators[i] for i in range(len(chain.alphabet)))
+            assert chain.total_matrix.tobytes() == total.tobytes()
+
+
+class TestKrausRoutine:
+    """Refusals not covered above (overflowing images are), and batching."""
+
+    def test_a_non_finite_operator(self):
+        with pytest.raises(ValidationError, match="matrix contains non-finite entries"):
+            kraus_coords(OperatorSubspace.full(2), np.array([[[1.0, np.nan], [0.0, 1.0]]]))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3, 3), (1, 2, 3)])
+    def test_a_stack_of_another_shape(self, shape):
+        with pytest.raises(DimensionMismatchError, match="Kraus operators must be 2x2"):
+            kraus_coords(OperatorSubspace.full(2), np.ones(shape))
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_a_batch_gives_the_bits_of_one_operator_at_a_time(self, count):
+        # on the canonical basis; a Gram solve of a batch rounds differently
+        rng = np.random.default_rng(count)
+        family = np.stack(list(random_kraus_family(rng, 3, count).values()))
+        for sub in (OperatorSubspace.full(3), subspace_of_kind(rng, "dense", 3)):
+            for kraus, got in zip(family, kraus_coords(sub, family)):
+                alone = kraus_coords(sub, kraus[None])[0]
+                if sub.is_canonical:
+                    assert got.tobytes() == alone.tobytes()
+                assert np.max(np.abs(got - alone)) <= 1e-12

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpmkit as qk
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 from qpmkit.errors import DimensionMismatchError, UnsupportedChainError, ValidationError
 from qpmkit.hidden import (
     HiddenStateBasis,
@@ -78,7 +78,7 @@ def signed_diagonal_qpm(rng) -> QuantumChain:
     diag = rng.integers(-4, 5, size=n) / 4.0
     diag[0] = 1.0 - diag[1:].sum()
     scale = 1.0 if rng.random() < 0.5 else float(rng.random())  # dyadic ties or generic values
-    ops = {a: SuperOperator(sub, rng.integers(-4, 5, size=(n, n)) / 4.0 * scale) for a in "ab"}
+    ops = np.stack([rng.integers(-4, 5, size=(n, n)) / 4.0 * scale for _ in "ab"])
     initial = qk.Density.generalized(np.diag(diag.astype(complex)))
     return QuantumChain(qk.Alphabet(("a", "b")), sub, ops, initial, ChainKind.QPM)
 
@@ -537,7 +537,8 @@ class TestViterbi:
             states = [basis.labels.index(label) for label in viterbi_reference(chain, basis, word)[0]]
             prefix = [chain.initial.matrix[states[0], states[0]].real]
             for t, symbol in enumerate(word):
-                prefix.append(prefix[-1] * chain.letter_ops[symbol].matrix[states[t], states[t + 1]])
+                letter = chain.operators[chain.alphabet.index(symbol)]
+                prefix.append(prefix[-1] * letter[states[t], states[t + 1]])
             through_negative += min(prefix) < 0 < prefix[-1]
             hmm = dyadic_tie_hmm(rng)
             word = tuple(rng.choice(hmm.alphabet.symbols, size=3))

@@ -110,7 +110,7 @@ print(json.dumps({
 
 _LAZY_RANDOM = _PRELUDE + """
 import numpy as np
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, validate_chain
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, validate_chain
 
 def random_loaded():
     return "numpy.random" in sys.modules
@@ -122,9 +122,9 @@ for path in sys.argv[3:]:
 
 def findings(sub, action, initial):
     # two letters that each take half of the map share one stream of draws
-    op = SuperOperator.from_action(sub, lambda q: 0.5 * action(q))
+    op = sub.expand_all(np.stack([0.5 * action(b) for b in sub.basis]))
     chain = QuantumChain(
-        qpmkit.Alphabet(("a", "b")), sub, {"a": op, "b": op},
+        qpmkit.Alphabet(("a", "b")), sub, np.stack([op, op]),
         qpmkit.Density.quantum(initial), ChainKind.QMC,
     )
     report = validate_chain(chain)

@@ -33,7 +33,7 @@ from qpmkit.io import (
 
 import golden_runs
 from conftest import FIXTURES
-from helpers import random_hmm, random_local_qrw, walk_kraus
+from helpers import action_coords, random_hmm, random_local_qrw, walk_kraus
 from oracles import complex_entries, hmm_viterbi_log
 
 ALL_FIXTURES = [
@@ -70,15 +70,14 @@ PINNED_DIGESTS = {
 
 
 def per_element_walk_chain(qrw) -> qk.QuantumChain:
-    """A walk's chain built from each node's conjugation map by ``from_action``.
+    """A walk's chain built from each node's conjugation map, basis element by basis element.
 
     Its bits are those of the closed-form Kraus coordinates: both routes
     stack the basis images and read them in one ``expand_all``."""
     sub = qk.OperatorSubspace.full(qrw.dim)
-    ops = {
-        node: qk.SuperOperator.from_action(sub, lambda q, m=kraus: m @ q @ m.conj().T)
-        for node, kraus in zip(qrw.nodes, walk_kraus(qrw))
-    }
+    ops = np.stack(
+        [action_coords(sub, lambda q, m=kraus: m @ q @ m.conj().T) for kraus in walk_kraus(qrw)]
+    )
     initial = qk.Density.quantum(np.outer(qrw.wave, qrw.wave.conj()))
     return qk.QuantumChain(qrw.nodes, sub, ops, initial, qk.ChainKind.QMC)
 
@@ -539,6 +538,29 @@ class TestModelFiles:
             code, report = _run_json(argv)
             assert (code, report["findings"]) == (1, [message])
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["payload"]["operators"].pop("a"), "missing operator for symbol 'a'"),
+            (
+                lambda d: d["payload"]["operators"].update(z=[[1.0, 0.0], [0.0, 1.0]]),
+                "operators for unknown symbols: ['z']",
+            ),
+            (
+                lambda d: d["payload"]["operators"].update(a=[[1.0, 0.0, 0.0]] * 3),
+                "coordinate matrix must be 2x2, got (3, 3)",
+            ),
+        ],
+        ids=["missing", "unknown", "shape"],
+    )
+    def test_a_chain_file_gives_one_operator_per_symbol(self, tmp_path, edit, message):
+        data = json.loads((FIXTURES / "swap_qmc.json").read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, report = _run_json(["validate", str(bad)])
+        assert (code, report["findings"]) == (1, [message])
+
     def test_rejects_non_hermitian_density(self, tmp_path):
         data = json.loads((FIXTURES / "bell5.json").read_text())
         data["payload"]["matrix"][0][1] = [0.2, 0.0]
@@ -738,7 +760,8 @@ class TestModelFiles:
             expected = np.stack([(b + b.conj().T) / 2.0 for b in basis])
             assert model.subspace.stack.tobytes() == expected.tobytes()
             for symbol, matrix in payload["operators"].items():
-                assert model.letter_ops[symbol].matrix.tobytes() == np.array(matrix).tobytes()
+                letter = model.operators[model.alphabet.index(symbol)]
+                assert letter.tobytes() == np.array(matrix).tobytes()
             initial = complex_entries(payload["initial"])
             assert model.initial.matrix.tobytes() == ((initial + initial.conj().T) / 2.0).tobytes()
         elif isinstance(model, DensityFile):
@@ -772,13 +795,10 @@ class TestModelFiles:
         # probabilities exceed 1 only at length >= 2, so a horizon-1 check
         # passes and the default depth catches it
         import numpy as np
-        from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+        from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 
         sub = OperatorSubspace.diagonal(2)
-        ops = {
-            "a": SuperOperator(sub, np.array([[0.8, 0.15], [0.65, 0.65]])),
-            "b": SuperOperator(sub, np.array([[0.05, 0.0], [-0.15, -0.15]])),
-        }
+        ops = np.array([[[0.8, 0.15], [0.65, 0.65]], [[0.05, 0.0], [-0.15, -0.15]]])
         chain = QuantumChain(
             qk.Alphabet(("a", "b")),
             sub,
@@ -883,13 +903,13 @@ class TestCliCommands:
         walk = tmp_path / "walk_qmc.json"
         save_model(per_element_walk_chain(qrw_hadamard), walk)
         sub = qk.OperatorSubspace.full(2)
-        reduction = qk.SuperOperator.from_action(sub, lambda q: np.trace(q) * np.eye(2) - q)
+        reduction = action_coords(sub, lambda q: np.trace(q) * np.eye(2) - q)
         not_cp = tmp_path / "reduction_qmc.json"
         save_model(
             qk.QuantumChain(
                 qk.Alphabet(("a",)),
                 sub,
-                {"a": reduction},
+                reduction[None],
                 qk.Density.quantum(np.diag([0.7, 0.3]).astype(complex)),
                 qk.ChainKind.QMC,
             ),

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit import chain as chain_mod
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator, hermitian_basis
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, hermitian_basis, kraus_coords
 from qpmkit.errors import SubspaceError
 
 from helpers import (
+    action_coords,
     random_kraus_family,
     random_local_qrw,
     random_quantum_density,
@@ -71,7 +72,7 @@ def report_tuple(report):
 def reference_report(chain, **kwargs):
     """validate_chain with the unit-by-unit Choi matrix in place of the contraction."""
     with mock.patch.object(
-        chain_mod, "_choi_matrix", lambda op: choi_reference(op.subspace.basis, op.matrix)
+        chain_mod, "_choi_matrix", lambda sub, matrix: choi_reference(sub.basis, matrix)
     ):
         return chain_mod.validate_chain(chain, **kwargs)
 
@@ -83,8 +84,8 @@ class TestFromKraus:
         rng = np.random.default_rng(seed)
         sub = OperatorSubspace.full(n)
         assert sub.is_canonical
-        for kraus in kraus_family(rng, family, n):
-            got = SuperOperator.from_kraus(sub, kraus).matrix
+        operators = kraus_family(rng, family, n)
+        for kraus, got in zip(operators, kraus_coords(sub, np.stack(operators))):
             want = superoperator_reference(sub.basis, conjugation(kraus))
             assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -94,46 +95,46 @@ class TestFromKraus:
         rng = np.random.default_rng(seed)
         sub = OperatorSubspace(mixed_full_basis(rng, n))
         assert sub.spans_full and not sub.is_canonical
-        for kraus in kraus_family(rng, family, n):
-            got = SuperOperator.from_kraus(sub, kraus).matrix
+        operators = kraus_family(rng, family, n)
+        for kraus, got in zip(operators, kraus_coords(sub, np.stack(operators))):
             want = superoperator_reference(sub.basis, conjugation(kraus))
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_constructions_use_the_kraus_coordinates(self, rng):
         qrw = random_local_qrw(rng, 3, 2)
         chain = qk.qrw_to_qmc(qrw)
-        for node, kraus in zip(qrw.nodes, walk_kraus(qrw)):
+        for got, kraus in zip(chain.operators, walk_kraus(qrw)):
             want = superoperator_reference(chain.subspace.basis, conjugation(kraus))
-            assert np.max(np.abs(chain.letter_ops[node].matrix - want)) <= 1e-13
+            assert np.max(np.abs(got - want)) <= 1e-13
         family = random_kraus_family(rng, 3, 2)
         chain = qk.povm_to_qmc(family, random_quantum_density(rng, 3))
-        for label, kraus in family.items():
+        for got, kraus in zip(chain.operators, family.values()):
             want = superoperator_reference(chain.subspace.basis, conjugation(kraus))
-            assert np.max(np.abs(chain.letter_ops[label].matrix - want)) <= 1e-13
+            assert np.max(np.abs(got - want)) <= 1e-13
         unitary = random_unitary(rng, 3)
         chain = qk.unitary_to_qmc(unitary, random_quantum_density(rng, 3))
         want = superoperator_reference(chain.subspace.basis, conjugation(unitary))
-        assert np.max(np.abs(chain.letter_ops["a"].matrix - want)) <= 1e-13
+        assert np.max(np.abs(chain.operators[0] - want)) <= 1e-13
 
     def test_diagonal_subspace_rejects_a_non_diagonal_image(self):
         sub = OperatorSubspace.diagonal(2)
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         with pytest.raises(SubspaceError) as closed_form:
-            SuperOperator.from_kraus(sub, hadamard)
+            kraus_coords(sub, hadamard[None])
         with pytest.raises(SubspaceError) as per_element:
-            SuperOperator.from_action(sub, conjugation(hadamard))
+            action_coords(sub, conjugation(hadamard))
         assert str(closed_form.value) == str(per_element.value)
 
     def test_diagonal_subspace_keeps_a_diagonal_image(self, rng):
         sub = OperatorSubspace.diagonal(3)
         kraus = np.diag(rng.normal(size=3) + 1j * rng.normal(size=3))[[2, 0, 1]]
-        got = SuperOperator.from_kraus(sub, kraus).matrix
+        got = kraus_coords(sub, kraus[None])[0]
         want = superoperator_reference(sub.basis, conjugation(kraus))
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_rejects_a_kraus_operator_of_another_dimension(self):
         with pytest.raises(qk.DimensionMismatchError):
-            SuperOperator.from_kraus(OperatorSubspace.full(2), np.eye(3))
+            kraus_coords(OperatorSubspace.full(2), np.eye(3)[None])
 
 
 class TestChoiMatrix:
@@ -142,17 +143,16 @@ class TestChoiMatrix:
     def test_contraction_matches_the_unit_loop(self, seed, family, n):
         rng = np.random.default_rng(seed)
         for sub in (OperatorSubspace.full(n), OperatorSubspace(mixed_full_basis(rng, n))):
-            for kraus in kraus_family(rng, family, n):
-                op = SuperOperator.from_kraus(sub, kraus)
-                want = choi_reference(sub.basis, op.matrix)
-                assert np.max(np.abs(chain_mod._choi_matrix(op) - want)) <= 1e-12
+            for matrix in kraus_coords(sub, np.stack(kraus_family(rng, family, n))):
+                want = choi_reference(sub.basis, matrix)
+                assert np.max(np.abs(chain_mod._choi_matrix(sub, matrix) - want)) <= 1e-12
 
     def test_non_completely_positive_maps_match_the_unit_loop(self):
         sub = OperatorSubspace.full(2)
         for action in (reduction_map, non_positive_map):
-            op = SuperOperator.from_action(sub, action)
-            want = choi_reference(sub.basis, op.matrix)
-            assert np.max(np.abs(chain_mod._choi_matrix(op) - want)) <= 1e-12
+            matrix = action_coords(sub, action)
+            want = choi_reference(sub.basis, matrix)
+            assert np.max(np.abs(chain_mod._choi_matrix(sub, matrix) - want)) <= 1e-12
 
 
 class TestValidationReports:
@@ -164,11 +164,8 @@ class TestValidationReports:
         sub = OperatorSubspace.full(n)
         symbols = tuple(f"k{i}" for i in range(len(kraus)))
         density = random_quantum_density(rng, n)
-        fast = {s: SuperOperator.from_kraus(sub, k) for s, k in zip(symbols, kraus)}
-        slow = {
-            s: SuperOperator(sub, superoperator_reference(sub.basis, conjugation(k)))
-            for s, k in zip(symbols, kraus)
-        }
+        fast = kraus_coords(sub, np.stack(kraus))
+        slow = np.stack([superoperator_reference(sub.basis, conjugation(k)) for k in kraus])
         alphabet = qk.Alphabet(symbols)
         got = qk.validate_chain(QuantumChain(alphabet, sub, fast, density, ChainKind.QMC))
         want = reference_report(QuantumChain(alphabet, sub, slow, density, ChainKind.QMC))
@@ -181,7 +178,7 @@ class TestValidationReports:
         chain = QuantumChain(
             qk.Alphabet(("a",)),
             sub,
-            {"a": SuperOperator.from_action(sub, action)},
+            action_coords(sub, action)[None],
             random_quantum_density(rng, 2),
             ChainKind.QMC,
         )
@@ -213,12 +210,14 @@ class TestCholeskyCertificate:
         rng = np.random.default_rng(seed)
         sub = OperatorSubspace.full(n)
         kraus = kraus_family(rng, family, n)
-        ops = {f"k{i}": SuperOperator.from_kraus(sub, k) for i, k in enumerate(kraus)}
+        ops = list(kraus_coords(sub, np.stack(kraus)))
+        symbols = [f"k{i}" for i in range(len(kraus))]
         if n == 2:  # the two maps that are not completely positive
-            ops["r"] = SuperOperator.from_action(sub, reduction_map)
-            ops["m"] = SuperOperator.from_action(sub, non_positive_map)
+            ops += [action_coords(sub, reduction_map), action_coords(sub, non_positive_map)]
+            symbols += ["r", "m"]
         density = random_quantum_density(rng, n)
-        chain = QuantumChain(qk.Alphabet(tuple(ops)), sub, ops, density, ChainKind.QMC)
+        alphabet = qk.Alphabet(tuple(symbols))
+        chain = QuantumChain(alphabet, sub, np.stack(ops), density, ChainKind.QMC)
         got = qk.validate_chain(chain, positivity_samples=100)
         with mock.patch.object(chain_mod, "_factorises", lambda matrix, shift: False):
             want = qk.validate_chain(chain, positivity_samples=100)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpmkit as qk
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 from qpmkit.errors import AlphabetError, DegenerateSupportError
 from qpmkit.process import TruncatedHankel, _row_basis_indices
 
@@ -59,7 +59,7 @@ def dyadic_qpm(rng) -> QuantumChain:
     sub = OperatorSubspace.diagonal(d)
     diag = dyadic(rng, d)
     diag[0] = 1.0 - diag[1:].sum()
-    ops = {a: SuperOperator(sub, dyadic(rng, (d, d))) for a in ("a", "b")}
+    ops = np.stack([dyadic(rng, (d, d)) for _ in ("a", "b")])
     initial = qk.Density.generalized(np.diag(diag.astype(complex)))
     return QuantumChain(qk.Alphabet(("a", "b")), sub, ops, initial, ChainKind.QPM)
 
@@ -96,7 +96,7 @@ def test_every_model_family_lowers():
     chains = [random_qmc(rng, flavor) for flavor in ("hmm", "povm", "unitary", "qrw")]
     chains += [dyadic_qpm(rng), qk.finitary_to_qpm(qk.hmm_to_finitary(random_hmm(rng)))]
     for chain in chains:
-        arrays = (*chain.letter_matrices, chain.initial_coords, chain.subspace.traces)
+        arrays = (chain.operators, chain.initial_coords, chain.subspace.traces)
         assert all(array.dtype == np.float64 and array.flags.c_contiguous for array in arrays)
 
 
@@ -197,9 +197,8 @@ def chain_families(rng) -> list[QuantumChain]:
 def checked_lookup_eval(chain: QuantumChain, word) -> float:
     """chain_eval by the plain per-letter loop, each symbol looked up on its own."""
     letters = [chain.alphabet.index(symbol) for symbol in word]
-    matrices = [chain.letter_ops[a].matrix for a in chain.alphabet]
     return prefix_product_reference(
-        chain.initial_coords, matrices, letters, chain.subspace.traces
+        chain.initial_coords, chain.operators, letters, chain.subspace.traces
     )
 
 
@@ -361,10 +360,7 @@ def chain_pair(rng, delta):
     chain = povm_chain(rng)
     if not delta:
         return qk.chain_process(chain), qk.finitary_process(qk.qpm_to_finitary(chain))
-    ops = {
-        a: SuperOperator(chain.subspace, op.matrix + delta * rng.normal(size=op.matrix.shape))
-        for a, op in chain.letter_ops.items()
-    }
+    ops = np.stack([m + delta * rng.normal(size=m.shape) for m in chain.operators])
     other = QuantumChain(chain.alphabet, chain.subspace, ops, chain.initial, chain.kind)
     return qk.chain_process(chain), qk.chain_process(other)
 

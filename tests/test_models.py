@@ -103,7 +103,19 @@ class TestHmmLetterStack:
         stack = hmm2._letter_stack
         assert qk.hmm_process(hmm2).linear.matrices is stack
         chain = qk.hmm_to_qmc(hmm2)
-        assert all(np.shares_memory(op.matrix, stack) for op in chain.letter_ops.values())
+        assert chain.operators is stack
+
+    def test_finitary_readers_share_one_read_only_stack(self, coin_finitary, hmm2):
+        for param in (coin_finitary, qk.hmm_to_finitary(hmm2)):
+            stack = param._letter_stack
+            assert param._letter_stack is stack and stack.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 0.0
+            assert qk.finitary_process(param).linear.matrices is stack
+            for a, matrix in zip(param.alphabet, stack):
+                assert np.array_equal(matrix, param.letter_matrices[a])
+            total = sum(param.letter_matrices[a] for a in param.alphabet)
+            assert param.total_matrix.tobytes() == total.tobytes()
 
     def test_finitary_matrices_are_writable_copies(self, hmm2):
         finitary = qk.hmm_to_finitary(hmm2)
@@ -497,10 +509,7 @@ class TestSampling:
         import qpmkit.chain as chain_mod
 
         sub = chain_mod.OperatorSubspace.diagonal(1)
-        ops = {
-            "a": chain_mod.SuperOperator(sub, np.array([[1.4]])),
-            "b": chain_mod.SuperOperator(sub, np.array([[-0.4]])),
-        }
+        ops = np.array([[[1.4]], [[-0.4]]])
         chain = chain_mod.QuantumChain(
             qk.Alphabet(("a", "b")),
             sub,
@@ -541,9 +550,9 @@ class TestConversionsDoTheirWorkOnce:
             assert param.standard_form == qk.is_standard_form(param)
             assert np.array_equal(param.initial, chain.initial_coords)
             assert np.array_equal(param.end, chain.subspace.traces)
-            for a in chain.alphabet:
-                assert np.array_equal(param.letter_matrices[a], chain.letter_ops[a].matrix)
-                assert param.letter_matrices[a] is not chain.letter_ops[a].matrix
+            for a, matrix in zip(chain.alphabet, chain.operators):
+                assert np.array_equal(param.letter_matrices[a], matrix)
+                assert not np.shares_memory(param.letter_matrices[a], chain.operators)
             flags.append(param.standard_form)
         assert set(flags) == {True, False}
 

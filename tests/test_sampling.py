@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit import models
-from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain, SuperOperator
+from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 from qpmkit.errors import SamplingError, ValidationError
 
 from helpers import random_hmm, random_local_qrw
@@ -57,11 +57,7 @@ def clamped_qpm(rng) -> QuantumChain:
     split = hmm.emission.T[:, :, None] * hmm.transition[None]
     leak = 1e-11 * rng.random((3, 3))
     sub = OperatorSubspace.diagonal(3)
-    ops = {
-        "a": SuperOperator(sub, split[0] + leak),
-        "b": SuperOperator(sub, split[1]),
-        "c": SuperOperator(sub, -leak),
-    }
+    ops = np.stack([split[0] + leak, split[1], -leak])
     density = qk.Density.generalized(np.diag(hmm.initial.astype(complex)))
     return QuantumChain(qk.Alphabet(("a", "b", "c")), sub, ops, density, ChainKind.QPM)
 
@@ -151,7 +147,7 @@ def failing_chain() -> QuantumChain:
     a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.4]])
     b = np.zeros((3, 3))
     b[2, 2] = -0.4
-    ops = {"a": SuperOperator(sub, a), "b": SuperOperator(sub, b)}
+    ops = np.stack([a, b])
     density = qk.Density.generalized(np.diag([1.0, 0.0, 0.0]).astype(complex))
     return QuantumChain(AB, sub, ops, density, ChainKind.QPM)
 

@@ -46,7 +46,7 @@ def hmm_case(name, hmm):
 
 
 def chain_case(name, chain, start=None, evaluate=None):
-    matrices = [chain.letter_ops[a].matrix for a in chain.alphabet]
+    matrices = list(chain.operators)
     start = chain.initial_coords if start is None else start
     evaluate = evaluate or (lambda word: qk.chain_eval(chain, word))
     return name, evaluate, chain.alphabet, start, matrices, chain.subspace.traces
