@@ -32,6 +32,7 @@ from .hermitian import (
     Density,
     DensityKind,
     as_complex_matrix,
+    read_only_array,
     require_hermitian,
     require_hermitian_stack,
 )
@@ -101,16 +102,13 @@ def _canonical_stack(n: int) -> np.ndarray:
     stack[sym, cols, rows] = root_half
     stack[sym + 1, rows, cols] = -1j * root_half
     stack[sym + 1, cols, rows] = 1j * root_half
-    stack.flags.writeable = False
-    return stack
+    return read_only_array(stack, complex)
 
 
 @lru_cache(maxsize=16)
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(n, 1)``, built once per n and shared, read-only."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    return tuple(read_only_array(index, np.intp) for index in np.triu_indices(n, 1))
 
 
 def _hermitian_stack(basis, tol: float) -> np.ndarray:
@@ -118,9 +116,10 @@ def _hermitian_stack(basis, tol: float) -> np.ndarray:
 
     A finite basis of one non-empty square shape takes one batched check;
     any other is checked element by element, which names what is wrong.
+    A canonical basis array is returned as given, so subspaces share it.
     """
     try:
-        stack = np.array(basis, dtype=complex)
+        stack = np.asarray(basis, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         stack = None
     if (
@@ -158,15 +157,15 @@ class OperatorSubspace:
 
     Coordinates are row vectors against the basis.  :meth:`expand_all`
     is the one expansion: it reads them off a stack of matrices and
-    checks each matrix's membership by its reconstruction error.
+    checks each matrix's membership by its reconstruction error.  Its
+    arrays are read-only (:func:`read_only_array`), so it can be shared.
     """
 
     def __init__(self, basis, hermitian_tol: float = DEFAULTS.hermitian_tol):
-        self._stack = _hermitian_stack(basis, hermitian_tol)
-        self._basis = tuple(self._stack)
-        dim = len(self._basis)
+        self._stack = read_only_array(_hermitian_stack(basis, hermitian_tol), complex)
+        dim = len(self._stack)
         flat = self._stack.reshape(dim, -1)
-        self._flat_conj = flat.conj()
+        self._flat_conj = read_only_array(flat.conj(), complex)
         if self.is_canonical:
             # Orthogonal by construction: the dense product's off-diagonal
             # entries are exact zeros and its diagonal is this, bit for bit.
@@ -177,13 +176,17 @@ class OperatorSubspace:
             eigenvalues = np.linalg.eigvalsh(gram)
             if eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1.0):
                 raise ValidationError("subspace basis is not linearly independent")
-        self._gram = gram
+        self._gram = read_only_array(gram, float)
         diag = np.diag(gram)
         self._gram_diag = diag if np.array_equal(gram, np.diag(diag)) else None
-        self._inv_sqrt_diag = None if self._gram_diag is None else 1.0 / np.sqrt(diag)
+        self._inv_sqrt_diag = None
+        if self._gram_diag is not None:
+            self._inv_sqrt_diag = read_only_array(1.0 / np.sqrt(diag), float)
         # complex sums, then a contiguous copy of their real parts: the bits
         # of np.trace(m).real for each element m
-        self._traces = np.diagonal(self._stack, axis1=1, axis2=2).sum(axis=-1).real.copy()
+        self._traces = read_only_array(
+            np.diagonal(self._stack, axis1=1, axis2=2).sum(axis=-1).real, float
+        )
 
     @classmethod
     def full(cls, n: int) -> "OperatorSubspace":
@@ -196,21 +199,17 @@ class OperatorSubspace:
         return _diagonal_subspace(n)
 
     @property
-    def basis(self) -> tuple[np.ndarray, ...]:
-        return self._basis
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The basis as one (dim, n, n) array."""
+    def basis(self) -> np.ndarray:
+        """The basis as one read-only (dim, n, n) stack."""
         return self._stack
 
     @property
     def dim(self) -> int:
-        return len(self._basis)
+        return len(self._stack)
 
     @property
     def ambient_dim(self) -> int:
-        return int(self._basis[0].shape[0])
+        return int(self._stack.shape[1])
 
     @property
     def gram(self) -> np.ndarray:
@@ -223,9 +222,9 @@ class OperatorSubspace:
     def expand(self, matrix, tol: float = DEFAULTS.recon_tol) -> np.ndarray:
         """Coordinates of one Hermitian matrix: :meth:`expand_all` of a stack of one."""
         mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != self._basis[0].shape:
+        if mat.shape != self._stack.shape[1:]:
             raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not match ambient {self._basis[0].shape}"
+                f"matrix shape {mat.shape} does not match ambient {self._stack.shape[1:]}"
             )
         return self.expand_all(mat[None], tol)[0]
 
@@ -333,7 +332,7 @@ class OperatorSubspace:
         complex-linear extension of :meth:`expand`: one Gram solve against
         the conjugated basis, so ``unit_coords @ stack`` rebuilds every unit.
         """
-        return self._gram_solve(self._flat_conj).T
+        return read_only_array(self._gram_solve(self._flat_conj).T, complex)
 
     def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``gram @ x = rhs`` for a vector or for each column of a matrix.
@@ -355,7 +354,7 @@ class OperatorSubspace:
     @cached_property
     def _cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the Gram."""
-        return np.linalg.cholesky(self._gram)
+        return read_only_array(np.linalg.cholesky(self._gram), float)
 
     @cached_property
     def _stack_entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -373,26 +372,17 @@ class OperatorSubspace:
 
 @lru_cache(maxsize=4)
 def _full_subspace(n: int) -> OperatorSubspace:
-    """:meth:`OperatorSubspace.full`, its arrays read-only since every caller shares them."""
-    return _read_only(OperatorSubspace(_canonical_stack(n)))
+    """:meth:`OperatorSubspace.full`, on the shared canonical stack."""
+    return OperatorSubspace(_canonical_stack(n))
 
 
 @lru_cache(maxsize=16)
 def _diagonal_subspace(n: int) -> OperatorSubspace:
-    """:meth:`OperatorSubspace.diagonal`, its arrays read-only since every caller shares them."""
-    basis = []
-    for i in range(n):
-        unit = np.zeros((n, n), dtype=complex)
-        unit[i, i] = 1.0
-        basis.append(unit)
-    return _read_only(OperatorSubspace(basis))
-
-
-def _read_only(sub: OperatorSubspace) -> OperatorSubspace:
-    """Freeze the arrays that a shared subspace hands to every caller."""
-    for array in (sub.stack, sub.gram, sub.traces):
-        array.flags.writeable = False
-    return sub
+    """:meth:`OperatorSubspace.diagonal`, shared by every caller."""
+    units = np.arange(n)
+    stack = np.zeros((n, n, n), dtype=complex)
+    stack[units, units, units] = 1.0
+    return OperatorSubspace(stack)
 
 
 class ChainKind(Enum):
@@ -407,9 +397,9 @@ class QuantumChain:
     ``operators[i]`` is the coordinate matrix of the i-th alphabet
     symbol's operator: its row j holds the coordinates of the image of
     the j-th basis element, so coordinate rows evolve by right
-    multiplication.  The stack is stored as one C-contiguous float64
-    ``(len(alphabet), dim, dim)`` array, the layout on which a chain
-    evaluates exactly as its saved file does.
+    multiplication.  The stack is stored as one read-only C-contiguous
+    float64 ``(len(alphabet), dim, dim)`` array (:func:`read_only_array`),
+    the layout on which a chain evaluates exactly as its saved file does.
     """
 
     alphabet: Alphabet
@@ -425,20 +415,20 @@ class QuantumChain:
             raise DimensionMismatchError(
                 f"operator stack must have shape {(len(self.alphabet), d, d)}, got {ops.shape}"
             )
-        object.__setattr__(self, "operators", ops)
         if self.initial.matrix.shape[0] != self.subspace.ambient_dim:
             raise DimensionMismatchError("initial density does not match the ambient dimension")
         if self.kind is ChainKind.QMC and self.initial.kind is not DensityKind.QUANTUM:
             raise ValidationError("a quantum Markov chain needs a quantum initial density")
+        object.__setattr__(self, "operators", read_only_array(ops, float))
 
     @cached_property
     def initial_coords(self) -> np.ndarray:
-        return self.subspace.expand(self.initial.matrix)
+        return read_only_array(self.subspace.expand(self.initial.matrix), float)
 
     @cached_property
     def total_matrix(self) -> np.ndarray:
         """The summed operators, added letter by letter in alphabet order from 0.0."""
-        return np.add.reduce(self.operators, axis=0, initial=0.0)
+        return read_only_array(np.add.reduce(self.operators, axis=0, initial=0.0), float)
 
 
 def chain_eval(chain: QuantumChain, word) -> float:
@@ -635,7 +625,7 @@ def _choi_matrix(sub: OperatorSubspace, matrix: np.ndarray) -> np.ndarray:
         units = sum(v.conj()[:, None] * matrix[r] for r, v in zip(rows, values))
         images = sum(units[:, r] * v for r, v in zip(rows, values))
     else:
-        images = (sub.unit_coords @ matrix) @ sub.stack.reshape(sub.dim, -1)
+        images = (sub.unit_coords @ matrix) @ sub.basis.reshape(sub.dim, -1)
     choi = images.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return (choi + choi.conj().T) / 2.0
 
@@ -805,7 +795,7 @@ def kraus_coords(subspace: OperatorSubspace, kraus) -> np.ndarray:
     for lo in range(0, len(k), batch):
         part = k[lo : lo + batch, None]
         with np.errstate(over="ignore", invalid="ignore"):  # expand_all refuses the overflow
-            images = part @ subspace.stack @ part.conj().transpose(0, 1, 3, 2)
+            images = part @ subspace.basis @ part.conj().transpose(0, 1, 3, 2)
         flat = subspace.expand_all(images.reshape(-1, n, n))
         coords[lo : lo + batch] = flat.reshape(-1, dim, dim)
     return coords
@@ -894,7 +884,7 @@ def finitary_to_qpm(
     sub = OperatorSubspace.diagonal(r)
     # column k*r + i of the solution is row i of letter k's coordinate matrix
     size = len(param.alphabet)
-    ops = np.ascontiguousarray(solution[:, : size * r].reshape(r, size, r).transpose(1, 2, 0))
+    ops = solution[:, : size * r].reshape(r, size, r).transpose(1, 2, 0)
     root = solution[:, -1]
     initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
     chain = QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
@@ -914,14 +904,14 @@ def qpm_to_finitary(chain: QuantumChain) -> FinitaryParam:
     The initial vector holds the initial density's coordinates, the
     letter matrices are the operators' coordinate matrices and the end
     vector the basis traces, so evaluation is the same arithmetic in a
-    different order.
+    different order.  The model shares those read-only arrays with the chain.
     """
     initial, end = chain.initial_coords, chain.subspace.traces
     return FinitaryParam(
         Alphabet(chain.alphabet.symbols),
-        {a: matrix.copy() for a, matrix in zip(chain.alphabet, chain.operators)},
-        initial.copy(),
-        end.copy(),
+        chain.operators,
+        initial,
+        end,
         standard_form=bool(_standard_form(initial, end, chain.total_matrix)),
     )
 

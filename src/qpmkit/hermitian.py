@@ -37,6 +37,20 @@ __all__ = [
 CLUSTER_GAP = 1e-8
 
 
+def read_only_array(value, dtype) -> np.ndarray:
+    """``value`` as a read-only C-contiguous array of ``dtype``: how every model stores its arrays.
+
+    An array that owns its memory in that dtype and layout is frozen in
+    place; anything else (a list, another dtype or layout, a view) is
+    converted or copied first, so no writable alias of the result remains.
+    """
+    arr = np.asarray(value, dtype=dtype, order="C")
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def as_complex_matrix(value) -> np.ndarray:
     """Coerce ``value`` to a 2-D complex array, rejecting non-finite entries."""
     mat = np.asarray(value, dtype=complex)
@@ -217,6 +231,9 @@ class Density:
 
     matrix: np.ndarray
     kind: DensityKind
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", read_only_array(self.matrix, complex))
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedChainError,
     ValidationError,
 )
-from .hermitian import Density, require_hermitian, spectral_decompose
+from .hermitian import Density, read_only_array, require_hermitian, spectral_decompose
 from .chain import QuantumChain
 from .process import _rescale, _scaled
 
@@ -59,10 +59,10 @@ def _checked_labels(labels, count: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class HiddenStateBasis:
-    """Labeled orthogonal projectors summing to the identity."""
+    """Labeled orthogonal projectors summing to the identity, as one read-only (size, dim, dim) stack."""
 
     labels: tuple[str, ...]
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     def __post_init__(self):
         labels = _checked_labels(self.labels, len(self.projectors))
@@ -91,7 +91,7 @@ class HiddenStateBasis:
         if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > _PROJECTOR_TOL:
             raise ValidationError("projectors do not resolve the identity")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "projectors", read_only_array(stack, complex))
 
     @property
     def dim(self) -> int:
@@ -116,7 +116,7 @@ class HiddenStateBasis:
         projectors[axes, axes, axes] = 1.0
         basis = object.__new__(cls)
         object.__setattr__(basis, "labels", labels)
-        object.__setattr__(basis, "projectors", tuple(projectors))
+        object.__setattr__(basis, "projectors", read_only_array(projectors, complex))
         return basis
 
     @classmethod
@@ -400,7 +400,7 @@ def _step_weights(
     sub = chain.subspace
     if basis.dim != sub.ambient_dim:
         raise DimensionMismatchError("hidden-state basis does not match the chain's space")
-    projectors = np.stack(basis.projectors)
+    projectors = basis.projectors
     ranks = np.trace(projectors, axis1=1, axis2=2).real
     wrong = np.flatnonzero(np.abs(ranks - 1.0) > 1e-9)
     if wrong.size:

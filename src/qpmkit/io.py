@@ -36,6 +36,7 @@ from .models import (
     FinitaryParam,
     HmmParam,
     QrwParam,
+    is_standard_form,
     validate_hmm,
     validate_qrw,
 )
@@ -446,9 +447,12 @@ def _parse_hmm(alphabet, payload, config):
 
 
 def _parse_ffmc(alphabet, payload, config):
+    observation = payload["observation"]
+    if not isinstance(observation, dict):
+        raise ValueError("observation must map states to symbols")
     ffmc = FfmcParam(
         states=tuple(str(s) for s in payload["states"]),
-        observation={str(k): str(v) for k, v in payload["observation"].items()},
+        observation={str(k): str(v) for k, v in observation.items()},
         initial=_array(payload["initial"], "initial"),
         transition=_array(payload["transition"], "transition"),
         alphabet=_need_alphabet(alphabet),
@@ -459,25 +463,19 @@ def _parse_ffmc(alphabet, payload, config):
 def _parse_finitary(alphabet, payload, config):
     alpha = _need_alphabet(alphabet)
     dimension = int(payload["dimension"])
-    matrices = {
-        str(sym): _array(mat, f"letter matrix {sym!r}")
-        for sym, mat in payload["letter_matrices"].items()
-    }
+    initial = _array(payload["initial"], "initial")
     param = FinitaryParam(
         alphabet=alpha,
-        letter_matrices=matrices,
-        initial=_array(payload["initial"], "initial"),
+        matrices=_symbol_stack(alpha, payload, "letter_matrices", len(initial)),
+        initial=initial,
         end=_array(payload["end"], "end"),
         standard_form=bool(payload["standard_form"]),
     )
     report = ValidationReport()
     if param.dimension != dimension:
         report.add("dimension", f"declared dimension {dimension} but vectors have {param.dimension}")
-    if param.standard_form:
-        from .models import is_standard_form
-
-        if not is_standard_form(param, config.eval_tol):
-            report.add("standard-form", "flagged standard form but constraints do not hold")
+    if param.standard_form and not is_standard_form(param, config.eval_tol):
+        report.add("standard-form", "flagged standard form but constraints do not hold")
     return param, report
 
 
@@ -498,18 +496,11 @@ def _parse_chain(kind: ChainKind):
         ambient = int(payload["ambient_dim"])
         basis = _chain_basis(payload["basis"], ambient, config)
         subspace = OperatorSubspace(basis, config.hermitian_tol)
-        d = subspace.dim
-        table = {}
-        for sym, mat in payload["operators"].items():
-            matrix = table[str(sym)] = _array(mat, f"operator {sym!r}")
-            if matrix.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"coordinate matrix must be {d}x{d}, got {matrix.shape}"
-                )
+        operators = _symbol_stack(alpha, payload, "operators", subspace.dim)
         initial = _density(
             payload["initial"], "initial", payload["initial_kind"], "unknown initial_kind", config
         )
-        chain = QuantumChain(alpha, subspace, _operator_stack(alpha, table), initial, kind)
+        chain = QuantumChain(alpha, subspace, operators, initial, kind)
         report = validate_chain(
             chain,
             trace_tol=config.trace_tol,
@@ -524,15 +515,41 @@ def _parse_chain(kind: ChainKind):
     return parse
 
 
-def _operator_stack(alphabet: Alphabet, table: dict[str, np.ndarray]) -> np.ndarray:
-    """A file's operator table as one stack in alphabet order; every symbol has one entry."""
+# How a file's table of one matrix per symbol names, in its findings, one
+# matrix, several, and one of the wrong shape.
+_SYMBOL_TABLES = {
+    "operators": ("operator", "operators", "coordinate matrix must be {d}x{d}, got {shape}"),
+    "letter_matrices": (
+        "letter matrix",
+        "letter matrices",
+        "letter matrix {symbol!r} must have shape {square}, got {shape}",
+    ),
+}
+
+
+def _symbol_stack(alphabet: Alphabet, payload, field: str, d: int) -> np.ndarray:
+    """The payload's ``field``, one d×d matrix per symbol, as one stack in alphabet order.
+
+    Entries are read, and their shapes checked, in file order.
+    """
+    one, many, wrong_shape = _SYMBOL_TABLES[field]
+    table = payload[field]
+    if not isinstance(table, dict):
+        raise ValueError(f"{field} must map symbols to matrices")
+    matrices = {}
+    for symbol, data in table.items():
+        matrix = matrices[str(symbol)] = _array(data, f"{one} {symbol!r}")
+        if matrix.shape != (d, d):
+            raise DimensionMismatchError(
+                wrong_shape.format(symbol=symbol, d=d, square=(d, d), shape=matrix.shape)
+            )
     for symbol in alphabet:
-        if symbol not in table:
-            raise ValidationError(f"missing operator for symbol {symbol!r}")
-    extra = set(table) - set(alphabet.symbols)
+        if symbol not in matrices:
+            raise ValidationError(f"missing {one} for symbol {symbol!r}")
+    extra = set(matrices) - set(alphabet.symbols)
     if extra:
-        raise ValidationError(f"operators for unknown symbols: {sorted(extra)}")
-    return np.stack([table[symbol] for symbol in alphabet])
+        raise ValidationError(f"{many} for unknown symbols: {sorted(extra)}")
+    return np.stack([matrices[symbol] for symbol in alphabet])
 
 
 def _parse_density(alphabet, payload, config):
@@ -584,20 +601,15 @@ def _parse_functions(data, labels) -> dict[str, InformationFunction]:
 
 def _dump_cmatrix(matrix: np.ndarray) -> np.ndarray:
     """A float64 array of ``[re, im]`` pairs, one per entry of a complex array."""
-    arr = np.asarray(matrix, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1)
-
-
-def _dump_rmatrix(matrix: np.ndarray) -> np.ndarray:
-    return np.asarray(matrix, dtype=float)
+    return np.stack([matrix.real, matrix.imag], axis=-1)
 
 
 def _dump_hmm(model: HmmParam):
     return list(model.alphabet.symbols), {
         "states": list(model.states),
-        "emission": _dump_rmatrix(model.emission),
-        "initial": _dump_rmatrix(model.initial),
-        "transition": _dump_rmatrix(model.transition),
+        "emission": model.emission,
+        "initial": model.initial,
+        "transition": model.transition,
     }
 
 
@@ -605,17 +617,17 @@ def _dump_ffmc(model: FfmcParam):
     return list(model.to_hmm().alphabet.symbols), {
         "states": list(model.states),
         "observation": dict(model.observation),
-        "initial": _dump_rmatrix(model.initial),
-        "transition": _dump_rmatrix(model.transition),
+        "initial": model.initial,
+        "transition": model.transition,
     }
 
 
 def _dump_finitary(model: FinitaryParam):
     return list(model.alphabet.symbols), {
         "dimension": model.dimension,
-        "letter_matrices": {a: _dump_rmatrix(m) for a, m in model.letter_matrices.items()},
-        "initial": _dump_rmatrix(model.initial),
-        "end": _dump_rmatrix(model.end),
+        "letter_matrices": dict(zip(model.alphabet, model.matrices)),
+        "initial": model.initial,
+        "end": model.end,
         "standard_form": bool(model.standard_form),
     }
 
@@ -632,7 +644,7 @@ def _dump_qrw(model: QrwParam):
 def _dump_chain(model: QuantumChain):
     return list(model.alphabet.symbols), {
         "ambient_dim": model.subspace.ambient_dim,
-        "basis": _dump_cmatrix(model.subspace.stack),
+        "basis": _dump_cmatrix(model.subspace.basis),
         "operators": dict(zip(model.alphabet, model.operators)),
         "initial": _dump_cmatrix(model.initial.matrix),
         "initial_kind": model.initial.kind.value,

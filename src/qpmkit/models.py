@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .errors import ValidationReport
-from .hermitian import is_unitary
+from .hermitian import is_unitary, read_only_array
 from .process import Alphabet, LinearForm, Process, Word, word_value
 
 __all__ = [
@@ -50,13 +50,13 @@ __all__ = [
 
 
 def _as_float_matrix(value, shape, what: str) -> np.ndarray:
-    """``value`` as a C-contiguous float64 array of ``shape`` with finite entries."""
+    """``value`` as a read-only float64 array of ``shape`` with finite entries."""
     mat = np.asarray(value, dtype=float, order="C")
     if mat.shape != shape:
         raise DimensionMismatchError(f"{what} must have shape {shape}, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{what} contains non-finite entries")
-    return mat
+    return read_only_array(mat, float)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class HmmParam:
     ``emission[i, a]`` is the probability of emitting symbol ``a`` upon
     arrival in state ``i``; ``transition[i, j]`` the probability of moving
     from state ``i`` to ``j``.  Shapes are enforced on construction, value
-    constraints by :func:`validate_hmm`.
+    constraints by :func:`validate_hmm`.  The arrays are stored read-only.
     """
 
     states: tuple[str, ...]
@@ -103,8 +103,7 @@ class HmmParam:
         conversion of this model shares it.
         """
         stack = np.multiply(self.emission.T[:, :, None], self.transition[None, :, :], order="C")
-        stack.flags.writeable = False
-        return stack
+        return read_only_array(stack, float)
 
 
 def validate_hmm(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> ValidationReport:
@@ -215,14 +214,16 @@ def _labelled_hmm(states, observation, initial, transition, alphabet) -> HmmPara
 class FinitaryParam:
     """Word probabilities as initial-row times letter-matrix products times an end vector.
 
-    Standard form means the end vector is all ones, the summed letter
-    matrices fix it, and the initial vector has unit total weight.
-    Conversions out of operator models produce general end vectors;
-    :func:`standardize` rescales when possible.
+    ``matrices`` stacks the letter matrices in alphabet order, as one
+    read-only float64 ``(len(alphabet), d, d)`` array.  Standard form means
+    the end vector is all ones, the summed letter matrices fix it, and the
+    initial vector has unit total weight.  Conversions out of operator
+    models produce general end vectors; :func:`standardize` rescales when
+    possible.
     """
 
     alphabet: Alphabet
-    letter_matrices: dict[str, np.ndarray]
+    matrices: np.ndarray
     initial: np.ndarray
     end: np.ndarray
     standard_form: bool = False
@@ -232,58 +233,42 @@ class FinitaryParam:
         if initial.ndim != 1:
             raise DimensionMismatchError("initial vector must be 1-D")
         d = initial.shape[0]
-        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "initial", read_only_array(initial, float))
         object.__setattr__(self, "end", _as_float_matrix(self.end, (d,), "end vector"))
-        mats = {}
-        for symbol in self.alphabet:
-            if symbol not in self.letter_matrices:
-                raise ValidationError(f"missing letter matrix for symbol {symbol!r}")
-            mats[symbol] = _as_float_matrix(
-                self.letter_matrices[symbol], (d, d), f"letter matrix {symbol!r}"
-            )
-        extra = set(self.letter_matrices) - set(self.alphabet.symbols)
-        if extra:
-            raise ValidationError(f"letter matrices for unknown symbols: {sorted(extra)}")
-        object.__setattr__(self, "letter_matrices", mats)
+        shape = (len(self.alphabet), d, d)
+        object.__setattr__(
+            self, "matrices", _as_float_matrix(self.matrices, shape, "letter matrix stack")
+        )
 
     @property
     def dimension(self) -> int:
         return int(self.initial.shape[0])
 
-    @property
-    def total_matrix(self) -> np.ndarray:
-        return np.add.reduce(self._letter_stack, axis=0, initial=0.0)
-
     @cached_property
-    def _letter_stack(self) -> np.ndarray:
-        """The letter matrices stacked in alphabet order, C-contiguous.
-
-        Built on first use and read-only, since every evaluation and
-        lowering of this model shares it.
-        """
-        stack = np.stack([self.letter_matrices[a] for a in self.alphabet])
-        stack.flags.writeable = False
-        return stack
+    def total_matrix(self) -> np.ndarray:
+        """The summed letter matrices, added in alphabet order from 0.0."""
+        return read_only_array(np.add.reduce(self.matrices, axis=0, initial=0.0), float)
 
 
 def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryParam:
-    """Split the transition matrix by emitted symbol; end vector all ones."""
+    """Split the transition matrix by emitted symbol; end vector all ones.
+
+    The model shares the HMM's read-only letter stack and initial law.
+    """
     validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
-    # a copy, so the finitary model's matrices are its own and writable
-    matrices = dict(zip(hmm.alphabet, hmm._letter_stack.copy()))
     ones = np.ones(hmm.n_states)
-    return FinitaryParam(hmm.alphabet, matrices, hmm.initial.copy(), ones, standard_form=True)
+    return FinitaryParam(hmm.alphabet, hmm._letter_stack, hmm.initial, ones, standard_form=True)
 
 
 def finitary_eval(param: FinitaryParam, word) -> float:
-    return word_value(param.initial, param._letter_stack, param.alphabet.indices(word), param.end)
+    return word_value(param.initial, param.matrices, param.alphabet.indices(word), param.end)
 
 
 def finitary_process(param: FinitaryParam) -> Process:
     return Process(
         param.alphabet,
         lambda w: finitary_eval(param, w),
-        lowering=lambda: LinearForm(param.initial, param._letter_stack, param.end),
+        lowering=lambda: LinearForm(param.initial, param.matrices, param.end),
     )
 
 
@@ -310,11 +295,7 @@ def standardize(param: FinitaryParam, tol: float = DEFAULTS.eval_tol) -> Finitar
     """
     if is_standard_form(param, tol):
         return FinitaryParam(
-            param.alphabet,
-            dict(param.letter_matrices),
-            param.initial,
-            np.ones(param.dimension),
-            standard_form=True,
+            param.alphabet, param.matrices, param.initial, np.ones(param.dimension), standard_form=True
         )
     tau = param.end
     if np.min(np.abs(tau)) <= tol:
@@ -322,9 +303,7 @@ def standardize(param: FinitaryParam, tol: float = DEFAULTS.eval_tol) -> Finitar
     if np.max(np.abs(param.total_matrix @ tau - tau)) > max(tol, 1e-8) * max(1.0, float(np.abs(tau).max())):
         raise ValidationError("summed letter matrices do not fix the end vector")
     scale = tau
-    matrices = {
-        a: (mat * scale[None, :]) / scale[:, None] for a, mat in param.letter_matrices.items()
-    }
+    matrices = (param.matrices * scale[None, None, :]) / scale[None, :, None]
     initial = param.initial * scale
     return FinitaryParam(
         param.alphabet, matrices, initial, np.ones(param.dimension), standard_form=True
@@ -366,8 +345,8 @@ class QrwParam:
         wave = np.asarray(self.wave, dtype=complex)
         if wave.shape != (k,):
             raise DimensionMismatchError(f"wave must have shape {(k,)}, got {wave.shape}")
-        object.__setattr__(self, "unitary", unitary)
-        object.__setattr__(self, "wave", wave)
+        object.__setattr__(self, "unitary", read_only_array(unitary, complex))
+        object.__setattr__(self, "wave", read_only_array(wave, complex))
 
     @property
     def coin_count(self) -> int:

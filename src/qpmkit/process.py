@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     ValidationError,
 )
+from .hermitian import read_only_array
 
 __all__ = [
     "Alphabet",
@@ -404,9 +405,7 @@ class TruncatedHankel:
         zero singular values of the matrix can be missing.  The array is
         shared by every caller and read-only.
         """
-        values = np.linalg.svd(self._row_factor, compute_uv=False)
-        values.flags.writeable = False
-        return values
+        return read_only_array(np.linalg.svd(self._row_factor, compute_uv=False), float)
 
     def entry(self, row_word: Word, col_word: Word) -> float:
         return float(self.matrix[self.row_words.index(row_word), self.col_words.index(col_word)])

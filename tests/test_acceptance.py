@@ -260,7 +260,7 @@ def test_14_walk_chain_file_round_trip(tmp_path):
         text = qk.save_model(chain, path)
         loaded = qk.load_model(path)
     assert qk.save_model(loaded) == text
-    assert loaded.subspace.stack.tobytes() == chain.subspace.stack.tobytes()
+    assert loaded.subspace.basis.tobytes() == chain.subspace.basis.tobytes()
 
 
 def test_15_factor_space_hankel_analysis():

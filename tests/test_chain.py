@@ -72,7 +72,7 @@ class TestHermitianBasis:
         for n in range(1, 17):
             stack = np.stack(hermitian_basis(n))
             assert require_hermitian_stack(stack).tobytes() == stack.tobytes()
-            assert OperatorSubspace(list(stack)).stack.tobytes() == stack.tobytes()
+            assert OperatorSubspace(list(stack)).basis.tobytes() == stack.tobytes()
 
 
 class TestOperatorSubspace:
@@ -93,7 +93,7 @@ class TestOperatorSubspace:
         sub = OperatorSubspace.diagonal(n)
         assert OperatorSubspace.diagonal(n) is sub
         assert sub.is_unit_diagonal and sub.dim == n
-        for array in (sub.stack, sub.gram, sub.traces):
+        for array in (sub.basis, sub.gram, sub.traces):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -102,7 +102,7 @@ class TestOperatorSubspace:
         sub = OperatorSubspace.full(n)
         assert OperatorSubspace.full(n) is sub
         assert sub.is_canonical and sub.dim == n * n
-        for array in (sub.stack, sub.gram, sub.traces):
+        for array in (sub.basis, sub.gram, sub.traces):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -117,7 +117,7 @@ class TestOperatorSubspace:
         ]
         expected = [qk.require_hermitian(b) for b in basis]
         sub = OperatorSubspace(basis)
-        assert sub.stack.tobytes() == np.stack(expected).tobytes()
+        assert sub.basis.tobytes() == np.stack(expected).tobytes()
         assert [b.tobytes() for b in sub.basis] == [b.tobytes() for b in expected]
 
     def test_first_offending_element_is_reported(self):
@@ -686,9 +686,7 @@ class TestFinitaryToQpm:
             assert qk.validate_chain(chain).messages() == qk.validate_chain(loaded).messages()
 
     def test_rejects_non_process_parametrization(self):
-        broken = qk.FinitaryParam(
-            AB, {"a": [[0.9]], "b": [[0.4]]}, [1.0], [1.0], standard_form=False
-        )
+        broken = qk.FinitaryParam(AB, [[[0.9]], [[0.4]]], [1.0], [1.0], standard_form=False)
         with pytest.raises(ValidationError):
             qk.finitary_to_qpm(broken)
 
@@ -704,7 +702,7 @@ class TestFinitaryToQpm:
         monkeypatch.setattr(qk.chain, "build_hankel", unreachable)
         alphabet = qk.Alphabet(tuple(f"s{i}" for i in range(letters)))
         param = qk.FinitaryParam(
-            alphabet, {a: [[1.0 / letters]] for a in alphabet}, [1.0], [1.0], standard_form=True
+            alphabet, np.full((letters, 1, 1), 1.0 / letters), [1.0], [1.0], standard_form=True
         )
         with pytest.raises(ValidationError) as raised:
             qk.finitary_to_qpm(param, horizon=horizon)
@@ -733,7 +731,7 @@ class TestQpmToFinitary:
     def test_identity_chain(self):
         chain = single_letter_chain(np.eye(2), [0.5, 0.5])
         finitary = qk.qpm_to_finitary(chain)
-        assert np.allclose(finitary.letter_matrices["a"], np.eye(2))
+        assert np.allclose(finitary.matrices[0], np.eye(2))
         for t in range(5):
             assert qk.finitary_eval(finitary, ("a",) * t) == pytest.approx(1.0)
 

@@ -207,6 +207,11 @@ def _set(*keys_and_value):
     return edit
 
 
+def _as_list(field: str):
+    """An edit that replaces the payload's ``field`` table with the list of its values."""
+    return lambda data: data["payload"].update({field: list(data["payload"][field].values())})
+
+
 # Findings of load_model_report for refusals outside the payload arrays;
 # "PATH" stands for the file's path.
 LOAD_REFUSALS = {
@@ -292,6 +297,18 @@ LOAD_REFUSALS = {
     "standard form that does not hold": (
         _edited("coin_finitary.json", lambda d: d["payload"].update(initial=[0.5], end=[2.0])),
         ["standard-form: flagged standard form but constraints do not hold"],
+    ),
+    "chain operators a list": (
+        _edited("swap_qmc.json", _as_list("operators")),
+        ["malformed payload: operators must map symbols to matrices"],
+    ),
+    "finitary letter_matrices a list": (
+        _edited("coin_finitary.json", _as_list("letter_matrices")),
+        ["malformed payload: letter_matrices must map symbols to matrices"],
+    ),
+    "ffmc observation a list": (
+        _edited("swap_ffmc.json", _as_list("observation")),
+        ["malformed payload: observation must map states to symbols"],
     ),
 }
 
@@ -561,6 +578,42 @@ class TestModelFiles:
         code, report = _run_json(["validate", str(bad)])
         assert (code, report["findings"]) == (1, [message])
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["payload"]["letter_matrices"].pop("b"),
+                "missing letter matrix for symbol 'b'",
+            ),
+            (
+                lambda d: d["payload"]["letter_matrices"].update(z=[[0.5]]),
+                "letter matrices for unknown symbols: ['z']",
+            ),
+            (
+                lambda d: d["payload"]["letter_matrices"].update(b=[[0.5, 0.0], [0.0, 0.5]]),
+                "letter matrix 'b' must have shape (1, 1), got (2, 2)",
+            ),
+        ],
+        ids=["missing", "unknown", "shape"],
+    )
+    def test_a_finitary_file_gives_one_letter_matrix_per_symbol(self, tmp_path, edit, message):
+        data = json.loads((FIXTURES / "coin_finitary.json").read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, report = _run_json(["validate", str(bad)])
+        assert (code, report["findings"]) == (1, [message])
+
+    @pytest.mark.parametrize(
+        "name", ["chain operators a list", "finitary letter_matrices a list", "ffmc observation a list"]
+    )
+    def test_a_symbol_table_given_as_a_list_is_a_finding(self, tmp_path, name):
+        write, findings = LOAD_REFUSALS[name]
+        bad = tmp_path / "bad.json"
+        write(bad)
+        code, report = _run_json(["validate", str(bad)])
+        assert (code, report["findings"]) == (1, findings)
+
     def test_rejects_non_hermitian_density(self, tmp_path):
         data = json.loads((FIXTURES / "bell5.json").read_text())
         data["payload"]["matrix"][0][1] = [0.2, 0.0]
@@ -758,7 +811,7 @@ class TestModelFiles:
         elif isinstance(model, qk.QuantumChain):
             basis = [complex_entries(b) for b in payload["basis"]]
             expected = np.stack([(b + b.conj().T) / 2.0 for b in basis])
-            assert model.subspace.stack.tobytes() == expected.tobytes()
+            assert model.subspace.basis.tobytes() == expected.tobytes()
             for symbol, matrix in payload["operators"].items():
                 letter = model.operators[model.alphabet.index(symbol)]
                 assert letter.tobytes() == np.array(matrix).tobytes()

@@ -49,7 +49,7 @@ def dyadic_finitary(rng) -> qk.FinitaryParam:
     """A finitary parametrization that need not define a process."""
     d = int(rng.integers(1, 4))
     alphabet = qk.Alphabet(("a", "b"))
-    matrices = {a: dyadic(rng, (d, d)) for a in alphabet}
+    matrices = np.stack([dyadic(rng, (d, d)) for a in alphabet])
     return qk.FinitaryParam(alphabet, matrices, dyadic(rng, d), dyadic(rng, d))
 
 
@@ -293,8 +293,8 @@ class TestHankelAnalysis:
     def test_rank_deficient_hankel_shares_its_basis(self):
         # a 2-state form lifted to 3 states, the third a copy of the first: rank 2, not 3
         ab = qk.Alphabet(("a", "b"))
-        small = {"a": np.array([[0.5, 0.1], [0.1, 0.2]]), "b": np.array([[0.2, 0.2], [0.3, 0.4]])}
-        lifted = {a: m[[0, 1, 0]][:, [0, 1, 0]] * [0.5, 1.0, 0.5] for a, m in small.items()}
+        small = np.array([[[0.5, 0.1], [0.1, 0.2]], [[0.2, 0.2], [0.3, 0.4]]])
+        lifted = small[:, [0, 1, 0]][:, :, [0, 1, 0]] * [0.5, 1.0, 0.5]
         param = qk.FinitaryParam(ab, lifted, np.array([1.0, 0.0, 0.0]), np.ones(3))
         for build in (qk.build_hankel, per_word_hankel):
             hankel, (fast, slow) = analysed(qk.finitary_process(param), 3, 3, build)
@@ -344,14 +344,12 @@ def finitary_pair(rng, delta):
     param = dyadic_finitary(rng)
     d = param.dimension
     if delta:
-        matrices = {
-            a: m + delta * rng.normal(size=(d, d)) for a, m in param.letter_matrices.items()
-        }
+        matrices = [m + delta * rng.normal(size=(d, d)) for m in param.matrices]
         other = qk.FinitaryParam(param.alphabet, matrices, param.initial, param.end)
     else:  # a similarity transform: other matrices, the same process
         s = np.eye(d) + 0.3 * rng.normal(size=(d, d))
         s_inv = np.linalg.inv(s)
-        matrices = {a: s_inv @ m @ s for a, m in param.letter_matrices.items()}
+        matrices = [s_inv @ m @ s for m in param.matrices]
         other = qk.FinitaryParam(param.alphabet, matrices, param.initial @ s, s_inv @ param.end)
     return qk.finitary_process(param), qk.finitary_process(other)
 
@@ -470,10 +468,10 @@ class TestEquivalence:
         a = np.array([[0.5, 0.0], [0.5, 0.0]])
         b = np.array([[0.0, 0.5], [0.0, 0.0]])
         start, ones = np.array([1.0, 0.0]), np.ones(2)
-        first = qk.finitary_process(qk.FinitaryParam(ab, {"a": a, "b": b}, start, ones))
+        first = qk.finitary_process(qk.FinitaryParam(ab, [a, b], start, ones))
         # a second "b" from state 2 now has weight: only words containing "bb" differ
         b_loop = b + np.array([[0.0, 0.0], [0.0, 0.5]])
-        second = qk.finitary_process(qk.FinitaryParam(ab, {"a": a, "b": b_loop}, start, ones))
+        second = qk.finitary_process(qk.FinitaryParam(ab, [a, b_loop], start, ones))
         assert qk.distinguishing_word(first, second) == ("b", "b")
 
 

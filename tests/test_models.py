@@ -107,29 +107,24 @@ class TestHmmLetterStack:
 
     def test_finitary_readers_share_one_read_only_stack(self, coin_finitary, hmm2):
         for param in (coin_finitary, qk.hmm_to_finitary(hmm2)):
-            stack = param._letter_stack
-            assert param._letter_stack is stack and stack.flags.c_contiguous
+            stack = param.matrices
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 0.0
             assert qk.finitary_process(param).linear.matrices is stack
-            for a, matrix in zip(param.alphabet, stack):
-                assert np.array_equal(matrix, param.letter_matrices[a])
-            total = sum(param.letter_matrices[a] for a in param.alphabet)
+            total = sum(stack[i] for i in range(len(param.alphabet)))
             assert param.total_matrix.tobytes() == total.tobytes()
 
-    def test_finitary_matrices_are_writable_copies(self, hmm2):
+    def test_finitary_matrices_share_the_hmm_stack(self, hmm2):
         finitary = qk.hmm_to_finitary(hmm2)
-        for a, matrix in finitary.letter_matrices.items():
-            assert matrix.flags.writeable
-            assert not np.shares_memory(matrix, hmm2._letter_stack)
-            assert np.array_equal(matrix, hmm2._letter_stack[hmm2.alphabet.index(a)])
+        assert finitary.matrices is hmm2._letter_stack
+        assert finitary.initial is hmm2.initial
+        assert not finitary.matrices.flags.writeable
 
 
 class TestHmmToFinitary:
     def test_one_state_products(self):
         finitary = qk.hmm_to_finitary(one_state_hmm())
-        assert np.allclose(finitary.letter_matrices["a"], [[0.3]])
-        assert np.allclose(finitary.letter_matrices["b"], [[0.7]])
+        assert np.allclose(finitary.matrices, [[[0.3]], [[0.7]]])
         assert qk.finitary_eval(finitary, "ab") == pytest.approx(0.21)
 
     def test_matches_path_enumeration(self, hmm2):
@@ -247,12 +242,14 @@ class TestFinitaryEval:
         # transposed views are copied into the layout word_value runs on; a
         # scalar is not a 1-element vector
         matrix = np.array([[0.5, 0.0], [0.25, 0.25]]).T
-        param = qk.FinitaryParam(AB, {"a": matrix, "b": matrix}, np.ones(4)[::2] / 2, [1.0, 1.0])
-        arrays = (*param.letter_matrices.values(), param.initial, param.end)
+        param = qk.FinitaryParam(AB, [matrix, matrix], np.ones(4)[::2] / 2, [1.0, 1.0])
+        arrays = (param.matrices, param.initial, param.end)
         assert all(array.flags.c_contiguous for array in arrays)
-        assert np.array_equal(param.letter_matrices["a"], matrix)
+        assert np.array_equal(param.matrices[0], matrix)
         with pytest.raises(DimensionMismatchError, match="initial vector must be 1-D"):
-            qk.FinitaryParam(qk.Alphabet(("a",)), {"a": [[1.0]]}, 1.0, [1.0])
+            qk.FinitaryParam(qk.Alphabet(("a",)), [[[1.0]]], 1.0, [1.0])
+        with pytest.raises(DimensionMismatchError, match="letter matrix stack must have shape"):
+            qk.FinitaryParam(AB, [matrix], [0.5, 0.5], [1.0, 1.0])
 
 class TestStandardize:
     def test_round_trip_preserves_process(self, hmm2):
@@ -268,7 +265,7 @@ class TestStandardize:
     def test_general_end_vector(self):
         param = qk.FinitaryParam(
             AB,
-            {"a": [[0.25, 0.25], [0.25, 0.25]], "b": [[0.25, 0.25], [0.25, 0.25]]},
+            [[[0.25, 0.25], [0.25, 0.25]], [[0.25, 0.25], [0.25, 0.25]]],
             initial=[0.25, 0.25],
             end=[2.0, 2.0],
         )
@@ -282,7 +279,7 @@ class TestStandardize:
     def test_zero_end_entry_is_flagged(self):
         param = qk.FinitaryParam(
             AB,
-            {"a": [[0.5, 0.0], [0.0, 0.5]], "b": [[0.5, 0.0], [0.0, 0.5]]},
+            [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],
             initial=[1.0, 0.0],
             end=[1.0, 0.0],
         )
@@ -550,9 +547,7 @@ class TestConversionsDoTheirWorkOnce:
             assert param.standard_form == qk.is_standard_form(param)
             assert np.array_equal(param.initial, chain.initial_coords)
             assert np.array_equal(param.end, chain.subspace.traces)
-            for a, matrix in zip(chain.alphabet, chain.operators):
-                assert np.array_equal(param.letter_matrices[a], matrix)
-                assert not np.shares_memory(param.letter_matrices[a], chain.operators)
+            assert param.matrices is chain.operators
             flags.append(param.standard_form)
         assert set(flags) == {True, False}
 
@@ -567,3 +562,103 @@ class TestConversionsDoTheirWorkOnce:
         messages = {str(pytest.raises(ValidationError, call).value) for call in calls}
         norm = float(np.linalg.norm(stretched.wave))
         assert messages == {f"wave norm is {norm!r}, expected 1 within 1.000e-09"}
+
+
+def finitary_sources(hmm2, swap_qmc) -> dict[str, qk.FinitaryParam]:
+    """A finitary model from each of its sources."""
+    general = qk.qpm_to_finitary(qk.hmm_to_qmc(hmm2))
+    standard = qk.hmm_to_finitary(hmm2)
+    return {
+        "file": load_model(FIXTURES / "coin_finitary.json"),
+        "hmm": standard,
+        "chain": qk.qpm_to_finitary(swap_qmc),
+        "standardize standard": qk.standardize(standard),
+        "standardize rescaled": qk.standardize(general),
+        "list": qk.FinitaryParam(AB, [[[0.5]], [[0.5]]], [1.0], [1.0], standard_form=True),
+    }
+
+
+def model_arrays(model) -> dict[str, np.ndarray]:
+    """Every array a model holds, its cached derivatives included, by attribute name."""
+    arrays = {name: getattr(model, name) for name in vars(model)}
+    for name in ("_letter_stack", "total_matrix", "initial_coords"):
+        if hasattr(type(model), name):
+            arrays[name] = getattr(model, name)
+    for name in ("basis", "gram", "traces"):
+        if isinstance(model, qk.OperatorSubspace):
+            arrays[name] = getattr(model, name)
+    if isinstance(model, qk.Density):
+        arrays["matrix"] = model.matrix
+    return {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
+
+
+class TestReadOnlyModels:
+    @pytest.mark.parametrize(
+        "source",
+        ["file", "hmm", "chain", "standardize standard", "standardize rescaled", "list"],
+    )
+    def test_every_finitary_source_gives_one_read_only_stack(self, hmm2, swap_qmc, source):
+        param = finitary_sources(hmm2, swap_qmc)[source]
+        stack = param.matrices
+        assert type(stack) is np.ndarray and stack.dtype == np.float64
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        assert stack.shape == (len(param.alphabet), param.dimension, param.dimension)
+        assert qk.finitary_process(param).linear.matrices is stack
+
+    def test_an_edited_finitary_letter_raises(self, coin_finitary):
+        with pytest.raises(ValueError, match="read-only"):
+            coin_finitary.matrices[coin_finitary.alphabet.index("a")] *= 0.5
+        assert qk.finitary_eval(coin_finitary, "aaa") == 0.125
+        assert qk.is_standard_form(coin_finitary)
+
+    def test_an_edited_emission_raises(self, hmm2):
+        before = qk.hmm_eval(hmm2, "aa")
+        with pytest.raises(ValueError, match="read-only"):
+            hmm2.emission[:] = hmm2.emission[:, ::-1]
+        assert qk.hmm_eval(hmm2, "aa") == before
+
+    def test_an_edited_chain_operator_raises(self, qrw_hadamard):
+        chain = qk.qrw_to_qmc(qrw_hadamard)
+        with pytest.raises(ValueError, match="read-only"):
+            chain.operators[0] *= 0.5
+        assert qk.validate_chain(chain).ok
+
+    def test_conversions_share_their_source_arrays(self, hmm2, swap_qmc):
+        finitary = qk.hmm_to_finitary(hmm2)
+        assert np.shares_memory(finitary.matrices, hmm2._letter_stack)
+        assert np.shares_memory(finitary.initial, hmm2.initial)
+        param = qk.qpm_to_finitary(swap_qmc)
+        assert np.shares_memory(param.matrices, swap_qmc.operators)
+        assert np.shares_memory(param.initial, swap_qmc.initial_coords)
+        assert np.shares_memory(param.end, swap_qmc.subspace.traces)
+        chain = qk.hmm_to_qmc(hmm2)
+        assert np.shares_memory(chain.operators, hmm2._letter_stack)
+        relabelled = qk.as_qpm(chain)
+        assert np.shares_memory(relabelled.operators, chain.operators)
+        assert relabelled.initial is chain.initial
+
+    def test_no_model_array_is_writable(
+        self, hmm2, swap_ffmc, coin_finitary, qrw_hadamard, swap_qmc, unbounded_qpm, bell_file
+    ):
+        chains = (swap_qmc, unbounded_qpm, qk.hmm_to_qmc(hmm2), qk.qrw_to_qmc(qrw_hadamard))
+        models = [hmm2, swap_ffmc, coin_finitary, qrw_hadamard, bell_file.density]
+        models += [*finitary_sources(hmm2, swap_qmc).values(), *chains]
+        models += [chain.subspace for chain in chains] + [chain.initial for chain in chains]
+        models.append(qk.HiddenStateBasis.standard(2))
+        models.append(qk.HiddenStateBasis.from_density(bell_file.density))
+        for model in models:
+            arrays = model_arrays(model)
+            assert arrays, type(model).__name__
+            writable = [name for name, array in arrays.items() if array.flags.writeable]
+            assert not writable, (type(model).__name__, writable)
+
+    def test_an_owning_array_is_frozen_in_place_and_anything_else_copied(self):
+        stack = np.array([[[0.5]], [[0.5]]])
+        param = qk.FinitaryParam(AB, stack, [1.0], [1.0])
+        assert param.matrices is stack and not stack.flags.writeable
+        base = np.array([[[0.5]], [[0.5]], [[0.0]]])
+        param = qk.FinitaryParam(AB, base[:2], [1.0], [1.0])
+        assert not np.shares_memory(param.matrices, base) and base.flags.writeable
+        transposed = np.array([[0.5, 0.0], [0.25, 0.25]]).T
+        hmm = qk.HmmParam(("s0", "s1"), AB, transposed, [1.0, 0.0], np.eye(2))
+        assert not np.shares_memory(hmm.emission, transposed) and hmm.emission.flags.c_contiguous

@@ -12,7 +12,7 @@ AB = qk.Alphabet(("a", "b"))
 
 def one_state(a: float, b: float, start: float = 1.0) -> qk.Process:
     """p(w) = start · a^#a(w) · b^#b(w), as a one-state finitary process."""
-    matrices = {"a": [[a]], "b": [[b]]}
+    matrices = [[[a]], [[b]]]
     return qk.finitary_process(qk.FinitaryParam(AB, matrices, [start], [1.0]))
 
 
@@ -191,10 +191,8 @@ class TestSelectRowBasis:
             # p(vw) / p(v) over w: the two-state form started from the state after v
             start = param.initial
             for symbol in v:
-                start = start @ param.letter_matrices[symbol]
-            shifted = qk.FinitaryParam(
-                param.alphabet, param.letter_matrices, start / proc(v), param.end
-            )
+                start = start @ param.matrices[param.alphabet.index(symbol)]
+            shifted = qk.FinitaryParam(param.alphabet, param.matrices, start / proc(v), param.end)
             normalized = qk.finitary_process(shifted)
             for w in qk.words_up_to(param.alphabet, 2):
                 assert normalized(w) == pytest.approx(proc(v + w) / proc(v), abs=1e-12)
@@ -241,7 +239,7 @@ class TestEquivalence:
         end = np.ones(depth + 1)
         end[-1] = 0.3
         start = np.eye(depth + 1)[0]
-        register = qk.finitary_process(qk.FinitaryParam(AB, {"a": shift, "b": shift}, start, end))
+        register = qk.finitary_process(qk.FinitaryParam(AB, [shift, shift], start, end))
         assert register.linear.dim == depth + 1
         for word in qk.words_up_to(AB, depth - 1):
             assert register(word) == pytest.approx(iid_coin()(word), abs=1e-15)

@@ -33,10 +33,10 @@ def similar_finitary(rng, hmm: qk.HmmParam) -> qk.FinitaryParam:
     n = hmm.n_states
     basis = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     inverse = np.linalg.inv(basis)
-    matrices = {
-        a: inverse @ (hmm.emission[:, i][:, None] * hmm.transition) @ basis
-        for i, a in enumerate(hmm.alphabet)
-    }
+    matrices = [
+        inverse @ (hmm.emission[:, i][:, None] * hmm.transition) @ basis
+        for i in range(len(hmm.alphabet))
+    ]
     return qk.FinitaryParam(hmm.alphabet, matrices, hmm.initial @ basis, inverse @ np.ones(n))
 
 
@@ -80,7 +80,7 @@ def cases(seed):
             lambda w: qk.finitary_eval(finitary, w),
             finitary.alphabet,
             finitary.initial,
-            [finitary.letter_matrices[a] for a in finitary.alphabet],
+            list(finitary.matrices),
             finitary.end,
         ),
         (
@@ -88,7 +88,7 @@ def cases(seed):
             lambda w: qk.finitary_eval(signed, w),
             signed.alphabet,
             signed.initial,
-            [signed.letter_matrices[a] for a in signed.alphabet],
+            list(signed.matrices),
             signed.end,
         ),
         *(chain_case(f"chain-{f}", random_qmc(rng, f)) for f in ("hmm", "povm", "unitary", "qrw")),
@@ -158,13 +158,13 @@ def test_a_state_that_shrinks_within_a_gather_is_rescaled_per_block(shrink):
     """
     param = qk.FinitaryParam(
         qk.Alphabet(("a", "b")),
-        {"a": np.diag([1.0, shrink]), "b": np.diag([1.0, 1.0 / shrink])},
+        [np.diag([1.0, shrink]), np.diag([1.0, 1.0 / shrink])],
         np.array([0.0, 1.0]),
         np.array([0.0, 1.0]),
     )
     word = "a" * _GATHER + "b" * _GATHER
     value = qk.finitary_eval(param, word)
-    matrices = [param.letter_matrices["a"], param.letter_matrices["b"]]
+    matrices = list(param.matrices)
     letters = [0] * _GATHER + [1] * _GATHER
     assert abs(prefix_product_reference(param.initial, matrices, letters, param.end) - 1) > 1e-9
     assert abs(forward_log_reference(param.initial, matrices, letters, param.end)) <= 1e-12
@@ -178,11 +178,11 @@ def test_a_start_near_an_end_of_the_double_range(shift):
     finitary = qk.hmm_to_finitary(hmm)
     param = qk.FinitaryParam(
         hmm.alphabet,
-        finitary.letter_matrices,
+        finitary.matrices,
         np.ldexp(hmm.initial, shift),
         np.ldexp(np.ones(4), -shift - 40),
     )
-    matrices = [finitary.letter_matrices[a] for a in hmm.alphabet]
+    matrices = list(finitary.matrices)
     letters = uniform_letters(np.random.default_rng(8), hmm.alphabet, 3 * _BLOCK)
     value = qk.finitary_eval(param, [hmm.alphabet.symbols[a] for a in letters])
     log = forward_log_reference(param.initial, matrices, letters, param.end)
@@ -191,7 +191,7 @@ def test_a_start_near_an_end_of_the_double_range(shift):
 
 def test_values_above_the_double_range_read_inf():
     param = qk.FinitaryParam(
-        qk.Alphabet(("a",)), {"a": np.array([[3.0]])}, np.array([1.0]), np.array([1.0])
+        qk.Alphabet(("a",)), [[[3.0]]], np.array([1.0]), np.array([1.0])
     )
     assert qk.finitary_eval(param, "a" * 700) == math.inf
     assert qk.finitary_eval(param, "a" * 600) == pytest.approx(3.0**600, rel=1e-13)
