@@ -9,6 +9,8 @@ joint observability, sign-valued inequality checks, maximum-weight
 hidden paths).
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import Config, DEFAULTS, load_config
 from .errors import (
     AlphabetError,
@@ -133,3 +135,10 @@ from .io import (
 )
 
 __version__ = "0.1.0"
+
+# every name imported above, and none of the submodules that importing binds
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

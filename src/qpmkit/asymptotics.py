@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -120,7 +120,8 @@ class CesaroResult:
 def cesaro_limit(
     chain: QuantumChain,
     method: str = "spectral",
-    stationarity_tol: float = DEFAULTS.stationarity_tol,
+    *,
+    config: Config = DEFAULTS,
 ) -> CesaroResult:
     """Averaged limit of the evolved initial density, by spectral projection.
 
@@ -128,7 +129,8 @@ def cesaro_limit(
     ``"spectral"`` give the same result; any other name raises
     :class:`ValidationError`.  See :func:`_spectral_average` for the
     errors of an orbit without a limit.  A limit that is not stationary
-    or has lost its trace raises :class:`ConsistencyError`.
+    (residual above ``stationarity_tol``) or has lost its trace raises
+    :class:`ConsistencyError`.
     """
     if method not in ("iterative", "spectral"):
         raise ValidationError(f"unknown method {method!r}")
@@ -143,7 +145,7 @@ def cesaro_limit(
         raise ConsistencyError(f"averaged trace drifted to {mass!r}")
     coords = coords / mass
     residual = sub.norm(coords @ chain.total_matrix - coords)
-    if residual > stationarity_tol:
+    if residual > config.stationarity_tol:
         raise ConsistencyError(f"limit is not stationary (residual {residual:.3e})")
     trace = float(coords @ sub.traces)
     if abs(trace - 1.0) > 1e-8:

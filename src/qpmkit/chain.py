@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import (
     BasisInsufficiencyError,
     DimensionMismatchError,
@@ -423,6 +423,12 @@ class QuantumChain:
 
     @cached_property
     def initial_coords(self) -> np.ndarray:
+        """The initial density's coordinates, checked within the default ``recon_tol``.
+
+        A chain that passes :func:`validate_chain`, as every loaded chain
+        does, keeps the coordinates read there, under that config's
+        ``recon_tol``.
+        """
         return read_only_array(self.subspace.expand(self.initial.matrix), float)
 
     @cached_property
@@ -456,25 +462,23 @@ _POSITIVITY_SEED = 0
 
 
 def validate_chain(
-    chain: QuantumChain,
-    horizon: int | None = None,
-    trace_tol: float = DEFAULTS.trace_tol,
-    psd_tol: float = DEFAULTS.psd_tol,
-    eval_tol: float = DEFAULTS.eval_tol,
-    preserve_tol: float = DEFAULTS.preserve_tol,
-    recon_tol: float = DEFAULTS.recon_tol,
-    positivity_samples: int = 1000,
+    chain: QuantumChain, *, config: Config = DEFAULTS, positivity_samples: int = 1000
 ) -> ValidationReport:
     """Check the chain's defining axioms; report violations and evidence.
 
-    Markov chains get their initial density and letter-operator positivity
-    checked (exactly on diagonal-unit bases, via complete positivity plus
-    counterexample search on the full Hermitian space, by sampling
-    otherwise).  Predictor models get the word-probability window checked
-    exhaustively up to ``horizon`` (recorded in the report).  A letter
-    operator with a non-finite coordinate entry is reported by name, and
-    then only the initial density is checked: every other check computes
-    with the letter matrices.
+    The initial density must lie in the subspace within ``recon_tol``
+    and have unit trace within ``trace_tol``; the summed operators must
+    preserve each basis element's trace within ``preserve_tol``.  Markov
+    chains get their initial density and letter-operator positivity
+    checked within ``psd_tol`` (exactly on diagonal-unit bases, via
+    complete positivity plus counterexample search on the full Hermitian
+    space, by sampling otherwise).  Predictor models get every word
+    probability up to ``qpm_horizon`` (recorded in the report) checked
+    to lie in [0, 1] within ``eval_tol``.  A letter operator with a
+    non-finite coordinate entry is reported by name, and then only the
+    initial density is checked: every other check computes with the
+    letter matrices.  A chain that passes keeps the initial coordinates
+    read here as its :attr:`QuantumChain.initial_coords`.
     """
     report = ValidationReport()
     sub = chain.subspace
@@ -487,20 +491,20 @@ def validate_chain(
             ("operators", symbol),
         )
     try:
-        coords = sub.expand(chain.initial.matrix, recon_tol)
+        coords = sub.expand(chain.initial.matrix, config.recon_tol)
     except SubspaceError as exc:
         report.add("initial-membership", str(exc), ("initial",))
         return report
 
     trace = float(coords @ sub.traces)
-    if abs(trace - 1.0) > trace_tol:
+    if abs(trace - 1.0) > config.trace_tol:
         report.add("initial-trace", f"tr of the initial density is {trace!r}", ("initial",))
     if broken:
         return report
 
     drift = chain.total_matrix @ sub.traces - sub.traces
     for i, value in enumerate(drift):
-        if abs(value) > preserve_tol:
+        if abs(value) > config.preserve_tol:
             report.add(
                 "trace-preservation",
                 f"summed operators change the trace of basis element {i} by {float(value)!r}",
@@ -509,7 +513,7 @@ def validate_chain(
 
     if chain.kind is ChainKind.QMC:
         smallest = float(np.linalg.eigvalsh(chain.initial.matrix).min())
-        if smallest < -psd_tol:
+        if smallest < -config.psd_tol:
             report.add(
                 "initial-positivity",
                 f"initial density has eigenvalue {smallest!r}",
@@ -518,14 +522,15 @@ def validate_chain(
         # only the sampled searches draw, so numpy.random loads on first use
         generator = cache(lambda: np.random.default_rng(_POSITIVITY_SEED))
         for symbol, matrix in zip(chain.alphabet, chain.operators):
-            _letter_positivity(sub, symbol, matrix, report, generator, positivity_samples, psd_tol)
+            _letter_positivity(
+                sub, symbol, matrix, report, generator, positivity_samples, config.psd_tol
+            )
     else:
-        window = DEFAULTS.qpm_horizon if horizon is None else horizon
-        report.horizon = window
+        window = report.horizon = config.qpm_horizon
         form = LinearForm(coords, chain.operators, sub.traces)
         values = word_states(form, max(window, 0)) @ sub.traces
         words = words_up_to(chain.alphabet, window)
-        outside = (values < -eval_tol) | (values > 1.0 + eval_tol)
+        outside = (values < -config.eval_tol) | (values > 1.0 + config.eval_tol)
         for i in np.flatnonzero(outside[: len(words)]):
             word = words[i]
             name = format_word(word) or "empty"
@@ -535,6 +540,8 @@ def validate_chain(
                 ("words", word),
             )
         report.note(f"word probabilities checked exhaustively up to length {window}")
+    if report.ok:
+        vars(chain)["initial_coords"] = read_only_array(coords, float)
     return report
 
 
@@ -695,15 +702,14 @@ def unitary_to_qmc(unitary, initial: Density, symbol: str = "a") -> QuantumChain
 
 
 def povm_to_qmc(
-    operators: Mapping[str, np.ndarray],
-    initial: Density,
-    tol: float = DEFAULTS.unitary_tol,
+    operators: Mapping[str, np.ndarray], initial: Density, *, config: Config = DEFAULTS
 ) -> QuantumChain:
     """Repeated-measurement chain from a complete operator family.
 
     Completeness is checked in the trace-preserving form: the adjoints
-    times the operators must sum to the identity, which makes the summed
-    branch probabilities equal one on every density.
+    times the operators must sum to the identity within ``unitary_tol``
+    (Frobenius), which makes the summed branch probabilities equal one
+    on every density.
     """
     labels = tuple(operators)
     if not labels:
@@ -716,7 +722,7 @@ def povm_to_qmc(
             raise DimensionMismatchError(f"operator {label!r} must have shape {(n, n)}")
         total += mat.conj().T @ mat
     defect = float(np.linalg.norm(total - np.eye(n)))
-    if defect > tol:
+    if defect > config.unitary_tol:
         raise ValidationError(
             f"measurement operators are not complete (||sum M*M - I|| = {defect:.3e})"
         )
@@ -727,19 +733,16 @@ def povm_to_qmc(
     return QuantumChain(Alphabet(labels), sub, ops, initial, ChainKind.QMC)
 
 
-def qrw_to_qmc(
-    qrw: QrwParam,
-    unitary_tol: float = DEFAULTS.unitary_tol,
-    trace_tol: float = DEFAULTS.trace_tol,
-) -> QuantumChain:
+def qrw_to_qmc(qrw: QrwParam, *, config: Config = DEFAULTS) -> QuantumChain:
     """Embed a quantum random walk: project-after-evolve Kraus operators per node.
 
-    The walk is validated, and its initial density checked, under the given tolerances.
+    The walk is validated (:func:`validate_qrw`), and its initial density's
+    trace checked within ``trace_tol``, under ``config``.
     """
-    validate_qrw(qrw, unitary_tol, trace_tol).raise_if_invalid("invalid quantum random walk")
+    validate_qrw(qrw, config=config).raise_if_invalid("invalid quantum random walk")
     sub = OperatorSubspace.full(qrw.dim)
     ops = kraus_coords(sub, _walk_kraus(qrw))
-    initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), trace_tol)
+    initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), config.trace_tol)
     return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
 
 
@@ -801,24 +804,21 @@ def kraus_coords(subspace: OperatorSubspace, kraus) -> np.ndarray:
     return coords
 
 
-def hmm_to_qmc(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> QuantumChain:
+def hmm_to_qmc(hmm: HmmParam, *, config: Config = DEFAULTS) -> QuantumChain:
     """Represent a hidden Markov model on the diagonal-matrix subspace.
 
-    The letter operators are the model's own read-only letter stack.
+    The model is validated (:func:`validate_hmm`) and its initial law
+    checked as a density, both with slack ``eval_tol``.  The letter
+    operators are the model's own read-only letter stack.
     """
-    validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
+    validate_hmm(hmm, config=config).raise_if_invalid("invalid hidden Markov model")
     sub = OperatorSubspace.diagonal(hmm.n_states)
-    initial = Density.quantum(np.diag(hmm.initial.astype(complex)), psd_tol=tol)
+    initial = Density.quantum(np.diag(hmm.initial.astype(complex)), psd_tol=config.eval_tol)
     return QuantumChain(hmm.alphabet, sub, hmm._letter_stack, initial, ChainKind.QMC)
 
 
 def finitary_to_qpm(
-    param: FinitaryParam,
-    horizon: int | None = None,
-    eps: float = DEFAULTS.rank_eps,
-    residual_tol: float = DEFAULTS.residual_tol,
-    eval_tol: float = DEFAULTS.eval_tol,
-    preserve_tol: float = DEFAULTS.preserve_tol,
+    param: FinitaryParam, horizon: int | None = None, *, config: Config = DEFAULTS
 ) -> QuantumChain:
     """Predictor model over a process-function row basis of the Hankel matrix.
 
@@ -829,7 +829,9 @@ def finitary_to_qpm(
     rows p(v w) = F_v·Bᵀ and their shifts p(v a w) = (F_v M_a)·Bᵀ are
     products of the basis words' prefix states and the suffix states
     that the Hankel keeps; its N×M block is never built, and the process
-    axioms are checked on its prefix states.  One least-squares solve
+    axioms are checked on its prefix states, within ``eval_tol`` (at
+    least 1e-9).  The basis rows are picked at ``rank_eps``
+    (:func:`select_row_basis`).  One least-squares solve
     fits every letter's shifted rows and the process itself.  Residuals
     above ``residual_tol``, checked letter by letter in alphabet order
     and then for the process, mean the basis cannot reproduce the
@@ -845,15 +847,16 @@ def finitary_to_qpm(
         )
     process = finitary_process(param)
     hankel = build_hankel(process, window, window)
+    eval_tol = max(config.eval_tol, 1e-9)
     problems = _axiom_problems(
-        param.alphabet, hankel._prefix_states, process.linear.end, window, max(eval_tol, 1e-9)
+        param.alphabet, hankel._prefix_states, process.linear.end, window, eval_tol
     )
     if problems:
         raise ValidationError(
             "parametrization does not define a process up to the working horizon: "
             + "; ".join(problems[:3])
         )
-    basis_rows = _row_basis_indices(hankel, eps)
+    basis_rows = _row_basis_indices(hankel, config)
     if not basis_rows:
         raise ValidationError("process has numerical rank 0; nothing to represent")
     # the Hankel rows of the empty word and the basis words, from one product
@@ -870,7 +873,7 @@ def finitary_to_qpm(
     solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
     residuals = np.linalg.norm(design @ solution - targets, axis=0)
     r = len(basis_rows)
-    failed = np.flatnonzero(residuals > residual_tol)
+    failed = np.flatnonzero(residuals > config.residual_tol)
     if failed.size:
         j = int(failed[0])
         what = (
@@ -886,14 +889,15 @@ def finitary_to_qpm(
     size = len(param.alphabet)
     ops = solution[:, : size * r].reshape(r, size, r).transpose(1, 2, 0)
     root = solution[:, -1]
-    initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=max(residual_tol, 1e-8))
+    trace_tol = max(config.residual_tol, 1e-8)
+    initial = Density.generalized(np.diag(root.astype(complex)), trace_tol=trace_tol)
     chain = QuantumChain(Alphabet(param.alphabet.symbols), sub, ops, initial, ChainKind.QPM)
     drift = chain.total_matrix @ sub.traces - sub.traces
     for i, value in enumerate(drift):
-        if abs(value) > preserve_tol:
+        if abs(value) > config.preserve_tol:
             raise BasisInsufficiencyError(
                 f"fitted operators change the trace of basis element {i} by "
-                f"{float(value)!r} (preserve_tol {preserve_tol:.3e})"
+                f"{float(value)!r} (preserve_tol {config.preserve_tol:.3e})"
             )
     return chain
 
@@ -917,9 +921,15 @@ def qpm_to_finitary(chain: QuantumChain) -> FinitaryParam:
 
 
 def as_qpm(chain: QuantumChain) -> QuantumChain:
-    """Relabel a Markov chain as a predictor model (every QMC is one)."""
+    """Relabel a Markov chain as a predictor model (every QMC is one).
+
+    The relabelled chain keeps the initial coordinates the chain holds.
+    """
     if chain.kind is ChainKind.QPM:
         return chain
-    return QuantumChain(
+    relabelled = QuantumChain(
         chain.alphabet, chain.subspace, chain.operators, chain.initial, ChainKind.QPM
     )
+    if "initial_coords" in vars(chain):
+        vars(relabelled)["initial_coords"] = chain.initial_coords
+    return relabelled

@@ -266,22 +266,8 @@ def _error_findings(exc) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def _finitary_to_qpm(param, config: Config):
-    return chain_mod.finitary_to_qpm(
-        param,
-        eps=config.rank_eps,
-        residual_tol=config.residual_tol,
-        eval_tol=config.eval_tol,
-        preserve_tol=config.preserve_tol,
-    )
-
-
 def _no_labels(model, config: Config):
     return None  # the chain's hidden states are named w1..wn
-
-
-def _walk_chain(qrw, config: Config):
-    return chain_mod.qrw_to_qmc(qrw, config.unitary_tol, config.trace_tol)
 
 
 def _through_hmm(target: str):
@@ -306,26 +292,28 @@ _CHAIN_ROW = {
 _LOWERINGS = {
     "hmm": {
         "process": lambda m, c: models.hmm_process(m),
-        "chain": lambda m, c: chain_mod.hmm_to_qmc(m, c.eval_tol),
-        "finitary": lambda m, c: models.hmm_to_finitary(m, c.eval_tol),
-        "qmc": lambda m, c: chain_mod.hmm_to_qmc(m, c.eval_tol),
-        "qpm": lambda m, c: _finitary_to_qpm(models.hmm_to_finitary(m, c.eval_tol), c),
+        "chain": lambda m, c: chain_mod.hmm_to_qmc(m, config=c),
+        "finitary": lambda m, c: models.hmm_to_finitary(m, config=c),
+        "qmc": lambda m, c: chain_mod.hmm_to_qmc(m, config=c),
+        "qpm": lambda m, c: chain_mod.finitary_to_qpm(
+            models.hmm_to_finitary(m, config=c), config=c
+        ),
         "labels": lambda m, c: m.states,
     },
     "ffmc": {target: _through_hmm(target) for target in _TARGETS},
     "finitary": {
         "process": lambda m, c: models.finitary_process(m),
-        "chain": _finitary_to_qpm,
+        "chain": lambda m, c: chain_mod.finitary_to_qpm(m, config=c),
         "finitary": lambda m, c: m,
-        "qpm": _finitary_to_qpm,
+        "qpm": lambda m, c: chain_mod.finitary_to_qpm(m, config=c),
         "labels": _no_labels,
     },
     "qrw": {
-        "process": lambda m, c: models.qrw_process(m, c.trace_tol),
-        "chain": _walk_chain,
-        "finitary": lambda m, c: chain_mod.qpm_to_finitary(_walk_chain(m, c)),
-        "qmc": _walk_chain,
-        "qpm": lambda m, c: chain_mod.as_qpm(_walk_chain(m, c)),
+        "process": lambda m, c: models.qrw_process(m, config=c),
+        "chain": lambda m, c: chain_mod.qrw_to_qmc(m, config=c),
+        "finitary": lambda m, c: chain_mod.qpm_to_finitary(chain_mod.qrw_to_qmc(m, config=c)),
+        "qmc": lambda m, c: chain_mod.qrw_to_qmc(m, config=c),
+        "qpm": lambda m, c: chain_mod.as_qpm(chain_mod.qrw_to_qmc(m, config=c)),
         "labels": lambda m, c: tuple(f"{node}:{coin}" for node in m.nodes for coin in m.coins),
     },
     "qmc": {**_CHAIN_ROW, "qmc": lambda m, c: m},
@@ -403,8 +391,8 @@ def _cmd_rank(args, config, inputs):
     rows = args.rows if args.rows is not None else depth
     cols = args.cols if args.cols is not None else depth
     hankel = process_mod.build_hankel(proc, rows, cols)
-    rank = process_mod.numerical_rank(hankel, config.rank_eps)
-    basis = process_mod.select_row_basis(hankel, config.rank_eps)
+    rank = process_mod.numerical_rank(hankel, config=config)
+    basis = process_mod.select_row_basis(hankel, config=config)
     if args.csv:
         hankel.to_csv(args.csv)
     results = {
@@ -421,7 +409,7 @@ def _cmd_equiv(args, config, inputs):
     inputs.update({"model_a": args.model_a, "model_b": args.model_b, "tol": config.equiv_tol})
     proc_a = _lower(load_model(args.model_a, config), "process", config)
     proc_b = _lower(load_model(args.model_b, config), "process", config)
-    witness = process_mod.distinguishing_word(proc_a, proc_b, config.equiv_tol)
+    witness = process_mod.distinguishing_word(proc_a, proc_b, config=config)
     results = {
         "equivalent": witness is None,
         "horizon": proc_a.linear.dim + proc_b.linear.dim,
@@ -448,9 +436,7 @@ def _cmd_simulate(args, config, inputs):
         {"model": args.model, "length": args.length, "count": args.count, "seed": args.seed}
     )
     model = load_model(args.model, config)
-    words = models.sample_trajectories(
-        model, args.length, args.count, args.seed, config.clamp_tol, config.trace_tol
-    )
+    words = models.sample_trajectories(model, args.length, args.count, args.seed, config=config)
     formatted = [process_mod.format_word(w) for w in words]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -463,7 +449,7 @@ def _cmd_stationary(args, config, inputs):
     inputs["model"] = args.model
     model = load_model(args.model, config)
     qchain = _lower(model, "chain", config)
-    result = asymptotics.cesaro_limit(qchain, stationarity_tol=config.stationarity_tol)
+    result = asymptotics.cesaro_limit(qchain, config=config)
     letters = asymptotics.stationary_letter_distribution(qchain, result)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
@@ -516,7 +502,7 @@ def _cmd_bell(args, config, inputs):
         fx, fy, fz = functions[args.x], functions[args.y], functions[args.z]
     except KeyError as exc:
         raise ValidationError(f"info function {exc.args[0]!r} not present") from None
-    check = hidden.bell_check(density, basis, fx, fy, fz, config.eval_tol)
+    check = hidden.bell_check(density, basis, fx, fy, fz, config=config)
     results = {
         "expectations": {k: float(v) for k, v in check.expectations.items()},
         "lhs": float(check.lhs),
@@ -538,7 +524,7 @@ def _cmd_hidden_path(args, config, inputs):
     labels = _lower(model, "labels", config)
     basis = hidden.HiddenStateBasis.standard(qchain.subspace.ambient_dim, labels)
     word = process_mod.parse_word(args.word, qchain.alphabet)
-    result = hidden.viterbi_hidden_path(qchain, basis, word, config.recon_tol)
+    result = hidden.viterbi_hidden_path(qchain, basis, word, config=config)
     results = {
         "path": list(result.path),
         "weight": float(result.weight),

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import (
     DimensionMismatchError,
     SubspaceError,
@@ -238,15 +238,16 @@ def induced_distribution(
     density: Density | np.ndarray,
     basis: HiddenStateBasis,
     function: InformationFunction,
-    tol: float = DEFAULTS.eval_tol,
+    *,
+    config: Config = DEFAULTS,
 ) -> ObservabilityReport:
-    """Group hidden-state weights by observed value; flag negative outcomes."""
+    """Group hidden-state weights by observed value; flag outcomes below ``-eval_tol``."""
     function.check_total(basis)
     weights = hidden_state_weights(density, basis)
     distribution = {value: 0.0 for value in function.codomain}
     for label, weight in zip(basis.labels, weights):
         distribution[function(label)] += float(weight)
-    offending = {value: p for value, p in distribution.items() if p < -tol}
+    offending = {value: p for value, p in distribution.items() if p < -config.eval_tol}
     return ObservabilityReport(
         function_name=function.name,
         distribution=distribution,
@@ -271,11 +272,12 @@ def joint_observability(
     density: Density | np.ndarray,
     basis: HiddenStateBasis,
     functions: Sequence[InformationFunction],
-    tol: float = DEFAULTS.eval_tol,
+    *,
+    config: Config = DEFAULTS,
 ) -> ObservabilityReport:
     """Induced distribution of the tuple-valued composite of the functions."""
     composite = composite_function(tuple(functions))
-    return induced_distribution(density, basis, composite, tol)
+    return induced_distribution(density, basis, composite, config=config)
 
 
 @dataclass(frozen=True)
@@ -297,9 +299,10 @@ def bell_check(
     x: InformationFunction,
     y: InformationFunction,
     z: InformationFunction,
-    tol: float = DEFAULTS.eval_tol,
+    *,
+    config: Config = DEFAULTS,
 ) -> BellCheck:
-    """Check |E(XY) - E(YZ)| <= 1 - E(XZ) for sign-valued X, Y, Z.
+    """Check |E(XY) - E(YZ)| <= 1 - E(XZ) + ``eval_tol`` for sign-valued X, Y, Z.
 
     Joint observability of the triple (the inequality's hypothesis) is
     reported alongside; with pairwise-only observability the inequality
@@ -315,16 +318,16 @@ def bell_check(
     e_xz = expectation(density, basis, product_function(x, z))
     lhs = abs(e_xy - e_yz)
     rhs = 1.0 - e_xz
-    joint = joint_observability(density, basis, (x, y, z), tol)
+    joint = joint_observability(density, basis, (x, y, z), config=config)
     pairs = {
-        f"{a.name},{b.name}": joint_observability(density, basis, (a, b), tol).observable
+        f"{a.name},{b.name}": joint_observability(density, basis, (a, b), config=config).observable
         for a, b in ((x, y), (y, z), (x, z))
     }
     return BellCheck(
         expectations={"XY": e_xy, "YZ": e_yz, "XZ": e_xz},
         lhs=lhs,
         rhs=rhs,
-        satisfied=lhs <= rhs + tol,
+        satisfied=lhs <= rhs + config.eval_tol,
         jointly_observable=joint.observable,
         pair_observable=pairs,
         joint_report=joint,
@@ -352,18 +355,19 @@ def viterbi_hidden_path(
     chain: QuantumChain,
     basis: HiddenStateBasis,
     word,
-    tol: float = DEFAULTS.recon_tol,
+    *,
+    config: Config = DEFAULTS,
 ) -> ViterbiResult:
     """Maximum-weight sequence of hidden states consistent with a word.
 
     A path's weight is the trace of alternately projecting onto hidden
     states and applying the word's letter operators, starting from the
     initial density.  Requires rank-one hidden-state projectors that the
-    chain's subspace can express (otherwise per-step weights do not
-    factorize and the dynamic program is unsound).  Ties prefer the
-    lexicographically smallest state-index sequence; with signed weights
-    both the largest and smallest partial products are tracked so the
-    global maximum survives sign flips.
+    chain's subspace can express within ``recon_tol`` (otherwise per-step
+    weights do not factorize and the dynamic program is unsound).  Ties
+    prefer the lexicographically smallest state-index sequence; with
+    signed weights both the largest and smallest partial products are
+    tracked so the global maximum survives sign flips.
 
     Costs O(T n^2) for a word of length T: one (n x n) candidate array
     per step when no weight is negative, (2n x 2n) otherwise, and
@@ -373,7 +377,7 @@ def viterbi_hidden_path(
     doubles, and the path stays optimal past that point.
     """
     letters = chain.alphabet.indices(word)
-    init, factors = _step_weights(chain, basis, tol)
+    init, factors = _step_weights(chain, basis, config.recon_tol)
     negative = bool(init.min() < -1e-12 or factors.min() < -1e-12)
     path, mantissa, exponent = _best_path(init, factors, letters)
     weight = _scaled(mantissa, exponent)

@@ -443,7 +443,7 @@ def _parse_hmm(alphabet, payload, config):
         initial=_array(payload["initial"], "initial"),
         transition=_array(payload["transition"], "transition"),
     )
-    return hmm, validate_hmm(hmm, config.eval_tol)
+    return hmm, validate_hmm(hmm, config=config)
 
 
 def _parse_ffmc(alphabet, payload, config):
@@ -457,7 +457,7 @@ def _parse_ffmc(alphabet, payload, config):
         transition=_array(payload["transition"], "transition"),
         alphabet=_need_alphabet(alphabet),
     )
-    return ffmc, validate_hmm(ffmc.to_hmm(), config.eval_tol)
+    return ffmc, validate_hmm(ffmc.to_hmm(), config=config)
 
 
 def _parse_finitary(alphabet, payload, config):
@@ -474,7 +474,7 @@ def _parse_finitary(alphabet, payload, config):
     report = ValidationReport()
     if param.dimension != dimension:
         report.add("dimension", f"declared dimension {dimension} but vectors have {param.dimension}")
-    if param.standard_form and not is_standard_form(param, config.eval_tol):
+    if param.standard_form and not is_standard_form(param, config=config):
         report.add("standard-form", "flagged standard form but constraints do not hold")
     return param, report
 
@@ -487,7 +487,7 @@ def _parse_qrw(alphabet, payload, config):
         unitary=_array(payload["unitary"], "unitary", 2),
         wave=_array(payload["wave"], "wave", 1),
     )
-    return qrw, validate_qrw(qrw, config.unitary_tol, config.trace_tol)
+    return qrw, validate_qrw(qrw, config=config)
 
 
 def _parse_chain(kind: ChainKind):
@@ -501,16 +501,7 @@ def _parse_chain(kind: ChainKind):
             payload["initial"], "initial", payload["initial_kind"], "unknown initial_kind", config
         )
         chain = QuantumChain(alpha, subspace, operators, initial, kind)
-        report = validate_chain(
-            chain,
-            trace_tol=config.trace_tol,
-            psd_tol=config.psd_tol,
-            eval_tol=config.eval_tol,
-            preserve_tol=config.preserve_tol,
-            recon_tol=config.recon_tol,
-            horizon=config.qpm_horizon,
-        )
-        return chain, report
+        return chain, validate_chain(chain, config=config)
 
     return parse
 

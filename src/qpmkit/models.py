@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import (
     DimensionMismatchError,
     SamplingError,
@@ -106,9 +106,10 @@ class HmmParam:
         return read_only_array(stack, float)
 
 
-def validate_hmm(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> ValidationReport:
-    """List every violated stochasticity constraint, with indices."""
+def validate_hmm(hmm: HmmParam, *, config: Config = DEFAULTS) -> ValidationReport:
+    """List every violated stochasticity constraint (slack ``eval_tol``), with indices."""
     report = ValidationReport()
+    tol = config.eval_tol
     _check_stochastic_matrix(report, hmm.emission, "emission", hmm.states, tol)
     _check_stochastic_matrix(report, hmm.transition, "transition", hmm.states, tol)
     for i in np.flatnonzero(hmm.initial < -tol).tolist():
@@ -250,12 +251,12 @@ class FinitaryParam:
         return read_only_array(np.add.reduce(self.matrices, axis=0, initial=0.0), float)
 
 
-def hmm_to_finitary(hmm: HmmParam, tol: float = DEFAULTS.eval_tol) -> FinitaryParam:
+def hmm_to_finitary(hmm: HmmParam, *, config: Config = DEFAULTS) -> FinitaryParam:
     """Split the transition matrix by emitted symbol; end vector all ones.
 
     The model shares the HMM's read-only letter stack and initial law.
     """
-    validate_hmm(hmm, tol).raise_if_invalid("invalid hidden Markov model")
+    validate_hmm(hmm, config=config).raise_if_invalid("invalid hidden Markov model")
     ones = np.ones(hmm.n_states)
     return FinitaryParam(hmm.alphabet, hmm._letter_stack, hmm.initial, ones, standard_form=True)
 
@@ -272,8 +273,9 @@ def finitary_process(param: FinitaryParam) -> Process:
     )
 
 
-def is_standard_form(param: FinitaryParam, tol: float = DEFAULTS.eval_tol) -> bool:
-    return _standard_form(param.initial, param.end, param.total_matrix, tol)
+def is_standard_form(param: FinitaryParam, *, config: Config = DEFAULTS) -> bool:
+    """:func:`standardize`'s constraints, each within ``eval_tol``."""
+    return _standard_form(param.initial, param.end, param.total_matrix, config.eval_tol)
 
 
 def _standard_form(initial, end, total, tol: float = DEFAULTS.eval_tol) -> bool:
@@ -286,14 +288,15 @@ def _standard_form(initial, end, total, tol: float = DEFAULTS.eval_tol) -> bool:
     )
 
 
-def standardize(param: FinitaryParam, tol: float = DEFAULTS.eval_tol) -> FinitaryParam:
+def standardize(param: FinitaryParam, *, config: Config = DEFAULTS) -> FinitaryParam:
     """Rescale to an all-ones end vector via the diagonal similarity diag(end).
 
     Requires every end-vector entry to be bounded away from zero and the
-    summed letter matrices to fix the end vector; raises otherwise so the
-    caller can keep the general form.
+    summed letter matrices to fix the end vector, both within ``eval_tol``;
+    raises otherwise so the caller can keep the general form.
     """
-    if is_standard_form(param, tol):
+    tol = config.eval_tol
+    if is_standard_form(param, config=config):
         return FinitaryParam(
             param.alphabet, param.matrices, param.initial, np.ones(param.dimension), standard_form=True
         )
@@ -367,22 +370,19 @@ class QrwParam:
         return tuple(b for a, b in self.edges if a == node)
 
 
-def validate_qrw(
-    qrw: QrwParam,
-    unitary_tol: float = DEFAULTS.unitary_tol,
-    trace_tol: float = DEFAULTS.trace_tol,
-) -> ValidationReport:
-    """Check wave normalization, unitarity, and graph locality of the evolution.
+def validate_qrw(qrw: QrwParam, *, config: Config = DEFAULTS) -> ValidationReport:
+    """Check wave normalization (``trace_tol``), unitarity and graph locality (``unitary_tol``).
 
     A wave or a unitary with a non-finite entry is reported by name, and
     the checks that compute with it are skipped.
     """
     report = ValidationReport()
+    unitary_tol = config.unitary_tol
     if not np.isfinite(qrw.wave).all():
         report.add("non-finite", "initial wave has a non-finite entry", ("wave",))
     else:
         norm = float(np.linalg.norm(qrw.wave))
-        if abs(norm - 1.0) > trace_tol:
+        if abs(norm - 1.0) > config.trace_tol:
             report.add("wave-norm", f"initial wave norm is {norm!r}, expected 1", ("wave",))
     if not np.isfinite(qrw.unitary).all():
         report.add("non-finite", "evolution operator has a non-finite entry", ("unitary",))
@@ -423,16 +423,12 @@ class QrwStep:
 _ZERO_WEIGHT = 1e-15
 
 
-def qrw_step(
-    qrw: QrwParam,
-    wave=None,
-    trace_tol: float = DEFAULTS.trace_tol,
-) -> QrwStep:
+def qrw_step(qrw: QrwParam, wave=None, *, config: Config = DEFAULTS) -> QrwStep:
     """Apply the unitary to ``wave`` (default: the initial wave) and measure the node."""
     psi = qrw.wave if wave is None else np.asarray(wave, dtype=complex)
     if psi.shape != (qrw.dim,):
         raise DimensionMismatchError(f"wave must have shape {(qrw.dim,)}, got {psi.shape}")
-    _require_unit_wave(psi, trace_tol)
+    _require_unit_wave(psi, config.trace_tol)
     evolved = qrw.unitary @ psi
     probabilities: dict[str, float] = {}
     collapsed: dict[str, np.ndarray] = {}
@@ -447,7 +443,7 @@ def qrw_step(
     return QrwStep(probabilities, collapsed)
 
 
-def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> float:
+def qrw_eval(qrw: QrwParam, word, *, config: Config = DEFAULTS) -> float:
     """Word probability as the product of step probabilities along the collapse path.
 
     Only the chosen node's block is evolved: the first step applies that
@@ -457,7 +453,7 @@ def qrw_eval(qrw: QrwParam, word, trace_tol: float = DEFAULTS.trace_tol) -> floa
     nodes = qrw.nodes.indices(word)
     if not nodes:
         return 1.0
-    _require_unit_wave(qrw.wave, trace_tol)
+    _require_unit_wave(qrw.wave, config.trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
     blocks = _node_columns(qrw).reshape(n, n, k, k)
     evolve = qrw.unitary.reshape(n, k, qrw.dim)
@@ -486,13 +482,13 @@ def _node_columns(qrw: QrwParam) -> np.ndarray:
     return np.ascontiguousarray(qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2))
 
 
-def qrw_process(qrw: QrwParam, trace_tol: float = DEFAULTS.trace_tol) -> Process:
+def qrw_process(qrw: QrwParam, *, config: Config = DEFAULTS) -> Process:
     """The walk's process; its linear form is its chain's coordinates (see ``qrw_to_qmc``)."""
     from .chain import _walk_form  # chain imports this module
 
     return Process(
         qrw.nodes,
-        lambda w: qrw_eval(qrw, w, trace_tol),
+        lambda w: qrw_eval(qrw, w, config=config),
         lowering=lambda: _walk_form(qrw),
     )
 
@@ -726,42 +722,36 @@ def _chain_sampler(chain, clamp_tol: float):
     return advance
 
 
-def sample_trajectory(
-    model,
-    length: int,
-    seed: int,
-    clamp_tol: float = DEFAULTS.clamp_tol,
-    trace_tol: float = DEFAULTS.trace_tol,
-) -> Word:
+def sample_trajectory(model, length: int, seed: int, *, config: Config = DEFAULTS) -> Word:
     """Sample one word of the given length; deterministic in ``seed``.
 
     It is the first word of :func:`sample_trajectories` with the same seed.
     """
     if length < 0:
         raise ValidationError("trajectory length must be >= 0")
-    return _sample(model, length, 1, seed, clamp_tol, trace_tol)[0]
+    return _sample(model, length, 1, seed, config)[0]
 
 
 def sample_trajectories(
-    model,
-    length: int,
-    count: int,
-    seed: int,
-    clamp_tol: float = DEFAULTS.clamp_tol,
-    trace_tol: float = DEFAULTS.trace_tol,
+    model, length: int, count: int, seed: int, *, config: Config = DEFAULTS
 ) -> list[Word]:
-    """Sample ``count`` independent words; word i reads row i of one seeded stream."""
+    """Sample ``count`` independent words; word i reads row i of one seeded stream.
+
+    Branch weights down to ``-clamp_tol`` are clamped to 0; a walk's wave
+    must have unit norm within ``trace_tol``.
+    """
     if length < 0 or count < 0:
         raise ValidationError("trajectory length and count must be >= 0")
-    return _sample(model, length, count, seed, clamp_tol, trace_tol)
+    return _sample(model, length, count, seed, config)
 
 
-def _sample(model, length: int, count: int, seed: int, clamp_tol: float, trace_tol: float) -> list[Word]:
+def _sample(model, length: int, count: int, seed: int, config: Config) -> list[Word]:
     """``count`` words from one stream, ``_SAMPLE_BLOCK`` trajectories at a time."""
     if isinstance(model, FfmcParam):
         model = model.to_hmm()
     from .chain import QuantumChain
 
+    clamp_tol, trace_tol = config.clamp_tol, config.trace_tol
     if isinstance(model, HmmParam):
         alphabet, draws, advance = model.alphabet, 1 + 2 * length, _hmm_sampler(model, clamp_tol)
     elif isinstance(model, QrwParam):

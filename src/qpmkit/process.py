@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import (
     AlphabetError,
     DegenerateSupportError,
@@ -306,19 +306,17 @@ def word_states(form: LinearForm, length: int, suffix: bool = False) -> np.ndarr
 
 
 def check_process_axioms(
-    process: Process,
-    horizon: int,
-    tol: float = DEFAULTS.eval_tol,
+    process: Process, horizon: int, *, config: Config = DEFAULTS
 ) -> list[str]:
     """Check nonnegativity, marginal consistency and p() == 1 up to ``horizon``.
 
     Returns human-readable problem descriptions; empty means the axioms
-    hold on every word of length at most ``horizon``.  The values are the
-    prefix states times the end vector.
+    hold on every word of length at most ``horizon``, within ``eval_tol``.
+    The values are the prefix states times the end vector.
     """
     form = process.linear
     return _axiom_problems(
-        process.alphabet, word_states(form, max(horizon, 0)), form.end, horizon, tol
+        process.alphabet, word_states(form, max(horizon, 0)), form.end, horizon, config.eval_tol
     )
 
 
@@ -440,8 +438,8 @@ def build_hankel(process: Process, row_length: int, col_length: int) -> Truncate
     return TruncatedHankel(process.alphabet, rows, cols, prefixes, suffixes)
 
 
-def numerical_rank(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) -> int:
-    """Number of singular values above ``eps`` times the largest one.
+def numerical_rank(hankel: TruncatedHankel, *, config: Config = DEFAULTS) -> int:
+    """Number of singular values above ``rank_eps`` times the largest one.
 
     Reads :attr:`TruncatedHankel.singular_values`, the one SVD of the
     d-wide factor, computed on first use and shared with
@@ -450,14 +448,14 @@ def numerical_rank(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) -> i
     singulars = hankel.singular_values
     if singulars.size == 0 or singulars[0] <= 0.0:
         return 0
-    return int(np.sum(singulars > eps * singulars[0]))
+    return int(np.sum(singulars > config.rank_eps * singulars[0]))
 
 
-def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) -> list[Word]:
+def select_row_basis(hankel: TruncatedHankel, *, config: Config = DEFAULTS) -> list[Word]:
     """Greedily pick prefix words whose rows span the Hankel row space.
 
     Candidates are visited shortest-word-first and must satisfy
-    p(v) = F_v·B_ε > eps so that the normalized rows are process functions.
+    p(v) = F_v·B_ε > eps (``rank_eps``) so that the normalized rows are process functions.
     A row of the factor G (``matrix`` = G·Q, Q orthonormal, so G keeps the
     rows' norms and inner products) joins when :func:`_orthonormal_append`,
     shared with :func:`distinguishing_word`, leaves it a residual above
@@ -466,7 +464,7 @@ def select_row_basis(hankel: TruncatedHankel, eps: float = DEFAULTS.rank_eps) ->
     Raises :class:`DegenerateSupportError` when the eligible rows cannot
     reach the numerical rank.
     """
-    return [hankel.row_words[i] for i in _row_basis_indices(hankel, eps)]
+    return [hankel.row_words[i] for i in _row_basis_indices(hankel, config)]
 
 
 def _orthonormal_append(basis: np.ndarray, rank: int, vector: np.ndarray, cut: float) -> bool:
@@ -482,9 +480,10 @@ def _orthonormal_append(basis: np.ndarray, rank: int, vector: np.ndarray, cut: f
     return norm > cut
 
 
-def _row_basis_indices(hankel: TruncatedHankel, eps: float) -> list[int]:
+def _row_basis_indices(hankel: TruncatedHankel, config: Config) -> list[int]:
     """:func:`select_row_basis` as indices into ``hankel.row_words``."""
-    target = numerical_rank(hankel, eps)
+    eps = config.rank_eps
+    target = numerical_rank(hankel, config=config)
     if target == 0:
         return []
     cut = eps * float(hankel.singular_values[0])
@@ -512,9 +511,9 @@ _INDEPENDENT = 1e-12
 
 
 def distinguishing_word(
-    first: Process, second: Process, tol: float = DEFAULTS.equiv_tol
+    first: Process, second: Process, *, config: Config = DEFAULTS
 ) -> Word | None:
-    """The first word found on which the processes differ by more than ``tol``, or None.
+    """The first word found on which the processes differ by more than ``equiv_tol``, or None.
 
     With linear forms on both sides this is a breadth-first search over
     the direct-sum automaton (Tzeng 1992).  Every visited word is
@@ -539,6 +538,7 @@ def distinguishing_word(
     kept: list = []  # (word, state), read by ``children`` while it grows
     children = ((w + (a,), grown) for w, s in kept for a, grown in zip(first.alphabet, s @ mats))
     root = (EPSILON, np.concatenate([one.initial, two.initial]))
+    tol = config.equiv_tol
     for word, state in itertools.chain([root], children):  # breadth first
         if abs(state.dot(probe)) > tol:
             return word
@@ -548,6 +548,6 @@ def distinguishing_word(
     return None
 
 
-def processes_equivalent(first: Process, second: Process, tol: float = DEFAULTS.equiv_tol) -> bool:
+def processes_equivalent(first: Process, second: Process, *, config: Config = DEFAULTS) -> bool:
     """True when no word distinguishes the processes; see :func:`distinguishing_word`."""
-    return distinguishing_word(first, second, tol) is None
+    return distinguishing_word(first, second, config=config) is None

@@ -661,8 +661,9 @@ class TestFinitaryToQpm:
         finitary = qk.hmm_to_finitary(random_hmm(np.random.default_rng(5), 12, 2))
         with pytest.raises(BasisInsufficiencyError, match="basis element 7 by 1.2357"):
             qk.finitary_to_qpm(finitary)
-        chain = qk.finitary_to_qpm(finitary, preserve_tol=1e-9)
-        assert qk.validate_chain(chain, preserve_tol=1e-9).ok
+        loose = qk.DEFAULTS.replace(preserve_tol=1e-9)
+        chain = qk.finitary_to_qpm(finitary, config=loose)
+        assert qk.validate_chain(chain, config=loose).ok
         # the findings print plain floats, not numpy scalar reprs; they are
         # the loader's findings for this chain's file, bit for bit
         assert [v.message for v in qk.validate_chain(chain).violations] == [
@@ -802,7 +803,7 @@ class TestValidateChain:
             qk.Density.generalized(np.diag([1.0, 0.0]).astype(complex)),
             ChainKind.QPM,
         )
-        report = qk.validate_chain(chain, horizon=2)
+        report = qk.validate_chain(chain, config=qk.DEFAULTS.replace(qpm_horizon=2))
         assert any(v.code == "word-probability" for v in report.violations)
 
     def test_word_probability_findings_name_words_as_parse_word_reads_them(self):
@@ -815,7 +816,7 @@ class TestValidateChain:
             qk.Density.generalized(np.eye(1, dtype=complex)),
             ChainKind.QPM,
         )
-        report = qk.validate_chain(chain, horizon=2)
+        report = qk.validate_chain(chain, config=qk.DEFAULTS.replace(qpm_horizon=2))
         names = [re.match(r"tr over word (\S+) is", v.message).group(1) for v in report.violations]
         assert names == ["up", "down", "up,up", "up,down", "down,up"]
         for name, violation in zip(names, report.violations):

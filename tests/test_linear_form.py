@@ -175,7 +175,7 @@ class TestFactorisedSweeps:
     def test_qpm_window_matches_per_word(self, seed):
         rng = np.random.default_rng(seed)
         for chain in (dyadic_qpm(rng), qk.as_qpm(random_qmc(rng, "povm"))):
-            report = qk.validate_chain(chain, horizon=4)
+            report = qk.validate_chain(chain, config=qk.DEFAULTS.replace(qpm_horizon=4))
             slow = qk.chain_process(chain)
             expected = [
                 f"word-probability at ('words', {word!r}): tr over word "
@@ -314,9 +314,13 @@ class TestHankelAnalysis:
                     hankel = build(process, rows, cols)
                     for eps in (1e-8, 1e-4):
                         outcomes = []
-                        for pick in (_row_basis_indices, row_basis_indices_reference):
+                        picks = (
+                            (_row_basis_indices, qk.DEFAULTS.replace(rank_eps=eps)),
+                            (row_basis_indices_reference, eps),
+                        )
+                        for pick, cutoff in picks:
                             try:
-                                outcomes.append(pick(hankel, eps))
+                                outcomes.append(pick(hankel, cutoff))
                             except DegenerateSupportError as exc:
                                 outcomes.append(str(exc))
                         assert outcomes[0] == outcomes[1]
@@ -518,7 +522,7 @@ def search_against_enumeration(first, second, tol: float = 1e-9):
     to horizon d1 + d2 finds differing by more than 2·tol, or is longer."""
     horizon = first.linear.dim + second.linear.dim
     shortest = shortest_difference_by_enumeration(first, second, horizon, 2 * tol)
-    witness = qk.distinguishing_word(first, second, tol)
+    witness = qk.distinguishing_word(first, second, config=qk.DEFAULTS.replace(equiv_tol=tol))
     if witness is not None:
         assert len(witness) <= horizon
         assert abs(first(witness) - second(witness)) > tol

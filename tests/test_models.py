@@ -85,7 +85,8 @@ class TestValidateHmm:
             array[hit] -= rng.choice([1e-12, 0.01, 0.5], size=int(hit.sum()))
             array *= rng.choice([1.0, 1.0 + 1e-12, 1.2], size=(len(array), 1))
         broken = qk.HmmParam(hmm.states, hmm.alphabet, emission, initial, transition)
-        got = [(v.code, v.message, v.where) for v in qk.validate_hmm(broken, tol).violations]
+        report = qk.validate_hmm(broken, config=qk.DEFAULTS.replace(eval_tol=tol))
+        got = [(v.code, v.message, v.where) for v in report.violations]
         assert got == validate_hmm_reference(broken, tol)
 
 

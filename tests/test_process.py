@@ -196,7 +196,8 @@ class TestSelectRowBasis:
             normalized = qk.finitary_process(shifted)
             for w in qk.words_up_to(param.alphabet, 2):
                 assert normalized(w) == pytest.approx(proc(v + w) / proc(v), abs=1e-12)
-            assert qk.check_process_axioms(normalized, horizon=1, tol=1e-9) == []
+            config = qk.DEFAULTS.replace(eval_tol=1e-9)
+            assert qk.check_process_axioms(normalized, horizon=1, config=config) == []
 
     def test_deterministic_process(self):
         hankel = qk.build_hankel(constant_a(), 2, 2)
