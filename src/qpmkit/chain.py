@@ -456,14 +456,13 @@ def chain_process(chain: QuantumChain) -> Process:
 # Validation.
 # --------------------------------------------------------------------------
 
-# The positivity counterexample search draws from this seed, so a chain's
-# report is the same on every run.
+# The positivity counterexample searches draw this many samples from this
+# seed, so a chain's report is the same on every run.
 _POSITIVITY_SEED = 0
+_POSITIVITY_SAMPLES = 1000
 
 
-def validate_chain(
-    chain: QuantumChain, *, config: Config = DEFAULTS, positivity_samples: int = 1000
-) -> ValidationReport:
+def validate_chain(chain: QuantumChain, *, config: Config = DEFAULTS) -> ValidationReport:
     """Check the chain's defining axioms; report violations and evidence.
 
     The initial density must lie in the subspace within ``recon_tol``
@@ -522,9 +521,7 @@ def validate_chain(
         # only the sampled searches draw, so numpy.random loads on first use
         generator = cache(lambda: np.random.default_rng(_POSITIVITY_SEED))
         for symbol, matrix in zip(chain.alphabet, chain.operators):
-            _letter_positivity(
-                sub, symbol, matrix, report, generator, positivity_samples, config.psd_tol
-            )
+            _letter_positivity(sub, symbol, matrix, report, generator, config.psd_tol)
     else:
         window = report.horizon = config.qpm_horizon
         form = LinearForm(coords, chain.operators, sub.traces)
@@ -545,7 +542,7 @@ def validate_chain(
     return report
 
 
-def _letter_positivity(sub, symbol, matrix, report, generator, samples, psd_tol):
+def _letter_positivity(sub, symbol, matrix, report, generator, psd_tol):
     if sub.is_unit_diagonal:
         worst = float(matrix.min())
         if worst < -psd_tol:
@@ -565,7 +562,7 @@ def _letter_positivity(sub, symbol, matrix, report, generator, samples, psd_tol)
         if certified or smallest >= -1e-8:
             report.note(f"operator {symbol!r}: completely positive (Choi PSD), hence positive")
             return
-        counterexample = _positivity_counterexample_pure(sub, matrix, generator(), samples)
+        counterexample = _positivity_counterexample_pure(sub, matrix, generator())
         if counterexample is not None:
             report.add(
                 "positivity",
@@ -575,11 +572,11 @@ def _letter_positivity(sub, symbol, matrix, report, generator, samples, psd_tol)
         else:
             report.note(
                 f"operator {symbol!r}: Choi matrix indefinite (min eigenvalue "
-                f"{smallest:.3e}); no positivity counterexample in {samples} samples, "
-                "positivity unproven"
+                f"{smallest:.3e}); no positivity counterexample in "
+                f"{_POSITIVITY_SAMPLES} samples, positivity unproven"
             )
         return
-    found, tested = _positivity_sampling(sub, matrix, generator(), samples)
+    found, tested = _positivity_sampling(sub, matrix, generator())
     if found is not None:
         report.add(
             "positivity",
@@ -637,9 +634,9 @@ def _choi_matrix(sub: OperatorSubspace, matrix: np.ndarray) -> np.ndarray:
     return (choi + choi.conj().T) / 2.0
 
 
-def _positivity_counterexample_pure(sub, matrix, rng, samples):
+def _positivity_counterexample_pure(sub, matrix, rng):
     n = sub.ambient_dim
-    for _ in range(samples):
+    for _ in range(_POSITIVITY_SAMPLES):
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
         vec /= np.linalg.norm(vec)
         image = sub.reconstruct(sub.expand(np.outer(vec, vec.conj())) @ matrix)
@@ -649,7 +646,7 @@ def _positivity_counterexample_pure(sub, matrix, rng, samples):
     return None
 
 
-def _positivity_sampling(sub, matrix, rng, samples):
+def _positivity_sampling(sub, matrix, rng):
     """Search random nonnegative subspace elements for a positivity violation."""
     n = sub.ambient_dim
     try:
@@ -659,7 +656,7 @@ def _positivity_sampling(sub, matrix, rng, samples):
     worst = None
     tested = 0
     attempts = 0
-    while tested < samples and attempts < 20 * samples:
+    while tested < _POSITIVITY_SAMPLES and attempts < 20 * _POSITIVITY_SAMPLES:
         attempts += 1
         coords = rng.normal(size=sub.dim)
         element = sub.reconstruct(coords)
@@ -916,7 +913,7 @@ def qpm_to_finitary(chain: QuantumChain) -> FinitaryParam:
         chain.operators,
         initial,
         end,
-        standard_form=bool(_standard_form(initial, end, chain.total_matrix)),
+        standard_form=_standard_form(initial, end, chain.total_matrix),
     )
 
 

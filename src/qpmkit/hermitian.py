@@ -61,23 +61,22 @@ def as_complex_matrix(value) -> np.ndarray:
     return mat
 
 
-def _require_square(mat: np.ndarray) -> np.ndarray:
+def _square_matrix(value) -> np.ndarray:
+    """Coerce ``value`` to a finite square complex matrix."""
+    mat = as_complex_matrix(value)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
     return mat
 
 
 def hermitian_defect(matrix) -> float:
-    """Largest entrywise deviation of a square matrix from its adjoint."""
-    mat = _require_square(as_complex_matrix(matrix))
-    if mat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(mat - mat.conj().T)))
+    """Largest entrywise deviation of a square matrix from its adjoint (0 when empty)."""
+    return float(hermitian_defects(_square_matrix(matrix)[None])[0])
 
 
 def hermitian_defects(stack: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_defect` of each matrix of a non-empty (count, n, n) stack."""
-    return np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    """:func:`hermitian_defect` of each matrix of a (count, n, n) stack."""
+    return np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
 
 
 def is_hermitian(matrix, tol: float = DEFAULTS.hermitian_tol) -> bool:
@@ -90,17 +89,13 @@ def require_hermitian(matrix, tol: float = DEFAULTS.hermitian_tol) -> np.ndarray
     Symmetrizing ((A + A*) / 2) removes rounding-level asymmetry so that
     downstream eigensolvers see an exactly Hermitian operand.
     """
-    mat = _require_square(as_complex_matrix(matrix))
-    defect = hermitian_defect(mat)
-    if defect > tol:
-        raise _not_self_adjoint(defect, tol)
-    return (mat + mat.conj().T) / 2.0
+    return require_hermitian_stack(_square_matrix(matrix)[None], tol)[0]
 
 
 def require_hermitian_stack(stack: np.ndarray, tol: float = DEFAULTS.hermitian_tol) -> np.ndarray:
-    """:func:`require_hermitian` of each matrix of a finite complex (count, n, n) stack, n >= 1.
+    """:func:`require_hermitian` of each matrix of a finite complex (count, n, n) stack, count >= 1.
 
-    The same bits, and the same error for the first matrix out of tolerance.
+    The error gives the defect of the first matrix out of tolerance.
     """
     defects = hermitian_defects(stack)
     if defects.max() > tol:
@@ -210,7 +205,7 @@ def is_nonnegative(matrix, tol: float = DEFAULTS.psd_tol) -> bool:
 
 def is_unitary(matrix, tol: float = DEFAULTS.unitary_tol) -> bool:
     """True when ||U U* - I|| (Frobenius) is at most ``tol``."""
-    u = _require_square(as_complex_matrix(matrix))
+    u = _square_matrix(matrix)
     eye = np.eye(u.shape[0])
     return bool(np.linalg.norm(u @ u.conj().T - eye) <= tol)
 

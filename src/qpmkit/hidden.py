@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -100,6 +101,12 @@ class HiddenStateBasis:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _overlaps(self) -> np.ndarray:
+        """Row i is P_i^T conj(P_i), flattened: the table :func:`_weights` multiplies by."""
+        p = self.projectors
+        return read_only_array(np.einsum("ipq,ipr->iqr", p, p.conj()).reshape(self.size, -1), complex)
 
     @classmethod
     def standard(cls, dim: int, labels: Sequence[str] | None = None) -> "HiddenStateBasis":
@@ -227,11 +234,16 @@ def hidden_state_weights(density: Density | np.ndarray, basis: HiddenStateBasis)
         raise DimensionMismatchError(
             f"density shape {matrix.shape} does not match basis dimension {basis.dim}"
         )
-    weights = np.empty(basis.size)
-    for i, proj in enumerate(basis.projectors):
-        value = complex(np.trace(proj @ matrix @ proj.conj().T))
-        weights[i] = value.real
-    return weights
+    return _weights(matrix[None], basis)[0]
+
+
+def _weights(images: np.ndarray, basis: HiddenStateBasis) -> np.ndarray:
+    """tr(P_i X P_i*) for each matrix X of a (count, dim, dim) stack, as (count, size).
+
+    Each trace is the entrywise inner product of X with P_i^T conj(P_i),
+    so one product with the basis's overlap table covers every pair.
+    """
+    return (images.reshape(len(images), -1) @ basis._overlaps.T).real
 
 
 def induced_distribution(
@@ -397,9 +409,8 @@ def _step_weights(
     """Initial weights tr(P_i rho P_i*) and per-letter factors[a][j, i].
 
     ``factors[a][j, i]`` is the weight of moving from hidden state j to i
-    on letter a: tr(P_i L_a(P_j) P_i*).  Each trace is the entrywise inner
-    product of the image with P_i^T conj(P_i), so one matrix product per
-    letter covers all n^2 pairs.
+    on letter a: tr(P_i L_a(P_j) P_i*), one :func:`_weights` product per
+    letter for all n^2 pairs.
     """
     sub = chain.subspace
     if basis.dim != sub.ambient_dim:
@@ -424,13 +435,8 @@ def _step_weights(
                     f"projector for hidden state {label!r} lies outside the chain's subspace: {exc}"
                 ) from exc
         raise
-    overlap = np.einsum("ipq,ipr->iqr", projectors, projectors.conj()).reshape(basis.size, -1)
-
-    def weigh(images: np.ndarray) -> np.ndarray:
-        return (images.reshape(len(images), -1) @ overlap.T).real
-
-    init = weigh(chain.initial.matrix[None])[0]
-    factors = np.stack([weigh(sub.reconstruct(coords @ m)) for m in chain.operators])
+    init = _weights(chain.initial.matrix[None], basis)[0]
+    factors = np.stack([_weights(sub.reconstruct(coords @ m), basis) for m in chain.operators])
     return init, factors
 
 

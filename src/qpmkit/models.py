@@ -281,7 +281,7 @@ def is_standard_form(param: FinitaryParam, *, config: Config = DEFAULTS) -> bool
 def _standard_form(initial, end, total, tol: float = DEFAULTS.eval_tol) -> bool:
     """All-ones end vector, fixed by the summed letter matrices, with unit initial weight."""
     ones = np.ones(len(end))
-    return (
+    return bool(
         np.max(np.abs(end - ones)) <= tol
         and abs(float(initial @ end) - 1.0) <= tol
         and np.max(np.abs(total @ end - end)) <= tol
@@ -450,10 +450,10 @@ def qrw_eval(qrw: QrwParam, word, *, config: Config = DEFAULTS) -> float:
     block's rows of the unitary to the initial wave, every later one the
     k x k block from the previous node's coins to the chosen node's.
     """
+    _require_unit_wave(qrw.wave, config.trace_tol)
     nodes = qrw.nodes.indices(word)
     if not nodes:
         return 1.0
-    _require_unit_wave(qrw.wave, config.trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
     blocks = _node_columns(qrw).reshape(n, n, k, k)
     evolve = qrw.unitary.reshape(n, k, qrw.dim)
@@ -631,6 +631,7 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
     is built after the initial one.  Node weights are sums of squares, so
     they need no clamp; a chunk's weights are checked once, at its end.
     """
+    _require_unit_wave(qrw.wave, trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
     node_columns = _node_columns(qrw)
 
@@ -646,9 +647,6 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
     def advance(u: np.ndarray) -> np.ndarray:
         count, length = u.shape
         out = np.empty((length, count), dtype=np.intp)
-        if not length:
-            return out
-        _require_unit_wave(qrw.wave, trace_tol)
         offsets = np.arange(count) * n
         kept = np.empty((_CHECK_STEPS, count, n))
         columns, amplitudes = qrw.unitary, np.broadcast_to(qrw.wave, (count, qrw.dim))

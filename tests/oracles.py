@@ -479,6 +479,14 @@ def shortest_difference_by_enumeration(first, second, horizon: int, tol: float =
     return None
 
 
+def hidden_weights_reference(matrix: np.ndarray, basis) -> np.ndarray:
+    """Hidden-state weights tr(P Q P*), one projector at a time."""
+    weights = np.empty(basis.size)
+    for i, proj in enumerate(basis.projectors):
+        weights[i] = complex(np.trace(proj @ matrix @ proj.conj().T)).real
+    return weights
+
+
 def viterbi_reference(chain, basis, symbols):
     """Maximum-weight hidden path by carrying every candidate's full path.
 

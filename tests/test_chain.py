@@ -852,7 +852,7 @@ class TestValidateChain:
             random_quantum_density(rng, 2),
             ChainKind.QMC,
         )
-        report = qk.validate_chain(chain, positivity_samples=300)
+        report = qk.validate_chain(chain)
         assert report.ok
         assert any("unproven" in note for note in report.evidence)
 
@@ -868,7 +868,7 @@ class TestValidateChain:
             random_quantum_density(rng, 2),
             ChainKind.QMC,
         )
-        report = qk.validate_chain(chain, positivity_samples=200)
+        report = qk.validate_chain(chain)
         assert any(v.code == "positivity" for v in report.violations)
 
     def test_sampling_without_identity_in_subspace(self, rng):
@@ -881,7 +881,7 @@ class TestValidateChain:
             qk.Density.quantum(np.diag([1.0, 0.0]).astype(complex)),
             ChainKind.QMC,
         )
-        report = qk.validate_chain(good, positivity_samples=100)
+        report = qk.validate_chain(good)
         assert report.ok
         bad = QuantumChain(
             qk.Alphabet(("a", "b")),
@@ -890,7 +890,7 @@ class TestValidateChain:
             qk.Density.quantum(np.diag([1.0, 0.0]).astype(complex)),
             ChainKind.QMC,
         )
-        report = qk.validate_chain(bad, positivity_samples=100)
+        report = qk.validate_chain(bad)
         assert any(v.code == "positivity" for v in report.violations)
 
     def test_as_qpm_relabels_markov_chains(self, hmm2):
@@ -914,7 +914,7 @@ class TestValidateChain:
             qk.Density.quantum(np.eye(2, dtype=complex) / 2),
             ChainKind.QMC,
         )
-        report = qk.validate_chain(good, positivity_samples=300)
+        report = qk.validate_chain(good)
         assert report.ok
         bad = QuantumChain(
             qk.Alphabet(("a",)),
@@ -923,7 +923,7 @@ class TestValidateChain:
             qk.Density.quantum(np.eye(2, dtype=complex) / 2),
             ChainKind.QMC,
         )
-        report = qk.validate_chain(bad, positivity_samples=300)
+        report = qk.validate_chain(bad)
         assert any(v.code == "positivity" for v in report.violations)
 
 

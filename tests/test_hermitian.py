@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import qpmkit as qk
 from qpmkit.errors import DimensionMismatchError, ValidationError
+from qpmkit.hermitian import hermitian_defect, hermitian_defects, require_hermitian_stack
 
 from oracles import inner_double_sum
 
@@ -59,6 +62,50 @@ class TestHermitianInner:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             qk.hermitian_inner(np.eye(2), np.eye(3))
+
+
+class TestSingleMatrixChecks:
+    """The one-matrix checks are the stack routines called on a stack of one."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([0.0, 1e-13, 1e-6]))
+    def test_match_a_stack_of_one(self, seed, n, skew):
+        rng = np.random.default_rng(seed)
+        matrix = _random_hermitian(rng, n) + skew * _random_complex(rng, (n, n))
+        defect = float(hermitian_defects(matrix[None])[0])
+        assert hermitian_defect(matrix) == defect
+        for tol in (1e-12, 1e-8, defect):
+            assert qk.is_hermitian(matrix, tol) is (defect <= tol)
+            try:
+                want = require_hermitian_stack(matrix[None], tol)[0]
+            except ValidationError as exc:
+                assert str(exc).startswith("matrix is not self-adjoint")
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                    qk.require_hermitian(matrix, tol)
+            else:
+                assert qk.require_hermitian(matrix, tol).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            ([[1.0, np.nan], [np.nan, 1.0]], ValidationError, "matrix contains non-finite entries"),
+            ([[1.0, np.inf], [0.0, 1.0]], ValidationError, "matrix contains non-finite entries"),
+            (np.zeros((2, 3)), DimensionMismatchError, "expected a square matrix, got shape (2, 3)"),
+            (np.zeros(3), DimensionMismatchError, "expected a 2-D matrix, got shape (3,)"),
+        ],
+    )
+    def test_invalid_inputs_raise_before_any_check(self, matrix, error, message):
+        for check in (hermitian_defect, qk.is_hermitian, qk.require_hermitian):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                check(matrix)
+
+    def test_an_empty_matrix_is_self_adjoint(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        assert hermitian_defect(empty) == 0.0
+        assert hermitian_defects(empty[None]).tolist() == [0.0]
+        assert qk.is_hermitian(empty) is True
+        for got in (qk.require_hermitian(empty), require_hermitian_stack(empty[None])[0]):
+            assert got.shape == (0, 0) and got.dtype == complex
 
 
 class TestSpectralDecompose:

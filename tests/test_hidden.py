@@ -19,6 +19,7 @@ from qpmkit.hidden import (
 from helpers import random_hmm, random_quantum_density, single_letter_chain
 from oracles import (
     best_path_reference,
+    hidden_weights_reference,
     hmm_path_weights,
     hmm_viterbi_enumerate,
     viterbi_reference,
@@ -206,6 +207,28 @@ class TestHiddenStateWeights:
                 assert qk.hidden_state_weights(density, basis).sum() == pytest.approx(
                     1.0, abs=1e-10
                 )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.booleans())
+    def test_match_the_projector_loop(self, seed, n, quantum):
+        # bit for bit on standard bases, to rounding on eigenbases
+        rng = np.random.default_rng(seed)
+        if quantum:
+            density = random_quantum_density(rng, n)
+        else:
+            # a traceless Hermitian shift large enough to give negative eigenvalues
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            shift = raw + raw.conj().T - 2 * np.trace(raw).real / n * np.eye(n)
+            density = qk.Density.generalized(random_quantum_density(rng, n).matrix + shift)
+            assert np.linalg.eigvalsh(density.matrix).min() < 0
+        standard = HiddenStateBasis.standard(n)
+        eigen = HiddenStateBasis.from_density(random_quantum_density(rng, n))
+        for matrix in (density, density.matrix):
+            got = qk.hidden_state_weights(matrix, standard)
+            assert np.array_equal(got, hidden_weights_reference(density.matrix, standard))
+            got = qk.hidden_state_weights(matrix, eigen)
+            want = hidden_weights_reference(density.matrix, eigen)
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestInducedDistribution:

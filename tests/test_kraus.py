@@ -69,12 +69,12 @@ def report_tuple(report):
     return report.messages(), list(report.evidence), report.horizon
 
 
-def reference_report(chain, **kwargs):
+def reference_report(chain):
     """validate_chain with the unit-by-unit Choi matrix in place of the contraction."""
     with mock.patch.object(
         chain_mod, "_choi_matrix", lambda sub, matrix: choi_reference(sub.basis, matrix)
     ):
-        return chain_mod.validate_chain(chain, **kwargs)
+        return chain_mod.validate_chain(chain)
 
 
 class TestFromKraus:
@@ -182,8 +182,8 @@ class TestValidationReports:
             random_quantum_density(rng, 2),
             ChainKind.QMC,
         )
-        got = qk.validate_chain(chain, positivity_samples=300)
-        assert report_tuple(got) == report_tuple(reference_report(chain, positivity_samples=300))
+        got = qk.validate_chain(chain)
+        assert report_tuple(got) == report_tuple(reference_report(chain))
         assert got.evidence or got.violations
 
 
@@ -218,7 +218,7 @@ class TestCholeskyCertificate:
         density = random_quantum_density(rng, n)
         alphabet = qk.Alphabet(tuple(symbols))
         chain = QuantumChain(alphabet, sub, np.stack(ops), density, ChainKind.QMC)
-        got = qk.validate_chain(chain, positivity_samples=100)
+        got = qk.validate_chain(chain)
         with mock.patch.object(chain_mod, "_factorises", lambda matrix, shift: False):
-            want = qk.validate_chain(chain, positivity_samples=100)
+            want = qk.validate_chain(chain)
         assert report_tuple(got) == report_tuple(want)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -263,6 +264,12 @@ class TestStandardize:
                 qk.finitary_eval(general, word), abs=1e-10
             )
 
+    def test_standard_form_checks_return_plain_bools(self, coin_finitary, hmm2):
+        for param in (coin_finitary, qk.hmm_to_finitary(hmm2)):
+            assert type(qk.is_standard_form(param)) is bool
+        assert type(qk.qpm_to_finitary(qk.hmm_to_qmc(hmm2)).standard_form) is bool
+        assert json.loads(json.dumps({"v": qk.is_standard_form(coin_finitary)})) == {"v": True}
+
     def test_general_end_vector(self):
         param = qk.FinitaryParam(
             AB,
@@ -331,6 +338,28 @@ class TestQrw:
             )
         )
         assert any(v.code == "wave-norm" for v in report.violations)
+
+    def test_a_stretched_wave_is_refused_before_any_shortcut(self, qrw_hadamard):
+        # the empty word and empty samples raise as one-letter words do
+        walk = qk.QrwParam(
+            qrw_hadamard.nodes,
+            qrw_hadamard.edges,
+            qrw_hadamard.coins,
+            qrw_hadamard.unitary,
+            qrw_hadamard.wave * 2,
+        )
+        calls = (
+            lambda: qk.qrw_eval(walk, ""),
+            lambda: qk.sample_trajectories(walk, 0, 2, 1),
+            lambda: qk.sample_trajectories(walk, 3, 0, 1),
+            lambda: qk.qrw_eval(walk, "a"),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValidationError, match="^wave norm is 1.999") as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     @pytest.mark.parametrize("field", ["unitary", "wave"])
     def test_a_non_finite_entry_is_named_not_raised(self, qrw_hadamard, field):

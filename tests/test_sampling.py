@@ -263,9 +263,10 @@ def test_walk_errors():
     edges = (("a", "b"), ("b", "a"))
     wave = np.array([1.0, 0.0], dtype=complex)
     stretched = qk.QrwParam(nodes, edges, ("c",), np.eye(2), wave * 1.5)
-    with pytest.raises(ValidationError, match="wave norm"):
-        qk.sample_trajectories(stretched, 1, 2, seed=0)
-    assert qk.sample_trajectories(stretched, 0, 2, seed=0) == [(), ()]
+    # the wave is checked before any trajectory is drawn, empty ones too
+    for length, count in ((1, 2), (0, 2), (3, 0)):
+        with pytest.raises(ValidationError, match="wave norm"):
+            qk.sample_trajectories(stretched, length, count, seed=0)
     # a contraction (not unitary) leaves every node a weight below the
     # collapse threshold, so whichever node is drawn cannot be collapsed onto
     shrinking = qk.QrwParam(nodes, edges, ("c",), 1e-9 * np.eye(2), wave)
