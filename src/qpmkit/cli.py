@@ -81,6 +81,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _horizon(text: str) -> int:
+    """A word-horizon flag's value; negative lengths are refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 # Flags every command takes, each naming the Config field it sets.
 _CONFIG_FLAGS = {
     "--tol-hermitian": "hermitian_tol",
@@ -103,7 +114,7 @@ _CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(Config))
 # Each command's own arguments, as add_argument keywords by name.  A flag
 # whose dest is a Config field is a second spelling of that field's flag.
 _ARGUMENTS = {
-    "validate": {"model": {}, "--horizon": {"dest": "qpm_horizon", "type": int}},
+    "validate": {"model": {}, "--horizon": {"dest": "qpm_horizon", "type": _horizon}},
     "eval": {"model": {}, "--word": {"required": True}},
     "rank": {"model": {}, "--rows": {"type": int}, "--cols": {"type": int}, "--csv": {}},
     "equiv": {"model_a": {}, "model_b": {}, "--tol": {"dest": "equiv_tol", "type": _finite_float}},
@@ -159,7 +170,7 @@ def _parser(command: str) -> _Parser:
     """
     parser = _Parser(prog=f"qpmkit {command}", add_help=True)
     for flag, field in _CONFIG_FLAGS.items():
-        kind = _finite_float if isinstance(getattr(DEFAULTS, field), float) else int
+        kind = _finite_float if isinstance(getattr(DEFAULTS, field), float) else _horizon
         parser.add_argument(flag, dest=field, type=kind)
     for name, options in _ARGUMENTS[command].items():
         parser.add_argument(name, **options)

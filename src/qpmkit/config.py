@@ -59,4 +59,7 @@ def load_config(environ=None) -> Config:
     )
     if non_finite:
         raise ValueError(f"non-finite config values: {non_finite}")
+    horizon = data.get("qpm_horizon", 0)
+    if type(horizon) is not int or horizon < 0:
+        raise ValueError(f"qpm_horizon must be an integer >= 0, got {horizon!r}")
     return DEFAULTS.replace(**data)

@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -214,24 +216,45 @@ def _array_text(arr: np.ndarray, level: int) -> str:
     hot = np.flatnonzero(flat)
     texts[hot] = list(map(float.__repr__, flat[hot].tolist()))
     depth, size = arr.ndim, flat.size
-    inner = "\n" + "  " * (level + depth)
-
-    def closing(count: int) -> str:  # closes the innermost ``count`` lists
-        return "".join("\n" + "  " * (level + depth - 1 - t) + "]" for t in range(count))
-
-    def opening(count: int) -> str:  # opens ``count`` lists, down to the numbers
-        return "".join("\n" + "  " * (level + depth - count + t) + "[" for t in range(count)) + inner
-
-    parts = ["," + inner] * (2 * size + 1)
+    top = level + depth
+    parts = ["," + _opening(top, 0)] * (2 * size + 1)
     period = 1
     for count, width in enumerate(reversed(arr.shape[1:]), 1):
         period *= width
-        boundary = closing(count) + "," + opening(count)
+        boundary = _closing(top, count) + "," + _opening(top, count)
         parts[2 * period : -1 : 2 * period] = [boundary] * (size // period - 1)
-    parts[0] = "[" + opening(depth - 1)
-    parts[-1] = closing(depth)
+    parts[0] = "[" + _opening(top, depth - 1)
+    parts[-1] = _closing(top, depth)
     parts[1::2] = texts.tolist()
     return "".join(parts)
+
+
+def _closing(top: int, count: int) -> str:
+    """The text that closes the innermost ``count`` lists around numbers indented ``top`` levels."""
+    return "".join("\n" + "  " * (top - 1 - t) + "]" for t in range(count))
+
+
+def _opening(top: int, count: int) -> str:
+    """The text that opens ``count`` lists, down to numbers indented ``top`` levels."""
+    return "".join("\n" + "  " * (top - count + t) + "[" for t in range(count)) + "\n" + "  " * top
+
+
+def _array_text_length(shape: tuple[int, ...], level: int, number_chars: int) -> int:
+    """``len(_array_text(arr, level))`` for an array of ``shape`` whose numbers' texts
+    total ``number_chars`` characters, counted without rendering it.
+
+    Between two numbers stands the boundary of as many lists as they
+    close: ``size / period - 1`` boundaries close at least ``count`` lists,
+    where ``period`` is the size of the innermost ``count`` axes.
+    """
+    depth, top = len(shape), level + len(shape)
+    length = number_chars + 1 + len(_opening(top, depth - 1)) + len(_closing(top, depth))
+    lists, shorter = math.prod(shape), 0
+    for count in range(depth):
+        boundary = len(_closing(top, count)) + 1 + len(_opening(top, count))
+        length += (lists - 1) * (boundary - shorter)
+        lists, shorter = lists // shape[depth - 1 - count], boundary
+    return length
 
 
 # --------------------------------------------------------------------------
@@ -261,11 +284,15 @@ def load_model_report(path, config: Config = DEFAULTS, *, with_report: bool = Fa
 def _load(path, config: Config):
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         return None, None, [f"cannot read file: {exc}"], None
-    except json.JSONDecodeError as exc:
-        return None, None, [f"not valid JSON: {exc}"], None
+    raw = _decode_with_shared_basis(text, config)
+    if raw is None:
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            return None, None, [f"not valid JSON: {exc}"], None
     if not isinstance(raw, dict):
         return None, None, ["top level must be a JSON object"], None
 
@@ -311,10 +338,124 @@ def _load(path, config: Config):
     return model, kind, [], report
 
 
+# A chain file from save_model writes its payload's fields at this indent
+# level, ``ambient_dim`` just before ``basis`` and ``initial`` just after.
+_PAYLOAD_LEVEL = 2
+_BASIS_AT = re.compile(r'"ambient_dim": ([1-9][0-9]{0,8}),\n    "basis": ')
+_AFTER_BASIS = ',\n    "initial": '
+_BASIS_CLOSE = "\n" + "  " * _PAYLOAD_LEVEL + "]"
+# Both shared bases start with E_11, whose first entry is written [1.0, 0.0].
+_BASIS_PREFIX = _array_text(np.array([[[[1.0, 0.0]]]]), _PAYLOAD_LEVEL).partition("]")[0]
+# The numbers of the full basis: 1/sqrt(2) three times and its negative once
+# for each pair i < j, and 0.0 or 1.0 everywhere else.
+_ROOT_HALF_TEXT = float.__repr__(1.0 / math.sqrt(2.0))
+
+
+def _decode_with_shared_basis(text: str, config: Config):
+    """The file's JSON, its basis block read as a shared subspace; None if it has none.
+
+    A chain file whose basis block is, byte for byte, the one that
+    :func:`save_model` writes for ``OperatorSubspace.diagonal(n)`` or
+    ``.full(n)`` is decoded with that block replaced by ``null``, and the
+    payload's ``basis`` becomes that shared subspace.  The block needs no
+    check: decoded, it is exactly the shared stack, which is exactly
+    Hermitian and passes any float ``hermitian_tol`` >= 0.  Anything else gives
+    None, and the file is decoded as it stands: no such block, a JSON
+    error (so that its message locates it in the file), a second
+    ``basis`` key anywhere, or an ``ambient_dim`` that the decoded payload
+    does not give as n.
+    """
+    tol = config.hermitian_tol
+    found = _shared_basis_block(text) if type(tol) is float and tol >= 0 else None
+    if found is None:
+        return None
+    start, end, subspace = found
+    bases = []
+
+    def pairs(items):
+        bases.extend(value for key, value in items if key == "basis")
+        return dict(items)
+
+    try:
+        raw = json.loads(text[:start] + "null" + text[end:], object_pairs_hook=pairs)
+    except json.JSONDecodeError:
+        return None
+    payload = raw.get("payload") if type(raw) is dict else None
+    if bases != [None] or type(payload) is not dict or "basis" not in payload:
+        return None
+    ambient = payload.get("ambient_dim")
+    if type(ambient) is not int or ambient != subspace.ambient_dim:
+        return None
+    payload["basis"] = subspace
+    return raw
+
+
+def _shared_basis_block(text: str) -> tuple[int, int, OperatorSubspace] | None:
+    """``(start, end, subspace)`` of the canonical basis block that ``text`` holds, if any.
+
+    The block follows ``"ambient_dim": n``.  Its length for either shared
+    basis is counted from n, and the text must hold ``"initial"`` just
+    after it and E_11's first entry at its start; only then is the block
+    rendered and compared, so nothing longer than the rest of the file is
+    ever rendered.
+    """
+    found = _BASIS_AT.search(text)
+    if found is None:
+        return None
+    n, start = int(found[1]), found.end()
+    off_diagonal = n * (n - 1) // 2
+    candidates = (
+        (n, 6 * n**3, OperatorSubspace.diagonal),
+        (n * n, 6 * n**4 + off_diagonal * (4 * len(_ROOT_HALF_TEXT) - 11), OperatorSubspace.full),
+    )
+    for dim, number_chars, shared in candidates:
+        end = start + _array_text_length((dim, n, n, 2), _PAYLOAD_LEVEL, number_chars)
+        if not (text.startswith(_AFTER_BASIS, end) and text.startswith(_BASIS_PREFIX, start)):
+            continue
+        head = _diagonal_basis_head(n)
+        tail = _full_basis_tail(n) if dim > n else _BASIS_CLOSE
+        if (
+            start + len(head) + len(tail) == end
+            and text.startswith(head, start)
+            and text.startswith(tail, start + len(head))
+        ):
+            return start, end, shared(n)
+    return None
+
+
+@lru_cache(maxsize=4)
+def _diagonal_basis_head(n: int) -> str:
+    """The canonical text of ``diagonal(n)``'s basis but its closing bracket.
+
+    It is also the text of ``full(n)``'s, up to its element n.
+    """
+    text = _array_text(_dump_cmatrix(OperatorSubspace.diagonal(n).basis), _PAYLOAD_LEVEL)
+    return text[: -len(_BASIS_CLOSE)]
+
+
+@lru_cache(maxsize=4)
+def _full_basis_tail(n: int) -> str:
+    """The canonical text of ``full(n)``'s basis after :func:`_diagonal_basis_head`."""
+    rest = OperatorSubspace.full(n).basis[n:]
+    return "," + _array_text(_dump_cmatrix(rest), _PAYLOAD_LEVEL)[1:]
+
+
 def _need_alphabet(alphabet) -> Alphabet:
     if not isinstance(alphabet, list) or not alphabet:
         raise ValueError("alphabet must be a non-empty list of symbols")
     return Alphabet(tuple(str(s) for s in alphabet))
+
+
+def _field(payload, field: str, wants: str, accepts: Callable[[object], bool]):
+    """The payload's ``field``, refused, as not ``wants``, unless it ``accepts`` it."""
+    value = payload[field]
+    if not accepts(value):
+        raise ValueError(f"{field} must be {wants}, got {value!r}")
+    return value
+
+
+def _is_list(value) -> bool:
+    return type(value) is list
 
 
 def _array(data, what: str, ndim: int | None = None) -> np.ndarray:
@@ -437,7 +578,7 @@ def _chain_basis(data, ambient: int, config: Config):
 
 def _parse_hmm(alphabet, payload, config):
     hmm = HmmParam(
-        states=tuple(str(s) for s in payload["states"]),
+        states=tuple(str(s) for s in _field(payload, "states", "a list", _is_list)),
         alphabet=_need_alphabet(alphabet),
         emission=_array(payload["emission"], "emission"),
         initial=_array(payload["initial"], "initial"),
@@ -451,7 +592,7 @@ def _parse_ffmc(alphabet, payload, config):
     if not isinstance(observation, dict):
         raise ValueError("observation must map states to symbols")
     ffmc = FfmcParam(
-        states=tuple(str(s) for s in payload["states"]),
+        states=tuple(str(s) for s in _field(payload, "states", "a list", _is_list)),
         observation={str(k): str(v) for k, v in observation.items()},
         initial=_array(payload["initial"], "initial"),
         transition=_array(payload["transition"], "transition"),
@@ -462,14 +603,14 @@ def _parse_ffmc(alphabet, payload, config):
 
 def _parse_finitary(alphabet, payload, config):
     alpha = _need_alphabet(alphabet)
-    dimension = int(payload["dimension"])
+    dimension = _field(payload, "dimension", "an integer", lambda v: type(v) is int)
     initial = _array(payload["initial"], "initial")
     param = FinitaryParam(
         alphabet=alpha,
         matrices=_symbol_stack(alpha, payload, "letter_matrices", len(initial)),
         initial=initial,
         end=_array(payload["end"], "end"),
-        standard_form=bool(payload["standard_form"]),
+        standard_form=_field(payload, "standard_form", "a boolean", lambda v: type(v) is bool),
     )
     report = ValidationReport()
     if param.dimension != dimension:
@@ -482,20 +623,32 @@ def _parse_finitary(alphabet, payload, config):
 def _parse_qrw(alphabet, payload, config):
     qrw = QrwParam(
         nodes=_need_alphabet(alphabet),
-        edges=tuple((str(a), str(b)) for a, b in payload["edges"]),
-        coins=tuple(str(c) for c in payload["coins"]),
+        edges=tuple((str(a), str(b)) for a, b in _edges(payload)),
+        coins=tuple(str(c) for c in _field(payload, "coins", "a list", _is_list)),
         unitary=_array(payload["unitary"], "unitary", 2),
         wave=_array(payload["wave"], "wave", 1),
     )
     return qrw, validate_qrw(qrw, config=config)
 
 
+def _edges(payload) -> list:
+    edges = _field(payload, "edges", "a list", _is_list)
+    for i, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 2:
+            raise ValueError(f"edges[{i}] must be a [from, to] pair, got {edge!r}")
+    return edges
+
+
 def _parse_chain(kind: ChainKind):
     def parse(alphabet, payload, config):
         alpha = _need_alphabet(alphabet)
-        ambient = int(payload["ambient_dim"])
-        basis = _chain_basis(payload["basis"], ambient, config)
-        subspace = OperatorSubspace(basis, config.hermitian_tol)
+        ambient = _field(
+            payload, "ambient_dim", "a positive integer", lambda v: type(v) is int and v > 0
+        )
+        subspace = payload["basis"]
+        if not isinstance(subspace, OperatorSubspace):  # else shared: _decode_with_shared_basis
+            basis = _chain_basis(subspace, ambient, config)
+            subspace = OperatorSubspace(basis, config.hermitian_tol)
         operators = _symbol_stack(alpha, payload, "operators", subspace.dim)
         initial = _density(
             payload["initial"], "initial", payload["initial_kind"], "unknown initial_kind", config

@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
 import difflib
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -33,7 +35,15 @@ from qpmkit.io import (
 
 import golden_runs
 from conftest import FIXTURES
-from helpers import action_coords, random_hmm, random_local_qrw, walk_kraus
+from helpers import (
+    action_coords,
+    random_hmm,
+    random_kraus_family,
+    random_local_qrw,
+    random_quantum_density,
+    random_unitary,
+    walk_kraus,
+)
 from oracles import complex_entries, hmm_viterbi_log
 
 ALL_FIXTURES = [
@@ -309,6 +319,58 @@ LOAD_REFUSALS = {
     "ffmc observation a list": (
         _edited("swap_ffmc.json", _as_list("observation")),
         ["malformed payload: observation must map states to symbols"],
+    ),
+    "ambient_dim a float": (
+        _edited("swap_qmc.json", _set("payload", "ambient_dim", 2.5)),
+        ["malformed payload: ambient_dim must be a positive integer, got 2.5"],
+    ),
+    "ambient_dim a string": (
+        _edited("swap_qmc.json", _set("payload", "ambient_dim", "2")),
+        ["malformed payload: ambient_dim must be a positive integer, got '2'"],
+    ),
+    "ambient_dim a boolean": (
+        _edited("swap_qmc.json", _set("payload", "ambient_dim", True)),
+        ["malformed payload: ambient_dim must be a positive integer, got True"],
+    ),
+    "ambient_dim zero": (
+        _edited("unbounded_qpm.json", _set("payload", "ambient_dim", 0)),
+        ["malformed payload: ambient_dim must be a positive integer, got 0"],
+    ),
+    "finitary dimension a float": (
+        _edited("coin_finitary.json", _set("payload", "dimension", 2.9)),
+        ["malformed payload: dimension must be an integer, got 2.9"],
+    ),
+    "finitary dimension a string": (
+        _edited("coin_finitary.json", _set("payload", "dimension", "2")),
+        ["malformed payload: dimension must be an integer, got '2'"],
+    ),
+    "standard_form a string": (
+        _edited("coin_finitary.json", _set("payload", "standard_form", "false")),
+        ["malformed payload: standard_form must be a boolean, got 'false'"],
+    ),
+    "hmm states a string": (
+        _edited("hmm2.json", _set("payload", "states", "xy")),
+        ["malformed payload: states must be a list, got 'xy'"],
+    ),
+    "ffmc states a string": (
+        _edited("swap_ffmc.json", _set("payload", "states", "xy")),
+        ["malformed payload: states must be a list, got 'xy'"],
+    ),
+    "walk coins a string": (
+        _edited("qrw_hadamard.json", _set("payload", "coins", "LR")),
+        ["malformed payload: coins must be a list, got 'LR'"],
+    ),
+    "walk edges an object": (
+        _edited("qrw_hadamard.json", _set("payload", "edges", {"a": "b"})),
+        ["malformed payload: edges must be a list, got {'a': 'b'}"],
+    ),
+    "walk edge a string": (
+        _edited("qrw_hadamard.json", _set("payload", "edges", 1, "ba")),
+        ["malformed payload: edges[1] must be a [from, to] pair, got 'ba'"],
+    ),
+    "walk edge of three nodes": (
+        _edited("qrw_hadamard.json", _set("payload", "edges", 0, ["a", "b", "a"])),
+        ["malformed payload: edges[0] must be a [from, to] pair, got ['a', 'b', 'a']"],
     ),
 }
 
@@ -880,6 +942,238 @@ class TestModelFiles:
         assert loaded.functions["X"]("w1") == -1
 
 
+@functools.cache
+def _shared_basis_chains() -> dict[str, qk.QuantumChain]:
+    """Chains whose saved files carry a shared basis, ``full(n)`` or ``diagonal(n)``."""
+    rng = np.random.default_rng(33)
+    chains = {name: load_model(FIXTURES / name) for name in ("swap_qmc.json", "unbounded_qpm.json")}
+    for nodes, coins in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1), (4, 2)):
+        walk = random_local_qrw(rng, nodes, coins)
+        chains[f"walk at ambient {walk.dim}"] = qk.qrw_to_qmc(walk)
+    initial = random_quantum_density(rng, 3)
+    chains["povm"] = qk.povm_to_qmc(random_kraus_family(rng, 3, 2), initial)
+    chains["unitary"] = qk.unitary_to_qmc(random_unitary(rng, 3), initial)
+    chains["hmm qmc"] = qk.hmm_to_qmc(random_hmm(rng, 4, 2))
+    for states, seed in ((2, 0), (5, 0), (8, 0), (12, 26)):  # seeds whose conversion succeeds
+        hmm = random_hmm(np.random.default_rng(seed), states, 2)
+        chains[f"{states}-state qpm"] = qk.finitary_to_qpm(qk.hmm_to_finitary(hmm))
+    return chains
+
+
+def _shared(subspace) -> bool:
+    n = subspace.ambient_dim
+    return subspace is qk.OperatorSubspace.full(n) or subspace is qk.OperatorSubspace.diagonal(n)
+
+
+def _chain_bits(chain) -> list:
+    sub = chain.subspace
+    arrays = (
+        chain.operators, chain.initial.matrix, chain.initial_coords, sub.basis, sub.gram, sub.traces
+    )
+    return [chain.alphabet.symbols, chain.kind] + [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _load_both_ways(path, monkeypatch):
+    """``load_model_report(path, with_report=True)``, then the same with no shared basis read."""
+    fast = load_model_report(path, with_report=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(qpmkit_io, "_decode_with_shared_basis", lambda text, config: None)
+        slow = load_model_report(path, with_report=True)
+    return fast, slow
+
+
+def _block_edit(old: str, new: str):
+    """A text edit that replaces the first ``old`` inside the basis block by ``new``."""
+
+    def edit(text):
+        start, end = text.index('"basis": '), text.index('"initial": ')
+        return text[:start] + text[start:end].replace(old, new, 1) + text[end:]
+
+    return edit
+
+
+def _swapped(i: int, j: int):
+    """A text edit that swaps elements ``i`` and ``j`` of the file's basis."""
+
+    def edit(text):
+        data = json.loads(text)
+        basis = data["payload"]["basis"]
+        basis[i], basis[j] = basis[j], basis[i]
+        return canonical_json(data)
+
+    return edit
+
+
+def _other_n_basis(text):
+    """The file with the other shared basis at ambient n + 1 in place of its own; ambient_dim stays n."""
+    data = json.loads(text)
+    payload = data["payload"]
+    n = payload["ambient_dim"]
+    shared = qk.OperatorSubspace.full if len(payload["basis"]) == n else qk.OperatorSubspace.diagonal
+    payload["basis"] = qpmkit_io._dump_cmatrix(shared(n + 1).basis)
+    return canonical_json(data)
+
+
+# Near misses of a canonical chain file, each read as the file stands.
+_NEAR_MISSES = {
+    "one digit changed": _block_edit("1.0,", "2.0,"),
+    "last number changed": lambda t: t.replace(
+        "0.0\n          ]\n        ]\n      ]\n    ],", "0.5\n          ]\n        ]\n      ]\n    ],"
+    ),
+    "another n's basis": _other_n_basis,
+    "permuted basis": _swapped(0, 1),
+    "last two elements swapped": _swapped(-2, -1),
+    "extra whitespace": _block_edit("1.0,", "1.0 ,"),
+    "syntax error after the block": lambda t: t.replace('"initial_kind"', '"initial_kind" "'),
+    "duplicate basis key": lambda t: t.replace('"operators": ', '"basis": [],\n    "operators": '),
+    "duplicate basis key, same block": lambda t: t.replace(
+        '"operators": ', t[t.index('"basis": ') : t.index('"initial": ')] + '"operators": '
+    ),
+    "ambient_dim that disagrees": lambda t: t.replace('"initial_kind"', '"ambient_dim": 3, "initial_kind"'),
+    "ambient_dim a float": lambda t: t.replace('"initial_kind"', '"ambient_dim": 4.0, "initial_kind"'),
+    "basis in another object": lambda t: t.replace('"kind": ', '"extra": {"basis": null}, "kind": '),
+}
+
+
+class TestSharedBasisFiles:
+    """A chain file whose basis block is the canonical text of a shared basis skips decoding it."""
+
+    @pytest.mark.parametrize("name", list(_shared_basis_chains()))
+    def test_canonical_and_compact_files_load_to_one_chain(self, tmp_path, name):
+        canonical, compact = tmp_path / "canonical.json", tmp_path / "compact.json"
+        text = save_model(_shared_basis_chains()[name], canonical)
+        compact.write_text(json.dumps(json.loads(text)))
+        fast, kind, violations, fast_report = load_model_report(canonical, with_report=True)
+        slow, _, _, slow_report = load_model_report(compact, with_report=True)
+        assert violations == [] and kind in ("qmc", "qpm")
+        assert _shared(fast.subspace) and not _shared(slow.subspace)
+        assert _chain_bits(fast) == _chain_bits(slow)
+        assert fast_report == slow_report and fast_report.evidence
+        assert save_model(fast) == text
+
+    @pytest.mark.parametrize("name", ["walk at ambient 4", "hmm qmc"])
+    @pytest.mark.parametrize("miss", list(_NEAR_MISSES))
+    def test_near_misses_are_read_as_they_stand(self, tmp_path, monkeypatch, name, miss):
+        text = save_model(_shared_basis_chains()[name])
+        edited = _NEAR_MISSES[miss](text)
+        assert edited != text
+        path = tmp_path / "near.json"
+        path.write_text(edited)
+        fast, slow = _load_both_ways(path, monkeypatch)
+        assert fast[1:3] == slow[1:3] and fast[3] == slow[3]
+        if slow[0] is None:
+            assert fast[0] is None
+        else:
+            assert not _shared(fast[0].subspace)
+            assert _chain_bits(fast[0]) == _chain_bits(slow[0])
+
+    def test_near_miss_findings(self, tmp_path):
+        text = save_model(_shared_basis_chains()["walk at ambient 4"])
+        expected = {
+            "another n's basis": ["malformed payload: basis[0] must be 4x4"],
+            "ambient_dim that disagrees": ["malformed payload: basis[0] must be 3x3"],
+            "ambient_dim a float": [
+                "malformed payload: ambient_dim must be a positive integer, got 4.0"
+            ],
+            "duplicate basis key": ["subspace basis must not be empty"],
+            "basis in another object": ["unknown top-level fields: ['extra']"],
+        }
+        for miss, findings in expected.items():
+            path = tmp_path / "near.json"
+            path.write_text(_NEAR_MISSES[miss](text))
+            assert load_model_report(path)[2] == findings, miss
+        path.write_text(_NEAR_MISSES["syntax error after the block"](text))
+        assert load_model_report(path)[2][0].startswith("not valid JSON: Expecting ':' delimiter")
+
+    @pytest.mark.parametrize("tol, shared", [(0.0, True), (1e-9, True), (-1e-300, False), (0, False)])
+    def test_only_a_float_tolerance_of_zero_or_more_shares(self, tmp_path, tol, shared):
+        path = tmp_path / "walk.json"
+        save_model(_shared_basis_chains()["walk at ambient 4"], path)
+        model, _, violations = load_model_report(path, DEFAULTS.replace(hermitian_tol=tol))
+        if tol >= 0:
+            assert violations == [] and _shared(model.subspace) is shared
+        else:
+            assert violations == ["malformed payload: basis[0] is not self-adjoint (defect 0.000e+00)"]
+
+    def test_canonical_files_skip_the_basis_reader(self, tmp_path, monkeypatch):
+        paths = []
+        for name in ("walk at ambient 4", "hmm qmc", "8-state qpm"):
+            paths.append(tmp_path / f"{len(paths)}.json")
+            save_model(_shared_basis_chains()[name], paths[-1])
+            load_model(paths[-1])  # renders each block once
+        calls = []
+
+        def counted(name, function):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(qpmkit_io, "_chain_basis", counted("basis", qpmkit_io._chain_basis))
+        monkeypatch.setattr(qpmkit_io, "_array_text", counted("render", qpmkit_io._array_text))
+        init = qk.OperatorSubspace.__init__
+        monkeypatch.setattr(qk.OperatorSubspace, "__init__", counted("subspace", init))
+        for path in paths:
+            assert _shared(load_model(path).subspace)
+        assert calls == []
+
+    def test_a_huge_ambient_dim_renders_nothing(self, tmp_path, monkeypatch):
+        text = (FIXTURES / "swap_qmc.json").read_text()
+        text = text.replace('"ambient_dim": 2,', '"ambient_dim": 1000000,')
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert len(text) < 2000
+        renders = []
+        render = qpmkit_io._array_text
+        monkeypatch.setattr(qpmkit_io, "_array_text", lambda *a: renders.append(a) or render(*a))
+        qpmkit_io._diagonal_basis_head.cache_clear()
+        qpmkit_io._full_basis_tail.cache_clear()
+        assert qpmkit_io._shared_basis_block(text) is None
+        assert load_model_report(path)[2] == ["malformed payload: basis[0] must be 1000000x1000000"]
+        assert renders == []
+
+    def test_other_bases_render_nothing(self, monkeypatch):
+        chain = _shared_basis_chains()["walk at ambient 4"]
+        rng = np.random.default_rng(4)
+        mixing = np.linalg.qr(rng.normal(size=(16, 16)))[0]
+        other = qk.OperatorSubspace(np.einsum("ij,jkl->ikl", mixing, chain.subspace.basis))
+        texts = [
+            save_model(dataclasses.replace(chain, subspace=other)),
+            json.dumps(json.loads(save_model(chain))),
+            save_model(chain).replace('"basis": [\n      [', '"basis": [ \n      ['),
+            _NEAR_MISSES["permuted basis"](save_model(chain)),
+        ]
+        renders = []
+        monkeypatch.setattr(qpmkit_io, "_array_text", lambda *a: renders.append(a))
+        qpmkit_io._diagonal_basis_head.cache_clear()
+        qpmkit_io._full_basis_tail.cache_clear()
+        assert [qpmkit_io._shared_basis_block(text) for text in texts] == [None] * 4
+        assert renders == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_block_lengths_are_counted_without_rendering(self, n):
+        for sub in (qk.OperatorSubspace.diagonal(n), qk.OperatorSubspace.full(n)):
+            numbers = qpmkit_io._dump_cmatrix(sub.basis)
+            rendered = qpmkit_io._array_text(numbers, 2)
+            text = '"ambient_dim": %d,\n    "basis": %s' % (n, rendered)
+            assert qpmkit_io._shared_basis_block(text) is None  # no "initial" after it
+            text += qpmkit_io._AFTER_BASIS
+            _, end, shared = qpmkit_io._shared_basis_block(text)
+            assert end == len(text) - len(qpmkit_io._AFTER_BASIS) == text.index(rendered) + len(rendered)
+            assert shared is sub or n == 1  # at n = 1 the two bases are one
+            chars = sum(len(repr(x)) for x in numbers.reshape(-1).tolist())
+            assert qpmkit_io._array_text_length(numbers.shape, 2, chars) == len(rendered)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_array_text_lengths(self, shape, level):
+        values = np.zeros(shape)
+        assert qpmkit_io._array_text_length(tuple(shape), level, 3 * values.size) == len(
+            qpmkit_io._array_text(values, level)
+        )
+
+
 class TestConfig:
     def test_env_override(self, tmp_path, monkeypatch):
         config_path = tmp_path / "conf.json"
@@ -1096,6 +1390,29 @@ class TestCliCommands:
         assert report["findings"] == [
             "ValueError: non-finite config values: ['rank_eps', 'trace_tol']"
         ]
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--qpm-horizon"])
+    def test_a_negative_horizon_flag_is_a_usage_error(self, flag):
+        path = str(FIXTURES / "unbounded_qpm.json")
+        code, text = _run(["validate", path, flag, "-3"])
+        assert code == 64
+        assert text.endswith(f"error: argument {flag}: not a non-negative integer: '-3'\n")
+        code, report = _run_json(["validate", path, flag, "0"])
+        assert code == 0 and report["results"]["horizon"] == 0
+
+    @pytest.mark.parametrize("value, shown", [("-3", "-3"), ("2.5", "2.5"), ("true", "True")])
+    def test_a_config_horizon_that_is_not_a_length_exits_two(
+        self, tmp_path, monkeypatch, value, shown
+    ):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text('{"qpm_horizon": %s}' % value)
+        monkeypatch.setenv("QPMKIT_CONFIG", str(config_path))
+        message = f"qpm_horizon must be an integer >= 0, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qk.load_config()
+        code, report = _run_json(["validate", str(FIXTURES / "unbounded_qpm.json")])
+        assert code == 2
+        assert report["findings"] == [f"ValueError: {message}"]
 
     def test_rank_reports_basis(self):
         code, report = _run_json(
