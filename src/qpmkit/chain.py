@@ -827,8 +827,9 @@ def finitary_to_qpm(
     products of the basis words' prefix states and the suffix states
     that the Hankel keeps; its N×M block is never built, and the process
     axioms are checked on its prefix states, within ``eval_tol`` (at
-    least 1e-9).  The basis rows are picked at ``rank_eps``
-    (:func:`select_row_basis`).  One least-squares solve
+    least 1e-9).  The basis rows are picked by :func:`select_row_basis`'s
+    search at rounding level, max(N, M)·u, not at ``rank_eps``, so that
+    they span the whole row space.  One least-squares solve
     fits every letter's shifted rows and the process itself.  Residuals
     above ``residual_tol``, checked letter by letter in alphabet order
     and then for the process, mean the basis cannot reproduce the
@@ -853,7 +854,11 @@ def finitary_to_qpm(
             "parametrization does not define a process up to the working horizon: "
             + "; ".join(problems[:3])
         )
-    basis_rows = _row_basis_indices(hankel, config)
+    # numpy's matrix_rank cut; the search stops at the singular values above it
+    cut = max(len(hankel.row_words), len(hankel.col_words)) * np.finfo(float).eps
+    singulars = hankel.singular_values
+    target = int(np.count_nonzero(singulars > cut * singulars[:1]))
+    basis_rows = _row_basis_indices(hankel, cut, target)
     if not basis_rows:
         raise ValidationError("process has numerical rank 0; nothing to represent")
     # the Hankel rows of the empty word and the basis words, from one product

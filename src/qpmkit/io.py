@@ -703,7 +703,7 @@ def _parse_density(alphabet, payload, config):
     labels = None
     functions = None
     if "labels" in payload:
-        labels = tuple(str(s) for s in payload["labels"])
+        labels = tuple(str(s) for s in _field(payload, "labels", "a list", _is_list))
         if len(labels) != density.dim:
             raise ValueError("one label per matrix dimension required")
     if "info_functions" in payload:
@@ -716,7 +716,7 @@ def _parse_density(alphabet, payload, config):
 def _parse_info_functions(alphabet, payload, config):
     if alphabet is not None:
         raise ValueError("info_functions files take no alphabet (use null)")
-    labels = tuple(str(s) for s in payload["labels"])
+    labels = tuple(str(s) for s in _field(payload, "labels", "a list", _is_list))
     functions = _parse_functions(payload["functions"], labels)
     return InfoFunctionsFile(labels, functions), None
 

@@ -405,6 +405,13 @@ class TruncatedHankel:
         """
         return read_only_array(np.linalg.svd(self._row_factor, compute_uv=False), float)
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """p(v) = F_v·B_ε for every prefix word v: the empty-suffix column."""
+        if EPSILON not in self.col_words:
+            raise ValidationError("Hankel columns must include the empty word")
+        return self._prefix_states @ self._suffix_states[self.col_words.index(EPSILON)]
+
     def entry(self, row_word: Word, col_word: Word) -> float:
         return float(self.matrix[self.row_words.index(row_word), self.col_words.index(col_word)])
 
@@ -445,10 +452,8 @@ def numerical_rank(hankel: TruncatedHankel, *, config: Config = DEFAULTS) -> int
     d-wide factor, computed on first use and shared with
     :func:`select_row_basis`.
     """
-    singulars = hankel.singular_values
-    if singulars.size == 0 or singulars[0] <= 0.0:
-        return 0
-    return int(np.sum(singulars > config.rank_eps * singulars[0]))
+    singulars = hankel.singular_values  # none at all for a dimension-0 form
+    return int(np.count_nonzero(singulars > config.rank_eps * singulars[:1]))
 
 
 def select_row_basis(hankel: TruncatedHankel, *, config: Config = DEFAULTS) -> list[Word]:
@@ -459,12 +464,20 @@ def select_row_basis(hankel: TruncatedHankel, *, config: Config = DEFAULTS) -> l
     A row of the factor G (``matrix`` = G·Q, Q orthonormal, so G keeps the
     rows' norms and inner products) joins when :func:`_orthonormal_append`,
     shared with :func:`distinguishing_word`, leaves it a residual above
-    ``eps`` times the largest singular value; the rank and that value come
-    from the same cached SVD as :func:`numerical_rank`.
+    ``eps`` times the largest singular value; the search stops at the
+    :func:`numerical_rank`, and the rank and that value come from one cached SVD.
     Raises :class:`DegenerateSupportError` when the eligible rows cannot
     reach the numerical rank.
     """
-    return [hankel.row_words[i] for i in _row_basis_indices(hankel, config)]
+    eps, target = config.rank_eps, numerical_rank(hankel, config=config)
+    chosen = _row_basis_indices(hankel, eps, target)
+    if len(chosen) < target:
+        skipped = np.count_nonzero(hankel._weights <= eps)
+        raise DegenerateSupportError(
+            f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical rank is "
+            f"{target} ({skipped} rows skipped for insufficient weight)"
+        )
+    return [hankel.row_words[i] for i in chosen]
 
 
 def _orthonormal_append(basis: np.ndarray, rank: int, vector: np.ndarray, cut: float) -> bool:
@@ -480,28 +493,20 @@ def _orthonormal_append(basis: np.ndarray, rank: int, vector: np.ndarray, cut: f
     return norm > cut
 
 
-def _row_basis_indices(hankel: TruncatedHankel, config: Config) -> list[int]:
-    """:func:`select_row_basis` as indices into ``hankel.row_words``."""
-    eps = config.rank_eps
-    target = numerical_rank(hankel, config=config)
+def _row_basis_indices(hankel: TruncatedHankel, eps: float, target: int) -> list[int]:
+    """Indices, shortest word first, of the rows with p(v) > ``eps`` whose residual
+    exceeds ``eps`` times the largest singular value, up to ``target`` of them."""
     if target == 0:
         return []
     cut = eps * float(hankel.singular_values[0])
-    if EPSILON not in hankel.col_words:
-        raise ValidationError("Hankel columns must include the empty word")
-    support = hankel._prefix_states @ hankel._suffix_states[hankel.col_words.index(EPSILON)]
-
     basis = np.empty((target, hankel._row_factor.shape[1]))
     chosen: list[int] = []
-    for i, weight in enumerate(support.tolist()):
+    for i, weight in enumerate(hankel._weights.tolist()):
         if weight > eps and _orthonormal_append(basis, len(chosen), hankel._row_factor[i], cut):
             chosen.append(i)
             if len(chosen) == target:
-                return chosen
-    raise DegenerateSupportError(
-        f"found {len(chosen)} independent rows with p(v) > {eps:g} but the numerical rank is "
-        f"{target} ({np.count_nonzero(support <= eps)} rows skipped for insufficient weight)"
-    )
+                break
+    return chosen
 
 
 # The equivalence search's independence cut, relative to the state's norm: above

@@ -29,6 +29,21 @@ def random_hmm(rng: np.random.Generator, n_states=None, n_symbols=None) -> qk.Hm
     )
 
 
+def leaky_hmm() -> qk.HmmParam:
+    """hmm2 with transition row 0 summing to 1 - 5e-10, inside ``eval_tol``.
+
+    Its predictor model's summed operators lose ~3e-10 of a basis
+    element's trace, past the default ``preserve_tol`` (1e-10) and within 1e-9.
+    """
+    return qk.HmmParam(
+        ("s0", "s1"),
+        qk.Alphabet(("a", "b")),
+        emission=((0.9, 0.1), (0.2, 0.8)),
+        initial=(0.6, 0.4),
+        transition=((0.7, 0.3 - 5e-10), (0.4, 0.6)),
+    )
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     gauss = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(gauss)

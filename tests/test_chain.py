@@ -28,6 +28,7 @@ from qpmkit.hermitian import hermitian_defect, require_hermitian_stack
 
 from helpers import (
     action_coords,
+    leaky_hmm,
     random_hmm,
     random_kraus_family,
     random_local_qrw,
@@ -657,9 +658,9 @@ class TestFinitaryToQpm:
 
     def test_refuses_a_fit_that_changes_a_basis_trace(self):
         # validate_chain, and so the loader, would refuse this fit: its
-        # operators move basis element 7's trace by 1.24e-10 > preserve_tol
-        finitary = qk.hmm_to_finitary(random_hmm(np.random.default_rng(5), 12, 2))
-        with pytest.raises(BasisInsufficiencyError, match="basis element 7 by 1.2357"):
+        # operators move basis element 0's trace by -3.0e-10 > preserve_tol
+        finitary = qk.hmm_to_finitary(leaky_hmm())
+        with pytest.raises(BasisInsufficiencyError, match="basis element 0 by -2.99999"):
             qk.finitary_to_qpm(finitary)
         loose = qk.DEFAULTS.replace(preserve_tol=1e-9)
         chain = qk.finitary_to_qpm(finitary, config=loose)
@@ -667,8 +668,8 @@ class TestFinitaryToQpm:
         # the findings print plain floats, not numpy scalar reprs; they are
         # the loader's findings for this chain's file, bit for bit
         assert [v.message for v in qk.validate_chain(chain).violations] == [
-            "summed operators change the trace of basis element 7 by 1.2357159739906365e-10",
-            "summed operators change the trace of basis element 10 by -1.0598399935446423e-10",
+            "summed operators change the trace of basis element 0 by -2.999998027775064e-10",
+            "summed operators change the trace of basis element 1 by -3.3064539994853703e-10",
         ]
 
     def test_an_in_memory_predictor_evaluates_as_its_file(self, tmp_path):

@@ -24,7 +24,7 @@ from qpmkit.errors import SubspaceError
 from qpmkit.io import load_model, model_to_dict
 
 from conftest import FIXTURES
-from helpers import random_hmm
+from helpers import leaky_hmm
 
 # ---------------------------------------------------------------------------
 # Signature guard.
@@ -229,7 +229,7 @@ HMM3 = load_model(FIXTURES / "hmm3_rank3.json")
 NEAR_HMM2 = _hmm(transition=((0.7 + 1e-6, 0.3 - 1e-6), (0.4, 0.6)))
 OFF_ROW_HMM = _hmm(emission=((0.9 + 1e-6, 0.1), (0.2, 0.8)))
 CLAMPED_HMM = _hmm(emission=((1.0 + 1e-10, -1e-10), (0.2, 0.8)))
-DRIFTING_HMM = random_hmm(np.random.default_rng(5), 12, 2)
+LEAKY_HMM = leaky_hmm()
 OFF_FFMC = qk.FfmcParam(("s0", "s1"), {"s0": "a", "s1": "b"}, (1.0, 0.0), ((1e-6, 1.0), (1.0, 0.0)))
 OFF_FINITARY = qk.FinitaryParam(
     qk.Alphabet(("a", "b")), [[[0.5]], [[0.5]]], [1.0], [1.0 + 1e-6], standard_form=True
@@ -305,12 +305,12 @@ AGREEMENT = {
         lambda c: _qpm_convert(HMM3, c),
     ),
     "hmm preserve_tol": (
-        DRIFTING_HMM,
+        LEAKY_HMM,
         ["convert"],
         ["--to", "qpm"],
         "preserve_tol",
         1e-9,
-        lambda c: _qpm_convert(DRIFTING_HMM, c),
+        lambda c: _qpm_convert(LEAKY_HMM, c),
     ),
     "ffmc eval_tol": (
         OFF_FFMC,

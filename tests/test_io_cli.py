@@ -37,6 +37,7 @@ import golden_runs
 from conftest import FIXTURES
 from helpers import (
     action_coords,
+    leaky_hmm,
     random_hmm,
     random_kraus_family,
     random_local_qrw,
@@ -355,6 +356,19 @@ LOAD_REFUSALS = {
     "ffmc states a string": (
         _edited("swap_ffmc.json", _set("payload", "states", "xy")),
         ["malformed payload: states must be a list, got 'xy'"],
+    ),
+    "density labels a string": (
+        _edited("feynman4.json", lambda d: [
+            _set("payload", "info_functions", ...)(d), _set("payload", "labels", "abcd")(d)
+        ]),
+        ["malformed payload: labels must be a list, got 'abcd'"],
+    ),
+    "info_functions labels a string": (
+        lambda path: path.write_text(json.dumps({
+            "schema_version": "1", "kind": "info_functions", "alphabet": None,
+            "payload": {"labels": "ab", "functions": {"X": {"a": "+", "b": "-"}}},
+        })),
+        ["malformed payload: labels must be a list, got 'ab'"],
     ),
     "walk coins a string": (
         _edited("qrw_hadamard.json", _set("payload", "coins", "LR")),
@@ -1598,18 +1612,19 @@ class TestCliCommands:
         assert code == 1
 
     def test_convert_to_qpm_refuses_a_fit_its_loader_would_refuse(self, tmp_path, monkeypatch):
-        # this 12-state HMM's fitted operators move basis element 7's trace
-        # by 1.24e-10, past preserve_tol: convert writes no file that load
-        # and validate would then reject
-        model = tmp_path / "hmm12.json"
-        model.write_text(qk.save_model(random_hmm(np.random.default_rng(5), 12, 2)))
-        out = tmp_path / "hmm12_qpm.json"
+        # this HMM's transition row leaks 5e-10, within eval_tol; its fitted
+        # operators move basis element 0's trace by -3.0e-10, past
+        # preserve_tol: convert writes no file that load and validate would
+        # then reject
+        model = tmp_path / "leaky.json"
+        model.write_text(qk.save_model(leaky_hmm()))
+        out = tmp_path / "leaky_qpm.json"
         argv = ["convert", str(model), "--to", "qpm", "--out", str(out)]
         code, report = _run_json(argv)
         assert code == 2
         assert report["findings"] == [
-            "BasisInsufficiencyError: fitted operators change the trace of basis element 7 "
-            "by 1.2357159739906365e-10 (preserve_tol 1.000e-10)"
+            "BasisInsufficiencyError: fitted operators change the trace of basis element 0 "
+            "by -2.999998027775064e-10 (preserve_tol 1.000e-10)"
         ]
         assert not out.exists()
         # the check reads the run's preserve_tol, the one its loader reads
@@ -1619,6 +1634,42 @@ class TestCliCommands:
         assert _run_json(argv)[0] == 0
         code, report = _run_json(["validate", str(out)])
         assert (code, report["results"]["valid"]) == (0, True)
+
+    def test_convert_to_qpm_does_not_read_the_rank_cut(self, tmp_path):
+        # the conversion cuts its row basis at rounding level; --tol-rank sets
+        # rank's truncation and leaves the written model as it is
+        written = []
+        for flags in ([], ["--tol-rank", "0.5"], ["--tol-rank", "1e-14"]):
+            out = tmp_path / f"qpm{len(written)}.json"
+            argv = ["convert", str(FIXTURES / "hmm3_rank3.json"), "--to", "qpm", "--out", str(out)]
+            code, report = _run_json(argv + flags)
+            assert (code, report["findings"], report["results"]["kind"]) == (0, [], "qpm"), flags
+            written.append(out.read_bytes())
+        assert written[1:] == written[:1] * 2
+
+    def test_twelve_state_hmms_convert_at_their_rank(self, tmp_path):
+        # 12-state, 2-letter HMMs whose Hankel rank rank_eps once cut short:
+        # each finitary form converts to a predictor model that loads,
+        # validates and evaluates as the HMM, and stationary, which reads a
+        # finitary file through that conversion, gives the HMM's letters
+        for seed in range(20):
+            hmm = random_hmm(np.random.default_rng(seed), 12, 2)
+            hmm_path, finitary, qpm = (tmp_path / f"{name}{seed}.json" for name in ("hmm", "fin", "qpm"))
+            qk.save_model(hmm, hmm_path)
+            qk.save_model(qk.hmm_to_finitary(hmm), finitary)
+            code, report = _run_json(["convert", str(finitary), "--to", "qpm", "--out", str(qpm)])
+            assert code == 0, (seed, report["findings"])
+            code, report = _run_json(["validate", str(qpm)])
+            assert (code, report["results"]["valid"]) == (0, True), seed
+            chain = qk.load_model(qpm)
+            words = qk.words_up_to(hmm.alphabet, 8)
+            want = np.array([qk.hmm_eval(hmm, w) for w in words])
+            got = np.array([qk.chain_eval(chain, w) for w in words])
+            assert np.max(np.abs(got - want) / want) <= 1e-11, seed
+            runs = [_run_json(["stationary", str(path)]) for path in (hmm_path, finitary)]
+            assert [code for code, _ in runs] == [0, 0], (seed, runs[1][1]["findings"])
+            letters = [report["results"]["letter_distribution"] for _, report in runs]
+            assert max(abs(letters[0][a] - letters[1][a]) for a in "ab") <= 1e-12, seed
 
     def test_simulate_prints_words(self):
         code, text = _run(

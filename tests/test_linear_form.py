@@ -305,25 +305,31 @@ class TestHankelAnalysis:
     @given(SEEDS)
     def test_row_search_is_the_one_row_at_a_time_reference(self, seed):
         # the shared independence test subtracts the filled basis in two
-        # matrix-vector products; the reference subtracts it row by row
+        # matrix-vector products; the reference subtracts it row by row.  The
+        # cuts are rank's (rank_eps 1e-8 and 1e-4) and finitary_to_qpm's
+        # rounding level, each searched up to its count of singular values
         rng = np.random.default_rng(seed)
         processes = sweep_models(rng) + [qk.finitary_process(dyadic_finitary(rng)) for _ in range(4)]
         for process in processes:
             for build in (qk.build_hankel, per_word_hankel):
                 for rows, cols in ((3, 2), (2, 3), (1, 1)):
                     hankel = build(process, rows, cols)
-                    for eps in (1e-8, 1e-4):
-                        outcomes = []
-                        picks = (
-                            (_row_basis_indices, qk.DEFAULTS.replace(rank_eps=eps)),
-                            (row_basis_indices_reference, eps),
-                        )
-                        for pick, cutoff in picks:
+                    singulars = hankel.singular_values
+                    words = max(len(hankel.row_words), len(hankel.col_words))
+                    rounding = words * np.finfo(float).eps
+                    for eps in (1e-8, 1e-4, rounding):
+                        target = int(np.sum(singulars > eps * singulars[:1]))
+                        chosen = _row_basis_indices(hankel, eps, target)
+                        assert chosen == row_basis_indices_reference(hankel, eps, target)
+                        if eps != rounding:  # select_row_basis refuses a search that falls short
+                            config = qk.DEFAULTS.replace(rank_eps=eps)
                             try:
-                                outcomes.append(pick(hankel, cutoff))
-                            except DegenerateSupportError as exc:
-                                outcomes.append(str(exc))
-                        assert outcomes[0] == outcomes[1]
+                                picked = qk.select_row_basis(hankel, config=config)
+                            except DegenerateSupportError:
+                                assert len(chosen) < target
+                            else:
+                                assert len(chosen) == target
+                                assert picked == [hankel.row_words[i] for i in chosen]
 
     def test_residual_cutoff_scales_with_the_largest_singular_value(self):
         # row "a" leaves a residual of 5e-6: under rank_eps·σ₁ (σ₁ ≈ 1000), over rank_eps·|row ε|
