@@ -105,6 +105,15 @@ def _canonical_stack(n: int) -> np.ndarray:
     return read_only_array(stack, complex)
 
 
+@lru_cache(maxsize=4)
+def _canonical_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, values)``, each (2, n²): :func:`_canonical_stack`'s entries per position, 0-padded."""
+    flat = _canonical_stack(n).reshape(n * n, -1)
+    rows = np.argsort(flat == 0, axis=0, kind="stable")[:2]
+    values = np.take_along_axis(flat, rows, axis=0)
+    return read_only_array(rows, np.intp), read_only_array(values, complex)
+
+
 @lru_cache(maxsize=16)
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(n, 1)``, built once per n and shared, read-only."""
@@ -325,14 +334,9 @@ class OperatorSubspace:
         return self.spans_full and np.array_equal(self._stack, _canonical_stack(self.ambient_dim))
 
     @cached_property
-    def unit_coords(self) -> np.ndarray:
-        """Complex coordinates of the matrix units on a full-space basis.
-
-        Row ``i·n + j`` holds the coordinates of E_ij under the
-        complex-linear extension of :meth:`expand`: one Gram solve against
-        the conjugated basis, so ``unit_coords @ stack`` rebuilds every unit.
-        """
-        return read_only_array(self._gram_solve(self._flat_conj).T, complex)
+    def _canonical_coords(self) -> np.ndarray:
+        """T, whose row b is basis element b's coordinates on :func:`hermitian_basis`."""
+        return read_only_array(OperatorSubspace.full(self.ambient_dim).expand_all(self._stack), float)
 
     def _gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``gram @ x = rhs`` for a vector or for each column of a matrix.
@@ -355,19 +359,6 @@ class OperatorSubspace:
     def _cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the Gram."""
         return read_only_array(np.linalg.cholesky(self._gram), float)
-
-    @cached_property
-    def _stack_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flattened stack as two (row, value) entries per matrix position.
-
-        Exact for a stack with at most two nonzero entries per position,
-        as the canonical basis has (a diagonal unit, or one symmetric and
-        one antisymmetric element); a position with one gets a second
-        entry of value 0.  Returns ``(rows, values)``, each (2, n²).
-        """
-        flat = self._stack.reshape(self.dim, -1)
-        rows = np.argsort(flat == 0, axis=0, kind="stable")[:2]
-        return rows, np.take_along_axis(flat, rows, axis=0)
 
 
 @lru_cache(maxsize=4)
@@ -596,15 +587,19 @@ def _letter_positivity(sub, symbol, matrix, report, generator, psd_tol):
 
 
 def _factorises(matrix: np.ndarray, shift: float) -> bool:
-    """True when ``matrix + shift·I`` has a finite Cholesky factor.
+    """True when ``matrix + shift·I``, Hermitian with ``shift > 0``, has a finite Cholesky factor.
 
     It then has no eigenvalue below ``-shift``, up to the rounding of one
     factorisation: the verdict of ``eigvalsh(matrix).min() >= -shift``
     for a fraction of its cost (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, ch. 10).
+    Numerical Algorithms*, 2002, ch. 10).  Only the block on the nonzero
+    rows is factorised: each zero row adds a 1×1 block ``shift``.
     """
+    support = np.flatnonzero(matrix.any(axis=1))
+    block = matrix.take(support, axis=0).take(support, axis=1)
+    block.flat[:: len(block) + 1] += shift
     try:
-        factor = np.linalg.cholesky(matrix + shift * np.eye(len(matrix)))
+        factor = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())
@@ -614,22 +609,21 @@ def _choi_matrix(sub: OperatorSubspace, matrix: np.ndarray) -> np.ndarray:
     """Choi matrix of the complex-linear extension of a full-space coordinate matrix.
 
     ``Choi[(i,k),(j,l)] = Φ(E_ij)[k,l]`` (Choi, *Linear Algebra Appl.* 10,
-    1975).  The images of all n² units come from one contraction: their
-    complex coordinates times the coordinate matrix, times the basis
-    stack.  The canonical basis is orthonormal, so there the unit
-    coordinates are the stack's conjugate transpose, and the stack has
-    two entries per matrix position: the contraction is two gathers per
-    side, O(n⁴), instead of two dense n²×n² products (which also keeps
-    multithreaded BLAS out of it).
+    1975).  It is built on the canonical basis, where another basis's
+    matrix M reads T⁻¹·M·T (``OperatorSubspace._canonical_coords``).  That
+    basis is orthonormal, so the unit coordinates are the stack's conjugate
+    transpose, and it has two entries per matrix position: the images of
+    all n² units take two gathers per side, O(n⁴), instead of two dense
+    n²×n² products (which also keeps multithreaded BLAS out of it).
     The result is symmetrised against rounding.
     """
     n = sub.ambient_dim
-    if sub.is_canonical:
-        rows, values = sub._stack_entries
-        units = sum(v.conj()[:, None] * matrix[r] for r, v in zip(rows, values))
-        images = sum(units[:, r] * v for r, v in zip(rows, values))
-    else:
-        images = (sub.unit_coords @ matrix) @ sub.basis.reshape(sub.dim, -1)
+    if not sub.is_canonical:
+        coords = sub._canonical_coords
+        matrix = np.linalg.solve(coords, matrix @ coords)
+    rows, values = _canonical_entries(n)
+    units = sum(v.conj()[:, None] * matrix[r] for r, v in zip(rows, values))
+    images = sum(units[:, r] * v for r, v in zip(rows, values))
     choi = images.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return (choi + choi.conj().T) / 2.0
 

@@ -17,8 +17,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import asymptotics, chain as chain_mod, hidden, models, process as process_mod
 from .config import DEFAULTS, Config, load_config
 from .errors import (
@@ -213,7 +211,6 @@ def run_command(argv, stdout=None) -> int:
         config = _apply_flags(load_config(), args)
         report["tolerances"] = {field: getattr(config, field) for field in _CONFIG_FIELDS}
         code, results, findings, lines = _HANDLERS[command](args, config, report["inputs"])
-        _refuse_non_finite(results)
         report["results"] = results
         report["findings"] = findings
     except UsageError as exc:
@@ -231,39 +228,37 @@ def run_command(argv, stdout=None) -> int:
         code = 2
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
     if lines is not None:
-        for line in lines:
-            out.write(line + "\n")
-    else:
-        out.write(canonical_json(report))
+        out.write("".join(line + "\n" for line in lines))
+        return code
+    try:
+        text = canonical_json(report)
+    except ValueError:  # a non-finite number, which JSON cannot hold
+        report.update(results={}, findings=[_non_finite_finding(report["results"])])
+        code, text = 2, canonical_json(report)
+    out.write(text)
     return code
 
 
 def _non_finite(value, where: str):
     """(path, number) of each non-finite number in ``value``, which is at ``where``."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            yield where, value
+    if isinstance(value, float) and not math.isfinite(value):
+        yield where, value
     elif isinstance(value, dict):
         for key, item in value.items():
             yield from _non_finite(item, f"{where}.{key}")
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             yield from _non_finite(item, f"{where}[{i}]")
-    elif isinstance(value, np.ndarray):
-        for index in np.argwhere(~np.isfinite(value)):
-            yield where + "".join(f"[{i}]" for i in index), value[tuple(index)]
+    elif hasattr(value, "tolist"):  # a numpy array
+        yield from _non_finite(value.tolist(), where)
 
 
-def _refuse_non_finite(results) -> None:
-    """Raise :class:`NumericError` naming the non-finite numbers in ``results``.
-
-    JSON holds none, so the report could not be written.
-    """
+def _non_finite_finding(results) -> str:
+    """The finding that names the non-finite numbers in ``results``: the report's only ones."""
     bad = list(_non_finite(results, "results"))
-    if bad:
-        shown = ", ".join(f"{where} = {float(value)!r}" for where, value in bad[:3])
-        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
-        raise NumericError(f"non-finite result: {shown}{more}")
+    shown = ", ".join(f"{where} = {float(value)!r}" for where, value in bad[:3])
+    more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+    return f"{NumericError.__name__}: non-finite result: {shown}{more}"
 
 
 def _error_findings(exc) -> list[str]:

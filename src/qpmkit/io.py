@@ -94,6 +94,10 @@ def canonical_json(data) -> str:
     return "".join(out)
 
 
+class _Rendered(str):
+    """Text that :func:`_encode` writes as it stands: a value rendered before, at its level."""
+
+
 def _refuse(value):
     """Raise the error that json raises on ``value``, which holds what this encoder refused."""
     json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
@@ -126,7 +130,7 @@ def _key_text(key) -> str:
 def _encode(value, level: int, out: list[str]) -> None:
     """Append the text of ``value`` at indent ``level``; the type tests follow json's order."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(value if type(value) is _Rendered else encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -343,7 +347,6 @@ def _load(path, config: Config):
 _PAYLOAD_LEVEL = 2
 _BASIS_AT = re.compile(r'"ambient_dim": ([1-9][0-9]{0,8}),\n    "basis": ')
 _AFTER_BASIS = ',\n    "initial": '
-_BASIS_CLOSE = "\n" + "  " * _PAYLOAD_LEVEL + "]"
 # Both shared bases start with E_11, whose first entry is written [1.0, 0.0].
 _BASIS_PREFIX = _array_text(np.array([[[[1.0, 0.0]]]]), _PAYLOAD_LEVEL).partition("]")[0]
 # The numbers of the full basis: 1/sqrt(2) three times and its negative once
@@ -404,40 +407,35 @@ def _shared_basis_block(text: str) -> tuple[int, int, OperatorSubspace] | None:
         return None
     n, start = int(found[1]), found.end()
     off_diagonal = n * (n - 1) // 2
-    candidates = (
-        (n, 6 * n**3, OperatorSubspace.diagonal),
-        (n * n, 6 * n**4 + off_diagonal * (4 * len(_ROOT_HALF_TEXT) - 11), OperatorSubspace.full),
-    )
-    for dim, number_chars, shared in candidates:
+    candidates = ((n, 6 * n**3), (n * n, 6 * n**4 + off_diagonal * (4 * len(_ROOT_HALF_TEXT) - 11)))
+    for dim, number_chars in candidates:
         end = start + _array_text_length((dim, n, n, 2), _PAYLOAD_LEVEL, number_chars)
         if not (text.startswith(_AFTER_BASIS, end) and text.startswith(_BASIS_PREFIX, start)):
             continue
-        head = _diagonal_basis_head(n)
-        tail = _full_basis_tail(n) if dim > n else _BASIS_CLOSE
-        if (
-            start + len(head) + len(tail) == end
-            and text.startswith(head, start)
-            and text.startswith(tail, start + len(head))
-        ):
-            return start, end, shared(n)
+        block = _basis_text(n, dim)
+        if start + len(block) == end and text.startswith(block, start):
+            return start, end, _shared_subspace(n, dim)
     return None
 
 
-@lru_cache(maxsize=4)
-def _diagonal_basis_head(n: int) -> str:
-    """The canonical text of ``diagonal(n)``'s basis but its closing bracket.
-
-    It is also the text of ``full(n)``'s, up to its element n.
-    """
-    text = _array_text(_dump_cmatrix(OperatorSubspace.diagonal(n).basis), _PAYLOAD_LEVEL)
-    return text[: -len(_BASIS_CLOSE)]
+def _shared_subspace(n: int, dim: int) -> OperatorSubspace | None:
+    """``OperatorSubspace.diagonal(n)`` for ``dim`` n, ``.full(n)`` for ``dim`` n², else None."""
+    shared = {n: OperatorSubspace.diagonal, n * n: OperatorSubspace.full}.get(dim)
+    return shared and shared(n)
 
 
-@lru_cache(maxsize=4)
-def _full_basis_tail(n: int) -> str:
-    """The canonical text of ``full(n)``'s basis after :func:`_diagonal_basis_head`."""
-    rest = OperatorSubspace.full(n).basis[n:]
-    return "," + _array_text(_dump_cmatrix(rest), _PAYLOAD_LEVEL)[1:]
+def _shared_basis_text(sub: OperatorSubspace) -> str | None:
+    """:func:`_basis_text` for ``sub`` when its basis has the bits of a shared one, else None."""
+    shared = _shared_subspace(sub.ambient_dim, sub.dim)
+    if shared is None or not np.array_equal(sub.basis.view(np.uint64), shared.basis.view(np.uint64)):
+        return None
+    return _basis_text(sub.ambient_dim, sub.dim)
+
+
+@lru_cache(maxsize=8)
+def _basis_text(n: int, dim: int) -> str:
+    """The canonical text of :func:`_shared_subspace`'s basis, at the payload's level."""
+    return _array_text(_dump_cmatrix(_shared_subspace(n, dim).basis), _PAYLOAD_LEVEL)
 
 
 def _need_alphabet(alphabet) -> Alphabet:
@@ -785,10 +783,10 @@ def _dump_qrw(model: QrwParam):
     }
 
 
-def _dump_chain(model: QuantumChain):
+def _dump_chain(model: QuantumChain, basis=None):
     return list(model.alphabet.symbols), {
         "ambient_dim": model.subspace.ambient_dim,
-        "basis": _dump_cmatrix(model.subspace.basis),
+        "basis": _dump_cmatrix(model.subspace.basis) if basis is None else basis,
         "operators": dict(zip(model.alphabet, model.operators)),
         "initial": _dump_cmatrix(model.initial.matrix),
         "initial_kind": model.initial.kind.value,
@@ -871,8 +869,19 @@ def model_to_dict(model) -> dict:
 
 
 def save_model(model, path=None) -> str:
-    """Serialize a model canonically; write to ``path`` when given."""
-    text = canonical_json(model_to_dict(model))
+    """Serialize a model canonically; write to ``path`` when given.
+
+    A chain on a shared basis writes the text the loader keeps for it
+    (:func:`_shared_basis_text`), neither dumped nor rendered again.
+    """
+    kept = _shared_basis_text(model.subspace) if isinstance(model, QuantumChain) else None
+    if kept is None:
+        data = model_to_dict(model)
+    else:
+        alphabet, payload = _dump_chain(model, _Rendered(kept))
+        kind = model.kind.value
+        data = dict(schema_version=SCHEMA_VERSION, kind=kind, alphabet=alphabet, payload=payload)
+    text = canonical_json(data)
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -1132,6 +1132,23 @@ class TestSharedBasisFiles:
             assert _shared(load_model(path).subspace)
         assert calls == []
 
+    @pytest.mark.parametrize("name", list(_shared_basis_chains()))
+    def test_saving_takes_the_kept_basis_text(self, monkeypatch, name):
+        chain = _shared_basis_chains()[name]
+        n, dim = chain.subspace.ambient_dim, chain.subspace.dim
+        shared = qk.OperatorSubspace.full(n) if dim > n else qk.OperatorSubspace.diagonal(n)
+        assert chain.subspace.basis.tobytes() == shared.basis.tobytes()
+        want = canonical_json(qpmkit_io.model_to_dict(chain))  # the basis rendered, as it was
+        save_model(chain)  # keeps the block's text, as a load does
+        shapes = []
+        render, dump = qpmkit_io._array_text, qpmkit_io._dump_cmatrix
+        monkeypatch.setattr(qpmkit_io, "_array_text", lambda *a: shapes.append(a[0].shape) or render(*a))
+        dumped = []
+        monkeypatch.setattr(qpmkit_io, "_dump_cmatrix", lambda m: dumped.append(m) or dump(m))
+        assert save_model(chain) == want
+        assert shapes and (dim, n, n, 2) not in shapes
+        assert dumped and not any(m is chain.subspace.basis for m in dumped)  # nor dumped
+
     def test_a_huge_ambient_dim_renders_nothing(self, tmp_path, monkeypatch):
         text = (FIXTURES / "swap_qmc.json").read_text()
         text = text.replace('"ambient_dim": 2,', '"ambient_dim": 1000000,')
@@ -1141,8 +1158,7 @@ class TestSharedBasisFiles:
         renders = []
         render = qpmkit_io._array_text
         monkeypatch.setattr(qpmkit_io, "_array_text", lambda *a: renders.append(a) or render(*a))
-        qpmkit_io._diagonal_basis_head.cache_clear()
-        qpmkit_io._full_basis_tail.cache_clear()
+        qpmkit_io._basis_text.cache_clear()
         assert qpmkit_io._shared_basis_block(text) is None
         assert load_model_report(path)[2] == ["malformed payload: basis[0] must be 1000000x1000000"]
         assert renders == []
@@ -1160,8 +1176,7 @@ class TestSharedBasisFiles:
         ]
         renders = []
         monkeypatch.setattr(qpmkit_io, "_array_text", lambda *a: renders.append(a))
-        qpmkit_io._diagonal_basis_head.cache_clear()
-        qpmkit_io._full_basis_tail.cache_clear()
+        qpmkit_io._basis_text.cache_clear()
         assert [qpmkit_io._shared_basis_block(text) for text in texts] == [None] * 4
         assert renders == []
 
@@ -1380,13 +1395,11 @@ class TestCliCommands:
     def test_non_finite_results_are_named(self):
         matrix = np.array([[0.0, np.inf], [-np.inf, 1.0]])
         results = {"limit": [[1.0, math.nan]], "model": {"m": matrix}}
-        with pytest.raises(qk.NumericError) as refused:
-            cli._refuse_non_finite(results)
-        assert str(refused.value) == (
-            "non-finite result: results.limit[0][1] = nan, results.model.m[0][1] = inf, "
-            "results.model.m[1][0] = -inf"
+        assert cli._non_finite_finding(results) == (
+            "NumericError: non-finite result: results.limit[0][1] = nan, "
+            "results.model.m[0][1] = inf, results.model.m[1][0] = -inf"
         )
-        cli._refuse_non_finite({"value": 0.5, "words": ["ab"], "path": [1, 2]})
+        assert list(cli._non_finite({"value": 0.5, "words": ["ab"], "path": [1, 2]}, "results")) == []
 
     @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-trace"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -155,36 +155,59 @@ class TestChoiMatrix:
             assert np.max(np.abs(chain_mod._choi_matrix(sub, matrix) - want)) <= 1e-12
 
 
+def check_kraus_chain_reports(rng, family, n, subspace):
+    """A Kraus chain on ``subspace(rng, n)`` reports as its chain of oracle coordinates."""
+    kraus = kraus_family(rng, family, n)
+    sub = subspace(rng, n)
+    symbols = tuple(f"k{i}" for i in range(len(kraus)))
+    density = random_quantum_density(rng, n)
+    fast = kraus_coords(sub, np.stack(kraus))
+    slow = np.stack([superoperator_reference(sub.basis, conjugation(k)) for k in kraus])
+    alphabet = qk.Alphabet(symbols)
+    got = qk.validate_chain(QuantumChain(alphabet, sub, fast, density, ChainKind.QMC))
+    want = reference_report(QuantumChain(alphabet, sub, slow, density, ChainKind.QMC))
+    assert report_tuple(got) == report_tuple(want)
+    assert got.ok and len(got.evidence) == len(symbols)
+
+
+def check_map_reports(rng, action, sub):
+    """A one-letter chain of ``action`` on ``sub`` reports as with the oracle Choi matrix."""
+    chain = QuantumChain(
+        qk.Alphabet(("a",)),
+        sub,
+        action_coords(sub, action)[None],
+        random_quantum_density(rng, 2),
+        ChainKind.QMC,
+    )
+    got = qk.validate_chain(chain)
+    assert report_tuple(got) == report_tuple(reference_report(chain))
+    assert got.evidence or got.violations
+
+
 class TestValidationReports:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=SEEDS, family=FAMILIES, n=DIMS)
     def test_kraus_chains_report_as_the_oracle_chain(self, seed, family, n):
         rng = np.random.default_rng(seed)
-        kraus = kraus_family(rng, family, n)
-        sub = OperatorSubspace.full(n)
-        symbols = tuple(f"k{i}" for i in range(len(kraus)))
-        density = random_quantum_density(rng, n)
-        fast = kraus_coords(sub, np.stack(kraus))
-        slow = np.stack([superoperator_reference(sub.basis, conjugation(k)) for k in kraus])
-        alphabet = qk.Alphabet(symbols)
-        got = qk.validate_chain(QuantumChain(alphabet, sub, fast, density, ChainKind.QMC))
-        want = reference_report(QuantumChain(alphabet, sub, slow, density, ChainKind.QMC))
-        assert report_tuple(got) == report_tuple(want)
-        assert got.ok and len(got.evidence) == len(symbols)
+        check_kraus_chain_reports(rng, family, n, lambda rng, n: OperatorSubspace.full(n))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=SEEDS, family=FAMILIES, n=DIMS)
+    def test_kraus_chains_on_a_mixed_basis_report_as_the_oracle_chain(self, seed, family, n):
+        rng = np.random.default_rng(seed)
+        check_kraus_chain_reports(
+            rng, family, n, lambda rng, n: OperatorSubspace(mixed_full_basis(rng, n))
+        )
 
     @pytest.mark.parametrize("action", [reduction_map, non_positive_map])
     def test_non_completely_positive_maps_report_as_the_oracle(self, rng, action):
-        sub = OperatorSubspace.full(2)
-        chain = QuantumChain(
-            qk.Alphabet(("a",)),
-            sub,
-            action_coords(sub, action)[None],
-            random_quantum_density(rng, 2),
-            ChainKind.QMC,
-        )
-        got = qk.validate_chain(chain)
-        assert report_tuple(got) == report_tuple(reference_report(chain))
-        assert got.evidence or got.violations
+        check_map_reports(rng, action, OperatorSubspace.full(2))
+
+    @pytest.mark.parametrize("action", [reduction_map, non_positive_map])
+    def test_non_completely_positive_maps_on_a_mixed_basis_report_as_the_oracle(self, rng, action):
+        sub = OperatorSubspace(mixed_full_basis(rng, 2))
+        assert not sub.is_canonical
+        check_map_reports(rng, action, sub)
 
 
 class TestCholeskyCertificate:
@@ -203,6 +226,29 @@ class TestCholeskyCertificate:
                 want = float(np.linalg.eigvalsh(matrix).min()) >= -1e-8
                 assert want is bool(spectrum.min() - shift >= -1e-8)
                 assert chain_mod._factorises(matrix, 1e-8) is want
+                # zero rows and columns between its own add eigenvalues 0, which pass
+                padded = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+                at = 2 * np.arange(n) + 1
+                padded[np.ix_(at, at)] = matrix
+                assert chain_mod._factorises(padded, 1e-8) is want
+
+    @pytest.mark.parametrize("nodes", [4, 8])
+    def test_a_walk_letter_factorises_its_support_block(self, nodes):
+        # Φ(X) = K X K† has the rank-one Choi matrix vec(K)·vec(K)†, whose
+        # nonzero rows are K's nonzero entries: 4 of a walk letter's n²
+        qrw = random_local_qrw(np.random.default_rng(11), nodes, 2)
+        chain = qk.qrw_to_qmc(qrw)
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return cholesky(a)
+
+        with mock.patch.object(np.linalg, "cholesky", recorded):
+            report = qk.validate_chain(chain)
+        assert report.ok and len(report.evidence) == nodes
+        assert shapes == [(np.count_nonzero(k),) * 2 for k in walk_kraus(qrw)] == [(4, 4)] * nodes
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=SEEDS, family=FAMILIES, n=DIMS)
