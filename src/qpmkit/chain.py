@@ -732,27 +732,12 @@ def qrw_to_qmc(qrw: QrwParam, *, config: Config = DEFAULTS) -> QuantumChain:
     """
     validate_qrw(qrw, config=config).raise_if_invalid("invalid quantum random walk")
     sub = OperatorSubspace.full(qrw.dim)
-    ops = kraus_coords(sub, _walk_kraus(qrw))
-    initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), config.trace_tol)
-    return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
-
-
-def _walk_form(qrw: QrwParam) -> LinearForm:
-    """``chain_process(qrw_to_qmc(qrw)).linear``, bit for bit, with no walk check and no chain."""
-    sub = OperatorSubspace.full(qrw.dim)
-    density = np.outer(qrw.wave, qrw.wave.conj())
-    # symmetrised as Density.quantum symmetrises it
-    initial = sub.expand((density + density.conj().T) / 2.0)
-    return LinearForm(initial, kraus_coords(sub, _walk_kraus(qrw)), sub.traces)
-
-
-def _walk_kraus(qrw: QrwParam) -> np.ndarray:
-    """The Kraus operators K = P_node U of the walk's nodes, as one (nodes, dim, dim) stack."""
-    unitary = as_complex_matrix(qrw.unitary)  # refuses a non-finite unitary before the product
     units = np.arange(qrw.dim)
     projectors = np.zeros((len(qrw.nodes), qrw.dim, qrw.dim), dtype=complex)
     projectors[units // qrw.coin_count, units, units] = 1.0
-    return projectors @ unitary
+    ops = kraus_coords(sub, projectors @ qrw.unitary)  # K = P_node U, one per node
+    initial = Density.quantum(np.outer(qrw.wave, qrw.wave.conj()), config.trace_tol)
+    return QuantumChain(Alphabet(qrw.nodes.symbols), sub, ops, initial, ChainKind.QMC)
 
 
 # At most this many complex image entries (64 KB) are built at once.  On

@@ -281,6 +281,14 @@ def _through_hmm(target: str):
     return lambda m, c: _lower(m.to_hmm(), target, c)
 
 
+def _walk_finitary(walk, config: Config):
+    """The walk's block form (``qrw_process``) as a finitary model, once the walk validates."""
+    models.validate_qrw(walk, config=config).raise_if_invalid("invalid quantum random walk")
+    initial, matrices, end = models.qrw_process(walk, config=config).linear
+    standard = models._standard_form(initial, end, matrices.sum(axis=0))
+    return models.FinitaryParam(walk.nodes, matrices, initial, end, standard_form=standard)
+
+
 _TARGETS = ("process", "chain", "finitary", "qmc", "qpm", "labels")
 
 # Each schema kind's lowerings, keyed by target: the process that eval, rank
@@ -317,7 +325,7 @@ _LOWERINGS = {
     "qrw": {
         "process": lambda m, c: models.qrw_process(m, config=c),
         "chain": lambda m, c: chain_mod.qrw_to_qmc(m, config=c),
-        "finitary": lambda m, c: chain_mod.qpm_to_finitary(chain_mod.qrw_to_qmc(m, config=c)),
+        "finitary": lambda m, c: _walk_finitary(m, c),
         "qmc": lambda m, c: chain_mod.qrw_to_qmc(m, config=c),
         "qpm": lambda m, c: chain_mod.as_qpm(chain_mod.qrw_to_qmc(m, config=c)),
         "labels": lambda m, c: tuple(f"{node}:{coin}" for node in m.nodes for coin in m.coins),

@@ -8,7 +8,6 @@ Also hosts seedable trajectory sampling for every model family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -369,6 +368,35 @@ class QrwParam:
     def neighbors(self, node: str) -> tuple[str, ...]:
         return tuple(b for a, b in self.edges if a == node)
 
+    @cached_property
+    def _block_form(self) -> LinearForm:
+        """The walk's linear form on its node blocks, built on first use and read-only.
+
+        After any letter the density sits on the measured node's k x k coin
+        block (the states Σᵢ ρᵢ ⊗ |i⟩⟨i| of open quantum random walks), so
+        coordinate 0 is the start and node i holds coordinates 1 + i·k² on
+        ``OperatorSubspace.full(k)``: N·k² + 1 in all.  Letter a maps the
+        start to block a of U ρ₀ U* and block j to block a by the Kraus map
+        of U_aj, built only where U_aj is nonzero.  The end vector is 1,
+        then each block's basis traces.  Nothing about the walk is checked.
+        """
+        from .chain import OperatorSubspace, kraus_coords  # chain imports this module
+
+        n, k = len(self.nodes), self.coin_count
+        sub = OperatorSubspace.full(k)
+        place = 1 + np.arange(n * k * k).reshape(n, k * k)  # block i's coordinates
+        blocks = self.unitary.reshape(n, k, n, k).transpose(0, 2, 1, 3)  # [a, j] is U_aj
+        to, source = np.nonzero(blocks.any(axis=(2, 3)))
+        matrices = np.zeros((n, place.size + 1, place.size + 1))
+        images = kraus_coords(sub, blocks[to, source])
+        matrices[to[:, None, None], place[source][:, :, None], place[to][:, None, :]] = images
+        evolved = (self.unitary @ self.wave).reshape(n, k)
+        starts = sub.expand_all(evolved[:, :, None] * evolved[:, None, :].conj())
+        matrices[np.arange(n)[:, None], 0, place] = starts
+        initial = np.eye(1, place.size + 1)[0]  # the start coordinate
+        end = np.concatenate([[1.0], np.tile(sub.traces, n)])
+        return LinearForm(*(read_only_array(a, float) for a in (initial, matrices, end)))
+
 
 def validate_qrw(qrw: QrwParam, *, config: Config = DEFAULTS) -> ValidationReport:
     """Check wave normalization (``trace_tol``), unitarity and graph locality (``unitary_tol``).
@@ -444,30 +472,16 @@ def qrw_step(qrw: QrwParam, wave=None, *, config: Config = DEFAULTS) -> QrwStep:
 
 
 def qrw_eval(qrw: QrwParam, word, *, config: Config = DEFAULTS) -> float:
-    """Word probability as the product of step probabilities along the collapse path.
+    """Word probability: :func:`word_value` on the walk's block form, once the wave has unit norm.
 
-    Only the chosen node's block is evolved: the first step applies that
-    block's rows of the unitary to the initial wave, every later one the
-    k x k block from the previous node's coins to the chosen node's.
+    The form (``QrwParam._block_form``) is built on the first call and
+    cached on the walk, and ``qrw_process`` reads the same one.  No step
+    is cut at a weight threshold, so an improbable word keeps its value;
+    a word that takes a zero block U_aj reads exactly 0.0.
     """
     _require_unit_wave(qrw.wave, config.trace_tol)
-    nodes = qrw.nodes.indices(word)
-    if not nodes:
-        return 1.0
-    n, k = len(qrw.nodes), qrw.coin_count
-    blocks = _node_columns(qrw).reshape(n, n, k, k)
-    evolve = qrw.unitary.reshape(n, k, qrw.dim)
-    amplitudes = qrw.wave
-    probability = 1.0
-    for node in nodes:
-        evolved = evolve[node] @ amplitudes
-        weight = float(np.vdot(evolved, evolved).real)
-        probability *= weight
-        if weight <= _ZERO_WEIGHT:
-            return 0.0
-        amplitudes = evolved / math.sqrt(weight)
-        evolve = blocks[node]
-    return probability
+    form = qrw._block_form
+    return word_value(form.initial, form.matrices, qrw.nodes.indices(word), form.end)
 
 
 def _require_unit_wave(wave: np.ndarray, trace_tol: float) -> None:
@@ -476,20 +490,10 @@ def _require_unit_wave(wave: np.ndarray, trace_tol: float) -> None:
         raise ValidationError(f"wave norm is {norm!r}, expected 1 within {trace_tol:.3e}")
 
 
-def _node_columns(qrw: QrwParam) -> np.ndarray:
-    """The unitary's columns of each node's coin block, as (nodes, dim, coins)."""
-    n, k = len(qrw.nodes), qrw.coin_count
-    return np.ascontiguousarray(qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2))
-
-
 def qrw_process(qrw: QrwParam, *, config: Config = DEFAULTS) -> Process:
-    """The walk's process; its linear form is its chain's coordinates (see ``qrw_to_qmc``)."""
-    from .chain import _walk_form  # chain imports this module
-
+    """The walk's process: :func:`qrw_eval`, and its block form (``QrwParam._block_form``)."""
     return Process(
-        qrw.nodes,
-        lambda w: qrw_eval(qrw, w, config=config),
-        lowering=lambda: _walk_form(qrw),
+        qrw.nodes, lambda w: qrw_eval(qrw, w, config=config), lowering=lambda: qrw._block_form
     )
 
 
@@ -633,7 +637,8 @@ def _qrw_sampler(qrw: QrwParam, clamp_tol: float, trace_tol: float):
     """
     _require_unit_wave(qrw.wave, trace_tol)
     n, k = len(qrw.nodes), qrw.coin_count
-    node_columns = _node_columns(qrw)
+    # the unitary's columns of each node's coin block, as (nodes, dim, coins)
+    node_columns = np.ascontiguousarray(qrw.unitary.reshape(qrw.dim, n, k).transpose(1, 0, 2))
 
     def check(weights: np.ndarray, drawn: np.ndarray) -> None:
         """Raise the error of the first step, and lane, the per-step checks refuse."""

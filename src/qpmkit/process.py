@@ -148,8 +148,8 @@ class LinearForm(NamedTuple):
     """A process as p(w) = initial · M_w1 ··· M_wn · end.
 
     ``matrices`` stacks one square matrix per letter in alphabet order.
-    Every array is real (float64): a walk lowers to its chain's
-    coordinates over the Hermitian matrices, which are real.
+    Every array is real (float64): chains and walks (``QrwParam._block_form``)
+    hold coordinates over Hermitian matrices, which are real.
     """
 
     initial: np.ndarray
@@ -167,8 +167,8 @@ class Process:
 
     ``fn`` evaluates one word and checks its symbols against the
     alphabet.  ``lowering`` returns the process's :class:`LinearForm`; it
-    runs on first access of :attr:`linear`, so evaluating single words
-    through ``fn`` never pays for it.  The sweeps below run on the form.
+    runs on first access of :attr:`linear`.  Only a walk's ``fn`` reads the
+    form too (cached on the walk).  The sweeps below run on the form.
     """
 
     alphabet: Alphabet

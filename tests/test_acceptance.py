@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import qpmkit as qk
+from qpmkit.cli import _default_truncation
 from qpmkit.hidden import HiddenStateBasis, InformationFunction
 from qpmkit.io import model_to_dict
 
@@ -393,3 +394,23 @@ def test_20_hankel_analysis_without_the_block(tmp_path):
     assert peak - baseline < 60, f"peak RSS {peak:.0f} MB against {baseline:.0f} MB for eval"
     code, report, _ = _fresh_cli("validate", tmp_path / "q.json")
     assert (code, report["results"]["valid"]) == (0, True), report
+
+
+def test_21_walk_block_form_at_ambient_32():
+    qrw = random_local_qrw(np.random.default_rng(11), 16, 2)
+    assert qrw.dim == 32
+    # 0.5 s, not 0.1 s: single-call 0.1-s bounds have failed on a loaded host
+    with criterion(21, "block form, rank and self-equivalence of the dimension-32 walk", 0.5):
+        process = qk.qrw_process(qrw)
+        form = process.linear
+        depth = _default_truncation(len(qrw.nodes), form.dim)
+        hankel = qk.build_hankel(process, depth, depth)
+        rank = qk.numerical_rank(hankel)
+        witness = qk.distinguishing_word(process, process)
+    assert form.dim == 16 * 2**2 + 1
+    assert witness is None
+    assert len(qk.select_row_basis(hankel)) == rank <= form.dim
+    for length in (0, 1, 50, 200):
+        word = qk.sample_trajectory(qrw, length, seed=2100 + length)
+        expected = qrw_collapse_prob(qrw, word)
+        assert abs(qk.qrw_eval(qrw, word) - expected) <= 1e-13 * expected

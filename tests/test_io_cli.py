@@ -45,7 +45,7 @@ from helpers import (
     random_unitary,
     walk_kraus,
 )
-from oracles import complex_entries, hmm_viterbi_log
+from oracles import complex_entries, complex_form_value, hmm_viterbi_log, walk_form_reference
 
 ALL_FIXTURES = [
     "hmm2.json",
@@ -1468,10 +1468,10 @@ class TestCliCommands:
                 depth = cli._default_truncation(size, declared)
                 assert depth == by_listing(alphabet, declared), (size, declared)
 
-    def test_rank_of_a_walk_with_36_declared_dimensions_is_quick(self, tmp_path):
+    def test_rank_of_a_walk_with_13_form_dimensions_is_quick(self, tmp_path):
         path = tmp_path / "walk3x2.json"
         save_model(random_local_qrw(np.random.default_rng(36), 3, 2), path)
-        assert qk.qrw_process(load_model(path)).linear.dim == 36
+        assert qk.qrw_process(load_model(path)).linear.dim == 3 * 2**2 + 1
         started = time.perf_counter()
         code, report = _run_json(["rank", str(path)])
         assert time.perf_counter() - started < 1.0
@@ -1581,14 +1581,56 @@ class TestCliCommands:
         assert qk.hmm_eval(first, "aaa") - qk.hmm_eval(second, "aaa") > 1e-9
 
     def test_equiv_of_a_walk_with_itself_is_fast(self):
-        # declared dimensions 16 + 16: comparing every word up to length 32 is out of reach
+        # form dimensions 9 + 9: comparing every word up to length 18 is out of reach
         path = str(FIXTURES / "qrw_hadamard.json")
         started = time.perf_counter()
         code, report = _run_json(["equiv", path, path])
         assert time.perf_counter() - started < 5.0
         assert code == 0
         assert report["results"]["equivalent"] is True
-        assert report["results"]["horizon"] == 32
+        assert report["results"]["horizon"] == 18
+
+    def test_walk_conversions_are_equivalent_to_the_walk(self, tmp_path):
+        # the finitary file is the walk's block form, of dimension N·k² + 1; it
+        # is equivalent to the walk, to its chain file and to the chain's
+        # coordinates (qpm_to_finitary of qrw_to_qmc)
+        seeded = tmp_path / "walk16.json"
+        save_model(random_local_qrw(np.random.default_rng(11), 8, 2), seeded)
+        for walk_path in (FIXTURES / "qrw_hadamard.json", seeded):
+            walk = load_model(walk_path)
+            paths = {to: tmp_path / f"{walk_path.stem}_{to}.json" for to in ("qmc", "finitary")}
+            for to, path in paths.items():
+                code, report = _run_json(["convert", str(walk_path), "--to", to, "--out", str(path)])
+                assert code == 0, report["findings"]
+            assert load_model(paths["finitary"]).dimension == len(walk.nodes) * 2**2 + 1
+            coordinates = tmp_path / f"{walk_path.stem}_coordinates.json"
+            save_model(qk.qpm_to_finitary(qk.qrw_to_qmc(walk)), coordinates)
+            pairs = [(walk_path, paths["qmc"]), (walk_path, paths["finitary"])]
+            pairs += [(paths["finitary"], paths["qmc"]), (paths["finitary"], coordinates)]
+            for first, second in pairs:
+                code, report = _run_json(["equiv", str(first), str(second)])
+                assert code == 0, report["findings"]
+                assert report["results"]["equivalent"] is True, (first, second)
+                assert report["results"]["witness"] is None
+
+    def test_eval_of_an_improbable_walk_word(self, tmp_path):
+        # a two-node, one-coin walk rotated by 1e-8 with its wave on node a:
+        # p(b) = sin(1e-8)**2, which no collapse threshold cuts to 0.0
+        c, s = np.cos(1e-8), np.sin(1e-8)
+        nodes = qk.Alphabet(("a", "b"))
+        walk = qk.QrwParam(nodes, (("a", "b"), ("b", "a")), ("c",), [[c, -s], [s, c]], [1, 0])
+        path = tmp_path / "rotated.json"
+        save_model(walk, path)
+        reference = walk_form_reference(walk)
+        for word in ("b", "ab"):
+            code, report = _run_json(["eval", str(path), "--word", word])
+            assert code == 0, report["findings"]
+            expected = complex_form_value(reference, nodes.indices(word))
+            assert 0.0 < expected < 1e-15
+            assert abs(report["results"]["value"] - expected) <= 1e-13 * expected
+            assert report["results"]["value"] == qk.qrw_eval(walk, word)
+        code, report = _run_json(["eval", str(FIXTURES / "qrw_hadamard.json"), "--word", "abba"])
+        assert (code, report["results"]["value"]) == (0, 0.0)  # through the zero block U_bb
 
     def test_unexpected_errors_exit_two_with_a_finding(self, monkeypatch):
         def broken(argv, config, inputs):

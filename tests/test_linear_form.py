@@ -7,7 +7,7 @@ per word; the sweeps on the linear form must agree with them.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qpmkit as qk
@@ -22,6 +22,7 @@ from helpers import (
     random_qmc,
     random_quantum_density,
     random_stochastic_rows,
+    random_unitary,
 )
 from oracles import (
     axiom_problems_reference,
@@ -29,6 +30,7 @@ from oracles import (
     equivalent_by_enumeration,
     hankel_singular_values,
     prefix_product_reference,
+    qrw_collapse_prob,
     row_basis_indices_reference,
     row_basis_reference,
     shortest_difference_by_enumeration,
@@ -414,37 +416,70 @@ def reference_walk_hankel(walk: qk.QrwParam, length: int) -> TruncatedHankel:
     return TruncatedHankel(walk.nodes, words, words, matrix, np.eye(len(words)))
 
 
+def haar_walk(rng, nodes: int, coins: int) -> qk.QrwParam:
+    """A walk on the complete graph under a Haar unitary: every block U_aj is nonzero."""
+    alphabet = qk.Alphabet(tuple(f"n{i}" for i in range(nodes)))
+    edges = tuple((a, b) for a in alphabet for b in alphabet if a != b)
+    wave = rng.normal(size=nodes * coins) + 1j * rng.normal(size=nodes * coins)
+    unitary = random_unitary(rng, nodes * coins)
+    coin_names = tuple(f"c{i}" for i in range(coins))
+    return qk.QrwParam(alphabet, edges, coin_names, unitary, wave / np.linalg.norm(wave))
+
+
 class TestWalkForm:
-    """A walk lowers to its chain's coordinates: the real form of ``qrw_to_qmc``.
+    """A walk lowers to its block form: a start coordinate and k² coordinates per node.
 
     The complex Kraus-superoperator form of ``oracles.walk_form_reference``,
     evaluated by its own word loop, is the same process, so the Hankel
-    analysis and the equivalence verdicts read the same on either.
+    analysis and the equivalence verdicts read the same on either, and the
+    block form is equivalent to the walk's chain form (``qrw_to_qmc``).
     """
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(SEEDS)
-    def test_walk_form_is_its_chain_form(self, seed):
+    def test_walk_form_is_equivalent_to_its_chain_form(self, seed):
         walk = seeded_walk(seed)
         process = qk.qrw_process(walk)
-        chain_form = qk.chain_process(qk.qrw_to_qmc(walk)).linear
-        for mine, theirs in zip(process.linear, chain_form):
-            assert mine.dtype == theirs.dtype == np.float64
-            assert mine.shape == theirs.shape
-            assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+        assert process.linear.dim == len(walk.nodes) * walk.coin_count**2 + 1
+        for array in process.linear:
+            assert array.dtype == np.float64 and not array.flags.writeable
         fast = qk.build_hankel(process, 3, 3)
         slow = reference_walk_hankel(walk, 3)
         assert fast.matrix.shape == slow.matrix.shape
         assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
         assert qk.numerical_rank(fast) == qk.numerical_rank(slow)
         assert qk.select_row_basis(fast) == qk.select_row_basis(slow)
-        converted = qk.qpm_to_finitary(qk.qrw_to_qmc(walk))
-        assert qk.processes_equivalent(process, qk.finitary_process(converted))
+        chain = qk.chain_process(qk.qrw_to_qmc(walk))
+        assert qk.processes_equivalent(process, chain)
+        assert qk.processes_equivalent(chain, process)
         rotated = rotated_walk(walk, 1e-3)
         witness = qk.distinguishing_word(process, qk.qrw_process(rotated))
         assert witness is not None
         difference = reference_walk_value(walk, witness) - reference_walk_value(rotated, witness)
         assert abs(difference) > 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=SEEDS,
+        nodes=st.integers(1, 8),
+        coins=st.integers(1, 4),
+        length=st.integers(0, 200),
+        haar=st.booleans(),
+    )
+    @example(seed=0, nodes=8, coins=4, length=200, haar=False)
+    @example(seed=1, nodes=8, coins=4, length=200, haar=True)
+    @example(seed=2, nodes=8, coins=1, length=200, haar=False)
+    def test_block_form_is_the_collapse_walk(self, seed, nodes, coins, length, haar):
+        rng = np.random.default_rng(seed)
+        walk = (haar_walk if haar else random_local_qrw)(rng, nodes, coins)
+        process = qk.qrw_process(walk)
+        assert process.linear.dim == nodes * coins**2 + 1
+        word = qk.sample_trajectory(walk, length, seed)
+        expected = qrw_collapse_prob(walk, word)
+        assert abs(qk.qrw_eval(walk, word) - expected) <= 1e-13 * expected
+        chain = qk.chain_process(qk.qrw_to_qmc(walk))
+        assert qk.processes_equivalent(process, chain)
+        assert qk.processes_equivalent(chain, process)
 
 
 def equivalence_pairs(rng, delta: float):

@@ -416,8 +416,11 @@ class TestQrw:
 
     def test_interference_kills_repeats(self, qrw_hadamard):
         assert qk.qrw_eval(qrw_hadamard, "a") == pytest.approx(0.5)
-        assert qk.qrw_eval(qrw_hadamard, "aa") == pytest.approx(0.0, abs=1e-12)
         assert qk.qrw_eval(qrw_hadamard, "ab") == pytest.approx(0.5)
+        # the walk never stays: a repeat takes the zero block U_aa or U_bb
+        for word in qk.words_up_to(qrw_hadamard.nodes, 5):
+            repeats = any(x == y for x, y in zip(word, word[1:]))
+            assert (qk.qrw_eval(qrw_hadamard, word) == 0.0) is repeats
 
     def test_eval_matches_collapse_oracle(self, qrw_hadamard, rng):
         walks = [qrw_hadamard] + [random_local_qrw(rng, 3, 2) for _ in range(3)]
