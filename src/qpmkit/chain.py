@@ -435,12 +435,9 @@ def chain_eval(chain: QuantumChain, word) -> float:
 
 
 def chain_process(chain: QuantumChain) -> Process:
-    """The chain's process; its linear form holds the chain's own arrays."""
-    return Process(
-        chain.alphabet,
-        lambda w: chain_eval(chain, w),
-        lowering=lambda: LinearForm(chain.initial_coords, chain.operators, chain.subspace.traces),
-    )
+    """The chain's process on its own arrays; an initial density off the subspace is refused here."""
+    form = LinearForm(chain.initial_coords, chain.operators, chain.subspace.traces)
+    return Process(chain.alphabet, form)
 
 
 # --------------------------------------------------------------------------

@@ -69,13 +69,15 @@ stationary accepts --method {iterative,spectral}, which has no effect.
 
 
 def _finite_float(text: str) -> float:
-    """A float flag's value; NaN and infinities are refused."""
+    """A tolerance flag's value; NaN, infinities and negative values are refused."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative number: {text!r}")
     return value
 
 

@@ -59,7 +59,10 @@ def load_config(environ=None) -> Config:
     )
     if non_finite:
         raise ValueError(f"non-finite config values: {non_finite}")
-    horizon = data.get("qpm_horizon", 0)
-    if type(horizon) is not int or horizon < 0:
-        raise ValueError(f"qpm_horizon must be an integer >= 0, got {horizon!r}")
+    for key, value in data.items():
+        if key == "qpm_horizon":
+            if type(value) is not int or value < 0:
+                raise ValueError(f"qpm_horizon must be an integer >= 0, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
     return DEFAULTS.replace(**data)

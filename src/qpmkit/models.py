@@ -104,6 +104,12 @@ class HmmParam:
         stack = np.multiply(self.emission.T[:, :, None], self.transition[None, :, :], order="C")
         return read_only_array(stack, float)
 
+    @cached_property
+    def _form(self) -> LinearForm:
+        """The initial law, the letter stack and an all-ones end vector, built on first use."""
+        ones = read_only_array(np.ones(self.n_states), float)
+        return LinearForm(self.initial, self._letter_stack, ones)
+
 
 def validate_hmm(hmm: HmmParam, *, config: Config = DEFAULTS) -> ValidationReport:
     """List every violated stochasticity constraint (slack ``eval_tol``), with indices."""
@@ -138,17 +144,13 @@ def _check_stochastic_matrix(report, matrix, name, states, tol):
 
 def hmm_eval(hmm: HmmParam, word) -> float:
     """Word probability initial @ M_w1 @ ... @ M_wn @ 1 over the emission-split matrices."""
-    return word_value(hmm.initial, hmm._letter_stack, hmm.alphabet.indices(word))
+    form = hmm._form
+    return word_value(form.initial, form.matrices, hmm.alphabet.indices(word), form.end)
 
 
 def hmm_process(hmm: HmmParam) -> Process:
-    # emit-then-move: M_a = diag(emission[:, a]) @ transition, the same form
-    # hmm_eval evaluates, so both agree for any (even non-stochastic) rows
-    return Process(
-        hmm.alphabet,
-        lambda w: hmm_eval(hmm, w),
-        lowering=lambda: LinearForm(hmm.initial, hmm._letter_stack, np.ones(hmm.n_states)),
-    )
+    """The HMM's process on its own form, so it agrees with :func:`hmm_eval` on any rows."""
+    return Process(hmm.alphabet, hmm._form)
 
 
 @dataclass(frozen=True)
@@ -253,11 +255,11 @@ class FinitaryParam:
 def hmm_to_finitary(hmm: HmmParam, *, config: Config = DEFAULTS) -> FinitaryParam:
     """Split the transition matrix by emitted symbol; end vector all ones.
 
-    The model shares the HMM's read-only letter stack and initial law.
+    The model shares the HMM's read-only form: its initial law, letter stack and end vector.
     """
     validate_hmm(hmm, config=config).raise_if_invalid("invalid hidden Markov model")
-    ones = np.ones(hmm.n_states)
-    return FinitaryParam(hmm.alphabet, hmm._letter_stack, hmm.initial, ones, standard_form=True)
+    initial, matrices, ones = hmm._form
+    return FinitaryParam(hmm.alphabet, matrices, initial, ones, standard_form=True)
 
 
 def finitary_eval(param: FinitaryParam, word) -> float:
@@ -265,11 +267,7 @@ def finitary_eval(param: FinitaryParam, word) -> float:
 
 
 def finitary_process(param: FinitaryParam) -> Process:
-    return Process(
-        param.alphabet,
-        lambda w: finitary_eval(param, w),
-        lowering=lambda: LinearForm(param.initial, param.matrices, param.end),
-    )
+    return Process(param.alphabet, LinearForm(param.initial, param.matrices, param.end))
 
 
 def is_standard_form(param: FinitaryParam, *, config: Config = DEFAULTS) -> bool:
@@ -475,7 +473,7 @@ def qrw_eval(qrw: QrwParam, word, *, config: Config = DEFAULTS) -> float:
     """Word probability: :func:`word_value` on the walk's block form, once the wave has unit norm.
 
     The form (``QrwParam._block_form``) is built on the first call and
-    cached on the walk, and ``qrw_process`` reads the same one.  No step
+    cached on the walk, and :func:`qrw_process` holds the same one.  No step
     is cut at a weight threshold, so an improbable word keeps its value;
     a word that takes a zero block U_aj reads exactly 0.0.
     """
@@ -491,10 +489,9 @@ def _require_unit_wave(wave: np.ndarray, trace_tol: float) -> None:
 
 
 def qrw_process(qrw: QrwParam, *, config: Config = DEFAULTS) -> Process:
-    """The walk's process: :func:`qrw_eval`, and its block form (``QrwParam._block_form``)."""
-    return Process(
-        qrw.nodes, lambda w: qrw_eval(qrw, w, config=config), lowering=lambda: qrw._block_form
-    )
+    """The walk's block form (``QrwParam._block_form``) as a process, once the wave has unit norm."""
+    _require_unit_wave(qrw.wave, config.trace_tol)
+    return Process(qrw.nodes, qrw._block_form)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,26 +161,23 @@ class LinearForm(NamedTuple):
         return int(self.initial.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Process:
-    """A word-probability function and the linear form that represents it.
+    """A word-probability function as its alphabet and its linear form, equal only to itself.
 
-    ``fn`` evaluates one word and checks its symbols against the
-    alphabet.  ``lowering`` returns the process's :class:`LinearForm`; it
-    runs on first access of :attr:`linear`.  Only a walk's ``fn`` reads the
-    form too (cached on the walk).  The sweeps below run on the form.
+    A call checks the word's symbols and runs :func:`word_value` on the form.
     """
 
     alphabet: Alphabet
-    fn: Callable[[Word], float]
-    lowering: Callable[[], LinearForm] = field(repr=False, compare=False)
+    linear: LinearForm
+
+    def __post_init__(self):
+        if not isinstance(self.linear, LinearForm):
+            raise TypeError(f"a Process takes a LinearForm, not {type(self.linear).__name__}")
 
     def __call__(self, word) -> float:
-        return float(self.fn(word))
-
-    @cached_property
-    def linear(self) -> LinearForm:
-        return self.lowering()
+        form = self.linear
+        return word_value(form.initial, form.matrices, self.alphabet.indices(word), form.end)
 
 
 # Words of at least _BLOCKED_MIN letters on nonnegative forms of dimension
@@ -199,8 +196,8 @@ _GATHER = 16 * _BLOCK  # letters whose matrices are gathered at once
 _FLOOR = -1022 + 53 + 64
 
 
-def word_value(start: np.ndarray, matrices, letters: list[int], end=None) -> float:
-    """float(start · M_l1 ··· M_lT · end), or the sum of the final state without ``end``.
+def word_value(start: np.ndarray, matrices, letters: list[int], end: np.ndarray) -> float:
+    """float(start · M_l1 ··· M_lT · end).
 
     ``matrices`` stacks one real square matrix per letter index and
     ``letters`` holds the word's indices
@@ -227,7 +224,7 @@ def word_value(start: np.ndarray, matrices, letters: list[int], end=None) -> flo
         vec, exponent, mats = start, 0, list(matrices)
         for a in letters:
             vec = vec.dot(mats[a])
-    return _scaled(float(vec.sum() if end is None else vec.dot(end)), exponent)
+    return _scaled(float(vec.dot(end)), exponent)
 
 
 def _blocked_state(start: np.ndarray, mats: np.ndarray, letters: list[int]):

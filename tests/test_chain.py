@@ -990,6 +990,16 @@ class TestOneOperatorStack:
         assert ops.shape == (len(chain.alphabet), chain.subspace.dim, chain.subspace.dim)
         assert qk.chain_process(chain).linear.matrices is ops
 
+    def test_the_process_holds_the_chain_arrays_and_reads_the_start_when_built(self, hmm2):
+        chain = qk.hmm_to_qmc(hmm2)
+        form = qk.chain_process(chain).linear
+        assert form.matrices is chain.operators
+        assert form.initial is chain.initial_coords and form.end is chain.subspace.traces
+        off = qk.Density.quantum(np.array([[0.6, 1e-3], [1e-3, 0.4]], dtype=complex))
+        stray = QuantumChain(chain.alphabet, chain.subspace, chain.operators, off, ChainKind.QMC)
+        with pytest.raises(SubspaceError):
+            qk.chain_process(stray)
+
     def test_hmm_to_qmc_shares_the_hmm_stack(self, hmm2):
         chain = qk.hmm_to_qmc(hmm2)
         assert np.shares_memory(chain.operators, hmm2._letter_stack)

@@ -508,3 +508,64 @@ class TestLoadedChainKeepsItsRecon:
         relabelled = qk.as_qpm(chain)
         assert relabelled.initial_coords is chain.initial_coords
         assert qk.chain_eval(relabelled, "ab") == qk.chain_eval(HMM2_CHAIN, "ab")
+
+
+# ---------------------------------------------------------------------------
+# A tolerance is a finite number >= 0, from a flag or from QPMKIT_CONFIG.
+# ---------------------------------------------------------------------------
+
+HMM2 = str(FIXTURES / "hmm2.json")
+
+
+class TestToleranceValues:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["equiv", HMM2, HMM2, "--tol", "-1"], "--tol"),
+            (["validate", HMM2, "--tol-eval", "-1"], "--tol-eval"),
+            (["stationary", HMM2, "--tol-stationarity", "-1"], "--tol-stationarity"),
+            (["simulate", HMM2, "--length", "3", "--tol-clamp", "-0.5"], "--tol-clamp"),
+        ],
+    )
+    def test_a_negative_flag_is_a_usage_error(self, argv, flag, monkeypatch):
+        monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+        buffer = io.StringIO()
+        assert run_command(argv, buffer) == 64
+        text = buffer.getvalue()
+        assert text.startswith(cli._USAGE)
+        assert text.endswith(f"error: argument {flag}: not a non-negative number: '{argv[-1]}'\n")
+
+    @pytest.mark.parametrize("value", ["0", "-0"])
+    def test_a_zero_flag_runs(self, value, monkeypatch):
+        assert _cli(["validate", HMM2, "--tol-eval", value], monkeypatch) == (
+            0,
+            {"kind": "hmm", "valid": True},
+        )
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ('{"eval_tol": -1.0}', "-1.0"),
+            ('{"eval_tol": "x"}', "'x'"),
+            ('{"eval_tol": true}', "True"),
+            ('{"rank_eps": -1}', "-1"),
+            ('{"preserve_tol": null}', "None"),
+        ],
+    )
+    def test_a_config_tolerance_that_is_not_a_number_at_least_zero_exits_two(
+        self, text, shown, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "conf.json"
+        path.write_text(text)
+        field = next(iter(json.loads(text)))
+        message = f"ValueError: {field} must be a finite number >= 0, got {shown}"
+        code, findings = _cli(["validate", HMM2], monkeypatch, str(path))
+        assert (code, findings) == (2, [message])
+
+    def test_a_zero_config_tolerance_runs(self, tmp_path, monkeypatch):
+        path = tmp_path / "conf.json"
+        path.write_text('{"eval_tol": 0, "rank_eps": 0.0}')
+        assert qk.load_config({"QPMKIT_CONFIG": str(path)}) == qk.DEFAULTS.replace(
+            eval_tol=0, rank_eps=0.0
+        )
+        assert _cli(["validate", HMM2], monkeypatch, str(path)) == (0, {"kind": "hmm", "valid": True})

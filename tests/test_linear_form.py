@@ -102,6 +102,26 @@ def test_every_model_family_lowers():
         assert all(array.dtype == np.float64 and array.flags.c_contiguous for array in arrays)
 
 
+def test_an_hmm_its_finitary_form_and_its_chain_give_the_same_double():
+    # all four apply the same all-ones end vector to the same states, so every
+    # word's value has the same bits, on the per-letter and the blocked paths
+    differ = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        hmm = random_hmm(rng, int(rng.integers(2, 17)), int(rng.integers(2, 4)))
+        process, finitary, chain = qk.hmm_process(hmm), qk.hmm_to_finitary(hmm), qk.hmm_to_qmc(hmm)
+        for length in rng.integers(0, 301, size=6).tolist():
+            word = tuple(rng.choice(hmm.alphabet.symbols, size=length).tolist())
+            values = (
+                qk.hmm_eval(hmm, word),
+                process(word),
+                qk.finitary_eval(finitary, word),
+                qk.chain_eval(chain, word),
+            )
+            differ += len(set(map(float.hex, values))) > 1
+    assert differ == 0
+
+
 class TestFactorisedSweeps:
     @PROPERTY
     @given(SEEDS)

@@ -590,6 +590,7 @@ class TestConversionsDoTheirWorkOnce:
             lambda: qk.qrw_step(stretched),
             lambda: qk.qrw_step(qrw_hadamard, stretched.wave),
             lambda: qk.qrw_eval(stretched, "a"),
+            lambda: qk.qrw_process(stretched),  # refused when built, not when called
             lambda: qk.sample_trajectories(stretched, 2, 1, 0),
         ]
         messages = {str(pytest.raises(ValidationError, call).value) for call in calls}

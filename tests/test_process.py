@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -257,8 +259,17 @@ class TestEquivalence:
         assert qk.processes_equivalent(iid_coin(), iid_coin())
 
     def test_a_process_needs_its_linear_form(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^a Process takes a LinearForm, not function$"):
             qk.Process(AB, lambda w: 0.5 ** len(w))
+        form = qk.LinearForm(np.ones(1), np.full((2, 1, 1), 0.5), np.ones(1))
+        coin = qk.Process(AB, form)
+        assert coin.linear is form and coin("abb") == 0.125
+        assert coin != qk.Process(AB, form)  # compared by identity
+
+    def test_a_process_is_its_alphabet_and_its_form(self):
+        assert [f.name for f in dataclasses.fields(qk.Process)] == ["alphabet", "linear"]
+        for name in ("fn", "lowering"):
+            assert not hasattr(iid_coin(), name)
 
 
 def test_hankel_csv_round_trip(tmp_path, hmm2):

@@ -42,7 +42,8 @@ def similar_finitary(rng, hmm: qk.HmmParam) -> qk.FinitaryParam:
 
 def hmm_case(name, hmm):
     matrices = [hmm.emission[:, i][:, None] * hmm.transition for i in range(len(hmm.alphabet))]
-    return name, lambda word: qk.hmm_eval(hmm, word), hmm.alphabet, hmm.initial, matrices, None
+    ones = np.ones(hmm.n_states)  # the HMM's own end vector
+    return name, lambda word: qk.hmm_eval(hmm, word), hmm.alphabet, hmm.initial, matrices, ones
 
 
 def chain_case(name, chain, start=None, evaluate=None):
