@@ -6,13 +6,14 @@ the evolution's fixed space.  It is computed exactly on the orbit's
 Krylov space, built once by matrix–vector products, by projecting onto
 the eigenvalue-one invariant subspace of the evolution restricted to
 that space; the same spectrum decides boundedness.  The limit's
-stationarity and trace are checked on the full coordinates.  Everything
-runs on numpy.
+stationarity and trace are checked on the full coordinates.  A process
+averages the same way on its linear form.  Everything runs on numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .errors import (
     ValidationError,
 )
 from .hermitian import Density, require_hermitian
-from .chain import ChainKind, QuantumChain
-from .process import word_value
+from .chain import ChainKind, OperatorSubspace, QuantumChain, chain_process
+from .process import Alphabet, LinearForm, Process, word_value
 
 __all__ = [
     "BoundednessProbe",
@@ -42,6 +43,30 @@ _CLUSTER_TOL = 1e-8
 _DEFECT_TOL = 1e-6
 _SPLIT_TOL = 1e-6  # peripheral defect tests: rounding splits a Jordan block by ~1e-8
 _KRYLOV_TOL = 1e-12
+
+
+class _Reading(NamedTuple):
+    """A chain or a process as the analysis reads it; a process's inner product is Euclidean."""
+
+    alphabet: Alphabet
+    form: LinearForm
+    total: np.ndarray
+    subspace: OperatorSubspace | None
+
+    def gram_dot(self, coords: np.ndarray) -> np.ndarray:
+        return coords if self.subspace is None else self.subspace.gram_dot(coords)
+
+    def norm(self, coords: np.ndarray) -> float:
+        return float(np.sqrt(max(self.gram_dot(coords) @ coords, 0.0)))
+
+
+def _read(source: QuantumChain | Process) -> _Reading:
+    """A chain reads as its process, with its cached ``total_matrix`` and its subspace."""
+    if isinstance(source, QuantumChain):
+        form = chain_process(source).linear
+        return _Reading(source.alphabet, form, source.total_matrix, source.subspace)
+    form = source.linear
+    return _Reading(source.alphabet, form, np.add.reduce(form.matrices, axis=0, initial=0.0), None)
 
 
 @dataclass(frozen=True)
@@ -65,17 +90,16 @@ def boundedness_probe(chain: QuantumChain, horizon: int = 100) -> BoundednessPro
     """Track tr((mu^t Q)^2) for t = 0..horizon; decide growth from the orbit spectrum."""
     if horizon < 1:
         raise ValidationError("probe horizon must be >= 1")
-    gram = chain.subspace.gram
-    coords = chain.initial_coords
-    total = chain.total_matrix
+    reading = _read(chain)
+    coords = reading.form.initial
     values = np.empty(horizon + 1)
     for t in range(horizon + 1):
-        values[t] = float(coords @ gram @ coords)
+        values[t] = float(reading.gram_dot(coords) @ coords)
         if not np.isfinite(values[t]):
             values = values[: t + 1]
             break
-        coords = coords @ total
-    a = _orbit(chain).evolution.T
+        coords = coords @ reading.total
+    a = _orbit(reading).evolution.T
     eigenvalues = np.linalg.eigvals(a)
     found = _growth(a, eigenvalues, _peripheral(eigenvalues))
     verdict = f"growing: {found}" if found else (
@@ -90,13 +114,14 @@ def boundedness_probe(chain: QuantumChain, horizon: int = 100) -> BoundednessPro
 class CesaroResult:
     """A stationary averaged limit, with the orbit spectrum that certifies it.
 
-    ``coords`` are the limit's coordinates over the chain's subspace
-    basis; ``invariance_residual`` measures how far the orbit's Krylov
-    space is from invariant (see :class:`_Orbit`).  The other fields are
-    described in :func:`_spectral_average`.
+    ``coords`` are the limit's coordinates over the chain's subspace basis
+    or on the process's form, which has no density: ``limit`` is None.
+    ``invariance_residual`` measures how far the orbit's Krylov space is
+    from invariant (see :class:`_Orbit`).  The other fields are described
+    in :func:`_spectral_average`.
     """
 
-    limit: Density
+    limit: Density | None
     coords: np.ndarray
     krylov_dim: int
     stationarity_residual: float
@@ -118,43 +143,42 @@ class CesaroResult:
 
 
 def cesaro_limit(
-    chain: QuantumChain,
-    method: str = "spectral",
-    *,
-    config: Config = DEFAULTS,
+    source: QuantumChain | Process, method: str = "spectral", *, config: Config = DEFAULTS
 ) -> CesaroResult:
-    """Averaged limit of the evolved initial density, by spectral projection.
+    """Averaged limit of the evolved initial density, or of a process's initial row.
 
     ``method`` is accepted for compatibility: ``"iterative"`` and
     ``"spectral"`` give the same result; any other name raises
     :class:`ValidationError`.  See :func:`_spectral_average` for the
     errors of an orbit without a limit.  A limit that is not stationary
-    (residual above ``stationarity_tol``) or has lost its trace raises
-    :class:`ConsistencyError`.
+    (residual above ``stationarity_tol``) or has lost its trace, its value
+    on the end vector, raises :class:`ConsistencyError`.
     """
     if method not in ("iterative", "spectral"):
         raise ValidationError(f"unknown method {method!r}")
-    sub = chain.subspace
-    orbit = _orbit(chain)
+    reading = _read(source)
+    orbit = _orbit(reading)
     projected, spectrum = _spectral_average(orbit)
     # the projection keeps the trace in exact arithmetic: divide out its
     # rounding, and refuse a mass that moved
     coords = projected @ orbit.basis
-    mass = float(coords @ sub.traces)
+    mass = float(coords @ reading.form.end)
     if abs(mass - 1.0) > 1e-6:
         raise ConsistencyError(f"averaged trace drifted to {mass!r}")
     coords = coords / mass
-    residual = sub.norm(coords @ chain.total_matrix - coords)
+    residual = reading.norm(coords @ reading.total - coords)
     if residual > config.stationarity_tol:
         raise ConsistencyError(f"limit is not stationary (residual {residual:.3e})")
-    trace = float(coords @ sub.traces)
+    trace = float(coords @ reading.form.end)
     if abs(trace - 1.0) > 1e-8:
         raise ConsistencyError(f"limit trace drifted to {trace!r}")
-    matrix = require_hermitian(sub.reconstruct(coords), tol=1e-8)
-    if chain.kind is ChainKind.QMC:
-        limit = Density.quantum(matrix, trace_tol=1e-8, psd_tol=1e-8)
-    else:
-        limit = Density.generalized(matrix, trace_tol=1e-8)
+    limit = None
+    if isinstance(source, QuantumChain):
+        matrix = require_hermitian(reading.subspace.reconstruct(coords), tol=1e-8)
+        if source.kind is ChainKind.QMC:
+            limit = Density.quantum(matrix, trace_tol=1e-8, psd_tol=1e-8)
+        else:
+            limit = Density.generalized(matrix, trace_tol=1e-8)
     return CesaroResult(
         limit=limit,
         coords=coords,
@@ -169,11 +193,11 @@ def cesaro_limit(
 class _Orbit:
     """The orbit's Krylov space span{x0 M^t}, with the evolution restricted to it.
 
-    ``basis`` holds k coordinate rows, orthonormal under the Gram inner
+    ``basis`` holds k coordinate rows, orthonormal under the reading's inner
     product.  In coordinates c on it an element is ``c @ basis``, the
     initial density is ``start`` and one step is ``c @ evolution``.
-    ``invariance_residual`` is the Frobenius Hermitian-space norm of the
-    parts of the basis's images that leave the span, ‖(I − QQ*)MQ‖.
+    ``invariance_residual`` is that product's norm of the parts of the
+    basis's images that leave the span, ‖(I − QQ*)MQ‖.
     """
 
     basis: np.ndarray
@@ -182,17 +206,15 @@ class _Orbit:
     invariance_residual: float
 
 
-def _orbit(chain: QuantumChain) -> _Orbit:
+def _orbit(reading: _Reading) -> _Orbit:
     """Gram–Schmidt on x0, q0 M, q1 M, ... by matrix–vector products.
 
     Each new image is orthogonalised twice against the basis so far
     (classical Gram–Schmidt, repeated); the span is closed when what is
     left falls below ``_KRYLOV_TOL`` times the initial norm (at least 1).
     """
-    sub = chain.subspace
-    total = chain.total_matrix
-    x0 = chain.initial_coords
-    scale = max(sub.norm(x0), 1.0)
+    total, x0 = reading.total, reading.form.initial
+    scale = max(reading.norm(x0), 1.0)
     rows: list[np.ndarray] = []  # basis rows q_j
     weighted: list[np.ndarray] = []  # q_j @ gram
     images: list[np.ndarray] = []  # q_j @ total
@@ -201,14 +223,14 @@ def _orbit(chain: QuantumChain) -> _Orbit:
     # in numpy's own loops; through a threaded BLAS each call's dispatch can
     # cost more than its arithmetic (a 2-core host took 0.32 s for the 34
     # steps at dimension 1024 through BLAS, 0.02-0.05 s this way).
-    while len(rows) < sub.dim:
+    while len(rows) < reading.form.dim:
         residual = vec
         if rows:
             basis, gram_basis = np.array(rows), np.array(weighted)
             for _ in range(2):
                 coefficients = np.einsum("ij,j->i", gram_basis, residual)
                 residual = residual - np.einsum("i,ij->j", coefficients, basis)
-        residual_gram = sub.gram_dot(residual)
+        residual_gram = reading.gram_dot(residual)
         norm = float(np.sqrt(max(residual_gram @ residual, 0.0)))
         if norm <= _KRYLOV_TOL * scale:
             break
@@ -223,7 +245,7 @@ def _orbit(chain: QuantumChain) -> _Orbit:
         basis=basis,
         evolution=evolution,
         start=weighted @ x0,
-        invariance_residual=float(np.sqrt(max(np.sum(sub.gram_dot(leak) * leak), 0.0))),
+        invariance_residual=float(np.sqrt(max(np.sum(reading.gram_dot(leak) * leak), 0.0))),
     )
 
 
@@ -331,6 +353,8 @@ def _spectral_average(orbit: _Orbit):
 
 def limit_functional(result: CesaroResult, functional_matrix) -> float:
     """Evaluate tr(X Q) for the limit density Q and a Hermitian matrix X."""
+    if result.limit is None:
+        raise ValidationError("a process's limit has no density")
     x = require_hermitian(functional_matrix)
     if x.shape != result.limit.matrix.shape:
         raise DimensionMismatchError(
@@ -341,23 +365,21 @@ def limit_functional(result: CesaroResult, functional_matrix) -> float:
 
 
 def stationary_word_probability(
-    chain: QuantumChain,
-    word,
-    result: CesaroResult | None = None,
-    **limit_kwargs,
+    source: QuantumChain | Process, word, result: CesaroResult | None = None, **limit_kwargs
 ) -> float:
-    """tr of the word's composed operators applied to the stationary limit."""
+    """The word's value from the stationary limit: its composed letters, then the end vector."""
     if result is None:
-        result = cesaro_limit(chain, **limit_kwargs)
-    letters = chain.alphabet.indices(word)
-    return word_value(result.coords, chain.operators, letters, chain.subspace.traces)
+        result = cesaro_limit(source, **limit_kwargs)
+    alphabet, form, _, _ = _read(source)
+    return word_value(result.coords, form.matrices, alphabet.indices(word), form.end)
 
 
 def stationary_letter_distribution(
-    chain: QuantumChain, result: CesaroResult | None = None, **limit_kwargs
+    source: QuantumChain | Process, result: CesaroResult | None = None, **limit_kwargs
 ) -> dict[str, float]:
     if result is None:
-        result = cesaro_limit(chain, **limit_kwargs)
+        result = cesaro_limit(source, **limit_kwargs)
+    alphabet, form, _, _ = _read(source)
     return {
-        a: stationary_word_probability(chain, (a,), result) for a in chain.alphabet
+        a: word_value(result.coords, form.matrices, [i], form.end) for i, a in enumerate(alphabet)
     }

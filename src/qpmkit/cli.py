@@ -291,16 +291,17 @@ def _walk_finitary(walk, config: Config):
     return models.FinitaryParam(walk.nodes, matrices, initial, end, standard_form=standard)
 
 
-_TARGETS = ("process", "chain", "finitary", "qmc", "qpm", "labels")
+_TARGETS = ("process", "chain", "stationary", "finitary", "qmc", "qpm", "labels")
 
 # Each schema kind's lowerings, keyed by target: the process that eval, rank
-# and equiv read, the chain that stationary and hidden-path read, the
-# convert targets, and the hidden-state labels of the chain.  Entries call
-# conversions through their modules, so a rebound module attribute (a
-# tracer's wrapper, say) is the one that runs.
+# and equiv read, the chain that hidden-path reads, the chain or process
+# that stationary averages, the convert targets, and the hidden-state labels
+# of the chain.  Entries call conversions through their modules, so a
+# rebound module attribute (a tracer's wrapper, say) is the one that runs.
 _CHAIN_ROW = {
     "process": lambda m, c: chain_mod.chain_process(m),
     "chain": lambda m, c: m,
+    "stationary": lambda m, c: m,
     "finitary": lambda m, c: chain_mod.qpm_to_finitary(m),
     "qpm": lambda m, c: chain_mod.as_qpm(m),
     "labels": _no_labels,
@@ -309,6 +310,7 @@ _LOWERINGS = {
     "hmm": {
         "process": lambda m, c: models.hmm_process(m),
         "chain": lambda m, c: chain_mod.hmm_to_qmc(m, config=c),
+        "stationary": lambda m, c: chain_mod.hmm_to_qmc(m, config=c),
         "finitary": lambda m, c: models.hmm_to_finitary(m, config=c),
         "qmc": lambda m, c: chain_mod.hmm_to_qmc(m, config=c),
         "qpm": lambda m, c: chain_mod.finitary_to_qpm(
@@ -320,6 +322,7 @@ _LOWERINGS = {
     "finitary": {
         "process": lambda m, c: models.finitary_process(m),
         "chain": lambda m, c: chain_mod.finitary_to_qpm(m, config=c),
+        "stationary": lambda m, c: chain_mod.finitary_to_qpm(m, config=c),
         "finitary": lambda m, c: m,
         "qpm": lambda m, c: chain_mod.finitary_to_qpm(m, config=c),
         "labels": _no_labels,
@@ -327,6 +330,7 @@ _LOWERINGS = {
     "qrw": {
         "process": lambda m, c: models.qrw_process(m, config=c),
         "chain": lambda m, c: chain_mod.qrw_to_qmc(m, config=c),
+        "stationary": lambda m, c: models.qrw_process(m, config=c),
         "finitary": lambda m, c: _walk_finitary(m, c),
         "qmc": lambda m, c: chain_mod.qrw_to_qmc(m, config=c),
         "qpm": lambda m, c: chain_mod.as_qpm(chain_mod.qrw_to_qmc(m, config=c)),
@@ -339,6 +343,7 @@ _LOWERINGS = {
 _REFUSALS = {
     "process": "{model} does not define a process",
     "chain": "{model} does not define a chain",
+    "stationary": "{model} does not define a chain",
     "labels": "{model} does not define a chain",
     "qmc": "cannot certify positivity when converting {model} to a Markov chain",
 }
@@ -464,16 +469,16 @@ def _cmd_simulate(args, config, inputs):
 def _cmd_stationary(args, config, inputs):
     inputs["model"] = args.model
     model = load_model(args.model, config)
-    qchain = _lower(model, "chain", config)
-    result = asymptotics.cesaro_limit(qchain, config=config)
-    letters = asymptotics.stationary_letter_distribution(qchain, result)
+    source = _lower(model, "stationary", config)
+    result = asymptotics.cesaro_limit(source, config=config)
+    letters = asymptotics.stationary_letter_distribution(source, result)
+    limit = result.limit if result.limit is not None else model._block_density(result.coords)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["symbol", "probability"])
             for symbol, value in letters.items():
                 writer.writerow([symbol, repr(float(value))])
-    matrix = result.limit.matrix
     results = {
         "krylov_dim": result.krylov_dim,
         "invariance_residual": result.invariance_residual,
@@ -482,8 +487,8 @@ def _cmd_stationary(args, config, inputs):
         "fixed_space_dim": result.fixed_space_dim,
         "projector_condition": result.projector_condition,
         "stationarity_residual": float(result.stationarity_residual),
-        "limit_kind": result.limit.kind.value,
-        "limit": [[[float(c.real), float(c.imag)] for c in row] for row in matrix],
+        "limit_kind": limit.kind.value,
+        "limit": [[[float(c.real), float(c.imag)] for c in row] for row in limit.matrix],
         "letter_distribution": {k: float(v) for k, v in letters.items()},
     }
     return 0, results, [], None

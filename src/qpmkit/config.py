@@ -65,4 +65,5 @@ def load_config(environ=None) -> Config:
                 raise ValueError(f"qpm_horizon must be an integer >= 0, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
             raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
-    return DEFAULTS.replace(**data)
+    # a JSON integer such as 0 sets a float field as 0.0, as its --tol-* flag does
+    return DEFAULTS.replace(**{k: v if k == "qpm_horizon" else float(v) for k, v in data.items()})

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .errors import ValidationReport
-from .hermitian import is_unitary, read_only_array
+from .hermitian import Density, is_unitary, read_only_array, require_hermitian
 from .process import Alphabet, LinearForm, Process, Word, word_value
 
 __all__ = [
@@ -394,6 +394,18 @@ class QrwParam:
         initial = np.eye(1, place.size + 1)[0]  # the start coordinate
         end = np.concatenate([[1.0], np.tile(sub.traces, n)])
         return LinearForm(*(read_only_array(a, float) for a in (initial, matrices, end)))
+
+    def _block_density(self, coords) -> Density:
+        """The quantum density with block-form coordinates ``coords``, checked within 1e-8:
+        x₀·ρ₀ for the initial density ρ₀, plus node i's k x k block (see :attr:`_block_form`)."""
+        from .chain import OperatorSubspace  # chain imports this module
+
+        n, k = len(self.nodes), self.coin_count
+        blocks = OperatorSubspace.full(k).reconstruct(np.reshape(coords[1:], (n, k * k)))
+        matrix = coords[0] * np.outer(self.wave, self.wave.conj())
+        for node, block in zip(self.nodes, blocks):
+            matrix[self.block(node), self.block(node)] += block
+        return Density.quantum(require_hermitian(matrix, tol=1e-8), trace_tol=1e-8, psd_tol=1e-8)
 
 
 def validate_qrw(qrw: QrwParam, *, config: Config = DEFAULTS) -> ValidationReport:

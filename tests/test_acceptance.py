@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import qpmkit as qk
-from qpmkit.cli import _default_truncation
+from qpmkit.cli import _default_truncation, run_command
 from qpmkit.hidden import HiddenStateBasis, InformationFunction
 from qpmkit.io import model_to_dict
 
@@ -414,3 +415,22 @@ def test_21_walk_block_form_at_ambient_32():
         word = qk.sample_trajectory(qrw, length, seed=2100 + length)
         expected = qrw_collapse_prob(qrw, word)
         assert abs(qk.qrw_eval(qrw, word) - expected) <= 1e-13 * expected
+
+
+def test_22_walk_stationary_on_its_block_form_at_ambient_32(tmp_path):
+    walk = random_local_qrw(np.random.default_rng(11), 16, 2)
+    path = tmp_path / "walk32.json"
+    path.write_text(qk.save_model(walk))
+    chain = qk.qrw_to_qmc(walk)
+    want = qk.stationary_letter_distribution(chain, qk.cesaro_limit(chain))
+    # 0.5 s, test 21's bound for a loaded host.  Through the (N·k)² = 1024
+    # coordinates of the walk's chain the command took 0.77-1.18 s on a
+    # 2-core Xeon; on the 65-coordinate block form it takes milliseconds
+    with criterion(22, "stationary on the dimension-32 walk file, load included", 0.5):
+        buffer = io.StringIO()
+        code = run_command(["stationary", str(path)], buffer)
+    assert code == 0, buffer.getvalue()
+    results = json.loads(buffer.getvalue())["results"]
+    assert results["letter_distribution"].keys() == want.keys()
+    for symbol, value in want.items():
+        assert abs(results["letter_distribution"][symbol] - value) <= 1e-12

@@ -16,6 +16,7 @@ from qpmkit.errors import (
     DimensionMismatchError,
     DivergenceError,
     NumericError,
+    ValidationError,
 )
 from qpmkit.io import load_model
 
@@ -35,6 +36,11 @@ from oracles import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _orbit(source):
+    """The orbit's Krylov space, as ``cesaro_limit`` builds it for a chain or a process."""
+    return asymptotics._orbit(asymptotics._read(source))
 
 
 class TestBoundednessProbe:
@@ -310,6 +316,84 @@ class TestStationaryWordProbability:
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
+def _complete_walk(rng, n_nodes: int, n_coins: int) -> qk.QrwParam:
+    """A walk on the complete graph whose unitary is Haar-random on all N·k coordinates."""
+    nodes = qk.Alphabet(tuple(f"n{i}" for i in range(n_nodes)))
+    edges = tuple((a, b) for a in nodes for b in nodes if a != b)
+    coins = tuple(f"c{i}" for i in range(n_coins))
+    k = n_nodes * n_coins
+    wave = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return qk.QrwParam(nodes, edges, coins, random_unitary(rng, k), wave / np.linalg.norm(wave))
+
+
+def _assert_block_form_matches_chain(walk):
+    """The block form's letters and limit density are those of the walk's coordinate chain."""
+    chain = qk.qrw_to_qmc(walk)
+    want = qk.cesaro_limit(chain)
+    process = qk.qrw_process(walk)
+    got = qk.cesaro_limit(process)
+    letters = qk.stationary_letter_distribution(process, got)
+    for symbol, value in qk.stationary_letter_distribution(chain, want).items():
+        assert abs(letters[symbol] - value) <= 1e-12
+    limit = walk._block_density(got.coords).matrix
+    assert np.abs(limit - want.limit.matrix).max() <= 1e-12
+    assert np.trace(limit).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(limit).min() >= -1e-12
+    k = walk.coin_count
+    off_block = ~np.kron(np.eye(len(walk.nodes), dtype=bool), np.ones((k, k), dtype=bool))
+    assert np.abs(limit[off_block]).max(initial=0.0) <= 1e-15
+    return got, want
+
+
+class TestWalkBlockForm:
+    """A walk averages on its N·k² + 1-coordinate block form as on its (N·k)² chain."""
+
+    @pytest.mark.parametrize("coins", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["local", "complete"])
+    def test_walk_family_matches_its_chain(self, kind, coins):
+        for nodes in range(1, 9):
+            rng = np.random.default_rng(100 * nodes + coins)
+            build = random_local_qrw if kind == "local" else _complete_walk
+            _assert_block_form_matches_chain(build(rng, nodes, coins))
+
+    def test_hadamard_walk_matches_its_chain(self, qrw_hadamard):
+        # period 2: the orbit flips and only its average converges.  The start
+        # coordinate makes the block form's evolution non-normal, so its
+        # projector is oblique where the chain's is orthogonal
+        got, want = _assert_block_form_matches_chain(qrw_hadamard)
+        assert [z.real for z in got.peripheral_spectrum] == pytest.approx([1.0, -1.0], abs=1e-12)
+        assert (got.krylov_dim, got.fixed_space_dim) == (want.krylov_dim, want.fixed_space_dim)
+        assert want.projector_condition == pytest.approx(1.0, abs=1e-12)
+        assert got.projector_condition == pytest.approx(1.1726039399558574, abs=1e-12)
+
+    def test_a_process_source_has_no_limit_density(self, qrw_hadamard):
+        process = qk.qrw_process(qrw_hadamard)
+        result = qk.cesaro_limit(process)
+        assert result.limit is None
+        assert result.coords @ process.linear.end == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValidationError, match="has no density"):
+            qk.limit_functional(result, np.eye(4))
+
+    def test_both_stationary_helpers_accept_a_process(self, qrw_hadamard):
+        process = qk.qrw_process(qrw_hadamard)
+        letters = qk.stationary_letter_distribution(process)
+        for symbol in process.alphabet:
+            assert qk.stationary_word_probability(process, (symbol,)) == letters[symbol]
+        assert letters == pytest.approx({"a": 0.5, "b": 0.5}, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_limit_is_stationary_on_words(self, seed):
+        # prepending a letter and summing over it leaves each value as it was
+        process = qk.qrw_process(random_local_qrw(np.random.default_rng(seed), 3, 2))
+        result = qk.cesaro_limit(process)
+        for word in qk.words_up_to(process.alphabet, 4):
+            extended = sum(
+                qk.stationary_word_probability(process, (a, *word), result)
+                for a in process.alphabet
+            )
+            assert abs(extended - qk.stationary_word_probability(process, word, result)) <= 1e-12
+
+
 def _overlap_chain(rng) -> QuantumChain:
     """A one-letter predictor chain over the non-orthogonal basis {diag(1, 0), I}."""
     sub = OperatorSubspace([np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)])
@@ -377,7 +461,7 @@ class TestOrbitRoutes:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_krylov_basis_is_orthonormal_and_closed(self, family):
         chain = FAMILIES[family](np.random.default_rng(1802))
-        orbit = asymptotics._orbit(chain)
+        orbit = _orbit(chain)
         k = len(orbit.basis)
         gram = orbit.basis @ chain.subspace.gram @ orbit.basis.T
         assert np.abs(gram - np.eye(k)).max() <= 1e-12
@@ -486,7 +570,7 @@ class TestFailuresAreUnchanged:
         chain = _failing_chains()[name]
         outcomes = []
         for route in (
-            lambda: asymptotics._spectral_average(asymptotics._orbit(chain)),
+            lambda: asymptotics._spectral_average(_orbit(chain)),
             lambda: spectral_limit_reference(chain),
         ):
             try:

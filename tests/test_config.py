@@ -21,7 +21,7 @@ from qpmkit.chain import ChainKind, OperatorSubspace, QuantumChain
 from qpmkit import cli
 from qpmkit.cli import run_command
 from qpmkit.errors import SubspaceError
-from qpmkit.io import load_model, model_to_dict
+from qpmkit.io import canonical_json, load_model, model_to_dict
 
 from conftest import FIXTURES
 from helpers import leaky_hmm
@@ -569,3 +569,22 @@ class TestToleranceValues:
             eval_tol=0, rank_eps=0.0
         )
         assert _cli(["validate", HMM2], monkeypatch, str(path)) == (0, {"kind": "hmm", "valid": True})
+
+    def test_an_integer_config_tolerance_reports_as_its_flag_does(self, tmp_path, monkeypatch):
+        # a JSON integer is stored as a float, so the report's tolerances read
+        # "eval_tol": 0.0 whichever source set it; qpm_horizon stays an integer
+        path = tmp_path / "conf.json"
+        path.write_text('{"eval_tol": 0, "qpm_horizon": 4}')
+        blocks = []
+        for environ, flags in ((str(path), []), (None, ["--tol-eval", "0", "--qpm-horizon", "4"])):
+            if environ is None:
+                monkeypatch.delenv("QPMKIT_CONFIG", raising=False)
+            else:
+                monkeypatch.setenv("QPMKIT_CONFIG", environ)
+            buffer = io.StringIO()
+            assert run_command(["validate", HMM2, *flags], buffer) == 0
+            blocks.append(canonical_json(json.loads(buffer.getvalue())["tolerances"]))
+        assert blocks[0] == blocks[1]
+        assert '"eval_tol": 0.0' in blocks[0] and '"qpm_horizon": 4' in blocks[0]
+        config = qk.load_config({"QPMKIT_CONFIG": str(path)})
+        assert type(config.eval_tol) is float and type(config.qpm_horizon) is int

@@ -23,7 +23,7 @@ import qpmkit.io as qpmkit_io
 from qpmkit import cli
 from qpmkit.cli import run_command
 from qpmkit.config import DEFAULTS
-from qpmkit.errors import SchemaError, ValidationError
+from qpmkit.errors import DivergenceError, SchemaError, ValidationError
 from qpmkit.io import (
     DensityFile,
     InfoFunctionsFile,
@@ -1517,6 +1517,7 @@ class TestCliCommands:
             message = {
                 "process": f"{name} does not define a process",
                 "chain": f"{name} does not define a chain",
+                "stationary": f"{name} does not define a chain",
                 "labels": f"{name} does not define a chain",
                 "qmc": f"cannot certify positivity when converting {name} to a Markov chain",
             }.get(target, f"no conversion from {name} to {target}")
@@ -1811,15 +1812,17 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "name, peripheral, gap, condition",
         [
-            ("qrw_hadamard.json", [[1.0, 0.0], [-1.0, 0.0]], 0.0, 1.0),
+            ("qrw_hadamard.json", [[1.0, 0.0], [-1.0, 0.0]], 0.0, 1.1726039399558574),
             ("hmm2.json", [[1.0, 0.0]], 0.7, 1.0101525445522108),
         ],
         ids=["qrw_hadamard", "hmm2"],
     )
     def test_stationary_reports_the_peripheral_spectrum(self, name, peripheral, gap, condition):
         # the walk's orbit keeps flipping (eigenvalue -1) and only its average
-        # converges; the HMM's orbit settles.  The walk's projector onto its
-        # fixed space is orthogonal, the HMM's oblique (norm above one).
+        # converges; the HMM's orbit settles.  Both projectors onto the fixed
+        # space are oblique (norm above one): the walk averages on its block
+        # form, whose start coordinate makes the evolution non-normal (on its
+        # coordinate chain the projector is orthogonal).
         code, report = _run_json(["stationary", str(FIXTURES / name)])
         assert code == 0
         results = report["results"]
@@ -1828,6 +1831,24 @@ class TestCliCommands:
         assert results["spectral_gap"] == pytest.approx(gap, abs=1e-12)
         assert results["projector_condition"] == pytest.approx(condition, abs=1e-12)
         assert not {"method", "iterations", "cross_difference"} & set(results)
+
+    def test_stationary_averages_a_finitary_file_on_its_chain(self, tmp_path):
+        # a fair coin whose second coordinate is unobservable: both letters
+        # diag(0.5, 1), initial [1, 1], end [1, 0].  On the raw form that
+        # coordinate doubles each step and no limit exists; the file averages
+        # on its predictor chain (finitary_to_qpm), which drops it
+        letter = np.diag([0.5, 1.0])
+        model = qk.FinitaryParam(
+            qk.Alphabet(("a", "b")), np.stack([letter, letter]), np.ones(2), np.array([1.0, 0.0])
+        )
+        path = tmp_path / "coin2.json"
+        path.write_text(qk.save_model(model))
+        code, report = _run_json(["stationary", str(path)])
+        assert code == 0, report
+        letters = report["results"]["letter_distribution"]
+        assert letters == {"a": pytest.approx(0.5, abs=1e-12), "b": pytest.approx(0.5, abs=1e-12)}
+        with pytest.raises(DivergenceError, match="spectral radius 2.000000"):
+            qk.cesaro_limit(qk.finitary_process(model))
 
     def test_bell_single_file(self):
         code, report = _run_json(["bell", str(FIXTURES / "bell5.json")])
