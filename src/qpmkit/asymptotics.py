@@ -60,13 +60,18 @@ class _Reading(NamedTuple):
         return float(np.sqrt(max(self.gram_dot(coords) @ coords, 0.0)))
 
 
+def _form(source: QuantumChain | Process) -> tuple[Alphabet, LinearForm]:
+    """The source's alphabet and linear form; a chain's is its process's."""
+    process = chain_process(source) if isinstance(source, QuantumChain) else source
+    return process.alphabet, process.linear
+
+
 def _read(source: QuantumChain | Process) -> _Reading:
     """A chain reads as its process, with its cached ``total_matrix`` and its subspace."""
+    alphabet, form = _form(source)
     if isinstance(source, QuantumChain):
-        form = chain_process(source).linear
-        return _Reading(source.alphabet, form, source.total_matrix, source.subspace)
-    form = source.linear
-    return _Reading(source.alphabet, form, np.add.reduce(form.matrices, axis=0, initial=0.0), None)
+        return _Reading(alphabet, form, source.total_matrix, source.subspace)
+    return _Reading(alphabet, form, np.add.reduce(form.matrices, axis=0, initial=0.0), None)
 
 
 @dataclass(frozen=True)
@@ -370,7 +375,7 @@ def stationary_word_probability(
     """The word's value from the stationary limit: its composed letters, then the end vector."""
     if result is None:
         result = cesaro_limit(source, **limit_kwargs)
-    alphabet, form, _, _ = _read(source)
+    alphabet, form = _form(source)
     return word_value(result.coords, form.matrices, alphabet.indices(word), form.end)
 
 
@@ -379,7 +384,7 @@ def stationary_letter_distribution(
 ) -> dict[str, float]:
     if result is None:
         result = cesaro_limit(source, **limit_kwargs)
-    alphabet, form, _, _ = _read(source)
+    alphabet, form = _form(source)
     return {
         a: word_value(result.coords, form.matrices, [i], form.end) for i, a in enumerate(alphabet)
     }

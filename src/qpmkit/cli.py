@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import functools
 import math
+import re
 import sys
 import time
 
@@ -153,6 +154,12 @@ class _Help(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Every argument that starts with ``-`` and a digit, ``-1e-9`` too, is a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
+
     def error(self, message):
         raise UsageError(message)
 

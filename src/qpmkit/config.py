@@ -59,11 +59,19 @@ def load_config(environ=None) -> Config:
     )
     if non_finite:
         raise ValueError(f"non-finite config values: {non_finite}")
+    values = {}
     for key, value in data.items():
         if key == "qpm_horizon":
             if type(value) is not int or value < 0:
                 raise ValueError(f"qpm_horizon must be an integer >= 0, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+            values[key] = value
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
             raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
-    # a JSON integer such as 0 sets a float field as 0.0, as its --tol-* flag does
-    return DEFAULTS.replace(**{k: v if k == "qpm_horizon" else float(v) for k, v in data.items()})
+        try:  # a JSON integer such as 0 sets a float field as 0.0, as its --tol-* flag does
+            values[key] = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{key} must be a finite number >= 0, got an integer beyond the double range"
+            ) from None
+    return DEFAULTS.replace(**values)

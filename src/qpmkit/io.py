@@ -367,29 +367,44 @@ def _decode_with_shared_basis(text: str, config: Config):
     error (so that its message locates it in the file), a second
     ``basis`` key anywhere, or an ``ambient_dim`` that the decoded payload
     does not give as n.
+
+    An ``operators`` table that :func:`_operator_table` reads by its
+    layout is replaced by ``null`` too, and the payload's ``operators``
+    become its arrays, under the same guard: one ``operators`` key in the
+    file, and it in the payload.  Its letters are checked against the
+    alphabet by :func:`_symbol_stack`, whose findings are the same for
+    arrays as for lists.
     """
     tol = config.hermitian_tol
     found = _shared_basis_block(text) if type(tol) is float and tol >= 0 else None
     if found is None:
         return None
     start, end, subspace = found
-    bases = []
+    table = _operator_table(text, end, subspace.dim)
+    rest = text[end:] if table is None else text[end : table[0]] + "null" + text[table[1] :]
+    nulled = {"basis": [], "operators": []}
 
     def pairs(items):
-        bases.extend(value for key, value in items if key == "basis")
+        for key, value in items:
+            if key in nulled:
+                nulled[key].append(value)
         return dict(items)
 
     try:
-        raw = json.loads(text[:start] + "null" + text[end:], object_pairs_hook=pairs)
+        raw = json.loads(text[:start] + "null" + rest, object_pairs_hook=pairs)
     except json.JSONDecodeError:
         return None
     payload = raw.get("payload") if type(raw) is dict else None
-    if bases != [None] or type(payload) is not dict or "basis" not in payload:
+    if nulled["basis"] != [None] or type(payload) is not dict or "basis" not in payload:
         return None
     ambient = payload.get("ambient_dim")
     if type(ambient) is not int or ambient != subspace.ambient_dim:
         return None
     payload["basis"] = subspace
+    if table:
+        if nulled["operators"] != [None] or "operators" not in payload:
+            return None
+        payload["operators"] = dict(zip(*table[2:]))
     return raw
 
 
@@ -416,6 +431,151 @@ def _shared_basis_block(text: str) -> tuple[int, int, OperatorSubspace] | None:
         if start + len(block) == end and text.startswith(block, start):
             return start, end, _shared_subspace(n, dim)
     return None
+
+
+# The operators table follows the basis in a chain file from save_model:
+# its letters' keys at this indent level, each letter's d×d block written
+# by _array_text one line per row bracket and per number.
+_OPERATORS_LEVEL = 3
+_OPERATORS_AT = '\n    "operators": '
+_TABLE_END = "\n    }"
+_KEY_INDENT = "  " * _OPERATORS_LEVEL
+_ROW_INDENT = len(_KEY_INDENT) + 2
+_NUMBER_INDENT = _ROW_INDENT + 2
+# json decodes a table faster when its blocks have fewer numbers than
+# this, or when more than one number in _LAYOUT_MAX_HOT is longer than
+# -0.0: each such number costs the layout a float and a repr.  Both
+# crossovers come from the timing table in CHANGES.md.
+_LAYOUT_MIN_NUMBERS = 1024
+_LAYOUT_MAX_HOT = 10
+
+
+def _operator_table(text: str, after: int, d: int):
+    """``(start, end, letters, stack)`` of the operators table after ``after``, read by its layout.
+
+    The table must be the one that :func:`save_model` writes: the text's
+    newlines, found in one pass, split it into letters of d·(d + 2) + 2
+    lines each, whose key and closing lines are compared here.  The keys
+    must be plain (printable ASCII, no quote or backslash), so that their
+    text is their value, and strictly increasing, as the writer sorts
+    them.  :func:`_layout_blocks` reads the blocks.  ``start`` and
+    ``end`` bound the table's braces, ``letters`` are its keys and
+    ``stack`` their blocks in that order.  Anything else gives None: a
+    table of blocks below ``_LAYOUT_MIN_NUMBERS`` numbers, text that is
+    not ASCII, or any line that is not where the layout puts it.
+    """
+    if d * d < _LAYOUT_MIN_NUMBERS or not text.isascii():
+        return None
+    start = text.find(_OPERATORS_AT, after) + len(_OPERATORS_AT)
+    if start < len(_OPERATORS_AT) or not text.startswith("{\n", start):
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    newlines = _newlines(data, start + 1)
+    lines = d * (d + 2) + 2  # the key, d rows of d numbers between brackets, the close
+    letters, closed = [], False
+    while not closed:
+        first = len(letters) * lines
+        if first + lines >= len(newlines):
+            return None
+        line = text[newlines[first] + 1 : newlines[first + 1]]
+        close = text[newlines[first + lines - 1] + 1 : newlines[first + lines]]
+        key = line[len(_KEY_INDENT) + 1 : -4]
+        if (
+            line != f'{_KEY_INDENT}"{key}": ['
+            or '"' in key
+            or "\\" in key
+            or not key.isprintable()
+            or (letters and key <= letters[-1])
+        ):
+            return None
+        letters.append(key)
+        closed = close == _KEY_INDENT + "]"
+        if not closed and close != _KEY_INDENT + "],":
+            return None
+    end = int(newlines[len(letters) * lines])
+    if not text.startswith(_TABLE_END, end):
+        return None
+    stack = _layout_blocks(text, data, newlines[: len(letters) * lines + 1], d)
+    return None if stack is None else (start, end + len(_TABLE_END), letters, stack)
+
+
+# The newlines are found this many bytes at a time, so that a large
+# table's scan needs no mask as long as its text.
+_SCAN_BYTES = 1 << 22
+
+
+def _newlines(data: np.ndarray, start: int) -> np.ndarray:
+    """The offsets of the newline bytes of ``data`` from ``start`` on."""
+    found = [
+        at + np.flatnonzero(data[at : at + _SCAN_BYTES] == 10)
+        for at in range(start, data.size, _SCAN_BYTES)
+    ]
+    return np.concatenate(found) if found else np.empty(0, np.intp)
+
+
+_ZERO, _DOT, _MINUS, _OPEN, _CLOSE, _COMMA, _SPACE = b"0.-[], "
+
+
+def _layout_blocks(text: str, data: np.ndarray, newlines: np.ndarray, d: int) -> np.ndarray | None:
+    """The ``(letters, d, d)`` stack whose lines ``newlines`` bound, else None.
+
+    Each letter's lines after its key are read as ``_array_text(matrix,
+    _OPERATORS_LEVEL)`` writes them: a row bracket ``[`` or ``]`` (with a
+    comma but after the last row) behind its indent, and one number per
+    line, with a comma but after the row's last.  Every line's bytes
+    after its indent are compared: a number ``0.0`` or ``-0.0`` by its
+    bytes; any other is parsed by ``float`` and kept only if
+    ``float.__repr__`` writes it back as it stands, so json decodes it to
+    the same double.  The indents are checked by counting each block's
+    spaces, which only the indents hold.  Any mismatch gives None, and
+    so does a table with more than one number in ``_LAYOUT_MAX_HOT``
+    longer than ``-0.0``, before any of its bytes is compared.
+    """
+    lines = d * (d + 2) + 2
+    count = (len(newlines) - 1) // lines
+    # the newline before, and the one after, each line of each block: views
+    before = newlines[:-1].reshape(count, lines)[:, 1:-1].reshape(count, d, d + 2)
+    after = newlines[1:].reshape(count, lines)[:, 1:-1].reshape(count, d, d + 2)
+    commas = np.ones(d, dtype=newlines.dtype)  # after each row and each number but the last
+    commas[-1] = 0
+    last = after[..., 1:-1] - commas  # each number's end
+    size = last - before[..., 1:-1]  # each number's length
+    size -= 1 + _NUMBER_INDENT
+    if np.count_nonzero(size > 4) * _LAYOUT_MAX_HOT > size.size:
+        return None
+    if not (
+        (after[..., 0] - before[..., 0] == _ROW_INDENT + 2).all()
+        and (data[after[..., 0] - 1] == _OPEN).all()
+        and (after[..., -1] - before[..., -1] == _ROW_INDENT + 2 + commas).all()
+        and (data[before[..., -1] + 1 + _ROW_INDENT] == _CLOSE).all()
+        and (data[after[..., :-1, -1] - 1] == _COMMA).all()
+        and (data[after[..., 1:-2] - 1] == _COMMA).all()
+    ):
+        return None
+    negative = size == 4
+    negative &= data[last - 4] == _MINUS
+    zero = size == 3
+    zero |= negative
+    for back, byte in ((3, _ZERO), (2, _DOT), (1, _ZERO)):
+        zero &= data[last - back] == byte
+    hot = np.flatnonzero(~zero)
+    ends = last.reshape(-1)[hot]
+    bounds = zip((ends - size.reshape(-1)[hot]).tolist(), ends.tolist())
+    tokens = [text[a:b] for a, b in bounds]
+    try:
+        numbers = list(map(float, tokens))
+    except ValueError:
+        return None
+    if list(map(float.__repr__, numbers)) != tokens or not all(map(math.isfinite, numbers)):
+        return None
+    values = np.where(negative, -0.0, 0.0)
+    values.reshape(-1)[hot] = numbers
+    spaces = _ROW_INDENT * 2 * d + _NUMBER_INDENT * d * d
+    for letter in range(count):
+        block = data[newlines[letter * lines + 1] : newlines[(letter + 1) * lines - 1]]
+        if np.count_nonzero(block == _SPACE) != spaces:
+            return None
+    return values
 
 
 def _shared_subspace(n: int, dim: int) -> OperatorSubspace | None:
@@ -672,7 +832,8 @@ _SYMBOL_TABLES = {
 def _symbol_stack(alphabet: Alphabet, payload, field: str, d: int) -> np.ndarray:
     """The payload's ``field``, one d×d matrix per symbol, as one stack in alphabet order.
 
-    Entries are read, and their shapes checked, in file order.
+    Entries are read, and their shapes checked, in file order; an entry
+    that :func:`_operator_table` read by its layout is already an array.
     """
     one, many, wrong_shape = _SYMBOL_TABLES[field]
     table = payload[field]
@@ -680,7 +841,9 @@ def _symbol_stack(alphabet: Alphabet, payload, field: str, d: int) -> np.ndarray
         raise ValueError(f"{field} must map symbols to matrices")
     matrices = {}
     for symbol, data in table.items():
-        matrix = matrices[str(symbol)] = _array(data, f"{one} {symbol!r}")
+        if type(data) is not np.ndarray:
+            data = _array(data, f"{one} {symbol!r}")
+        matrix = matrices[str(symbol)] = data
         if matrix.shape != (d, d):
             raise DimensionMismatchError(
                 wrong_shape.format(symbol=symbol, d=d, square=(d, d), shape=matrix.shape)

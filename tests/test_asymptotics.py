@@ -393,6 +393,25 @@ class TestWalkBlockForm:
             )
             assert abs(extended - qk.stationary_word_probability(process, word, result)) <= 1e-12
 
+    def test_given_a_limit_the_helpers_read_only_the_form(self, qrw_hadamard, monkeypatch):
+        walk = random_local_qrw(np.random.default_rng(3), 3, 2)
+        sources = [qk.qrw_process(walk), qk.qrw_to_qmc(walk), qk.qrw_process(qrw_hadamard)]
+        results = [qk.cesaro_limit(source) for source in sources]
+
+        def answers(source, result):
+            words = qk.words_up_to(source.alphabet, 2)
+            return qk.stationary_letter_distribution(source, result), [
+                qk.stationary_word_probability(source, word, result) for word in words
+            ]
+
+        want = [answers(source, result) for source, result in zip(sources, results)]
+
+        def refused(source):
+            raise AssertionError("the source was read again")
+
+        monkeypatch.setattr(asymptotics, "_read", refused)
+        assert [answers(source, result) for source, result in zip(sources, results)] == want
+
 
 def _overlap_chain(rng) -> QuantumChain:
     """A one-letter predictor chain over the non-orthogonal basis {diag(1, 0), I}."""

@@ -525,6 +525,7 @@ class TestToleranceValues:
             (["validate", HMM2, "--tol-eval", "-1"], "--tol-eval"),
             (["stationary", HMM2, "--tol-stationarity", "-1"], "--tol-stationarity"),
             (["simulate", HMM2, "--length", "3", "--tol-clamp", "-0.5"], "--tol-clamp"),
+            (["validate", HMM2, "--tol-clamp", "-1e-9"], "--tol-clamp"),  # not read as a flag
         ],
     )
     def test_a_negative_flag_is_a_usage_error(self, argv, flag, monkeypatch):
@@ -550,6 +551,11 @@ class TestToleranceValues:
             ('{"eval_tol": true}', "True"),
             ('{"rank_eps": -1}', "-1"),
             ('{"preserve_tol": null}', "None"),
+            pytest.param(
+                '{"eval_tol": 1%s}' % ("0" * 400),
+                "an integer beyond the double range",
+                id="integer beyond the double range",
+            ),
         ],
     )
     def test_a_config_tolerance_that_is_not_a_number_at_least_zero_exits_two(

@@ -971,7 +971,34 @@ def _shared_basis_chains() -> dict[str, qk.QuantumChain]:
     for states, seed in ((2, 0), (5, 0), (8, 0), (12, 26)):  # seeds whose conversion succeeds
         hmm = random_hmm(np.random.default_rng(seed), states, 2)
         chains[f"{states}-state qpm"] = qk.finitary_to_qpm(qk.hmm_to_finitary(hmm))
+    chains["walk at ambient 16"] = qk.qrw_to_qmc(random_local_qrw(np.random.default_rng(16), 8, 2))
+    rng = np.random.default_rng(6)  # large but dense: json reads its table faster
+    chains["unitary at ambient 6"] = qk.unitary_to_qmc(
+        random_unitary(rng, 6), random_quantum_density(rng, 6)
+    )
     return chains
+
+
+def _takes_the_layout(chain) -> bool:
+    """Whether a canonical file of ``chain`` has its operator blocks read by their layout."""
+    ops = chain.operators
+    return bool(
+        ops.shape[1] ** 2 >= qpmkit_io._LAYOUT_MIN_NUMBERS
+        and np.count_nonzero(ops) * qpmkit_io._LAYOUT_MAX_HOT <= ops.size
+    )
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Patch ``qpmkit.io.<name>`` to record what each of its calls returns."""
+    returned = []
+    function = getattr(qpmkit_io, name)
+
+    def spy(*args):
+        returned.append(function(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(qpmkit_io, name, spy)
+    return returned
 
 
 def _shared(subspace) -> bool:
@@ -1052,18 +1079,166 @@ _NEAR_MISSES = {
 class TestSharedBasisFiles:
     """A chain file whose basis block is the canonical text of a shared basis skips decoding it."""
 
+    @pytest.mark.parametrize("forced", [False, True], ids=["shipped crossovers", "layout forced"])
     @pytest.mark.parametrize("name", list(_shared_basis_chains()))
-    def test_canonical_and_compact_files_load_to_one_chain(self, tmp_path, name):
+    def test_canonical_and_compact_files_load_to_one_chain(self, tmp_path, monkeypatch, name, forced):
         canonical, compact = tmp_path / "canonical.json", tmp_path / "compact.json"
-        text = save_model(_shared_basis_chains()[name], canonical)
+        chain = _shared_basis_chains()[name]
+        text = save_model(chain, canonical)
         compact.write_text(json.dumps(json.loads(text)))
+        if forced:  # every table, however small or dense, is read by its layout
+            monkeypatch.setattr(qpmkit_io, "_LAYOUT_MIN_NUMBERS", 1)
+            monkeypatch.setattr(qpmkit_io, "_LAYOUT_MAX_HOT", 1)
+        read = _spy(monkeypatch, "_layout_blocks")
         fast, kind, violations, fast_report = load_model_report(canonical, with_report=True)
         slow, _, _, slow_report = load_model_report(compact, with_report=True)
+        taken = forced or _takes_the_layout(chain)  # a dense table is given up after its scan
+        assert [stack is not None for stack in read] in ([[True]] if taken else [[], [False]])
         assert violations == [] and kind in ("qmc", "qpm")
         assert _shared(fast.subspace) and not _shared(slow.subspace)
         assert _chain_bits(fast) == _chain_bits(slow)
         assert fast_report == slow_report and fast_report.evidence
         assert save_model(fast) == text
+
+    def test_the_walk_chains_at_ambient_6_and_up_take_the_layout(self):
+        # the cases above exercise the shipped crossovers on both sides
+        taken = [name for name, chain in _shared_basis_chains().items() if _takes_the_layout(chain)]
+        assert taken == [f"walk at ambient {n}" for n in (6, 7, 8, 16)]
+
+    @pytest.mark.parametrize("byte", list("7 -e\n],"))
+    def test_one_byte_edits_of_a_table_load_as_json_reads_them(self, tmp_path, monkeypatch, byte):
+        text = save_model(_shared_basis_chains()["walk at ambient 8"])
+        start = text.index('"operators": ')
+        seeded = np.random.default_rng(39).integers(start, len(text), 16).tolist()
+        edits = [(p, p + 1) for p in seeded]
+        # and one byte of each kind that the layout puts in the table, replaced
+        # or with the byte put before it
+        landmarks = {
+            '"n1": [\n        [': (1, 17),
+            "[\n          0.0,": (0, 15),
+            "0.0,\n          -0.0": (0, 1, 2, 3, 15),
+            "0.0\n        ],\n        [": (2, 12, 13, 23),
+            "0.0\n        ]\n      ],\n": (12, 20, 21),
+            "0.0\n        ]\n      ]\n    }\n": (20, 26),
+        }
+        nonzero = re.compile(r"\n {10}(-?[1-9]|0\.[0-9]*[1-9])").search(text, start)
+        positions = list(range(nonzero.start(1), nonzero.start(1) + 4))
+        for landmark, offsets in landmarks.items():
+            at = text.index(landmark, start)
+            positions += [at + offset for offset in offsets]
+        edits += [(p, p + cut) for p in positions for cut in (0, 1)]
+        path = tmp_path / "edited.json"
+        read = _spy(monkeypatch, "_layout_blocks")
+        for position, end in edits:
+            if text[position:end] == byte:
+                continue
+            path.write_text(text[:position] + byte + text[end:])
+            fast, slow = _load_both_ways(path, monkeypatch)
+            assert fast[1:] == slow[1:], (position, end)
+            assert (fast[0] is None) == (slow[0] is None)
+            if slow[0] is not None:
+                assert _chain_bits(fast[0]) == _chain_bits(slow[0])
+        if byte == "7":  # a digit in place of a zero's leaves a table that the layout reads
+            assert any(stack is not None for stack in read)
+
+    @pytest.mark.parametrize(
+        "number",
+        ["5.0", "0.5", "-0.5", "10.0", "-10.0", "5e-324", "1e+16", "1e-05", "0.50", "1E5", "1e400",
+         "+1.0", ".5", "1_0.0", "0", "-0", "00.0", "inf", "-inf", "nan", "NaN", "Infinity", '"0.0"'],
+    )
+    def test_numbers_in_a_table_load_as_json_reads_them(self, tmp_path, monkeypatch, number):
+        text = save_model(_shared_basis_chains()["walk at ambient 8"])
+        at = text.index("\n          0.0,", text.index('"operators": ')) + 11
+        path = tmp_path / "edited.json"
+        path.write_text(text[:at] + number + text[at + 3 :])
+        read = _spy(monkeypatch, "_layout_blocks")
+        fast, slow = _load_both_ways(path, monkeypatch)
+        assert fast[1:] == slow[1:]
+        assert (fast[0] is None) == (slow[0] is None)
+        if slow[0] is not None:
+            assert _chain_bits(fast[0]) == _chain_bits(slow[0])
+        canonical = number in ("5.0", "0.5", "-0.5", "10.0", "-10.0", "5e-324", "1e+16", "1e-05")
+        assert (read[0] is not None) == canonical
+
+    def test_a_large_canonical_table_skips_the_array_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "walk.json"
+        save_model(_shared_basis_chains()["walk at ambient 16"], path)
+        read = []
+        array = qpmkit_io._array
+        monkeypatch.setattr(
+            qpmkit_io, "_array", lambda data, what, *a: read.append(what) or array(data, what, *a)
+        )
+        assert load_model(path).operators.shape == (8, 256, 256)
+        assert read == ["initial"]
+
+    def test_other_tables_never_reach_the_layout_reader(self, tmp_path, monkeypatch):
+        large = save_model(_shared_basis_chains()["walk at ambient 8"])
+        data = json.loads(large)
+        texts = {
+            "below the crossover": save_model(_shared_basis_chains()["walk at ambient 5"]),
+            "compact": json.dumps(data),
+            "re-indented": json.dumps(data, sort_keys=True, indent=3),
+            "escaped key": large.replace('"n3": [', '"n\\u0033": ['),  # still the last key
+            "control character in a key": large.replace('"n1": [', '"n1\t": ['),
+            "quote in a key": large.replace('"n1": [', '"n1"": ['),
+            "non-ASCII key": large.replace('"n1": [', '"n1\u00e9": ['),
+            "duplicate letter": large.replace('"n1": [', '"n0": ['),
+        }
+        read = _spy(monkeypatch, "_layout_blocks")
+        path = tmp_path / "table.json"
+        path.write_text(large)
+        load_model(path)
+        assert len(read) == 1 and read[0] is not None  # the canonical file is read by its layout
+        for name, text in texts.items():
+            assert text != large
+            path.write_text(text)
+            fast, slow = _load_both_ways(path, monkeypatch)
+            assert fast[1:] == slow[1:], name
+            if slow[0] is not None:
+                assert _chain_bits(fast[0]) == _chain_bits(slow[0])
+        # CRLF text: the loader reads files with universal newlines, so only a
+        # decode of the text itself sees the carriage returns
+        assert qpmkit_io._decode_with_shared_basis(large.replace("\n", "\r\n"), DEFAULTS) is None
+        assert len(read) == 1
+        path.write_text(texts["duplicate letter"])
+        assert load_model_report(path)[2] == ["missing operator for symbol 'n1'"]
+
+    def test_tables_read_by_layout_keep_the_json_findings(self, tmp_path, monkeypatch):
+        large = save_model(_shared_basis_chains()["walk at ambient 8"])
+        at = large.index(',\n    "operators": ')
+        end = large.index("\n    }\n  },", at) + len("\n    }")
+        moved = large[:at] + large[end:]  # the table in another top-level object
+        extra = '\n  "extra": {' + large[at + 1 : end] + "\n  },"
+        moved = moved.replace('\n  "schema_version"', extra + '\n  "schema_version"')
+        texts = {
+            "a letter the table lacks": (
+                large.replace('"n3"\n  ],', '"n3",\n    "n4"\n  ],'),
+                ["missing operator for symbol 'n4'"],
+            ),
+            "a letter the alphabet lacks": (
+                large.replace('"n2",\n    "n3"\n  ],', '"n2"\n  ],'),
+                ["operators for unknown symbols: ['n3']"],
+            ),
+            "a second operators key": (
+                large.replace("\n    }\n  },", '\n    },\n    "operators": {"n0": [[1.0]]}\n  },'),
+                ["coordinate matrix must be 64x64, got (1, 1)"],
+            ),
+            "the table in another object": (
+                moved,
+                [
+                    "unknown top-level fields: ['extra']",
+                    "missing payload fields for kind 'qmc': ['operators']",
+                ],
+            ),
+        }
+        read = _spy(monkeypatch, "_layout_blocks")
+        path = tmp_path / "table.json"
+        for name, (text, findings) in texts.items():
+            assert text != large
+            path.write_text(text)
+            fast, slow = _load_both_ways(path, monkeypatch)
+            assert fast[1:] == slow[1:] and fast[2] == findings, name
+        assert len(read) == len(texts) and all(stack is not None for stack in read)
 
     @pytest.mark.parametrize("name", ["walk at ambient 4", "hmm qmc"])
     @pytest.mark.parametrize("miss", list(_NEAR_MISSES))
@@ -1111,7 +1286,7 @@ class TestSharedBasisFiles:
 
     def test_canonical_files_skip_the_basis_reader(self, tmp_path, monkeypatch):
         paths = []
-        for name in ("walk at ambient 4", "hmm qmc", "8-state qpm"):
+        for name in ("walk at ambient 4", "hmm qmc", "8-state qpm", "walk at ambient 8"):
             paths.append(tmp_path / f"{len(paths)}.json")
             save_model(_shared_basis_chains()[name], paths[-1])
             load_model(paths[-1])  # renders each block once
